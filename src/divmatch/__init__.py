@@ -58,10 +58,8 @@ from .solver import (
     SolveReport,
     SolverConfig,
     initial_feasible,
-    initial_feasible_assignment,
     iteration_bound,
     solve,
-    solve_general_weights,
 )
 from .oracle import (
     BudgetExceededError,

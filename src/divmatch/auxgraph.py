@@ -1,8 +1,9 @@
 """Auxiliary switch-graph whose negative cycles are beneficial exchanges.
 
 Every team (including the dummy team 0) is a switch with one input and one
-output port per mover key. A key is a feature combination (class cost mode)
-or an individual worker (worker cost mode). Ports are graph nodes:
+output port per mover key. A key is a worker type: a feature vector plus a
+cost column (see :class:`~divmatch.instance.CombinationIndex`). Ports are
+graph nodes:
 
 * intra edges run input -> output inside one switch and carry the correction
   ``-2 * lambdas[k]`` for every feature k on which the two keys agree (zero
@@ -24,10 +25,9 @@ after an exchange is applied; only inter edges incident to a touched
 
 from __future__ import annotations
 
-from .instance import CombinationIndex, CostModel, Instance, TradeoffWeights
+from .instance import CombinationIndex, Instance, TradeoffWeights
 from .negcycle import ExchangeCycle
-from .objective import check_assignment_matrix, check_worker_assignment, \
-    count_tensor
+from .objective import check_assignment_matrix, count_tensor
 
 __all__ = [
     "AuxEdge",
@@ -80,63 +80,51 @@ def _shared_value_correction(v_a, v_b, weights: TradeoffWeights) -> int:
 
 
 def intra_weight(v_a, v_b, team: int, weights: TradeoffWeights) -> int:
-    """Correction for a worker with combination ``v_a`` entering and one with
-    ``v_b`` leaving team ``team``: -2*lambda_k per shared feature value.
+    """Correction for a worker with feature values ``v_a`` entering and one
+    with ``v_b`` leaving team ``team``: -2*lambda_k per shared feature value.
     Zero inside the dummy switch."""
     if team == 0:
         return 0
     return _shared_value_correction(v_a, v_b, weights)
 
 
-def _move_diversity_delta(values, i1: int, i2: int, c,
-                          weights: TradeoffWeights) -> int:
+def inter_weight(values, costs, from_team: int, to_team: int, c,
+                 weights: TradeoffWeights) -> int:
+    """Objective change of moving one worker with feature values ``values``
+    from ``from_team`` to ``to_team``, given current counts ``c``.
+    ``costs[i]`` is the worker's cost in team ``i`` (``costs[0]`` is 0)."""
+    if from_team == to_team:
+        raise ValueError("inter edge endpoints must be distinct teams")
     # (x-1)^2 - x^2 = 1 - 2x on the leaving side, (x+1)^2 - x^2 = 2x + 1 on
     # the entering side; the dummy team carries no diversity.
-    delta = 0
+    delta = weights.lambda0 * (costs[to_team] - costs[from_team])
     for k, v in enumerate(values):
         lam = weights.lambdas[k]
-        if i1 != 0:
-            delta += lam * (1 - 2 * c[i1][k][v])
-        if i2 != 0:
-            delta += lam * (2 * c[i2][k][v] + 1)
+        if from_team != 0:
+            delta += lam * (1 - 2 * c[from_team][k][v])
+        if to_team != 0:
+            delta += lam * (2 * c[to_team][k][v] + 1)
     return delta
 
 
-def inter_weight(v_j, from_team: int, to_team: int, c, costs: CostModel,
-                 weights: TradeoffWeights) -> int:
-    """Objective change of moving one worker with combination ``v_j`` from
-    ``from_team`` to ``to_team``, given current counts ``c`` (class costs)."""
-    if from_team == to_team:
-        raise ValueError("inter edge endpoints must be distinct teams")
-    cost_from = 0 if from_team == 0 else costs.table[from_team - 1][v_j[0]]
-    cost_to = 0 if to_team == 0 else costs.table[to_team - 1][v_j[0]]
-    return (weights.lambda0 * (cost_to - cost_from)
-            + _move_diversity_delta(v_j, from_team, to_team, c, weights))
-
-
 class AuxGraph:
-    """Live switch-graph over the current assignment.
+    """Live switch-graph over the current assignment matrix.
 
     Exposes ``node_count`` and ``succ`` (adjacency lists of AuxEdge) for the
     cycle detectors. Single-writer: detection never overlaps mutation.
     """
 
-    def __init__(self, inst: Instance, state, index: CombinationIndex | None):
+    def __init__(self, inst: Instance, w, index: CombinationIndex):
         self.inst = inst
-        self.mode = inst.costs.mode
         self.index = index
-        if self.mode == "class":
-            self.keys = index.columns
-            self.w = [list(row) for row in state]
-            self.assign = None
-        else:
-            self.keys = inst.workers
-            self.w = None
-            self.assign = list(state)
+        self.keys = index.columns
+        # per key, its cost in each team 0..t
+        self._key_costs = list(zip(*index.costs))
+        self.w = [list(row) for row in w]
         self.num_keys = len(self.keys)
         self.num_switches = inst.t + 1
         self.node_count = 2 * self.num_keys * self.num_switches
-        self.c = count_tensor(inst, state, index)
+        self.c = count_tensor(inst, w, index)
         self.edges: list[AuxEdge] = []
         self.succ: list[list[AuxEdge]] = [[] for _ in range(self.node_count)]
         self._inter_incident: list[list[AuxEdge]] = [
@@ -156,23 +144,8 @@ class AuxGraph:
 
     # -- weights ------------------------------------------------------------
 
-    def _cost(self, team: int, key: int) -> int:
-        if team == 0:
-            return 0
-        if self.mode == "class":
-            return self.inst.costs.table[team - 1][self.keys[key][0]]
-        return self.inst.costs.table[team - 1][key]
-
-    def _inter_weight(self, key: int, i1: int, i2: int) -> int:
-        return (self.inst.weights.lambda0 * (self._cost(i2, key)
-                                             - self._cost(i1, key))
-                + _move_diversity_delta(self.keys[key], i1, i2, self.c,
-                                        self.inst.weights))
-
     def _available(self, team: int, key: int) -> bool:
-        if self.mode == "class":
-            return self.w[team][key] >= 1
-        return self.assign[key] == team
+        return self.w[team][key] >= 1
 
     # -- construction -------------------------------------------------------
 
@@ -194,9 +167,10 @@ class AuxGraph:
                 for key in range(self.num_keys):
                     src = self.port_id(i1, OUTPUT, key)
                     dst = self.port_id(i2, INPUT, key)
-                    edge = AuxEdge(src, dst, self._inter_weight(key, i1, i2),
-                                   "inter", self._available(i1, key),
-                                   i1, i2, key, key)
+                    wgt = inter_weight(self.keys[key], self._key_costs[key],
+                                       i1, i2, self.c, weights)
+                    edge = AuxEdge(src, dst, wgt, "inter",
+                                   self._available(i1, key), i1, i2, key, key)
                     self._add(edge)
                     self._inter_incident[i1].append(edge)
                     self._inter_incident[i2].append(edge)
@@ -217,27 +191,19 @@ class AuxGraph:
                                     self.port_id(team, OUTPUT, key_out))]
 
     def current_state(self):
-        """Copy of the live assignment (matrix or worker -> team map)."""
-        if self.mode == "class":
-            return [list(row) for row in self.w]
-        return list(self.assign)
+        """Copy of the live assignment matrix."""
+        return [list(row) for row in self.w]
 
     # -- mutation -----------------------------------------------------------
 
     def apply_moves(self, moves) -> None:
         """Apply moves ``(key, from_team, to_team)`` and reweight locally."""
         for key, i1, i2 in moves:
-            if self.mode == "class":
-                if self.w[i1][key] <= 0:
-                    raise CycleApplicationError(
-                        f"counter underflow: no key {key} worker in team {i1}")
-                self.w[i1][key] -= 1
-                self.w[i2][key] += 1
-            else:
-                if self.assign[key] != i1:
-                    raise CycleApplicationError(
-                        f"worker {key} is not in team {i1}")
-                self.assign[key] = i2
+            if self.w[i1][key] <= 0:
+                raise CycleApplicationError(
+                    f"counter underflow: no key {key} worker in team {i1}")
+            self.w[i1][key] -= 1
+            self.w[i2][key] += 1
             for k, v in enumerate(self.keys[key]):
                 if self.c[i1][k][v] <= 0:
                     raise CycleApplicationError("count tensor underflow")
@@ -252,6 +218,7 @@ class AuxGraph:
             touched.add(i1)
             touched.add(i2)
             moved.append(self.keys[key])
+        weights = self.inst.weights
         seen = set()
         for team in sorted(touched):
             for edge in self._inter_incident[team]:
@@ -261,8 +228,9 @@ class AuxGraph:
                 values = self.keys[edge.key_from]
                 if any(any(a == b for a, b in zip(values, mv))
                        for mv in moved):
-                    edge.weight = self._inter_weight(
-                        edge.key_from, edge.team_from, edge.team_to)
+                    edge.weight = inter_weight(
+                        values, self._key_costs[edge.key_from],
+                        edge.team_from, edge.team_to, self.c, weights)
         for key, i1, i2 in moves:
             for team in (i1, i2):
                 src = self.port_id(team, OUTPUT, key)
@@ -270,15 +238,10 @@ class AuxGraph:
                     edge.enabled = self._available(team, key)
 
 
-def build_aux_graph(inst: Instance, state,
+def build_aux_graph(inst: Instance, w,
                     index: CombinationIndex | None = None) -> AuxGraph:
-    """Construct the switch-graph for a valid assignment."""
-    if inst.costs.mode == "class":
-        index = check_assignment_matrix(inst, state, index)
-    else:
-        check_worker_assignment(inst, state)
-        index = None
-    return AuxGraph(inst, state, index)
+    """Construct the switch-graph for a valid assignment matrix."""
+    return AuxGraph(inst, w, check_assignment_matrix(inst, w, index))
 
 
 def moves_of(cycle: ExchangeCycle):

@@ -3,7 +3,8 @@
 Exit codes: 0 solved to a certified optimum (or report/gen succeeded),
 1 invalid input (bad file, bad format, infeasible parameters), 2 iteration
 cap reached before convergence, 3 instance too large for the verification
-oracle, 4 solver and oracle disagree (verify only).
+oracle, 4 solver and oracle disagree (verify only), 5 internal solver error
+(a broken solver invariant: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import logging
 import sys
 from dataclasses import dataclass
 
-from .instance import InvalidInstanceError, convert_cost_mode, \
+from .instance import InvalidInstanceError, build_combination_index, \
     dump_instance, generate_reviewer_instance, load_instance
-from .objective import assignment_from_matrix, count_tensor, \
-    matrix_from_assignment
+from .objective import assignment_from_matrix, count_tensor
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, enumerate_optimal
 from .solver import SolveReport, SolverConfig, solve
 
@@ -29,6 +29,7 @@ EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
+EXIT_INTERNAL = 5
 
 _DETECTOR_NAMES = {"bf": "bellman_ford", "gr": "goldberg_radzik"}
 
@@ -55,19 +56,15 @@ def _configure_logging(level: str):
 # ---------------------------------------------------------------------------
 
 def solution_to_dict(inst, report: SolveReport) -> dict:
-    if report.mode == "class":
-        w = report.assignment
-        assign = assignment_from_matrix(inst, w)
-    else:
-        assign = report.assignment
-        w = matrix_from_assignment(inst, assign)
-    state = report.assignment
-    c = count_tensor(inst, state)
+    index = build_combination_index(inst)
+    w = report.assignment
+    assign = assignment_from_matrix(inst, w, index)
+    c = count_tensor(inst, w, index)
     by_team: list[list[int]] = [[] for _ in range(inst.t + 1)]
     for x, i in enumerate(assign):
         by_team[i].append(x)
     return {
-        "mode": report.mode,
+        "mode": inst.costs.mode,
         "objective": report.breakdown.objective,
         "tu": report.breakdown.tu,
         "diversity": list(report.breakdown.diversity),
@@ -167,11 +164,16 @@ def _load(path: str):
         return None, f"error: {exc}"
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(detector=_DETECTOR_NAMES[args.detector],
-                        max_iterations=args.max_iters,
-                        mode=args.mode,
-                        log_level=args.log)
+def _solve(inst, args) -> SolveReport | None:
+    """Solve with the command's flags; None after reporting an internal
+    solver error."""
+    cfg = SolverConfig(detector=_DETECTOR_NAMES[args.detector],
+                       max_iterations=args.max_iters, log_level=args.log)
+    try:
+        return solve(inst, cfg)
+    except RuntimeError as exc:  # a broken solver invariant
+        print(f"error: internal solver error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_solve(args) -> int:
@@ -179,13 +181,10 @@ def cmd_solve(args) -> int:
     if err:
         print(err, file=sys.stderr)
         return EXIT_INPUT
-    try:
-        report = solve(inst, _solver_config(args))
-    except InvalidInstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    doc = solution_to_dict(inst if args.mode == "auto" else
-                           convert_cost_mode(inst, args.mode), report)
+    report = _solve(inst, args)
+    if report is None:
+        return EXIT_INTERNAL
+    doc = solution_to_dict(inst, report)
     payload = json.dumps(doc, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -210,7 +209,9 @@ def cmd_verify(args) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    report = solve(inst, _solver_config(args))
+    report = _solve(inst, args)
+    if report is None:
+        return EXIT_INTERNAL
     print(f"solver objective: {report.breakdown.objective}")
     print(f"oracle objective: {result.optimal_objective}")
     if report.termination != "optimal":
@@ -282,8 +283,6 @@ def cmd_gen(args) -> int:
 def _add_solver_flags(p):
     p.add_argument("--detector", choices=("bf", "gr"), default="gr")
     p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    p.add_argument("--mode", choices=("auto", "class", "worker"),
-                   default="auto")
     p.add_argument("--log", choices=("quiet", "iter", "debug"),
                    default="quiet")
 

@@ -198,29 +198,25 @@ class Instance:
             return self.n - self.total_demand
         return self.teams[i - 1].demand
 
-    def cost(self, i: int, key: int) -> int:
-        """Cost of one worker unit in team ``i`` (0 = dummy, always free).
-
-        ``key`` is a first-feature value index in class mode and a worker
-        index in worker mode.
-        """
-        if i == 0:
-            return 0
-        return self.costs.table[i - 1][key]
-
 
 @dataclass(frozen=True)
 class CombinationIndex:
-    """Groups workers by their full feature-value vector.
+    """Groups workers into types: a type is a set of workers with the same
+    feature vector and the same cost column.
 
-    ``columns`` lists the distinct vectors in lexicographic order;
-    ``multiplicities[j]`` counts the workers holding ``columns[j]``;
-    ``worker_to_column[x]`` maps each worker to its column.
+    ``columns[j]`` is the feature vector of type ``j``; types are sorted by
+    (feature vector, cost column), so with class costs the types are the
+    distinct feature combinations in lexicographic order.
+    ``multiplicities[j]`` counts the workers of type ``j``;
+    ``worker_to_column[x]`` maps each worker to its type;
+    ``costs[i][j]`` is the cost of one type-``j`` worker in team ``i``
+    (row 0, the dummy team, is all zeros).
     """
 
     columns: tuple[tuple[int, ...], ...]
     multiplicities: tuple[int, ...]
     worker_to_column: tuple[int, ...]
+    costs: tuple[tuple[int, ...], ...]
 
     @property
     def num_columns(self) -> int:
@@ -228,15 +224,21 @@ class CombinationIndex:
 
 
 def build_combination_index(inst: Instance) -> CombinationIndex:
-    """Group workers into distinct feature combinations, in lexicographic
-    order so that downstream node ids and outputs are deterministic."""
-    columns = sorted(set(inst.workers))
-    col_of = {v: j for j, v in enumerate(columns)}
-    worker_to_column = tuple(col_of[fv] for fv in inst.workers)
-    mult = [0] * len(columns)
+    """Group workers into types, in (feature vector, cost column) order so
+    that downstream node ids and outputs are deterministic."""
+    table = inst.costs.table
+    by_class = inst.costs.mode == "class"
+    keys = [(fv, tuple(row[fv[0] if by_class else x] for row in table))
+            for x, fv in enumerate(inst.workers)]
+    types = sorted(set(keys))
+    type_of = {key: j for j, key in enumerate(types)}
+    worker_to_column = tuple(type_of[key] for key in keys)
+    mult = [0] * len(types)
     for j in worker_to_column:
         mult[j] += 1
-    return CombinationIndex(tuple(columns), tuple(mult), worker_to_column)
+    costs = ((0,) * len(types),) + tuple(zip(*(col for _, col in types)))
+    return CombinationIndex(tuple(fv for fv, _ in types), tuple(mult),
+                            worker_to_column, costs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ Herfindahl-style concentration measure; lower means more diverse teams).
 The dummy team contributes zero to both parts. Everything here is pure
 integer arithmetic on immutable inputs.
 
-Two assignment representations are supported, matching the two cost modes:
-
-* class mode: a matrix ``w`` of t+1 rows (row 0 = dummy team) whose column j
-  counts the workers of feature combination j held by each team,
-* worker mode: a flat list mapping each worker to its team (0 = unassigned).
+An assignment is a matrix ``w`` of t+1 rows (row 0 = dummy team) whose
+column j counts the workers of type j held by each team (see
+:class:`~divmatch.instance.CombinationIndex`). Workers of one type are
+interchangeable, so the objective is a function of the matrix alone;
+:func:`assignment_from_matrix` gives a worker -> team map realizing it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .instance import CombinationIndex, Instance, build_combination_index
 __all__ = [
     "ObjectiveBreakdown",
     "check_assignment_matrix",
-    "check_worker_assignment",
     "count_tensor",
     "diversity_k",
     "total_utility",
@@ -54,7 +53,7 @@ class ObjectiveBreakdown:
 
 def check_assignment_matrix(inst: Instance, w: Matrix,
                             index: CombinationIndex | None = None) -> CombinationIndex:
-    """Validate row/column sums of a class-mode assignment matrix."""
+    """Validate row/column sums of an assignment matrix."""
     if index is None:
         index = build_combination_index(inst)
     if len(w) != inst.t + 1:
@@ -76,43 +75,23 @@ def check_assignment_matrix(inst: Instance, w: Matrix,
     return index
 
 
-def check_worker_assignment(inst: Instance, assign: WorkerAssignment) -> None:
-    """Validate a worker -> team map against demands."""
-    if len(assign) != inst.n:
-        raise ValueError(f"assignment covers {len(assign)} workers, "
-                         f"expected {inst.n}")
-    held = [0] * (inst.t + 1)
-    for x, i in enumerate(assign):
-        if not 0 <= i <= inst.t:
-            raise ValueError(f"worker {x} assigned to unknown team {i}")
-        held[i] += 1
-    for i in range(1, inst.t + 1):
-        if held[i] != inst.demand(i):
-            raise ValueError(f"team {i} holds {held[i]} workers, "
-                             f"demand is {inst.demand(i)}")
-
-
-def count_tensor(inst: Instance, w, index: CombinationIndex | None = None):
+def count_tensor(inst: Instance, w: Matrix,
+                 index: CombinationIndex | None = None):
     """Per-team, per-feature value counts ``c[i][k][v]`` for teams 0..t.
 
     Row 0 tracks the dummy team for bookkeeping; diversity and utility skip it.
     """
+    if index is None:
+        index = build_combination_index(inst)
     nf = inst.schema.num_features
     c = [[[0] * inst.schema.value_count(k) for k in range(nf)]
          for _ in range(inst.t + 1)]
-    if inst.costs.mode == "worker":
-        for x, i in enumerate(w):
-            for k, v in enumerate(inst.workers[x]):
-                c[i][k][v] += 1
-    else:
-        if index is None:
-            index = build_combination_index(inst)
-        for i in range(inst.t + 1):
-            for j, combo in enumerate(index.columns):
-                cnt = w[i][j]
-                if cnt:
-                    for k, v in enumerate(combo):
-                        c[i][k][v] += cnt
+    for i in range(inst.t + 1):
+        for j, combo in enumerate(index.columns):
+            cnt = w[i][j]
+            if cnt:
+                for k, v in enumerate(combo):
+                    c[i][k][v] += cnt
     return c
 
 
@@ -123,41 +102,24 @@ def diversity_k(c, k: int) -> int:
     return sum(x * x for row in c[1:] for x in row[k])
 
 
-def total_utility(inst: Instance, w, index: CombinationIndex | None = None) -> int:
+def total_utility(inst: Instance, w: Matrix,
+                  index: CombinationIndex | None = None) -> int:
     """Summed assignment cost over real teams; the dummy team is free."""
-    if inst.costs.mode == "worker":
-        if not _is_worker_assignment(w):
-            raise ValueError("worker cost mode expects a worker -> team map")
-        return sum(inst.cost(i, x) for x, i in enumerate(w) if i > 0)
-    if _is_worker_assignment(w):
-        raise ValueError("class cost mode expects an assignment matrix")
-    if index is None:
-        index = build_combination_index(inst)
-    tu = 0
-    for i in range(1, inst.t + 1):
-        for j, combo in enumerate(index.columns):
-            if w[i][j]:
-                tu += inst.cost(i, combo[0]) * w[i][j]
-    return tu
+    index = check_assignment_matrix(inst, w, index)
+    return _cost_of(index, w)
 
 
-def _is_worker_assignment(w) -> bool:
-    return bool(w) and isinstance(w[0], int)
+def _cost_of(index: CombinationIndex, w: Matrix) -> int:
+    return sum(u * x for costs, row in zip(index.costs, w)
+               for u, x in zip(costs, row))
 
 
-def objective(inst: Instance, w,
+def objective(inst: Instance, w: Matrix,
               index: CombinationIndex | None = None) -> ObjectiveBreakdown:
-    """Evaluate an assignment. The representation must match the cost mode."""
-    if inst.costs.mode == "worker":
-        if not _is_worker_assignment(w):
-            raise ValueError("worker cost mode expects a worker -> team map")
-        check_worker_assignment(inst, w)
-    else:
-        if _is_worker_assignment(w):
-            raise ValueError("class cost mode expects an assignment matrix")
-        index = check_assignment_matrix(inst, w, index)
+    """Evaluate a valid assignment matrix."""
+    index = check_assignment_matrix(inst, w, index)
     c = count_tensor(inst, w, index)
-    tu = total_utility(inst, w, index)
+    tu = _cost_of(index, w)
     div = tuple(diversity_k(c, k) for k in range(inst.schema.num_features))
     lam = inst.weights
     f = lam.lambda0 * tu + sum(l * d for l, d in zip(lam.lambdas, div))
@@ -196,7 +158,7 @@ def exchange_gain(inst: Instance, w_before, w_after,
 def assignment_from_matrix(inst: Instance, w: Matrix,
                            index: CombinationIndex | None = None) -> list[int]:
     """Deterministic worker -> team map realizing a count matrix: within each
-    combination, workers in index order fill teams 0..t in row order."""
+    type, workers in index order fill teams 0..t in row order."""
     if index is None:
         index = build_combination_index(inst)
     members: list[list[int]] = [[] for _ in range(index.num_columns)]
@@ -214,7 +176,7 @@ def assignment_from_matrix(inst: Instance, w: Matrix,
 
 def matrix_from_assignment(inst: Instance, assign: WorkerAssignment,
                            index: CombinationIndex | None = None) -> Matrix:
-    """Count matrix over combination columns induced by a worker -> team map."""
+    """Count matrix over type columns induced by a worker -> team map."""
     if index is None:
         index = build_combination_index(inst)
     w = [[0] * index.num_columns for _ in range(inst.t + 1)]

@@ -1,12 +1,13 @@
-"""Exhaustive ground-truth optimum for small instances.
+"""Exhaustive ground-truth optimum for small instances, and the bounded
+exact sub-solver behind it.
 
-Class-mode instances are enumerated over count matrices (workers sharing a
-feature combination are interchangeable, so the objective is a function of
-the matrix alone), worker-mode instances over worker -> team maps unless the
-per-worker costs turn out to be constant within every combination, in which
-case the matrix enumeration applies as well. Partial objectives only grow as
-workers are placed, so branches already above the incumbent are pruned
-without affecting exactness or the count of optima.
+Workers of one type are interchangeable, so the objective is a function of
+the type-count matrix alone, and the oracle enumerates count matrices.
+:func:`best_split` does the enumeration over any set of rows: the oracle
+runs it on all rows, the solver's re-split refinement on two or three.
+Partial objectives only grow as workers are placed, so branches already
+above the incumbent are pruned without affecting exactness or the count of
+optima.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 from .instance import Instance, build_combination_index
-from .objective import assignment_from_matrix, matrix_from_assignment
+from .objective import assignment_from_matrix
 
 __all__ = ["OracleResult", "BudgetExceededError", "enumerate_optimal",
-           "DEFAULT_BUDGET"]
+           "best_split", "split_count", "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -30,10 +31,10 @@ class BudgetExceededError(RuntimeError):
 @dataclass
 class OracleResult:
     optimal_objective: int
-    matrix: list[list[int]]
-    assignment: list[int] | None  # worker -> team, worker mode only
-    num_optima: int
-    optima: list | None  # matrices / assignments attaining the optimum
+    matrix: list[list[int]]  # an optimal type-count matrix
+    assignment: list[int]  # worker -> team map realizing ``matrix``
+    num_optima: int  # distinct optimal type-count matrices
+    optima: list | None  # matrices attaining the optimum
 
 
 def enumerate_optimal(inst: Instance, budget: int = DEFAULT_BUDGET,
@@ -41,183 +42,123 @@ def enumerate_optimal(inst: Instance, budget: int = DEFAULT_BUDGET,
                       optima_cap: int = 200_000) -> OracleResult:
     """Exact minimum of the objective over all feasible assignments."""
     index = build_combination_index(inst)
-    if inst.costs.mode == "class":
-        best, w, count, optima = _enumerate_matrices(
-            inst, index, lambda i, j: inst.cost(i, index.columns[j][0]),
-            budget, collect_optima, optima_cap)
-        return OracleResult(best, w, None, count, optima)
-    per_column = _class_constant_costs(inst, index)
-    if per_column is not None:
-        best, w, count, optima = _enumerate_matrices(
-            inst, index, lambda i, j: 0 if i == 0 else per_column[i - 1][j],
-            budget, collect_optima, optima_cap)
-        assignment = assignment_from_matrix(inst, w, index)
-        return OracleResult(best, w, assignment, count, optima)
-    best, assignment, count, optima = _enumerate_assignments(
-        inst, budget, collect_optima, optima_cap)
-    return OracleResult(best, matrix_from_assignment(inst, assignment, index),
-                        assignment, count, optima)
-
-
-def _class_constant_costs(inst, index):
-    """Per (team, column) cost table when worker costs are class-constant,
-    else None."""
-    table = []
-    for i in range(inst.t):
-        row = []
-        for j in range(index.num_columns):
-            members = [x for x in range(inst.n)
-                       if index.worker_to_column[x] == j]
-            costs = {inst.costs.table[i][x] for x in members}
-            if len(costs) != 1:
-                return None
-            row.append(costs.pop())
-        table.append(row)
-    return table
-
-
-def _enumerate_matrices(inst, index, cost_of, budget, collect, cap):
-    t = inst.t
-    ncols = index.num_columns
-    mult = index.multiplicities
-    space = math.prod(math.comb(m + t, t) for m in mult)
+    rows = range(inst.t + 1)
+    space = split_count(index.multiplicities, len(rows))
     if space > budget:
         raise BudgetExceededError(
             f"{space} candidate matrices exceed the budget of {budget}")
+    best, w, count, optima = best_split(
+        inst, index, rows, range(index.num_columns), index.multiplicities,
+        [inst.demand(i) for i in rows], collect=collect_optima,
+        cap=optima_cap)
+    return OracleResult(best, w, assignment_from_matrix(inst, w, index),
+                        count, optima)
 
+
+def split_count(counts, num_rows: int) -> int:
+    """Number of ways to split ``counts[p]`` workers among ``num_rows`` rows
+    for every ``p``, ignoring row totals: the search space of
+    :func:`best_split`."""
+    return math.prod(math.comb(u + num_rows - 1, num_rows - 1)
+                     for u in counts)
+
+
+def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
+               collect=False, cap=0):
+    """Best way to split ``counts[p]`` workers of type ``cols[p]`` among the
+    teams ``rows``, team ``rows[r]`` taking ``totals[r]`` workers in all.
+
+    Returns ``(value, split, count, optima)``: the least value of the rows'
+    share of the objective, an optimal split ``split[r][p]`` (the first
+    found), the number of optimal splits and, when ``collect``, up to
+    ``cap`` of them. Types are placed in the order of ``cols``, each split
+    over ``rows`` in order. Without an ``incumbent`` every optimal split is
+    counted. With one, only splits strictly below it are explored, and
+    ``split`` is None when there is none.
+    """
     lam0 = inst.weights.lambda0
     lambdas = inst.weights.lambdas
     nf = inst.schema.num_features
-    caps = [inst.demand(i) for i in range(t + 1)]
-    w = [[0] * ncols for _ in range(t + 1)]
-    c = [[[0] * inst.schema.value_count(k) for k in range(nf)]
-         for _ in range(t + 1)]
+    r_last = len(rows) - 1
+    values = [index.columns[j] for j in cols]
+    costs = [[index.costs[i][j] for j in cols] for i in rows]
+    real = [i != 0 for i in rows]
+    caps = list(totals)
+    split = [[0] * len(cols) for _ in rows]
+    c = [[[0] * inst.schema.value_count(k) for k in range(nf)] for _ in rows]
 
-    best = None
-    best_w = None
+    # A branch is cut once its partial value exceeds ``limit``: the best
+    # value so far, or one less when only strict improvements count.
+    slack = 0 if incumbent is None else 1
+    limit = math.inf if incumbent is None else incumbent - 1
+    best = incumbent
+    chosen = None
     count = 0
     optima = [] if collect else None
 
-    def place_delta(row, j, y):
-        # objective contribution of y additional column-j workers in row
-        if row == 0 or y == 0:
+    def place_delta(ri, p, y):
+        # objective contribution of y additional type-p workers in row ri
+        if y == 0 or not real[ri]:
             return 0
-        delta = lam0 * cost_of(row, j) * y
-        for k, v in enumerate(index.columns[j]):
-            x = c[row][k][v]
+        cr = c[ri]
+        delta = lam0 * costs[ri][p] * y
+        for k, v in enumerate(values[p]):
+            x = cr[k][v]
             delta += lambdas[k] * ((x + y) * (x + y) - x * x)
         return delta
 
-    def apply(row, j, y):
-        caps[row] -= y
-        w[row][j] = y
-        if row:
-            for k, v in enumerate(index.columns[j]):
-                c[row][k][v] += y
+    def apply(ri, p, y):
+        caps[ri] -= y
+        split[ri][p] = y
+        if real[ri]:
+            cr = c[ri]
+            for k, v in enumerate(values[p]):
+                cr[k][v] += y
 
-    def undo(row, j, y):
-        caps[row] += y
-        w[row][j] = 0
-        if row:
-            for k, v in enumerate(index.columns[j]):
-                c[row][k][v] -= y
+    def undo(ri, p, y):
+        caps[ri] += y
+        split[ri][p] = 0
+        if real[ri]:
+            cr = c[ri]
+            for k, v in enumerate(values[p]):
+                cr[k][v] -= y
 
-    def distribute(j, row, left, partial):
-        if row == t:
-            if left > caps[row]:
+    def distribute(p, ri, left, partial):
+        if ri == r_last:
+            if left > caps[ri]:
                 return
-            delta = place_delta(row, j, left)
-            if best is not None and partial + delta > best:
+            delta = place_delta(ri, p, left)
+            if partial + delta > limit:
                 return
-            apply(row, j, left)
-            place(j + 1, partial + delta)
-            undo(row, j, left)
+            apply(ri, p, left)
+            place(p + 1, partial + delta)
+            undo(ri, p, left)
             return
-        for y in range(min(left, caps[row]) + 1):
-            delta = place_delta(row, j, y)
-            if best is not None and partial + delta > best:
+        for y in range(min(left, caps[ri]) + 1):
+            delta = place_delta(ri, p, y)
+            if partial + delta > limit:
                 break  # delta is non-decreasing in y (row 0 always adds 0)
-            apply(row, j, y)
-            distribute(j, row + 1, left - y, partial + delta)
-            undo(row, j, y)
+            apply(ri, p, y)
+            distribute(p, ri + 1, left - y, partial + delta)
+            undo(ri, p, y)
 
-    def place(j, partial):
-        nonlocal best, best_w, count
-        if j == ncols:
-            if best is None or partial < best:
+    def place(p, partial):
+        nonlocal best, chosen, count, limit
+        if p == len(cols):
+            if chosen is None or partial < best:
                 best = partial
-                best_w = [list(row) for row in w]
+                chosen = [list(row) for row in split]
                 count = 1
                 if optima is not None:
                     optima.clear()
-                    optima.append([list(row) for row in w])
-            elif partial == best:
+                    optima.append([list(row) for row in split])
+            else:
                 count += 1
                 if optima is not None and len(optima) < cap:
-                    optima.append([list(row) for row in w])
+                    optima.append([list(row) for row in split])
+            limit = best - slack
             return
-        distribute(j, 0, mult[j], partial)
+        distribute(p, 0, counts[p], partial)
 
     place(0, 0)
-    return best, best_w, count, optima
-
-
-def _enumerate_assignments(inst, budget, collect, cap):
-    t, n = inst.t, inst.n
-    if (t + 1) ** n > budget:
-        raise BudgetExceededError(
-            f"{(t + 1) ** n} candidate assignments exceed the budget "
-            f"of {budget}")
-
-    lam0 = inst.weights.lambda0
-    lambdas = inst.weights.lambdas
-    nf = inst.schema.num_features
-    caps = [inst.demand(i) for i in range(t + 1)]
-    c = [[[0] * inst.schema.value_count(k) for k in range(nf)]
-         for _ in range(t + 1)]
-    assign = [0] * n
-
-    best = None
-    best_assign = None
-    count = 0
-    optima = [] if collect else None
-
-    def place(x, partial):
-        nonlocal best, best_assign, count
-        if x == n:
-            if best is None or partial < best:
-                best = partial
-                best_assign = list(assign)
-                count = 1
-                if optima is not None:
-                    optima.clear()
-                    optima.append(list(assign))
-            elif partial == best:
-                count += 1
-                if optima is not None and len(optima) < cap:
-                    optima.append(list(assign))
-            return
-        for i in range(t + 1):
-            if caps[i] == 0:
-                continue
-            delta = 0
-            if i:
-                delta = lam0 * inst.costs.table[i - 1][x]
-                for k, v in enumerate(inst.workers[x]):
-                    delta += lambdas[k] * (2 * c[i][k][v] + 1)
-            if best is not None and partial + delta > best:
-                continue
-            caps[i] -= 1
-            assign[x] = i
-            if i:
-                for k, v in enumerate(inst.workers[x]):
-                    c[i][k][v] += 1
-            place(x + 1, partial + delta)
-            if i:
-                for k, v in enumerate(inst.workers[x]):
-                    c[i][k][v] -= 1
-            caps[i] += 1
-        assign[x] = 0
-
-    place(0, 0)
-    return best, best_assign, count, optima
+    return best, chosen, count, optima

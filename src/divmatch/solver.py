@@ -22,37 +22,31 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 
 from .auxgraph import apply_and_update, build_aux_graph, cycle_from_moves, \
     moves_of
-from .instance import CombinationIndex, Instance, build_combination_index, \
-    convert_cost_mode
+from .instance import CombinationIndex, Instance, build_combination_index
 from .negcycle import DETECTORS
 from .objective import ObjectiveBreakdown, objective, total_utility
+from .oracle import best_split, split_count
 
 __all__ = [
     "SolverConfig",
     "IterationRecord",
     "SolveReport",
     "initial_feasible",
-    "initial_feasible_assignment",
     "iteration_bound",
     "solve",
-    "solve_general_weights",
 ]
 
 logger = logging.getLogger(__name__)
-
-REBUILD_EVERY = 64  # full graph rebuild cadence, cheap drift insurance
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     detector: str = "goldberg_radzik"
     max_iterations: int | None = None
-    mode: str = "auto"  # auto | class | worker
     log_level: str = "quiet"  # quiet | iter | debug
     refinement: str = "triples"  # off | pairs | triples
 
@@ -61,8 +55,6 @@ class SolverConfig:
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1 when set")
-        if self.mode not in ("auto", "class", "worker"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.log_level not in ("quiet", "iter", "debug"):
             raise ValueError(f"unknown log level {self.log_level!r}")
         if self.refinement not in ("off", "pairs", "triples"):
@@ -85,13 +77,12 @@ class IterationRecord:
 
 @dataclass
 class SolveReport:
-    assignment: list  # matrix (class mode) or worker -> team map (worker mode)
+    assignment: list  # type-count matrix, rows 0..t
     breakdown: ObjectiveBreakdown
     iterations: int
     trace: list[IterationRecord]
     termination: str  # optimal | iteration-cap
     initial_objective: int
-    mode: str
 
     def objective_trace(self) -> list[int]:
         return [self.initial_objective] + [r.objective_after for r in self.trace]
@@ -99,7 +90,7 @@ class SolveReport:
 
 def initial_feasible(inst: Instance,
                      index: CombinationIndex | None = None) -> list[list[int]]:
-    """Greedy two-pointer fill: pour the first non-exhausted combination into
+    """Greedy two-pointer fill: pour the first non-exhausted type into
     the first unfilled team, advancing whichever runs out; leftover workers
     stay with the dummy team. Runs in O(num_columns + t)."""
     if index is None:
@@ -121,27 +112,12 @@ def initial_feasible(inst: Instance,
     return w
 
 
-def initial_feasible_assignment(inst: Instance) -> list[int]:
-    """Worker-mode counterpart: workers in index order fill teams in order."""
-    assign = [0] * inst.n
-    x = 0
-    for i in range(1, inst.t + 1):
-        for _ in range(inst.demand(i)):
-            assign[x] = i
-            x += 1
-    return assign
-
-
 def iteration_bound(inst: Instance) -> int:
     """Upper bound on committed exchanges: the objective starts at most at
     max(lambdas)*|features|*n^2 + lambda0*U with U the greedy start's cost,
     stays non-negative, and drops by >= 1 per commit."""
-    if inst.costs.mode == "worker":
-        start = initial_feasible_assignment(inst)
-        u0 = total_utility(inst, start)
-    else:
-        index = build_combination_index(inst)
-        u0 = total_utility(inst, initial_feasible(inst, index), index)
+    index = build_combination_index(inst)
+    u0 = total_utility(inst, initial_feasible(inst, index), index)
     lam_max = max(inst.weights.lambdas)
     nf = inst.schema.num_features
     return lam_max * nf * inst.n * inst.n + inst.weights.lambda0 * u0
@@ -162,27 +138,17 @@ REFINE_STATE_BUDGET = 20_000
 REFINE_SCAN_BUDGET = 2_000_000
 
 
-def _subset_current_value(inst, graph, rows) -> int:
-    lam0 = inst.weights.lambda0
-    lambdas = inst.weights.lambdas
-    value = 0
-    for i in rows:
-        if i == 0:
-            continue
-        for k in range(inst.schema.num_features):
-            value += lambdas[k] * sum(x * x for x in graph.c[i][k])
-        if graph.mode == "class":
-            for j, combo in enumerate(graph.keys):
-                if graph.w[i][j]:
-                    value += lam0 * inst.cost(i, combo[0]) * graph.w[i][j]
-        else:
-            for x, team in enumerate(graph.assign):
-                if team == i:
-                    value += lam0 * inst.cost(i, x)
-    return value
+def _rows_value(inst, graph, rows) -> int:
+    """The rows' share of the objective in the graph's current state."""
+    lam = inst.weights
+    costs = graph.index.costs
+    return sum(lam.lambda0 * sum(u * x for u, x in zip(costs[i], graph.w[i]))
+               + sum(l * sum(x * x for x in vals)
+                     for l, vals in zip(lam.lambdas, graph.c[i]))
+               for i in rows if i)
 
 
-def _resplit_subset_class(inst, graph, rows, spent):
+def _resplit_subset(inst, graph, rows, spent):
     """Best redistribution of the rows' pooled workers; None if no strict
     improvement or the subset exceeds the enumeration budgets."""
     cols = [j for j in range(graph.num_keys)
@@ -194,86 +160,16 @@ def _resplit_subset_class(inst, graph, rows, spent):
     order = sorted(range(len(cols)), key=lambda cj: -pooled[cj])
     cols = [cols[cj] for cj in order]
     pooled = [pooled[cj] for cj in order]
-    r = len(rows)
-    states = math.prod(math.comb(u + r - 1, r - 1) for u in pooled)
+    states = split_count(pooled, len(rows))
     if states > REFINE_STATE_BUDGET or not spent.take(states):
         return None
-    caps = [sum(graph.w[i][j] for j in cols) for i in rows]  # row sums, fixed
-    current = _subset_current_value(inst, graph, rows)
-    lam0 = inst.weights.lambda0
-    lambdas = inst.weights.lambdas
-    cvals = {i: [list(vals) for vals in graph.c[i]] for i in rows}
-    for i in rows:
-        if i == 0:
-            continue
-        for j in cols:
-            if graph.w[i][j]:
-                for k, v in enumerate(graph.keys[j]):
-                    cvals[i][k][v] -= graph.w[i][j]
-    best = current
-    best_split = None
-    split = [[0] * len(cols) for _ in range(r)]
-
-    def delta_of(ri, cj, y):
-        i = rows[ri]
-        if i == 0 or y == 0:
-            return 0
-        j = cols[cj]
-        d = lam0 * inst.cost(i, graph.keys[j][0]) * y
-        for k, v in enumerate(graph.keys[j]):
-            x = cvals[i][k][v]
-            d += lambdas[k] * ((x + y) * (x + y) - x * x)
-        return d
-
-    def distribute(cj, ri, left, partial):
-        nonlocal best, best_split
-        if ri == r - 1:
-            if left > caps[ri]:
-                return
-            d = delta_of(ri, cj, left)
-            if partial + d >= best:
-                return
-            _apply_split(ri, cj, left)
-            place(cj + 1, partial + d)
-            _undo_split(ri, cj, left)
-            return
-        for y in range(min(left, caps[ri]) + 1):
-            d = delta_of(ri, cj, y)
-            if partial + d >= best:
-                break
-            _apply_split(ri, cj, y)
-            distribute(cj, ri + 1, left - y, partial + d)
-            _undo_split(ri, cj, y)
-
-    def _apply_split(ri, cj, y):
-        caps[ri] -= y
-        split[ri][cj] = y
-        i = rows[ri]
-        if i:
-            for k, v in enumerate(graph.keys[cols[cj]]):
-                cvals[i][k][v] += y
-
-    def _undo_split(ri, cj, y):
-        caps[ri] += y
-        split[ri][cj] = 0
-        i = rows[ri]
-        if i:
-            for k, v in enumerate(graph.keys[cols[cj]]):
-                cvals[i][k][v] -= y
-
-    def place(cj, partial):
-        nonlocal best, best_split
-        if cj == len(cols):
-            best = partial
-            best_split = [list(row) for row in split]
-            return
-        distribute(cj, 0, pooled[cj], partial)
-
-    place(0, 0)
-    if best_split is None:
+    current = _rows_value(inst, graph, rows)
+    best, split, _, _ = best_split(
+        inst, graph.index, rows, cols, pooled,
+        [sum(graph.w[i]) for i in rows], incumbent=current)
+    if split is None:
         return None
-    moves = _moves_from_split(graph, rows, cols, best_split)
-    return moves, best - current
+    return _moves_from_split(graph, rows, cols, split), best - current
 
 
 def _moves_from_split(graph, rows, cols, split):
@@ -300,64 +196,6 @@ def _moves_from_split(graph, rows, cols, split):
     return moves
 
 
-def _resplit_subset_worker(inst, graph, rows, spent):
-    members = [x for x, team in enumerate(graph.assign) if team in rows]
-    if not members:
-        return None
-    r = len(rows)
-    states = r ** len(members)
-    if states > REFINE_STATE_BUDGET or not spent.take(states):
-        return None
-    caps = [sum(1 for x in members if graph.assign[x] == i) for i in rows]
-    current = _subset_current_value(inst, graph, rows)
-    lam0 = inst.weights.lambda0
-    lambdas = inst.weights.lambdas
-    cvals = {i: [list(vals) for vals in graph.c[i]] for i in rows}
-    for x in members:
-        i = graph.assign[x]
-        if i:
-            for k, v in enumerate(inst.workers[x]):
-                cvals[i][k][v] -= 1
-    best = current
-    best_assign = None
-    chosen = [0] * len(members)
-
-    def place(p, partial):
-        nonlocal best, best_assign
-        if p == len(members):
-            best = partial
-            best_assign = list(chosen)
-            return
-        x = members[p]
-        for ri, i in enumerate(rows):
-            if caps[ri] == 0:
-                continue
-            d = 0
-            if i:
-                d = lam0 * inst.cost(i, x)
-                for k, v in enumerate(inst.workers[x]):
-                    d += lambdas[k] * (2 * cvals[i][k][v] + 1)
-            if partial + d >= best:
-                continue
-            caps[ri] -= 1
-            chosen[p] = i
-            if i:
-                for k, v in enumerate(inst.workers[x]):
-                    cvals[i][k][v] += 1
-            place(p + 1, partial + d)
-            if i:
-                for k, v in enumerate(inst.workers[x]):
-                    cvals[i][k][v] -= 1
-            caps[ri] += 1
-
-    place(0, 0)
-    if best_assign is None:
-        return None
-    moves = [(x, graph.assign[x], i)
-             for x, i in zip(members, best_assign) if graph.assign[x] != i]
-    return moves, best - current
-
-
 class _ScanBudget:
     """Caps the total enumeration work of one refinement sweep."""
 
@@ -375,13 +213,11 @@ def _find_resplit(inst, graph, refinement):
     if refinement == "off":
         return None
     max_rows = 2 if refinement == "pairs" else 3
-    resplit = (_resplit_subset_class if graph.mode == "class"
-               else _resplit_subset_worker)
     all_rows = range(inst.t + 1)
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
     for size in range(2, max_rows + 1):
         for rows in itertools.combinations(all_rows, size):
-            found = resplit(inst, graph, rows, spent)
+            found = _resplit_subset(inst, graph, rows, spent)
             if found:
                 return found
     return None
@@ -412,53 +248,26 @@ def _split_switch_simple(moves):
 def _exact_gain(inst, index, graph, moves) -> int:
     """True objective change of applying ``moves`` to the graph's state."""
     before = graph.current_state()
-    if graph.mode == "class":
-        after = [list(row) for row in before]
-        for key, i1, i2 in moves:
-            after[i1][key] -= 1
-            after[i2][key] += 1
-        return (objective(inst, after, index).objective
-                - objective(inst, before, index).objective)
-    after = list(before)
+    after = [list(row) for row in before]
     for key, i1, i2 in moves:
-        if after[key] != i1:
-            raise RuntimeError("cycle moves a worker that is elsewhere")
-        after[key] = i2
-    return (objective(inst, after).objective
-            - objective(inst, before).objective)
+        after[i1][key] -= 1
+        after[i2][key] += 1
+    return (objective(inst, after, index).objective
+            - objective(inst, before, index).objective)
 
 
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the cancellation loop to a certified local-search fixed point."""
     cfg = cfg or SolverConfig()
-    if cfg.mode != "auto" and cfg.mode != inst.costs.mode:
-        inst = convert_cost_mode(inst, cfg.mode)
-    if inst.costs.mode == "worker":
-        return solve_general_weights(inst, cfg)
+    detect = DETECTORS[cfg.detector]
     index = build_combination_index(inst)
     start = initial_feasible(inst, index)
-    return _solve_core(inst, index, start, cfg)
-
-
-def solve_general_weights(inst: Instance,
-                          cfg: SolverConfig | None = None) -> SolveReport:
-    """Per-worker-port variant for instances whose costs differ by worker."""
-    cfg = cfg or SolverConfig()
-    if inst.costs.mode != "worker":
-        raise ValueError("solve_general_weights needs worker cost mode")
-    start = initial_feasible_assignment(inst)
-    return _solve_core(inst, None, start, cfg)
-
-
-def _solve_core(inst, index, start, cfg: SolverConfig) -> SolveReport:
-    detect = DETECTORS[cfg.detector]
     graph = build_aux_graph(inst, start, index)
     bound = iteration_bound(inst)
     current = objective(inst, start, index).objective
     initial_objective = current
     trace: list[IterationRecord] = []
     iterations = 0
-    commits_since_rebuild = 0
     excluded: set = set()
     stalls = 0
     termination = "optimal"
@@ -471,10 +280,9 @@ def _solve_core(inst, index, start, cfg: SolverConfig) -> SolveReport:
             break
         cycle = detect(graph, excluded=excluded or None)
         if cycle is None:
-            if excluded:
-                # Exclusions may hide real cycles; retry unrestricted.
-                excluded.clear()
-                continue
+            # Exclusions may hide a real cycle, but detecting again without
+            # them on the unchanged graph returns the excluded walk; the
+            # re-split is the way on.
             found = _find_resplit(inst, graph, cfg.refinement)
             if found is None:
                 break
@@ -501,7 +309,6 @@ def _solve_core(inst, index, start, cfg: SolverConfig) -> SolveReport:
         excluded.clear()
         stalls = 0
         iterations += 1
-        commits_since_rebuild += 1
         cycle_len, claimed, gain = committed
         current += gain
         record = IterationRecord(iterations, cycle_len, claimed, gain, current)
@@ -511,16 +318,13 @@ def _solve_core(inst, index, start, cfg: SolverConfig) -> SolveReport:
         if iterations > bound:
             raise RuntimeError(
                 f"iterations exceeded the descent bound {bound}")
-        if commits_since_rebuild >= REBUILD_EVERY:
-            graph = build_aux_graph(inst, graph.current_state(), index)
-            commits_since_rebuild = 0
 
     final_state = graph.current_state()
     breakdown = objective(inst, final_state, index)
     if breakdown.objective != current:
         raise RuntimeError("objective bookkeeping drifted from recomputation")
     return SolveReport(final_state, breakdown, iterations, trace,
-                       termination, initial_objective, inst.costs.mode)
+                       termination, initial_objective)
 
 
 def _try_cycle(inst, index, graph, cycle):

@@ -12,7 +12,7 @@ from divmatch.auxgraph import (apply_and_update, build_aux_graph,
 from divmatch.instance import (TradeoffWeights, build_combination_index,
                                generate_reviewer_instance)
 from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
-from divmatch.objective import embed, exchange_gain
+from divmatch.objective import embed, exchange_gain, matrix_from_assignment
 from divmatch.oracle import enumerate_optimal
 from divmatch.solver import iteration_bound, solve
 from helpers import (has_negative_cycle_exhaustive, random_digraph,
@@ -62,6 +62,20 @@ def test_criterion_2_strict_descent_and_iteration_bound():
     print(f"\nPASS criterion-2: strict descent and bound held on {runs} runs")
 
 
+def _random_state(inst, index, rng):
+    """Random feasible type matrix: class-cost states drawn as a matrix,
+    worker-cost states as a worker -> team map, then counted per type."""
+    if inst.costs.mode == "class":
+        return random_feasible_matrix(inst, index, rng)
+    state = [0] * inst.n
+    caps = [inst.demand(i) for i in range(inst.t + 1)]
+    for x in range(inst.n):
+        i = rng.choice([i for i in range(inst.t + 1) if caps[i] > 0])
+        caps[i] -= 1
+        state[x] = i
+    return matrix_from_assignment(inst, state, index)
+
+
 def test_criterion_3_single_visit_cycle_gain_exactness():
     """Edge-weight sums of switch-simple cycles equal true exchange gains."""
     rng = random.Random(33)
@@ -71,33 +85,18 @@ def test_criterion_3_single_visit_cycle_gain_exactness():
         inst = random_small_instance(seed + 3_000, worker_fraction=0.2)
         seed += 1
         index = build_combination_index(inst)
-        if inst.costs.mode == "class":
-            state = random_feasible_matrix(inst, index, rng)
-        else:
-            state = [0] * inst.n
-            caps = [inst.demand(i) for i in range(inst.t + 1)]
-            for x in range(inst.n):
-                i = rng.choice([i for i in range(inst.t + 1) if caps[i] > 0])
-                caps[i] -= 1
-                state[x] = i
-        graph = build_aux_graph(inst, state,
-                                index if inst.costs.mode == "class" else None)
+        state = _random_state(inst, index, rng)
+        graph = build_aux_graph(inst, state, index)
         for _ in range(4):
             moves = random_switch_simple_moves(graph, rng)
             if moves is None:
                 break
             cycle = cycle_from_moves(graph, moves)
-            if graph.mode == "class":
-                after = [list(row) for row in state]
-                for key, i1, i2 in moves:
-                    after[i1][key] -= 1
-                    after[i2][key] += 1
-            else:
-                after = list(state)
-                for key, i1, i2 in moves:
-                    after[key] = i2
-            gain = exchange_gain(inst, state, after,
-                                 index if graph.mode == "class" else None)
+            after = [list(row) for row in state]
+            for key, i1, i2 in moves:
+                after[i1][key] -= 1
+                after[i2][key] += 1
+            gain = exchange_gain(inst, state, after, index)
             assert cycle.claimed_weight == gain
             sampled += 1
     print(f"\nPASS criterion-3: {sampled} sampled single-visit cycles price "
@@ -114,24 +113,13 @@ def test_criterion_4_incremental_update_fidelity():
         inst = random_small_instance(seed + 4_000, worker_fraction=0.25)
         seed += 1
         index = build_combination_index(inst)
-        if inst.costs.mode == "class":
-            state = random_feasible_matrix(inst, index, rng)
-            graph = build_aux_graph(inst, state, index)
-        else:
-            state = [0] * inst.n
-            caps = [inst.demand(i) for i in range(inst.t + 1)]
-            for x in range(inst.n):
-                i = rng.choice([i for i in range(inst.t + 1) if caps[i] > 0])
-                caps[i] -= 1
-                state[x] = i
-            graph = build_aux_graph(inst, state)
+        graph = build_aux_graph(inst, _random_state(inst, index, rng), index)
         for _ in range(10):
             moves = random_switch_simple_moves(graph, rng)
             if moves is None:
                 break
             apply_and_update(graph, cycle_from_moves(graph, moves))
-            fresh = build_aux_graph(inst, graph.current_state(),
-                                    index if graph.mode == "class" else None)
+            fresh = build_aux_graph(inst, graph.current_state(), index)
             assert dump_edges(graph) == dump_edges(fresh)
             commits += 1
     print(f"\nPASS criterion-4: {commits} commits, incremental graph always "

@@ -6,9 +6,9 @@ import pytest
 from divmatch.auxgraph import (CycleApplicationError, apply_and_update,
                                build_aux_graph, cycle_from_moves, dump_edges,
                                inter_weight, intra_weight, moves_of)
-from divmatch.instance import (CostModel, TradeoffWeights, parse_instance,
+from divmatch.instance import (TradeoffWeights, parse_instance,
                                build_combination_index)
-from divmatch.objective import exchange_gain
+from divmatch.objective import exchange_gain, matrix_from_assignment
 from helpers import (random_feasible_assignment, random_feasible_matrix,
                      random_small_instance, random_switch_simple_moves)
 
@@ -32,8 +32,9 @@ def test_intra_weight_dummy_switch_is_free():
     assert intra_weight((0, 0), (0, 0), 0, LAM11) == 0
 
 
-def zero_costs(t, width):
-    return CostModel("class", tuple(tuple([0] * width) for _ in range(t)))
+def zero_costs(t):
+    """Cost column of a worker that costs nothing in teams 0..t."""
+    return (0,) * (t + 1)
 
 
 def test_inter_weight_loaded_to_empty():
@@ -42,14 +43,14 @@ def test_inter_weight_loaded_to_empty():
     c = [None,
          [[2, 2], [2, 2]],
          [[0, 0], [0, 0]]]
-    w = inter_weight((0, 0), 1, 2, c, zero_costs(2, 2), LAM11)
+    w = inter_weight((0, 0), zero_costs(2), 1, 2, c, LAM11)
     assert w == -4
 
 
 def test_inter_weight_from_dummy():
     c = [None, [[0, 0]]]
     lam = TradeoffWeights(1, (1,))
-    assert inter_weight((0,), 0, 1, c, zero_costs(1, 2), lam) == 1
+    assert inter_weight((0,), zero_costs(1), 0, 1, c, lam) == 1
 
 
 def test_inter_weight_symmetric_teams():
@@ -57,21 +58,21 @@ def test_inter_weight_symmetric_teams():
     c = [None,
          [[3, 1], [2, 2]],
          [[3, 1], [2, 2]]]
-    w = inter_weight((0, 1), 1, 2, c, zero_costs(2, 2), lam)
+    w = inter_weight((0, 1), zero_costs(2), 1, 2, c, lam)
     assert w == 2 * (2 + 3)
 
 
 def test_inter_weight_includes_costs():
-    costs = CostModel("class", ((4, 0), (9, 0)))
+    costs = (0, 4, 9)  # the worker costs 4 in team 1 and 9 in team 2
     lam = TradeoffWeights(2, (1,))
     c = [None, [[1, 0]], [[0, 0]]]
     # cost delta 2*(9-4)=10, diversity (1-2) + (0+1) = 0
-    assert inter_weight((0,), 1, 2, c, costs, lam) == 10
+    assert inter_weight((0,), costs, 1, 2, c, lam) == 10
 
 
 def test_inter_weight_rejects_self_move():
     with pytest.raises(ValueError):
-        inter_weight((0,), 1, 1, [None, [[1]]], zero_costs(1, 1), LAM11)
+        inter_weight((0,), zero_costs(1), 1, 1, [None, [[1]]], LAM11)
 
 
 def small_instance():
@@ -104,7 +105,7 @@ def test_port_count_worker_mode():
     inst = random_small_instance(99, worker_fraction=1.0)
     assert inst.costs.mode == "worker"
     assign = random_feasible_assignment(inst, random.Random(1))
-    g = build_aux_graph(inst, assign)
+    g = build_aux_graph(inst, matrix_from_assignment(inst, assign))
     assert g.node_count == 2 * inst.n * (inst.t + 1)
 
 
@@ -119,8 +120,9 @@ def test_stored_weights_match_weight_functions():
                                     index.columns[e.key_to],
                                     e.team_from, inst.weights)
         else:
-            expected = inter_weight(index.columns[e.key_from], e.team_from,
-                                    e.team_to, g.c, inst.costs, inst.weights)
+            costs = [row[e.key_from] for row in index.costs]
+            expected = inter_weight(index.columns[e.key_from], costs,
+                                    e.team_from, e.team_to, g.c, inst.weights)
             assert e.enabled == (w[e.team_from][e.key_from] >= 1)
         assert e.weight == expected
 
@@ -208,17 +210,15 @@ def test_incremental_matches_rebuild(worker_fraction):
         if inst.costs.mode == "class":
             state = random_feasible_matrix(inst, index, rng)
         else:
-            state = random_feasible_assignment(inst, rng)
-        g = build_aux_graph(inst, state, index if inst.costs.mode == "class"
-                            else None)
+            state = matrix_from_assignment(
+                inst, random_feasible_assignment(inst, rng), index)
+        g = build_aux_graph(inst, state, index)
         for _ in range(8):
             moves = random_switch_simple_moves(g, rng)
             if moves is None:
                 break
             apply_and_update(g, cycle_from_moves(g, moves))
-            fresh = build_aux_graph(inst, g.current_state(),
-                                    index if inst.costs.mode == "class"
-                                    else None)
+            fresh = build_aux_graph(inst, g.current_state(), index)
             assert dump_edges(g) == dump_edges(fresh)
 
 

@@ -1,5 +1,6 @@
 import json
 
+import divmatch.cli
 from divmatch.cli import balance_report, main
 
 
@@ -226,10 +227,15 @@ def test_solve_worker_mode_instance(tmp_path):
     assert run(["verify", inst]) == 0
 
 
-def test_solve_mode_override_flag(tmp_path):
+def _raise_internal_error(inst, cfg=None):
+    raise RuntimeError("detection keeps returning non-improving walks")
+
+
+def test_internal_solver_error_exit_code(tmp_path, capsys, monkeypatch):
     inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
-    out = tmp_path / "sol.json"
-    assert run(["solve", inst, "--mode", "worker", "--out", out]) == 0
-    sol = json.loads(out.read_text())
-    assert sol["mode"] == "worker"
-    assert sol["objective"] == 8
+    monkeypatch.setattr(divmatch.cli, "solve", _raise_internal_error)
+    for command in ("solve", "verify"):
+        assert run([command, inst]) == 5
+        err = capsys.readouterr().err
+        assert err == ("error: internal solver error: detection keeps "
+                       "returning non-improving walks\n")

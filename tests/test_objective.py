@@ -73,7 +73,7 @@ def test_total_utility_class_mode():
 def test_total_utility_worker_mode():
     inst = make_instance([[0, 0], [0, 1], [1, 0]], [3],
                          [[2, 2, 2]], [1, 1], mode="worker")
-    assert total_utility(inst, [1, 1, 1]) == 6
+    assert total_utility(inst, matrix_from_assignment(inst, [1, 1, 1])) == 6
 
 
 def test_total_utility_mode_mismatch():

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from divmatch.instance import parse_instance, build_combination_index
-from divmatch.objective import objective
+from divmatch.objective import (assignment_from_matrix,
+                                matrix_from_assignment, objective)
 from divmatch.oracle import BudgetExceededError, enumerate_optimal
 from helpers import (random_feasible_assignment, random_feasible_matrix,
                      random_small_instance)
@@ -85,9 +86,10 @@ def test_returned_matrix_attains_reported_optimum():
     for seed in range(30):
         inst = random_small_instance(seed + 600)
         result = enumerate_optimal(inst)
-        state = (result.matrix if inst.costs.mode == "class"
-                 else result.assignment)
-        assert objective(inst, state).objective == result.optimal_objective
+        for state in (result.matrix,
+                      matrix_from_assignment(inst, result.assignment)):
+            assert objective(inst, state).objective == \
+                result.optimal_objective
 
 
 def test_optimum_lower_bounds_random_feasible_points():
@@ -109,7 +111,8 @@ def test_optimum_lower_bounds_random_worker_assignments():
         result = enumerate_optimal(inst)
         for _ in range(60):
             assign = random_feasible_assignment(inst, rng)
-            assert objective(inst, assign).objective >= \
+            w = matrix_from_assignment(inst, assign)
+            assert objective(inst, w).objective >= \
                 result.optimal_objective
 
 
@@ -173,4 +176,5 @@ def test_worker_mode_general_costs_enumerates_maps():
     assert result.optimal_objective == 5
     assert result.assignment == [2, 1]
     assert result.num_optima == 1
-    assert result.optima == [[2, 1]]
+    assert [assignment_from_matrix(inst, w) for w in result.optima] == \
+        [[2, 1]]

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from divmatch.instance import parse_instance
+from divmatch.instance import (convert_cost_mode, generate_reviewer_instance,
+                               parse_instance)
+from divmatch.objective import assignment_from_matrix
 from divmatch.oracle import enumerate_optimal
-from divmatch.solver import (SolverConfig, initial_feasible,
-                             initial_feasible_assignment, iteration_bound,
-                             solve, solve_general_weights)
+from divmatch.solver import (SolverConfig, initial_feasible, iteration_bound,
+                             solve)
 from helpers import random_small_instance
 
 
@@ -42,16 +43,6 @@ def test_initial_feasible_single_full_team():
         "costs": {"mode": "class", "u": [[0]]},
         "lambda0": 1, "lambdas": [1]})
     assert initial_feasible(inst) == [[0], [5]]
-
-
-def test_initial_feasible_assignment_fills_in_order():
-    inst = make({
-        "features": [{"name": "c", "values": ["A"]}],
-        "workers": [[0]] * 4,
-        "teams": [{"name": "t1", "demand": 1}, {"name": "t2", "demand": 2}],
-        "costs": {"mode": "worker", "u": [[0] * 4, [0] * 4]},
-        "lambda0": 1, "lambdas": [1]})
-    assert initial_feasible_assignment(inst) == [1, 2, 2, 0]
 
 
 def test_iteration_bound_formula():
@@ -169,9 +160,22 @@ def test_worker_mode_class_constant_matches_class_solve():
                for w in class_doc["workers"]] for i in range(2)]}
     inst_worker = make(worker_doc)
     a = solve(inst_class)
-    b = solve_general_weights(inst_worker)
+    b = solve(inst_worker)
     assert a.breakdown.objective == b.breakdown.objective
     assert b.termination == "optimal"
+    assert b.trace == a.trace
+    assert b.assignment == a.assignment
+
+
+def test_worker_costs_follow_the_class_search_on_the_ladder_rung():
+    # The (t, n) = (10, 40) rung of criterion 7's ladder in worker costs: as
+    # a per-worker search it stopped at 252, one above its class-cost twin.
+    inst = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=1)
+    as_class = solve(inst)
+    as_worker = solve(convert_cost_mode(inst, "worker"))
+    assert as_class.breakdown.objective == 251
+    assert as_worker.trace == as_class.trace
+    assert as_worker.breakdown.objective == 251
 
 
 def test_worker_mode_two_workers_picks_cheaper_assignment():
@@ -183,7 +187,7 @@ def test_worker_mode_two_workers_picks_cheaper_assignment():
         "lambda0": 1, "lambdas": [1]})
     # assignments: (w0->t1, w1->t2) costs 12, (w0->t2, w1->t1) costs 3
     report = solve(inst)
-    assert report.assignment == [2, 1]
+    assert assignment_from_matrix(inst, report.assignment) == [2, 1]
     assert report.breakdown.tu == 3
     assert report.breakdown.objective == 3 + 2
 
@@ -201,19 +205,6 @@ def test_worker_mode_zero_costs_matches_class_mode():
                                           "u": [[0] * 6] * 2}})
     assert solve(inst_class).breakdown.objective == \
         solve(inst_worker).breakdown.objective
-
-
-def test_solve_general_weights_requires_worker_costs():
-    inst = make(EIGHT_VS_SIXTEEN)
-    with pytest.raises(ValueError, match="worker cost mode"):
-        solve_general_weights(inst)
-
-
-def test_mode_override_converts_costs():
-    inst = make(EIGHT_VS_SIXTEEN)
-    report = solve(inst, SolverConfig(mode="worker"))
-    assert report.mode == "worker"
-    assert report.breakdown.objective == 8
 
 
 # Two exchanges can each price at zero or worse on their own, yet improve
@@ -246,3 +237,15 @@ def test_refinement_escapes_the_coupled_pair_trap():
     oracle = enumerate_optimal(inst).optimal_objective
     refined = solve(inst)
     assert refined.breakdown.objective == oracle
+
+
+def test_refinement_escapes_a_spurious_walk_fixed_point():
+    # Detection under exclusions finds nothing here while the excluded walk
+    # is still negative; the solve must go on to the re-split rather than
+    # detect the same walk again until the stall guard raises.
+    inst = generate_reviewer_instance(4, [4, 2, 3, 2], "balanced", 2,
+                                      seed=196)
+    report = solve(inst)
+    assert report.termination == "optimal"
+    assert report.breakdown.objective == 40
+    assert enumerate_optimal(inst).optimal_objective == 40
