@@ -49,7 +49,6 @@ from .auxgraph import (
 )
 from .negcycle import (
     ExchangeCycle,
-    SimpleDigraph,
     bellman_ford_detect,
     goldberg_radzik_detect,
 )

@@ -18,9 +18,13 @@ each move against the untouched counters and the intra correction cancels
 the double count that appears when the worker entering a switch shares a
 feature value with the worker leaving it.
 
-The graph keeps live assignment counters and supports incremental reweighting
-after an exchange is applied; only inter edges incident to a touched
-(team, feature-value) counter are recomputed.
+The graph keeps live assignment counters and reweights incrementally after
+an exchange. Its one edge index is ``succ``: an input port's out-edges are
+its intra edges in output-key order and an output port's out-edges are its
+inter edges in target-team order (own team skipped), so edges are found by
+position. An inter edge depends only on its two teams' counters at its key's
+feature values, so a move reprices, at each team it touches, just the edges
+of keys sharing a feature value with a key moved there (tabled per graph).
 """
 
 from __future__ import annotations
@@ -127,9 +131,11 @@ class AuxGraph:
         self.c = count_tensor(inst, w, index)
         self.edges: list[AuxEdge] = []
         self.succ: list[list[AuxEdge]] = [[] for _ in range(self.node_count)]
-        self._inter_incident: list[list[AuxEdge]] = [
-            [] for _ in range(self.num_switches)]
-        self._edge_by_ports: dict[tuple[int, int], AuxEdge] = {}
+        # per key, the keys sharing at least one feature value with it
+        self._related = [
+            [k2 for k2, v2 in enumerate(self.keys)
+             if any(a == b for a, b in zip(v1, v2))]
+            for v1 in self.keys]
         self._build()
 
     # -- node ids -----------------------------------------------------------
@@ -169,26 +175,21 @@ class AuxGraph:
                     dst = self.port_id(i2, INPUT, key)
                     wgt = inter_weight(self.keys[key], self._key_costs[key],
                                        i1, i2, self.c, weights)
-                    edge = AuxEdge(src, dst, wgt, "inter",
-                                   self._available(i1, key), i1, i2, key, key)
-                    self._add(edge)
-                    self._inter_incident[i1].append(edge)
-                    self._inter_incident[i2].append(edge)
+                    self._add(AuxEdge(src, dst, wgt, "inter",
+                                      self._available(i1, key),
+                                      i1, i2, key, key))
 
     def _add(self, edge: AuxEdge):
         self.edges.append(edge)
         self.succ[edge.src].append(edge)
-        self._edge_by_ports[(edge.src, edge.dst)] = edge
 
     # -- lookups ------------------------------------------------------------
 
     def find_inter_edge(self, key: int, i1: int, i2: int) -> AuxEdge:
-        return self._edge_by_ports[(self.port_id(i1, OUTPUT, key),
-                                    self.port_id(i2, INPUT, key))]
+        return self.succ[self.port_id(i1, OUTPUT, key)][i2 - (i2 > i1)]
 
     def find_intra_edge(self, team: int, key_in: int, key_out: int) -> AuxEdge:
-        return self._edge_by_ports[(self.port_id(team, INPUT, key_in),
-                                    self.port_id(team, OUTPUT, key_out))]
+        return self.succ[self.port_id(team, INPUT, key_in)][key_out]
 
     def current_state(self):
         """Copy of the live assignment matrix."""
@@ -197,7 +198,11 @@ class AuxGraph:
     # -- mutation -----------------------------------------------------------
 
     def apply_moves(self, moves) -> None:
-        """Apply moves ``(key, from_team, to_team)`` and reweight locally."""
+        """Apply moves ``(key, from_team, to_team)`` and reweight locally:
+        at every team a move touches, the inter edges into and out of the
+        ports of each key related to a key moved there are repriced, and the
+        outgoing ones' enabled flags refreshed."""
+        moved: dict[int, set[int]] = {}  # team -> keys moved in or out
         for key, i1, i2 in moves:
             if self.w[i1][key] <= 0:
                 raise CycleApplicationError(
@@ -209,33 +214,22 @@ class AuxGraph:
                     raise CycleApplicationError("count tensor underflow")
                 self.c[i1][k][v] -= 1
                 self.c[i2][k][v] += 1
-        self._reweight_after(moves)
-
-    def _reweight_after(self, moves) -> None:
-        touched = set()
-        moved = []
-        for key, i1, i2 in moves:
-            touched.add(i1)
-            touched.add(i2)
-            moved.append(self.keys[key])
+            moved.setdefault(i1, set()).add(key)
+            moved.setdefault(i2, set()).add(key)
         weights = self.inst.weights
-        seen = set()
-        for team in sorted(touched):
-            for edge in self._inter_incident[team]:
-                if id(edge) in seen:
-                    continue
-                seen.add(id(edge))
-                values = self.keys[edge.key_from]
-                if any(any(a == b for a, b in zip(values, mv))
-                       for mv in moved):
-                    edge.weight = inter_weight(
-                        values, self._key_costs[edge.key_from],
-                        edge.team_from, edge.team_to, self.c, weights)
-        for key, i1, i2 in moves:
-            for team in (i1, i2):
-                src = self.port_id(team, OUTPUT, key)
-                for edge in self.succ[src]:
-                    edge.enabled = self._available(team, key)
+        for team, keys in moved.items():
+            for key in set().union(*(self._related[k] for k in keys)):
+                values, costs = self.keys[key], self._key_costs[key]
+                enabled = self._available(team, key)
+                for edge in self.succ[self.port_id(team, OUTPUT, key)]:
+                    edge.enabled = enabled
+                    edge.weight = inter_weight(values, costs, team,
+                                               edge.team_to, self.c, weights)
+                for i1 in range(self.num_switches):
+                    if i1 != team:
+                        edge = self.find_inter_edge(key, i1, team)
+                        edge.weight = inter_weight(values, costs, i1, team,
+                                                   self.c, weights)
 
 
 def build_aux_graph(inst: Instance, w,

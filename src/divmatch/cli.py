@@ -168,7 +168,7 @@ def _solve(inst, args) -> SolveReport | None:
     """Solve with the command's flags; None after reporting an internal
     solver error."""
     cfg = SolverConfig(detector=_DETECTOR_NAMES[args.detector],
-                       max_iterations=args.max_iters, log_level=args.log)
+                       max_iterations=args.max_iters)
     try:
         return solve(inst, cfg)
     except RuntimeError as exc:  # a broken solver invariant
@@ -280,9 +280,21 @@ def cmd_gen(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_solver_flags(p):
     p.add_argument("--detector", choices=("bf", "gr"), default="gr")
-    p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
+    p.add_argument("--max-iters", type=_positive_int, default=None,
+                   dest="max_iters")
     p.add_argument("--log", choices=("quiet", "iter", "debug"),
                    default="quiet")
 

@@ -7,8 +7,7 @@ start from an implicit super-source with zero-weight arcs to every node
 
 Any object exposing ``node_count`` and ``succ`` (adjacency lists of edges
 with ``src``, ``dst``, ``weight`` and ``enabled`` attributes) can be
-searched; the switch-graph of :mod:`divmatch.auxgraph` does, and
-:class:`SimpleDigraph` serves plain edge lists.
+searched, such as the switch-graph of :mod:`divmatch.auxgraph`.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "ExchangeCycle",
-    "SimpleEdge",
-    "SimpleDigraph",
     "bellman_ford_detect",
     "goldberg_radzik_detect",
     "DETECTORS",
@@ -39,38 +36,6 @@ class ExchangeCycle:
         e = self.edges
         return bool(e) and all(a.dst == b.src
                                for a, b in zip(e, e[1:] + e[:1]))
-
-    def nodes(self) -> list[int]:
-        return [e.src for e in self.edges]
-
-
-class SimpleEdge:
-    __slots__ = ("src", "dst", "weight", "enabled", "kind")
-
-    def __init__(self, src, dst, weight):
-        self.src = src
-        self.dst = dst
-        self.weight = weight
-        self.enabled = True
-        self.kind = "edge"
-
-    def __repr__(self):
-        return f"SimpleEdge({self.src}->{self.dst} w={self.weight})"
-
-
-class SimpleDigraph:
-    """Plain adjacency-list digraph for tests and standalone detection."""
-
-    def __init__(self, node_count: int):
-        self.node_count = node_count
-        self.succ: list[list[SimpleEdge]] = [[] for _ in range(node_count)]
-        self.edges: list[SimpleEdge] = []
-
-    def add_edge(self, src: int, dst: int, weight: int) -> SimpleEdge:
-        e = SimpleEdge(src, dst, weight)
-        self.succ[src].append(e)
-        self.edges.append(e)
-        return e
 
 
 def _cycle_of(edges) -> ExchangeCycle:

@@ -10,7 +10,8 @@ none of the pieces improves either, the walk was spuriously negative and is
 excluded from the next detection round. Once no negative cycle remains, a
 bounded exact re-split of small team subsets runs as a safety net against
 counter-coupled exchanges that no single cycle can express. The loop ends
-when neither step finds an improvement, or at the configured iteration cap.
+when neither step finds an improvement, or when the configured iteration
+cap is reached and a further step would still commit.
 
 Integer weights make every committed step decrease the objective by at least
 one, which bounds the number of iterations by
@@ -47,7 +48,6 @@ logger = logging.getLogger(__name__)
 class SolverConfig:
     detector: str = "goldberg_radzik"
     max_iterations: int | None = None
-    log_level: str = "quiet"  # quiet | iter | debug
     refinement: str = "triples"  # off | pairs | triples
 
     def __post_init__(self):
@@ -55,8 +55,6 @@ class SolverConfig:
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1 when set")
-        if self.log_level not in ("quiet", "iter", "debug"):
-            raise ValueError(f"unknown log level {self.log_level!r}")
         if self.refinement not in ("off", "pairs", "triples"):
             raise ValueError(f"unknown refinement {self.refinement!r}")
 
@@ -273,11 +271,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     termination = "optimal"
 
     while True:
-        if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
-            if detect(graph, excluded=None) is not None or \
-                    _find_resplit(inst, graph, cfg.refinement) is not None:
-                termination = "iteration-cap"
-            break
         cycle = detect(graph, excluded=excluded or None)
         if cycle is None:
             # Exclusions may hide a real cycle, but detecting again without
@@ -287,11 +280,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
             if found is None:
                 break
             moves, gain = found
-            graph.apply_moves(moves)
-            committed = (len(moves), gain, gain)
+            cycle_len, claimed = len(moves), gain
         else:
-            committed = _try_cycle(inst, index, graph, cycle)
-            if committed is None:
+            found = _improving_walk(inst, index, graph, cycle)
+            if found is None:
                 # Splitting re-pairs the intra edges at the cut switches, so
                 # a multi-visit walk can price negative while neither it nor
                 # any piece truly improves. Hide the walk and look again;
@@ -306,15 +298,22 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
                         "detection keeps returning non-improving walks")
                 excluded.update(cycle.edges)
                 continue
+            walk, gain = found
+            cycle_len, claimed = len(walk), walk.claimed_weight
+        if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
+            termination = "iteration-cap"  # a verified step is still pending
+            break
+        if cycle is None:
+            graph.apply_moves(moves)
+        else:
+            apply_and_update(graph, walk)
         excluded.clear()
         stalls = 0
         iterations += 1
-        cycle_len, claimed, gain = committed
         current += gain
         record = IterationRecord(iterations, cycle_len, claimed, gain, current)
         trace.append(record)
-        if cfg.log_level != "quiet":
-            logger.info(record.log_line())
+        logger.info(record.log_line())
         if iterations > bound:
             raise RuntimeError(
                 f"iterations exceeded the descent bound {bound}")
@@ -327,22 +326,20 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
                        termination, initial_objective)
 
 
-def _try_cycle(inst, index, graph, cycle):
-    """Commit the detected walk, or a negatively-priced switch-simple piece
-    of it, after checking the true gain; None when nothing improves."""
+def _improving_walk(inst, index, graph, cycle):
+    """The detected walk, or a negatively-priced switch-simple piece of it,
+    whose true gain is at most -1, with that gain; None when nothing
+    improves."""
     moves = moves_of(cycle)
     exact = _exact_gain(inst, index, graph, moves)
     if exact <= -1:
-        apply_and_update(graph, cycle)
-        return (len(cycle), cycle.claimed_weight, exact)
+        return cycle, exact
     # The walk revisits a switch and mispriced itself; its switch-simple
     # pieces price exactly, so try those.
     logger.debug("walk of claimed %d has exact %d; splitting",
                  cycle.claimed_weight, exact)
     for segment in _split_switch_simple(moves):
-        sub = cycle_from_moves(graph, segment)
         sub_exact = _exact_gain(inst, index, graph, segment)
         if sub_exact <= -1:
-            apply_and_update(graph, sub)
-            return (len(sub), sub.claimed_weight, sub_exact)
+            return cycle_from_moves(graph, segment), sub_exact
     return None

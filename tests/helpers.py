@@ -9,7 +9,36 @@ import networkx as nx
 
 from divmatch.instance import (CostModel, Feature, FeatureSchema, Instance,
                                Team, TradeoffWeights)
-from divmatch.negcycle import SimpleDigraph
+
+
+class SimpleEdge:
+    __slots__ = ("src", "dst", "weight", "enabled", "kind")
+
+    def __init__(self, src, dst, weight):
+        self.src = src
+        self.dst = dst
+        self.weight = weight
+        self.enabled = True
+        self.kind = "edge"
+
+    def __repr__(self):
+        return f"SimpleEdge({self.src}->{self.dst} w={self.weight})"
+
+
+class SimpleDigraph:
+    """Plain adjacency-list digraph with the ``node_count``/``succ`` surface
+    the cycle detectors search."""
+
+    def __init__(self, node_count: int):
+        self.node_count = node_count
+        self.succ: list[list[SimpleEdge]] = [[] for _ in range(node_count)]
+        self.edges: list[SimpleEdge] = []
+
+    def add_edge(self, src: int, dst: int, weight: int) -> SimpleEdge:
+        e = SimpleEdge(src, dst, weight)
+        self.succ[src].append(e)
+        self.edges.append(e)
+        return e
 
 
 def random_small_instance(seed, max_n=10, max_t=3, max_features=3,

@@ -276,3 +276,19 @@ def test_dump_format_golden():
 1:out:0 -> 0:in:0 -2 inter true
 1:out:1 -> 0:in:1 -3 inter true
 """
+
+
+@pytest.mark.parametrize("worker_fraction", [0.0, 1.0])
+def test_finders_return_every_edge_by_position(worker_fraction):
+    for seed in range(6):
+        inst = random_small_instance(seed + 60,
+                                     worker_fraction=worker_fraction)
+        index = build_combination_index(inst)
+        w = random_feasible_matrix(inst, index, random.Random(seed))
+        g = build_aux_graph(inst, w, index)
+        for e in g.edges:
+            if e.kind == "intra":
+                found = g.find_intra_edge(e.team_from, e.key_from, e.key_to)
+            else:
+                found = g.find_inter_edge(e.key_from, e.team_from, e.team_to)
+            assert found is e

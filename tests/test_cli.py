@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import divmatch.cli
 from divmatch.cli import balance_report, main
@@ -57,6 +61,53 @@ def test_solve_iteration_cap_exit_code(tmp_path):
     sol = json.loads(out.read_text())
     assert sol["termination"] == "iteration-cap"
     assert sol["iterations"] == 1
+
+
+def test_solve_cap_at_a_spurious_walk_fixed_point_is_optimal(tmp_path):
+    # Two commits reach the fixed point; the walk detected after them is
+    # only spuriously negative, so a cap of two iterations is not hit.
+    inst = tmp_path / "gen.json"
+    assert run(["gen", "--papers", 3, "--clusters", "2,3,5,4", "--genders",
+                "random", "--demand", 2, "--seed", 835, "--out", inst]) == 0
+    out = tmp_path / "sol.json"
+    assert run(["solve", inst, "--max-iters", 2, "--out", out]) == 0
+    sol = json.loads(out.read_text())
+    assert (sol["termination"], sol["iterations"], sol["objective"]) == \
+        ("optimal", 2, 28)
+
+
+def test_max_iters_below_one_is_an_input_error(tmp_path, capsys):
+    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    for command in ("solve", "verify"):
+        for value in (0, -1):
+            assert run([command, inst, "--max-iters", value]) == 1
+            err = capsys.readouterr().err
+            assert err == (f"error: argument --max-iters: expected a "
+                           f"positive integer, got '{value}'\n")
+
+
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter, so that its logging set-up is
+    its own; returns the completed process."""
+    src = str(Path(divmatch.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "divmatch.cli"]
+                          + [str(a) for a in argv],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def test_log_flag_controls_iteration_lines(tmp_path):
+    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    out = tmp_path / "sol.json"
+    loud = run_cli_process(["solve", inst, "--out", out, "--log", "iter"])
+    assert loud.returncode == 0
+    lines = [ln for ln in loud.stderr.splitlines() if ln.startswith("iter=")]
+    assert len(lines) == json.loads(out.read_text())["iterations"] >= 1
+    quiet = run_cli_process(["solve", inst, "--out", out, "--log", "quiet"])
+    assert quiet.returncode == 0
+    assert "iter=" not in quiet.stderr
 
 
 def test_solve_detector_flag(tmp_path):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from divmatch.negcycle import (SimpleDigraph, bellman_ford_detect,
-                               goldberg_radzik_detect)
-from helpers import has_negative_cycle_exhaustive, random_digraph
+from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
+from helpers import (SimpleDigraph, has_negative_cycle_exhaustive,
+                     random_digraph)
 
 DETECTORS = [bellman_ford_detect, goldberg_radzik_detect]
 
@@ -15,7 +15,7 @@ def verify_cycle(g, cycle):
     total = sum(e.weight for e in cycle.edges)
     assert total == cycle.claimed_weight
     assert total <= -1
-    nodes = cycle.nodes()
+    nodes = [e.src for e in cycle.edges]
     assert len(nodes) == len(set(nodes))  # simple
 
 

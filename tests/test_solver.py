@@ -115,6 +115,25 @@ def test_iteration_cap_reports_partial_result():
     assert capped.breakdown.objective >= full.breakdown.objective
 
 
+# gen --papers 3 --clusters 2,3,5,4 --genders random --demand 2 --seed 835:
+# after its second commit detection returns a walk that claims -1 but gains
+# +5 exactly, so the solve is at its fixed point (28; the oracle's is 27).
+def seed_835_instance():
+    return generate_reviewer_instance(3, [2, 3, 5, 4], "random", 2, seed=835)
+
+
+def test_iteration_cap_ignores_a_spurious_walk_at_the_fixed_point():
+    inst = seed_835_instance()
+    full = solve(inst)
+    assert (full.termination, full.iterations) == ("optimal", 2)
+    assert full.breakdown.objective == 28
+    capped = solve(inst, SolverConfig(max_iterations=2))
+    assert capped == full
+    early = solve(inst, SolverConfig(max_iterations=1))
+    assert early.termination == "iteration-cap"
+    assert early.trace == full.trace[:1]
+
+
 def test_trace_is_strictly_decreasing_with_exact_gains():
     for seed in range(25):
         inst = random_small_instance(seed + 900)
@@ -176,6 +195,19 @@ def test_worker_costs_follow_the_class_search_on_the_ladder_rung():
     assert as_class.breakdown.objective == 251
     assert as_worker.trace == as_class.trace
     assert as_worker.breakdown.objective == 251
+
+
+@pytest.mark.parametrize("rung, expected", [((10, 40), (33, 251)),
+                                            ((25, 100), (96, 609))])
+def test_class_ladder_rungs_keep_their_search(rung, expected):
+    # The benchmark's ladder-class rungs (criterion 7's shape, seed 1): a
+    # refactor that keeps the search keeps these commit counts and optima.
+    papers, reviewers = rung
+    inst = generate_reviewer_instance(papers, [reviewers // 5] * 5,
+                                      "balanced", 4, seed=1)
+    report = solve(inst)
+    assert report.termination == "optimal"
+    assert (report.iterations, report.breakdown.objective) == expected
 
 
 def test_worker_mode_two_workers_picks_cheaper_assignment():
