@@ -22,9 +22,12 @@ The graph keeps live assignment counters and reweights incrementally after
 an exchange. Its one edge index is ``succ``: an input port's out-edges are
 its intra edges in output-key order and an output port's out-edges are its
 inter edges in target-team order (own team skipped), so edges are found by
-position. An inter edge depends only on its two teams' counters at its key's
-feature values, so a move reprices, at each team it touches, just the edges
-of keys sharing a feature value with a key moved there (tabled per graph).
+position. An inter edge's weight is linear in its two teams' counters at
+its key's feature values, so an exchange shifts it by an exact integer: a
+net change ``d`` of counter ``c[i][k][v]`` moves the edges out of
+``out(i, key)`` by ``-2 * lambdas[k] * d`` and the edges into ``in(i, key)``
+by ``+2 * lambdas[k] * d``, for the keys with value ``v`` of feature ``k``
+(listed per graph). No edge is priced anew.
 """
 
 from __future__ import annotations
@@ -131,11 +134,12 @@ class AuxGraph:
         self.c = count_tensor(inst, w, index)
         self.edges: list[AuxEdge] = []
         self.succ: list[list[AuxEdge]] = [[] for _ in range(self.node_count)]
-        # per key, the keys sharing at least one feature value with it
-        self._related = [
-            [k2 for k2, v2 in enumerate(self.keys)
-             if any(a == b for a, b in zip(v1, v2))]
-            for v1 in self.keys]
+        # per feature k and value v, the keys whose value of k is v
+        self._keys_with = [[[] for _ in range(inst.schema.value_count(k))]
+                           for k in range(inst.schema.num_features)]
+        for key, values in enumerate(self.keys):
+            for k, v in enumerate(values):
+                self._keys_with[k][v].append(key)
         self._build()
 
     # -- node ids -----------------------------------------------------------
@@ -198,38 +202,50 @@ class AuxGraph:
     # -- mutation -----------------------------------------------------------
 
     def apply_moves(self, moves) -> None:
-        """Apply moves ``(key, from_team, to_team)`` and reweight locally:
-        at every team a move touches, the inter edges into and out of the
-        ports of each key related to a key moved there are repriced, and the
-        outgoing ones' enabled flags refreshed."""
-        moved: dict[int, set[int]] = {}  # team -> keys moved in or out
+        """Apply moves ``(key, from_team, to_team)`` and shift weights by
+        exact deltas: a net change ``d`` of counter ``c[i][k][v]`` at a real
+        team shifts each key with value ``v`` of feature ``k`` by
+        ``2 * lambdas[k] * d``, summed per (team, key). A nonzero shift is
+        subtracted from the edges out of ``out(team, key)`` and added to the
+        inter edges into ``in(team, key)``, so an edge between two touched
+        teams takes both. Enabled flags are refreshed on the output ports
+        whose count changed."""
+        ports: dict[tuple, int] = {}  # (team, key) -> net count change
+        counters: dict[tuple, int] = {}  # (team, k, v) -> net change
         for key, i1, i2 in moves:
             if self.w[i1][key] <= 0:
                 raise CycleApplicationError(
                     f"counter underflow: no key {key} worker in team {i1}")
-            self.w[i1][key] -= 1
-            self.w[i2][key] += 1
-            for k, v in enumerate(self.keys[key]):
-                if self.c[i1][k][v] <= 0:
-                    raise CycleApplicationError("count tensor underflow")
-                self.c[i1][k][v] -= 1
-                self.c[i2][k][v] += 1
-            moved.setdefault(i1, set()).add(key)
-            moved.setdefault(i2, set()).add(key)
-        weights = self.inst.weights
-        for team, keys in moved.items():
-            for key in set().union(*(self._related[k] for k in keys)):
-                values, costs = self.keys[key], self._key_costs[key]
+            for team, step in ((i1, -1), (i2, 1)):
+                self.w[team][key] += step
+                ports[team, key] = ports.get((team, key), 0) + step
+                for k, v in enumerate(self.keys[key]):
+                    if step < 0 and self.c[team][k][v] <= 0:
+                        raise CycleApplicationError("count tensor underflow")
+                    self.c[team][k][v] += step
+                    counters[team, k, v] = counters.get((team, k, v), 0) + step
+        lambdas = self.inst.weights.lambdas
+        shifts: dict[tuple, int] = {}  # (team, key) -> weight shift
+        for (team, k, v), d in counters.items():
+            if d and team and lambdas[k]:
+                for key in self._keys_with[k][v]:
+                    shifts[team, key] = (shifts.get((team, key), 0)
+                                         + 2 * lambdas[k] * d)
+        for (team, key), shift in shifts.items():
+            if shift:  # zero when counters moved in and back out
+                for edge in self.succ[self.port_id(team, OUTPUT, key)]:
+                    edge.weight -= shift
+                # out(i, key) for i = 0..t; skip the own team's port
+                out_ports = self.succ[self.num_keys + key::2 * self.num_keys]
+                for edges in out_ports[:team]:
+                    edges[team - 1].weight += shift
+                for edges in out_ports[team + 1:]:
+                    edges[team].weight += shift
+        for (team, key), d in ports.items():
+            if d:
                 enabled = self._available(team, key)
                 for edge in self.succ[self.port_id(team, OUTPUT, key)]:
                     edge.enabled = enabled
-                    edge.weight = inter_weight(values, costs, team,
-                                               edge.team_to, self.c, weights)
-                for i1 in range(self.num_switches):
-                    if i1 != team:
-                        edge = self.find_inter_edge(key, i1, team)
-                        edge.weight = inter_weight(values, costs, i1, team,
-                                                   self.c, weights)
 
 
 def build_aux_graph(inst: Instance, w,

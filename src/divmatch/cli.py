@@ -1,10 +1,11 @@
 """Command-line front door: solve, verify, generate, and report.
 
 Exit codes: 0 solved to a certified optimum (or report/gen succeeded),
-1 invalid input (bad file, bad format, infeasible parameters), 2 iteration
-cap reached before convergence, 3 instance too large for the verification
-oracle, 4 solver and oracle disagree (verify only), 5 internal solver error
-(a broken solver invariant: a bug, not bad input).
+1 invalid input (bad file, bad format, infeasible parameters, an output
+path that cannot be written), 2 iteration cap reached before convergence,
+3 instance too large for the verification oracle, 4 solver and oracle
+disagree (verify only), 5 internal solver error (a broken solver
+invariant: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ def solution_to_dict(inst, report: SolveReport) -> dict:
         "features": [{"name": f.name, "values": list(f.values)}
                      for f in inst.schema.features],
         "termination": report.termination,
+        "refinement_complete": report.refinement_complete,
         "iterations": report.iterations,
         "trace": [{"iter": r.index, "cycle_len": r.cycle_len,
                    "claimed": r.claimed, "exact": r.exact,
@@ -158,10 +160,21 @@ def balance_report(solution: dict) -> BalanceReport:
 def _load(path: str):
     try:
         return load_instance(path), None
-    except FileNotFoundError:
+    except (OSError, UnicodeDecodeError):
         return None, f"error: cannot read instance file {path!r}"
     except InvalidInstanceError as exc:
         return None, f"error: {exc}"
+
+
+def _write(path: str, payload: str) -> bool:
+    """Write an output file; False after reporting why it cannot be."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        print(f"error: cannot write {path!r}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _solve(inst, args) -> SolveReport | None:
@@ -187,8 +200,8 @@ def cmd_solve(args) -> int:
     doc = solution_to_dict(inst, report)
     payload = json.dumps(doc, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        if not _write(args.out, payload):
+            return EXIT_INPUT
         summary_stream = sys.stdout
     else:
         sys.stdout.write(payload)
@@ -229,19 +242,19 @@ def cmd_report(args) -> int:
         with open(args.solution, encoding="utf-8") as fh:
             solution = json.load(fh)
         rep = balance_report(solution)
-    except FileNotFoundError:
+    except (OSError, UnicodeDecodeError):
         print(f"error: cannot read solution file {args.solution!r}",
               file=sys.stderr)
         return EXIT_INPUT
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError, ZeroDivisionError) as exc:
         print(f"error: malformed solution document: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(rep.text())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"per_team": rep.per_team,
-                       "per_feature": rep.per_feature}, fh, indent=2)
-            fh.write("\n")
+        payload = json.dumps({"per_team": rep.per_team,
+                              "per_feature": rep.per_feature}, indent=2)
+        if not _write(args.out, payload + "\n"):
+            return EXIT_INPUT
     return EXIT_OK
 
 
@@ -269,8 +282,8 @@ def cmd_gen(args) -> int:
         return EXIT_INPUT
     payload = dump_instance(inst)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        if not _write(args.out, payload):
+            return EXIT_INPUT
     else:
         sys.stdout.write(payload)
     return EXIT_OK

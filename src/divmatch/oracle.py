@@ -77,15 +77,19 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
     ``split`` is None when there is none.
     """
     lam0 = inst.weights.lambda0
-    lambdas = inst.weights.lambdas
     nf = inst.schema.num_features
     r_last = len(rows) - 1
-    values = [index.columns[j] for j in cols]
-    costs = [[index.costs[i][j] for j in cols] for i in rows]
+    # Per type, (lambda_k, counter slot k + nf*v) of its value v of every
+    # weighted feature k; each row keeps one flat counter list.
+    slots = [[(lam, k + nf * v) for k, (lam, v) in
+              enumerate(zip(inst.weights.lambdas, index.columns[j])) if lam]
+             for j in cols]
+    steps = [2 * sum(lam for lam, _ in row) for row in slots]
+    costs = [[lam0 * index.costs[i][j] for j in cols] for i in rows]
     real = [i != 0 for i in rows]
     caps = list(totals)
     split = [[0] * len(cols) for _ in rows]
-    c = [[[0] * inst.schema.value_count(k) for k in range(nf)] for _ in rows]
+    c = [[0] * nf * (1 + max(map(max, index.columns))) for _ in rows]
 
     # A branch is cut once its partial value exceeds ``limit``: the best
     # value so far, or one less when only strict improvements count.
@@ -96,51 +100,41 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
     count = 0
     optima = [] if collect else None
 
-    def place_delta(ri, p, y):
-        # objective contribution of y additional type-p workers in row ri
-        if y == 0 or not real[ri]:
-            return 0
-        cr = c[ri]
-        delta = lam0 * costs[ri][p] * y
-        for k, v in enumerate(values[p]):
-            x = cr[k][v]
-            delta += lambdas[k] * ((x + y) * (x + y) - x * x)
-        return delta
-
-    def apply(ri, p, y):
-        caps[ri] -= y
-        split[ri][p] = y
-        if real[ri]:
-            cr = c[ri]
-            for k, v in enumerate(values[p]):
-                cr[k][v] += y
-
-    def undo(ri, p, y):
-        caps[ri] += y
-        split[ri][p] = 0
-        if real[ri]:
-            cr = c[ri]
-            for k, v in enumerate(values[p]):
-                cr[k][v] -= y
-
     def distribute(p, ri, left, partial):
-        if ri == r_last:
-            if left > caps[ri]:
-                return
-            delta = place_delta(ri, p, left)
-            if partial + delta > limit:
-                return
-            apply(ri, p, left)
-            place(p + 1, partial + delta)
-            undo(ri, p, left)
+        # Row ri takes y type-p workers. Unit y+1 adds lambda0*cost +
+        # sum_k lambda_k*(2x+1) at counters x, the first unit's marginal
+        # plus y*steps[p], so the partial value is non-decreasing in y (row
+        # 0 adds nothing; its counters are kept but never read).
+        top = left if left < caps[ri] else caps[ri]
+        if ri == r_last and top < left:
             return
-        for y in range(min(left, caps[ri]) + 1):
-            delta = place_delta(ri, p, y)
-            if partial + delta > limit:
-                break  # delta is non-decreasing in y (row 0 always adds 0)
-            apply(ri, p, y)
-            distribute(p, ri + 1, left - y, partial + delta)
-            undo(ri, p, y)
+        cr = c[ri]
+        marginal = step = 0
+        if real[ri]:
+            marginal, step = costs[ri][p], steps[p]
+            for lam, f in slots[p]:
+                marginal += lam * (2 * cr[f] + 1)
+        y = left if ri == r_last else 0
+        partial += y * marginal + step * y * (y - 1) // 2
+        for _, f in slots[p]:
+            cr[f] += y
+        while partial <= limit:
+            caps[ri] -= y
+            split[ri][p] = y
+            if ri == r_last:
+                place(p + 1, partial)
+            else:
+                distribute(p, ri + 1, left - y, partial)
+            caps[ri] += y
+            if y == top:
+                break
+            partial += marginal + step * y
+            y += 1
+            for _, f in slots[p]:
+                cr[f] += 1
+        split[ri][p] = 0
+        for _, f in slots[p]:
+            cr[f] -= y
 
     def place(p, partial):
         nonlocal best, chosen, count, limit

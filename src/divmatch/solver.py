@@ -81,6 +81,7 @@ class SolveReport:
     trace: list[IterationRecord]
     termination: str  # optimal | iteration-cap
     initial_objective: int
+    refinement_complete: bool  # the last re-split sweep skipped no subset
 
     def objective_trace(self) -> list[int]:
         return [self.initial_objective] + [r.objective_after for r in self.trace]
@@ -146,21 +147,20 @@ def _rows_value(inst, graph, rows) -> int:
                for i in rows if i)
 
 
-def _resplit_subset(inst, graph, rows, spent):
+def _resplit_subset(inst, graph, rows, nonzero, spent):
     """Best redistribution of the rows' pooled workers; None if no strict
-    improvement or the subset exceeds the enumeration budgets."""
-    cols = [j for j in range(graph.num_keys)
-            if any(graph.w[i][j] for i in rows)]
+    improvement or the subset exceeds the enumeration budgets.
+    ``nonzero[i]`` is the set of columns row ``i`` holds."""
+    cols = sorted(set().union(*(nonzero[i] for i in rows)))
     if not cols:
         return None
     pooled = [sum(graph.w[i][j] for i in rows) for j in cols]
+    if not spent.take(split_count(pooled, len(rows))):
+        return None
     # most-loaded columns first so the pruning bound engages early
     order = sorted(range(len(cols)), key=lambda cj: -pooled[cj])
     cols = [cols[cj] for cj in order]
     pooled = [pooled[cj] for cj in order]
-    states = split_count(pooled, len(rows))
-    if states > REFINE_STATE_BUDGET or not spent.take(states):
-        return None
     current = _rows_value(inst, graph, rows)
     best, split, _, _ = best_split(
         inst, graph.index, rows, cols, pooled,
@@ -195,30 +195,37 @@ def _moves_from_split(graph, rows, cols, split):
 
 
 class _ScanBudget:
-    """Caps the total enumeration work of one refinement sweep."""
+    """Caps the enumeration work of one subset and of one refinement sweep,
+    and counts the subsets skipped for either cap."""
 
     def __init__(self, limit):
         self.left = limit
+        self.skipped = 0
 
     def take(self, states) -> bool:
-        if states > self.left:
+        if states > REFINE_STATE_BUDGET or states > self.left:
+            self.skipped += 1
             return False
         self.left -= states
         return True
 
 
 def _find_resplit(inst, graph, refinement):
+    """One re-split sweep: ``(found, complete)``, with ``found`` the first
+    improving ``(moves, gain)`` or None, and ``complete`` true when the
+    sweep examined every subset, none found or skipped for budget."""
     if refinement == "off":
-        return None
+        return None, False
     max_rows = 2 if refinement == "pairs" else 3
     all_rows = range(inst.t + 1)
+    nonzero = [{j for j, x in enumerate(row) if x} for row in graph.w]
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
     for size in range(2, max_rows + 1):
         for rows in itertools.combinations(all_rows, size):
-            found = _resplit_subset(inst, graph, rows, spent)
+            found = _resplit_subset(inst, graph, rows, nonzero, spent)
             if found:
-                return found
-    return None
+                return found, False
+    return None, not spent.skipped
 
 
 def _split_switch_simple(moves):
@@ -269,6 +276,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     excluded: set = set()
     stalls = 0
     termination = "optimal"
+    complete = False
 
     while True:
         cycle = detect(graph, excluded=excluded or None)
@@ -276,7 +284,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
             # Exclusions may hide a real cycle, but detecting again without
             # them on the unchanged graph returns the excluded walk; the
             # re-split is the way on.
-            found = _find_resplit(inst, graph, cfg.refinement)
+            found, complete = _find_resplit(inst, graph, cfg.refinement)
             if found is None:
                 break
             moves, gain = found
@@ -323,7 +331,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     if breakdown.objective != current:
         raise RuntimeError("objective bookkeeping drifted from recomputation")
     return SolveReport(final_state, breakdown, iterations, trace,
-                       termination, initial_objective)
+                       termination, initial_objective, complete)
 
 
 def _improving_walk(inst, index, graph, cycle):

@@ -8,7 +8,7 @@ import random
 import networkx as nx
 
 from divmatch.instance import (CostModel, Feature, FeatureSchema, Instance,
-                               Team, TradeoffWeights)
+                               Team, TradeoffWeights, build_combination_index)
 
 
 class SimpleEdge:
@@ -146,3 +146,54 @@ def has_negative_cycle_exhaustive(g: SimpleDigraph) -> bool:
         if total < 0:
             return True
     return False
+
+
+def direct_objective(inst, assign):
+    """Objective of a worker -> team map, counted straight from the
+    instance: lambda0 * cost plus lambda_k * squared value counts, over the
+    real teams."""
+    by_class = inst.costs.mode == "class"
+    value = 0
+    counts = {}
+    for x, (fv, i) in enumerate(zip(inst.workers, assign)):
+        if i == 0:
+            continue
+        value += inst.weights.lambda0 * \
+            inst.costs.table[i - 1][fv[0] if by_class else x]
+        for k, v in enumerate(fv):
+            counts[i, k, v] = counts.get((i, k, v), 0) + 1
+    return value + sum(inst.weights.lambdas[k] * m * m
+                       for (_, k, _), m in counts.items())
+
+
+def brute_force_optima(inst):
+    """Optimum over every feasible worker -> team map (n <= 7), and the set
+    of distinct optimal type-count matrices, as tuples of row tuples."""
+    if inst.n > 7:
+        raise ValueError("brute force is meant for at most 7 workers")
+    index = build_combination_index(inst)
+    caps = [inst.demand(i) for i in range(inst.t + 1)]
+    assign = [0] * inst.n
+    best, optima = None, set()
+
+    def fill(x):
+        nonlocal best, optima
+        if x == inst.n:
+            value = direct_objective(inst, assign)
+            if best is None or value < best:
+                best, optima = value, set()
+            if value == best:
+                w = [[0] * index.num_columns for _ in caps]
+                for worker, i in enumerate(assign):
+                    w[i][index.worker_to_column[worker]] += 1
+                optima.add(tuple(map(tuple, w)))
+            return
+        for i, cap in enumerate(caps):
+            if cap:
+                caps[i] -= 1
+                assign[x] = i
+                fill(x + 1)
+                caps[i] += 1
+
+    fill(0)
+    return best, optima

@@ -6,9 +6,10 @@ import pytest
 from divmatch.auxgraph import (CycleApplicationError, apply_and_update,
                                build_aux_graph, cycle_from_moves, dump_edges,
                                inter_weight, intra_weight, moves_of)
-from divmatch.instance import (TradeoffWeights, parse_instance,
-                               build_combination_index)
+from divmatch.instance import (TradeoffWeights, build_combination_index,
+                               generate_reviewer_instance, parse_instance)
 from divmatch.objective import exchange_gain, matrix_from_assignment
+from divmatch.solver import _moves_from_split, initial_feasible
 from helpers import (random_feasible_assignment, random_feasible_matrix,
                      random_small_instance, random_switch_simple_moves)
 
@@ -292,3 +293,76 @@ def test_finders_return_every_edge_by_position(worker_fraction):
             else:
                 found = g.find_inter_edge(e.key_from, e.team_from, e.team_to)
             assert found is e
+
+
+def _applicable(g, moves):
+    w = g.current_state()
+    for key, i1, i2 in moves:
+        if w[i1][key] <= 0:
+            return False
+        w[i1][key] -= 1
+        w[i2][key] += 1
+    return True
+
+
+def _two_walks_through_a_team(g, rng):
+    """Two switch-simple walks joined at a shared team: a closed walk that
+    visits that team twice."""
+    a = random_switch_simple_moves(g, rng)
+    b = random_switch_simple_moves(g, rng)
+    if not a or not b:
+        return None
+    shared = sorted({m[1] for m in a} & {m[1] for m in b})
+    if not shared:
+        return None
+    team = rng.choice(shared)
+    ia = [m[1] for m in a].index(team)
+    ib = [m[1] for m in b].index(team)
+    moves = a[ia:] + a[:ia] + b[ib:] + b[:ib]
+    return moves if _applicable(g, moves) else None
+
+
+def _random_resplit(g, rng):
+    """Moves realizing a random feasible split of two or three rows."""
+    rows = sorted(rng.sample(range(g.num_switches),
+                             min(g.num_switches, rng.choice((2, 3)))))
+    cols = [j for j in range(g.num_keys) if any(g.w[i][j] for i in rows)]
+    caps = [sum(g.w[i]) for i in rows]
+    split = [[0] * len(cols) for _ in rows]
+    for cj, j in enumerate(cols):
+        for _ in range(sum(g.w[i][j] for i in rows)):
+            ri = rng.choice([r for r, cap in enumerate(caps) if cap])
+            caps[ri] -= 1
+            split[ri][cj] += 1
+    return _moves_from_split(g, rows, cols, split)
+
+
+@pytest.mark.parametrize("inst", [
+    generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=1),
+    random_small_instance(195, max_n=12, max_columns=6,
+                          worker_fraction=1.0),
+], ids=["ladder-class-10-40", "small-worker"])
+def test_weight_shifts_stay_exact_over_a_long_chain(inst):
+    # Shifted weights would drift if any shift were off, so compare the
+    # live graph with a rebuild along 300 mixed move lists.
+    index = build_combination_index(inst)
+    g = build_aux_graph(inst, initial_feasible(inst, index), index)
+    rng = random.Random(17)
+    made = {random_switch_simple_moves: 0, _two_walks_through_a_team: 0,
+            _random_resplit: 0}
+    calls = 0
+    for _ in range(3000):
+        maker = min(made, key=made.get)  # take turns, retrying failures
+        moves = maker(g, rng)
+        if not moves:
+            continue
+        g.apply_moves(moves)
+        made[maker] += 1
+        calls += 1
+        if calls % 25 == 0:  # the 300th call is the last
+            fresh = build_aux_graph(inst, g.current_state(), index)
+            assert dump_edges(g) == dump_edges(fresh)
+        if calls == 300:
+            break
+    assert calls == 300
+    assert min(made.values()) == 100

@@ -1,11 +1,18 @@
+import copy
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 import divmatch.cli
-from divmatch.cli import balance_report, main
+from divmatch.cli import balance_report, main, solution_to_dict
+from divmatch.instance import parse_instance
+from divmatch.solver import solve
 
 
 def run(argv):
@@ -290,3 +297,107 @@ def test_internal_solver_error_exit_code(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err == ("error: internal solver error: detection keeps "
                        "returning non-improving walks\n")
+
+
+def test_output_in_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    sol = tmp_path / "sol.json"
+    assert run(["solve", inst, "--out", sol]) == 0
+    missing = tmp_path / "no" / "such" / "out.json"
+    for argv in (["solve", inst], ["report", sol],
+                 ["gen", "--papers", 2, "--clusters", "2x4"]):
+        capsys.readouterr()
+        assert run(argv + ["--out", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(missing)!r}")
+        assert err.count("\n") == 1
+
+
+def test_solution_reports_refinement_completeness(tmp_path):
+    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    out = tmp_path / "sol.json"
+    assert run(["solve", inst, "--out", out]) == 0
+    assert json.loads(out.read_text())["refinement_complete"] is True
+
+
+@pytest.mark.parametrize("hists, features", [
+    ([[[2, 2], [2, 2]]], [{"name": "gender", "values": []}]),
+    ([[[], []]], None),
+    ([[[2, 2]]], None),
+])
+def test_report_on_inconsistent_solution(tmp_path, capsys, hists, features):
+    doc = solution_doc(hists)
+    if features is not None:
+        doc["features"] = features
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(doc))
+    assert run(["report", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed solution document")
+    assert err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=24)
+SMALL_VALUES = st.integers(-2, 6) | st.sampled_from(
+    [None, True, "A", "class", "worker", [], {}, [0], [[0, 1]], 1.5])
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutated(data, doc):
+    """``doc`` with one to three nodes replaced, emptied or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return data.draw(JSON_VALUES)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            parent[path[-1]] = data.draw(SMALL_VALUES | JSON_VALUES)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+FUZZ = settings(max_examples=120, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _exit_code(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return run([command, path])
+
+
+@FUZZ
+@given(doc=JSON_VALUES)
+def test_solve_never_raises_on_arbitrary_json(tmp_path, doc):
+    assert _exit_code(tmp_path, "solve", doc) in (0, 1)
+
+
+@FUZZ
+@given(data=st.data(), base=st.sampled_from([EIGHT_VS_SIXTEEN,
+                                             WORKER_INSTANCE]))
+def test_solve_never_raises_on_mutated_instances(tmp_path, data, base):
+    assert _exit_code(tmp_path, "solve", _mutated(data, base)) in (0, 1)
+
+
+@FUZZ
+@given(data=st.data())
+def test_report_never_raises_on_mutated_solutions(tmp_path, data):
+    inst = parse_instance(json.dumps(EIGHT_VS_SIXTEEN))
+    solution = solution_to_dict(inst, solve(inst))
+    assert _exit_code(tmp_path, "report", _mutated(data, solution)) in (0, 1)

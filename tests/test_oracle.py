@@ -7,9 +7,10 @@ import pytest
 from divmatch.instance import parse_instance, build_combination_index
 from divmatch.objective import (assignment_from_matrix,
                                 matrix_from_assignment, objective)
-from divmatch.oracle import BudgetExceededError, enumerate_optimal
-from helpers import (random_feasible_assignment, random_feasible_matrix,
-                     random_small_instance)
+from divmatch.oracle import BudgetExceededError, best_split, \
+    enumerate_optimal
+from helpers import (brute_force_optima, random_feasible_assignment,
+                     random_feasible_matrix, random_small_instance)
 
 
 def make(doc):
@@ -178,3 +179,77 @@ def test_worker_mode_general_costs_enumerates_maps():
     assert result.num_optima == 1
     assert [assignment_from_matrix(inst, w) for w in result.optima] == \
         [[2, 1]]
+
+
+@pytest.mark.parametrize("worker_fraction", [0.0, 1.0])
+def test_oracle_matches_brute_force_over_worker_maps(worker_fraction):
+    for seed in range(100):
+        inst = random_small_instance(seed + 1300, max_n=7,
+                                     worker_fraction=worker_fraction)
+        value, optima = brute_force_optima(inst)
+        result = enumerate_optimal(inst, collect_optima=True)
+        assert result.optimal_objective == value
+        assert result.num_optima == len(optima)
+        assert {tuple(map(tuple, w)) for w in result.optima} == optima
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _rows_share(inst, index, rows, cols, split):
+    """The rows' share of the objective when row ``rows[r]`` holds
+    ``split[r][p]`` workers of type ``cols[p]``, counted directly."""
+    value = 0
+    for r, i in enumerate(rows):
+        if i == 0:
+            continue
+        counts = {}
+        for p, j in enumerate(cols):
+            value += inst.weights.lambda0 * index.costs[i][j] * split[r][p]
+            for k, v in enumerate(index.columns[j]):
+                counts[k, v] = counts.get((k, v), 0) + split[r][p]
+        value += sum(inst.weights.lambdas[k] * m * m
+                     for (k, _), m in counts.items())
+    return value
+
+
+def test_best_split_improves_exactly_when_a_better_split_exists():
+    rng = random.Random(14)
+    checked = improved = 0
+    for seed in range(150):
+        inst = random_small_instance(seed + 1500, max_n=8)
+        index = build_combination_index(inst)
+        w = random_feasible_matrix(inst, index, rng)
+        size = min(inst.t + 1, rng.choice((2, 3)))
+        rows = sorted(rng.sample(range(inst.t + 1), size))
+        cols = [j for j in range(index.num_columns)
+                if any(w[i][j] for i in rows)]
+        if not cols:
+            continue  # the rows hold no worker; nothing to split
+        pooled = [sum(w[i][j] for i in rows) for j in cols]
+        totals = [sum(w[i]) for i in rows]
+        current = _rows_share(inst, index, rows, cols,
+                              [[w[i][j] for j in cols] for i in rows])
+        least = min(
+            _rows_share(inst, index, rows, cols, split)
+            for split in (list(zip(*per_col)) for per_col in
+                          itertools.product(*(_compositions(u, size)
+                                              for u in pooled)))
+            if [sum(row) for row in split] == totals)
+        value, split, _, _ = best_split(inst, index, rows, cols, pooled,
+                                        totals, incumbent=current)
+        assert (split is None) == (least >= current)
+        if split is not None:
+            assert value == least == _rows_share(inst, index, rows, cols,
+                                                 split)
+            assert [sum(row) for row in split] == totals
+            assert [sum(col) for col in zip(*split)] == pooled
+            improved += 1
+        checked += 1
+    assert checked >= 120 and improved >= 20

@@ -198,7 +198,8 @@ def test_worker_costs_follow_the_class_search_on_the_ladder_rung():
 
 
 @pytest.mark.parametrize("rung, expected", [((10, 40), (33, 251)),
-                                            ((25, 100), (96, 609))])
+                                            ((25, 100), (96, 609)),
+                                            ((50, 200), (185, 1125))])
 def test_class_ladder_rungs_keep_their_search(rung, expected):
     # The benchmark's ladder-class rungs (criterion 7's shape, seed 1): a
     # refactor that keeps the search keeps these commit counts and optima.
@@ -208,6 +209,26 @@ def test_class_ladder_rungs_keep_their_search(rung, expected):
     report = solve(inst)
     assert report.termination == "optimal"
     assert (report.iterations, report.breakdown.objective) == expected
+
+
+def test_refinement_report_is_incomplete_when_the_scan_budget_binds():
+    # The final sweep on this ladder rung skips subsets over the per-subset
+    # state budget and, once the sweep's scan budget runs out, more.
+    inst = generate_reviewer_instance(25, [20] * 5, "balanced", 4, seed=1)
+    report = solve(inst)
+    assert report.termination == "optimal"
+    assert report.refinement_complete is False
+
+
+def test_refinement_report_is_complete_on_an_oracle_sized_instance():
+    inst = generate_reviewer_instance(3, [3, 3, 2], "random", 2, seed=5)
+    report = solve(inst)
+    assert report.termination == "optimal"
+    assert report.refinement_complete is True
+    assert report.breakdown.objective == \
+        enumerate_optimal(inst).optimal_objective
+    off = solve(inst, SolverConfig(refinement="off"))
+    assert off.refinement_complete is False
 
 
 def test_worker_mode_two_workers_picks_cheaper_assignment():
