@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import dataclass
 
@@ -166,14 +167,26 @@ def _load(path: str):
         return None, f"error: {exc}"
 
 
-def _write(path: str, payload: str) -> bool:
+def _write(path: str, payload: str, mode: str = "w") -> bool:
     """Write an output file; False after reporting why it cannot be."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
         print(f"error: cannot write {path!r}: {exc.strerror}", file=sys.stderr)
         return False
+    return True
+
+
+def _writable(path: str) -> bool:
+    """Whether an output file can be written, checked before the work that
+    fills it: an existing file is opened without truncating it, and a file
+    the check creates is removed again."""
+    existed = os.path.lexists(path)
+    if not _write(path, "", mode="a"):
+        return False
+    if not existed:
+        os.remove(path)
     return True
 
 
@@ -193,6 +206,8 @@ def cmd_solve(args) -> int:
     inst, err = _load(args.instance)
     if err:
         print(err, file=sys.stderr)
+        return EXIT_INPUT
+    if args.out and not _writable(args.out):
         return EXIT_INPUT
     report = _solve(inst, args)
     if report is None:
@@ -248,6 +263,8 @@ def cmd_report(args) -> int:
         return EXIT_INPUT
     except (ValueError, LookupError, TypeError, ZeroDivisionError) as exc:
         print(f"error: malformed solution document: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.out and not _writable(args.out):
         return EXIT_INPUT
     print(rep.text())
     if args.out:

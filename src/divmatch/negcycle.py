@@ -121,9 +121,7 @@ def goldberg_radzik_detect(g, excluded=None) -> ExchangeCycle | None:
     """
     n = g.node_count
     dist = [0] * n
-
-    def usable(e) -> bool:
-        return e.enabled and (excluded is None or e not in excluded)
+    skip = excluded or ()
 
     candidates = list(range(n))
     for _ in range(n + 5):
@@ -137,22 +135,26 @@ def goldberg_radzik_detect(g, excluded=None) -> ExchangeCycle | None:
             if visited[root]:
                 continue
             d_root = dist[root]
-            if not any(usable(e) and d_root + e.weight - dist[e.dst] < 0
-                       for e in g.succ[root]):
-                continue
+            for e in g.succ[root]:
+                if e.enabled and e not in skip and \
+                        d_root + e.weight < dist[e.dst]:
+                    break
+            else:
+                continue  # no strictly negative reduced cost leaves root
             visited[root] = True
             on_stack[root] = True
             stack = [(root, None, iter(g.succ[root]))]
             while stack:
                 u, _entered, it = stack[-1]
+                du = dist[u]
                 advanced = False
                 for e in it:
-                    if not usable(e):
-                        continue
-                    rc = dist[u] + e.weight - dist[e.dst]
-                    if rc > 0:
+                    if not e.enabled or e in skip:
                         continue
                     v = e.dst
+                    rc = du + e.weight - dist[v]
+                    if rc > 0:
+                        continue
                     if not visited[v]:
                         visited[v] = True
                         on_stack[v] = True
@@ -179,7 +181,7 @@ def goldberg_radzik_detect(g, excluded=None) -> ExchangeCycle | None:
         for u in order:
             du = dist[u]
             for e in g.succ[u]:
-                if not usable(e):
+                if not e.enabled or e in skip:
                     continue
                 v = e.dst
                 if du + e.weight < dist[v]:

@@ -5,9 +5,16 @@ Workers of one type are interchangeable, so the objective is a function of
 the type-count matrix alone, and the oracle enumerates count matrices.
 :func:`best_split` does the enumeration over any set of rows: the oracle
 runs it on all rows, the solver's re-split refinement on two or three.
-Partial objectives only grow as workers are placed, so branches already
-above the incumbent are pruned without affecting exactness or the count of
-optima.
+Partial objectives only grow as workers are placed, and every unit still
+to place adds at least its cheapest first-unit price, so branches whose
+partial value plus that tail bound is already above the incumbent are
+pruned without affecting exactness, the first optimum found or the count of
+optima. The last row takes whatever its predecessors leave, so it is filled
+in place rather than searched. :func:`split_count` is the search space;
+:func:`least_split_count` is its least value for a number of workers,
+from which the re-split sweep skips over-budget subsets before building
+their columns (it charges subsets with an empty row without searching
+them).
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from .instance import Instance, build_combination_index
 from .objective import assignment_from_matrix
 
 __all__ = ["OracleResult", "BudgetExceededError", "enumerate_optimal",
-           "best_split", "split_count", "DEFAULT_BUDGET"]
+           "best_split", "split_count", "least_split_count",
+           "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -63,6 +71,12 @@ def split_count(counts, num_rows: int) -> int:
                      for u in counts)
 
 
+def least_split_count(total: int, num_rows: int) -> int:
+    """Least :func:`split_count` of ``total`` workers among ``num_rows``
+    rows over every way of typing them, reached when all share one type."""
+    return math.comb(total + num_rows - 1, num_rows - 1)
+
+
 def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
                collect=False, cap=0):
     """Best way to split ``counts[p]`` workers of type ``cols[p]`` among the
@@ -72,9 +86,14 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
     share of the objective, an optimal split ``split[r][p]`` (the first
     found), the number of optimal splits and, when ``collect``, up to
     ``cap`` of them. Types are placed in the order of ``cols``, each split
-    over ``rows`` in order. Without an ``incumbent`` every optimal split is
-    counted. With one, only splits strictly below it are explored, and
-    ``split`` is None when there is none.
+    over ``rows`` in order, each row taking 0, 1, ... workers, so ``split``
+    is the first minimal split in that order. Without an ``incumbent``
+    every optimal split is counted. With one, only splits strictly below it
+    are explored, ``split`` is None when there is none, and ``count`` is 1
+    or 0. Needs two or more rows: the last one takes the rest of each type,
+    in place. A branch is cut once its partial value plus a lower bound on
+    the types not yet placed exceeds the bound, which never cuts a split
+    that would be returned or counted.
     """
     lam0 = inst.weights.lambda0
     nf = inst.schema.num_features
@@ -90,9 +109,18 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
     caps = list(totals)
     split = [[0] * len(cols) for _ in rows]
     c = [[0] * nf * (1 + max(map(max, index.columns))) for _ in rows]
+    # tail[p] bounds what types p.. add: each unit at least lambda0*cost +
+    # sum_k lambda_k in a real row that takes workers, 0 in the dummy row.
+    open_rows = [r for r, total in enumerate(totals) if total > 0]
+    tail = [0] * (len(cols) + 1)
+    for p in range(len(cols) - 1, -1, -1):
+        least = min((costs[r][p] + steps[p] // 2 if real[r] else 0
+                     for r in open_rows), default=0)
+        tail[p] = tail[p + 1] + counts[p] * least
 
-    # A branch is cut once its partial value exceeds ``limit``: the best
-    # value so far, or one less when only strict improvements count.
+    # A branch is cut once its partial value plus the tail of the types
+    # still to place exceeds ``limit``: the best value so far, or one less
+    # when only strict improvements count.
     slack = 0 if incumbent is None else 1
     limit = math.inf if incumbent is None else incumbent - 1
     best = incumbent
@@ -104,25 +132,50 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
         # Row ri takes y type-p workers. Unit y+1 adds lambda0*cost +
         # sum_k lambda_k*(2x+1) at counters x, the first unit's marginal
         # plus y*steps[p], so the partial value is non-decreasing in y (row
-        # 0 adds nothing; its counters are kept but never read).
+        # 0 adds nothing; its counters are kept but never read). When row
+        # ri is the last but one, the last row takes the rest in place: its
+        # marginal is fixed while y varies.
+        floor = tail[p + 1]
         top = left if left < caps[ri] else caps[ri]
-        if ri == r_last and top < left:
-            return
         cr = c[ri]
         marginal = step = 0
         if real[ri]:
             marginal, step = costs[ri][p], steps[p]
             for lam, f in slots[p]:
                 marginal += lam * (2 * cr[f] + 1)
-        y = left if ri == r_last else 0
+        y = 0
+        fill = ri + 1 == r_last
+        if fill:
+            room = caps[r_last]
+            y = left - room if left > room else 0
+            if y > top:
+                return
+            last_c = c[r_last]
+            last_marginal = last_step = 0
+            if real[r_last]:
+                last_marginal, last_step = costs[r_last][p], steps[p]
+                for lam, f in slots[p]:
+                    last_marginal += lam * (2 * last_c[f] + 1)
         partial += y * marginal + step * y * (y - 1) // 2
         for _, f in slots[p]:
             cr[f] += y
-        while partial <= limit:
+        while partial + floor <= limit:
             caps[ri] -= y
             split[ri][p] = y
-            if ri == r_last:
-                place(p + 1, partial)
+            if fill:
+                z = left - y
+                value = partial + z * last_marginal + \
+                    last_step * z * (z - 1) // 2
+                if value + floor <= limit:
+                    caps[r_last] -= z
+                    split[r_last][p] = z
+                    for _, f in slots[p]:
+                        last_c[f] += z
+                    place(p + 1, value)
+                    for _, f in slots[p]:
+                        last_c[f] -= z
+                    caps[r_last] += z
+                    split[r_last][p] = 0
             else:
                 distribute(p, ri + 1, left - y, partial)
             caps[ri] += y

@@ -30,7 +30,7 @@ from .auxgraph import apply_and_update, build_aux_graph, cycle_from_moves, \
 from .instance import CombinationIndex, Instance, build_combination_index
 from .negcycle import DETECTORS
 from .objective import ObjectiveBreakdown, objective, total_utility
-from .oracle import best_split, split_count
+from .oracle import best_split, least_split_count, split_count
 
 __all__ = [
     "SolverConfig",
@@ -137,34 +137,50 @@ REFINE_STATE_BUDGET = 20_000
 REFINE_SCAN_BUDGET = 2_000_000
 
 
-def _rows_value(inst, graph, rows) -> int:
-    """The rows' share of the objective in the graph's current state."""
+def _row_values(inst, graph) -> list[int]:
+    """Each row's share of the objective in the graph's current state."""
     lam = inst.weights
     costs = graph.index.costs
-    return sum(lam.lambda0 * sum(u * x for u, x in zip(costs[i], graph.w[i]))
-               + sum(l * sum(x * x for x in vals)
-                     for l, vals in zip(lam.lambdas, graph.c[i]))
-               for i in rows if i)
+    return [lam.lambda0 * sum(u * x for u, x in zip(costs[i], row))
+            + sum(l * sum(x * x for x in vals)
+                  for l, vals in zip(lam.lambdas, graph.c[i])) if i else 0
+            for i, row in enumerate(graph.w)]
 
 
-def _resplit_subset(inst, graph, rows, nonzero, spent):
+def _resplit_subset(inst, graph, rows, sweep, spent):
     """Best redistribution of the rows' pooled workers; None if no strict
     improvement or the subset exceeds the enumeration budgets.
-    ``nonzero[i]`` is the set of columns row ``i`` holds."""
-    cols = sorted(set().union(*(nonzero[i] for i in rows)))
-    if not cols:
+    ``sweep`` holds per-row facts of the current state: ``(nonzero, sizes,
+    values)``, the set of columns each row holds, its worker count and its
+    share of the objective.
+
+    Two shortcuts decide, charge and count exactly as enumerating would.
+    Splitting U workers among r rows has at least comb(U+r-1, r-1) ways
+    (all U of one type), so a subset whose bound already exceeds a budget
+    is counted as skipped without building its columns. A subset with an
+    empty row is charged its states but not enumerated. Dropping that row
+    changes neither the splits nor their values, and what is left is one
+    row, with nothing to move, or a pair. Pairs come first, a pair has no
+    more states than the triple, and the sweep stops at its first find, so
+    that pair was examined and found nothing."""
+    nonzero, sizes, values = sweep
+    totals = [sizes[i] for i in rows]
+    held = sum(totals)
+    if not held:
         return None
+    if spent.refuses(least_split_count(held, len(rows))):
+        return None
+    cols = sorted(set().union(*(nonzero[i] for i in rows)))
     pooled = [sum(graph.w[i][j] for i in rows) for j in cols]
-    if not spent.take(split_count(pooled, len(rows))):
+    if not spent.take(split_count(pooled, len(rows))) or not all(totals):
         return None
     # most-loaded columns first so the pruning bound engages early
     order = sorted(range(len(cols)), key=lambda cj: -pooled[cj])
     cols = [cols[cj] for cj in order]
     pooled = [pooled[cj] for cj in order]
-    current = _rows_value(inst, graph, rows)
-    best, split, _, _ = best_split(
-        inst, graph.index, rows, cols, pooled,
-        [sum(graph.w[i]) for i in rows], incumbent=current)
+    current = sum(values[i] for i in rows)
+    best, split, _, _ = best_split(inst, graph.index, rows, cols, pooled,
+                                   totals, incumbent=current)
     if split is None:
         return None
     return _moves_from_split(graph, rows, cols, split), best - current
@@ -202,9 +218,15 @@ class _ScanBudget:
         self.left = limit
         self.skipped = 0
 
-    def take(self, states) -> bool:
+    def refuses(self, states) -> bool:
+        """True, counting a skipped subset, when ``states`` exceed a cap."""
         if states > REFINE_STATE_BUDGET or states > self.left:
             self.skipped += 1
+            return True
+        return False
+
+    def take(self, states) -> bool:
+        if self.refuses(states):
             return False
         self.left -= states
         return True
@@ -213,16 +235,23 @@ class _ScanBudget:
 def _find_resplit(inst, graph, refinement):
     """One re-split sweep: ``(found, complete)``, with ``found`` the first
     improving ``(moves, gain)`` or None, and ``complete`` true when the
-    sweep examined every subset, none found or skipped for budget."""
+    sweep examined every subset, none found or skipped for budget.
+
+    Subsets come pairs first, then triples, in index order. Each row's
+    columns, size and objective share are computed once per sweep.
+    :func:`_resplit_subset` skips subsets from their row sizes and charges
+    but does not enumerate subsets with an empty row, exactly as building
+    and enumerating every subset would decide."""
     if refinement == "off":
         return None, False
     max_rows = 2 if refinement == "pairs" else 3
     all_rows = range(inst.t + 1)
-    nonzero = [{j for j, x in enumerate(row) if x} for row in graph.w]
+    sweep = ([{j for j, x in enumerate(row) if x} for row in graph.w],
+             [sum(row) for row in graph.w], _row_values(inst, graph))
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
     for size in range(2, max_rows + 1):
         for rows in itertools.combinations(all_rows, size):
-            found = _resplit_subset(inst, graph, rows, nonzero, spent)
+            found = _resplit_subset(inst, graph, rows, sweep, spent)
             if found:
                 return found, False
     return None, not spent.skipped

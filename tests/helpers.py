@@ -197,3 +197,50 @@ def brute_force_optima(inst):
 
     fill(0)
     return best, optima
+
+
+def reference_resplit_sweep(inst, graph, max_rows):
+    """The re-split sweep written as its plain per-subset rule, without the
+    skip shortcuts: for every subset of 2..``max_rows`` rows in order, build
+    its columns, charge ``split_count`` states to the per-subset and
+    per-sweep budgets (read from the solver at call time), and enumerate it
+    when admitted. Returns ``(found, complete, skipped, left)`` like the
+    solver's sweep and its budget."""
+    from divmatch import solver
+    from divmatch.oracle import best_split, split_count
+
+    index, w, lam = graph.index, graph.w, inst.weights
+    left, skipped = solver.REFINE_SCAN_BUDGET, 0
+
+    def share(i):
+        if i == 0:
+            return 0
+        counts = {}
+        for j, x in enumerate(w[i]):
+            for k, v in enumerate(index.columns[j]):
+                counts[k, v] = counts.get((k, v), 0) + x
+        return lam.lambda0 * sum(u * x for u, x in zip(index.costs[i], w[i])) \
+            + sum(lam.lambdas[k] * m * m for (k, _), m in counts.items())
+
+    for size in range(2, max_rows + 1):
+        for rows in itertools.combinations(range(inst.t + 1), size):
+            cols = sorted({j for i in rows for j, x in enumerate(w[i]) if x})
+            if not cols:
+                continue
+            pooled = [sum(w[i][j] for i in rows) for j in cols]
+            states = split_count(pooled, size)
+            if states > solver.REFINE_STATE_BUDGET or states > left:
+                skipped += 1
+                continue
+            left -= states
+            order = sorted(range(len(cols)), key=lambda cj: -pooled[cj])
+            cols = [cols[cj] for cj in order]
+            pooled = [pooled[cj] for cj in order]
+            current = sum(share(i) for i in rows)
+            best, split, _, _ = best_split(
+                inst, index, rows, cols, pooled, [sum(w[i]) for i in rows],
+                incumbent=current)
+            if split is not None:
+                moves = solver._moves_from_split(graph, rows, cols, split)
+                return (moves, best - current), False, skipped, left
+    return None, not skipped, skipped, left

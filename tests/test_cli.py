@@ -313,6 +313,45 @@ def test_output_in_a_missing_directory_is_an_input_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_unwritable_output_fails_before_the_work(tmp_path, capsys,
+                                                 monkeypatch):
+    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    sol = tmp_path / "sol.json"
+    assert run(["solve", inst, "--out", sol]) == 0
+
+    def must_not_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(divmatch.cli, "solve", must_not_solve)
+    missing = tmp_path / "no" / "out.json"
+    capsys.readouterr()
+    assert run(["solve", inst, "--out", missing]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {str(missing)!r}: " \
+                  "No such file or directory\n"
+    assert run(["report", sol, "--out", missing]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # the report is not printed before the failure
+    assert err.startswith(f"error: cannot write {str(missing)!r}")
+
+
+def test_output_check_leaves_files_alone_when_the_solve_fails(
+        tmp_path, monkeypatch):
+    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+
+    def broken_solve(*args, **kwargs):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(divmatch.cli, "solve", broken_solve)
+    fresh = tmp_path / "fresh.json"
+    assert run(["solve", inst, "--out", fresh]) == 5
+    assert not fresh.exists()
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier output\n")
+    assert run(["solve", inst, "--out", kept]) == 5
+    assert kept.read_text() == "earlier output\n"
+
+
 def test_solution_reports_refinement_completeness(tmp_path):
     inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
     out = tmp_path / "sol.json"

@@ -3,12 +3,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from divmatch.instance import parse_instance, build_combination_index
 from divmatch.objective import (assignment_from_matrix,
                                 matrix_from_assignment, objective)
 from divmatch.oracle import BudgetExceededError, best_split, \
-    enumerate_optimal
+    enumerate_optimal, least_split_count, split_count
 from helpers import (brute_force_optima, random_feasible_assignment,
                      random_feasible_matrix, random_small_instance)
 
@@ -253,3 +255,63 @@ def test_best_split_improves_exactly_when_a_better_split_exists():
             improved += 1
         checked += 1
     assert checked >= 120 and improved >= 20
+
+
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=6),
+       st.integers(1, 5))
+def test_split_count_is_at_least_the_single_type_count(counts, rows):
+    # The sweep skips a subset for budget from its row sizes alone: U
+    # workers split among r rows in at least comb(U+r-1, r-1) ways, exactly
+    # that many when they are all of one type.
+    least = least_split_count(sum(counts), rows)
+    assert split_count(counts, rows) >= least
+    assert split_count([sum(counts)], rows) == least
+
+
+def test_best_split_returns_the_first_minimal_split_in_search_order():
+    # best_split places types in the order of ``cols``, each over the rows
+    # in order, every row taking y = 0, 1, ... units: lexicographic order of
+    # the per-type compositions. Its split must be the first minimal one in
+    # that order, with and without an incumbent, also over the dummy row
+    # and over a row that takes no worker; the solver's traces depend on it.
+    rng = random.Random(23)
+    kinds = {"dummy": 0, "empty": 0, "improved": 0, "kept": 0}
+    for seed in range(120):
+        inst = random_small_instance(seed + 2600, max_n=8, max_t=3)
+        index = build_combination_index(inst)
+        size = rng.randint(2, min(4, inst.t + 1))
+        rows = sorted(rng.sample(range(inst.t + 1), size))
+        cols = rng.sample(range(index.num_columns),
+                          rng.randint(1, min(3, index.num_columns)))
+        counts = [rng.randint(1, 3) for _ in cols]
+        totals = [0] * size
+        open_rows = rng.sample(range(size), rng.randint(1, size))
+        for _ in range(sum(counts)):
+            totals[rng.choice(open_rows)] += 1
+        splits = [
+            [list(row) for row in zip(*per_type)]
+            for per_type in itertools.product(
+                *(_compositions(u, size) for u in counts))
+            if [sum(row) for row in zip(*per_type)] == totals]
+        values = [_rows_share(inst, index, rows, cols, split)
+                  for split in splits]
+        least = min(values)
+        optimal = [split for split, v in zip(splits, values) if v == least]
+        kinds["dummy"] += rows[0] == 0
+        kinds["empty"] += 0 in totals
+        for incumbent in (None, rng.choice(values), least, least + 1):
+            value, split, count, optima = best_split(
+                inst, index, rows, cols, counts, totals,
+                incumbent=incumbent, collect=True, cap=10_000)
+            if incumbent is None:
+                expected = (least, optimal[0], len(optimal), optimal)
+            elif least < incumbent:
+                expected = (least, optimal[0], 1, optimal[:1])
+                kinds["improved"] += 1
+            else:
+                expected = (incumbent, None, 0, [])
+                kinds["kept"] += 1
+            assert (value, split, count, optima) == expected
+            assert best_split(inst, index, rows, cols, counts, totals,
+                              incumbent=incumbent)[:3] == expected[:3]
+    assert min(kinds.values()) >= 20, kinds

@@ -1,14 +1,18 @@
 import json
+import random
 
 import pytest
 
-from divmatch.instance import (convert_cost_mode, generate_reviewer_instance,
-                               parse_instance)
+from divmatch import solver
+from divmatch.auxgraph import build_aux_graph
+from divmatch.instance import (build_combination_index, convert_cost_mode,
+                               generate_reviewer_instance, parse_instance)
 from divmatch.objective import assignment_from_matrix
 from divmatch.oracle import enumerate_optimal
 from divmatch.solver import (SolverConfig, initial_feasible, iteration_bound,
                              solve)
-from helpers import random_small_instance
+from helpers import (random_feasible_matrix, random_small_instance,
+                     reference_resplit_sweep)
 
 
 def make(doc):
@@ -229,6 +233,63 @@ def test_refinement_report_is_complete_on_an_oracle_sized_instance():
         enumerate_optimal(inst).optimal_objective
     off = solve(inst, SolverConfig(refinement="off"))
     assert off.refinement_complete is False
+
+
+def _sweep_states():
+    """(instance, state) pairs for the sweep comparison: states the solver
+    reaches on ladder rung (10,40), whose dummy row is empty, and on a
+    32-of-40 variant, whose dummy row is not; random feasible states of
+    both; and random states of small worker-cost instances."""
+    rng = random.Random(5)
+    for papers in (10, 8):
+        inst = generate_reviewer_instance(papers, [8] * 5, "balanced", 4,
+                                          seed=1)
+        index = build_combination_index(inst)
+        for cap in (1, 4, 9, 16, 25, None):
+            report = solve(inst, SolverConfig(max_iterations=cap))
+            assert (sum(report.assignment[0]) == 0) == (papers == 10)
+            yield inst, report.assignment
+        for _ in range(4):
+            yield inst, random_feasible_matrix(inst, index, rng)
+    for seed in range(12):
+        inst = random_small_instance(seed + 700, max_n=10,
+                                     worker_fraction=1.0)
+        index = build_combination_index(inst)
+        yield inst, random_feasible_matrix(inst, index, rng)
+        yield inst, solve(inst).assignment
+
+
+@pytest.mark.parametrize("scan, per_subset", [(2_000_000, 20_000),
+                                              (400, 20_000), (5_000, 30)])
+def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan,
+                                                     per_subset):
+    # The sweep decides budget skips from row sizes and charges but skips
+    # subsets with an empty row; the plain rule builds every subset's
+    # columns and enumerates all it admits. Both must find the same moves,
+    # skip the same subsets and leave the same budget, also when a smaller
+    # budget makes the skips bind early.
+    monkeypatch.setattr(solver, "REFINE_SCAN_BUDGET", scan)
+    monkeypatch.setattr(solver, "REFINE_STATE_BUDGET", per_subset)
+    budgets = []
+
+    class Recording(solver._ScanBudget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(solver, "_ScanBudget", Recording)
+    found = skipped = 0
+    for inst, state in _sweep_states():
+        graph = build_aux_graph(inst, state, build_combination_index(inst))
+        for refinement, max_rows in (("pairs", 2), ("triples", 3)):
+            expected = reference_resplit_sweep(inst, graph, max_rows)
+            budgets.clear()
+            result = solver._find_resplit(inst, graph, refinement)
+            (spent,) = budgets
+            assert (*result, spent.skipped, spent.left) == expected
+            found += expected[0] is not None
+            skipped += expected[2] > 0
+    assert found >= 10 and skipped >= 2
 
 
 def test_worker_mode_two_workers_picks_cheaper_assignment():
