@@ -18,16 +18,29 @@ each move against the untouched counters and the intra correction cancels
 the double count that appears when the worker entering a switch shares a
 feature value with the worker leaving it.
 
+The build prices edges from per-port terms. An intra weight depends on the
+two keys alone, so one K x K table serves every real switch. An inter
+weight splits into a term of its source port, one of its target port and
+the cost difference: ``leave[i1][key] + enter[i2][key] + lambda0 *
+(cost[i2][key] - cost[i1][key])``, with ``leave[i][key] = sum_k
+lambdas[k] * (1 - 2 * c[i][k][v_k])`` and ``enter[i][key] = sum_k lambdas[k]
+* (2 * c[i][k][v_k] + 1)``, both zero at the dummy team.
+
 The graph keeps live assignment counters and reweights incrementally after
-an exchange. Its one edge index is ``succ``: an input port's out-edges are
-its intra edges in output-key order and an output port's out-edges are its
-inter edges in target-team order (own team skipped), so edges are found by
-position. An inter edge's weight is linear in its two teams' counters at
+an exchange. Its one edge index is ``out_edges``: an input port's out-edges
+are its intra edges in output-key order and an output port's out-edges are
+its inter edges in target-team order (own team skipped), so edges are found
+by position. An inter edge's weight is linear in its two teams' counters at
 its key's feature values, so an exchange shifts it by an exact integer: a
 net change ``d`` of counter ``c[i][k][v]`` moves the edges out of
 ``out(i, key)`` by ``-2 * lambdas[k] * d`` and the edges into ``in(i, key)``
 by ``+2 * lambdas[k] * d``, for the keys with value ``v`` of feature ``k``
 (listed per graph). No edge is priced anew.
+
+The detectors search ``succ``: the same lists, except that an output port
+holding no worker has none. Such a port's inter edges are all disabled,
+and on a large instance most output ports are drained. ``apply_moves``
+refreshes a port's entry where it refreshes the port's enabled flags.
 """
 
 from __future__ import annotations
@@ -117,23 +130,23 @@ def inter_weight(values, costs, from_team: int, to_team: int, c,
 class AuxGraph:
     """Live switch-graph over the current assignment matrix.
 
-    Exposes ``node_count`` and ``succ`` (adjacency lists of AuxEdge) for the
-    cycle detectors. Single-writer: detection never overlaps mutation.
+    Exposes ``node_count`` and ``succ`` (adjacency lists of AuxEdge, empty
+    at drained output ports) for the cycle detectors. Single-writer:
+    detection never overlaps mutation.
     """
 
     def __init__(self, inst: Instance, w, index: CombinationIndex):
         self.inst = inst
         self.index = index
         self.keys = index.columns
-        # per key, its cost in each team 0..t
-        self._key_costs = list(zip(*index.costs))
         self.w = [list(row) for row in w]
         self.num_keys = len(self.keys)
         self.num_switches = inst.t + 1
         self.node_count = 2 * self.num_keys * self.num_switches
         self.c = count_tensor(inst, w, index)
         self.edges: list[AuxEdge] = []
-        self.succ: list[list[AuxEdge]] = [[] for _ in range(self.node_count)]
+        self.out_edges: list[list[AuxEdge]] = [
+            [] for _ in range(self.node_count)]
         # per feature k and value v, the keys whose value of k is v
         self._keys_with = [[[] for _ in range(inst.schema.value_count(k))]
                            for k in range(inst.schema.num_features)]
@@ -141,6 +154,10 @@ class AuxGraph:
             for k, v in enumerate(values):
                 self._keys_with[k][v].append(key)
         self._build()
+        self.succ = list(self.out_edges)
+        for team in range(self.num_switches):
+            for key in range(self.num_keys):
+                self._refresh_port(team, key)
 
     # -- node ids -----------------------------------------------------------
 
@@ -159,41 +176,73 @@ class AuxGraph:
 
     # -- construction -------------------------------------------------------
 
+    def _port_terms(self):
+        """Per (team, key), the diversity change of one of the key's workers
+        leaving the team and of one entering it; zero at the dummy team."""
+        lambdas = self.inst.weights.lambdas
+        base = sum(lambdas)
+        leave = [[0] * self.num_keys]
+        enter = [[0] * self.num_keys]
+        for c in self.c[1:]:
+            load = [sum(lam * c[k][v]
+                        for k, (lam, v) in enumerate(zip(lambdas, values)))
+                    for values in self.keys]
+            leave.append([base - 2 * x for x in load])
+            enter.append([base + 2 * x for x in load])
+        return leave, enter
+
     def _build(self):
+        """Add every edge, in ``out_edges`` order, enabled until the ports
+        are refreshed."""
         weights = self.inst.weights
+        keys = range(self.num_keys)
+        real = [[_shared_value_correction(a, b, weights) for b in self.keys]
+                for a in self.keys]
+        dummy = [[0] * self.num_keys] * self.num_keys
         for team in range(self.num_switches):
-            for kin in range(self.num_keys):
+            table = real if team else dummy
+            for kin in keys:
                 src = self.port_id(team, INPUT, kin)
-                for kout in range(self.num_keys):
-                    dst = self.port_id(team, OUTPUT, kout)
-                    wgt = intra_weight(self.keys[kin], self.keys[kout],
-                                       team, weights)
-                    self._add(AuxEdge(src, dst, wgt, "intra", True,
+                for kout, wgt in enumerate(table[kin]):
+                    self._add(AuxEdge(src, self.port_id(team, OUTPUT, kout),
+                                      wgt, "intra", True,
                                       team, team, kin, kout))
+        lambda0 = weights.lambda0
+        costs = self.index.costs
+        leave, enter = self._port_terms()
         for i1 in range(self.num_switches):
             for i2 in range(self.num_switches):
                 if i1 == i2:
                     continue
-                for key in range(self.num_keys):
-                    src = self.port_id(i1, OUTPUT, key)
-                    dst = self.port_id(i2, INPUT, key)
-                    wgt = inter_weight(self.keys[key], self._key_costs[key],
-                                       i1, i2, self.c, weights)
-                    self._add(AuxEdge(src, dst, wgt, "inter",
-                                      self._available(i1, key),
-                                      i1, i2, key, key))
+                for key in keys:
+                    wgt = (leave[i1][key] + enter[i2][key]
+                           + lambda0 * (costs[i2][key] - costs[i1][key]))
+                    self._add(AuxEdge(self.port_id(i1, OUTPUT, key),
+                                      self.port_id(i2, INPUT, key), wgt,
+                                      "inter", True, i1, i2, key, key))
 
     def _add(self, edge: AuxEdge):
         self.edges.append(edge)
-        self.succ[edge.src].append(edge)
+        self.out_edges[edge.src].append(edge)
+
+    def _refresh_port(self, team: int, key: int):
+        """Enable the edges out of ``out(team, key)`` and list them in
+        ``succ`` if the team holds a worker of the key; else disable and
+        drop them there."""
+        port = self.port_id(team, OUTPUT, key)
+        edges = self.out_edges[port]
+        enabled = self._available(team, key)
+        for edge in edges:
+            edge.enabled = enabled
+        self.succ[port] = edges if enabled else ()
 
     # -- lookups ------------------------------------------------------------
 
     def find_inter_edge(self, key: int, i1: int, i2: int) -> AuxEdge:
-        return self.succ[self.port_id(i1, OUTPUT, key)][i2 - (i2 > i1)]
+        return self.out_edges[self.port_id(i1, OUTPUT, key)][i2 - (i2 > i1)]
 
     def find_intra_edge(self, team: int, key_in: int, key_out: int) -> AuxEdge:
-        return self.succ[self.port_id(team, INPUT, key_in)][key_out]
+        return self.out_edges[self.port_id(team, INPUT, key_in)][key_out]
 
     def current_state(self):
         """Copy of the live assignment matrix."""
@@ -208,8 +257,8 @@ class AuxGraph:
         ``2 * lambdas[k] * d``, summed per (team, key). A nonzero shift is
         subtracted from the edges out of ``out(team, key)`` and added to the
         inter edges into ``in(team, key)``, so an edge between two touched
-        teams takes both. Enabled flags are refreshed on the output ports
-        whose count changed."""
+        teams takes both. Enabled flags and ``succ`` entries are refreshed on
+        the output ports whose count changed."""
         ports: dict[tuple, int] = {}  # (team, key) -> net count change
         counters: dict[tuple, int] = {}  # (team, k, v) -> net change
         for key, i1, i2 in moves:
@@ -233,19 +282,18 @@ class AuxGraph:
                                          + 2 * lambdas[k] * d)
         for (team, key), shift in shifts.items():
             if shift:  # zero when counters moved in and back out
-                for edge in self.succ[self.port_id(team, OUTPUT, key)]:
+                for edge in self.out_edges[self.port_id(team, OUTPUT, key)]:
                     edge.weight -= shift
                 # out(i, key) for i = 0..t; skip the own team's port
-                out_ports = self.succ[self.num_keys + key::2 * self.num_keys]
+                out_ports = self.out_edges[
+                    self.num_keys + key::2 * self.num_keys]
                 for edges in out_ports[:team]:
                     edges[team - 1].weight += shift
                 for edges in out_ports[team + 1:]:
                     edges[team].weight += shift
         for (team, key), d in ports.items():
             if d:
-                enabled = self._available(team, key)
-                for edge in self.succ[self.port_id(team, OUTPUT, key)]:
-                    edge.enabled = enabled
+                self._refresh_port(team, key)
 
 
 def build_aux_graph(inst: Instance, w,

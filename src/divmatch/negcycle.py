@@ -7,7 +7,11 @@ start from an implicit super-source with zero-weight arcs to every node
 
 Any object exposing ``node_count`` and ``succ`` (adjacency lists of edges
 with ``src``, ``dst``, ``weight`` and ``enabled`` attributes) can be
-searched, such as the switch-graph of :mod:`divmatch.auxgraph`.
+searched, such as the switch-graph of :mod:`divmatch.auxgraph`. A graph
+may leave disabled edges out of ``succ``: the detectors visit the enabled
+edges in the same order either way, so they return the same cycle. The
+switch-graph lists no edges at an output port that holds no worker, so
+the detectors never scan that port's disabled edges.
 """
 
 from __future__ import annotations

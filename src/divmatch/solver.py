@@ -1,8 +1,11 @@
 """Cycle-cancellation solver: build, detect, verify, commit, repeat.
 
 Starting from a greedy feasible assignment, the solver looks for a negative
-cycle in the switch-graph, recomputes the candidate exchange's true objective
-change by simulation, and commits it only when the true change is at most -1.
+cycle in the switch-graph, computes the candidate exchange's true objective
+change from the net counter changes of its moves (independently of the edge
+weights that priced it), and commits it only when the true change is at
+most -1. The objective is evaluated in full only at the start and once at
+the end, as a check that the committed gains add up.
 A detected walk that visits some switch more than once can misprice itself
 (its edge weights assume untouched counters). Such walks are split at
 repeated switch visits into switch-simple pieces, which price exactly; if
@@ -116,7 +119,12 @@ def iteration_bound(inst: Instance) -> int:
     max(lambdas)*|features|*n^2 + lambda0*U with U the greedy start's cost,
     stays non-negative, and drops by >= 1 per commit."""
     index = build_combination_index(inst)
-    u0 = total_utility(inst, initial_feasible(inst, index), index)
+    return _descent_bound(inst, total_utility(
+        inst, initial_feasible(inst, index), index))
+
+
+def _descent_bound(inst: Instance, u0: int) -> int:
+    """:func:`iteration_bound` for a greedy start of cost ``u0``."""
     lam_max = max(inst.weights.lambdas)
     nf = inst.schema.num_features
     return lam_max * nf * inst.n * inst.n + inst.weights.lambda0 * u0
@@ -279,15 +287,32 @@ def _split_switch_simple(moves):
     return result
 
 
-def _exact_gain(inst, index, graph, moves) -> int:
-    """True objective change of applying ``moves`` to the graph's state."""
-    before = graph.current_state()
-    after = [list(row) for row in before]
+def _exact_gain(inst, graph, moves) -> int:
+    """True objective change of applying ``moves`` to the graph's state.
+
+    Only the net change ``d`` of each matrix cell and of each real team's
+    counter ``x = c[i][k][v]`` matters: the change is ``lambda0 * sum
+    cost[i][key] * d + sum lambdas[k] * ((x + d)^2 - x^2)``, over real teams.
+    Edge weights play no part, so a walk that mispriced itself is caught.
+    Raises ValueError when the moves overdraw a cell."""
+    cells: dict[tuple, int] = {}  # (team, key) -> net change
     for key, i1, i2 in moves:
-        after[i1][key] -= 1
-        after[i2][key] += 1
-    return (objective(inst, after, index).objective
-            - objective(inst, before, index).objective)
+        cells[i1, key] = cells.get((i1, key), 0) - 1
+        cells[i2, key] = cells.get((i2, key), 0) + 1
+    lam = inst.weights
+    costs = graph.index.costs
+    gain = 0
+    counters: dict[tuple, int] = {}  # (team, k, v) -> net change
+    for (team, key), d in cells.items():
+        if graph.w[team][key] + d < 0:
+            raise ValueError(f"moves overdraw key {key} in team {team}")
+        if team and d:
+            gain += lam.lambda0 * costs[team][key] * d
+            for k, v in enumerate(graph.keys[key]):
+                counters[team, k, v] = counters.get((team, k, v), 0) + d
+    for (team, k, v), d in counters.items():
+        gain += lam.lambdas[k] * d * (2 * graph.c[team][k][v] + d)
+    return gain
 
 
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
@@ -297,8 +322,9 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     index = build_combination_index(inst)
     start = initial_feasible(inst, index)
     graph = build_aux_graph(inst, start, index)
-    bound = iteration_bound(inst)
-    current = objective(inst, start, index).objective
+    initial = objective(inst, start, index)
+    bound = _descent_bound(inst, initial.tu)
+    current = initial.objective
     initial_objective = current
     trace: list[IterationRecord] = []
     iterations = 0
@@ -319,7 +345,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
             moves, gain = found
             cycle_len, claimed = len(moves), gain
         else:
-            found = _improving_walk(inst, index, graph, cycle)
+            found = _improving_walk(inst, graph, cycle)
             if found is None:
                 # Splitting re-pairs the intra edges at the cut switches, so
                 # a multi-visit walk can price negative while neither it nor
@@ -363,12 +389,12 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
                        termination, initial_objective, complete)
 
 
-def _improving_walk(inst, index, graph, cycle):
+def _improving_walk(inst, graph, cycle):
     """The detected walk, or a negatively-priced switch-simple piece of it,
     whose true gain is at most -1, with that gain; None when nothing
     improves."""
     moves = moves_of(cycle)
-    exact = _exact_gain(inst, index, graph, moves)
+    exact = _exact_gain(inst, graph, moves)
     if exact <= -1:
         return cycle, exact
     # The walk revisits a switch and mispriced itself; its switch-simple
@@ -376,7 +402,7 @@ def _improving_walk(inst, index, graph, cycle):
     logger.debug("walk of claimed %d has exact %d; splitting",
                  cycle.claimed_weight, exact)
     for segment in _split_switch_simple(moves):
-        sub_exact = _exact_gain(inst, index, graph, segment)
+        sub_exact = _exact_gain(inst, graph, segment)
         if sub_exact <= -1:
             return cycle_from_moves(graph, segment), sub_exact
     return None

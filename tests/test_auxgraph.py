@@ -3,11 +3,14 @@ import random
 
 import pytest
 
-from divmatch.auxgraph import (CycleApplicationError, apply_and_update,
-                               build_aux_graph, cycle_from_moves, dump_edges,
-                               inter_weight, intra_weight, moves_of)
+from divmatch.auxgraph import (OUTPUT, CycleApplicationError,
+                               apply_and_update, build_aux_graph,
+                               cycle_from_moves, dump_edges, inter_weight,
+                               intra_weight, moves_of)
 from divmatch.instance import (TradeoffWeights, build_combination_index,
-                               generate_reviewer_instance, parse_instance)
+                               convert_cost_mode, generate_reviewer_instance,
+                               parse_instance)
+from divmatch.negcycle import DETECTORS
 from divmatch.objective import exchange_gain, matrix_from_assignment
 from divmatch.solver import _moves_from_split, initial_feasible
 from helpers import (random_feasible_assignment, random_feasible_matrix,
@@ -111,21 +114,28 @@ def test_port_count_worker_mode():
 
 
 def test_stored_weights_match_weight_functions():
-    inst = small_instance()
-    index = build_combination_index(inst)
-    w = random_feasible_matrix(inst, index, random.Random(2))
-    g = build_aux_graph(inst, w, index)
-    for e in g.edges:
-        if e.kind == "intra":
-            expected = intra_weight(index.columns[e.key_from],
-                                    index.columns[e.key_to],
-                                    e.team_from, inst.weights)
-        else:
-            costs = [row[e.key_from] for row in index.costs]
-            expected = inter_weight(index.columns[e.key_from], costs,
-                                    e.team_from, e.team_to, g.c, inst.weights)
-            assert e.enabled == (w[e.team_from][e.key_from] >= 1)
-        assert e.weight == expected
+    # The build prices edges from per-port terms; the weight functions
+    # price each edge on its own. Class and worker costs alike.
+    instances = [small_instance(),
+                 convert_cost_mode(small_instance(), "worker")]
+    instances += [random_small_instance(seed, worker_fraction=1.0)
+                  for seed in range(300, 306)]
+    for n, inst in enumerate(instances):
+        index = build_combination_index(inst)
+        w = random_feasible_matrix(inst, index, random.Random(2 + n))
+        g = build_aux_graph(inst, w, index)
+        for e in g.edges:
+            if e.kind == "intra":
+                expected = intra_weight(index.columns[e.key_from],
+                                        index.columns[e.key_to],
+                                        e.team_from, inst.weights)
+            else:
+                costs = [row[e.key_from] for row in index.costs]
+                expected = inter_weight(index.columns[e.key_from], costs,
+                                        e.team_from, e.team_to, g.c,
+                                        inst.weights)
+                assert e.enabled == (w[e.team_from][e.key_from] >= 1)
+            assert e.weight == expected
 
 
 def test_apply_then_revert_restores_graph():
@@ -337,32 +347,70 @@ def _random_resplit(g, rng):
     return _moves_from_split(g, rows, cols, split)
 
 
-@pytest.mark.parametrize("inst", [
-    generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=1),
-    random_small_instance(195, max_n=12, max_columns=6,
-                          worker_fraction=1.0),
-], ids=["ladder-class-10-40", "small-worker"])
-def test_weight_shifts_stay_exact_over_a_long_chain(inst):
-    # Shifted weights would drift if any shift were off, so compare the
-    # live graph with a rebuild along 300 mixed move lists.
-    index = build_combination_index(inst)
-    g = build_aux_graph(inst, initial_feasible(inst, index), index)
-    rng = random.Random(17)
+def _apply_chain(g, rng, calls):
+    """Apply ``calls`` mixed move lists to ``g``, the three makers taking
+    turns (a failed attempt is retried), and yield the count after each."""
     made = {random_switch_simple_moves: 0, _two_walks_through_a_team: 0,
             _random_resplit: 0}
-    calls = 0
+    done = 0
     for _ in range(3000):
-        maker = min(made, key=made.get)  # take turns, retrying failures
+        maker = min(made, key=made.get)
         moves = maker(g, rng)
         if not moves:
             continue
         g.apply_moves(moves)
         made[maker] += 1
-        calls += 1
+        done += 1
+        yield done
+        if done == calls:
+            break
+    assert done == calls
+    assert min(made.values()) == calls // 3
+
+
+CHAIN_INSTANCES = pytest.mark.parametrize("inst", [
+    generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=1),
+    random_small_instance(195, max_n=12, max_columns=6,
+                          worker_fraction=1.0),
+], ids=["ladder-class-10-40", "small-worker"])
+
+
+@CHAIN_INSTANCES
+def test_weight_shifts_stay_exact_over_a_long_chain(inst):
+    # Shifted weights would drift if any shift were off, so compare the
+    # live graph with a rebuild along 300 mixed move lists.
+    index = build_combination_index(inst)
+    g = build_aux_graph(inst, initial_feasible(inst, index), index)
+    for calls in _apply_chain(g, random.Random(17), 300):
         if calls % 25 == 0:  # the 300th call is the last
             fresh = build_aux_graph(inst, g.current_state(), index)
             assert dump_edges(g) == dump_edges(fresh)
-        if calls == 300:
-            break
-    assert calls == 300
-    assert min(made.values()) == 100
+
+
+class _AllEdges:
+    """The graph as the detectors saw it before drained ports were left
+    out of ``succ``: every edge, disabled ones included."""
+
+    def __init__(self, g):
+        self.node_count = g.node_count
+        self.succ = g.out_edges
+
+
+@CHAIN_INSTANCES
+def test_detector_adjacency_lists_the_enabled_edges_after_every_apply(inst):
+    index = build_combination_index(inst)
+    g = build_aux_graph(inst, initial_feasible(inst, index), index)
+    found = 0
+    for calls in _apply_chain(g, random.Random(23), 200):
+        for u in range(g.node_count):
+            assert list(g.succ[u]) == [e for e in g.out_edges[u]
+                                       if e.enabled]
+        if calls % 20 == 0:  # the detectors find the same cycle
+            for detect in (DETECTORS["bf"], DETECTORS["gr"]):
+                cycle = detect(g)
+                assert cycle == detect(_AllEdges(g))
+                found += cycle is not None
+    assert found >= 10
+    drained = [g.port_id(i, OUTPUT, key) for i in range(g.num_switches)
+               for key in range(g.num_keys) if g.w[i][key] == 0]
+    assert drained and all(not g.succ[u] for u in drained)

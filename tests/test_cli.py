@@ -405,7 +405,10 @@ def _mutated(data, doc):
         for key in path[:-1]:
             parent = parent[key]
         if data.draw(st.booleans()):
-            parent[path[-1]] = data.draw(SMALL_VALUES | JSON_VALUES)
+            # a copy: later steps mutate in place, and ``sampled_from``
+            # hands out the same list or dict object on every draw
+            parent[path[-1]] = copy.deepcopy(
+                data.draw(SMALL_VALUES | JSON_VALUES))
         else:
             del parent[path[-1]]
     return doc

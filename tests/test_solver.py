@@ -2,12 +2,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divmatch import solver
 from divmatch.auxgraph import build_aux_graph
 from divmatch.instance import (build_combination_index, convert_cost_mode,
                                generate_reviewer_instance, parse_instance)
-from divmatch.objective import assignment_from_matrix
+from divmatch.objective import assignment_from_matrix, objective
 from divmatch.oracle import enumerate_optimal
 from divmatch.solver import (SolverConfig, initial_feasible, iteration_bound,
                              solve)
@@ -363,3 +365,70 @@ def test_refinement_escapes_a_spurious_walk_fixed_point():
     assert report.termination == "optimal"
     assert report.breakdown.objective == 40
     assert enumerate_optimal(inst).optimal_objective == 40
+
+
+def _draw_moves(data, inst, w):
+    """A closed walk of moves over teams 0..t (so row sums are kept): teams
+    may repeat, the dummy team takes part, a worker may move in and
+    straight back out, and the walk may go round twice. Each move's key is
+    drawn, most of the time, from the keys its team still holds along the
+    walk, so that most lists are applicable and some overdraw a cell."""
+    teams = st.integers(0, inst.t)
+    walk = data.draw(st.lists(teams, min_size=2, max_size=7))
+    legs = [(a, b) for a, b in zip(walk, walk[1:] + walk[:1]) if a != b]
+    w = [list(row) for row in w]
+    moves = []
+    for a, b in legs * data.draw(st.integers(1, 2)):
+        held = [j for j, x in enumerate(w[a]) if x > 0]
+        if held and data.draw(st.integers(0, 3)):
+            key = data.draw(st.sampled_from(held))
+        else:
+            key = data.draw(st.integers(0, len(w[a]) - 1))
+        moves.append((key, a, b))
+        w[a][key] -= 1
+        w[b][key] += 1
+        if data.draw(st.integers(0, 3)) == 0:  # in and straight back out
+            moves += [(key, b, a), (key, a, b)]
+    return moves
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**6), worker_costs=st.booleans(),
+       data=st.data())
+def test_delta_gain_equals_recomputation(seed, worker_costs, data):
+    inst = random_small_instance(seed, max_n=14, max_columns=5,
+                                 worker_fraction=float(worker_costs))
+    index = build_combination_index(inst)
+    if data.draw(st.booleans()):
+        state = random_feasible_matrix(inst, index, random.Random(seed))
+    else:  # a state the solver reaches
+        cap = data.draw(st.integers(1, 4))
+        state = solve(inst, SolverConfig(max_iterations=cap)).assignment
+    graph = build_aux_graph(inst, state, index)
+    moves = _draw_moves(data, inst, state)
+    if data.draw(st.booleans()):  # and on to another feasible state
+        target = random_feasible_matrix(inst, index, random.Random(~seed))
+        moves += solver._moves_from_split(graph, range(inst.t + 1),
+                                          range(index.num_columns), target)
+    after = [list(row) for row in state]
+    for key, i1, i2 in moves:
+        after[i1][key] -= 1
+        after[i2][key] += 1
+    if any(x < 0 for row in after for x in row):
+        with pytest.raises(ValueError, match="overdraw"):
+            solver._exact_gain(inst, graph, moves)
+    else:
+        assert solver._exact_gain(inst, graph, moves) == (
+            objective(inst, after, index).objective
+            - objective(inst, state, index).objective)
+    # Emptying a cell and taking one more, paid back in another column,
+    # keeps every row and column sum but must still raise.
+    team, key = next(((i, j) for i, row in enumerate(state)
+                      for j, x in enumerate(row) if x), (None, None))
+    if team is not None and inst.t and index.num_columns > 1:
+        other = (team + 1) % (inst.t + 1)
+        back = (key + 1) % index.num_columns
+        units = state[team][key] + 1
+        overdraw = [(key, team, other)] * units + [(back, other, team)] * units
+        with pytest.raises(ValueError, match="overdraw"):
+            solver._exact_gain(inst, graph, overdraw)
