@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="solve and compare against the exhaustive oracle")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_verify)
 

@@ -12,9 +12,13 @@ repeated switch visits into switch-simple pieces, which price exactly; if
 none of the pieces improves either, the walk was spuriously negative and is
 excluded from the next detection round. Once no negative cycle remains, a
 bounded exact re-split of small team subsets runs as a safety net against
-counter-coupled exchanges that no single cycle can express. The loop ends
-when neither step finds an improvement, or when the configured iteration
-cap is reached and a further step would still commit.
+counter-coupled exchanges that no single cycle can express. With at most
+two weighted features, a pair's re-split is a convex-cost flow, and a pair
+is enumerated only when its residual network has a negative cycle: that
+test is the flow's optimality condition, so it certifies a pair exactly
+when enumeration would find nothing. The loop ends when neither step finds
+an improvement, or when the configured iteration cap is reached and a
+further step would still commit.
 
 Integer weights make every committed step decrease the objective by at least
 one, which bounds the number of iterations by
@@ -158,9 +162,10 @@ def _row_values(inst, graph) -> list[int]:
 def _resplit_subset(inst, graph, rows, sweep, spent):
     """Best redistribution of the rows' pooled workers; None if no strict
     improvement or the subset exceeds the enumeration budgets.
-    ``sweep`` holds per-row facts of the current state: ``(nonzero, sizes,
-    values)``, the set of columns each row holds, its worker count and its
-    share of the objective.
+    ``sweep`` holds facts of the current state: ``(nonzero, sizes, values,
+    features)``, the set of columns each row holds, its worker count and its
+    share of the objective, and the weighted features when at most two
+    (else None).
 
     Two shortcuts decide, charge and count exactly as enumerating would.
     Splitting U workers among r rows has at least comb(U+r-1, r-1) ways
@@ -170,8 +175,13 @@ def _resplit_subset(inst, graph, rows, sweep, spent):
     changes neither the splits nor their values, and what is left is one
     row, with nothing to move, or a pair. Pairs come first, a pair has no
     more states than the triple, and the sweep stops at its first find, so
-    that pair was examined and found nothing."""
-    nonzero, sizes, values = sweep
+    that pair was examined and found nothing.
+
+    A pair with both rows non-empty is first put to
+    :func:`_pair_is_optimal`, and enumerated only when that does not show
+    its split optimal. The test is exact, so it returns None exactly when
+    the enumeration would."""
+    nonzero, sizes, values, features = sweep
     totals = [sizes[i] for i in rows]
     held = sum(totals)
     if not held:
@@ -180,8 +190,16 @@ def _resplit_subset(inst, graph, rows, sweep, spent):
         return None
     cols = sorted(set().union(*(nonzero[i] for i in rows)))
     pooled = [sum(graph.w[i][j] for i in rows) for j in cols]
-    if not spent.take(split_count(pooled, len(rows))) or not all(totals):
+    if not spent.take(split_count(pooled, len(rows))):
         return None
+    if not all(totals):
+        spent.charged += 1
+        return None
+    if features is not None and len(rows) == 2 and \
+            _pair_is_optimal(inst, graph, *rows, cols, features):
+        spent.certified += 1
+        return None
+    spent.enumerated += 1
     # most-loaded columns first so the pruning bound engages early
     order = sorted(range(len(cols)), key=lambda cj: -pooled[cj])
     cols = [cols[cj] for cj in order]
@@ -192,6 +210,79 @@ def _resplit_subset(inst, graph, rows, sweep, spent):
     if split is None:
         return None
     return _moves_from_split(graph, rows, cols, split), best - current
+
+
+def _flow_features(inst):
+    """The weighted features, when there are at most two and a pair's
+    re-split is therefore a single-commodity flow; else None."""
+    weighted = tuple(k for k, lam in enumerate(inst.weights.lambdas) if lam)
+    return weighted if len(weighted) <= 2 else None
+
+
+def _pair_is_optimal(inst, graph, a, b, cols, features) -> bool:
+    """True exactly when no split of rows ``a`` and ``b``'s pooled workers
+    (types ``cols``, each row keeping its size) has a smaller objective
+    share than the current one; ``features`` are the weighted features, at
+    most two.
+
+    The split is a convex-cost flow (Ahuja, Magnanti & Orlin, Network
+    Flows, ch. 14) of row ``a``'s size from s to t: s -> one node per value
+    of the first feature, -> one node per value of the second (type arcs,
+    one per type, carrying row ``a``'s count of it), -> t. The s and t arcs
+    carry row ``a``'s counter x of their value, at the convex cost
+    lambda_k * (x^2 in a real row a + (T - x)^2 in a real row b), T the
+    pair's total there; type arcs cost lambda0 * (cost[a] - cost[b]) per
+    unit. With one weighted feature type arcs end at t, with none they run
+    s -> t. An integral flow is optimal if and only if its residual network,
+    priced at the marginal unit costs, has no negative cycle. Bellman-Ford
+    from all-zero labels settles within one round per node exactly when
+    there is none; only the cheapest of parallel arcs matters."""
+    lambdas = inst.weights.lambdas
+    real_a, real_b = a != 0, b != 0
+    arcs = []  # (from, to, cost) of residual arcs; s = 0, t = 1
+    layers = []  # per weighted feature, (feature, value -> node)
+    nodes = 2
+    for end, k in enumerate(features):
+        lam = lambdas[k]
+        node_of = {}
+        for v, (x, y) in enumerate(zip(graph.c[a][k], graph.c[b][k])):
+            if not x + y:
+                continue
+            node_of[v] = u = nodes
+            nodes += 1
+            # one more (fewer) unit of value v in row a, y = T - x in row b
+            if y:
+                cost = lam * ((2 * x + 1) * real_a + (1 - 2 * y) * real_b)
+                arcs.append((0, u, cost) if end == 0 else (u, 1, cost))
+            if x:
+                cost = lam * ((1 - 2 * x) * real_a + (2 * y + 1) * real_b)
+                arcs.append((u, 0, cost) if end == 0 else (1, u, cost))
+        layers.append((k, node_of))
+    (k1, first), (k2, second) = layers + [(None, None)] * (2 - len(layers))
+    lam0 = inst.weights.lambda0
+    cost_a, cost_b = graph.index.costs[a], graph.index.costs[b]
+    w_a, w_b = graph.w[a], graph.w[b]
+    cheapest: dict[tuple, int] = {}
+    for j in cols:
+        values = graph.keys[j]
+        u = first[values[k1]] if first is not None else 0
+        v = second[values[k2]] if second is not None else 1
+        move = lam0 * (cost_a[j] - cost_b[j])
+        if w_b[j] and cheapest.get((u, v), move + 1) > move:
+            cheapest[u, v] = move
+        if w_a[j] and cheapest.get((v, u), 1 - move) > -move:
+            cheapest[v, u] = -move
+    arcs.extend((u, v, cost) for (u, v), cost in cheapest.items())
+    label = [0] * nodes
+    for _ in range(nodes):
+        settled = True
+        for u, v, cost in arcs:
+            if label[u] + cost < label[v]:
+                label[v] = label[u] + cost
+                settled = False
+        if settled:
+            return True
+    return False
 
 
 def _moves_from_split(graph, rows, cols, split):
@@ -220,11 +311,13 @@ def _moves_from_split(graph, rows, cols, split):
 
 class _ScanBudget:
     """Caps the enumeration work of one subset and of one refinement sweep,
-    and counts the subsets skipped for either cap."""
+    and counts the subsets skipped for either cap, charged but not
+    enumerated for an empty row, certified optimal without enumeration and
+    enumerated."""
 
     def __init__(self, limit):
         self.left = limit
-        self.skipped = 0
+        self.skipped = self.charged = self.certified = self.enumerated = 0
 
     def refuses(self, states) -> bool:
         """True, counting a skipped subset, when ``states`` exceed a cap."""
@@ -249,20 +342,27 @@ def _find_resplit(inst, graph, refinement):
     columns, size and objective share are computed once per sweep.
     :func:`_resplit_subset` skips subsets from their row sizes and charges
     but does not enumerate subsets with an empty row, exactly as building
-    and enumerating every subset would decide."""
+    and enumerating every subset would decide. Pairs it enumerates only
+    when the flow test does not show their split optimal. One debug line
+    per sweep counts each outcome."""
     if refinement == "off":
         return None, False
-    max_rows = 2 if refinement == "pairs" else 3
     all_rows = range(inst.t + 1)
     sweep = ([{j for j, x in enumerate(row) if x} for row in graph.w],
-             [sum(row) for row in graph.w], _row_values(inst, graph))
+             [sum(row) for row in graph.w], _row_values(inst, graph),
+             _flow_features(inst))
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
-    for size in range(2, max_rows + 1):
-        for rows in itertools.combinations(all_rows, size):
-            found = _resplit_subset(inst, graph, rows, sweep, spent)
-            if found:
-                return found, False
-    return None, not spent.skipped
+    found = None
+    sizes = (2, 3) if refinement == "triples" else (2,)
+    for rows in itertools.chain.from_iterable(
+            itertools.combinations(all_rows, size) for size in sizes):
+        found = _resplit_subset(inst, graph, rows, sweep, spent)
+        if found:
+            break
+    logger.debug("re-split sweep: %d certified, %d enumerated, %d charged "
+                 "only, %d skipped", spent.certified, spent.enumerated,
+                 spent.charged, spent.skipped)
+    return found, found is None and not spent.skipped
 
 
 def _split_switch_simple(moves):

@@ -93,6 +93,19 @@ def test_max_iters_below_one_is_an_input_error(tmp_path, capsys):
                            f"positive integer, got '{value}'\n")
 
 
+def test_budget_below_one_is_an_input_error(tmp_path, capsys):
+    # A budget below one used to be taken as given, so verify reported the
+    # instance as too large for the oracle (exit 3) instead of bad input.
+    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    for value in (0, -1, "x"):
+        assert run(["verify", inst, "--budget", value]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: argument --budget: expected a positive "
+                       f"integer, got '{value}'\n")
+    assert run(["verify", inst, "--budget", 1]) == 3
+    assert run(["verify", inst, "--budget", 1000]) == 0
+
+
 def run_cli_process(argv):
     """Run the CLI in a fresh interpreter, so that its logging set-up is
     its own; returns the completed process."""

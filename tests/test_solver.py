@@ -1,5 +1,9 @@
+import dataclasses
+import itertools
 import json
+import logging
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +11,11 @@ from hypothesis import strategies as st
 
 from divmatch import solver
 from divmatch.auxgraph import build_aux_graph
-from divmatch.instance import (build_combination_index, convert_cost_mode,
-                               generate_reviewer_instance, parse_instance)
+from divmatch.instance import (TradeoffWeights, build_combination_index,
+                               convert_cost_mode, generate_reviewer_instance,
+                               parse_instance)
 from divmatch.objective import assignment_from_matrix, objective
-from divmatch.oracle import enumerate_optimal
+from divmatch.oracle import best_split, enumerate_optimal
 from divmatch.solver import (SolverConfig, initial_feasible, iteration_bound,
                              solve)
 from helpers import (random_feasible_matrix, random_small_instance,
@@ -432,3 +437,110 @@ def test_delta_gain_equals_recomputation(seed, worker_costs, data):
         overdraw = [(key, team, other)] * units + [(back, other, team)] * units
         with pytest.raises(ValueError, match="overdraw"):
             solver._exact_gain(inst, graph, overdraw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**6), worker_costs=st.booleans(),
+       data=st.data())
+def test_pair_flow_certificate_is_exact(seed, worker_costs, data):
+    # Worker costs split a feature vector into parallel types; lambdas
+    # drawn from 0..3 give zero, one, two or three weighted features. Every
+    # ordered pair, the dummy row first or second, must be certified
+    # optimal exactly when enumeration finds no strictly better split.
+    inst = random_small_instance(seed, max_n=12, max_columns=6,
+                                 worker_fraction=float(worker_costs))
+    lambdas = data.draw(st.lists(st.integers(0, 3),
+                                 min_size=inst.schema.num_features,
+                                 max_size=inst.schema.num_features))
+    inst = dataclasses.replace(inst, weights=TradeoffWeights(
+        inst.weights.lambda0, tuple(lambdas)))
+    features = solver._flow_features(inst)
+    if sum(lam > 0 for lam in lambdas) > 2:
+        assert features is None
+        return
+    index = build_combination_index(inst)
+    if data.draw(st.booleans()):
+        state = random_feasible_matrix(inst, index, random.Random(seed))
+    else:  # a state the solver reaches
+        cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+        state = solve(inst, SolverConfig(max_iterations=cap)).assignment
+    graph = build_aux_graph(inst, state, index)
+    values = solver._row_values(inst, graph)
+    for a, b in itertools.permutations(range(inst.t + 1), 2):
+        pooled = [x + y for x, y in zip(state[a], state[b])]
+        cols = [j for j, u in enumerate(pooled) if u]
+        if not cols:
+            continue
+        _, split, _, _ = best_split(
+            inst, index, (a, b), cols, [pooled[j] for j in cols],
+            [sum(state[a]), sum(state[b])], incumbent=values[a] + values[b])
+        assert solver._pair_is_optimal(inst, graph, a, b, cols, features) \
+            == (split is None)
+
+
+def test_pair_flow_certificate_is_not_used_with_three_weighted_features(
+        monkeypatch):
+    # Three weighted features make a pair's split a multi-commodity problem:
+    # every admitted pair must reach the enumeration, with the same result.
+    def unused(*args):
+        raise AssertionError("flow certificate used")
+
+    monkeypatch.setattr(solver, "_pair_is_optimal", unused)
+    rng = random.Random(11)
+    swept = 0
+    for seed in range(40):
+        inst = random_small_instance(seed + 900, max_n=10, max_columns=6,
+                                     lambda_choices=(1, 2, 3))
+        if inst.schema.num_features < 3:
+            continue
+        index = build_combination_index(inst)
+        for state in (random_feasible_matrix(inst, index, rng),
+                      solve(inst).assignment):
+            graph = build_aux_graph(inst, state, index)
+            for refinement, max_rows in (("pairs", 2), ("triples", 3)):
+                expected = reference_resplit_sweep(inst, graph, max_rows)
+                assert solver._find_resplit(inst, graph, refinement) == \
+                    expected[:2]
+                swept += 1
+    assert swept >= 20
+
+
+@pytest.mark.parametrize("rung", [(10, 40), (25, 100), (50, 200)])
+def test_ladder_fixed_points_certify_pairs_without_enumerating(monkeypatch,
+                                                               rung):
+    # At each benchmark ladder-class rung's final state the flow test shows
+    # every non-empty pair optimal, so no pair reaches the enumeration.
+    papers, reviewers = rung
+    inst = generate_reviewer_instance(papers, [reviewers // 5] * 5,
+                                      "balanced", 4, seed=1)
+    graph = build_aux_graph(inst, solve(inst).assignment,
+                            build_combination_index(inst))
+    sizes = []
+
+    def recording(inst, index, rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return best_split(inst, index, rows, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "best_split", recording)
+    found, _ = solver._find_resplit(inst, graph, "triples")
+    assert found is None
+    assert 2 not in sizes
+
+
+def test_resplit_sweep_logs_one_count_line(caplog):
+    inst = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=1)
+    graph = build_aux_graph(inst, solve(inst).assignment,
+                            build_combination_index(inst))
+    with caplog.at_level(logging.INFO, logger="divmatch"):
+        solver._find_resplit(inst, graph, "triples")
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="divmatch"):
+        solver._find_resplit(inst, graph, "triples")
+    (line,) = [r.getMessage() for r in caplog.records]
+    # 55 pairs and 165 triples of 11 rows: the 10 pairs and 45 triples with
+    # the empty dummy row are charged only, the 45 real pairs certified.
+    certified, enumerated, charged, skipped = map(int, re.fullmatch(
+        r"re-split sweep: (\d+) certified, (\d+) enumerated, (\d+) charged "
+        r"only, (\d+) skipped", line).groups())
+    assert (certified, charged) == (45, 55)
+    assert certified + enumerated + charged + skipped == 55 + 165
