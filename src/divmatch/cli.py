@@ -1,11 +1,11 @@
 """Command-line front door: solve, verify, generate, and report.
 
-Exit codes: 0 solved to a certified optimum (or report/gen succeeded),
-1 invalid input (bad file, bad format, infeasible parameters, an output
-path that cannot be written), 2 iteration cap reached before convergence,
-3 instance too large for the verification oracle, 4 solver and oracle
-disagree (verify only), 5 internal solver error (a broken solver
-invariant: a bug, not bad input).
+Exit codes: 0 solved to a fixed point, proved globally optimal where the
+solution says ``proved_optimal`` (or report/gen succeeded), 1 invalid input
+(bad file, bad format, infeasible parameters, an output path that cannot be
+written), 2 iteration cap reached before convergence, 3 instance too large
+for the verification oracle, 4 solver and oracle disagree (verify only),
+5 internal solver error (a broken solver invariant: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ def solution_to_dict(inst, report: SolveReport) -> dict:
                      for f in inst.schema.features],
         "termination": report.termination,
         "refinement_complete": report.refinement_complete,
+        "proved_optimal": report.proved_optimal,
         "iterations": report.iterations,
         "trace": [{"iter": r.index, "cycle_len": r.cycle_len,
                    "claimed": r.claimed, "exact": r.exact,
@@ -242,6 +243,7 @@ def cmd_verify(args) -> int:
         return EXIT_INTERNAL
     print(f"solver objective: {report.breakdown.objective}")
     print(f"oracle objective: {result.optimal_objective}")
+    print(f"proved optimal: {'yes' if report.proved_optimal else 'no'}")
     if report.termination != "optimal":
         print("solver stopped at the iteration cap", file=sys.stderr)
         return EXIT_CAP

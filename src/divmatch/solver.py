@@ -10,15 +10,19 @@ A detected walk that visits some switch more than once can misprice itself
 (its edge weights assume untouched counters). Such walks are split at
 repeated switch visits into switch-simple pieces, which price exactly; if
 none of the pieces improves either, the walk was spuriously negative and is
-excluded from the next detection round. Once no negative cycle remains, a
-bounded exact re-split of small team subsets runs as a safety net against
-counter-coupled exchanges that no single cycle can express. With at most
-two weighted features, a pair's re-split is a convex-cost flow, and a pair
-is enumerated only when its residual network has a negative cycle: that
-test is the flow's optimality condition, so it certifies a pair exactly
-when enumeration would find nothing. The loop ends when neither step finds
-an improvement, or when the configured iteration cap is reached and a
-further step would still commit.
+excluded from the next detection round. Once no negative cycle remains,
+the solver first tries to prove the state a global optimum: the objective
+splits into one part per weighted feature (the first also carrying the
+cost), each part alone is a convex-cost flow, and a state optimal for every
+part is optimal for their sum. When that proof fails, a bounded exact
+re-split of small team subsets runs as a safety net against counter-coupled
+exchanges that no single cycle can express. With at most two weighted
+features, a pair's re-split is a convex-cost flow, and a pair is enumerated
+only when its residual network has a negative cycle: that test is the
+flow's optimality condition, so it certifies a pair exactly when
+enumeration would find nothing. The loop ends when the proof succeeds, when
+neither step finds an improvement, or when the configured iteration cap is
+reached and a further step would still commit.
 
 Integer weights make every committed step decrease the objective by at least
 one, which bounds the number of iterations by
@@ -88,7 +92,10 @@ class SolveReport:
     trace: list[IterationRecord]
     termination: str  # optimal | iteration-cap
     initial_objective: int
-    refinement_complete: bool  # the last re-split sweep skipped no subset
+    # no re-split was left unexamined: the fixed point was proved, or the
+    # last re-split sweep skipped no subset
+    refinement_complete: bool
+    proved_optimal: bool  # the final state was proved a global optimum
 
     def objective_trace(self) -> list[int]:
         return [self.initial_objective] + [r.objective_after for r in self.trace]
@@ -273,16 +280,84 @@ def _pair_is_optimal(inst, graph, a, b, cols, features) -> bool:
         if w_a[j] and cheapest.get((v, u), 1 - move) > -move:
             cheapest[v, u] = -move
     arcs.extend((u, v, cost) for (u, v), cost in cheapest.items())
-    label = [0] * nodes
-    for _ in range(nodes):
+    return not _has_negative_cycle(nodes, arcs)
+
+
+def _has_negative_cycle(node_count, arcs) -> bool:
+    """Bellman-Ford from all-zero labels over ``(from, to, cost)`` arcs on
+    nodes ``0..node_count-1``: the labels settle within one round per node
+    exactly when no cycle is negative."""
+    label = [0] * node_count
+    for _ in range(node_count):
         settled = True
         for u, v, cost in arcs:
             if label[u] + cost < label[v]:
                 label[v] = label[u] + cost
                 settled = False
         if settled:
-            return True
-    return False
+            return False
+    return True
+
+
+def _proves_optimal(inst, graph) -> bool:
+    """True when the graph's state is shown to be a global optimum; False
+    says nothing.
+
+    The objective is the sum of one part per weighted feature k,
+    lambdas[k] * D_k, with lambda0 * TU added to the first part (with no
+    weighted feature, the one part lambda0 * TU). Every feasible matrix has
+    every part at least that part's minimum, so a state that minimizes each
+    part alone, as its flow network shows, minimizes their sum. One debug
+    line per call gives the verdict and the size of the networks tested."""
+    weighted = [k for k, lam in enumerate(inst.weights.lambdas) if lam]
+    nodes = arcs = 0
+    proved = True
+    for part, k in enumerate(weighted or [0]):
+        count, part_arcs = _part_network(inst, graph, k, part == 0)
+        nodes += count
+        arcs += len(part_arcs)
+        if _has_negative_cycle(count, part_arcs):
+            proved = False
+            break
+    logger.debug("optimality proof: %s (%d nodes, %d arcs)",
+                 "proved" if proved else "not proved", nodes, arcs)
+    return proved
+
+
+def _part_network(inst, graph, k, with_cost):
+    """``(node_count, arcs)`` of the residual network of feature ``k``'s
+    objective part, lambdas[k] * D_k plus lambda0 * TU ``with_cost``, at the
+    graph's state.
+
+    Alone, the part is a separable convex-cost flow (Ahuja, Magnanti &
+    Orlin, Network Flows, ch. 14): type j sends w[i][j] to node (i, v), v
+    its value of feature k, at its cost in team i (0 without cost), and
+    (i, v) sends its counter x = c[i][k][v] on to team i at the convex cost
+    lambdas[k] * x^2; the dummy team adds nothing. Supplies and demands are
+    fixed, so the state is optimal for the part exactly when this network,
+    priced at marginal unit costs, has no negative cycle. Nodes are the
+    types, then (team, value) for each value some type has, then the
+    teams."""
+    lam = inst.weights.lambdas[k]
+    lam0 = inst.weights.lambda0 if with_cost else 0
+    keys, costs = graph.keys, graph.index.costs
+    slot = {v: s for s, v in enumerate(sorted({key[k] for key in keys}))}
+    teams = len(keys) + (inst.t + 1) * len(slot)  # node of team 0
+    arcs = []
+    for i, (row, counts) in enumerate(zip(graph.w, graph.c)):
+        first = len(keys) + i * len(slot)  # node of (i, the first value)
+        lam_i = lam if i else 0
+        for v, s in slot.items():
+            x = counts[k][v]
+            arcs.append((first + s, teams + i, lam_i * (2 * x + 1)))
+            if x:
+                arcs.append((teams + i, first + s, lam_i * (1 - 2 * x)))
+        for j, key in enumerate(keys):
+            node, cost = first + slot[key[k]], lam0 * costs[i][j]
+            arcs.append((j, node, cost))
+            if row[j]:
+                arcs.append((node, j, -cost))
+    return teams + inst.t + 1, arcs
 
 
 def _moves_from_split(graph, rows, cols, split):
@@ -416,7 +491,8 @@ def _exact_gain(inst, graph, moves) -> int:
 
 
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
-    """Run the cancellation loop to a certified local-search fixed point."""
+    """Run the cancellation loop to a certified local-search fixed point,
+    reported ``proved_optimal`` where it is shown to be a global optimum."""
     cfg = cfg or SolverConfig()
     detect = DETECTORS[cfg.detector]
     index = build_combination_index(inst)
@@ -431,11 +507,16 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     excluded: set = set()
     stalls = 0
     termination = "optimal"
-    complete = False
+    complete = proved = False
 
     while True:
         cycle = detect(graph, excluded=excluded or None)
         if cycle is None:
+            # A proved state is a global optimum, so the re-split sweep
+            # could find nothing there.
+            if cfg.refinement != "off" and _proves_optimal(inst, graph):
+                complete = proved = True
+                break
             # Exclusions may hide a real cycle, but detecting again without
             # them on the unchanged graph returns the excluded walk; the
             # re-split is the way on.
@@ -486,7 +567,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     if breakdown.objective != current:
         raise RuntimeError("objective bookkeeping drifted from recomputation")
     return SolveReport(final_state, breakdown, iterations, trace,
-                       termination, initial_objective, complete)
+                       termination, initial_objective, complete, proved)
 
 
 def _improving_walk(inst, graph, cycle):

@@ -157,6 +157,23 @@ def test_verify_small_instance_agrees(tmp_path, capsys):
     assert "agreement: yes" in out
 
 
+def test_verify_reports_whether_the_solve_proved_optimality(tmp_path,
+                                                            capsys):
+    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    assert run(["verify", inst]) == 0
+    out = capsys.readouterr().out
+    assert "proved optimal: yes" in out
+    assert "agreement: yes" in out
+    # This fixed point is optimal but not proved: the re-split sweep runs.
+    gen = tmp_path / "gen.json"
+    assert run(["gen", "--papers", 2, "--clusters", "2,4", "--genders",
+                "random", "--demand", 2, "--seed", 11, "--out", gen]) == 0
+    assert run(["verify", gen]) == 0
+    out = capsys.readouterr().out
+    assert "proved optimal: no" in out
+    assert "agreement: yes" in out
+
+
 def test_verify_zero_gender_weight_configuration(tmp_path):
     doc = dict(EIGHT_VS_SIXTEEN, lambdas=[1, 0])
     inst = write_instance(tmp_path / "inst.json", doc)
@@ -369,7 +386,9 @@ def test_solution_reports_refinement_completeness(tmp_path):
     inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
     out = tmp_path / "sol.json"
     assert run(["solve", inst, "--out", out]) == 0
-    assert json.loads(out.read_text())["refinement_complete"] is True
+    sol = json.loads(out.read_text())
+    assert sol["refinement_complete"] is True
+    assert sol["proved_optimal"] is True
 
 
 @pytest.mark.parametrize("hists, features", [

@@ -223,12 +223,16 @@ def test_class_ladder_rungs_keep_their_search(rung, expected):
 
 
 def test_refinement_report_is_incomplete_when_the_scan_budget_binds():
-    # The final sweep on this ladder rung skips subsets over the per-subset
-    # state budget and, once the sweep's scan budget runs out, more.
-    inst = generate_reviewer_instance(25, [20] * 5, "balanced", 4, seed=1)
+    # This instance's fixed point is not proved optimal, so the final sweep
+    # runs, and it skips subsets over the per-subset state budget. A proved
+    # fixed point, such as ladder rung (25,100)'s, runs no sweep.
+    inst = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=3)
     report = solve(inst)
+    assert report.proved_optimal is False
     assert report.termination == "optimal"
     assert report.refinement_complete is False
+    rung = generate_reviewer_instance(25, [20] * 5, "balanced", 4, seed=1)
+    assert solve(rung).proved_optimal is True
 
 
 def test_refinement_report_is_complete_on_an_oracle_sized_instance():
@@ -358,6 +362,20 @@ def test_refinement_escapes_the_coupled_pair_trap():
     oracle = enumerate_optimal(inst).optimal_objective
     refined = solve(inst)
     assert refined.breakdown.objective == oracle
+
+
+def test_coupled_pair_trap_stall_is_not_proved():
+    # The stalled state is two above the optimum, so the proof must fail
+    # there and leave the way to the re-split; the refined state is proved.
+    inst = make(COUPLED_PAIR_TRAP)
+    bare = solve(inst, SolverConfig(refinement="off"))
+    assert bare.proved_optimal is False
+    graph = build_aux_graph(inst, bare.assignment,
+                            build_combination_index(inst))
+    assert solver._proves_optimal(inst, graph) is False
+    refined = solve(inst)
+    assert refined.proved_optimal is True
+    assert refined.refinement_complete is True
 
 
 def test_refinement_escapes_a_spurious_walk_fixed_point():
@@ -544,3 +562,112 @@ def test_resplit_sweep_logs_one_count_line(caplog):
         r"only, (\d+) skipped", line).groups())
     assert (certified, charged) == (45, 55)
     assert certified + enumerated + charged + skipped == 55 + 165
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**6), worker_costs=st.booleans(),
+       data=st.data())
+def test_optimality_proof_is_sound(seed, worker_costs, data):
+    # Lambdas drawn from 0..3 give zero to three weighted features; a state
+    # the proof accepts must be a global optimum. Worker costs make every
+    # worker a type, so fewer workers keep the oracle within its budget.
+    inst = random_small_instance(seed, max_n=10 if worker_costs else 12,
+                                 max_columns=6,
+                                 worker_fraction=float(worker_costs))
+    lambdas = data.draw(st.lists(st.integers(0, 3),
+                                 min_size=inst.schema.num_features,
+                                 max_size=inst.schema.num_features))
+    inst = dataclasses.replace(inst, weights=TradeoffWeights(
+        inst.weights.lambda0, tuple(lambdas)))
+    index = build_combination_index(inst)
+    if data.draw(st.booleans()):
+        state = random_feasible_matrix(inst, index, random.Random(seed))
+    else:  # a state the solver reaches
+        cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+        state = solve(inst, SolverConfig(max_iterations=cap)).assignment
+    graph = build_aux_graph(inst, state, index)
+    if solver._proves_optimal(inst, graph):
+        assert objective(inst, state, index).objective == \
+            enumerate_optimal(inst).optimal_objective
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), worker_costs=st.booleans(),
+       data=st.data())
+def test_part_flow_test_is_exact(seed, worker_costs, data):
+    # Each part of the objective, feature k's lambda_k * D_k with or
+    # without lambda0 * TU, must be found optimal exactly when no feasible
+    # matrix has a smaller part. A part is the objective of an instance
+    # weighted at feature k alone, with zero costs when it carries none.
+    inst = random_small_instance(seed, max_n=10 if worker_costs else 12,
+                                 max_columns=6,
+                                 worker_fraction=float(worker_costs))
+    index = build_combination_index(inst)
+    if data.draw(st.booleans()):
+        state = random_feasible_matrix(inst, index, random.Random(seed))
+    else:  # a state the solver reaches
+        cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+        state = solve(inst, SolverConfig(max_iterations=cap)).assignment
+    graph = build_aux_graph(inst, state, index)
+    rows = range(inst.t + 1)
+    free = dataclasses.replace(index, costs=tuple(
+        (0,) * index.num_columns for _ in rows))
+    for k in range(inst.schema.num_features):
+        lam = data.draw(st.integers(0, 3))
+        part = dataclasses.replace(inst, weights=TradeoffWeights(
+            inst.weights.lambda0, tuple(
+                lam if f == k else 0
+                for f in range(inst.schema.num_features))))
+        for with_cost, part_index in ((True, index), (False, free)):
+            least, _, _, _ = best_split(
+                part, part_index, rows, range(index.num_columns),
+                index.multiplicities, [inst.demand(i) for i in rows])
+            value = objective(part, state, part_index).objective
+            network = solver._part_network(part, graph, k, with_cost)
+            assert solver._has_negative_cycle(*network) == (value > least)
+
+
+LADDER_RUNGS = [("class", (10, 40)), ("class", (25, 100)),
+                ("class", (50, 200)), ("worker", (10, 40)),
+                ("worker", (20, 80))]
+
+
+@pytest.mark.parametrize("mode, rung", LADDER_RUNGS)
+def test_ladder_fixed_points_are_proved_without_a_sweep(monkeypatch, mode,
+                                                        rung):
+    # Every benchmark ladder rung's fixed point is proved optimal, so its
+    # solve ends without a single re-split sweep.
+    papers, reviewers = rung
+    inst = convert_cost_mode(generate_reviewer_instance(
+        papers, [reviewers // 5] * 5, "balanced", 4, seed=1), mode)
+    sweeps = []
+    sweep = solver._find_resplit
+
+    def counting(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(solver, "_find_resplit", counting)
+    report = solve(inst)
+    assert report.proved_optimal is True
+    assert report.refinement_complete is True
+    assert report.termination == "optimal"
+    assert sweeps == []
+
+
+def test_optimality_proof_logs_one_line_per_attempt(caplog):
+    inst = make(COUPLED_PAIR_TRAP)
+    with caplog.at_level(logging.INFO, logger="divmatch"):
+        solve(inst)
+    assert not [r for r in caplog.records if "proof" in r.getMessage()]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="divmatch"):
+        solve(inst)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("optimality proof")]
+    # the stalled fixed point fails the proof, the refined one passes
+    verdicts = [re.fullmatch(r"optimality proof: (proved|not proved) "
+                             r"\((\d+) nodes, (\d+) arcs\)", line).group(1)
+                for line in lines]
+    assert verdicts == ["not proved", "proved"]
