@@ -37,10 +37,12 @@ net change ``d`` of counter ``c[i][k][v]`` moves the edges out of
 by ``+2 * lambdas[k] * d``, for the keys with value ``v`` of feature ``k``
 (listed per graph). No edge is priced anew.
 
-The detectors search ``succ``: the same lists, except that an output port
-holding no worker has none. Such a port's inter edges are all disabled,
-and on a large instance most output ports are drained. ``apply_moves``
-refreshes a port's entry where it refreshes the port's enabled flags.
+``succ`` offers the detectors the edges they may use, per port in
+``out_edges`` order: all of an input port's, and an output port's only
+while its team holds a worker of its key (on a large instance most output
+ports are drained). ``apply_moves`` refreshes the offer where a count
+changed; :meth:`AuxGraph.withhold` takes a walk's edges out of it and
+:meth:`AuxGraph.restore` puts them back.
 """
 
 from __future__ import annotations
@@ -73,25 +75,23 @@ class AuxEdge:
     keys are the entering/leaving movers; for inter edges the keys coincide
     and the teams are the move's endpoints."""
 
-    __slots__ = ("src", "dst", "weight", "kind", "enabled",
+    __slots__ = ("src", "dst", "weight", "kind",
                  "team_from", "team_to", "key_from", "key_to")
 
-    def __init__(self, src, dst, weight, kind, enabled,
+    def __init__(self, src, dst, weight, kind,
                  team_from, team_to, key_from, key_to):
         self.src = src
         self.dst = dst
         self.weight = weight
         self.kind = kind
-        self.enabled = enabled
         self.team_from = team_from
         self.team_to = team_to
         self.key_from = key_from
         self.key_to = key_to
 
     def __repr__(self):
-        state = "on" if self.enabled else "off"
         return (f"AuxEdge({self.kind} {self.team_from}:{self.key_from} -> "
-                f"{self.team_to}:{self.key_to} w={self.weight} {state})")
+                f"{self.team_to}:{self.key_to} w={self.weight})")
 
 
 def _shared_value_correction(v_a, v_b, weights: TradeoffWeights) -> int:
@@ -130,8 +130,8 @@ def inter_weight(values, costs, from_team: int, to_team: int, c,
 class AuxGraph:
     """Live switch-graph over the current assignment matrix.
 
-    Exposes ``node_count`` and ``succ`` (adjacency lists of AuxEdge, empty
-    at drained output ports) for the cycle detectors. Single-writer:
+    Exposes ``node_count`` and ``succ`` (per port, the AuxEdges offered to
+    the cycle detectors; none at drained output ports). Single-writer:
     detection never overlaps mutation.
     """
 
@@ -154,10 +154,10 @@ class AuxGraph:
             for k, v in enumerate(values):
                 self._keys_with[k][v].append(key)
         self._build()
-        self.succ = list(self.out_edges)
-        for team in range(self.num_switches):
-            for key in range(self.num_keys):
-                self._refresh_port(team, key)
+        self.succ = [()] * self.node_count
+        for node in range(self.node_count):
+            self._offer(node)
+        self._withheld: set[int] = set()  # ports whose offer lacks edges
 
     # -- node ids -----------------------------------------------------------
 
@@ -168,11 +168,6 @@ class AuxGraph:
         team, rest = divmod(node, 2 * self.num_keys)
         side, key = divmod(rest, self.num_keys)
         return f"{team}:{'in' if side == INPUT else 'out'}:{key}"
-
-    # -- weights ------------------------------------------------------------
-
-    def _available(self, team: int, key: int) -> bool:
-        return self.w[team][key] >= 1
 
     # -- construction -------------------------------------------------------
 
@@ -192,8 +187,7 @@ class AuxGraph:
         return leave, enter
 
     def _build(self):
-        """Add every edge, in ``out_edges`` order, enabled until the ports
-        are refreshed."""
+        """Add every edge, in ``out_edges`` order."""
         weights = self.inst.weights
         keys = range(self.num_keys)
         real = [[_shared_value_correction(a, b, weights) for b in self.keys]
@@ -205,7 +199,7 @@ class AuxGraph:
                 src = self.port_id(team, INPUT, kin)
                 for kout, wgt in enumerate(table[kin]):
                     self._add(AuxEdge(src, self.port_id(team, OUTPUT, kout),
-                                      wgt, "intra", True,
+                                      wgt, "intra",
                                       team, team, kin, kout))
         lambda0 = weights.lambda0
         costs = self.index.costs
@@ -219,22 +213,19 @@ class AuxGraph:
                            + lambda0 * (costs[i2][key] - costs[i1][key]))
                     self._add(AuxEdge(self.port_id(i1, OUTPUT, key),
                                       self.port_id(i2, INPUT, key), wgt,
-                                      "inter", True, i1, i2, key, key))
+                                      "inter", i1, i2, key, key))
 
     def _add(self, edge: AuxEdge):
         self.edges.append(edge)
         self.out_edges[edge.src].append(edge)
 
-    def _refresh_port(self, team: int, key: int):
-        """Enable the edges out of ``out(team, key)`` and list them in
-        ``succ`` if the team holds a worker of the key; else disable and
-        drop them there."""
-        port = self.port_id(team, OUTPUT, key)
-        edges = self.out_edges[port]
-        enabled = self._available(team, key)
-        for edge in edges:
-            edge.enabled = enabled
-        self.succ[port] = edges if enabled else ()
+    def _offer(self, node: int):
+        """Offer a port's out-edges in ``succ``: always at an input port, at
+        an output port only while its team holds a worker of its key."""
+        team, rest = divmod(node, 2 * self.num_keys)
+        side, key = divmod(rest, self.num_keys)
+        held = side == INPUT or self.w[team][key] >= 1
+        self.succ[node] = self.out_edges[node] if held else ()
 
     # -- lookups ------------------------------------------------------------
 
@@ -257,8 +248,8 @@ class AuxGraph:
         ``2 * lambdas[k] * d``, summed per (team, key). A nonzero shift is
         subtracted from the edges out of ``out(team, key)`` and added to the
         inter edges into ``in(team, key)``, so an edge between two touched
-        teams takes both. Enabled flags and ``succ`` entries are refreshed on
-        the output ports whose count changed."""
+        teams takes both. The offer in ``succ`` is refreshed at the output
+        ports whose count changed."""
         ports: dict[tuple, int] = {}  # (team, key) -> net count change
         counters: dict[tuple, int] = {}  # (team, k, v) -> net change
         for key, i1, i2 in moves:
@@ -293,7 +284,21 @@ class AuxGraph:
                     edges[team].weight += shift
         for (team, key), d in ports.items():
             if d:
-                self._refresh_port(team, key)
+                self._offer(self.port_id(team, OUTPUT, key))
+
+    def withhold(self, edges) -> None:
+        """Stop offering ``edges`` until :meth:`restore`: drop them from
+        their ports' ``succ`` entries, keeping the order of the rest."""
+        drop = set(edges)
+        for node in {e.src for e in drop}:
+            self.succ[node] = [e for e in self.succ[node] if e not in drop]
+            self._withheld.add(node)
+
+    def restore(self) -> None:
+        """Offer again every edge :meth:`withhold` took out."""
+        for node in self._withheld:
+            self._offer(node)
+        self._withheld.clear()
 
 
 def build_aux_graph(inst: Instance, w,
@@ -313,14 +318,16 @@ def apply_and_update(g: AuxGraph, cycle: ExchangeCycle):
     """Perform the cycle's exchange on the live graph.
 
     Every inter edge moves one worker of its key from its source team to its
-    target team; counters and affected edge weights/flags are updated in
-    place. Returns the applied move list.
+    target team; counters, affected edge weights and the offer in ``succ``
+    are updated in place. A walk with an inter edge out of a port that
+    holds no worker is rejected before anything changes. Returns the
+    applied move list.
     """
     edges = cycle.edges
     for e, nxt in zip(edges, edges[1:] + edges[:1]):
         if e.dst != nxt.src:
             raise CycleApplicationError("cycle edges do not form a closed walk")
-        if not e.enabled:
+        if e.kind == "inter" and g.w[e.team_from][e.key_from] < 1:
             raise CycleApplicationError(f"cycle uses a disabled edge: {e!r}")
     moves = moves_of(cycle)
     if not moves:
@@ -347,9 +354,12 @@ def cycle_from_moves(g: AuxGraph, moves) -> ExchangeCycle:
 
 
 def dump_edges(g: AuxGraph) -> str:
-    """Edge list as text, one line per edge, for golden-file comparisons."""
+    """Edge list as text, one line per edge, for golden-file comparisons;
+    the last column says whether ``succ`` offers the edge."""
+    offered = {e for edges in g.succ for e in edges}
     lines = []
     for e in g.edges:
+        listed = "true" if e in offered else "false"
         lines.append(f"{g.port_repr(e.src)} -> {g.port_repr(e.dst)} "
-                     f"{e.weight} {e.kind} {'true' if e.enabled else 'false'}")
+                     f"{e.weight} {e.kind} {listed}")
     return "\n".join(lines) + "\n"

@@ -33,9 +33,6 @@ EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
 
-_DETECTOR_NAMES = {"bf": "bellman_ford", "gr": "goldberg_radzik"}
-
-
 class _UsageError(Exception):
     pass
 
@@ -194,8 +191,7 @@ def _writable(path: str) -> bool:
 def _solve(inst, args) -> SolveReport | None:
     """Solve with the command's flags; None after reporting an internal
     solver error."""
-    cfg = SolverConfig(detector=_DETECTOR_NAMES[args.detector],
-                       max_iterations=args.max_iters)
+    cfg = SolverConfig(detector=args.detector, max_iterations=args.max_iters)
     try:
         return solve(inst, cfg)
     except RuntimeError as exc:  # a broken solver invariant

@@ -1,17 +1,16 @@
 """Negative-cycle detection over integer-weighted directed graphs.
 
-Two detectors share one contract: return some enabled simple cycle of
-strictly negative total weight, or ``None`` when no such cycle exists. Both
-start from an implicit super-source with zero-weight arcs to every node
-(all distance labels start at 0), so disconnected components are covered.
+Two detectors share one contract: search a graph's ``node_count`` nodes
+and its ``succ`` adjacency lists, and return some simple cycle of strictly
+negative total weight, or ``None`` when no such cycle exists. Both start
+from an implicit super-source with zero-weight arcs to every node (all
+distance labels start at 0), so disconnected components are covered.
 
-Any object exposing ``node_count`` and ``succ`` (adjacency lists of edges
-with ``src``, ``dst``, ``weight`` and ``enabled`` attributes) can be
-searched, such as the switch-graph of :mod:`divmatch.auxgraph`. A graph
-may leave disabled edges out of ``succ``: the detectors visit the enabled
-edges in the same order either way, so they return the same cycle. The
-switch-graph lists no edges at an output port that holds no worker, so
-the detectors never scan that port's disabled edges.
+Any object exposing ``node_count`` and ``succ`` (per node, a list of edges
+with ``src``, ``dst`` and ``weight`` attributes) can be searched, such as
+the switch-graph of :mod:`divmatch.auxgraph`. A graph lists in ``succ``
+only the edges it offers; the detectors use every listed edge, in list
+order, and no other.
 """
 
 from __future__ import annotations
@@ -49,10 +48,10 @@ def _cycle_of(edges) -> ExchangeCycle:
     return ExchangeCycle(list(edges), total)
 
 
-def bellman_ford_detect(g, excluded=None) -> ExchangeCycle | None:
+def bellman_ford_detect(g) -> ExchangeCycle | None:
     """Round-synchronized label correction.
 
-    Each of up to ``n`` rounds relaxes every enabled edge against the
+    Each of up to ``n`` rounds relaxes every listed edge against the
     previous round's labels; the labels settle within ``n - 1`` rounds when
     no negative cycle exists (shortest walks are then simple). Predecessor
     links record strict improvements only, so any cycle they form is
@@ -70,8 +69,6 @@ def bellman_ford_detect(g, excluded=None) -> ExchangeCycle | None:
         for u in range(n):
             du = prev[u]
             for e in g.succ[u]:
-                if not e.enabled or (excluded is not None and e in excluded):
-                    continue
                 v = e.dst
                 if du + e.weight < dist[v]:
                     dist[v] = du + e.weight
@@ -110,7 +107,7 @@ def _pred_cycle_from(pred, start):
     return cycle
 
 
-def goldberg_radzik_detect(g, excluded=None) -> ExchangeCycle | None:
+def goldberg_radzik_detect(g) -> ExchangeCycle | None:
     """Label-correcting detection with topological passes.
 
     Each pass freezes the current labels as potentials, runs a DFS over the
@@ -125,7 +122,6 @@ def goldberg_radzik_detect(g, excluded=None) -> ExchangeCycle | None:
     """
     n = g.node_count
     dist = [0] * n
-    skip = excluded or ()
 
     candidates = list(range(n))
     for _ in range(n + 5):
@@ -140,8 +136,7 @@ def goldberg_radzik_detect(g, excluded=None) -> ExchangeCycle | None:
                 continue
             d_root = dist[root]
             for e in g.succ[root]:
-                if e.enabled and e not in skip and \
-                        d_root + e.weight < dist[e.dst]:
+                if d_root + e.weight < dist[e.dst]:
                     break
             else:
                 continue  # no strictly negative reduced cost leaves root
@@ -153,8 +148,6 @@ def goldberg_radzik_detect(g, excluded=None) -> ExchangeCycle | None:
                 du = dist[u]
                 advanced = False
                 for e in it:
-                    if not e.enabled or e in skip:
-                        continue
                     v = e.dst
                     rc = du + e.weight - dist[v]
                     if rc > 0:
@@ -185,8 +178,6 @@ def goldberg_radzik_detect(g, excluded=None) -> ExchangeCycle | None:
         for u in order:
             du = dist[u]
             for e in g.succ[u]:
-                if not e.enabled or e in skip:
-                    continue
                 v = e.dst
                 if du + e.weight < dist[v]:
                     dist[v] = du + e.weight
@@ -195,7 +186,7 @@ def goldberg_radzik_detect(g, excluded=None) -> ExchangeCycle | None:
             return None
         candidates = sorted(relabeled)
     # A well-formed run never gets here; fall back to the reference detector.
-    return bellman_ford_detect(g, excluded=excluded)
+    return bellman_ford_detect(g)
 
 
 DETECTORS = {

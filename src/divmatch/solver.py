@@ -9,12 +9,13 @@ the end, as a check that the committed gains add up.
 A detected walk that visits some switch more than once can misprice itself
 (its edge weights assume untouched counters). Such walks are split at
 repeated switch visits into switch-simple pieces, which price exactly; if
-none of the pieces improves either, the walk was spuriously negative and is
-excluded from the next detection round. Once no negative cycle remains,
-the solver first tries to prove the state a global optimum: the objective
-splits into one part per weighted feature (the first also carrying the
-cost), each part alone is a convex-cost flow, and a state optimal for every
-part is optimal for their sum. When that proof fails, a bounded exact
+none of the pieces improves either, the walk was spuriously negative: the
+graph withholds its edges from detection until the next commit restores
+them. Once no negative cycle remains, the solver first tries to prove the
+state a global optimum: the objective splits into one part per weighted
+feature (the first also carrying the cost), each part alone is a
+convex-cost flow, and a state optimal for every part is optimal for their
+sum. When that proof fails, a bounded exact
 re-split of small team subsets runs as a safety net against counter-coupled
 exchanges that no single cycle can express. With at most two weighted
 features, a pair's re-split is a convex-cost flow, and a pair is enumerated
@@ -504,22 +505,21 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     initial_objective = current
     trace: list[IterationRecord] = []
     iterations = 0
-    excluded: set = set()
     stalls = 0
     termination = "optimal"
     complete = proved = False
 
     while True:
-        cycle = detect(graph, excluded=excluded or None)
+        cycle = detect(graph)
         if cycle is None:
             # A proved state is a global optimum, so the re-split sweep
             # could find nothing there.
             if cfg.refinement != "off" and _proves_optimal(inst, graph):
                 complete = proved = True
                 break
-            # Exclusions may hide a real cycle, but detecting again without
-            # them on the unchanged graph returns the excluded walk; the
-            # re-split is the way on.
+            # Withheld edges may hide a real cycle, but detecting again with
+            # them offered on the unchanged graph returns the withheld walk;
+            # the re-split is the way on.
             found, complete = _find_resplit(inst, graph, cfg.refinement)
             if found is None:
                 break
@@ -530,8 +530,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
             if found is None:
                 # Splitting re-pairs the intra edges at the cut switches, so
                 # a multi-visit walk can price negative while neither it nor
-                # any piece truly improves. Hide the walk and look again;
-                # one-edge exclusion would keep surfacing sibling walks.
+                # any piece truly improves. Withhold the walk and look again;
+                # withholding one edge would keep surfacing sibling walks.
                 stalls += 1
                 logger.debug(
                     "negative walk (claimed %d, exact >= 0) yielded no "
@@ -540,7 +540,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
                 if stalls > len(graph.edges):
                     raise RuntimeError(
                         "detection keeps returning non-improving walks")
-                excluded.update(cycle.edges)
+                graph.withhold(cycle.edges)
                 continue
             walk, gain = found
             cycle_len, claimed = len(walk), walk.claimed_weight
@@ -551,7 +551,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
             graph.apply_moves(moves)
         else:
             apply_and_update(graph, walk)
-        excluded.clear()
+        graph.restore()
         stalls = 0
         iterations += 1
         current += gain

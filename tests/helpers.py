@@ -12,13 +12,12 @@ from divmatch.instance import (CostModel, Feature, FeatureSchema, Instance,
 
 
 class SimpleEdge:
-    __slots__ = ("src", "dst", "weight", "enabled", "kind")
+    __slots__ = ("src", "dst", "weight", "kind")
 
     def __init__(self, src, dst, weight):
         self.src = src
         self.dst = dst
         self.weight = weight
-        self.enabled = True
         self.kind = "edge"
 
     def __repr__(self):
@@ -111,7 +110,7 @@ def random_switch_simple_moves(graph, rng, max_len=4, tries=60):
         ok = True
         for p, team in enumerate(picked):
             keys = [key for key in range(graph.num_keys)
-                    if graph._available(team, key)]
+                    if graph.w[team][key] >= 1]
             if not keys:
                 ok = False
                 break
@@ -134,11 +133,12 @@ def random_digraph(rng, max_nodes=50, weight_lo=-10, weight_hi=10,
 
 
 def has_negative_cycle_exhaustive(g: SimpleDigraph) -> bool:
-    """Independent ground truth via full simple-cycle enumeration."""
+    """Independent ground truth via full simple-cycle enumeration over the
+    edges listed in ``succ``."""
     dg = nx.DiGraph()
     dg.add_nodes_from(range(g.node_count))
-    for e in g.edges:
-        if e.enabled:
+    for edges in g.succ:
+        for e in edges:
             dg.add_edge(e.src, e.dst, weight=e.weight)
     for cycle in nx.simple_cycles(dg):
         total = sum(dg[u][v]["weight"]

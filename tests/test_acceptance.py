@@ -105,7 +105,7 @@ def test_criterion_3_single_visit_cycle_gain_exactness():
 
 def test_criterion_4_incremental_update_fidelity():
     """After every commit the incrementally maintained graph equals a full
-    rebuild, edge by edge."""
+    rebuild, edge by edge: weights and the offer in ``succ`` alike."""
     rng = random.Random(44)
     commits = 0
     seed = 0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from divmatch.auxgraph import (OUTPUT, CycleApplicationError,
+from divmatch.auxgraph import (INPUT, OUTPUT, CycleApplicationError,
                                apply_and_update, build_aux_graph,
                                cycle_from_moves, dump_edges, inter_weight,
                                intra_weight, moves_of)
@@ -134,7 +134,8 @@ def test_stored_weights_match_weight_functions():
                 expected = inter_weight(index.columns[e.key_from], costs,
                                         e.team_from, e.team_to, g.c,
                                         inst.weights)
-                assert e.enabled == (w[e.team_from][e.key_from] >= 1)
+                held = w[e.team_from][e.key_from] >= 1
+                assert (e in g.succ[e.src]) == held
             assert e.weight == expected
 
 
@@ -166,12 +167,14 @@ def test_moving_last_worker_disables_outgoing_edges():
     # of team 2
     moves = [(0, 1, 2), (1, 2, 1)]
     apply_and_update(g, cycle_from_moves(g, moves))
+    assert g.w[1][0] == 0
     for i2 in range(4):
         if i2 != 1:
-            assert not g.find_inter_edge(0, 1, i2).enabled
+            edge = g.find_inter_edge(0, 1, i2)
+            assert edge not in g.succ[edge.src]
         if i2 != 2:
-            assert g.find_inter_edge(1, 2, i2).enabled is (i2 != 2 and
-                                                           g.w[2][1] >= 1)
+            edge = g.find_inter_edge(1, 2, i2)
+            assert (edge in g.succ[edge.src]) is (g.w[2][1] >= 1)
 
 
 def test_untouched_team_pair_keeps_weights():
@@ -206,9 +209,31 @@ def test_apply_rejects_disabled_edge():
          [0, 1, 2, 0],
          [0, 0, 0, 2]]
     g = build_aux_graph(inst, w, index)
+    before = dump_edges(g)
     # team 1 holds no column-3 worker, so this cycle rides a disabled edge
     with pytest.raises(CycleApplicationError, match="disabled"):
         apply_and_update(g, cycle_from_moves(g, [(3, 1, 2), (1, 2, 1)]))
+    assert dump_edges(g) == before
+    assert g.current_state() == w
+
+
+def test_withhold_keeps_the_order_of_the_rest():
+    inst = small_instance()
+    index = build_combination_index(inst)
+    w = random_feasible_matrix(inst, index, random.Random(9))
+    g = build_aux_graph(inst, w, index)
+    before = dump_edges(g)
+    port = g.port_id(2, INPUT, 1)  # offers all four of its intra edges
+    edges = list(g.out_edges[port])
+    g.withhold([edges[1]])
+    g.withhold([edges[3], edges[1]])  # withholding adds up
+    assert g.succ[port] == [edges[0], edges[2]]
+    assert g.out_edges[port] == edges  # the edge index keeps them all
+    g.restore()
+    assert g.succ[port] == edges
+    assert dump_edges(g) == before
+    g.restore()  # nothing withheld
+    assert dump_edges(g) == before
 
 
 @pytest.mark.parametrize("worker_fraction", [0.0, 1.0])
@@ -387,15 +412,6 @@ def test_weight_shifts_stay_exact_over_a_long_chain(inst):
             assert dump_edges(g) == dump_edges(fresh)
 
 
-class _AllEdges:
-    """The graph as the detectors saw it before drained ports were left
-    out of ``succ``: every edge, disabled ones included."""
-
-    def __init__(self, g):
-        self.node_count = g.node_count
-        self.succ = g.out_edges
-
-
 @CHAIN_INSTANCES
 def test_detector_adjacency_lists_the_enabled_edges_after_every_apply(inst):
     index = build_combination_index(inst)
@@ -403,13 +419,17 @@ def test_detector_adjacency_lists_the_enabled_edges_after_every_apply(inst):
     found = 0
     for calls in _apply_chain(g, random.Random(23), 200):
         for u in range(g.node_count):
-            assert list(g.succ[u]) == [e for e in g.out_edges[u]
-                                       if e.enabled]
-        if calls % 20 == 0:  # the detectors find the same cycle
+            team, rest = divmod(u, 2 * g.num_keys)
+            side, key = divmod(rest, g.num_keys)
+            held = side != OUTPUT or g.w[team][key] >= 1
+            assert list(g.succ[u]) == (g.out_edges[u] if held else [])
+        if calls % 20 == 0:  # detected cycles move only held workers
             for detect in (DETECTORS["bf"], DETECTORS["gr"]):
                 cycle = detect(g)
-                assert cycle == detect(_AllEdges(g))
-                found += cycle is not None
+                if cycle is not None:
+                    assert all(g.w[e.team_from][e.key_from] >= 1
+                               for e in cycle.edges if e.kind == "inter")
+                    found += 1
     assert found >= 10
     drained = [g.port_id(i, OUTPUT, key) for i in range(g.num_switches)
                for key in range(g.num_keys) if g.w[i][key] == 0]

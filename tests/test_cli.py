@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import divmatch.cli
+import divmatch.negcycle
 from divmatch.cli import balance_report, main, solution_to_dict
 from divmatch.instance import parse_instance
 from divmatch.solver import solve
@@ -138,6 +139,21 @@ def test_solve_detector_flag(tmp_path):
     assert run(["solve", inst, "--detector", "gr", "--out", out_gr]) == 0
     assert json.loads(out_bf.read_text())["objective"] == \
         json.loads(out_gr.read_text())["objective"] == 8
+
+
+@pytest.mark.parametrize("name", ["bf", "gr"])
+def test_detector_flag_selects_that_detector(tmp_path, monkeypatch, name):
+    detectors = divmatch.negcycle.DETECTORS
+    chosen = detectors[name]
+    calls = []
+    for key, detect in list(detectors.items()):
+        def spy(g, detect=detect):
+            calls.append(detect)
+            return detect(g)
+        monkeypatch.setitem(detectors, key, spy)
+    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    assert run(["solve", inst, "--detector", name]) == 0
+    assert calls and set(calls) == {chosen}
 
 
 def test_solve_deterministic_output(tmp_path):

@@ -10,16 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divmatch import solver
-from divmatch.auxgraph import build_aux_graph
+from divmatch.auxgraph import (apply_and_update, build_aux_graph,
+                               cycle_from_moves, dump_edges, moves_of)
 from divmatch.instance import (TradeoffWeights, build_combination_index,
                                convert_cost_mode, generate_reviewer_instance,
                                parse_instance)
+from divmatch.negcycle import goldberg_radzik_detect
 from divmatch.objective import assignment_from_matrix, objective
 from divmatch.oracle import best_split, enumerate_optimal
 from divmatch.solver import (SolverConfig, initial_feasible, iteration_bound,
                              solve)
 from helpers import (random_feasible_matrix, random_small_instance,
-                     reference_resplit_sweep)
+                     random_switch_simple_moves, reference_resplit_sweep)
 
 
 def make(doc):
@@ -143,6 +145,34 @@ def test_iteration_cap_ignores_a_spurious_walk_at_the_fixed_point():
     early = solve(inst, SolverConfig(max_iterations=1))
     assert early.termination == "iteration-cap"
     assert early.trace == full.trace[:1]
+
+
+def test_withheld_walk_stays_out_of_detection_until_restored():
+    inst = seed_835_instance()
+    index = build_combination_index(inst)
+    graph = build_aux_graph(inst, solve(inst).assignment, index)
+    walk = goldberg_radzik_detect(graph)
+    assert walk.claimed_weight == -1
+    assert solver._exact_gain(inst, graph, moves_of(walk)) == 5
+    rebuilt = dump_edges(graph)
+    graph.withhold(walk.edges)
+    assert not any(e in graph.succ[e.src] for e in walk.edges)
+    assert dump_edges(graph) != rebuilt
+    again = goldberg_radzik_detect(graph)
+    assert again is None or again.edges != walk.edges
+    graph.restore()
+    assert dump_edges(graph) == rebuilt
+    graph.restore()  # nothing withheld: no change
+    assert dump_edges(graph) == rebuilt
+    # a commit restores the offer: the graph then equals a rebuild
+    rng = random.Random(835)
+    for _ in range(5):
+        graph.withhold(goldberg_radzik_detect(graph).edges)
+        moves = random_switch_simple_moves(graph, rng)
+        apply_and_update(graph, cycle_from_moves(graph, moves))
+        graph.restore()
+        fresh = build_aux_graph(inst, graph.current_state(), index)
+        assert dump_edges(graph) == dump_edges(fresh)
 
 
 def test_trace_is_strictly_decreasing_with_exact_gains():
