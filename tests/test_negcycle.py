@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from divmatch.auxgraph import build_aux_graph
+from divmatch.instance import build_combination_index
 from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
 from helpers import (SimpleDigraph, has_negative_cycle_exhaustive,
-                     random_digraph)
+                     random_digraph, random_feasible_matrix,
+                     random_small_instance)
 
 DETECTORS = [bellman_ford_detect, goldberg_radzik_detect]
 
@@ -84,6 +87,34 @@ def test_disabled_edges_are_invisible(detect):
     assert cycle is not None
     verify_cycle(g, cycle)
     assert e in cycle.edges
+
+
+@pytest.mark.parametrize("detect", DETECTORS)
+def test_excluded_edges_are_skipped(detect):
+    # the solver excludes a spurious walk by withholding its edges from the
+    # switch-graph's ``succ``; detection must not see them until restored
+    rng = random.Random(11)
+    found = 0
+    for seed in range(40):
+        inst = random_small_instance(seed + 300, worker_fraction=0.0)
+        index = build_combination_index(inst)
+        g = build_aux_graph(inst, random_feasible_matrix(inst, index, rng),
+                            index)
+        cycle = detect(g)
+        if cycle is None:
+            continue
+        found += 1
+        excluded = set(cycle.edges)
+        g.withhold(excluded)
+        again = detect(g)
+        if again is not None:
+            verify_cycle(g, again)
+            assert not excluded & set(again.edges)
+        g.restore()
+        back = detect(g)
+        assert back is not None
+        assert back.edges == cycle.edges
+    assert found > 5
 
 
 @pytest.mark.parametrize("detect", DETECTORS)
