@@ -9,33 +9,41 @@ graph nodes:
   ``-2 * lambdas[k]`` for every feature k on which the two keys agree (zero
   inside the dummy switch, which never contributes to the objective),
 * inter edges run from the output port of one team to the same key's input
-  port of another team and carry the exact objective change of moving one
-  such worker between the two teams, given the current counts.
+  port of another team and are priced at the exact objective change of
+  moving one such worker between the two teams, given the current counts.
 
-For a cycle that visits each switch at most once, the edge-weight sum equals
-the true objective change of performing all its moves: the inter edges price
-each move against the untouched counters and the intra correction cancels
-the double count that appears when the worker entering a switch shares a
-feature value with the worker leaving it.
+For a cycle that visits each switch at most once, the sum of its edges'
+prices equals the true objective change of performing all its moves: the
+inter edges price each move against the untouched counters and the intra
+correction cancels the double count that appears when the worker entering a
+switch shares a feature value with the worker leaving it.
 
-The build prices edges from per-port terms. An intra weight depends on the
-two keys alone, so one K x K table serves every real switch. An inter
-weight splits into a term of its source port, one of its target port and
-the cost difference: ``leave[i1][key] + enter[i2][key] + lambda0 *
-(cost[i2][key] - cost[i1][key])``, with ``leave[i][key] = sum_k
-lambdas[k] * (1 - 2 * c[i][k][v_k])`` and ``enter[i][key] = sum_k lambdas[k]
-* (2 * c[i][k][v_k] + 1)``, both zero at the dummy team.
+An intra price depends on the two keys alone, so one K x K table serves
+every real switch. An inter price splits into a term of its source port,
+one of its target port and the cost difference: ``leave[i1][key] +
+enter[i2][key] + lambda0 * (cost[i2][key] - cost[i1][key])``, with
+``leave[i][key] = sum_k lambdas[k] * (1 - 2 * c[i][k][v_k])`` and
+``enter[i][key] = sum_k lambdas[k] * (2 * c[i][k][v_k] + 1)``, both zero at
+the dummy team. The graph keeps those terms on its ports, not on its edges.
+An edge's own ``weight`` is its static part: the intra correction, or 0 on
+an inter edge. Two per-port lists hold the rest: ``bias`` is ``leave[i][key]
+- lambda0 * cost[i][key]`` at ``out(i, key)`` and ``enter[i][key] + lambda0
+* cost[i][key]`` at ``in(i, key)``; ``start`` is ``-bias`` at input ports
+and 0 at output ports. An edge's price, :meth:`AuxGraph.price`, is
+``weight + bias[src] + start[src] - start[dst]``: the two port terms on an
+inter edge, the weight alone on an intra edge. The cycle detectors read
+``bias`` and ``start`` as node terms (see :mod:`divmatch.negcycle`).
 
-The graph keeps live assignment counters and reweights incrementally after
+The graph keeps live assignment counters and reprices incrementally after
 an exchange. Its one edge index is ``out_edges``: an input port's out-edges
 are its intra edges in output-key order and an output port's out-edges are
 its inter edges in target-team order (own team skipped), so edges are found
-by position. An inter edge's weight is linear in its two teams' counters at
-its key's feature values, so an exchange shifts it by an exact integer: a
-net change ``d`` of counter ``c[i][k][v]`` moves the edges out of
-``out(i, key)`` by ``-2 * lambdas[k] * d`` and the edges into ``in(i, key)``
-by ``+2 * lambdas[k] * d``, for the keys with value ``v`` of feature ``k``
-(listed per graph). No edge is priced anew.
+by position. A port term is linear in its team's counters at its key's
+feature values, so an exchange shifts it by an exact integer: a net change
+``d`` of counter ``c[i][k][v]`` shifts ``leave[i][key]`` by ``-2 *
+lambdas[k] * d`` and ``enter[i][key]`` by ``+2 * lambdas[k] * d``, for the
+keys with value ``v`` of feature ``k`` (listed per graph). That is three
+writes to ``bias`` and ``start``; no edge changes.
 
 ``succ`` offers the detectors the edges they may use, per port in
 ``out_edges`` order: all of an input port's, and an output port's only
@@ -73,7 +81,9 @@ class CycleApplicationError(RuntimeError):
 class AuxEdge:
     """One directed edge. For intra edges ``team_from == team_to`` and the
     keys are the entering/leaving movers; for inter edges the keys coincide
-    and the teams are the move's endpoints."""
+    and the teams are the move's endpoints. ``weight`` is the static part of
+    the edge's price (0 on an inter edge); :meth:`AuxGraph.price` adds the
+    port terms."""
 
     __slots__ = ("src", "dst", "weight", "kind",
                  "team_from", "team_to", "key_from", "key_to")
@@ -130,9 +140,10 @@ def inter_weight(values, costs, from_team: int, to_team: int, c,
 class AuxGraph:
     """Live switch-graph over the current assignment matrix.
 
-    Exposes ``node_count`` and ``succ`` (per port, the AuxEdges offered to
-    the cycle detectors; none at drained output ports). Single-writer:
-    detection never overlaps mutation.
+    Exposes ``node_count``, ``succ`` (per port, the AuxEdges offered to
+    the cycle detectors; none at drained output ports) and the per-port
+    price terms ``bias`` and ``start``. Single-writer: detection never
+    overlaps mutation.
     """
 
     def __init__(self, inst: Instance, w, index: CombinationIndex):
@@ -145,8 +156,8 @@ class AuxGraph:
         self.node_count = 2 * self.num_keys * self.num_switches
         self.c = count_tensor(inst, w, index)
         self.edges: list[AuxEdge] = []
-        self.out_edges: list[list[AuxEdge]] = [
-            [] for _ in range(self.node_count)]
+        # per port, its out-edges in edge-index order; set by _build
+        self.out_edges: list[list[AuxEdge]] = [None] * self.node_count
         # per feature k and value v, the keys whose value of k is v
         self._keys_with = [[[] for _ in range(inst.schema.value_count(k))]
                            for k in range(inst.schema.num_features)]
@@ -171,53 +182,56 @@ class AuxGraph:
 
     # -- construction -------------------------------------------------------
 
-    def _port_terms(self):
-        """Per (team, key), the diversity change of one of the key's workers
-        leaving the team and of one entering it; zero at the dummy team."""
+    def _set_port_terms(self):
+        """Set ``bias`` and ``start`` from the counts and costs; every term
+        of the dummy team is zero."""
         lambdas = self.inst.weights.lambdas
+        lambda0 = self.inst.weights.lambda0
         base = sum(lambdas)
-        leave = [[0] * self.num_keys]
-        enter = [[0] * self.num_keys]
-        for c in self.c[1:]:
+        self.bias = [0] * (2 * self.num_keys)
+        self.start = [0] * (2 * self.num_keys)
+        for c, costs in zip(self.c[1:], self.index.costs[1:]):
             load = [sum(lam * c[k][v]
                         for k, (lam, v) in enumerate(zip(lambdas, values)))
                     for values in self.keys]
-            leave.append([base - 2 * x for x in load])
-            enter.append([base + 2 * x for x in load])
-        return leave, enter
+            into = [base + 2 * x + lambda0 * u for x, u in zip(load, costs)]
+            self.bias += into + [base - 2 * x - lambda0 * u
+                                 for x, u in zip(load, costs)]
+            self.start += [-x for x in into] + [0] * self.num_keys
 
     def _build(self):
-        """Add every edge, in ``out_edges`` order."""
+        """Set the port terms and add every edge: intra edges by team, input
+        key and output key, then inter edges by source team, target team
+        and key. Port ids are made once, so the edges share them."""
         weights = self.inst.weights
-        keys = range(self.num_keys)
+        num_keys = self.num_keys
+        keys = range(num_keys)
+        switches = range(self.num_switches)
+        ins = [[self.port_id(team, INPUT, key) for key in keys]
+               for team in switches]
+        outs = [[port + num_keys for port in row] for row in ins]
+        self._set_port_terms()
         real = [[_shared_value_correction(a, b, weights) for b in self.keys]
                 for a in self.keys]
-        dummy = [[0] * self.num_keys] * self.num_keys
-        for team in range(self.num_switches):
+        dummy = [[0] * num_keys] * num_keys
+        edges, out_edges = self.edges, self.out_edges
+        for team in switches:
             table = real if team else dummy
-            for kin in keys:
-                src = self.port_id(team, INPUT, kin)
-                for kout, wgt in enumerate(table[kin]):
-                    self._add(AuxEdge(src, self.port_id(team, OUTPUT, kout),
-                                      wgt, "intra",
-                                      team, team, kin, kout))
-        lambda0 = weights.lambda0
-        costs = self.index.costs
-        leave, enter = self._port_terms()
-        for i1 in range(self.num_switches):
-            for i2 in range(self.num_switches):
-                if i1 == i2:
-                    continue
-                for key in keys:
-                    wgt = (leave[i1][key] + enter[i2][key]
-                           + lambda0 * (costs[i2][key] - costs[i1][key]))
-                    self._add(AuxEdge(self.port_id(i1, OUTPUT, key),
-                                      self.port_id(i2, INPUT, key), wgt,
-                                      "inter", i1, i2, key, key))
-
-    def _add(self, edge: AuxEdge):
-        self.edges.append(edge)
-        self.out_edges[edge.src].append(edge)
+            dst = outs[team]
+            for kin, src in enumerate(ins[team]):
+                row = [AuxEdge(src, dst[kout], wgt, "intra",
+                               team, team, kin, kout)
+                       for kout, wgt in enumerate(table[kin])]
+                out_edges[src] = row
+                edges += row
+        for i1 in switches:
+            src = outs[i1]
+            block = [AuxEdge(src[key], dst[key], 0, "inter", i1, i2, key, key)
+                     for i2, dst in enumerate(ins) if i2 != i1
+                     for key in keys]
+            edges += block
+            for key in keys:
+                out_edges[src[key]] = block[key::num_keys]
 
     def _offer(self, node: int):
         """Offer a port's out-edges in ``succ``: always at an input port, at
@@ -228,6 +242,12 @@ class AuxGraph:
         self.succ[node] = self.out_edges[node] if held else ()
 
     # -- lookups ------------------------------------------------------------
+
+    def price(self, edge: AuxEdge) -> int:
+        """The edge's full price: its weight plus the port terms."""
+        start = self.start
+        return (edge.weight + self.bias[edge.src]
+                + start[edge.src] - start[edge.dst])
 
     def find_inter_edge(self, key: int, i1: int, i2: int) -> AuxEdge:
         return self.out_edges[self.port_id(i1, OUTPUT, key)][i2 - (i2 > i1)]
@@ -242,14 +262,13 @@ class AuxGraph:
     # -- mutation -----------------------------------------------------------
 
     def apply_moves(self, moves) -> None:
-        """Apply moves ``(key, from_team, to_team)`` and shift weights by
+        """Apply moves ``(key, from_team, to_team)`` and shift port terms by
         exact deltas: a net change ``d`` of counter ``c[i][k][v]`` at a real
-        team shifts each key with value ``v`` of feature ``k`` by
-        ``2 * lambdas[k] * d``, summed per (team, key). A nonzero shift is
-        subtracted from the edges out of ``out(team, key)`` and added to the
-        inter edges into ``in(team, key)``, so an edge between two touched
-        teams takes both. The offer in ``succ`` is refreshed at the output
-        ports whose count changed."""
+        team shifts each key with value ``v`` of feature ``k`` by ``s = 2 *
+        lambdas[k] * d``, written as ``bias[out] -= s``, ``bias[in] += s``
+        and ``start[in] -= s`` at that key's ports of the team. No edge
+        changes. The offer in ``succ`` is refreshed at the output ports
+        whose count changed."""
         ports: dict[tuple, int] = {}  # (team, key) -> net count change
         counters: dict[tuple, int] = {}  # (team, k, v) -> net change
         for key, i1, i2 in moves:
@@ -265,23 +284,16 @@ class AuxGraph:
                     self.c[team][k][v] += step
                     counters[team, k, v] = counters.get((team, k, v), 0) + step
         lambdas = self.inst.weights.lambdas
-        shifts: dict[tuple, int] = {}  # (team, key) -> weight shift
+        bias, start, num_keys = self.bias, self.start, self.num_keys
         for (team, k, v), d in counters.items():
-            if d and team and lambdas[k]:
+            if d and team and lambdas[k]:  # d is 0 after moving in and out
+                shift = 2 * lambdas[k] * d
+                first = self.port_id(team, INPUT, 0)
                 for key in self._keys_with[k][v]:
-                    shifts[team, key] = (shifts.get((team, key), 0)
-                                         + 2 * lambdas[k] * d)
-        for (team, key), shift in shifts.items():
-            if shift:  # zero when counters moved in and back out
-                for edge in self.out_edges[self.port_id(team, OUTPUT, key)]:
-                    edge.weight -= shift
-                # out(i, key) for i = 0..t; skip the own team's port
-                out_ports = self.out_edges[
-                    self.num_keys + key::2 * self.num_keys]
-                for edges in out_ports[:team]:
-                    edges[team - 1].weight += shift
-                for edges in out_ports[team + 1:]:
-                    edges[team].weight += shift
+                    port = first + key
+                    bias[port + num_keys] -= shift
+                    bias[port] += shift
+                    start[port] -= shift
         for (team, key), d in ports.items():
             if d:
                 self._offer(self.port_id(team, OUTPUT, key))
@@ -318,8 +330,8 @@ def apply_and_update(g: AuxGraph, cycle: ExchangeCycle):
     """Perform the cycle's exchange on the live graph.
 
     Every inter edge moves one worker of its key from its source team to its
-    target team; counters, affected edge weights and the offer in ``succ``
-    are updated in place. A walk with an inter edge out of a port that
+    target team; counters, port terms and the offer in ``succ`` are updated
+    in place. A walk with an inter edge out of a port that
     holds no worker is rejected before anything changes. Returns the
     applied move list.
     """
@@ -350,16 +362,17 @@ def cycle_from_moves(g: AuxGraph, moves) -> ExchangeCycle:
             raise ValueError("moves do not form a closed walk")
         edges.append(g.find_inter_edge(key, i1, i2))
         edges.append(g.find_intra_edge(i2, key, nxt[0]))
-    return ExchangeCycle(edges, sum(e.weight for e in edges))
+    return ExchangeCycle(edges, sum(g.price(e) for e in edges))
 
 
 def dump_edges(g: AuxGraph) -> str:
-    """Edge list as text, one line per edge, for golden-file comparisons;
-    the last column says whether ``succ`` offers the edge."""
+    """Edge list as text, one line per edge with its full price, for
+    golden-file comparisons; the last column says whether ``succ`` offers
+    the edge."""
     offered = {e for edges in g.succ for e in edges}
     lines = []
     for e in g.edges:
         listed = "true" if e in offered else "false"
         lines.append(f"{g.port_repr(e.src)} -> {g.port_repr(e.dst)} "
-                     f"{e.weight} {e.kind} {listed}")
+                     f"{g.price(e)} {e.kind} {listed}")
     return "\n".join(lines) + "\n"

@@ -3,14 +3,24 @@
 Two detectors share one contract: search a graph's ``node_count`` nodes
 and its ``succ`` adjacency lists, and return some simple cycle of strictly
 negative total weight, or ``None`` when no such cycle exists. Both start
-from an implicit super-source with zero-weight arcs to every node (all
-distance labels start at 0), so disconnected components are covered.
+from an implicit super-source with zero-weight arcs to every node, so
+disconnected components are covered.
 
 Any object exposing ``node_count`` and ``succ`` (per node, a list of edges
 with ``src``, ``dst`` and ``weight`` attributes) can be searched, such as
 the switch-graph of :mod:`divmatch.auxgraph`. A graph lists in ``succ``
 only the edges it offers; the detectors use every listed edge, in list
 order, and no other.
+
+A graph may also carry per-node integer lists ``bias`` and ``start``
+(each defaults to all zeros). An edge ``e`` then weighs ``e.weight +
+bias[e.src] + start[e.src] - start[e.dst]``. The detectors never fold that
+sum: labels start at ``start`` instead of 0 and an edge costs ``e.weight +
+bias[e.src]``, so every label is the folded graph's label plus ``start``
+of its node. ``start`` is a node potential (Ahuja, Magnanti & Orlin,
+Network Flows, section 2.4): it cancels from every comparison ``label[u] +
+cost - label[v]`` and from every cycle's weight, so the search, the cycle
+returned and its ``claimed_weight`` are those of the folded graph.
 """
 
 from __future__ import annotations
@@ -41,8 +51,17 @@ class ExchangeCycle:
                                for a, b in zip(e, e[1:] + e[:1]))
 
 
-def _cycle_of(edges) -> ExchangeCycle:
-    total = sum(e.weight for e in edges)
+def _node_terms(g):
+    """The graph's ``bias`` and ``start`` lists, zeros where it has none."""
+    zeros = [0] * g.node_count
+    bias = getattr(g, "bias", None)
+    start = getattr(g, "start", None)
+    return (zeros if bias is None else bias,
+            zeros if start is None else start)
+
+
+def _cycle_of(edges, bias) -> ExchangeCycle:
+    total = sum(e.weight + bias[e.src] for e in edges)
     if total >= 0:
         raise RuntimeError(f"extracted cycle has weight {total}, expected < 0")
     return ExchangeCycle(list(edges), total)
@@ -61,13 +80,14 @@ def bellman_ford_detect(g) -> ExchangeCycle | None:
     cyclic case from n rounds into a handful.
     """
     n = g.node_count
-    dist = [0] * n
+    bias, start = _node_terms(g)
+    dist = list(start)
     pred: list = [None] * n
     for _ in range(n):
         last_changed = -1
         prev = dist[:]
         for u in range(n):
-            du = prev[u]
+            du = prev[u] + bias[u]
             for e in g.succ[u]:
                 v = e.dst
                 if du + e.weight < dist[v]:
@@ -78,7 +98,7 @@ def bellman_ford_detect(g) -> ExchangeCycle | None:
             return None
         cycle = _pred_cycle_from(pred, last_changed)
         if cycle is not None:
-            return _cycle_of(cycle)
+            return _cycle_of(cycle, bias)
     # An improvement in round n proves a negative cycle, and by then the
     # improved node's predecessor chain must contain one.
     raise RuntimeError("negative cycle exists but no predecessor cycle found")
@@ -117,11 +137,17 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
     certifies a negative cycle: around a cycle the reduced costs telescope to
     the true weight, which is therefore negative.
 
+    A node with no listed out-edge is relaxed into but never entered by
+    the DFS: it can lie on no cycle and has nothing to relax, so entering it
+    would change neither a verdict nor a label.
+
     Passes are capped defensively; on overrun the verdict is delegated to
     :func:`bellman_ford_detect`, which shares the contract.
     """
     n = g.node_count
-    dist = [0] * n
+    succ = g.succ
+    bias, start = _node_terms(g)
+    dist = list(start)
 
     candidates = list(range(n))
     for _ in range(n + 5):
@@ -134,18 +160,18 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
         for root in candidates:
             if visited[root]:
                 continue
-            d_root = dist[root]
-            for e in g.succ[root]:
+            d_root = dist[root] + bias[root]
+            for e in succ[root]:
                 if d_root + e.weight < dist[e.dst]:
                     break
             else:
                 continue  # no strictly negative reduced cost leaves root
             visited[root] = True
             on_stack[root] = True
-            stack = [(root, None, iter(g.succ[root]))]
+            stack = [(root, None, iter(succ[root]))]
             while stack:
                 u, _entered, it = stack[-1]
-                du = dist[u]
+                du = dist[u] + bias[u]
                 advanced = False
                 for e in it:
                     v = e.dst
@@ -153,10 +179,12 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
                     if rc > 0:
                         continue
                     if not visited[v]:
+                        if not succ[v]:
+                            continue  # a dead end: entered and left at once
                         visited[v] = True
                         on_stack[v] = True
                         neg_count[v] = neg_count[u] + (1 if rc < 0 else 0)
-                        stack.append((v, e, iter(g.succ[v])))
+                        stack.append((v, e, iter(succ[v])))
                         advanced = True
                         break
                     if on_stack[v] and \
@@ -167,7 +195,7 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
                         edges = [stack[i][1]
                                  for i in range(pos + 1, len(stack))]
                         edges.append(e)
-                        return _cycle_of(edges)
+                        return _cycle_of(edges, bias)
                 if not advanced:
                     stack.pop()
                     on_stack[u] = False
@@ -176,8 +204,8 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
         order.reverse()
         relabeled = set()
         for u in order:
-            du = dist[u]
-            for e in g.succ[u]:
+            du = dist[u] + bias[u]
+            for e in succ[u]:
                 v = e.dst
                 if du + e.weight < dist[v]:
                     dist[v] = du + e.weight

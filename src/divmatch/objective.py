@@ -30,6 +30,7 @@ __all__ = [
     "diversity_k",
     "total_utility",
     "objective",
+    "breakdown_of",
     "embed",
     "exchange_gain",
     "assignment_from_matrix",
@@ -118,7 +119,13 @@ def objective(inst: Instance, w: Matrix,
               index: CombinationIndex | None = None) -> ObjectiveBreakdown:
     """Evaluate a valid assignment matrix."""
     index = check_assignment_matrix(inst, w, index)
-    c = count_tensor(inst, w, index)
+    return breakdown_of(inst, w, count_tensor(inst, w, index), index)
+
+
+def breakdown_of(inst: Instance, w: Matrix, c,
+                 index: CombinationIndex) -> ObjectiveBreakdown:
+    """Evaluate an assignment matrix already checked, with its count
+    tensor ``c``."""
     tu = _cost_of(index, w)
     div = tuple(diversity_k(c, k) for k in range(inst.schema.num_features))
     lam = inst.weights

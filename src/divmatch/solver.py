@@ -4,8 +4,9 @@ Starting from a greedy feasible assignment, the solver looks for a negative
 cycle in the switch-graph, computes the candidate exchange's true objective
 change from the net counter changes of its moves (independently of the edge
 weights that priced it), and commits it only when the true change is at
-most -1. The objective is evaluated in full only at the start and once at
-the end, as a check that the committed gains add up.
+most -1. The objective is evaluated only at the start, from the
+switch-graph's counters, and once in full at the end, as a check that the
+committed gains add up.
 A detected walk that visits some switch more than once can misprice itself
 (its edge weights assume untouched counters). Such walks are split at
 repeated switch visits into switch-simple pieces, which price exactly; if
@@ -41,7 +42,8 @@ from .auxgraph import apply_and_update, build_aux_graph, cycle_from_moves, \
     moves_of
 from .instance import CombinationIndex, Instance, build_combination_index
 from .negcycle import DETECTORS
-from .objective import ObjectiveBreakdown, objective, total_utility
+from .objective import ObjectiveBreakdown, breakdown_of, objective, \
+    total_utility
 from .oracle import best_split, least_split_count, split_count
 
 __all__ = [
@@ -287,16 +289,27 @@ def _pair_is_optimal(inst, graph, a, b, cols, features) -> bool:
 def _has_negative_cycle(node_count, arcs) -> bool:
     """Bellman-Ford from all-zero labels over ``(from, to, cost)`` arcs on
     nodes ``0..node_count-1``: the labels settle within one round per node
-    exactly when no cycle is negative."""
+    exactly when no cycle is negative. Predecessors are kept on strict
+    improvement, so a cycle among them is negative; after each round that
+    changed a label, the last improved node's predecessor chain is walked
+    and the first cycle on it ends the search, as in
+    :func:`~divmatch.negcycle.bellman_ford_detect`."""
     label = [0] * node_count
+    pred = [None] * node_count
     for _ in range(node_count):
-        settled = True
+        last = None
         for u, v, cost in arcs:
             if label[u] + cost < label[v]:
                 label[v] = label[u] + cost
-                settled = False
-        if settled:
+                pred[v], last = u, v
+        if last is None:
             return False
+        seen = set()
+        while last is not None and last not in seen:
+            seen.add(last)
+            last = pred[last]
+        if last is not None:
+            return True
     return True
 
 
@@ -499,7 +512,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     index = build_combination_index(inst)
     start = initial_feasible(inst, index)
     graph = build_aux_graph(inst, start, index)
-    initial = objective(inst, start, index)
+    initial = breakdown_of(inst, graph.w, graph.c, index)
     bound = _descent_bound(inst, initial.tu)
     current = initial.objective
     initial_objective = current

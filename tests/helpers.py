@@ -26,12 +26,24 @@ class SimpleEdge:
 
 class SimpleDigraph:
     """Plain adjacency-list digraph with the ``node_count``/``succ`` surface
-    the cycle detectors search."""
+    the cycle detectors search, and optional per-node ``bias``/``start``
+    terms (None: all zero)."""
 
     def __init__(self, node_count: int):
         self.node_count = node_count
         self.succ: list[list[SimpleEdge]] = [[] for _ in range(node_count)]
         self.edges: list[SimpleEdge] = []
+        self.bias = self.start = None
+
+    def price(self, e) -> int:
+        """An edge's full weight: ``weight + bias[src] + start[src] -
+        start[dst]``."""
+        price = e.weight
+        if self.bias is not None:
+            price += self.bias[e.src]
+        if self.start is not None:
+            price += self.start[e.src] - self.start[e.dst]
+        return price
 
     def add_edge(self, src: int, dst: int, weight: int) -> SimpleEdge:
         e = SimpleEdge(src, dst, weight)
@@ -122,14 +134,30 @@ def random_switch_simple_moves(graph, rng, max_len=4, tries=60):
 
 
 def random_digraph(rng, max_nodes=50, weight_lo=-10, weight_hi=10,
-                   density=0.3):
+                   density=0.3, sinks=0.0):
+    """Random digraph; a ``sinks`` share of its nodes has no out-edge."""
     n = rng.randint(2, max_nodes)
     g = SimpleDigraph(n)
+    dead = set(rng.sample(range(n), int(sinks * n))) if sinks else ()
     for u in range(n):
+        if u in dead:
+            continue
         for v in range(n):
             if u != v and rng.random() < density:
                 g.add_edge(u, v, rng.randint(weight_lo, weight_hi))
     return g
+
+
+def with_node_terms(g: SimpleDigraph, rng, lo=-20, hi=20):
+    """Give ``g`` random integer ``bias``/``start`` terms and return its
+    twin without terms: the same edges in the same order, each weighing
+    ``g``'s full price."""
+    g.bias = [rng.randint(lo, hi) for _ in range(g.node_count)]
+    g.start = [rng.randint(lo, hi) for _ in range(g.node_count)]
+    twin = SimpleDigraph(g.node_count)
+    for e in g.edges:
+        twin.add_edge(e.src, e.dst, g.price(e))
+    return twin
 
 
 def has_negative_cycle_exhaustive(g: SimpleDigraph) -> bool:
@@ -139,7 +167,7 @@ def has_negative_cycle_exhaustive(g: SimpleDigraph) -> bool:
     dg.add_nodes_from(range(g.node_count))
     for edges in g.succ:
         for e in edges:
-            dg.add_edge(e.src, e.dst, weight=e.weight)
+            dg.add_edge(e.src, e.dst, weight=g.price(e))
     for cycle in nx.simple_cycles(dg):
         total = sum(dg[u][v]["weight"]
                     for u, v in zip(cycle, cycle[1:] + cycle[:1]))

@@ -114,8 +114,9 @@ def test_port_count_worker_mode():
 
 
 def test_stored_weights_match_weight_functions():
-    # The build prices edges from per-port terms; the weight functions
-    # price each edge on its own. Class and worker costs alike.
+    # The graph prices edges from per-port terms; the weight functions
+    # price each edge on its own. An edge stores only its static part, 0 on
+    # an inter edge. Class and worker costs alike.
     instances = [small_instance(),
                  convert_cost_mode(small_instance(), "worker")]
     instances += [random_small_instance(seed, worker_fraction=1.0)
@@ -136,7 +137,8 @@ def test_stored_weights_match_weight_functions():
                                         inst.weights)
                 held = w[e.team_from][e.key_from] >= 1
                 assert (e in g.succ[e.src]) == held
-            assert e.weight == expected
+            assert g.price(e) == expected
+            assert e.weight == (expected if e.kind == "intra" else 0)
 
 
 def test_apply_then_revert_restores_graph():
@@ -192,13 +194,13 @@ def test_untouched_team_pair_keeps_weights():
             break
     if moves is None:
         pytest.skip("no applicable two-team exchange in sampled state")
-    frozen = [(key, g.find_inter_edge(key, 0, 3).weight,
-               g.find_inter_edge(key, 3, 0).weight)
+    frozen = [(key, g.price(g.find_inter_edge(key, 0, 3)),
+               g.price(g.find_inter_edge(key, 3, 0)))
               for key in range(g.num_keys)]
     apply_and_update(g, cycle_from_moves(g, moves))
     for key, w03, w30 in frozen:
-        assert g.find_inter_edge(key, 0, 3).weight == w03
-        assert g.find_inter_edge(key, 3, 0).weight == w30
+        assert g.price(g.find_inter_edge(key, 0, 3)) == w03
+        assert g.price(g.find_inter_edge(key, 3, 0)) == w30
 
 
 def test_apply_rejects_disabled_edge():

@@ -7,7 +7,7 @@ from divmatch.instance import build_combination_index
 from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
 from helpers import (SimpleDigraph, has_negative_cycle_exhaustive,
                      random_digraph, random_feasible_matrix,
-                     random_small_instance)
+                     random_small_instance, with_node_terms)
 
 DETECTORS = [bellman_ford_detect, goldberg_radzik_detect]
 
@@ -15,7 +15,7 @@ DETECTORS = [bellman_ford_detect, goldberg_radzik_detect]
 def verify_cycle(g, cycle):
     assert cycle.is_closed()
     assert all(e in g.succ[e.src] for e in cycle.edges)
-    total = sum(e.weight for e in cycle.edges)
+    total = sum(g.price(e) for e in cycle.edges)
     assert total == cycle.claimed_weight
     assert total <= -1
     nodes = [e.src for e in cycle.edges]
@@ -128,6 +128,15 @@ def test_soundness_on_random_graphs(detect):
             verify_cycle(g, cycle)
             found += 1
     assert found > 50
+    # most nodes dead ends, as the drained output ports of a switch-graph
+    found = 0
+    for _ in range(250):
+        g = random_digraph(rng, max_nodes=25, density=0.5, sinks=0.6)
+        cycle = detect(g)
+        if cycle is not None:
+            verify_cycle(g, cycle)
+            found += 1
+    assert found > 50
 
 
 def test_detectors_agree_on_existence():
@@ -145,6 +154,64 @@ def test_completeness_against_enumeration(detect):
         g = random_digraph(rng, max_nodes=8, density=0.4)
         expected = has_negative_cycle_exhaustive(g)
         assert (detect(g) is not None) == expected
+    for _ in range(150):
+        g = random_digraph(rng, max_nodes=10, density=0.5, sinks=0.5)
+        expected = has_negative_cycle_exhaustive(g)
+        assert (detect(g) is not None) == expected
+
+
+def _positions(g, cycle):
+    """A cycle as the positions of its edges in ``g.edges``."""
+    if cycle is None:
+        return None
+    where = {id(e): p for p, e in enumerate(g.edges)}
+    return [where[id(e)] for e in cycle.edges], cycle.claimed_weight
+
+
+@pytest.mark.parametrize("detect", DETECTORS)
+def test_node_terms_leave_the_search_unchanged(detect):
+    # Labels start at ``start`` and edges cost ``weight + bias[src]``: the
+    # same search as on the twin whose weights fold the terms in.
+    rng = random.Random(10)
+    found = 0
+    for sinks in (0.0, 0.5):
+        for _ in range(150):
+            g = random_digraph(rng, max_nodes=20, density=0.3, sinks=sinks)
+            twin = with_node_terms(g, rng)
+            cycle = detect(g)
+            assert _positions(g, cycle) == _positions(twin, detect(twin))
+            if cycle is not None:
+                verify_cycle(g, cycle)
+                found += 1
+    assert found > 50
+
+
+@pytest.mark.parametrize("detect", DETECTORS)
+def test_switch_graph_terms_match_folded_weights(detect):
+    # The switch-graph keeps inter prices on its ports; a copy of its
+    # offered edges at their full prices and without terms is searched alike.
+    rng = random.Random(12)
+    found = 0
+    for seed in range(30):
+        inst = random_small_instance(seed + 500, worker_fraction=0.25)
+        index = build_combination_index(inst)
+        g = build_aux_graph(inst, random_feasible_matrix(inst, index, rng),
+                            index)
+        twin = SimpleDigraph(g.node_count)
+        offered = [e for edges in g.succ for e in edges]
+        for e in offered:
+            twin.add_edge(e.src, e.dst, g.price(e))
+        cycle = detect(g)
+        expected = _positions(twin, detect(twin))
+        if cycle is None:
+            assert expected is None
+            continue
+        where = {id(e): p for p, e in enumerate(offered)}
+        assert ([where[id(e)] for e in cycle.edges],
+                cycle.claimed_weight) == expected
+        verify_cycle(g, cycle)
+        found += 1
+    assert found > 5
 
 
 @pytest.mark.parametrize("detect", DETECTORS)

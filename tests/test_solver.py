@@ -5,6 +5,7 @@ import logging
 import random
 import re
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -656,6 +657,26 @@ def test_part_flow_test_is_exact(seed, worker_costs, data):
             value = objective(part, state, part_index).objective
             network = solver._part_network(part, graph, k, with_cost)
             assert solver._has_negative_cycle(*network) == (value > least)
+
+
+def test_negative_cycle_check_matches_networkx():
+    # Random arc lists, parallel arcs and self-loops included; the check
+    # stops at the first predecessor cycle, and must still answer exactly
+    # what a full Bellman-Ford answers.
+    rng = random.Random(13)
+    verdicts = []
+    for _ in range(400):
+        nodes = rng.randint(1, 12)
+        arcs = [(rng.randrange(nodes), rng.randrange(nodes),
+                 rng.randint(-6, 12))
+                for _ in range(rng.randint(0, 3 * nodes))]
+        reference = nx.MultiDiGraph()
+        reference.add_nodes_from(range(nodes))
+        reference.add_weighted_edges_from(arcs)
+        expected = nx.negative_edge_cycle(reference)
+        assert solver._has_negative_cycle(nodes, arcs) == expected
+        verdicts.append(expected)
+    assert 100 < sum(verdicts) < 300
 
 
 LADDER_RUNGS = [("class", (10, 40)), ("class", (25, 100)),
