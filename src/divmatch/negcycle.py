@@ -219,7 +219,5 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
 
 DETECTORS = {
     "bf": bellman_ford_detect,
-    "bellman_ford": bellman_ford_detect,
     "gr": goldberg_radzik_detect,
-    "goldberg_radzik": goldberg_radzik_detect,
 }

@@ -4,12 +4,8 @@ exact sub-solver behind it.
 Workers of one type are interchangeable, so the objective is a function of
 the type-count matrix alone, and the oracle enumerates count matrices.
 :func:`best_split` does the enumeration over any set of rows: the oracle
-runs it on all rows, the solver's re-split refinement on two or three.
-When at most two features are weighted, the refinement first puts a
-pair to a convex-cost flow optimality test (``solver._pair_is_optimal``)
-and runs this search on the pair only when the test fails. The test is
-exact: it says optimal exactly when this search, given the current split's
-value as incumbent, finds nothing.
+runs it on all rows, the solver's re-split refinement on two or three,
+and only on subsets that its flow optimality test does not certify.
 Partial objectives only grow as workers are placed, and every unit still
 to place adds at least its cheapest first-unit price, so branches whose
 partial value plus that tail bound is already above the incumbent are

@@ -18,13 +18,11 @@ feature (the first also carrying the cost), each part alone is a
 convex-cost flow, and a state optimal for every part is optimal for their
 sum. When that proof fails, a bounded exact
 re-split of small team subsets runs as a safety net against counter-coupled
-exchanges that no single cycle can express. With at most two weighted
-features, a pair's re-split is a convex-cost flow, and a pair is enumerated
-only when its residual network has a negative cycle: that test is the
-flow's optimality condition, so it certifies a pair exactly when
-enumeration would find nothing. The loop ends when the proof succeeds, when
-neither step finds an improvement, or when the configured iteration cap is
-reached and a further step would still commit.
+exchanges that no single cycle can express. The same proof, restricted to a
+subset's rows and types, certifies a pair or triple before it is
+enumerated. The loop ends when the proof succeeds, when neither step finds
+an improvement, or when the configured iteration cap is reached and a
+further step would still commit.
 
 Integer weights make every committed step decrease the objective by at least
 one, which bounds the number of iterations by
@@ -60,17 +58,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    detector: str = "goldberg_radzik"
+    detector: str = "gr"
     max_iterations: int | None = None
-    refinement: str = "triples"  # off | pairs | triples
 
     def __post_init__(self):
         if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1 when set")
-        if self.refinement not in ("off", "pairs", "triples"):
-            raise ValueError(f"unknown refinement {self.refinement!r}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +143,9 @@ def _descent_bound(inst: Instance, u0: int) -> int:
 # exchanges that individually gain nothing can still gain jointly when they
 # push the same (team, value) counters in opposite directions. Canceling
 # single cycles therefore certifies only a restricted local optimum. The
-# refinement below escapes the cases seen in practice: at every fixed point
-# it exactly re-optimizes the worker split within each pair (and optionally
-# triple) of rows, including the unassigned pool, skipping subsets whose
+# refinement below escapes the cases seen in practice: at every unproved
+# fixed point it exactly re-optimizes the worker split within each pair and
+# triple of rows, including the unassigned pool, skipping subsets whose
 # enumeration would exceed a fixed state budget. The budget keeps triples
 # affordable at verification scale while larger instances fall back to the
 # pair scan.
@@ -172,10 +167,9 @@ def _row_values(inst, graph) -> list[int]:
 def _resplit_subset(inst, graph, rows, sweep, spent):
     """Best redistribution of the rows' pooled workers; None if no strict
     improvement or the subset exceeds the enumeration budgets.
-    ``sweep`` holds facts of the current state: ``(nonzero, sizes, values,
-    features)``, the set of columns each row holds, its worker count and its
-    share of the objective, and the weighted features when at most two
-    (else None).
+    ``sweep`` holds facts of the current state: ``(nonzero, sizes,
+    values)``, the set of columns each row holds, its worker count and its
+    share of the objective.
 
     Two shortcuts decide, charge and count exactly as enumerating would.
     Splitting U workers among r rows has at least comb(U+r-1, r-1) ways
@@ -187,11 +181,11 @@ def _resplit_subset(inst, graph, rows, sweep, spent):
     more states than the triple, and the sweep stops at its first find, so
     that pair was examined and found nothing.
 
-    A pair with both rows non-empty is first put to
-    :func:`_pair_is_optimal`, and enumerated only when that does not show
-    its split optimal. The test is exact, so it returns None exactly when
-    the enumeration would."""
-    nonzero, sizes, values, features = sweep
+    A subset with every row non-empty is first put to
+    :func:`_parts_optimal`, and enumerated only when that does not show its
+    split optimal. The test is sufficient: when it holds, no split of the
+    subset has a smaller value, so the enumeration would return None."""
+    nonzero, sizes, values = sweep
     totals = [sizes[i] for i in rows]
     held = sum(totals)
     if not held:
@@ -205,8 +199,7 @@ def _resplit_subset(inst, graph, rows, sweep, spent):
     if not all(totals):
         spent.charged += 1
         return None
-    if features is not None and len(rows) == 2 and \
-            _pair_is_optimal(inst, graph, *rows, cols, features):
+    if _parts_optimal(inst, graph, rows, cols)[0]:
         spent.certified += 1
         return None
     spent.enumerated += 1
@@ -220,70 +213,6 @@ def _resplit_subset(inst, graph, rows, sweep, spent):
     if split is None:
         return None
     return _moves_from_split(graph, rows, cols, split), best - current
-
-
-def _flow_features(inst):
-    """The weighted features, when there are at most two and a pair's
-    re-split is therefore a single-commodity flow; else None."""
-    weighted = tuple(k for k, lam in enumerate(inst.weights.lambdas) if lam)
-    return weighted if len(weighted) <= 2 else None
-
-
-def _pair_is_optimal(inst, graph, a, b, cols, features) -> bool:
-    """True exactly when no split of rows ``a`` and ``b``'s pooled workers
-    (types ``cols``, each row keeping its size) has a smaller objective
-    share than the current one; ``features`` are the weighted features, at
-    most two.
-
-    The split is a convex-cost flow (Ahuja, Magnanti & Orlin, Network
-    Flows, ch. 14) of row ``a``'s size from s to t: s -> one node per value
-    of the first feature, -> one node per value of the second (type arcs,
-    one per type, carrying row ``a``'s count of it), -> t. The s and t arcs
-    carry row ``a``'s counter x of their value, at the convex cost
-    lambda_k * (x^2 in a real row a + (T - x)^2 in a real row b), T the
-    pair's total there; type arcs cost lambda0 * (cost[a] - cost[b]) per
-    unit. With one weighted feature type arcs end at t, with none they run
-    s -> t. An integral flow is optimal if and only if its residual network,
-    priced at the marginal unit costs, has no negative cycle. Bellman-Ford
-    from all-zero labels settles within one round per node exactly when
-    there is none; only the cheapest of parallel arcs matters."""
-    lambdas = inst.weights.lambdas
-    real_a, real_b = a != 0, b != 0
-    arcs = []  # (from, to, cost) of residual arcs; s = 0, t = 1
-    layers = []  # per weighted feature, (feature, value -> node)
-    nodes = 2
-    for end, k in enumerate(features):
-        lam = lambdas[k]
-        node_of = {}
-        for v, (x, y) in enumerate(zip(graph.c[a][k], graph.c[b][k])):
-            if not x + y:
-                continue
-            node_of[v] = u = nodes
-            nodes += 1
-            # one more (fewer) unit of value v in row a, y = T - x in row b
-            if y:
-                cost = lam * ((2 * x + 1) * real_a + (1 - 2 * y) * real_b)
-                arcs.append((0, u, cost) if end == 0 else (u, 1, cost))
-            if x:
-                cost = lam * ((1 - 2 * x) * real_a + (2 * y + 1) * real_b)
-                arcs.append((u, 0, cost) if end == 0 else (1, u, cost))
-        layers.append((k, node_of))
-    (k1, first), (k2, second) = layers + [(None, None)] * (2 - len(layers))
-    lam0 = inst.weights.lambda0
-    cost_a, cost_b = graph.index.costs[a], graph.index.costs[b]
-    w_a, w_b = graph.w[a], graph.w[b]
-    cheapest: dict[tuple, int] = {}
-    for j in cols:
-        values = graph.keys[j]
-        u = first[values[k1]] if first is not None else 0
-        v = second[values[k2]] if second is not None else 1
-        move = lam0 * (cost_a[j] - cost_b[j])
-        if w_b[j] and cheapest.get((u, v), move + 1) > move:
-            cheapest[u, v] = move
-        if w_a[j] and cheapest.get((v, u), 1 - move) > -move:
-            cheapest[v, u] = -move
-    arcs.extend((u, v, cost) for (u, v), cost in cheapest.items())
-    return not _has_negative_cycle(nodes, arcs)
 
 
 def _has_negative_cycle(node_count, arcs) -> bool:
@@ -315,33 +244,44 @@ def _has_negative_cycle(node_count, arcs) -> bool:
 
 def _proves_optimal(inst, graph) -> bool:
     """True when the graph's state is shown to be a global optimum; False
-    says nothing.
-
-    The objective is the sum of one part per weighted feature k,
-    lambdas[k] * D_k, with lambda0 * TU added to the first part (with no
-    weighted feature, the one part lambda0 * TU). Every feasible matrix has
-    every part at least that part's minimum, so a state that minimizes each
-    part alone, as its flow network shows, minimizes their sum. One debug
-    line per call gives the verdict and the size of the networks tested."""
-    weighted = [k for k, lam in enumerate(inst.weights.lambdas) if lam]
-    nodes = arcs = 0
-    proved = True
-    for part, k in enumerate(weighted or [0]):
-        count, part_arcs = _part_network(inst, graph, k, part == 0)
-        nodes += count
-        arcs += len(part_arcs)
-        if _has_negative_cycle(count, part_arcs):
-            proved = False
-            break
+    says nothing. One debug line per call gives the verdict and the size of
+    the networks tested."""
+    proved, nodes, arcs = _parts_optimal(inst, graph, range(inst.t + 1),
+                                         range(len(graph.keys)))
     logger.debug("optimality proof: %s (%d nodes, %d arcs)",
                  "proved" if proved else "not proved", nodes, arcs)
     return proved
 
 
-def _part_network(inst, graph, k, with_cost):
+def _parts_optimal(inst, graph, rows, cols):
+    """``(optimal, nodes, arcs)``: ``optimal`` is True when no split of the
+    ``rows``' workers, all of types ``cols`` and each row keeping its size,
+    has a smaller share of the objective than the graph's state; False says
+    nothing. ``nodes`` and ``arcs`` count the networks tested.
+
+    The rows' share is the sum of one part per weighted feature k,
+    lambdas[k] * D_k, with lambda0 * TU added to the first part (with no
+    weighted feature, the one part lambda0 * TU). Every split has every
+    part at least that part's minimum, so a state that minimizes each part
+    alone, as its flow network shows, minimizes their sum. Parts are tested
+    in feature order, and the first that fails ends the test."""
+    weighted = [k for k, lam in enumerate(inst.weights.lambdas) if lam]
+    nodes = arcs = 0
+    for part, k in enumerate(weighted or [0]):
+        count, part_arcs = _part_network(inst, graph, k, part == 0, rows,
+                                         cols)
+        nodes += count
+        arcs += len(part_arcs)
+        if _has_negative_cycle(count, part_arcs):
+            return False, nodes, arcs
+    return True, nodes, arcs
+
+
+def _part_network(inst, graph, k, with_cost, rows, cols):
     """``(node_count, arcs)`` of the residual network of feature ``k``'s
-    objective part, lambdas[k] * D_k plus lambda0 * TU ``with_cost``, at the
-    graph's state.
+    objective part, lambdas[k] * D_k plus lambda0 * TU ``with_cost``, over
+    re-splits of the ``rows``' workers, whose types are among ``cols``, at
+    the graph's state.
 
     Alone, the part is a separable convex-cost flow (Ahuja, Magnanti &
     Orlin, Network Flows, ch. 14): type j sends w[i][j] to node (i, v), v
@@ -351,27 +291,28 @@ def _part_network(inst, graph, k, with_cost):
     fixed, so the state is optimal for the part exactly when this network,
     priced at marginal unit costs, has no negative cycle. Nodes are the
     types, then (team, value) for each value some type has, then the
-    teams."""
+    teams, each in the order given."""
     lam = inst.weights.lambdas[k]
     lam0 = inst.weights.lambda0 if with_cost else 0
     keys, costs = graph.keys, graph.index.costs
-    slot = {v: s for s, v in enumerate(sorted({key[k] for key in keys}))}
-    teams = len(keys) + (inst.t + 1) * len(slot)  # node of team 0
+    slot = {v: s for s, v in enumerate(sorted({keys[j][k] for j in cols}))}
+    teams = len(cols) + len(rows) * len(slot)  # node of the first team
     arcs = []
-    for i, (row, counts) in enumerate(zip(graph.w, graph.c)):
-        first = len(keys) + i * len(slot)  # node of (i, the first value)
+    for r, i in enumerate(rows):
+        row, counts = graph.w[i], graph.c[i][k]
+        first = len(cols) + r * len(slot)  # node of (i, the first value)
         lam_i = lam if i else 0
         for v, s in slot.items():
-            x = counts[k][v]
-            arcs.append((first + s, teams + i, lam_i * (2 * x + 1)))
+            x = counts[v]
+            arcs.append((first + s, teams + r, lam_i * (2 * x + 1)))
             if x:
-                arcs.append((teams + i, first + s, lam_i * (1 - 2 * x)))
-        for j, key in enumerate(keys):
-            node, cost = first + slot[key[k]], lam0 * costs[i][j]
-            arcs.append((j, node, cost))
+                arcs.append((teams + r, first + s, lam_i * (1 - 2 * x)))
+        for n, j in enumerate(cols):
+            node, cost = first + slot[keys[j][k]], lam0 * costs[i][j]
+            arcs.append((n, node, cost))
             if row[j]:
-                arcs.append((node, j, -cost))
-    return teams + inst.t + 1, arcs
+                arcs.append((node, n, -cost))
+    return teams + len(rows), arcs
 
 
 def _moves_from_split(graph, rows, cols, split):
@@ -422,29 +363,26 @@ class _ScanBudget:
         return True
 
 
-def _find_resplit(inst, graph, refinement):
+def _find_resplit(inst, graph, max_rows=3):
     """One re-split sweep: ``(found, complete)``, with ``found`` the first
     improving ``(moves, gain)`` or None, and ``complete`` true when the
     sweep examined every subset, none found or skipped for budget.
 
-    Subsets come pairs first, then triples, in index order. Each row's
-    columns, size and objective share are computed once per sweep.
+    Subsets of 2..``max_rows`` rows come by size, then in index order. Each
+    row's columns, size and objective share are computed once per sweep.
     :func:`_resplit_subset` skips subsets from their row sizes and charges
     but does not enumerate subsets with an empty row, exactly as building
-    and enumerating every subset would decide. Pairs it enumerates only
-    when the flow test does not show their split optimal. One debug line
-    per sweep counts each outcome."""
-    if refinement == "off":
-        return None, False
+    and enumerating every subset would decide. It enumerates a subset only
+    when the flow test does not show its split optimal. One debug line per
+    sweep counts each outcome."""
     all_rows = range(inst.t + 1)
     sweep = ([{j for j, x in enumerate(row) if x} for row in graph.w],
-             [sum(row) for row in graph.w], _row_values(inst, graph),
-             _flow_features(inst))
+             [sum(row) for row in graph.w], _row_values(inst, graph))
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
     found = None
-    sizes = (2, 3) if refinement == "triples" else (2,)
     for rows in itertools.chain.from_iterable(
-            itertools.combinations(all_rows, size) for size in sizes):
+            itertools.combinations(all_rows, size)
+            for size in range(2, max_rows + 1)):
         found = _resplit_subset(inst, graph, rows, sweep, spent)
         if found:
             break
@@ -527,13 +465,13 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
         if cycle is None:
             # A proved state is a global optimum, so the re-split sweep
             # could find nothing there.
-            if cfg.refinement != "off" and _proves_optimal(inst, graph):
+            if _proves_optimal(inst, graph):
                 complete = proved = True
                 break
             # Withheld edges may hide a real cycle, but detecting again with
             # them offered on the unchanged graph returns the withheld walk;
             # the re-split is the way on.
-            found, complete = _find_resplit(inst, graph, cfg.refinement)
+            found, complete = _find_resplit(inst, graph)
             if found is None:
                 break
             moves, gain = found

@@ -17,7 +17,8 @@ from divmatch.instance import (TradeoffWeights, build_combination_index,
                                convert_cost_mode, generate_reviewer_instance,
                                parse_instance)
 from divmatch.negcycle import goldberg_radzik_detect
-from divmatch.objective import assignment_from_matrix, objective
+from divmatch.objective import (assignment_from_matrix, breakdown_of,
+                                count_tensor, objective)
 from divmatch.oracle import best_split, enumerate_optimal
 from divmatch.solver import (SolverConfig, initial_feasible, iteration_bound,
                              solve)
@@ -92,7 +93,7 @@ EIGHT_VS_SIXTEEN = {
 }
 
 
-@pytest.mark.parametrize("detector", ["bellman_ford", "goldberg_radzik"])
+@pytest.mark.parametrize("detector", ["bf", "gr"])
 def test_solve_reaches_oracle_optimum(detector):
     inst = make(EIGHT_VS_SIXTEEN)
     report = solve(inst, SolverConfig(detector=detector))
@@ -119,12 +120,10 @@ def test_iteration_cap_reports_partial_result():
     inst = make(EIGHT_VS_SIXTEEN)
     full = solve(inst)
     assert full.iterations >= 1
-    capped = solve(inst, SolverConfig(max_iterations=full.iterations,
-                                      refinement="off"))
+    capped = solve(inst, SolverConfig(max_iterations=full.iterations))
     # cap equal to the needed commits still converges; one less does not
     if full.iterations > 1:
-        partial = solve(inst, SolverConfig(max_iterations=full.iterations - 1,
-                                           refinement="off"))
+        partial = solve(inst, SolverConfig(max_iterations=full.iterations - 1))
         assert partial.termination == "iteration-cap"
     assert capped.breakdown.objective >= full.breakdown.objective
 
@@ -273,8 +272,6 @@ def test_refinement_report_is_complete_on_an_oracle_sized_instance():
     assert report.refinement_complete is True
     assert report.breakdown.objective == \
         enumerate_optimal(inst).optimal_objective
-    off = solve(inst, SolverConfig(refinement="off"))
-    assert off.refinement_complete is False
 
 
 def _sweep_states():
@@ -323,10 +320,10 @@ def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan,
     found = skipped = 0
     for inst, state in _sweep_states():
         graph = build_aux_graph(inst, state, build_combination_index(inst))
-        for refinement, max_rows in (("pairs", 2), ("triples", 3)):
+        for max_rows in (2, 3):
             expected = reference_resplit_sweep(inst, graph, max_rows)
             budgets.clear()
-            result = solver._find_resplit(inst, graph, refinement)
+            result = solver._find_resplit(inst, graph, max_rows)
             (spent,) = budgets
             assert (*result, spent.skipped, spent.left) == expected
             found += expected[0] is not None
@@ -380,10 +377,18 @@ COUPLED_PAIR_TRAP = {
 }
 
 
-def test_cycle_cancellation_alone_can_stall_above_optimum():
+def solve_without_resplit(monkeypatch, inst):
+    """The solve with a re-split sweep that finds nothing: cycle
+    cancellation and the optimality proof alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_find_resplit", lambda *args: (None, False))
+        return solve(inst)
+
+
+def test_cycle_cancellation_alone_can_stall_above_optimum(monkeypatch):
     inst = make(COUPLED_PAIR_TRAP)
     oracle = enumerate_optimal(inst).optimal_objective
-    bare = solve(inst, SolverConfig(refinement="off"))
+    bare = solve_without_resplit(monkeypatch, inst)
     assert bare.termination == "optimal"
     assert bare.breakdown.objective == oracle + 2  # known stall, kept pinned
 
@@ -395,11 +400,11 @@ def test_refinement_escapes_the_coupled_pair_trap():
     assert refined.breakdown.objective == oracle
 
 
-def test_coupled_pair_trap_stall_is_not_proved():
+def test_coupled_pair_trap_stall_is_not_proved(monkeypatch):
     # The stalled state is two above the optimum, so the proof must fail
     # there and leave the way to the re-split; the refined state is proved.
     inst = make(COUPLED_PAIR_TRAP)
-    bare = solve(inst, SolverConfig(refinement="off"))
+    bare = solve_without_resplit(monkeypatch, inst)
     assert bare.proved_optimal is False
     graph = build_aux_graph(inst, bare.assignment,
                             build_combination_index(inst))
@@ -491,11 +496,12 @@ def test_delta_gain_equals_recomputation(seed, worker_costs, data):
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 10**6), worker_costs=st.booleans(),
        data=st.data())
-def test_pair_flow_certificate_is_exact(seed, worker_costs, data):
+def test_subset_flow_certificate_is_sound(seed, worker_costs, data):
     # Worker costs split a feature vector into parallel types; lambdas
-    # drawn from 0..3 give zero, one, two or three weighted features. Every
-    # ordered pair, the dummy row first or second, must be certified
-    # optimal exactly when enumeration finds no strictly better split.
+    # drawn from 0..3 give zero to three weighted features. Every ordered
+    # pair and triple, the dummy row anywhere, that the flow test certifies
+    # must have no strictly better split. With at most one weighted feature
+    # the rows' share is a single part, so the test is exact there.
     inst = random_small_instance(seed, max_n=12, max_columns=6,
                                  worker_fraction=float(worker_costs))
     lambdas = data.draw(st.lists(st.integers(0, 3),
@@ -503,10 +509,6 @@ def test_pair_flow_certificate_is_exact(seed, worker_costs, data):
                                  max_size=inst.schema.num_features))
     inst = dataclasses.replace(inst, weights=TradeoffWeights(
         inst.weights.lambda0, tuple(lambdas)))
-    features = solver._flow_features(inst)
-    if sum(lam > 0 for lam in lambdas) > 2:
-        assert features is None
-        return
     index = build_combination_index(inst)
     if data.draw(st.booleans()):
         state = random_feasible_matrix(inst, index, random.Random(seed))
@@ -515,26 +517,27 @@ def test_pair_flow_certificate_is_exact(seed, worker_costs, data):
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
     graph = build_aux_graph(inst, state, index)
     values = solver._row_values(inst, graph)
-    for a, b in itertools.permutations(range(inst.t + 1), 2):
-        pooled = [x + y for x, y in zip(state[a], state[b])]
-        cols = [j for j, u in enumerate(pooled) if u]
-        if not cols:
-            continue
-        _, split, _, _ = best_split(
-            inst, index, (a, b), cols, [pooled[j] for j in cols],
-            [sum(state[a]), sum(state[b])], incumbent=values[a] + values[b])
-        assert solver._pair_is_optimal(inst, graph, a, b, cols, features) \
-            == (split is None)
+    exact = sum(lam > 0 for lam in lambdas) <= 1
+    for size in (2, 3):
+        for rows in itertools.permutations(range(inst.t + 1), size):
+            cols = sorted({j for i in rows for j, x in enumerate(state[i])
+                           if x})
+            if not cols:
+                continue
+            _, split, _, _ = best_split(
+                inst, index, rows, cols,
+                [sum(state[i][j] for i in rows) for j in cols],
+                [sum(state[i]) for i in rows],
+                incumbent=sum(values[i] for i in rows))
+            certified, _, _ = solver._parts_optimal(inst, graph, rows, cols)
+            assert not certified or split is None
+            if exact:
+                assert certified == (split is None)
 
 
-def test_pair_flow_certificate_is_not_used_with_three_weighted_features(
-        monkeypatch):
-    # Three weighted features make a pair's split a multi-commodity problem:
-    # every admitted pair must reach the enumeration, with the same result.
-    def unused(*args):
-        raise AssertionError("flow certificate used")
-
-    monkeypatch.setattr(solver, "_pair_is_optimal", unused)
+def test_resplit_sweep_matches_the_plain_rule_with_three_weighted_features():
+    # With three weighted features the certificate tests three parts per
+    # subset, and the sweep must still find what enumerating finds.
     rng = random.Random(11)
     swept = 0
     for seed in range(40):
@@ -546,9 +549,9 @@ def test_pair_flow_certificate_is_not_used_with_three_weighted_features(
         for state in (random_feasible_matrix(inst, index, rng),
                       solve(inst).assignment):
             graph = build_aux_graph(inst, state, index)
-            for refinement, max_rows in (("pairs", 2), ("triples", 3)):
+            for max_rows in (2, 3):
                 expected = reference_resplit_sweep(inst, graph, max_rows)
-                assert solver._find_resplit(inst, graph, refinement) == \
+                assert solver._find_resplit(inst, graph, max_rows) == \
                     expected[:2]
                 swept += 1
     assert swept >= 20
@@ -557,8 +560,9 @@ def test_pair_flow_certificate_is_not_used_with_three_weighted_features(
 @pytest.mark.parametrize("rung", [(10, 40), (25, 100), (50, 200)])
 def test_ladder_fixed_points_certify_pairs_without_enumerating(monkeypatch,
                                                                rung):
-    # At each benchmark ladder-class rung's final state the flow test shows
-    # every non-empty pair optimal, so no pair reaches the enumeration.
+    # Each benchmark ladder-class rung's final state is proved optimal, so
+    # the flow test shows every non-empty subset optimal, and neither a
+    # pair nor a triple reaches the enumeration.
     papers, reviewers = rung
     inst = generate_reviewer_instance(papers, [reviewers // 5] * 5,
                                       "balanced", 4, seed=1)
@@ -571,9 +575,35 @@ def test_ladder_fixed_points_certify_pairs_without_enumerating(monkeypatch,
         return best_split(inst, index, rows, *args, **kwargs)
 
     monkeypatch.setattr(solver, "best_split", recording)
-    found, _ = solver._find_resplit(inst, graph, "triples")
+    found, _ = solver._find_resplit(inst, graph)
     assert found is None
-    assert 2 not in sizes
+    assert sizes == []
+
+
+def test_unproved_fixed_point_sweep_enumerates_no_subset(monkeypatch,
+                                                         caplog):
+    # This rung's fixed point is not proved, so its final sweep runs. The
+    # flow test, restricted to each subset, certifies every pair and triple
+    # the budgets admit, triples included, so none reaches the enumeration.
+    inst = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=3)
+    report = solve(inst)
+    assert report.proved_optimal is False
+    graph = build_aux_graph(inst, report.assignment,
+                            build_combination_index(inst))
+    enumerated = []
+
+    def recording(inst, index, rows, *args, **kwargs):
+        enumerated.append(rows)
+        return best_split(inst, index, rows, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "best_split", recording)
+    with caplog.at_level(logging.DEBUG, logger="divmatch"):
+        found, _ = solver._find_resplit(inst, graph)
+    assert found is None
+    assert enumerated == []
+    (line,) = [r.getMessage() for r in caplog.records]
+    certified = int(re.match(r"re-split sweep: (\d+) certified", line)[1])
+    assert certified > 0
 
 
 def test_resplit_sweep_logs_one_count_line(caplog):
@@ -581,10 +611,10 @@ def test_resplit_sweep_logs_one_count_line(caplog):
     graph = build_aux_graph(inst, solve(inst).assignment,
                             build_combination_index(inst))
     with caplog.at_level(logging.INFO, logger="divmatch"):
-        solver._find_resplit(inst, graph, "triples")
+        solver._find_resplit(inst, graph)
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="divmatch"):
-        solver._find_resplit(inst, graph, "triples")
+        solver._find_resplit(inst, graph)
     (line,) = [r.getMessage() for r in caplog.records]
     # 55 pairs and 165 triples of 11 rows: the 10 pairs and 45 triples with
     # the empty dummy row are charged only, the 45 real pairs certified.
@@ -629,8 +659,11 @@ def test_optimality_proof_is_sound(seed, worker_costs, data):
 def test_part_flow_test_is_exact(seed, worker_costs, data):
     # Each part of the objective, feature k's lambda_k * D_k with or
     # without lambda0 * TU, must be found optimal exactly when no feasible
-    # matrix has a smaller part. A part is the objective of an instance
-    # weighted at feature k alone, with zero costs when it carries none.
+    # matrix has a smaller part: over all rows, and over the re-splits of
+    # every ordered pair and triple of rows. A part is the objective of an
+    # instance weighted at feature k alone, with zero costs when it carries
+    # none; the rows' share of it is the objective with the other rows
+    # emptied.
     inst = random_small_instance(seed, max_n=10 if worker_costs else 12,
                                  max_columns=6,
                                  worker_fraction=float(worker_costs))
@@ -641,9 +674,16 @@ def test_part_flow_test_is_exact(seed, worker_costs, data):
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
     graph = build_aux_graph(inst, state, index)
-    rows = range(inst.t + 1)
+    everyone = range(inst.t + 1)
+    subsets = [(everyone, range(index.num_columns))]
+    for size in (2, 3):
+        for rows in itertools.permutations(everyone, size):
+            cols = sorted({j for i in rows for j, x in enumerate(state[i])
+                           if x})
+            if cols:
+                subsets.append((rows, cols))
     free = dataclasses.replace(index, costs=tuple(
-        (0,) * index.num_columns for _ in rows))
+        (0,) * index.num_columns for _ in everyone))
     for k in range(inst.schema.num_features):
         lam = data.draw(st.integers(0, 3))
         part = dataclasses.replace(inst, weights=TradeoffWeights(
@@ -651,12 +691,19 @@ def test_part_flow_test_is_exact(seed, worker_costs, data):
                 lam if f == k else 0
                 for f in range(inst.schema.num_features))))
         for with_cost, part_index in ((True, index), (False, free)):
-            least, _, _, _ = best_split(
-                part, part_index, rows, range(index.num_columns),
-                index.multiplicities, [inst.demand(i) for i in rows])
-            value = objective(part, state, part_index).objective
-            network = solver._part_network(part, graph, k, with_cost)
-            assert solver._has_negative_cycle(*network) == (value > least)
+            for rows, cols in subsets:
+                least, _, _, _ = best_split(
+                    part, part_index, rows, cols,
+                    [sum(state[i][j] for i in rows) for j in cols],
+                    [sum(state[i]) for i in rows])
+                held = [row if i in rows else [0] * len(row)
+                        for i, row in enumerate(state)]
+                value = breakdown_of(part, held, count_tensor(
+                    part, held, part_index), part_index).objective
+                network = solver._part_network(part, graph, k, with_cost,
+                                               rows, cols)
+                assert solver._has_negative_cycle(*network) == \
+                    (value > least)
 
 
 def test_negative_cycle_check_matches_networkx():
