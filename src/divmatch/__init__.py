@@ -44,8 +44,6 @@ from .auxgraph import (
     build_aux_graph,
     cycle_from_moves,
     dump_edges,
-    inter_weight,
-    intra_weight,
 )
 from .negcycle import (
     ExchangeCycle,

@@ -3,7 +3,9 @@
 Every team (including the dummy team 0) is a switch with one input and one
 output port per mover key. A key is a worker type: a feature vector plus a
 cost column (see :class:`~divmatch.instance.CombinationIndex`). Ports are
-graph nodes:
+graph nodes, and a port id is one (team, side, key): :meth:`AuxGraph.port_id`
+makes it and :meth:`AuxGraph.port` reads it back. An edge is a pair of port
+ids plus a static weight; its team, key and kind are read off its ports:
 
 * intra edges run input -> output inside one switch and carry the correction
   ``-2 * lambdas[k]`` for every feature k on which the two keys agree (zero
@@ -11,6 +13,8 @@ graph nodes:
 * inter edges run from the output port of one team to the same key's input
   port of another team and are priced at the exact objective change of
   moving one such worker between the two teams, given the current counts.
+  An edge out of an output port is a move ``(key, its team, the target
+  port's team)``.
 
 For a cycle that visits each switch at most once, the sum of its edges'
 prices equals the true objective change of performing all its moves: the
@@ -63,8 +67,6 @@ __all__ = [
     "AuxEdge",
     "AuxGraph",
     "CycleApplicationError",
-    "intra_weight",
-    "inter_weight",
     "build_aux_graph",
     "apply_and_update",
     "cycle_from_moves",
@@ -79,62 +81,25 @@ class CycleApplicationError(RuntimeError):
 
 
 class AuxEdge:
-    """One directed edge. For intra edges ``team_from == team_to`` and the
-    keys are the entering/leaving movers; for inter edges the keys coincide
-    and the teams are the move's endpoints. ``weight`` is the static part of
-    the edge's price (0 on an inter edge); :meth:`AuxGraph.price` adds the
-    port terms."""
+    """One directed edge between two port ids. ``weight`` is the static
+    part of the edge's price (0 on an inter edge); :meth:`AuxGraph.price`
+    adds the port terms, and :meth:`AuxGraph.port` reads the edge's teams
+    and keys off its ports."""
 
-    __slots__ = ("src", "dst", "weight", "kind",
-                 "team_from", "team_to", "key_from", "key_to")
+    __slots__ = ("src", "dst", "weight")
 
-    def __init__(self, src, dst, weight, kind,
-                 team_from, team_to, key_from, key_to):
+    def __init__(self, src, dst, weight):
         self.src = src
         self.dst = dst
         self.weight = weight
-        self.kind = kind
-        self.team_from = team_from
-        self.team_to = team_to
-        self.key_from = key_from
-        self.key_to = key_to
 
     def __repr__(self):
-        return (f"AuxEdge({self.kind} {self.team_from}:{self.key_from} -> "
-                f"{self.team_to}:{self.key_to} w={self.weight})")
+        return f"AuxEdge({self.src} -> {self.dst} w={self.weight})"
 
 
 def _shared_value_correction(v_a, v_b, weights: TradeoffWeights) -> int:
     return -2 * sum(lam for lam, a, b in zip(weights.lambdas, v_a, v_b)
                     if a == b)
-
-
-def intra_weight(v_a, v_b, team: int, weights: TradeoffWeights) -> int:
-    """Correction for a worker with feature values ``v_a`` entering and one
-    with ``v_b`` leaving team ``team``: -2*lambda_k per shared feature value.
-    Zero inside the dummy switch."""
-    if team == 0:
-        return 0
-    return _shared_value_correction(v_a, v_b, weights)
-
-
-def inter_weight(values, costs, from_team: int, to_team: int, c,
-                 weights: TradeoffWeights) -> int:
-    """Objective change of moving one worker with feature values ``values``
-    from ``from_team`` to ``to_team``, given current counts ``c``.
-    ``costs[i]`` is the worker's cost in team ``i`` (``costs[0]`` is 0)."""
-    if from_team == to_team:
-        raise ValueError("inter edge endpoints must be distinct teams")
-    # (x-1)^2 - x^2 = 1 - 2x on the leaving side, (x+1)^2 - x^2 = 2x + 1 on
-    # the entering side; the dummy team carries no diversity.
-    delta = weights.lambda0 * (costs[to_team] - costs[from_team])
-    for k, v in enumerate(values):
-        lam = weights.lambdas[k]
-        if from_team != 0:
-            delta += lam * (1 - 2 * c[from_team][k][v])
-        if to_team != 0:
-            delta += lam * (2 * c[to_team][k][v] + 1)
-    return delta
 
 
 class AuxGraph:
@@ -175,9 +140,14 @@ class AuxGraph:
     def port_id(self, team: int, side: int, key: int) -> int:
         return (team * 2 + side) * self.num_keys + key
 
-    def port_repr(self, node: int) -> str:
+    def port(self, node: int) -> tuple[int, int, int]:
+        """The ``(team, side, key)`` of a port id; inverts :meth:`port_id`."""
         team, rest = divmod(node, 2 * self.num_keys)
         side, key = divmod(rest, self.num_keys)
+        return team, side, key
+
+    def port_repr(self, node: int) -> str:
+        team, side, key = self.port(node)
         return f"{team}:{'in' if side == INPUT else 'out'}:{key}"
 
     # -- construction -------------------------------------------------------
@@ -219,14 +189,13 @@ class AuxGraph:
             table = real if team else dummy
             dst = outs[team]
             for kin, src in enumerate(ins[team]):
-                row = [AuxEdge(src, dst[kout], wgt, "intra",
-                               team, team, kin, kout)
-                       for kout, wgt in enumerate(table[kin])]
+                row = [AuxEdge(src, port, wgt)
+                       for port, wgt in zip(dst, table[kin])]
                 out_edges[src] = row
                 edges += row
         for i1 in switches:
             src = outs[i1]
-            block = [AuxEdge(src[key], dst[key], 0, "inter", i1, i2, key, key)
+            block = [AuxEdge(src[key], dst[key], 0)
                      for i2, dst in enumerate(ins) if i2 != i1
                      for key in keys]
             edges += block
@@ -236,8 +205,7 @@ class AuxGraph:
     def _offer(self, node: int):
         """Offer a port's out-edges in ``succ``: always at an input port, at
         an output port only while its team holds a worker of its key."""
-        team, rest = divmod(node, 2 * self.num_keys)
-        side, key = divmod(rest, self.num_keys)
+        team, side, key = self.port(node)
         held = side == INPUT or self.w[team][key] >= 1
         self.succ[node] = self.out_edges[node] if held else ()
 
@@ -319,11 +287,15 @@ def build_aux_graph(inst: Instance, w,
     return AuxGraph(inst, w, check_assignment_matrix(inst, w, index))
 
 
-def moves_of(cycle: ExchangeCycle):
-    """Extract the move list ``(key, from_team, to_team)`` of a cycle's
-    inter edges, in traversal order."""
-    return [(e.key_from, e.team_from, e.team_to)
-            for e in cycle.edges if e.kind == "inter"]
+def moves_of(g: AuxGraph, cycle: ExchangeCycle):
+    """Extract the move list ``(key, from_team, to_team)`` of a cycle, one
+    move per edge out of an output port, in traversal order."""
+    moves = []
+    for e in cycle.edges:
+        team, side, key = g.port(e.src)
+        if side == OUTPUT:
+            moves.append((key, team, g.port(e.dst)[0]))
+    return moves
 
 
 def apply_and_update(g: AuxGraph, cycle: ExchangeCycle):
@@ -331,19 +303,19 @@ def apply_and_update(g: AuxGraph, cycle: ExchangeCycle):
 
     Every inter edge moves one worker of its key from its source team to its
     target team; counters, port terms and the offer in ``succ`` are updated
-    in place. A walk with an inter edge out of a port that
-    holds no worker is rejected before anything changes. Returns the
-    applied move list.
+    in place. A walk that is not closed, or that has an inter edge out of a
+    port that holds no worker, is rejected before anything changes. A closed
+    walk alternates input and output ports, so it has an inter edge. Returns
+    the applied move list.
     """
-    edges = cycle.edges
-    for e, nxt in zip(edges, edges[1:] + edges[:1]):
-        if e.dst != nxt.src:
-            raise CycleApplicationError("cycle edges do not form a closed walk")
-        if e.kind == "inter" and g.w[e.team_from][e.key_from] < 1:
-            raise CycleApplicationError(f"cycle uses a disabled edge: {e!r}")
-    moves = moves_of(cycle)
-    if not moves:
-        raise CycleApplicationError("cycle contains no inter edges")
+    if not cycle.is_closed():
+        raise CycleApplicationError("cycle edges do not form a closed walk")
+    for e in cycle.edges:
+        team, side, key = g.port(e.src)
+        if side == OUTPUT and g.w[team][key] < 1:
+            raise CycleApplicationError(
+                f"cycle uses a disabled edge out of {g.port_repr(e.src)}")
+    moves = moves_of(g, cycle)
     g.apply_moves(moves)
     return moves
 
@@ -372,7 +344,8 @@ def dump_edges(g: AuxGraph) -> str:
     offered = {e for edges in g.succ for e in edges}
     lines = []
     for e in g.edges:
+        kind = "intra" if g.port(e.src)[1] == INPUT else "inter"
         listed = "true" if e in offered else "false"
         lines.append(f"{g.port_repr(e.src)} -> {g.port_repr(e.dst)} "
-                     f"{g.price(e)} {e.kind} {listed}")
+                     f"{g.price(e)} {kind} {listed}")
     return "\n".join(lines) + "\n"

@@ -6,20 +6,19 @@ negative total weight, or ``None`` when no such cycle exists. Both start
 from an implicit super-source with zero-weight arcs to every node, so
 disconnected components are covered.
 
-Any object exposing ``node_count`` and ``succ`` (per node, a list of edges
-with ``src``, ``dst`` and ``weight`` attributes) can be searched, such as
-the switch-graph of :mod:`divmatch.auxgraph`. A graph lists in ``succ``
-only the edges it offers; the detectors use every listed edge, in list
-order, and no other.
+Any object exposing ``node_count``, ``succ`` (per node, a list of edges
+with ``src``, ``dst`` and ``weight`` attributes) and the per-node integer
+lists ``bias`` and ``start`` can be searched, such as the switch-graph of
+:mod:`divmatch.auxgraph`. A graph lists in ``succ`` only the edges it
+offers; the detectors use every listed edge, in list order, and no other.
 
-A graph may also carry per-node integer lists ``bias`` and ``start``
-(each defaults to all zeros). An edge ``e`` then weighs ``e.weight +
-bias[e.src] + start[e.src] - start[e.dst]``. The detectors never fold that
-sum: labels start at ``start`` instead of 0 and an edge costs ``e.weight +
-bias[e.src]``, so every label is the folded graph's label plus ``start``
-of its node. ``start`` is a node potential (Ahuja, Magnanti & Orlin,
-Network Flows, section 2.4): it cancels from every comparison ``label[u] +
-cost - label[v]`` and from every cycle's weight, so the search, the cycle
+An edge ``e`` weighs ``e.weight + bias[e.src] + start[e.src] -
+start[e.dst]``. The detectors never fold that sum: labels start at
+``start`` instead of 0 and an edge costs ``e.weight + bias[e.src]``, so
+every label is the folded graph's label plus ``start`` of its node.
+``start`` is a node potential (Ahuja, Magnanti & Orlin, Network Flows,
+section 2.4): it cancels from every comparison ``label[u] + cost -
+label[v]`` and from every cycle's weight, so the search, the cycle
 returned and its ``claimed_weight`` are those of the folded graph.
 """
 
@@ -51,15 +50,6 @@ class ExchangeCycle:
                                for a, b in zip(e, e[1:] + e[:1]))
 
 
-def _node_terms(g):
-    """The graph's ``bias`` and ``start`` lists, zeros where it has none."""
-    zeros = [0] * g.node_count
-    bias = getattr(g, "bias", None)
-    start = getattr(g, "start", None)
-    return (zeros if bias is None else bias,
-            zeros if start is None else start)
-
-
 def _cycle_of(edges, bias) -> ExchangeCycle:
     total = sum(e.weight + bias[e.src] for e in edges)
     if total >= 0:
@@ -80,8 +70,8 @@ def bellman_ford_detect(g) -> ExchangeCycle | None:
     cyclic case from n rounds into a handful.
     """
     n = g.node_count
-    bias, start = _node_terms(g)
-    dist = list(start)
+    bias = g.bias
+    dist = list(g.start)
     pred: list = [None] * n
     for _ in range(n):
         last_changed = -1
@@ -146,8 +136,8 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
     """
     n = g.node_count
     succ = g.succ
-    bias, start = _node_terms(g)
-    dist = list(start)
+    bias = g.bias
+    dist = list(g.start)
 
     candidates = list(range(n))
     for _ in range(n + 5):

@@ -47,10 +47,6 @@ class ObjectiveBreakdown:
     diversity: tuple[int, ...]  # one D_k per feature
     objective: int
 
-    def recompose(self, lambda0: int, lambdas: tuple[int, ...]) -> int:
-        return lambda0 * self.tu + sum(
-            lam * d for lam, d in zip(lambdas, self.diversity))
-
 
 def check_assignment_matrix(inst: Instance, w: Matrix,
                             index: CombinationIndex | None = None) -> CombinationIndex:

@@ -525,7 +525,7 @@ def _improving_walk(inst, graph, cycle):
     """The detected walk, or a negatively-priced switch-simple piece of it,
     whose true gain is at most -1, with that gain; None when nothing
     improves."""
-    moves = moves_of(cycle)
+    moves = moves_of(graph, cycle)
     exact = _exact_gain(inst, graph, moves)
     if exact <= -1:
         return cycle, exact

@@ -12,13 +12,12 @@ from divmatch.instance import (CostModel, Feature, FeatureSchema, Instance,
 
 
 class SimpleEdge:
-    __slots__ = ("src", "dst", "weight", "kind")
+    __slots__ = ("src", "dst", "weight")
 
     def __init__(self, src, dst, weight):
         self.src = src
         self.dst = dst
         self.weight = weight
-        self.kind = "edge"
 
     def __repr__(self):
         return f"SimpleEdge({self.src}->{self.dst} w={self.weight})"
@@ -26,30 +25,56 @@ class SimpleEdge:
 
 class SimpleDigraph:
     """Plain adjacency-list digraph with the ``node_count``/``succ`` surface
-    the cycle detectors search, and optional per-node ``bias``/``start``
-    terms (None: all zero)."""
+    the cycle detectors search, and per-node ``bias``/``start`` terms, all
+    zero until set."""
 
     def __init__(self, node_count: int):
         self.node_count = node_count
         self.succ: list[list[SimpleEdge]] = [[] for _ in range(node_count)]
         self.edges: list[SimpleEdge] = []
-        self.bias = self.start = None
+        self.bias = [0] * node_count
+        self.start = [0] * node_count
 
     def price(self, e) -> int:
         """An edge's full weight: ``weight + bias[src] + start[src] -
         start[dst]``."""
-        price = e.weight
-        if self.bias is not None:
-            price += self.bias[e.src]
-        if self.start is not None:
-            price += self.start[e.src] - self.start[e.dst]
-        return price
+        return (e.weight + self.bias[e.src]
+                + self.start[e.src] - self.start[e.dst])
 
     def add_edge(self, src: int, dst: int, weight: int) -> SimpleEdge:
         e = SimpleEdge(src, dst, weight)
         self.succ[src].append(e)
         self.edges.append(e)
         return e
+
+
+def intra_weight(v_a, v_b, team: int, weights: TradeoffWeights) -> int:
+    """Correction for a worker with feature values ``v_a`` entering and one
+    with ``v_b`` leaving team ``team``: -2*lambda_k per shared feature value.
+    Zero inside the dummy switch."""
+    if team == 0:
+        return 0
+    return -2 * sum(lam for lam, a, b in zip(weights.lambdas, v_a, v_b)
+                    if a == b)
+
+
+def inter_weight(values, costs, from_team: int, to_team: int, c,
+                 weights: TradeoffWeights) -> int:
+    """Objective change of moving one worker with feature values ``values``
+    from ``from_team`` to ``to_team``, given current counts ``c``.
+    ``costs[i]`` is the worker's cost in team ``i`` (``costs[0]`` is 0)."""
+    if from_team == to_team:
+        raise ValueError("inter edge endpoints must be distinct teams")
+    # (x-1)^2 - x^2 = 1 - 2x on the leaving side, (x+1)^2 - x^2 = 2x + 1 on
+    # the entering side; the dummy team carries no diversity.
+    delta = weights.lambda0 * (costs[to_team] - costs[from_team])
+    for k, v in enumerate(values):
+        lam = weights.lambdas[k]
+        if from_team != 0:
+            delta += lam * (1 - 2 * c[from_team][k][v])
+        if to_team != 0:
+            delta += lam * (2 * c[to_team][k][v] + 1)
+    return delta
 
 
 def random_small_instance(seed, max_n=10, max_t=3, max_features=3,

@@ -5,16 +5,16 @@ import pytest
 
 from divmatch.auxgraph import (INPUT, OUTPUT, CycleApplicationError,
                                apply_and_update, build_aux_graph,
-                               cycle_from_moves, dump_edges, inter_weight,
-                               intra_weight, moves_of)
+                               cycle_from_moves, dump_edges, moves_of)
 from divmatch.instance import (TradeoffWeights, build_combination_index,
                                convert_cost_mode, generate_reviewer_instance,
                                parse_instance)
 from divmatch.negcycle import DETECTORS
 from divmatch.objective import exchange_gain, matrix_from_assignment
 from divmatch.solver import _moves_from_split, initial_feasible
-from helpers import (random_feasible_assignment, random_feasible_matrix,
-                     random_small_instance, random_switch_simple_moves)
+from helpers import (inter_weight, intra_weight, random_feasible_assignment,
+                     random_feasible_matrix, random_small_instance,
+                     random_switch_simple_moves)
 
 LAM11 = TradeoffWeights(1, (1, 1))
 
@@ -99,10 +99,16 @@ def test_port_count_class_mode():
     g = build_aux_graph(inst, w, index)
     assert index.num_columns == 4
     assert g.node_count == 2 * 4 * (3 + 1) == 32
-    intra = [e for e in g.edges if e.kind == "intra"]
-    inter = [e for e in g.edges if e.kind == "inter"]
+    ports = [(t, s, k) for t in range(3 + 1) for s in (INPUT, OUTPUT)
+             for k in range(4)]
+    assert [g.port(g.port_id(*p)) for p in ports] == ports
+    assert [g.port(u) for u in range(g.node_count)] == ports
+    intra = [e for e in g.edges if g.port(e.src)[1] == INPUT]
+    inter = [e for e in g.edges if g.port(e.src)[1] == OUTPUT]
     assert len(intra) == (3 + 1) * 4 * 4
     assert len(inter) == 4 * 3 * (3 + 1)
+    assert all(g.port(e.dst)[1] == OUTPUT for e in intra)
+    assert all(g.port(e.dst)[1] == INPUT for e in inter)
 
 
 def test_port_count_worker_mode():
@@ -126,19 +132,21 @@ def test_stored_weights_match_weight_functions():
         w = random_feasible_matrix(inst, index, random.Random(2 + n))
         g = build_aux_graph(inst, w, index)
         for e in g.edges:
-            if e.kind == "intra":
-                expected = intra_weight(index.columns[e.key_from],
-                                        index.columns[e.key_to],
-                                        e.team_from, inst.weights)
+            team_from, side, key_from = g.port(e.src)
+            team_to, _, key_to = g.port(e.dst)
+            if side == INPUT:
+                expected = intra_weight(index.columns[key_from],
+                                        index.columns[key_to],
+                                        team_from, inst.weights)
             else:
-                costs = [row[e.key_from] for row in index.costs]
-                expected = inter_weight(index.columns[e.key_from], costs,
-                                        e.team_from, e.team_to, g.c,
+                costs = [row[key_from] for row in index.costs]
+                expected = inter_weight(index.columns[key_from], costs,
+                                        team_from, team_to, g.c,
                                         inst.weights)
-                held = w[e.team_from][e.key_from] >= 1
+                held = w[team_from][key_from] >= 1
                 assert (e in g.succ[e.src]) == held
             assert g.price(e) == expected
-            assert e.weight == (expected if e.kind == "intra" else 0)
+            assert e.weight == (expected if side == INPUT else 0)
 
 
 def test_apply_then_revert_restores_graph():
@@ -288,7 +296,7 @@ def test_moves_of_lists_inter_edges_in_order():
     g = build_aux_graph(inst, w, index)
     moves = random_switch_simple_moves(g, random.Random(8))
     cycle = cycle_from_moves(g, moves)
-    assert moves_of(cycle) == moves
+    assert moves_of(g, cycle) == moves
     assert cycle.is_closed()
 
 
@@ -325,10 +333,12 @@ def test_finders_return_every_edge_by_position(worker_fraction):
         w = random_feasible_matrix(inst, index, random.Random(seed))
         g = build_aux_graph(inst, w, index)
         for e in g.edges:
-            if e.kind == "intra":
-                found = g.find_intra_edge(e.team_from, e.key_from, e.key_to)
+            team_from, side, key_from = g.port(e.src)
+            team_to, _, key_to = g.port(e.dst)
+            if side == INPUT:
+                found = g.find_intra_edge(team_from, key_from, key_to)
             else:
-                found = g.find_inter_edge(e.key_from, e.team_from, e.team_to)
+                found = g.find_inter_edge(key_from, team_from, team_to)
             assert found is e
 
 
@@ -421,16 +431,15 @@ def test_detector_adjacency_lists_the_enabled_edges_after_every_apply(inst):
     found = 0
     for calls in _apply_chain(g, random.Random(23), 200):
         for u in range(g.node_count):
-            team, rest = divmod(u, 2 * g.num_keys)
-            side, key = divmod(rest, g.num_keys)
+            team, side, key = g.port(u)
             held = side != OUTPUT or g.w[team][key] >= 1
             assert list(g.succ[u]) == (g.out_edges[u] if held else [])
         if calls % 20 == 0:  # detected cycles move only held workers
             for detect in (DETECTORS["bf"], DETECTORS["gr"]):
                 cycle = detect(g)
                 if cycle is not None:
-                    assert all(g.w[e.team_from][e.key_from] >= 1
-                               for e in cycle.edges if e.kind == "inter")
+                    assert all(g.w[i1][key] >= 1
+                               for key, i1, _ in moves_of(g, cycle))
                     found += 1
     assert found >= 10
     drained = [g.port_id(i, OUTPUT, key) for i in range(g.num_switches)

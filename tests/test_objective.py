@@ -171,8 +171,8 @@ def test_recomposition_property():
         assert out.tu == total_utility(inst, w, index)
         assert out.diversity == tuple(
             diversity_k(c, k) for k in range(inst.schema.num_features))
-        assert out.objective == out.recompose(inst.weights.lambda0,
-                                              inst.weights.lambdas)
+        assert out.objective == inst.weights.lambda0 * out.tu + sum(
+            lam * d for lam, d in zip(inst.weights.lambdas, out.diversity))
 
 
 def test_diversity_matches_embedding_squares():

@@ -153,7 +153,7 @@ def test_withheld_walk_stays_out_of_detection_until_restored():
     graph = build_aux_graph(inst, solve(inst).assignment, index)
     walk = goldberg_radzik_detect(graph)
     assert walk.claimed_weight == -1
-    assert solver._exact_gain(inst, graph, moves_of(walk)) == 5
+    assert solver._exact_gain(inst, graph, moves_of(graph, walk)) == 5
     rebuilt = dump_edges(graph)
     graph.withhold(walk.edges)
     assert not any(e in graph.succ[e.src] for e in walk.edges)
