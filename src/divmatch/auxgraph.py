@@ -310,12 +310,12 @@ def apply_and_update(g: AuxGraph, cycle: ExchangeCycle):
     """
     if not cycle.is_closed():
         raise CycleApplicationError("cycle edges do not form a closed walk")
-    for e in cycle.edges:
-        team, side, key = g.port(e.src)
-        if side == OUTPUT and g.w[team][key] < 1:
-            raise CycleApplicationError(
-                f"cycle uses a disabled edge out of {g.port_repr(e.src)}")
     moves = moves_of(g, cycle)
+    for key, team, _ in moves:
+        if g.w[team][key] < 1:
+            port = g.port_repr(g.port_id(team, OUTPUT, key))
+            raise CycleApplicationError(
+                f"cycle uses a disabled edge out of {port}")
     g.apply_moves(moves)
     return moves
 
