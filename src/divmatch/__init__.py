@@ -43,7 +43,6 @@ from .auxgraph import (
     apply_and_update,
     build_aux_graph,
     cycle_from_moves,
-    dump_edges,
 )
 from .negcycle import (
     ExchangeCycle,

@@ -49,6 +49,11 @@ lambdas[k] * d`` and ``enter[i][key]`` by ``+2 * lambdas[k] * d``, for the
 keys with value ``v`` of feature ``k`` (listed per graph). That is three
 writes to ``bias`` and ``start``; no edge changes.
 
+A move list means its net change alone: :meth:`AuxGraph.gain` prices it
+and :meth:`AuxGraph.apply_moves` commits it from that one net change, and
+both reject, before anything is written, a list that would overdraw a cell
+or change a row's size.
+
 ``succ`` offers the detectors the edges they may use, per port in
 ``out_edges`` order: all of an input port's, and an output port's only
 while its team holds a worker of its key (on a large instance most output
@@ -70,7 +75,6 @@ __all__ = [
     "build_aux_graph",
     "apply_and_update",
     "cycle_from_moves",
-    "dump_edges",
 ]
 
 INPUT, OUTPUT = 0, 1
@@ -229,31 +233,72 @@ class AuxGraph:
 
     # -- mutation -----------------------------------------------------------
 
-    def apply_moves(self, moves) -> None:
-        """Apply moves ``(key, from_team, to_team)`` and shift port terms by
-        exact deltas: a net change ``d`` of counter ``c[i][k][v]`` at a real
-        team shifts each key with value ``v`` of feature ``k`` by ``s = 2 *
-        lambdas[k] * d``, written as ``bias[out] -= s``, ``bias[in] += s``
-        and ``start[in] -= s`` at that key's ports of the team. No edge
-        changes. The offer in ``succ`` is refreshed at the output ports
-        whose count changed."""
-        ports: dict[tuple, int] = {}  # (team, key) -> net count change
-        counters: dict[tuple, int] = {}  # (team, k, v) -> net change
+    def _net_change(self, moves):
+        """``(cells, counters)``: the net change that the moves ``(key,
+        from_team, to_team)`` make to each cell ``(team, key)`` and each
+        counter ``(team, k, v)``. The one rule for a move list: only net
+        changes count, in any order. Raises CycleApplicationError, before
+        anything is written, when a cell would go below zero or a row
+        would change size."""
+        cells: dict[tuple, int] = {}
         for key, i1, i2 in moves:
-            if self.w[i1][key] <= 0:
+            cells[i1, key] = cells.get((i1, key), 0) - 1
+            cells[i2, key] = cells.get((i2, key), 0) + 1
+        rows: dict[int, int] = {}
+        counters: dict[tuple, int] = {}
+        for (team, key), d in cells.items():
+            if self.w[team][key] + d < 0:
                 raise CycleApplicationError(
-                    f"counter underflow: no key {key} worker in team {i1}")
-            for team, step in ((i1, -1), (i2, 1)):
-                self.w[team][key] += step
-                ports[team, key] = ports.get((team, key), 0) + step
+                    f"moves overdraw key {key} in team {team}")
+            if d:
+                rows[team] = rows.get(team, 0) + d
                 for k, v in enumerate(self.keys[key]):
-                    if step < 0 and self.c[team][k][v] <= 0:
-                        raise CycleApplicationError("count tensor underflow")
-                    self.c[team][k][v] += step
-                    counters[team, k, v] = counters.get((team, k, v), 0) + step
+                    counters[team, k, v] = counters.get((team, k, v), 0) + d
+        for team, d in rows.items():
+            if d:
+                raise CycleApplicationError(
+                    f"moves change the size of row {team} by {d}")
+        return cells, counters
+
+    def gain(self, moves) -> int:
+        """True objective change of applying ``moves`` to the current state.
+
+        Only the net change ``d`` of each cell and of each real team's
+        counter ``x = c[i][k][v]`` matters: the change is ``lambda0 * sum
+        cost[i][key] * d + sum lambdas[k] * ((x + d)^2 - x^2)``, over real
+        teams. Edge prices play no part, so a walk that mispriced itself is
+        caught. Raises CycleApplicationError as :meth:`apply_moves` does."""
+        cells, counters = self._net_change(moves)
+        lambda0 = self.inst.weights.lambda0
+        lambdas = self.inst.weights.lambdas
+        costs, c = self.index.costs, self.c
+        gain = 0
+        for (team, key), d in cells.items():
+            if team:
+                gain += lambda0 * costs[team][key] * d
+        for (team, k, v), d in counters.items():
+            if team:
+                gain += lambdas[k] * d * (2 * c[team][k][v] + d)
+        return gain
+
+    def apply_moves(self, moves) -> None:
+        """Apply moves ``(key, from_team, to_team)``, all or nothing: a list
+        that :meth:`_net_change` rejects leaves the graph as it was. Port
+        terms shift by exact deltas: a net change ``d`` of counter
+        ``c[i][k][v]`` at a real team shifts each key with value ``v`` of
+        feature ``k`` by ``s = 2 * lambdas[k] * d``, written as ``bias[out]
+        -= s``, ``bias[in] += s`` and ``start[in] -= s`` at that key's ports
+        of the team. No edge changes. The offer in ``succ`` is refreshed at
+        the output ports whose count changed."""
+        cells, counters = self._net_change(moves)
+        for (team, key), d in cells.items():
+            if d:
+                self.w[team][key] += d
+                self._offer(self.port_id(team, OUTPUT, key))
         lambdas = self.inst.weights.lambdas
         bias, start, num_keys = self.bias, self.start, self.num_keys
         for (team, k, v), d in counters.items():
+            self.c[team][k][v] += d
             if d and team and lambdas[k]:  # d is 0 after moving in and out
                 shift = 2 * lambdas[k] * d
                 first = self.port_id(team, INPUT, 0)
@@ -262,9 +307,6 @@ class AuxGraph:
                     bias[port + num_keys] -= shift
                     bias[port] += shift
                     start[port] -= shift
-        for (team, key), d in ports.items():
-            if d:
-                self._offer(self.port_id(team, OUTPUT, key))
 
     def withhold(self, edges) -> None:
         """Stop offering ``edges`` until :meth:`restore`: drop them from

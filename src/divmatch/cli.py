@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .instance import InvalidInstanceError, build_combination_index, \
     dump_instance, generate_reviewer_instance, load_instance
+from .negcycle import DETECTORS
 from .objective import assignment_from_matrix, count_tensor
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, enumerate_optimal
 from .solver import SolveReport, SolverConfig, solve
@@ -320,7 +321,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_solver_flags(p):
-    p.add_argument("--detector", choices=("bf", "gr"), default="gr")
+    p.add_argument("--detector", choices=tuple(DETECTORS), default="gr")
     p.add_argument("--max-iters", type=_positive_int, default=None,
                    dest="max_iters")
     p.add_argument("--log", choices=("quiet", "iter", "debug"),

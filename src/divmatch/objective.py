@@ -132,18 +132,11 @@ def breakdown_of(inst: Instance, w: Matrix, c,
 def embed(inst: Instance, w: Matrix, k: int,
           index: CombinationIndex | None = None) -> Matrix:
     """Project the assignment matrix onto feature ``k``: columns sharing the
-    same value of feature ``k`` are merged. Rows cover teams 0..t."""
-    if index is None:
-        index = build_combination_index(inst)
+    same value of feature ``k`` are merged. Rows cover teams 0..t; row i is
+    the count tensor's ``c[i][k]``."""
     if not 0 <= k < inst.schema.num_features:
         raise IndexError(f"feature index {k} out of range")
-    width = inst.schema.value_count(k)
-    m = [[0] * width for _ in range(inst.t + 1)]
-    for j, combo in enumerate(index.columns):
-        v = combo[k]
-        for i in range(inst.t + 1):
-            m[i][v] += w[i][j]
-    return m
+    return [c[k] for c in count_tensor(inst, w, index)]
 
 
 def exchange_gain(inst: Instance, w_before, w_after,

@@ -1,12 +1,13 @@
 """Cycle-cancellation solver: build, detect, verify, commit, repeat.
 
 Starting from a greedy feasible assignment, the solver looks for a negative
-cycle in the switch-graph, computes the candidate exchange's true objective
-change from the net counter changes of its moves (independently of the edge
-weights that priced it), and commits it only when the true change is at
-most -1. The objective is evaluated only at the start, from the
-switch-graph's counters, and once in full at the end, as a check that the
-committed gains add up.
+cycle in the switch-graph, prices the candidate exchange's true objective
+change with :meth:`~divmatch.auxgraph.AuxGraph.gain` (from the net changes
+of its moves, independently of the edge prices that found it), and commits
+it only when the true change is at most -1. The commit reads the same net
+change, so what was priced is what is applied. The objective is evaluated
+only at the start, from the switch-graph's counters, and once in full at
+the end, as a check that the committed gains add up.
 A detected walk that visits some switch more than once can misprice itself
 (its edge weights assume untouched counters). Such walks are split at
 repeated switch visits into switch-simple pieces, which price exactly; if
@@ -94,9 +95,6 @@ class SolveReport:
     # last re-split sweep skipped no subset
     refinement_complete: bool
     proved_optimal: bool  # the final state was proved a global optimum
-
-    def objective_trace(self) -> list[int]:
-        return [self.initial_objective] + [r.objective_after for r in self.trace]
 
 
 def initial_feasible(inst: Instance,
@@ -316,26 +314,16 @@ def _part_network(inst, graph, k, with_cost, rows, cols):
 
 
 def _moves_from_split(graph, rows, cols, split):
+    """Moves taking the ``rows``' cells of ``cols`` to ``split``: per
+    column, the k-th unit some row gives up goes to the k-th unit some row
+    takes, both counted in row order."""
     moves = []
     for cj, j in enumerate(cols):
-        give = []  # (row, units) with surplus
-        take = []  # (row, units) with deficit
+        give, take = [], []
         for ri, i in enumerate(rows):
             diff = split[ri][cj] - graph.w[i][j]
-            if diff < 0:
-                give.append([i, -diff])
-            elif diff > 0:
-                take.append([i, diff])
-        gi = 0
-        for i, need in take:
-            while need:
-                src = give[gi]
-                step = min(need, src[1])
-                moves.extend([(j, src[0], i)] * step)
-                src[1] -= step
-                need -= step
-                if src[1] == 0:
-                    gi += 1
+            (take if diff > 0 else give).extend([i] * abs(diff))
+        moves += [(j, i1, i2) for i1, i2 in zip(give, take, strict=True)]
     return moves
 
 
@@ -414,34 +402,6 @@ def _split_switch_simple(moves):
     return result
 
 
-def _exact_gain(inst, graph, moves) -> int:
-    """True objective change of applying ``moves`` to the graph's state.
-
-    Only the net change ``d`` of each matrix cell and of each real team's
-    counter ``x = c[i][k][v]`` matters: the change is ``lambda0 * sum
-    cost[i][key] * d + sum lambdas[k] * ((x + d)^2 - x^2)``, over real teams.
-    Edge weights play no part, so a walk that mispriced itself is caught.
-    Raises ValueError when the moves overdraw a cell."""
-    cells: dict[tuple, int] = {}  # (team, key) -> net change
-    for key, i1, i2 in moves:
-        cells[i1, key] = cells.get((i1, key), 0) - 1
-        cells[i2, key] = cells.get((i2, key), 0) + 1
-    lam = inst.weights
-    costs = graph.index.costs
-    gain = 0
-    counters: dict[tuple, int] = {}  # (team, k, v) -> net change
-    for (team, key), d in cells.items():
-        if graph.w[team][key] + d < 0:
-            raise ValueError(f"moves overdraw key {key} in team {team}")
-        if team and d:
-            gain += lam.lambda0 * costs[team][key] * d
-            for k, v in enumerate(graph.keys[key]):
-                counters[team, k, v] = counters.get((team, k, v), 0) + d
-    for (team, k, v), d in counters.items():
-        gain += lam.lambdas[k] * d * (2 * graph.c[team][k][v] + d)
-    return gain
-
-
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the cancellation loop to a certified local-search fixed point,
     reported ``proved_optimal`` where it is shown to be a global optimum."""
@@ -477,7 +437,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
             moves, gain = found
             cycle_len, claimed = len(moves), gain
         else:
-            found = _improving_walk(inst, graph, cycle)
+            found = _improving_walk(graph, cycle)
             if found is None:
                 # Splitting re-pairs the intra edges at the cut switches, so
                 # a multi-visit walk can price negative while neither it nor
@@ -521,12 +481,12 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
                        termination, initial_objective, complete, proved)
 
 
-def _improving_walk(inst, graph, cycle):
+def _improving_walk(graph, cycle):
     """The detected walk, or a negatively-priced switch-simple piece of it,
     whose true gain is at most -1, with that gain; None when nothing
     improves."""
     moves = moves_of(graph, cycle)
-    exact = _exact_gain(inst, graph, moves)
+    exact = graph.gain(moves)
     if exact <= -1:
         return cycle, exact
     # The walk revisits a switch and mispriced itself; its switch-simple
@@ -534,7 +494,7 @@ def _improving_walk(inst, graph, cycle):
     logger.debug("walk of claimed %d has exact %d; splitting",
                  cycle.claimed_weight, exact)
     for segment in _split_switch_simple(moves):
-        sub_exact = _exact_gain(inst, graph, segment)
+        sub_exact = graph.gain(segment)
         if sub_exact <= -1:
             return cycle_from_moves(graph, segment), sub_exact
     return None

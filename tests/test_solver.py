@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divmatch import solver
-from divmatch.auxgraph import (apply_and_update, build_aux_graph,
-                               cycle_from_moves, dump_edges, moves_of)
+from divmatch.auxgraph import (CycleApplicationError, apply_and_update,
+                               build_aux_graph, cycle_from_moves, dump_edges,
+                               moves_of)
 from divmatch.instance import (TradeoffWeights, build_combination_index,
                                convert_cost_mode, generate_reviewer_instance,
                                parse_instance)
@@ -153,7 +154,7 @@ def test_withheld_walk_stays_out_of_detection_until_restored():
     graph = build_aux_graph(inst, solve(inst).assignment, index)
     walk = goldberg_radzik_detect(graph)
     assert walk.claimed_weight == -1
-    assert solver._exact_gain(inst, graph, moves_of(graph, walk)) == 5
+    assert graph.gain(moves_of(graph, walk)) == 5
     rebuilt = dump_edges(graph)
     graph.withhold(walk.edges)
     assert not any(e in graph.succ[e.src] for e in walk.edges)
@@ -451,10 +452,39 @@ def _draw_moves(data, inst, w):
     return moves
 
 
+def _graph_state(graph):
+    """Everything a rejected move list must leave as it was."""
+    return (graph.current_state(),
+            [[list(vals) for vals in c] for c in graph.c],
+            list(graph.bias), list(graph.start),
+            [list(edges) for edges in graph.succ], dump_edges(graph))
+
+
+def _rejects(graph, moves, match):
+    """Both pricing and commit refuse ``moves``, and the graph is kept."""
+    before = _graph_state(graph)
+    with pytest.raises(CycleApplicationError, match=match):
+        graph.gain(moves)
+    with pytest.raises(CycleApplicationError, match=match):
+        graph.apply_moves(moves)
+    assert _graph_state(graph) == before
+
+
+def _moved(state, moves):
+    after = [list(row) for row in state]
+    for key, i1, i2 in moves:
+        after[i1][key] -= 1
+        after[i2][key] += 1
+    return after
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 10**6), worker_costs=st.booleans(),
        data=st.data())
 def test_delta_gain_equals_recomputation(seed, worker_costs, data):
+    # Pricing and commit read one net change: a list that it admits, in
+    # whatever order its moves come, is priced exactly and applied in
+    # full; a list it refuses is refused by both and changes nothing.
     inst = random_small_instance(seed, max_n=14, max_columns=5,
                                  worker_fraction=float(worker_costs))
     index = build_combination_index(inst)
@@ -467,30 +497,38 @@ def test_delta_gain_equals_recomputation(seed, worker_costs, data):
     moves = _draw_moves(data, inst, state)
     if data.draw(st.booleans()):  # and on to another feasible state
         target = random_feasible_matrix(inst, index, random.Random(~seed))
-        moves += solver._moves_from_split(graph, range(inst.t + 1),
-                                          range(index.num_columns), target)
-    after = [list(row) for row in state]
-    for key, i1, i2 in moves:
-        after[i1][key] -= 1
-        after[i2][key] += 1
-    if any(x < 0 for row in after for x in row):
-        with pytest.raises(ValueError, match="overdraw"):
-            solver._exact_gain(inst, graph, moves)
+        split = solver._moves_from_split(graph, range(inst.t + 1),
+                                         range(index.num_columns), target)
+        assert _moved(state, split) == target
+        assert len(split) == sum(max(x - y, 0) for row, goal in
+                                 zip(state, target)
+                                 for x, y in zip(row, goal))
+        moves += split
+    after = _moved(state, moves)
+    overdrawn = any(x < 0 for row in after for x in row)
+    if overdrawn:
+        _rejects(graph, moves, "overdraw")
     else:
-        assert solver._exact_gain(inst, graph, moves) == (
+        assert graph.gain(moves) == (
             objective(inst, after, index).objective
             - objective(inst, state, index).objective)
-    # Emptying a cell and taking one more, paid back in another column,
-    # keeps every row and column sum but must still raise.
     team, key = next(((i, j) for i, row in enumerate(state)
                       for j, x in enumerate(row) if x), (None, None))
-    if team is not None and inst.t and index.num_columns > 1:
+    if team is not None and inst.t:
         other = (team + 1) % (inst.t + 1)
-        back = (key + 1) % index.num_columns
-        units = state[team][key] + 1
-        overdraw = [(key, team, other)] * units + [(back, other, team)] * units
-        with pytest.raises(ValueError, match="overdraw"):
-            solver._exact_gain(inst, graph, overdraw)
+        _rejects(graph, [(key, team, other)], "size of row")
+        # Emptying a cell and taking one more, paid back in another
+        # column, keeps every row and column sum but must still raise.
+        if index.num_columns > 1:
+            back = (key + 1) % index.num_columns
+            units = state[team][key] + 1
+            _rejects(graph, [(key, team, other)] * units
+                     + [(back, other, team)] * units, "overdraw")
+    if not overdrawn:  # in the order drawn, though a cell may dip below 0
+        graph.apply_moves(moves)
+        assert graph.current_state() == after
+        assert dump_edges(graph) == dump_edges(
+            build_aux_graph(inst, after, index))
 
 
 @settings(max_examples=300, deadline=None)

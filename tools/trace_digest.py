@@ -1,0 +1,82 @@
+"""Same-results digest of the solver over the benchmark's instances.
+
+    python3 tools/trace_digest.py --workload all --seed 1 --detector gr
+
+Solves every instance of a workload once, in order, with the package from
+this checkout's ``src/`` and the instances of ``bench/workloads.py``
+(``known-bad`` is its ``KNOWN_BAD`` list). Prints one line per workload:
+the instance count, the number of solves that raised, the sum of the final
+objectives, and a sha256 over each solve's assignment, trace, termination,
+``refinement_complete``, ``proved_optimal`` and objective. A solve that
+raises adds its exception's type and message to the digest instead. Two
+checkouts that print the same lines made the same searches, so a change
+meant to keep results can be checked against its parent by running this
+script in both.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import divmatch  # noqa: E402
+import workloads  # noqa: E402
+
+WORKLOADS = {name: build for name, (build, _) in workloads.WORKLOADS.items()}
+WORKLOADS["known-bad"] = lambda dm, seed: workloads.known_bad(dm)
+
+
+def solve_record(inst, cfg) -> list:
+    """What a solve returned, as JSON-ready values; or what it raised."""
+    try:
+        report = divmatch.solve(inst, cfg)
+    except Exception as exc:  # a raised solve is part of the result
+        return ["raised", type(exc).__name__, str(exc)]
+    return [report.assignment,
+            [dataclasses.astuple(record) for record in report.trace],
+            report.termination, report.refinement_complete,
+            report.proved_optimal, report.breakdown.objective]
+
+
+def digest(instances, detector: str) -> dict:
+    cfg = divmatch.SolverConfig(detector=detector)
+    sha = hashlib.sha256()
+    raised = objective_sum = 0
+    for inst in instances:
+        record = solve_record(inst, cfg)
+        if record[0] == "raised":
+            raised += 1
+        else:
+            objective_sum += record[-1]
+        sha.update(json.dumps(record).encode())
+        sha.update(b"\n")
+    return {"instances": len(instances), "raised": raised,
+            "objective_sum": objective_sum, "sha256": sha.hexdigest()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True,
+                        choices=[*WORKLOADS, "all"])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--detector", default="gr",
+                        choices=list(divmatch.negcycle.DETECTORS))
+    args = parser.parse_args(argv)
+    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    for name in names:
+        result = digest(WORKLOADS[name](divmatch, args.seed), args.detector)
+        print(f"{name} seed={args.seed} detector={args.detector} "
+              + " ".join(f"{key}={value}" for key, value in result.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
