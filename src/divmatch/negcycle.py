@@ -131,8 +131,11 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
     the DFS: it can lie on no cycle and has nothing to relax, so entering it
     would change neither a verdict nor a label.
 
-    Passes are capped defensively; on overrun the verdict is delegated to
-    :func:`bellman_ford_detect`, which shares the contract.
+    Passes are capped at ``n + 5``, and the cap is reached in practice: on
+    some switch-graphs the labels of a negative cycle's nodes keep falling
+    from pass to pass while no DFS closes the cycle. The verdict is then
+    delegated to :func:`bellman_ford_detect`, which shares the contract and
+    returns the cycle.
     """
     n = g.node_count
     succ = g.succ
@@ -203,7 +206,8 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
         if not relabeled:
             return None
         candidates = sorted(relabeled)
-    # A well-formed run never gets here; fall back to the reference detector.
+    # The passes ran out with labels still falling; the reference detector
+    # finds the cycle.
     return bellman_ford_detect(g)
 
 

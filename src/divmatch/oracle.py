@@ -14,8 +14,7 @@ optima. The last row takes whatever its predecessors leave, so it is filled
 in place rather than searched. :func:`split_count` is the search space;
 :func:`least_split_count` is its least value for a number of workers,
 from which the re-split sweep skips over-budget subsets before building
-their columns (it charges subsets with an empty row without searching
-them).
+their columns.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ __all__ = ["OracleResult", "BudgetExceededError", "enumerate_optimal",
            "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 10_000_000
+OPTIMA_CAP = 200_000  # most optimal matrices that ``collect_optima`` keeps
 
 
 class BudgetExceededError(RuntimeError):
@@ -43,12 +43,11 @@ class OracleResult:
     matrix: list[list[int]]  # an optimal type-count matrix
     assignment: list[int]  # worker -> team map realizing ``matrix``
     num_optima: int  # distinct optimal type-count matrices
-    optima: list | None  # matrices attaining the optimum
+    optima: list | None  # up to OPTIMA_CAP matrices attaining the optimum
 
 
 def enumerate_optimal(inst: Instance, budget: int = DEFAULT_BUDGET,
-                      collect_optima: bool = False,
-                      optima_cap: int = 200_000) -> OracleResult:
+                      collect_optima: bool = False) -> OracleResult:
     """Exact minimum of the objective over all feasible assignments."""
     index = build_combination_index(inst)
     rows = range(inst.t + 1)
@@ -59,7 +58,7 @@ def enumerate_optimal(inst: Instance, budget: int = DEFAULT_BUDGET,
     best, w, count, optima = best_split(
         inst, index, rows, range(index.num_columns), index.multiplicities,
         [inst.demand(i) for i in rows], collect=collect_optima,
-        cap=optima_cap)
+        cap=OPTIMA_CAP)
     return OracleResult(best, w, assignment_from_matrix(inst, w, index),
                         count, optima)
 

@@ -137,17 +137,6 @@ def _descent_bound(inst: Instance, u0: int) -> int:
     return lam_max * nf * inst.n * inst.n + inst.weights.lambda0 * u0
 
 
-# A cycle's edge weights price each move against untouched counters, so two
-# exchanges that individually gain nothing can still gain jointly when they
-# push the same (team, value) counters in opposite directions. Canceling
-# single cycles therefore certifies only a restricted local optimum. The
-# refinement below escapes the cases seen in practice: at every unproved
-# fixed point it exactly re-optimizes the worker split within each pair and
-# triple of rows, including the unassigned pool, skipping subsets whose
-# enumeration would exceed a fixed state budget. The budget keeps triples
-# affordable at verification scale while larger instances fall back to the
-# pair scan.
-
 REFINE_STATE_BUDGET = 20_000
 REFINE_SCAN_BUDGET = 2_000_000
 
@@ -160,57 +149,6 @@ def _row_values(inst, graph) -> list[int]:
             + sum(l * sum(x * x for x in vals)
                   for l, vals in zip(lam.lambdas, graph.c[i])) if i else 0
             for i, row in enumerate(graph.w)]
-
-
-def _resplit_subset(inst, graph, rows, sweep, spent):
-    """Best redistribution of the rows' pooled workers; None if no strict
-    improvement or the subset exceeds the enumeration budgets.
-    ``sweep`` holds facts of the current state: ``(nonzero, sizes,
-    values)``, the set of columns each row holds, its worker count and its
-    share of the objective.
-
-    Two shortcuts decide, charge and count exactly as enumerating would.
-    Splitting U workers among r rows has at least comb(U+r-1, r-1) ways
-    (all U of one type), so a subset whose bound already exceeds a budget
-    is counted as skipped without building its columns. A subset with an
-    empty row is charged its states but not enumerated. Dropping that row
-    changes neither the splits nor their values, and what is left is one
-    row, with nothing to move, or a pair. Pairs come first, a pair has no
-    more states than the triple, and the sweep stops at its first find, so
-    that pair was examined and found nothing.
-
-    A subset with every row non-empty is first put to
-    :func:`_parts_optimal`, and enumerated only when that does not show its
-    split optimal. The test is sufficient: when it holds, no split of the
-    subset has a smaller value, so the enumeration would return None."""
-    nonzero, sizes, values = sweep
-    totals = [sizes[i] for i in rows]
-    held = sum(totals)
-    if not held:
-        return None
-    if spent.refuses(least_split_count(held, len(rows))):
-        return None
-    cols = sorted(set().union(*(nonzero[i] for i in rows)))
-    pooled = [sum(graph.w[i][j] for i in rows) for j in cols]
-    if not spent.take(split_count(pooled, len(rows))):
-        return None
-    if not all(totals):
-        spent.charged += 1
-        return None
-    if _parts_optimal(inst, graph, rows, cols)[0]:
-        spent.certified += 1
-        return None
-    spent.enumerated += 1
-    # most-loaded columns first so the pruning bound engages early
-    order = sorted(range(len(cols)), key=lambda cj: -pooled[cj])
-    cols = [cols[cj] for cj in order]
-    pooled = [pooled[cj] for cj in order]
-    current = sum(values[i] for i in rows)
-    best, split, _, _ = best_split(inst, graph.index, rows, cols, pooled,
-                                   totals, incumbent=current)
-    if split is None:
-        return None
-    return _moves_from_split(graph, rows, cols, split), best - current
 
 
 def _has_negative_cycle(node_count, arcs) -> bool:
@@ -329,13 +267,12 @@ def _moves_from_split(graph, rows, cols, split):
 
 class _ScanBudget:
     """Caps the enumeration work of one subset and of one refinement sweep,
-    and counts the subsets skipped for either cap, charged but not
-    enumerated for an empty row, certified optimal without enumeration and
-    enumerated."""
+    and counts the subsets skipped for either cap, certified optimal
+    without enumeration and enumerated."""
 
     def __init__(self, limit):
         self.left = limit
-        self.skipped = self.charged = self.certified = self.enumerated = 0
+        self.skipped = self.certified = self.enumerated = 0
 
     def refuses(self, states) -> bool:
         """True, counting a skipped subset, when ``states`` exceed a cap."""
@@ -356,27 +293,58 @@ def _find_resplit(inst, graph, max_rows=3):
     improving ``(moves, gain)`` or None, and ``complete`` true when the
     sweep examined every subset, none found or skipped for budget.
 
-    Subsets of 2..``max_rows`` rows come by size, then in index order. Each
-    row's columns, size and objective share are computed once per sweep.
-    :func:`_resplit_subset` skips subsets from their row sizes and charges
-    but does not enumerate subsets with an empty row, exactly as building
-    and enumerating every subset would decide. It enumerates a subset only
-    when the flow test does not show its split optimal. One debug line per
-    sweep counts each outcome."""
-    all_rows = range(inst.t + 1)
-    sweep = ([{j for j, x in enumerate(row) if x} for row in graph.w],
-             [sum(row) for row in graph.w], _row_values(inst, graph))
+    A cycle's edge weights price each move against untouched counters, so
+    two exchanges that gain nothing alone can gain jointly when they push
+    the same (team, value) counters in opposite directions. The sweep
+    escapes the cases seen in practice by exactly re-optimizing the split
+    of the workers within each subset of 2..``max_rows`` rows, the
+    unassigned pool included. Subsets come by size, then in index order,
+    and the sweep stops at its first find. Each row's columns, size and
+    objective share are computed once per sweep.
+
+    A subset that holds workers is skipped when even the
+    :func:`~divmatch.oracle.least_split_count` of its worker total exceeds
+    ``REFINE_STATE_BUDGET`` (per subset) or what is left of
+    ``REFINE_SCAN_BUDGET`` (per sweep); else its own
+    :func:`~divmatch.oracle.split_count` is charged, or it is skipped when
+    that exceeds a budget. The budgets keep triples affordable at
+    verification scale, while larger instances fall back to the pair scan.
+    A charged subset is enumerated with :func:`~divmatch.oracle.best_split`
+    only when :func:`_parts_optimal` does not certify it; certifying is
+    sufficient, so it changes no result. One debug line per sweep counts
+    each outcome."""
+    nonzero = [{j for j, x in enumerate(row) if x} for row in graph.w]
+    sizes = [sum(row) for row in graph.w]
+    values = _row_values(inst, graph)
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
     found = None
     for rows in itertools.chain.from_iterable(
-            itertools.combinations(all_rows, size)
+            itertools.combinations(range(inst.t + 1), size)
             for size in range(2, max_rows + 1)):
-        found = _resplit_subset(inst, graph, rows, sweep, spent)
-        if found:
+        totals = [sizes[i] for i in rows]
+        held = sum(totals)
+        if not held or spent.refuses(least_split_count(held, len(rows))):
+            continue
+        cols = sorted(set().union(*(nonzero[i] for i in rows)))
+        pooled = [sum(graph.w[i][j] for i in rows) for j in cols]
+        if not spent.take(split_count(pooled, len(rows))):
+            continue
+        if _parts_optimal(inst, graph, rows, cols)[0]:
+            spent.certified += 1
+            continue
+        spent.enumerated += 1
+        # most-loaded columns first so the pruning bound engages early
+        order = sorted(range(len(cols)), key=lambda cj: -pooled[cj])
+        cols = [cols[cj] for cj in order]
+        pooled = [pooled[cj] for cj in order]
+        current = sum(values[i] for i in rows)
+        best, split, _, _ = best_split(inst, graph.index, rows, cols, pooled,
+                                       totals, incumbent=current)
+        if split is not None:
+            found = _moves_from_split(graph, rows, cols, split), best - current
             break
-    logger.debug("re-split sweep: %d certified, %d enumerated, %d charged "
-                 "only, %d skipped", spent.certified, spent.enumerated,
-                 spent.charged, spent.skipped)
+    logger.debug("re-split sweep: %d certified, %d enumerated, %d skipped",
+                 spent.certified, spent.enumerated, spent.skipped)
     return found, found is None and not spent.skipped
 
 

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from divmatch import negcycle
 from divmatch.auxgraph import build_aux_graph
-from divmatch.instance import build_combination_index
+from divmatch.instance import build_combination_index, instance_from_dict
 from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
+from divmatch.oracle import enumerate_optimal
+from divmatch.solver import initial_feasible, solve
 from helpers import (SimpleDigraph, has_negative_cycle_exhaustive,
                      random_digraph, random_feasible_matrix,
                      random_small_instance, with_node_terms)
@@ -71,6 +74,39 @@ def test_goldberg_radzik_two_cycle():
     assert cycle is not None
     assert cycle.claimed_weight == -2
     assert len(cycle.edges) == 2
+
+
+# One team of 9 from 12 workers: at the greedy start, the Goldberg-Radzik
+# passes run out before any DFS closes the switch-graph's negative cycle.
+PASS_CAP_MISS = {
+    "features": [{"name": "cluster", "values": ["c0", "c1", "c2", "c3",
+                                                 "c4"]},
+                 {"name": "gender", "values": ["g0", "g1"]}],
+    "workers": [[0, 1], [1, 1], [1, 1], [2, 0], [2, 1], [2, 1], [3, 0],
+                [3, 0], [3, 0], [4, 0], [4, 1], [4, 0]],
+    "teams": [{"name": "t1", "demand": 9}],
+    "costs": {"mode": "class", "u": [[2, 4, 2, 7, 6]]},
+    "lambda0": 1, "lambdas": [1, 3],
+}
+
+
+def test_goldberg_radzik_falls_back_when_its_passes_run_out(monkeypatch):
+    inst = instance_from_dict(PASS_CAP_MISS)
+    g = build_aux_graph(inst, initial_feasible(inst))
+    found = []
+
+    def spy(graph):
+        found.append(bellman_ford_detect(graph))
+        return found[-1]
+
+    monkeypatch.setattr(negcycle, "bellman_ford_detect", spy)
+    cycle = goldberg_radzik_detect(g)
+    assert len(found) == 1
+    assert cycle is found[0]
+    assert cycle.claimed_weight == -5
+    verify_cycle(g, cycle)
+    assert solve(inst).breakdown.objective == \
+        enumerate_optimal(inst).optimal_objective == 177
 
 
 @pytest.mark.parametrize("detect", DETECTORS)

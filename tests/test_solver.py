@@ -303,11 +303,11 @@ def _sweep_states():
                                               (400, 20_000), (5_000, 30)])
 def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan,
                                                      per_subset):
-    # The sweep decides budget skips from row sizes and charges but skips
-    # subsets with an empty row; the plain rule builds every subset's
-    # columns and enumerates all it admits. Both must find the same moves,
-    # skip the same subsets and leave the same budget, also when a smaller
-    # budget makes the skips bind early.
+    # The sweep decides budget skips from row sizes and enumerates only the
+    # subsets that the flow test does not certify; the plain rule builds
+    # every subset's columns and enumerates all it admits. Both must find
+    # the same moves, skip the same subsets and leave the same budget, also
+    # when a smaller budget makes the skips bind early.
     monkeypatch.setattr(solver, "REFINE_SCAN_BUDGET", scan)
     monkeypatch.setattr(solver, "REFINE_STATE_BUDGET", per_subset)
     budgets = []
@@ -654,13 +654,13 @@ def test_resplit_sweep_logs_one_count_line(caplog):
     with caplog.at_level(logging.DEBUG, logger="divmatch"):
         solver._find_resplit(inst, graph)
     (line,) = [r.getMessage() for r in caplog.records]
-    # 55 pairs and 165 triples of 11 rows: the 10 pairs and 45 triples with
-    # the empty dummy row are charged only, the 45 real pairs certified.
-    certified, enumerated, charged, skipped = map(int, re.fullmatch(
-        r"re-split sweep: (\d+) certified, (\d+) enumerated, (\d+) charged "
-        r"only, (\d+) skipped", line).groups())
-    assert (certified, charged) == (45, 55)
-    assert certified + enumerated + charged + skipped == 55 + 165
+    # 55 pairs and 165 triples of 11 rows: the 55 pairs and the 45 triples
+    # with the empty dummy row are certified.
+    certified, enumerated, skipped = map(int, re.fullmatch(
+        r"re-split sweep: (\d+) certified, (\d+) enumerated, (\d+) skipped",
+        line).groups())
+    assert certified == 100
+    assert certified + enumerated + skipped == 55 + 165
 
 
 @settings(max_examples=300, deadline=None)
@@ -689,6 +689,38 @@ def test_optimality_proof_is_sound(seed, worker_costs, data):
         assert objective(inst, state, index).objective == \
             enumerate_optimal(inst).optimal_objective
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), worker_costs=st.booleans(),
+       data=st.data())
+def test_flow_test_certifies_every_pair_with_one_empty_row(seed,
+                                                          worker_costs,
+                                                          data):
+    # An empty row takes no worker, so such a pair's only split is its
+    # state: the re-split sweep relies on the flow test certifying it, for
+    # zero-demand teams and the empty dummy row alike, at zero to three
+    # weighted features.
+    inst = random_small_instance(seed, max_n=10 if worker_costs else 12,
+                                 max_columns=6,
+                                 worker_fraction=float(worker_costs))
+    lambdas = data.draw(st.lists(st.integers(0, 3),
+                                 min_size=inst.schema.num_features,
+                                 max_size=inst.schema.num_features))
+    inst = dataclasses.replace(inst, weights=TradeoffWeights(
+        inst.weights.lambda0, tuple(lambdas)))
+    index = build_combination_index(inst)
+    if data.draw(st.booleans()):
+        state = random_feasible_matrix(inst, index, random.Random(seed))
+    else:  # a state the solver reaches
+        cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+        state = solve(inst, SolverConfig(max_iterations=cap)).assignment
+    graph = build_aux_graph(inst, state, index)
+    for rows in itertools.combinations(range(inst.t + 1), 2):
+        if [sum(state[i]) == 0 for i in rows].count(True) != 1:
+            continue
+        cols = sorted({j for i in rows for j, x in enumerate(state[i]) if x})
+        assert solver._parts_optimal(inst, graph, rows, cols)[0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 """The same-results digest runs from the command line on the benchmark's
-known-bad instances, under every detector."""
+known-bad instances, under every detector, and on acceptance criterion 7's
+n=400 rungs."""
 
 import importlib.util
 import re
@@ -44,3 +45,14 @@ def test_digest_of_known_bad_runs_and_repeats(detector):
     assert int(objective_sum) == sum(
         solve(inst, SolverConfig(detector=detector)).breakdown.objective
         for inst in instances)
+
+
+def test_digest_of_n400_solves_criterion_7_rungs_whatever_the_seed():
+    argv = [sys.executable, str(SCRIPT), "--workload", "n400", "--seed", "5",
+            "--detector", "gr"]
+    line = subprocess.run(argv, capture_output=True, text=True, check=True,
+                          timeout=300).stdout.strip()
+    # n=400/t=75 at generator seeds 1 and 7; their final objectives under
+    # the Goldberg-Radzik detector sum to 3468.
+    assert re.fullmatch(r"n400 seed=5 detector=gr instances=2 raised=0 "
+                        r"objective_sum=3468 sha256=[0-9a-f]{64}", line), line

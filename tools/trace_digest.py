@@ -4,7 +4,9 @@
 
 Solves every instance of a workload once, in order, with the package from
 this checkout's ``src/`` and the instances of ``bench/workloads.py``
-(``known-bad`` is its ``KNOWN_BAD`` list). Prints one line per workload:
+(``known-bad`` is its ``KNOWN_BAD`` list). ``n400`` is acceptance criterion
+7's largest rungs, n=400 and t=75 at generator seeds 1 and 7, whatever
+``--seed`` says. Prints one line per workload:
 the instance count, the number of solves that raised, the sum of the final
 objectives, and a sha256 over each solve's assignment, trace, termination,
 ``refinement_complete``, ``proved_optimal`` and objective. A solve that
@@ -32,6 +34,9 @@ import workloads  # noqa: E402
 
 WORKLOADS = {name: build for name, (build, _) in workloads.WORKLOADS.items()}
 WORKLOADS["known-bad"] = lambda dm, seed: workloads.known_bad(dm)
+WORKLOADS["n400"] = lambda dm, seed: [
+    dm.generate_reviewer_instance(75, [80] * 5, "balanced", 4, seed=rung)
+    for rung in (1, 7)]
 
 
 def solve_record(inst, cfg) -> list:
