@@ -6,21 +6,21 @@ the type-count matrix alone, and the oracle enumerates count matrices.
 :func:`best_split` does the enumeration over any set of rows: the oracle
 runs it on all rows, the solver's re-split refinement on two or three,
 and only on subsets that its flow optimality test does not certify.
-Partial objectives only grow as workers are placed, and every unit still
-to place adds at least its cheapest first-unit price, so branches whose
-partial value plus that tail bound is already above the incumbent are
-pruned without affecting exactness, the first optimum found or the count of
-optima. The last row takes whatever its predecessors leave, so it is filled
-in place rather than searched. :func:`split_count` is the search space;
-:func:`least_split_count` is its least value for a number of workers,
-from which the re-split sweep skips over-budget subsets before building
-their columns.
+Partial objectives only grow as workers are placed, so branches whose
+partial value plus a lower bound on the rest (see :func:`best_split`) is
+already above the incumbent are pruned without affecting exactness, the
+first optimum found or the count of optima. The last row takes whatever its
+predecessors leave, so it is filled in place rather than searched.
+:func:`split_count` is the search space; :func:`least_split_count` is its
+least value for a number of workers, from which the re-split sweep skips
+over-budget subsets before building their columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .instance import Instance, build_combination_index
 from .objective import assignment_from_matrix
@@ -91,9 +91,20 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
     every optimal split is counted. With one, only splits strictly below it
     are explored, ``split`` is None when there is none, and ``count`` is 1
     or 0. Needs two or more rows: the last one takes the rest of each type,
-    in place. A branch is cut once its partial value plus a lower bound on
-    the types not yet placed exceeds the bound, which never cuts a split
-    that would be returned or counted.
+    in place.
+
+    A branch is cut once its partial value plus a lower bound on the types
+    not yet placed exceeds the best value so far (one less with an
+    incumbent), which never cuts a split that would be returned or counted.
+    A unit of type ``p`` in a real row adds at least ``m_p``, its least
+    first-unit price over the real rows with a positive total, and counters
+    only grow, so later units add no less. The dummy row (team 0) adds
+    nothing but takes at most its remaining capacity; at best it takes the
+    dearest units. So the types still to place add at least the sum of
+    the ``units - capacity`` cheapest of their ``m_p``, or of all of them
+    when ``rows`` has no dummy row. Units that the current type still puts
+    into the dummy row only make its capacity an overestimate, which
+    weakens the bound but keeps it valid.
     """
     lam0 = inst.weights.lambda0
     nf = inst.schema.num_features
@@ -109,16 +120,22 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
     caps = list(totals)
     split = [[0] * len(cols) for _ in rows]
     c = [[0] * nf * (1 + max(map(max, index.columns))) for _ in rows]
-    # tail[p] bounds what types p.. add: each unit at least lambda0*cost +
-    # sum_k lambda_k in a real row that takes workers, 0 in the dummy row.
-    open_rows = [r for r, total in enumerate(totals) if total > 0]
-    tail = [0] * (len(cols) + 1)
+    # tails[p][u] is the sum of the u cheapest unit prices m among types
+    # p.., of which there are units[p]; dummy is the dummy row's index.
+    open_rows = [r for r, total in enumerate(totals) if total > 0 and real[r]]
+    tails = [[0]] * (len(cols) + 1)
+    units = [0] * (len(cols) + 1)
+    prices = []
     for p in range(len(cols) - 1, -1, -1):
-        least = min((costs[r][p] + steps[p] // 2 if real[r] else 0
-                     for r in open_rows), default=0)
-        tail[p] = tail[p + 1] + counts[p] * least
+        least = min((costs[r][p] + steps[p] // 2 for r in open_rows),
+                    default=0)
+        prices += [least] * counts[p]
+        prices.sort()
+        tails[p] = list(accumulate(prices, initial=0))
+        units[p] = len(prices)
+    dummy = None if all(real) else real.index(False)
 
-    # A branch is cut once its partial value plus the tail of the types
+    # A branch is cut once its partial value plus the floor of the types
     # still to place exceeds ``limit``: the best value so far, or one less
     # when only strict improvements count.
     slack = 0 if incumbent is None else 1
@@ -135,7 +152,10 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
         # 0 adds nothing; its counters are kept but never read). When row
         # ri is the last but one, the last row takes the rest in place: its
         # marginal is fixed while y varies.
-        floor = tail[p + 1]
+        u = units[p + 1]
+        if dummy is not None:
+            u -= caps[dummy]
+        floor = tails[p + 1][u if u > 0 else 0]
         top = left if left < caps[ri] else caps[ri]
         cr = c[ri]
         marginal = step = 0

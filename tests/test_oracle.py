@@ -183,11 +183,19 @@ def test_worker_mode_general_costs_enumerates_maps():
         [[2, 1]]
 
 
-@pytest.mark.parametrize("worker_fraction", [0.0, 1.0])
-def test_oracle_matches_brute_force_over_worker_maps(worker_fraction):
+# The zero-weight inputs draw lambda_k = 0, which the oracle's counters
+# and prices drop, as certify-small does.
+@pytest.mark.parametrize("worker_fraction, lambda_choices", [
+    pytest.param(0.0, (1, 1, 2, 3), id="0.0"),
+    pytest.param(1.0, (1, 1, 2, 3), id="1.0"),
+    pytest.param(0.0, (0, 1, 2), id="0.0-zero-weights"),
+    pytest.param(1.0, (0, 1, 2), id="1.0-zero-weights")])
+def test_oracle_matches_brute_force_over_worker_maps(worker_fraction,
+                                                     lambda_choices):
     for seed in range(100):
         inst = random_small_instance(seed + 1300, max_n=7,
-                                     worker_fraction=worker_fraction)
+                                     worker_fraction=worker_fraction,
+                                     lambda_choices=lambda_choices)
         value, optima = brute_force_optima(inst)
         result = enumerate_optimal(inst, collect_optima=True)
         assert result.optimal_objective == value
@@ -272,10 +280,12 @@ def test_best_split_returns_the_first_minimal_split_in_search_order():
     # best_split places types in the order of ``cols``, each over the rows
     # in order, every row taking y = 0, 1, ... units: lexicographic order of
     # the per-type compositions. Its split must be the first minimal one in
-    # that order, with and without an incumbent, also over the dummy row
-    # and over a row that takes no worker; the solver's traces depend on it.
+    # that order, with and without an incumbent, also over the dummy row,
+    # over a row that takes no worker and with both the dummy row and a
+    # real row open, where the pruning bound counts the dummy row's spare
+    # capacity; the solver's traces depend on it.
     rng = random.Random(23)
-    kinds = {"dummy": 0, "empty": 0, "improved": 0, "kept": 0}
+    kinds = {"dummy": 0, "empty": 0, "spare": 0, "improved": 0, "kept": 0}
     for seed in range(120):
         inst = random_small_instance(seed + 2600, max_n=8, max_t=3)
         index = build_combination_index(inst)
@@ -299,6 +309,7 @@ def test_best_split_returns_the_first_minimal_split_in_search_order():
         optimal = [split for split, v in zip(splits, values) if v == least]
         kinds["dummy"] += rows[0] == 0
         kinds["empty"] += 0 in totals
+        kinds["spare"] += rows[0] == 0 and totals[0] > 0 and any(totals[1:])
         for incumbent in (None, rng.choice(values), least, least + 1):
             value, split, count, optima = best_split(
                 inst, index, rows, cols, counts, totals,

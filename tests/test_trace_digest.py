@@ -2,7 +2,9 @@
 known-bad instances, under every detector, and on acceptance criterion 7's
 n=400 rungs."""
 
+import hashlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -12,13 +14,15 @@ import pytest
 
 import divmatch
 from divmatch.negcycle import DETECTORS
+from divmatch.oracle import BudgetExceededError, enumerate_optimal
 from divmatch.solver import SolverConfig, solve
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "trace_digest.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
 LINE = re.compile(r"known-bad seed=3 detector=(\w+) instances=(\d+) "
-                  r"raised=(\d+) objective_sum=(\d+) sha256=([0-9a-f]{64})")
+                  r"raised=(\d+) objective_sum=(\d+) sha256=([0-9a-f]{64}) "
+                  r"oracle_sha256=([0-9a-f]{64})")
 
 
 def _known_bad():
@@ -39,12 +43,21 @@ def test_digest_of_known_bad_runs_and_repeats(detector):
     assert runs[0] == runs[1]
     match = LINE.fullmatch(runs[0].strip())
     assert match, runs[0]
-    name, count, raised, objective_sum, _ = match.groups()
+    name, count, raised, objective_sum, _, oracle_sha = match.groups()
     instances = _known_bad()
     assert (name, int(count), int(raised)) == (detector, len(instances), 0)
     assert int(objective_sum) == sum(
         solve(inst, SolverConfig(detector=detector)).breakdown.objective
         for inst in instances)
+    # The oracle digest hashes, one JSON line per instance, the optimum,
+    # the first optimal matrix, the number of optima and every optimum.
+    sha = hashlib.sha256()
+    for inst in instances:
+        result = enumerate_optimal(inst, collect_optima=True)
+        sha.update(json.dumps([result.optimal_objective, result.matrix,
+                               result.num_optima, result.optima]).encode())
+        sha.update(b"\n")
+    assert oracle_sha == sha.hexdigest()
 
 
 def test_digest_of_n400_solves_criterion_7_rungs_whatever_the_seed():
@@ -53,6 +66,19 @@ def test_digest_of_n400_solves_criterion_7_rungs_whatever_the_seed():
     line = subprocess.run(argv, capture_output=True, text=True, check=True,
                           timeout=300).stdout.strip()
     # n=400/t=75 at generator seeds 1 and 7; their final objectives under
-    # the Goldberg-Radzik detector sum to 3468.
-    assert re.fullmatch(r"n400 seed=5 detector=gr instances=2 raised=0 "
-                        r"objective_sum=3468 sha256=[0-9a-f]{64}", line), line
+    # the Goldberg-Radzik detector sum to 3468. Both exceed the oracle's
+    # budget, so the oracle digest hashes the two budget errors.
+    match = re.fullmatch(r"n400 seed=5 detector=gr instances=2 raised=0 "
+                         r"objective_sum=3468 sha256=[0-9a-f]{64} "
+                         r"oracle_sha256=([0-9a-f]{64})", line)
+    assert match, line
+    sha = hashlib.sha256()
+    for rung in (1, 7):
+        inst = divmatch.generate_reviewer_instance(75, [80] * 5, "balanced",
+                                                   4, seed=rung)
+        with pytest.raises(BudgetExceededError) as error:
+            enumerate_optimal(inst, collect_optima=True)
+        sha.update(json.dumps(["raised", "BudgetExceededError",
+                               str(error.value)]).encode())
+        sha.update(b"\n")
+    assert match.group(1) == sha.hexdigest()

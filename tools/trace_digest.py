@@ -8,12 +8,15 @@ this checkout's ``src/`` and the instances of ``bench/workloads.py``
 7's largest rungs, n=400 and t=75 at generator seeds 1 and 7, whatever
 ``--seed`` says. Prints one line per workload:
 the instance count, the number of solves that raised, the sum of the final
-objectives, and a sha256 over each solve's assignment, trace, termination,
-``refinement_complete``, ``proved_optimal`` and objective. A solve that
-raises adds its exception's type and message to the digest instead. Two
-checkouts that print the same lines made the same searches, so a change
-meant to keep results can be checked against its parent by running this
-script in both.
+objectives, a sha256 over each solve's assignment, trace, termination,
+``refinement_complete``, ``proved_optimal`` and objective, and an
+``oracle_sha256`` over each instance's exhaustive oracle result with every
+optimum collected (optimal objective, first optimal matrix, number of
+optima and the optima in order). A solve that raises, or an oracle call
+over its budget, adds its exception's type and message to its digest
+instead. Two checkouts that print the same lines made the same searches
+and the same oracle enumerations, so a change meant to keep results can be
+checked against its parent by running this script in both.
 """
 
 from __future__ import annotations
@@ -51,9 +54,20 @@ def solve_record(inst, cfg) -> list:
             report.proved_optimal, report.breakdown.objective]
 
 
+def oracle_record(inst) -> list:
+    """What the oracle returned with every optimum collected, as JSON-ready
+    values; or the budget error it raised."""
+    try:
+        result = divmatch.enumerate_optimal(inst, collect_optima=True)
+    except divmatch.BudgetExceededError as exc:
+        return ["raised", type(exc).__name__, str(exc)]
+    return [result.optimal_objective, result.matrix, result.num_optima,
+            result.optima]
+
+
 def digest(instances, detector: str) -> dict:
     cfg = divmatch.SolverConfig(detector=detector)
-    sha = hashlib.sha256()
+    sha, oracle_sha = hashlib.sha256(), hashlib.sha256()
     raised = objective_sum = 0
     for inst in instances:
         record = solve_record(inst, cfg)
@@ -63,8 +77,11 @@ def digest(instances, detector: str) -> dict:
             objective_sum += record[-1]
         sha.update(json.dumps(record).encode())
         sha.update(b"\n")
+        oracle_sha.update(json.dumps(oracle_record(inst)).encode())
+        oracle_sha.update(b"\n")
     return {"instances": len(instances), "raised": raised,
-            "objective_sum": objective_sum, "sha256": sha.hexdigest()}
+            "objective_sum": objective_sum, "sha256": sha.hexdigest(),
+            "oracle_sha256": oracle_sha.hexdigest()}
 
 
 def main(argv=None) -> int:
