@@ -49,10 +49,12 @@ lambdas[k] * d`` and ``enter[i][key]`` by ``+2 * lambdas[k] * d``, for the
 keys with value ``v`` of feature ``k`` (listed per graph). That is three
 writes to ``bias`` and ``start``; no edge changes.
 
-A move list means its net change alone: :meth:`AuxGraph.gain` prices it
-and :meth:`AuxGraph.apply_moves` commits it from that one net change, and
+A move list means its net change alone, :func:`net_change`, which
+:func:`change_gain` prices. :meth:`AuxGraph.gain` prices a list by those
+two, and :meth:`AuxGraph.apply_moves` commits it from that one net change;
 both reject, before anything is written, a list that would overdraw a cell
-or change a row's size.
+or change a row's size. The exact search of :mod:`divmatch.flow` prices its
+cancels by the same two functions.
 
 ``succ`` offers the detectors the edges they may use, per port in
 ``out_edges`` order: all of an input port's, and an output port's only
@@ -134,9 +136,6 @@ class AuxGraph:
             for k, v in enumerate(values):
                 self._keys_with[k][v].append(key)
         self._build()
-        self.succ = [()] * self.node_count
-        for node in range(self.node_count):
-            self._offer(node)
         self._withheld: set[int] = set()  # ports whose offer lacks edges
 
     # -- node ids -----------------------------------------------------------
@@ -176,7 +175,9 @@ class AuxGraph:
     def _build(self):
         """Set the port terms and add every edge: intra edges by team, input
         key and output key, then inter edges by source team, target team
-        and key. Port ids are made once, so the edges share them."""
+        and key. Port ids are made once, so the edges share them. Each
+        port's out-edges are offered in ``succ`` as :meth:`_offer` would,
+        from the rows of ``w``."""
         weights = self.inst.weights
         num_keys = self.num_keys
         keys = range(num_keys)
@@ -189,13 +190,14 @@ class AuxGraph:
                 for a in self.keys]
         dummy = [[0] * num_keys] * num_keys
         edges, out_edges = self.edges, self.out_edges
+        succ = self.succ = [()] * self.node_count
         for team in switches:
             table = real if team else dummy
             dst = outs[team]
             for kin, src in enumerate(ins[team]):
                 row = [AuxEdge(src, port, wgt)
                        for port, wgt in zip(dst, table[kin])]
-                out_edges[src] = row
+                out_edges[src] = succ[src] = row
                 edges += row
         for i1 in switches:
             src = outs[i1]
@@ -203,13 +205,16 @@ class AuxGraph:
                      for i2, dst in enumerate(ins) if i2 != i1
                      for key in keys]
             edges += block
-            for key in keys:
-                out_edges[src[key]] = block[key::num_keys]
+            for key, held in enumerate(self.w[i1]):
+                port = src[key]
+                out_edges[port] = block[key::num_keys]
+                if held:
+                    succ[port] = out_edges[port]
 
-    def _offer(self, node: int):
+    def _offer(self, team: int, side: int, key: int):
         """Offer a port's out-edges in ``succ``: always at an input port, at
         an output port only while its team holds a worker of its key."""
-        team, side, key = self.port(node)
+        node = self.port_id(team, side, key)
         held = side == INPUT or self.w[team][key] >= 1
         self.succ[node] = self.out_edges[node] if held else ()
 
@@ -233,68 +238,28 @@ class AuxGraph:
 
     # -- mutation -----------------------------------------------------------
 
-    def _net_change(self, moves):
-        """``(cells, counters)``: the net change that the moves ``(key,
-        from_team, to_team)`` make to each cell ``(team, key)`` and each
-        counter ``(team, k, v)``. The one rule for a move list: only net
-        changes count, in any order. Raises CycleApplicationError, before
-        anything is written, when a cell would go below zero or a row
-        would change size."""
-        cells: dict[tuple, int] = {}
-        for key, i1, i2 in moves:
-            cells[i1, key] = cells.get((i1, key), 0) - 1
-            cells[i2, key] = cells.get((i2, key), 0) + 1
-        rows: dict[int, int] = {}
-        counters: dict[tuple, int] = {}
-        for (team, key), d in cells.items():
-            if self.w[team][key] + d < 0:
-                raise CycleApplicationError(
-                    f"moves overdraw key {key} in team {team}")
-            if d:
-                rows[team] = rows.get(team, 0) + d
-                for k, v in enumerate(self.keys[key]):
-                    counters[team, k, v] = counters.get((team, k, v), 0) + d
-        for team, d in rows.items():
-            if d:
-                raise CycleApplicationError(
-                    f"moves change the size of row {team} by {d}")
-        return cells, counters
-
     def gain(self, moves) -> int:
-        """True objective change of applying ``moves`` to the current state.
-
-        Only the net change ``d`` of each cell and of each real team's
-        counter ``x = c[i][k][v]`` matters: the change is ``lambda0 * sum
-        cost[i][key] * d + sum lambdas[k] * ((x + d)^2 - x^2)``, over real
-        teams. Edge prices play no part, so a walk that mispriced itself is
-        caught. Raises CycleApplicationError as :meth:`apply_moves` does."""
-        cells, counters = self._net_change(moves)
-        lambda0 = self.inst.weights.lambda0
-        lambdas = self.inst.weights.lambdas
-        costs, c = self.index.costs, self.c
-        gain = 0
-        for (team, key), d in cells.items():
-            if team:
-                gain += lambda0 * costs[team][key] * d
-        for (team, k, v), d in counters.items():
-            if team:
-                gain += lambdas[k] * d * (2 * c[team][k][v] + d)
-        return gain
+        """True objective change of applying ``moves`` to the current state,
+        by :func:`change_gain` of their :func:`net_change`. Edge prices play
+        no part, so a walk that mispriced itself is caught. Raises
+        CycleApplicationError as :meth:`apply_moves` does."""
+        return change_gain(self.inst, self.index, self.c,
+                           net_change(self.index, self.w, moves))
 
     def apply_moves(self, moves) -> None:
         """Apply moves ``(key, from_team, to_team)``, all or nothing: a list
-        that :meth:`_net_change` rejects leaves the graph as it was. Port
+        that :func:`net_change` rejects leaves the graph as it was. Port
         terms shift by exact deltas: a net change ``d`` of counter
         ``c[i][k][v]`` at a real team shifts each key with value ``v`` of
         feature ``k`` by ``s = 2 * lambdas[k] * d``, written as ``bias[out]
         -= s``, ``bias[in] += s`` and ``start[in] -= s`` at that key's ports
         of the team. No edge changes. The offer in ``succ`` is refreshed at
         the output ports whose count changed."""
-        cells, counters = self._net_change(moves)
+        cells, counters = net_change(self.index, self.w, moves)
         for (team, key), d in cells.items():
             if d:
                 self.w[team][key] += d
-                self._offer(self.port_id(team, OUTPUT, key))
+                self._offer(team, OUTPUT, key)
         lambdas = self.inst.weights.lambdas
         bias, start, num_keys = self.bias, self.start, self.num_keys
         for (team, k, v), d in counters.items():
@@ -319,8 +284,56 @@ class AuxGraph:
     def restore(self) -> None:
         """Offer again every edge :meth:`withhold` took out."""
         for node in self._withheld:
-            self._offer(node)
+            self._offer(*self.port(node))
         self._withheld.clear()
+
+
+def net_change(index: CombinationIndex, w, moves):
+    """``(cells, counters)``: the net change that the moves ``(key,
+    from_team, to_team)`` make to each cell ``(team, key)`` of the
+    assignment matrix ``w`` and each counter ``(team, k, v)``. The one rule
+    for a move list: only net changes count, in any order. Raises
+    CycleApplicationError, before anything is written, when a cell would go
+    below zero or a row would change size."""
+    cells: dict[tuple, int] = {}
+    for key, i1, i2 in moves:
+        cells[i1, key] = cells.get((i1, key), 0) - 1
+        cells[i2, key] = cells.get((i2, key), 0) + 1
+    rows: dict[int, int] = {}
+    counters: dict[tuple, int] = {}
+    keys = index.columns
+    for (team, key), d in cells.items():
+        if w[team][key] + d < 0:
+            raise CycleApplicationError(
+                f"moves overdraw key {key} in team {team}")
+        if d:
+            rows[team] = rows.get(team, 0) + d
+            for k, v in enumerate(keys[key]):
+                counters[team, k, v] = counters.get((team, k, v), 0) + d
+    for team, d in rows.items():
+        if d:
+            raise CycleApplicationError(
+                f"moves change the size of row {team} by {d}")
+    return cells, counters
+
+
+def change_gain(inst: Instance, index: CombinationIndex, c, change) -> int:
+    """True objective change of a :func:`net_change` ``(cells, counters)``
+    at the count tensor ``c``: ``lambda0 * sum cost[i][key] * d + sum
+    lambdas[k] * ((x + d)^2 - x^2)`` over the net changes ``d`` of real
+    teams' cells and counters ``x = c[i][k][v]``."""
+    cells, counters = change
+    lambda0 = inst.weights.lambda0
+    lambdas = inst.weights.lambdas
+    costs = index.costs
+    gain = 0
+    for (team, key), d in cells.items():
+        if team:
+            gain += lambda0 * costs[team][key] * d
+    for (team, k, v), d in counters.items():
+        if team:
+            gain += lambdas[k] * d * (2 * c[team][k][v] + d)
+    return gain
 
 
 def build_aux_graph(inst: Instance, w,

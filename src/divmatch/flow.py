@@ -1,0 +1,223 @@
+"""Convex-cost flow view of the objective: optimality proofs, and exact
+cycle canceling when at most one feature is weighted.
+
+The objective splits into one part per weighted feature k, lambdas[k] *
+D_k, with lambda0 * TU added to the first part (with no weighted feature,
+the one part lambda0 * TU). Alone, a part is a separable convex-cost flow
+(Ahuja, Magnanti & Orlin, Network Flows, ch. 14; see :func:`_part_network`),
+and a state minimizes it exactly when the part's residual network has no
+negative cycle (:func:`negative_cycle`). A state that minimizes every part
+minimizes their sum, which proves it a global optimum
+(:func:`_proves_optimal`); restricted to a few rows, the same test
+certifies their split (:func:`_parts_optimal`).
+
+With at most one weighted feature the one part is the whole objective, so
+the proof is exact and a negative cycle is an improving exchange:
+:class:`CycleCanceling` cancels one at a time (Klein's cycle canceling) and
+stops at a proved optimum. A simple cycle changes each cell and counter by
+at most one unit, so its arc sum is its exact gain, which each cancel
+checks with the move-list rule of :func:`~divmatch.auxgraph.net_change` and
+:func:`~divmatch.auxgraph.change_gain` before it is written.
+
+A state is the assignment matrix ``w``, its count tensor ``c`` and the
+instance's :class:`~divmatch.instance.CombinationIndex`.
+"""
+
+from __future__ import annotations
+
+import logging
+
+from .auxgraph import change_gain, net_change
+from .objective import count_tensor
+
+__all__ = ["CycleCanceling", "negative_cycle"]
+
+logger = logging.getLogger(__name__)
+
+
+def _row_values(inst, index, w, c) -> list[int]:
+    """Each row's share of the objective in the state ``w``, ``c``."""
+    lam = inst.weights
+    return [lam.lambda0 * sum(u * x for u, x in zip(index.costs[i], row))
+            + sum(l * sum(x * x for x in vals)
+                  for l, vals in zip(lam.lambdas, c[i])) if i else 0
+            for i, row in enumerate(w)]
+
+
+def negative_cycle(node_count, arcs):
+    """A negative cycle of the ``(from, to, cost)`` arcs on nodes
+    ``0..node_count-1``, as its arcs in order, or None when no cycle is
+    negative.
+
+    Bellman-Ford from all-zero labels: the labels settle within one round
+    per node exactly when no cycle is negative. Predecessors are kept on
+    strict improvement, so a cycle among them is negative. After each round
+    that changed a label, the last improved node's predecessor chain is
+    walked, and the first cycle on it is returned, as in
+    :func:`~divmatch.negcycle.bellman_ford_detect`. From round
+    ``node_count`` on, every chain is walked."""
+    label = [0] * node_count
+    pred = [None] * node_count
+    paid = [0] * node_count  # the cost of each node's predecessor arc
+    rounds = 0
+    while True:
+        last = None
+        for u, v, cost in arcs:
+            if label[u] + cost < label[v]:
+                label[v] = label[u] + cost
+                pred[v], paid[v], last = u, cost, v
+        if last is None:
+            return None
+        rounds += 1
+        cycle = _pred_cycle(pred, paid, [last] if rounds < node_count
+                            else range(node_count))
+        if cycle is not None:
+            return cycle
+
+
+def _pred_cycle(pred, paid, starts):
+    """The first cycle met walking the predecessor chains from ``starts``,
+    as its arcs in order, or None."""
+    walk = {}  # node -> the start whose walk reached it first
+    for start in starts:
+        node = start
+        while node is not None and node not in walk:
+            walk[node] = start
+            node = pred[node]
+        if node is not None and walk[node] == start:
+            cycle, v = [], node
+            while not cycle or v != node:
+                cycle.append((pred[v], v, paid[v]))
+                v = pred[v]
+            cycle.reverse()
+            return cycle
+    return None
+
+
+def _proves_optimal(inst, index, w, c) -> bool:
+    """True when the state is shown to be a global optimum; False says
+    nothing. One debug line per call gives the verdict and the size of the
+    networks tested."""
+    proved, nodes, arcs = _parts_optimal(inst, index, w, c,
+                                         range(inst.t + 1),
+                                         range(index.num_columns))
+    _log_proof(proved, nodes, arcs)
+    return proved
+
+
+def _log_proof(proved, nodes, arcs):
+    logger.debug("optimality proof: %s (%d nodes, %d arcs)",
+                 "proved" if proved else "not proved", nodes, arcs)
+
+
+def _parts_optimal(inst, index, w, c, rows, cols):
+    """``(optimal, nodes, arcs)``: ``optimal`` is True when no split of the
+    ``rows``' workers, all of types ``cols`` and each row keeping its size,
+    has a smaller share of the objective than the state; False says
+    nothing. ``nodes`` and ``arcs`` count the networks tested. Parts are
+    tested in feature order, and the first that fails ends the test."""
+    weighted = [k for k, lam in enumerate(inst.weights.lambdas) if lam]
+    nodes = arcs = 0
+    for part, k in enumerate(weighted or [0]):
+        count, part_arcs = _part_network(inst, index, w, c, k, part == 0,
+                                         rows, cols)
+        nodes += count
+        arcs += len(part_arcs)
+        if negative_cycle(count, part_arcs) is not None:
+            return False, nodes, arcs
+    return True, nodes, arcs
+
+
+def _part_network(inst, index, w, c, k, with_cost, rows, cols):
+    """``(node_count, arcs)`` of the residual network of feature ``k``'s
+    objective part, lambdas[k] * D_k plus lambda0 * TU ``with_cost``, over
+    re-splits of the ``rows``' workers, whose types are among ``cols``, in
+    the state ``w``, ``c``.
+
+    Type j sends w[i][j] to node (i, v) at its cost in team i (0 without
+    cost): an arc type -> (i, v) adds a unit, and (i, v) -> type, while
+    w[i][j] > 0, takes one away. (i, v) sends its counter x = c[i][k][v]
+    on to team i: (i, v) -> team adds a unit at lambdas[k] * (2x + 1), and
+    team -> (i, v), while x > 0, takes one away at lambdas[k] * (1 - 2x).
+    The dummy team adds nothing. Nodes are the types, then (team, value)
+    for each value some type has, then the teams, each in the order
+    given."""
+    lam = inst.weights.lambdas[k]
+    lam0 = inst.weights.lambda0 if with_cost else 0
+    keys, costs = index.columns, index.costs
+    slot = {v: s for s, v in enumerate(sorted({keys[j][k] for j in cols}))}
+    teams = len(cols) + len(rows) * len(slot)  # node of the first team
+    arcs = []
+    for r, i in enumerate(rows):
+        row, counts = w[i], c[i][k]
+        first = len(cols) + r * len(slot)  # node of (i, the first value)
+        lam_i = lam if i else 0
+        for v, s in slot.items():
+            x = counts[v]
+            arcs.append((first + s, teams + r, lam_i * (2 * x + 1)))
+            if x:
+                arcs.append((teams + r, first + s, lam_i * (1 - 2 * x)))
+        for n, j in enumerate(cols):
+            node, cost = first + slot[keys[j][k]], lam0 * costs[i][j]
+            arcs.append((n, node, cost))
+            if row[j]:
+                arcs.append((node, n, -cost))
+    return teams + len(rows), arcs
+
+
+class CycleCanceling:
+    """The exact search for an instance with at most one weighted feature
+    (with more, it would minimize the first weighted part alone), one
+    cancel at a time, from the assignment matrix ``w``.
+
+    :meth:`step` finds the next improving exchange in the network of the
+    one part, over all rows and types, and :meth:`commit` writes it.
+    ``w`` and ``c`` are the live state; ``proved_optimal`` and
+    ``refinement_complete`` turn true when no negative cycle is left."""
+
+    def __init__(self, inst, index, w):
+        self.inst, self.index = inst, index
+        self.w = [list(row) for row in w]
+        self.c = count_tensor(inst, self.w, index)
+        self.feature = next((k for k, lam in enumerate(inst.weights.lambdas)
+                             if lam), 0)
+        self.proved_optimal = self.refinement_complete = False
+        self._pending = None
+
+    def step(self):
+        """``(cycle_len, claimed, exact)`` of the next cancel, with
+        ``cycle_len`` its number of moves, or None at a proved optimum.
+        Each type node on the cycle is one move ``(type, team of its
+        in-arc, team of its out-arc)``. Raises RuntimeError when the
+        cycle's exact gain is not its arc sum or is above -1."""
+        inst, index = self.inst, self.index
+        cols = range(index.num_columns)
+        count, arcs = _part_network(inst, index, self.w, self.c,
+                                    self.feature, True, range(inst.t + 1),
+                                    cols)
+        cycle = negative_cycle(count, arcs)
+        if cycle is None:
+            _log_proof(True, count, len(arcs))
+            self.proved_optimal = self.refinement_complete = True
+            return None
+        types = len(cols)
+        slots = (count - types) // (inst.t + 1) - 1  # values per team
+        moves = [(to, (u - types) // slots, (after[1] - types) // slots)
+                 for (u, to, _), after in zip(cycle, cycle[1:] + cycle[:1])
+                 if to < types]
+        change = net_change(index, self.w, moves)
+        claimed = sum(cost for _, _, cost in cycle)
+        exact = change_gain(inst, index, self.c, change)
+        if exact != claimed or exact > -1:
+            raise RuntimeError(f"a cycle of cost {claimed} has exact gain "
+                               f"{exact}")
+        self._pending = change
+        return len(moves), claimed, exact
+
+    def commit(self):
+        """Write the net change of the last step's cycle."""
+        cells, counters = self._pending
+        for (team, key), d in cells.items():
+            self.w[team][key] += d
+        for (team, k, v), d in counters.items():
+            self.c[team][k][v] += d

@@ -1,23 +1,32 @@
-"""Cycle-cancellation solver: build, detect, verify, commit, repeat.
+"""Cycle-cancellation solver: detect, verify, commit, repeat.
 
-Starting from a greedy feasible assignment, the solver looks for a negative
-cycle in the switch-graph, prices the candidate exchange's true objective
-change with :meth:`~divmatch.auxgraph.AuxGraph.gain` (from the net changes
-of its moves, independently of the edge prices that found it), and commits
-it only when the true change is at most -1. The commit reads the same net
-change, so what was priced is what is applied. The objective is evaluated
-only at the start, from the switch-graph's counters, and once in full at
-the end, as a check that the committed gains add up.
+Starting from a greedy feasible assignment, one loop commits improving
+steps, each of a true objective change of at most -1, from one of two
+searches. An instance with at most one weighted feature takes the exact
+path: :class:`~divmatch.flow.CycleCanceling` cancels negative cycles of the
+objective's flow network and ends at a proved optimum, with no
+switch-graph. Any other instance searches the switch-graph, as below. The
+loop's bookkeeping is the same for both: the iteration cap, the descent
+bound, one :class:`IterationRecord` per commit, and the objective, evaluated
+at the start from the search's counters and once in full at the end, as a
+check that the committed gains add up.
+
+On the switch-graph, the solver looks for a negative cycle, prices the
+candidate exchange's true objective change with
+:meth:`~divmatch.auxgraph.AuxGraph.gain` (from the net changes of its
+moves, independently of the edge prices that found it), and commits it only
+when the true change is at most -1. The commit reads the same net change,
+so what was priced is what is applied.
 A detected walk that visits some switch more than once can misprice itself
 (its edge weights assume untouched counters). Such walks are split at
 repeated switch visits into switch-simple pieces, which price exactly; if
 none of the pieces improves either, the walk was spuriously negative: the
 graph withholds its edges from detection until the next commit restores
 them. Once no negative cycle remains, the solver first tries to prove the
-state a global optimum: the objective splits into one part per weighted
-feature (the first also carrying the cost), each part alone is a
-convex-cost flow, and a state optimal for every part is optimal for their
-sum. When that proof fails, a bounded exact
+state a global optimum with :mod:`divmatch.flow`: the objective splits into
+one part per weighted feature (the first also carrying the cost), each part
+alone is a convex-cost flow, and a state optimal for every part is optimal
+for their sum. When that proof fails, a bounded exact
 re-split of small team subsets runs as a safety net against counter-coupled
 exchanges that no single cycle can express. The same proof, restricted to a
 subset's rows and types, certifies a pair or triple before it is
@@ -39,6 +48,7 @@ from dataclasses import dataclass
 
 from .auxgraph import apply_and_update, build_aux_graph, cycle_from_moves, \
     moves_of
+from .flow import CycleCanceling, _parts_optimal, _proves_optimal, _row_values
 from .instance import CombinationIndex, Instance, build_combination_index
 from .negcycle import DETECTORS
 from .objective import ObjectiveBreakdown, breakdown_of, objective, \
@@ -141,116 +151,6 @@ REFINE_STATE_BUDGET = 20_000
 REFINE_SCAN_BUDGET = 2_000_000
 
 
-def _row_values(inst, graph) -> list[int]:
-    """Each row's share of the objective in the graph's current state."""
-    lam = inst.weights
-    costs = graph.index.costs
-    return [lam.lambda0 * sum(u * x for u, x in zip(costs[i], row))
-            + sum(l * sum(x * x for x in vals)
-                  for l, vals in zip(lam.lambdas, graph.c[i])) if i else 0
-            for i, row in enumerate(graph.w)]
-
-
-def _has_negative_cycle(node_count, arcs) -> bool:
-    """Bellman-Ford from all-zero labels over ``(from, to, cost)`` arcs on
-    nodes ``0..node_count-1``: the labels settle within one round per node
-    exactly when no cycle is negative. Predecessors are kept on strict
-    improvement, so a cycle among them is negative; after each round that
-    changed a label, the last improved node's predecessor chain is walked
-    and the first cycle on it ends the search, as in
-    :func:`~divmatch.negcycle.bellman_ford_detect`."""
-    label = [0] * node_count
-    pred = [None] * node_count
-    for _ in range(node_count):
-        last = None
-        for u, v, cost in arcs:
-            if label[u] + cost < label[v]:
-                label[v] = label[u] + cost
-                pred[v], last = u, v
-        if last is None:
-            return False
-        seen = set()
-        while last is not None and last not in seen:
-            seen.add(last)
-            last = pred[last]
-        if last is not None:
-            return True
-    return True
-
-
-def _proves_optimal(inst, graph) -> bool:
-    """True when the graph's state is shown to be a global optimum; False
-    says nothing. One debug line per call gives the verdict and the size of
-    the networks tested."""
-    proved, nodes, arcs = _parts_optimal(inst, graph, range(inst.t + 1),
-                                         range(len(graph.keys)))
-    logger.debug("optimality proof: %s (%d nodes, %d arcs)",
-                 "proved" if proved else "not proved", nodes, arcs)
-    return proved
-
-
-def _parts_optimal(inst, graph, rows, cols):
-    """``(optimal, nodes, arcs)``: ``optimal`` is True when no split of the
-    ``rows``' workers, all of types ``cols`` and each row keeping its size,
-    has a smaller share of the objective than the graph's state; False says
-    nothing. ``nodes`` and ``arcs`` count the networks tested.
-
-    The rows' share is the sum of one part per weighted feature k,
-    lambdas[k] * D_k, with lambda0 * TU added to the first part (with no
-    weighted feature, the one part lambda0 * TU). Every split has every
-    part at least that part's minimum, so a state that minimizes each part
-    alone, as its flow network shows, minimizes their sum. Parts are tested
-    in feature order, and the first that fails ends the test."""
-    weighted = [k for k, lam in enumerate(inst.weights.lambdas) if lam]
-    nodes = arcs = 0
-    for part, k in enumerate(weighted or [0]):
-        count, part_arcs = _part_network(inst, graph, k, part == 0, rows,
-                                         cols)
-        nodes += count
-        arcs += len(part_arcs)
-        if _has_negative_cycle(count, part_arcs):
-            return False, nodes, arcs
-    return True, nodes, arcs
-
-
-def _part_network(inst, graph, k, with_cost, rows, cols):
-    """``(node_count, arcs)`` of the residual network of feature ``k``'s
-    objective part, lambdas[k] * D_k plus lambda0 * TU ``with_cost``, over
-    re-splits of the ``rows``' workers, whose types are among ``cols``, at
-    the graph's state.
-
-    Alone, the part is a separable convex-cost flow (Ahuja, Magnanti &
-    Orlin, Network Flows, ch. 14): type j sends w[i][j] to node (i, v), v
-    its value of feature k, at its cost in team i (0 without cost), and
-    (i, v) sends its counter x = c[i][k][v] on to team i at the convex cost
-    lambdas[k] * x^2; the dummy team adds nothing. Supplies and demands are
-    fixed, so the state is optimal for the part exactly when this network,
-    priced at marginal unit costs, has no negative cycle. Nodes are the
-    types, then (team, value) for each value some type has, then the
-    teams, each in the order given."""
-    lam = inst.weights.lambdas[k]
-    lam0 = inst.weights.lambda0 if with_cost else 0
-    keys, costs = graph.keys, graph.index.costs
-    slot = {v: s for s, v in enumerate(sorted({keys[j][k] for j in cols}))}
-    teams = len(cols) + len(rows) * len(slot)  # node of the first team
-    arcs = []
-    for r, i in enumerate(rows):
-        row, counts = graph.w[i], graph.c[i][k]
-        first = len(cols) + r * len(slot)  # node of (i, the first value)
-        lam_i = lam if i else 0
-        for v, s in slot.items():
-            x = counts[v]
-            arcs.append((first + s, teams + r, lam_i * (2 * x + 1)))
-            if x:
-                arcs.append((teams + r, first + s, lam_i * (1 - 2 * x)))
-        for n, j in enumerate(cols):
-            node, cost = first + slot[keys[j][k]], lam0 * costs[i][j]
-            arcs.append((n, node, cost))
-            if row[j]:
-                arcs.append((node, n, -cost))
-    return teams + len(rows), arcs
-
-
 def _moves_from_split(graph, rows, cols, split):
     """Moves taking the ``rows``' cells of ``cols`` to ``split``: per
     column, the k-th unit some row gives up goes to the k-th unit some row
@@ -315,7 +215,7 @@ def _find_resplit(inst, graph, max_rows=3):
     each outcome."""
     nonzero = [{j for j, x in enumerate(row) if x} for row in graph.w]
     sizes = [sum(row) for row in graph.w]
-    values = _row_values(inst, graph)
+    values = _row_values(inst, graph.index, graph.w, graph.c)
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
     found = None
     for rows in itertools.chain.from_iterable(
@@ -329,7 +229,7 @@ def _find_resplit(inst, graph, max_rows=3):
         pooled = [sum(graph.w[i][j] for i in rows) for j in cols]
         if not spent.take(split_count(pooled, len(rows))):
             continue
-        if _parts_optimal(inst, graph, rows, cols)[0]:
+        if _parts_optimal(inst, graph.index, graph.w, graph.c, rows, cols)[0]:
             spent.certified += 1
             continue
         spent.enumerated += 1
@@ -372,66 +272,32 @@ def _split_switch_simple(moves):
 
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the cancellation loop to a certified local-search fixed point,
-    reported ``proved_optimal`` where it is shown to be a global optimum."""
+    reported ``proved_optimal`` where it is shown to be a global optimum.
+    With at most one weighted feature the loop cancels cycles of the flow
+    network (:class:`~divmatch.flow.CycleCanceling`) and, unless capped,
+    ends proved; otherwise it searches the switch-graph."""
     cfg = cfg or SolverConfig()
-    detect = DETECTORS[cfg.detector]
     index = build_combination_index(inst)
     start = initial_feasible(inst, index)
-    graph = build_aux_graph(inst, start, index)
-    initial = breakdown_of(inst, graph.w, graph.c, index)
+    if sum(lam > 0 for lam in inst.weights.lambdas) <= 1:
+        search = CycleCanceling(inst, index, start)
+    else:
+        search = _SwitchGraphSearch(inst, index, start,
+                                    DETECTORS[cfg.detector])
+    initial = breakdown_of(inst, search.w, search.c, index)
     bound = _descent_bound(inst, initial.tu)
     current = initial.objective
     initial_objective = current
     trace: list[IterationRecord] = []
     iterations = 0
-    stalls = 0
     termination = "optimal"
-    complete = proved = False
 
-    while True:
-        cycle = detect(graph)
-        if cycle is None:
-            # A proved state is a global optimum, so the re-split sweep
-            # could find nothing there.
-            if _proves_optimal(inst, graph):
-                complete = proved = True
-                break
-            # Withheld edges may hide a real cycle, but detecting again with
-            # them offered on the unchanged graph returns the withheld walk;
-            # the re-split is the way on.
-            found, complete = _find_resplit(inst, graph)
-            if found is None:
-                break
-            moves, gain = found
-            cycle_len, claimed = len(moves), gain
-        else:
-            found = _improving_walk(graph, cycle)
-            if found is None:
-                # Splitting re-pairs the intra edges at the cut switches, so
-                # a multi-visit walk can price negative while neither it nor
-                # any piece truly improves. Withhold the walk and look again;
-                # withholding one edge would keep surfacing sibling walks.
-                stalls += 1
-                logger.debug(
-                    "negative walk (claimed %d, exact >= 0) yielded no "
-                    "improving exchange; re-detecting without its edges",
-                    cycle.claimed_weight)
-                if stalls > len(graph.edges):
-                    raise RuntimeError(
-                        "detection keeps returning non-improving walks")
-                graph.withhold(cycle.edges)
-                continue
-            walk, gain = found
-            cycle_len, claimed = len(walk), walk.claimed_weight
+    while (step := search.step()) is not None:
         if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
             termination = "iteration-cap"  # a verified step is still pending
             break
-        if cycle is None:
-            graph.apply_moves(moves)
-        else:
-            apply_and_update(graph, walk)
-        graph.restore()
-        stalls = 0
+        cycle_len, claimed, gain = step
+        search.commit()
         iterations += 1
         current += gain
         record = IterationRecord(iterations, cycle_len, claimed, gain, current)
@@ -441,12 +307,78 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
             raise RuntimeError(
                 f"iterations exceeded the descent bound {bound}")
 
-    final_state = graph.current_state()
+    final_state = [list(row) for row in search.w]
     breakdown = objective(inst, final_state, index)
     if breakdown.objective != current:
         raise RuntimeError("objective bookkeeping drifted from recomputation")
     return SolveReport(final_state, breakdown, iterations, trace,
-                       termination, initial_objective, complete, proved)
+                       termination, initial_objective,
+                       search.refinement_complete, search.proved_optimal)
+
+
+class _SwitchGraphSearch:
+    """The search on the switch-graph, one committing step at a time, from
+    the assignment matrix ``start``: :meth:`step` finds the next improving
+    walk, piece or re-split, and :meth:`commit` applies it. ``w`` and ``c``
+    are the graph's live state."""
+
+    def __init__(self, inst, index, start, detect):
+        self.inst, self.detect = inst, detect
+        self.graph = build_aux_graph(inst, start, index)
+        self.w, self.c = self.graph.w, self.graph.c
+        self.refinement_complete = self.proved_optimal = False
+        self._pending = None  # (re-split moves, None) or (None, walk)
+
+    def step(self):
+        """``(cycle_len, claimed, exact)`` of the next committing step, or
+        None at a fixed point."""
+        graph = self.graph
+        stalls = 0
+        while True:
+            cycle = self.detect(graph)
+            if cycle is None:
+                # A proved state is a global optimum, so the re-split sweep
+                # could find nothing there.
+                if _proves_optimal(self.inst, graph.index, graph.w, graph.c):
+                    self.refinement_complete = self.proved_optimal = True
+                    return None
+                # Withheld edges may hide a real cycle, but detecting again
+                # with them offered on the unchanged graph returns the
+                # withheld walk; the re-split is the way on.
+                found, self.refinement_complete = _find_resplit(self.inst,
+                                                                graph)
+                if found is None:
+                    return None
+                moves, gain = found
+                self._pending = moves, None
+                return len(moves), gain, gain
+            found = _improving_walk(graph, cycle)
+            if found is not None:
+                walk, gain = found
+                self._pending = None, walk
+                return len(walk), walk.claimed_weight, gain
+            # Splitting re-pairs the intra edges at the cut switches, so a
+            # multi-visit walk can price negative while neither it nor any
+            # piece truly improves. Withhold the walk and look again;
+            # withholding one edge would keep surfacing sibling walks.
+            stalls += 1
+            logger.debug(
+                "negative walk (claimed %d, exact >= 0) yielded no "
+                "improving exchange; re-detecting without its edges",
+                cycle.claimed_weight)
+            if stalls > len(graph.edges):
+                raise RuntimeError(
+                    "detection keeps returning non-improving walks")
+            graph.withhold(cycle.edges)
+
+    def commit(self):
+        """Apply the last step, and offer every withheld edge again."""
+        moves, walk = self._pending
+        if walk is None:
+            self.graph.apply_moves(moves)
+        else:
+            apply_and_update(self.graph, walk)
+        self.graph.restore()
 
 
 def _improving_walk(graph, cycle):

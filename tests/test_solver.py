@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divmatch import solver
+from divmatch import flow, solver
 from divmatch.auxgraph import (CycleApplicationError, apply_and_update,
                                build_aux_graph, cycle_from_moves, dump_edges,
                                moves_of)
@@ -409,7 +409,7 @@ def test_coupled_pair_trap_stall_is_not_proved(monkeypatch):
     assert bare.proved_optimal is False
     graph = build_aux_graph(inst, bare.assignment,
                             build_combination_index(inst))
-    assert solver._proves_optimal(inst, graph) is False
+    assert flow._proves_optimal(inst, graph.index, graph.w, graph.c) is False
     refined = solve(inst)
     assert refined.proved_optimal is True
     assert refined.refinement_complete is True
@@ -553,8 +553,8 @@ def test_subset_flow_certificate_is_sound(seed, worker_costs, data):
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
-    graph = build_aux_graph(inst, state, index)
-    values = solver._row_values(inst, graph)
+    c = count_tensor(inst, state, index)
+    values = flow._row_values(inst, index, state, c)
     exact = sum(lam > 0 for lam in lambdas) <= 1
     for size in (2, 3):
         for rows in itertools.permutations(range(inst.t + 1), size):
@@ -567,7 +567,8 @@ def test_subset_flow_certificate_is_sound(seed, worker_costs, data):
                 [sum(state[i][j] for i in rows) for j in cols],
                 [sum(state[i]) for i in rows],
                 incumbent=sum(values[i] for i in rows))
-            certified, _, _ = solver._parts_optimal(inst, graph, rows, cols)
+            certified, _, _ = flow._parts_optimal(inst, index, state, c,
+                                                  rows, cols)
             assert not certified or split is None
             if exact:
                 assert certified == (split is None)
@@ -684,8 +685,8 @@ def test_optimality_proof_is_sound(seed, worker_costs, data):
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
-    graph = build_aux_graph(inst, state, index)
-    if solver._proves_optimal(inst, graph):
+    c = count_tensor(inst, state, index)
+    if flow._proves_optimal(inst, index, state, c):
         assert objective(inst, state, index).objective == \
             enumerate_optimal(inst).optimal_objective
 
@@ -715,12 +716,12 @@ def test_flow_test_certifies_every_pair_with_one_empty_row(seed,
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
-    graph = build_aux_graph(inst, state, index)
+    c = count_tensor(inst, state, index)
     for rows in itertools.combinations(range(inst.t + 1), 2):
         if [sum(state[i]) == 0 for i in rows].count(True) != 1:
             continue
         cols = sorted({j for i in rows for j, x in enumerate(state[i]) if x})
-        assert solver._parts_optimal(inst, graph, rows, cols)[0]
+        assert flow._parts_optimal(inst, index, state, c, rows, cols)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -743,7 +744,7 @@ def test_part_flow_test_is_exact(seed, worker_costs, data):
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
-    graph = build_aux_graph(inst, state, index)
+    c = count_tensor(inst, state, index)
     everyone = range(inst.t + 1)
     subsets = [(everyone, range(index.num_columns))]
     for size in (2, 3):
@@ -770,16 +771,17 @@ def test_part_flow_test_is_exact(seed, worker_costs, data):
                         for i, row in enumerate(state)]
                 value = breakdown_of(part, held, count_tensor(
                     part, held, part_index), part_index).objective
-                network = solver._part_network(part, graph, k, with_cost,
-                                               rows, cols)
-                assert solver._has_negative_cycle(*network) == \
+                network = flow._part_network(part, index, state, c, k,
+                                             with_cost, rows, cols)
+                assert (flow.negative_cycle(*network) is not None) == \
                     (value > least)
 
 
 def test_negative_cycle_check_matches_networkx():
     # Random arc lists, parallel arcs and self-loops included; the check
     # stops at the first predecessor cycle, and must still answer exactly
-    # what a full Bellman-Ford answers.
+    # what a full Bellman-Ford answers. A cycle it returns is a closed walk
+    # of the input's arcs with a negative total.
     rng = random.Random(13)
     verdicts = []
     for _ in range(400):
@@ -791,7 +793,13 @@ def test_negative_cycle_check_matches_networkx():
         reference.add_nodes_from(range(nodes))
         reference.add_weighted_edges_from(arcs)
         expected = nx.negative_edge_cycle(reference)
-        assert solver._has_negative_cycle(nodes, arcs) == expected
+        cycle = flow.negative_cycle(nodes, arcs)
+        assert (cycle is not None) == expected
+        if cycle is not None:
+            assert all(arc in arcs for arc in cycle)
+            assert all(a[1] == b[0]
+                       for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            assert sum(cost for _, _, cost in cycle) < 0
         verdicts.append(expected)
     assert 100 < sum(verdicts) < 300
 
@@ -839,3 +847,66 @@ def test_optimality_proof_logs_one_line_per_attempt(caplog):
                              r"\((\d+) nodes, (\d+) arcs\)", line).group(1)
                 for line in lines]
     assert verdicts == ["not proved", "proved"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), worker_costs=st.booleans(),
+       data=st.data())
+def test_one_weighted_feature_cancels_flow_cycles_to_the_optimum(
+        seed, worker_costs, data):
+    # With at most one weighted feature (none included), drawn from 0..3,
+    # the solve cancels flow cycles without building a switch-graph, and
+    # ends proved at the oracle's optimum. Each cancel's arc sum is its
+    # exact gain.
+    inst = random_small_instance(seed, max_n=10 if worker_costs else 12,
+                                 max_columns=6,
+                                 worker_fraction=float(worker_costs))
+    nf = inst.schema.num_features
+    weighted = data.draw(st.sampled_from([None, *range(nf)]))
+    lam = data.draw(st.integers(0, 3))
+    inst = dataclasses.replace(inst, weights=TradeoffWeights(
+        inst.weights.lambda0,
+        tuple(lam if k == weighted else 0 for k in range(nf))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the switch-graph was built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "build_aux_graph", refuse)
+        report = solve(inst, SolverConfig(
+            detector=data.draw(st.sampled_from(["gr", "bf"]))))
+    assert report.termination == "optimal"
+    assert report.proved_optimal is True
+    assert report.refinement_complete is True
+    assert report.breakdown.objective == \
+        enumerate_optimal(inst).optimal_objective
+    assert all(r.claimed == r.exact <= -1 for r in report.trace)
+
+
+def test_one_weighted_feature_iteration_cap_stops_after_the_first_cancel():
+    # This instance, with the gender weight off, needs three cancels; a cap
+    # of one commits the first and stops with the second pending.
+    inst = generate_reviewer_instance(2, [3] * 3, "balanced", 3, seed=2)
+    inst = dataclasses.replace(inst, weights=TradeoffWeights(
+        inst.weights.lambda0, (inst.weights.lambdas[0], 0)))
+    full = solve(inst)
+    assert full.iterations >= 2
+    assert full.proved_optimal is True
+    capped = solve(inst, SolverConfig(max_iterations=1))
+    assert capped.termination == "iteration-cap"
+    assert capped.iterations == 1
+    assert capped.trace == full.trace[:1]
+    assert capped.breakdown.objective == \
+        capped.initial_objective + full.trace[0].exact
+    assert capped.proved_optimal is False
+    assert capped.refinement_complete is False
+
+
+def test_one_weighted_feature_logs_one_proof_line(caplog):
+    inst = make(dict(EIGHT_VS_SIXTEEN, lambdas=[1, 0]))
+    with caplog.at_level(logging.DEBUG, logger="divmatch"):
+        solve(inst)
+    (line,) = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("optimality proof")]
+    assert re.fullmatch(r"optimality proof: proved \(\d+ nodes, \d+ arcs\)",
+                        line)
