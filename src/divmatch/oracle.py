@@ -8,9 +8,15 @@ runs it on all rows, the solver's re-split refinement on two or three,
 and only on subsets that its flow optimality test does not certify.
 Partial objectives only grow as workers are placed, so branches whose
 partial value plus a lower bound on the rest (see :func:`best_split`) is
-already above the incumbent are pruned without affecting exactness, the
-first optimum found or the count of optima. The last row takes whatever its
-predecessors leave, so it is filled in place rather than searched.
+already above the limit are pruned without affecting exactness, the
+optimum returned or the count of optima. The limit is the best value so
+far; with no incumbent it starts at the value of a greedy split
+(:func:`_greedy_split`), which no optimum exceeds. The last row takes
+whatever its predecessors leave, so it is filled in place rather than
+searched. The oracle searches the types in descending order of their cost
+spread over the real teams times their multiplicity, so that the bound
+cuts early, and breaks ties by index order: its matrix and its optima are
+the first in an index-order search, whatever order it searched in.
 :func:`split_count` is the search space; :func:`least_split_count` is its
 least value for a number of workers, from which the re-split sweep skips
 over-budget subsets before building their columns.
@@ -18,7 +24,9 @@ over-budget subsets before building their columns.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -48,17 +56,32 @@ class OracleResult:
 
 def enumerate_optimal(inst: Instance, budget: int = DEFAULT_BUDGET,
                       collect_optima: bool = False) -> OracleResult:
-    """Exact minimum of the objective over all feasible assignments."""
+    """Exact minimum of the objective over all feasible assignments. Of the
+    optimal matrices, ``matrix`` and ``optima`` are the first in index
+    order, as :func:`best_split` orders splits by its ``order``."""
     index = build_combination_index(inst)
     rows = range(inst.t + 1)
     space = split_count(index.multiplicities, len(rows))
     if space > budget:
         raise BudgetExceededError(
             f"{space} candidate matrices exceed the budget of {budget}")
-    best, w, count, optima = best_split(
-        inst, index, rows, range(index.num_columns), index.multiplicities,
+    # Types of widest cost spread over the real teams, times multiplicity,
+    # go first: where they go moves the value most, so the bound cuts early.
+    spread = [(max(col) - min(col)) * u for col, u in
+              zip(zip(*index.costs[1:]), index.multiplicities)]
+    cols = sorted(range(index.num_columns), key=lambda j: -spread[j])
+    order = sorted(range(index.num_columns), key=cols.__getitem__)
+    best, split, count, optima = best_split(
+        inst, index, rows, cols, [index.multiplicities[j] for j in cols],
         [inst.demand(i) for i in rows], collect=collect_optima,
-        cap=OPTIMA_CAP)
+        cap=OPTIMA_CAP, order=order)
+
+    def in_index_order(m):
+        return [[row[p] for p in order] for row in m]
+
+    w = in_index_order(split)
+    if optima is not None:
+        optima = [in_index_order(m) for m in optima]
     return OracleResult(best, w, assignment_from_matrix(inst, w, index),
                         count, optima)
 
@@ -77,45 +100,97 @@ def least_split_count(total: int, num_rows: int) -> int:
     return math.comb(total + num_rows - 1, num_rows - 1)
 
 
+def _unit_prices(inst, index, rows, cols):
+    """``(slots, costs)``: per type ``p``, ``(lambda_k, k + nf*v)`` for the
+    value ``v`` of each weighted feature ``k`` of ``cols[p]``, the slot of
+    its counter in a row's flat counter list; and ``lambda0`` times the cost
+    of one type-``p`` worker in team ``rows[r]``, as ``costs[r][p]``. A
+    unit's marginal price in a real row is its cost plus ``lambda_k *
+    (2x + 1)`` for each slot, at the row's counter ``x``."""
+    nf = inst.schema.num_features
+    slots = [[(lam, k + nf * v) for k, (lam, v) in
+              enumerate(zip(inst.weights.lambdas, index.columns[j])) if lam]
+             for j in cols]
+    costs = [[inst.weights.lambda0 * index.costs[i][j] for j in cols]
+             for i in rows]
+    return slots, costs
+
+
+def _greedy_split(rows, slots, costs, counts, totals):
+    """A feasible split for :func:`best_split`'s arguments, and its value,
+    from the unit prices ``slots`` and ``costs`` of :func:`_unit_prices`.
+
+    Units go one at a time to the (type, real row with room) pair of least
+    marginal price at the counters so far, ties to the first type, then to
+    the first row; the dummy row, if ``rows`` has one, takes what is left.
+    Returns ``(value, split)``."""
+    # A unit on counter slot f raises the price of every type q on that
+    # slot in its row by 2*lambda_k.
+    sharers = defaultdict(list)
+    for q, row in enumerate(slots):
+        for lam, f in row:
+            sharers[f].append((q, 2 * lam))
+    price = [[cost + sum(lam for lam, _ in slots[p])
+              for p, cost in enumerate(row)] for row in costs]
+    types = range(len(counts))
+    left = list(counts)
+    room = [total if i != 0 else 0 for i, total in zip(rows, totals)]
+    split = [[0] * len(counts) for _ in rows]
+    value = 0
+    for _ in range(sum(room)):
+        least, p, r = min([(row[p], p, r) for r, row in enumerate(price)
+                           if room[r] for p in types if left[p]])
+        value += least
+        left[p] -= 1
+        room[r] -= 1
+        split[r][p] += 1
+        for _, f in slots[p]:
+            for q, step in sharers[f]:
+                price[r][q] += step
+    if 0 in rows:
+        split[rows.index(0)] = left
+    return value, split
+
+
 def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
-               collect=False, cap=0):
+               collect=False, cap=0, order=None):
     """Best way to split ``counts[p]`` workers of type ``cols[p]`` among the
     teams ``rows``, team ``rows[r]`` taking ``totals[r]`` workers in all.
 
     Returns ``(value, split, count, optima)``: the least value of the rows'
-    share of the objective, an optimal split ``split[r][p]`` (the first
-    found), the number of optimal splits and, when ``collect``, up to
-    ``cap`` of them. Types are placed in the order of ``cols``, each split
-    over ``rows`` in order, each row taking 0, 1, ... workers, so ``split``
-    is the first minimal split in that order. Without an ``incumbent``
-    every optimal split is counted. With one, only splits strictly below it
-    are explored, ``split`` is None when there is none, and ``count`` is 1
-    or 0. Needs two or more rows: the last one takes the rest of each type,
-    in place.
+    share of the objective, an optimal split ``split[r][p]``, the number of
+    optimal splits and, when ``collect``, up to ``cap`` of them. Types are
+    placed in the order of ``cols``, each split over ``rows`` in order,
+    each row taking 0, 1, ... workers. Ties go by ``order``, a list of the
+    positions ``p`` (by default ``0, 1, ...``, the search order): of the
+    optimal splits, ``split`` is the first and ``optima`` the first ``cap``
+    in the lexicographic order of their types' counts, type ``cols[p]`` for
+    each ``p`` in ``order``, each over ``rows`` in order. A tying leaf is
+    compared with the kept ones, so no list of every optimum is kept.
+    Without an ``incumbent`` every optimal split is counted, and the search
+    starts with the value of :func:`_greedy_split` as its limit, which
+    every optimal split is at or below. With an incumbent, only splits
+    strictly below it are explored, ``split`` is the first one in search
+    order, or None when there is none, and ``count`` is 1 or 0. Needs two
+    or more rows: the last one takes the rest of each type, in place.
 
     A branch is cut once its partial value plus a lower bound on the types
-    not yet placed exceeds the best value so far (one less with an
-    incumbent), which never cuts a split that would be returned or counted.
-    A unit of type ``p`` in a real row adds at least ``m_p``, its least
-    first-unit price over the real rows with a positive total, and counters
-    only grow, so later units add no less. The dummy row (team 0) adds
-    nothing but takes at most its remaining capacity; at best it takes the
-    dearest units. So the types still to place add at least the sum of
-    the ``units - capacity`` cheapest of their ``m_p``, or of all of them
-    when ``rows`` has no dummy row. Units that the current type still puts
-    into the dummy row only make its capacity an overestimate, which
+    not yet placed exceeds the limit: the best value so far (one less with
+    an incumbent), which never cuts a split that would be returned or
+    counted. A unit of type ``p`` in a real row adds at least ``m_p``, its
+    least first-unit price over the real rows with a positive total, and
+    counters only grow, so later units add no less. The dummy row (team 0)
+    adds nothing but takes at most its remaining capacity; at best it
+    takes the dearest units. So the types still to place add at least the
+    sum of the ``units - capacity`` cheapest of their ``m_p``, or of all of
+    them when ``rows`` has no dummy row. Units that the current type still
+    puts into the dummy row only make its capacity an overestimate, which
     weakens the bound but keeps it valid.
     """
-    lam0 = inst.weights.lambda0
     nf = inst.schema.num_features
     r_last = len(rows) - 1
-    # Per type, (lambda_k, counter slot k + nf*v) of its value v of every
-    # weighted feature k; each row keeps one flat counter list.
-    slots = [[(lam, k + nf * v) for k, (lam, v) in
-              enumerate(zip(inst.weights.lambdas, index.columns[j])) if lam]
-             for j in cols]
+    slots, costs = _unit_prices(inst, index, rows, cols)
     steps = [2 * sum(lam for lam, _ in row) for row in slots]
-    costs = [[lam0 * index.costs[i][j] for j in cols] for i in rows]
     real = [i != 0 for i in rows]
     caps = list(totals)
     split = [[0] * len(cols) for _ in rows]
@@ -138,12 +213,19 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
     # A branch is cut once its partial value plus the floor of the types
     # still to place exceeds ``limit``: the best value so far, or one less
     # when only strict improvements count.
-    slack = 0 if incumbent is None else 1
-    limit = math.inf if incumbent is None else incumbent - 1
+    if incumbent is None:
+        slack = 0
+        limit = _greedy_split(rows, slots, costs, counts, totals)[0]
+    else:
+        slack, limit = 1, incumbent - 1
     best = incumbent
-    chosen = None
+    chosen = chosen_key = None
     count = 0
+    # The kept optima, each as (negated key, split): the root of the heap
+    # is the one that comes last in ``order``.
     optima = [] if collect else None
+    cells = [(r, p) for p in (order or range(len(cols)))
+             for r in range(r_last)]
 
     def distribute(p, ri, left, partial):
         # Row ri takes y type-p workers. Unit y+1 adds lambda0*cost +
@@ -210,22 +292,27 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
             cr[f] -= y
 
     def place(p, partial):
-        nonlocal best, chosen, count, limit
+        nonlocal best, chosen, chosen_key, count, limit
         if p == len(cols):
+            key = [split[r][q] for r, q in cells]
             if chosen is None or partial < best:
-                best = partial
-                chosen = [list(row) for row in split]
-                count = 1
+                best, chosen, count = partial, None, 0
                 if optima is not None:
                     optima.clear()
-                    optima.append([list(row) for row in split])
-            else:
-                count += 1
-                if optima is not None and len(optima) < cap:
-                    optima.append([list(row) for row in split])
+            count += 1
+            if chosen is None or key < chosen_key:
+                chosen, chosen_key = [list(row) for row in split], key
+            if optima is not None:
+                entry = ([-x for x in key], [list(row) for row in split])
+                if len(optima) < cap:
+                    heapq.heappush(optima, entry)
+                else:
+                    heapq.heappushpop(optima, entry)
             limit = best - slack
             return
         distribute(p, 0, counts[p], partial)
 
     place(0, 0)
+    if optima is not None:
+        optima = [m for _, m in sorted(optima, reverse=True)]
     return best, chosen, count, optima

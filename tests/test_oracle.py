@@ -3,14 +3,16 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from divmatch import oracle
 from divmatch.instance import parse_instance, build_combination_index
 from divmatch.objective import (assignment_from_matrix,
                                 matrix_from_assignment, objective)
-from divmatch.oracle import BudgetExceededError, best_split, \
-    enumerate_optimal, least_split_count, split_count
+from divmatch.oracle import BudgetExceededError, _greedy_split, \
+    _unit_prices, best_split, enumerate_optimal, least_split_count, \
+    split_count
 from helpers import (brute_force_optima, random_feasible_assignment,
                      random_feasible_matrix, random_small_instance)
 
@@ -183,6 +185,14 @@ def test_worker_mode_general_costs_enumerates_maps():
         [[2, 1]]
 
 
+def _in_index_order(optima):
+    """Type-count matrices in the order of an index-order search: the key
+    takes each type in index order and lists its counts in rows 0..t-1."""
+    return sorted(([list(row) for row in w] for w in optima),
+                  key=lambda w: [w[i][j] for j in range(len(w[0]))
+                                 for i in range(len(w) - 1)])
+
+
 # The zero-weight inputs draw lambda_k = 0, which the oracle's counters
 # and prices drop, as certify-small does.
 @pytest.mark.parametrize("worker_fraction, lambda_choices", [
@@ -192,6 +202,8 @@ def test_worker_mode_general_costs_enumerates_maps():
     pytest.param(1.0, (0, 1, 2), id="1.0-zero-weights")])
 def test_oracle_matches_brute_force_over_worker_maps(worker_fraction,
                                                      lambda_choices):
+    # The oracle searches the types in its own order; its matrix and
+    # optima are still those an index-order search finds first.
     for seed in range(100):
         inst = random_small_instance(seed + 1300, max_n=7,
                                      worker_fraction=worker_fraction,
@@ -201,6 +213,43 @@ def test_oracle_matches_brute_force_over_worker_maps(worker_fraction,
         assert result.optimal_objective == value
         assert result.num_optima == len(optima)
         assert {tuple(map(tuple, w)) for w in result.optima} == optima
+        ordered = _in_index_order(optima)
+        assert result.optima == ordered
+        assert result.matrix == ordered[0]
+        default = enumerate_optimal(inst)
+        assert (default.matrix, default.num_optima, default.assignment) == \
+            (result.matrix, result.num_optima, result.assignment)
+
+
+def test_oracle_keeps_the_first_optima_in_index_order_under_its_cap(
+        monkeypatch):
+    # Every lambda_k = 0 and equal costs: every feasible matrix is optimal.
+    # The last instance's costs spread over the teams, so the oracle
+    # searches its types in the order BF, AM, BM, AF; its four optima put
+    # two A workers in t1 and two B workers in t2.
+    monkeypatch.setattr(oracle, "OPTIMA_CAP", 3)
+    instances = [random_small_instance(seed + 1900, max_n=7, max_cost=0,
+                                       lambda_choices=(0,))
+                 for seed in range(150)]
+    instances.append(make({
+        "features": [{"name": "c", "values": ["A", "B"]},
+                     {"name": "g", "values": ["M", "F"]}],
+        "workers": [[0, 0], [0, 0], [0, 1], [1, 0], [1, 1], [1, 1]],
+        "teams": [{"name": "t1", "demand": 2}, {"name": "t2", "demand": 2}],
+        "costs": {"mode": "class", "u": [[0, 5], [3, 0]]},
+        "lambda0": 1, "lambdas": [0, 0]}))
+    capped = 0
+    for inst in instances:
+        value, optima = brute_force_optima(inst)
+        result = enumerate_optimal(inst, collect_optima=True)
+        assert result.optimal_objective == value
+        assert result.num_optima == len(optima)
+        ordered = _in_index_order(optima)
+        assert result.optima == ordered[:3]
+        assert result.matrix == ordered[0]
+        assert enumerate_optimal(inst).matrix == result.matrix
+        capped += len(optima) > 3
+    assert capped >= 20 and len(optima) == 4
 
 
 def _compositions(total, parts):
@@ -263,6 +312,56 @@ def test_best_split_improves_exactly_when_a_better_split_exists():
             improved += 1
         checked += 1
     assert checked >= 120 and improved >= 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 1.0)),
+       st.booleans())
+def test_greedy_split_is_a_split_never_below_the_optimum(seed,
+                                                         worker_fraction,
+                                                         dummy):
+    # best_split starts its limit at the greedy's value, so the greedy must
+    # meet the margins and price its split exactly, or optima are lost.
+    inst = random_small_instance(seed, max_n=8, max_t=3,
+                                 worker_fraction=worker_fraction,
+                                 lambda_choices=(0, 1, 2))
+    assume(dummy or inst.t >= 2)
+    rng = random.Random(seed)
+    index = build_combination_index(inst)
+    real = rng.sample(range(1, inst.t + 1),
+                      rng.randint(1 if dummy else 2, inst.t))
+    rows = sorted(real + [0] * dummy)
+    cols = rng.sample(range(index.num_columns),
+                      rng.randint(1, index.num_columns))
+    counts = [rng.randint(1, 3) for _ in cols]
+    totals = [0] * len(rows)
+    for _ in range(sum(counts)):
+        totals[rng.randrange(len(rows))] += 1
+    value, split = _greedy_split(rows, *_unit_prices(inst, index, rows, cols),
+                                 counts, totals)
+    assert [sum(row) for row in split] == totals
+    assert [sum(col) for col in zip(*split)] == counts
+    assert value == _rows_share(inst, index, rows, cols, split)
+    assert value >= best_split(inst, index, rows, cols, counts, totals)[0]
+
+
+def test_greedy_split_can_be_above_the_optimum():
+    # The greedy takes the cheapest unit, A in t1 at 0, which leaves B to
+    # t2 at 10; A in t2 and B in t1 cost 1 + 1.
+    inst = make({
+        "features": [{"name": "c", "values": ["A", "B"]}],
+        "workers": [[0], [1]],
+        "teams": [{"name": "t1", "demand": 1}, {"name": "t2", "demand": 1}],
+        "costs": {"mode": "class", "u": [[0, 1], [1, 10]]},
+        "lambda0": 1, "lambdas": [0]})
+    index = build_combination_index(inst)
+    rows, cols, counts, totals = range(3), [0, 1], [1, 1], [0, 1, 1]
+    greedy = _greedy_split(rows, *_unit_prices(inst, index, rows, cols),
+                           counts, totals)
+    assert greedy == (10, [[0, 0], [1, 0], [0, 1]])
+    assert best_split(inst, index, rows, cols, counts, totals)[:2] == \
+        (2, [[0, 0], [0, 1], [1, 0]])
+    assert enumerate_optimal(inst).optimal_objective == 2
 
 
 @given(st.lists(st.integers(0, 12), min_size=1, max_size=6),
