@@ -57,14 +57,21 @@ or change a row's size. The exact search of :mod:`divmatch.flow` prices its
 cancels by the same two functions.
 
 ``succ`` offers the detectors the edges they may use, per port in
-``out_edges`` order: all of an input port's, and an output port's only
-while its team holds a worker of its key (on a large instance most output
-ports are drained). ``apply_moves`` refreshes the offer where a count
-changed; :meth:`AuxGraph.withhold` takes a walk's edges out of it and
-:meth:`AuxGraph.restore` puts them back.
+``out_edges`` order, and only edges between live ports. An output port is
+held while its team holds a worker of its key, and drained otherwise (on a
+large instance most are drained). A drained port offers nothing, so an edge
+into it lies on no cycle: an input port offers only its intra edges into its
+team's held output ports. A held output port offers its inter edges into
+the rows that hold workers, since a row that holds none has no held port to
+leave by; row sizes are fixed, so this part is set once. ``apply_moves``
+refreshes the offer where a cell became held or drained, from a per-team
+list of held keys; :meth:`AuxGraph.withhold` takes a walk's edges out of it
+and :meth:`AuxGraph.restore` puts them back.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from .instance import CombinationIndex, Instance, TradeoffWeights
 from .negcycle import ExchangeCycle
@@ -112,8 +119,8 @@ class AuxGraph:
     """Live switch-graph over the current assignment matrix.
 
     Exposes ``node_count``, ``succ`` (per port, the AuxEdges offered to
-    the cycle detectors; none at drained output ports) and the per-port
-    price terms ``bias`` and ``start``. Single-writer: detection never
+    the cycle detectors: those between live ports) and the per-port price
+    terms ``bias`` and ``start``. Single-writer: detection never
     overlaps mutation.
     """
 
@@ -129,6 +136,9 @@ class AuxGraph:
         self.edges: list[AuxEdge] = []
         # per port, its out-edges in edge-index order; set by _build
         self.out_edges: list[list[AuxEdge]] = [None] * self.node_count
+        # per team, the keys it holds a worker of, in key order
+        self._held = [[key for key, x in enumerate(row) if x]
+                      for row in self.w]
         # per feature k and value v, the keys whose value of k is v
         self._keys_with = [[[] for _ in range(inst.schema.value_count(k))]
                            for k in range(inst.schema.num_features)]
@@ -176,8 +186,10 @@ class AuxGraph:
         """Set the port terms and add every edge: intra edges by team, input
         key and output key, then inter edges by source team, target team
         and key. Port ids are made once, so the edges share them. Each
-        port's out-edges are offered in ``succ`` as :meth:`_offer` would,
-        from the rows of ``w``."""
+        port's live out-edges are offered in ``succ`` as :meth:`_offer`
+        would, from the rows of ``w``; ``_live`` keeps, per team, the
+        positions in its output ports' edge lists of the rows that hold
+        workers, or None when every other row does."""
         weights = self.inst.weights
         num_keys = self.num_keys
         keys = range(num_keys)
@@ -197,26 +209,54 @@ class AuxGraph:
             for kin, src in enumerate(ins[team]):
                 row = [AuxEdge(src, port, wgt)
                        for port, wgt in zip(dst, table[kin])]
-                out_edges[src] = succ[src] = row
+                out_edges[src] = row
                 edges += row
+            self._offer_inputs(team)
+        filled = [team for team, held in enumerate(self._held) if held]
+        self._live = []
         for i1 in switches:
             src = outs[i1]
             block = [AuxEdge(src[key], dst[key], 0)
                      for i2, dst in enumerate(ins) if i2 != i1
                      for key in keys]
             edges += block
+            live = [i2 - (i2 > i1) for i2 in filled if i2 != i1]
+            if len(live) == len(switches) - 1:
+                live = None
+            self._live.append(live)
             for key, held in enumerate(self.w[i1]):
                 port = src[key]
-                out_edges[port] = block[key::num_keys]
+                row = out_edges[port] = block[key::num_keys]
                 if held:
-                    succ[port] = out_edges[port]
+                    succ[port] = row if live is None else [row[p]
+                                                           for p in live]
 
     def _offer(self, team: int, side: int, key: int):
-        """Offer a port's out-edges in ``succ``: always at an input port, at
-        an output port only while its team holds a worker of its key."""
+        """Offer a port's live out-edges in ``succ``: at an input port, its
+        intra edges into its team's held output ports, in key order; at an
+        output port, while held, its inter edges into rows that hold
+        workers."""
         node = self.port_id(team, side, key)
-        held = side == INPUT or self.w[team][key] >= 1
-        self.succ[node] = self.out_edges[node] if held else ()
+        if side == INPUT:
+            row = self.out_edges[node]
+            self.succ[node] = [row[b] for b in self._held[team]]
+        elif self.w[team][key]:
+            row, live = self.out_edges[node], self._live[team]
+            self.succ[node] = row if live is None else [row[p] for p in live]
+        else:
+            self.succ[node] = ()
+
+    def _offer_inputs(self, team: int):
+        """Offer each input port of ``team`` as :meth:`_offer` does, in
+        O(K * held); a team that holds every key shares the edge index's
+        lists."""
+        held = self._held[team]
+        first = self.port_id(team, INPUT, 0)
+        out_edges, succ = self.out_edges, self.succ
+        every = len(held) == self.num_keys
+        for port in range(first, first + self.num_keys):
+            row = out_edges[port]
+            succ[port] = row if every else [row[b] for b in held]
 
     # -- lookups ------------------------------------------------------------
 
@@ -253,13 +293,24 @@ class AuxGraph:
         ``c[i][k][v]`` at a real team shifts each key with value ``v`` of
         feature ``k`` by ``s = 2 * lambdas[k] * d``, written as ``bias[out]
         -= s``, ``bias[in] += s`` and ``start[in] -= s`` at that key's ports
-        of the team. No edge changes. The offer in ``succ`` is refreshed at
-        the output ports whose count changed."""
+        of the team. No edge changes. Where a cell became held or drained,
+        the offer in ``succ`` is refreshed at its output port and at its
+        team's input ports."""
         cells, counters = net_change(self.index, self.w, moves)
+        flipped = set()
         for (team, key), d in cells.items():
-            if d:
-                self.w[team][key] += d
+            before = self.w[team][key]
+            self.w[team][key] += d
+            if bool(before) != bool(before + d):
+                held = self._held[team]
+                if before:
+                    held.remove(key)
+                else:
+                    insort(held, key)
                 self._offer(team, OUTPUT, key)
+                flipped.add(team)
+        for team in flipped:
+            self._offer_inputs(team)
         lambdas = self.inst.weights.lambdas
         bias, start, num_keys = self.bias, self.start, self.num_keys
         for (team, k, v), d in counters.items():
@@ -282,7 +333,8 @@ class AuxGraph:
             self._withheld.add(node)
 
     def restore(self) -> None:
-        """Offer again every edge :meth:`withhold` took out."""
+        """Offer again every live edge :meth:`withhold` took out: each
+        withheld port's offer is set anew from the current counts."""
         for node in self._withheld:
             self._offer(*self.port(node))
         self._withheld.clear()

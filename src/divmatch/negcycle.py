@@ -11,6 +11,9 @@ with ``src``, ``dst`` and ``weight`` attributes) and the per-node integer
 lists ``bias`` and ``start`` can be searched, such as the switch-graph of
 :mod:`divmatch.auxgraph`. A graph lists in ``succ`` only the edges it
 offers; the detectors use every listed edge, in list order, and no other.
+A node with no listed out-edge lies on no cycle, and the detectors treat it
+like any other: the work it costs is the scan of the edges into it, which
+is why the switch-graph offers no edge into a port it cannot leave.
 
 An edge ``e`` weighs ``e.weight + bias[e.src] + start[e.src] -
 start[e.dst]``. The detectors never fold that sum: labels start at
@@ -127,10 +130,6 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
     certifies a negative cycle: around a cycle the reduced costs telescope to
     the true weight, which is therefore negative.
 
-    A node with no listed out-edge is relaxed into but never entered by
-    the DFS: it can lie on no cycle and has nothing to relax, so entering it
-    would change neither a verdict nor a label.
-
     Passes are capped at ``n + 5``, and the cap is reached in practice: on
     some switch-graphs the labels of a negative cycle's nodes keep falling
     from pass to pass while no DFS closes the cycle. The verdict is then
@@ -172,8 +171,6 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
                     if rc > 0:
                         continue
                     if not visited[v]:
-                        if not succ[v]:
-                            continue  # a dead end: entered and left at once
                         visited[v] = True
                         on_stack[v] = True
                         neg_count[v] = neg_count[u] + (1 if rc < 0 else 0)

@@ -1,17 +1,23 @@
+import dataclasses
 import json
 import random
+from types import SimpleNamespace
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divmatch.auxgraph import (INPUT, OUTPUT, CycleApplicationError,
                                apply_and_update, build_aux_graph,
                                cycle_from_moves, dump_edges, moves_of)
-from divmatch.instance import (TradeoffWeights, build_combination_index,
+from divmatch.instance import (Team, TradeoffWeights, build_combination_index,
                                convert_cost_mode, generate_reviewer_instance,
                                parse_instance)
 from divmatch.negcycle import DETECTORS
 from divmatch.objective import exchange_gain, matrix_from_assignment
-from divmatch.solver import _moves_from_split, initial_feasible
+from divmatch.solver import (SolverConfig, _moves_from_split,
+                             initial_feasible, solve)
 from helpers import (inter_weight, intra_weight, random_feasible_assignment,
                      random_feasible_matrix, random_small_instance,
                      random_switch_simple_moves)
@@ -122,7 +128,9 @@ def test_port_count_worker_mode():
 def test_stored_weights_match_weight_functions():
     # The graph prices edges from per-port terms; the weight functions
     # price each edge on its own. An edge stores only its static part, 0 on
-    # an inter edge. Class and worker costs alike.
+    # an inter edge. Class and worker costs alike. An edge is offered while
+    # it joins live ports: into a held output port, or out of one into a
+    # row that holds workers.
     instances = [small_instance(),
                  convert_cost_mode(small_instance(), "worker")]
     instances += [random_small_instance(seed, worker_fraction=1.0)
@@ -138,13 +146,14 @@ def test_stored_weights_match_weight_functions():
                 expected = intra_weight(index.columns[key_from],
                                         index.columns[key_to],
                                         team_from, inst.weights)
+                live = w[team_from][key_to] >= 1
             else:
                 costs = [row[key_from] for row in index.costs]
                 expected = inter_weight(index.columns[key_from], costs,
                                         team_from, team_to, g.c,
                                         inst.weights)
-                held = w[team_from][key_from] >= 1
-                assert (e in g.succ[e.src]) == held
+                live = w[team_from][key_from] >= 1 and sum(w[team_to]) >= 1
+            assert (e in g.succ[e.src]) == live
             assert g.price(e) == expected
             assert e.weight == (expected if side == INPUT else 0)
 
@@ -230,17 +239,20 @@ def test_apply_rejects_disabled_edge():
 def test_withhold_keeps_the_order_of_the_rest():
     inst = small_instance()
     index = build_combination_index(inst)
-    w = random_feasible_matrix(inst, index, random.Random(9))
+    w = random_feasible_matrix(inst, index, random.Random(8))
     g = build_aux_graph(inst, w, index)
     before = dump_edges(g)
-    port = g.port_id(2, INPUT, 1)  # offers all four of its intra edges
+    port = g.port_id(2, INPUT, 1)
     edges = list(g.out_edges[port])
+    assert w[2] == [1, 1, 1, 0]  # so out(2, 3) is drained
+    assert g.succ[port] == edges[:3]
     g.withhold([edges[1]])
-    g.withhold([edges[3], edges[1]])  # withholding adds up
     assert g.succ[port] == [edges[0], edges[2]]
+    g.withhold([edges[2], edges[1]])  # withholding adds up
+    assert g.succ[port] == [edges[0]]
     assert g.out_edges[port] == edges  # the edge index keeps them all
     g.restore()
-    assert g.succ[port] == edges
+    assert g.succ[port] == edges[:3]
     assert dump_edges(g) == before
     g.restore()  # nothing withheld
     assert dump_edges(g) == before
@@ -309,18 +321,18 @@ def test_dump_format_golden():
         "lambda0": 1, "lambdas": [1]}))
     g = build_aux_graph(inst, [[0, 0], [1, 1]])
     assert dump_edges(g) == """\
-0:in:0 -> 0:out:0 0 intra true
-0:in:0 -> 0:out:1 0 intra true
-0:in:1 -> 0:out:0 0 intra true
-0:in:1 -> 0:out:1 0 intra true
+0:in:0 -> 0:out:0 0 intra false
+0:in:0 -> 0:out:1 0 intra false
+0:in:1 -> 0:out:0 0 intra false
+0:in:1 -> 0:out:1 0 intra false
 1:in:0 -> 1:out:0 -2 intra true
 1:in:0 -> 1:out:1 0 intra true
 1:in:1 -> 1:out:0 0 intra true
 1:in:1 -> 1:out:1 -2 intra true
 0:out:0 -> 1:in:0 4 inter false
 0:out:1 -> 1:in:1 5 inter false
-1:out:0 -> 0:in:0 -2 inter true
-1:out:1 -> 0:in:1 -3 inter true
+1:out:0 -> 0:in:0 -2 inter false
+1:out:1 -> 0:in:1 -3 inter false
 """
 
 
@@ -424,16 +436,33 @@ def test_weight_shifts_stay_exact_over_a_long_chain(inst):
             assert dump_edges(g) == dump_edges(fresh)
 
 
+def _assert_live_offer(g):
+    """Each input port offers exactly its intra edges into its team's held
+    output ports, in key order; each output port offers, exactly while
+    held, its inter edges into the rows that hold workers, in team order."""
+    filled = [team for team, row in enumerate(g.w) if any(row)]
+    for u in range(g.node_count):
+        team, side, key = g.port(u)
+        if side == INPUT:
+            into = [k for k, x in enumerate(g.w[team]) if x]
+            assert [g.port(e.dst) for e in g.succ[u]] == \
+                [(team, OUTPUT, k) for k in into]
+        else:
+            into = [i for i in filled if i != team] if g.w[team][key] else []
+            assert [g.port(e.dst) for e in g.succ[u]] == \
+                [(i, INPUT, key) for i in into]
+        assert all(e in g.out_edges[u] for e in g.succ[u])
+
+
 @CHAIN_INSTANCES
 def test_detector_adjacency_lists_the_enabled_edges_after_every_apply(inst):
     index = build_combination_index(inst)
     g = build_aux_graph(inst, initial_feasible(inst, index), index)
+    _assert_live_offer(g)
+    pick = random.Random(29)
     found = 0
     for calls in _apply_chain(g, random.Random(23), 200):
-        for u in range(g.node_count):
-            team, side, key = g.port(u)
-            held = side != OUTPUT or g.w[team][key] >= 1
-            assert list(g.succ[u]) == (g.out_edges[u] if held else [])
+        _assert_live_offer(g)
         if calls % 20 == 0:  # detected cycles move only held workers
             for detect in (DETECTORS["bf"], DETECTORS["gr"]):
                 cycle = detect(g)
@@ -441,7 +470,71 @@ def test_detector_adjacency_lists_the_enabled_edges_after_every_apply(inst):
                     assert all(g.w[i1][key] >= 1
                                for key, i1, _ in moves_of(g, cycle))
                     found += 1
+            offered = [e for edges in g.succ for e in edges]
+            g.withhold(pick.sample(offered, min(len(offered), 8)))
+            g.restore()
+            _assert_live_offer(g)
     assert found >= 10
     drained = [g.port_id(i, OUTPUT, key) for i in range(g.num_switches)
                for key in range(g.num_keys) if g.w[i][key] == 0]
     assert drained and all(not g.succ[u] for u in drained)
+
+
+def _full_offer(g, node):
+    """The edges a port would offer if every switch joined each input port
+    to each output port: all of an input port's intra edges, and a held
+    output port's inter edges into every other row."""
+    team, side, key = g.port(node)
+    return list(g.out_edges[node]) if side == INPUT or g.w[team][key] else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**6), worker_costs=st.booleans(),
+       lambdas=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       fill_dummy=st.booleans(),
+       state=st.sampled_from(["greedy", "random", "walked", "solved"]),
+       steps=st.integers(1, 4))
+def test_live_offer_hides_no_cycle(seed, worker_costs, lambdas, fill_dummy,
+                                   state, steps):
+    # An edge into a port with no offered out-edge lies on no cycle, so
+    # both detectors give the same verdict on the live offer as on every
+    # intra edge plus every held port's inter edges.
+    inst = random_small_instance(seed, worker_fraction=float(worker_costs))
+    teams = inst.teams
+    if fill_dummy:  # the last team takes the dummy row's workers
+        last = teams[-1]
+        teams = teams[:-1] + (Team(last.name, last.demand + inst.demand(0)),)
+    weights = TradeoffWeights(inst.weights.lambda0,
+                              tuple(lambdas[:inst.schema.num_features]))
+    inst = dataclasses.replace(inst, teams=teams, weights=weights)
+    index = build_combination_index(inst)
+    rng = random.Random(seed)
+    if state == "random":
+        w = random_feasible_matrix(inst, index, rng)
+    elif state == "solved":
+        w = solve(inst, SolverConfig(max_iterations=steps)).assignment
+    else:
+        w = initial_feasible(inst, index)
+    g = build_aux_graph(inst, w, index)
+    if state == "walked":  # the offer kept by apply_moves, not by a build
+        for _ in range(steps):
+            moves = random_switch_simple_moves(g, rng)
+            if moves:
+                g.apply_moves(moves)
+    full = SimpleNamespace(node_count=g.node_count, bias=g.bias,
+                           start=g.start,
+                           succ=[_full_offer(g, u)
+                                 for u in range(g.node_count)])
+    verdicts = {detect(graph) is None for detect in DETECTORS.values()
+                for graph in (g, full)}
+    assert len(verdicts) == 1
+    # Stronger: the live offer is the full one less edges on no cycle, so
+    # it keeps every edge inside a strongly connected component.
+    live = {e for edges in g.succ for e in edges}
+    offered = [e for edges in full.succ for e in edges]
+    assert live <= set(offered)
+    parts = nx.DiGraph((e.src, e.dst) for e in offered)
+    part = {u: p for p, nodes in
+            enumerate(nx.strongly_connected_components(parts))
+            for u in nodes}
+    assert all(e in live for e in offered if part[e.src] == part[e.dst])

@@ -1,7 +1,8 @@
 """The same-results digest runs from the command line on the benchmark's
 known-bad instances, under every detector, and on acceptance criterion 7's
-n=400 rungs."""
+n=400 rungs; its per-worker rungs give every worker a type of its own."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -25,13 +26,16 @@ LINE = re.compile(r"known-bad seed=3 detector=(\w+) instances=(\d+) "
                   r"oracle_sha256=([0-9a-f]{64})")
 
 
-def _known_bad():
-    """The instances of bench/workloads.py's known-bad list."""
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  WORKLOADS)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.known_bad(divmatch)
+    return module
+
+
+def _known_bad():
+    """The instances of bench/workloads.py's known-bad list."""
+    return _load("bench_workloads", WORKLOADS).known_bad(divmatch)
 
 
 @pytest.mark.parametrize("detector", sorted(DETECTORS))
@@ -69,10 +73,10 @@ def test_digest_of_n400_solves_criterion_7_rungs_whatever_the_seed():
     line = subprocess.run(argv, capture_output=True, text=True, check=True,
                           timeout=300).stdout.strip()
     # n=400/t=75 at generator seeds 1 and 7; their final objectives under
-    # the Goldberg-Radzik detector sum to 3468. Both exceed the oracle's
+    # the Goldberg-Radzik detector sum to 3469. Both exceed the oracle's
     # budget, so the oracle digest hashes the two budget errors.
     match = re.fullmatch(r"n400 seed=5 detector=gr instances=2 raised=0 "
-                         r"objective_sum=3468 sha256=[0-9a-f]{64} "
+                         r"objective_sum=3469 sha256=[0-9a-f]{64} "
                          r"oracle_sha256=([0-9a-f]{64})", line)
     assert match, line
     sha = hashlib.sha256()
@@ -85,3 +89,18 @@ def test_digest_of_n400_solves_criterion_7_rungs_whatever_the_seed():
                                str(error.value)]).encode())
         sha.update(b"\n")
     assert match.group(1) == sha.hexdigest()
+
+
+def test_per_worker_rungs_are_the_ladder_with_offset_worker_costs():
+    tool = _load("trace_digest", SCRIPT)
+    rungs = tool.WORKLOADS["per-worker"](divmatch, 5)
+    bases = tool.workloads.ladder(divmatch, tool.PER_WORKER_RUNGS, "worker")
+    assert [inst.n for inst in rungs] == [80, 100]
+    for inst, base in zip(rungs, bases):
+        assert dataclasses.replace(inst, costs=base.costs) == base
+        offsets = {u - v for row, base_row in zip(inst.costs.table,
+                                                  base.costs.table)
+                   for u, v in zip(row, base_row)}
+        assert offsets == {0, 1, 2}
+        assert divmatch.build_combination_index(inst).num_columns == inst.n
+    assert rungs == tool.WORKLOADS["per-worker"](divmatch, 1)

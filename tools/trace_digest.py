@@ -6,7 +6,11 @@ Solves every instance of a workload once, in order, with the package from
 this checkout's ``src/`` and the instances of ``bench/workloads.py``
 (``known-bad`` is its ``KNOWN_BAD`` list). ``n400`` is acceptance criterion
 7's largest rungs, n=400 and t=75 at generator seeds 1 and 7, whatever
-``--seed`` says. Prints one line per workload:
+``--seed`` says. ``per-worker`` is the ladder's (20,80) and (25,100) rungs
+in worker costs, each worker's cost in each team raised by a 0..2 offset
+drawn from a generator seeded with the ladder's seed, so that every worker
+is a type of its own; it too ignores ``--seed``. Prints one line per
+workload:
 the instance count, the number of solves that raised, the sum of the final
 objectives, a sha256 over each solve's assignment, trace, termination,
 ``refinement_complete``, ``proved_optimal`` and objective, and an
@@ -25,6 +29,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -40,6 +45,23 @@ WORKLOADS["known-bad"] = lambda dm, seed: workloads.known_bad(dm)
 WORKLOADS["n400"] = lambda dm, seed: [
     dm.generate_reviewer_instance(75, [80] * 5, "balanced", 4, seed=rung)
     for rung in (1, 7)]
+PER_WORKER_RUNGS = ((20, 80), (25, 100))
+
+
+def per_worker(dm) -> list:
+    """The per-worker rungs: ladder instances whose worker costs each get a
+    seeded 0..2 offset per team."""
+    out = []
+    for inst in workloads.ladder(dm, PER_WORKER_RUNGS, "worker"):
+        rng = random.Random(workloads.LADDER_SEED)
+        table = tuple(tuple(u + rng.randint(0, 2) for u in row)
+                      for row in inst.costs.table)
+        out.append(dataclasses.replace(
+            inst, costs=dm.instance.CostModel("worker", table)))
+    return out
+
+
+WORKLOADS["per-worker"] = lambda dm, seed: per_worker(dm)
 
 
 def solve_record(inst, cfg) -> list:
