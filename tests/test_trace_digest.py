@@ -22,8 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "trace_digest.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
 LINE = re.compile(r"known-bad seed=3 detector=(\w+) instances=(\d+) "
-                  r"raised=(\d+) objective_sum=(\d+) sha256=([0-9a-f]{64}) "
-                  r"oracle_sha256=([0-9a-f]{64})")
+                  r"raised=(\d+) objective_sum=(\d+) proved=(\d+) "
+                  r"sha256=([0-9a-f]{64}) oracle_sha256=([0-9a-f]{64})")
 
 
 def _load(name, path):
@@ -47,12 +47,14 @@ def test_digest_of_known_bad_runs_and_repeats(detector):
     assert runs[0] == runs[1]
     match = LINE.fullmatch(runs[0].strip())
     assert match, runs[0]
-    name, count, raised, objective_sum, _, oracle_sha = match.groups()
+    name, count, raised, objective_sum, proved, _, oracle_sha = \
+        match.groups()
     instances = _known_bad()
     assert (name, int(count), int(raised)) == (detector, len(instances), 0)
-    assert int(objective_sum) == sum(
-        solve(inst, SolverConfig(detector=detector)).breakdown.objective
-        for inst in instances)
+    reports = [solve(inst, SolverConfig(detector=detector))
+               for inst in instances]
+    assert int(objective_sum) == sum(r.breakdown.objective for r in reports)
+    assert int(proved) == sum(r.proved_optimal for r in reports)
     # The oracle digest hashes, one JSON line per instance, the optimum,
     # the first optimal matrix, the number of optima and every optimum. It
     # is pinned too, since in-process calls change along with the oracle.
@@ -73,10 +75,11 @@ def test_digest_of_n400_solves_criterion_7_rungs_whatever_the_seed():
     line = subprocess.run(argv, capture_output=True, text=True, check=True,
                           timeout=300).stdout.strip()
     # n=400/t=75 at generator seeds 1 and 7; their final objectives under
-    # the Goldberg-Radzik detector sum to 3469. Both exceed the oracle's
-    # budget, so the oracle digest hashes the two budget errors.
+    # the Goldberg-Radzik detector sum to 3469, and seed 7's is proved
+    # optimal. Both exceed the oracle's budget, so the oracle digest hashes
+    # the two budget errors.
     match = re.fullmatch(r"n400 seed=5 detector=gr instances=2 raised=0 "
-                         r"objective_sum=3469 sha256=[0-9a-f]{64} "
+                         r"objective_sum=3469 proved=1 sha256=[0-9a-f]{64} "
                          r"oracle_sha256=([0-9a-f]{64})", line)
     assert match, line
     sha = hashlib.sha256()

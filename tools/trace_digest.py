@@ -12,8 +12,9 @@ drawn from a generator seeded with the ladder's seed, so that every worker
 is a type of its own; it too ignores ``--seed``. Prints one line per
 workload:
 the instance count, the number of solves that raised, the sum of the final
-objectives, a sha256 over each solve's assignment, trace, termination,
-``refinement_complete``, ``proved_optimal`` and objective, and an
+objectives, the number of solves that ended ``proved_optimal``, a sha256
+over each solve's assignment, trace, termination, ``refinement_complete``,
+``proved_optimal`` and objective, and an
 ``oracle_sha256`` over each instance's exhaustive oracle result with every
 optimum collected (optimal objective, first optimal matrix, number of
 optima and the optima in order). A solve that raises, or an oracle call
@@ -90,19 +91,21 @@ def oracle_record(inst) -> list:
 def digest(instances, detector: str) -> dict:
     cfg = divmatch.SolverConfig(detector=detector)
     sha, oracle_sha = hashlib.sha256(), hashlib.sha256()
-    raised = objective_sum = 0
+    raised = objective_sum = proved = 0
     for inst in instances:
         record = solve_record(inst, cfg)
         if record[0] == "raised":
             raised += 1
         else:
             objective_sum += record[-1]
+            proved += record[-2]
         sha.update(json.dumps(record).encode())
         sha.update(b"\n")
         oracle_sha.update(json.dumps(oracle_record(inst)).encode())
         oracle_sha.update(b"\n")
     return {"instances": len(instances), "raised": raised,
-            "objective_sum": objective_sum, "sha256": sha.hexdigest(),
+            "objective_sum": objective_sum, "proved": proved,
+            "sha256": sha.hexdigest(),
             "oracle_sha256": oracle_sha.hexdigest()}
 
 
