@@ -17,9 +17,7 @@ searched. The oracle searches the types in descending order of their cost
 spread over the real teams times their multiplicity, so that the bound
 cuts early, and breaks ties by index order: its matrix and its optima are
 the first in an index-order search, whatever order it searched in.
-:func:`split_count` is the search space; :func:`least_split_count` is its
-least value for a number of workers, from which the re-split sweep skips
-over-budget subsets before building their columns.
+:func:`split_count` is the search space.
 """
 
 from __future__ import annotations
@@ -34,8 +32,7 @@ from .instance import Instance, build_combination_index
 from .objective import assignment_from_matrix
 
 __all__ = ["OracleResult", "BudgetExceededError", "enumerate_optimal",
-           "best_split", "split_count", "least_split_count",
-           "DEFAULT_BUDGET"]
+           "best_split", "split_count", "DEFAULT_BUDGET"]
 
 DEFAULT_BUDGET = 10_000_000
 OPTIMA_CAP = 200_000  # most optimal matrices that ``collect_optima`` keeps
@@ -92,12 +89,6 @@ def split_count(counts, num_rows: int) -> int:
     :func:`best_split`."""
     return math.prod(math.comb(u + num_rows - 1, num_rows - 1)
                      for u in counts)
-
-
-def least_split_count(total: int, num_rows: int) -> int:
-    """Least :func:`split_count` of ``total`` workers among ``num_rows``
-    rows over every way of typing them, reached when all share one type."""
-    return math.comb(total + num_rows - 1, num_rows - 1)
 
 
 def _unit_prices(inst, index, rows, cols):

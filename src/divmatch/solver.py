@@ -53,7 +53,7 @@ from .instance import CombinationIndex, Instance, build_combination_index
 from .negcycle import DETECTORS
 from .objective import ObjectiveBreakdown, breakdown_of, objective, \
     total_utility
-from .oracle import best_split, least_split_count, split_count
+from .oracle import best_split, split_count
 
 __all__ = [
     "SolverConfig",
@@ -174,15 +174,11 @@ class _ScanBudget:
         self.left = limit
         self.skipped = self.certified = self.enumerated = 0
 
-    def refuses(self, states) -> bool:
-        """True, counting a skipped subset, when ``states`` exceed a cap."""
+    def take(self, states) -> bool:
+        """Charge ``states``; False, counting a skipped subset, when they
+        exceed a cap."""
         if states > REFINE_STATE_BUDGET or states > self.left:
             self.skipped += 1
-            return True
-        return False
-
-    def take(self, states) -> bool:
-        if self.refuses(states):
             return False
         self.left -= states
         return True
@@ -202,12 +198,10 @@ def _find_resplit(inst, graph, max_rows=3):
     and the sweep stops at its first find. Each row's columns, size and
     objective share are computed once per sweep.
 
-    A subset that holds workers is skipped when even the
-    :func:`~divmatch.oracle.least_split_count` of its worker total exceeds
+    A subset that holds workers is charged its
+    :func:`~divmatch.oracle.split_count`, or skipped when that exceeds
     ``REFINE_STATE_BUDGET`` (per subset) or what is left of
-    ``REFINE_SCAN_BUDGET`` (per sweep); else its own
-    :func:`~divmatch.oracle.split_count` is charged, or it is skipped when
-    that exceeds a budget. The budgets keep triples affordable at
+    ``REFINE_SCAN_BUDGET`` (per sweep). The budgets keep triples affordable at
     verification scale, while larger instances fall back to the pair scan.
     A charged subset is enumerated with :func:`~divmatch.oracle.best_split`
     only when :func:`_parts_optimal` does not certify it; certifying is
@@ -222,8 +216,7 @@ def _find_resplit(inst, graph, max_rows=3):
             itertools.combinations(range(inst.t + 1), size)
             for size in range(2, max_rows + 1)):
         totals = [sizes[i] for i in rows]
-        held = sum(totals)
-        if not held or spent.refuses(least_split_count(held, len(rows))):
+        if not sum(totals):
             continue
         cols = sorted(set().union(*(nonzero[i] for i in rows)))
         pooled = [sum(graph.w[i][j] for i in rows) for j in cols]

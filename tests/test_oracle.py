@@ -11,8 +11,7 @@ from divmatch.instance import parse_instance, build_combination_index
 from divmatch.objective import (assignment_from_matrix,
                                 matrix_from_assignment, objective)
 from divmatch.oracle import BudgetExceededError, _greedy_split, \
-    _unit_prices, best_split, enumerate_optimal, least_split_count, \
-    split_count
+    _unit_prices, best_split, enumerate_optimal
 from helpers import (brute_force_optima, random_feasible_assignment,
                      random_feasible_matrix, random_small_instance)
 
@@ -362,17 +361,6 @@ def test_greedy_split_can_be_above_the_optimum():
     assert best_split(inst, index, rows, cols, counts, totals)[:2] == \
         (2, [[0, 0], [0, 1], [1, 0]])
     assert enumerate_optimal(inst).optimal_objective == 2
-
-
-@given(st.lists(st.integers(0, 12), min_size=1, max_size=6),
-       st.integers(1, 5))
-def test_split_count_is_at_least_the_single_type_count(counts, rows):
-    # The sweep skips a subset for budget from its row sizes alone: U
-    # workers split among r rows in at least comb(U+r-1, r-1) ways, exactly
-    # that many when they are all of one type.
-    least = least_split_count(sum(counts), rows)
-    assert split_count(counts, rows) >= least
-    assert split_count([sum(counts)], rows) == least
 
 
 def test_best_split_returns_the_first_minimal_split_in_search_order():

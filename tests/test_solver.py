@@ -303,9 +303,8 @@ def _sweep_states():
                                               (400, 20_000), (5_000, 30)])
 def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan,
                                                      per_subset):
-    # The sweep decides budget skips from row sizes and enumerates only the
-    # subsets that the flow test does not certify; the plain rule builds
-    # every subset's columns and enumerates all it admits. Both must find
+    # The sweep enumerates only the subsets that the flow test does not
+    # certify; the plain rule enumerates all it admits. Both must find
     # the same moves, skip the same subsets and leave the same budget, also
     # when a smaller budget makes the skips bind early.
     monkeypatch.setattr(solver, "REFINE_SCAN_BUDGET", scan)
