@@ -42,7 +42,6 @@ from .auxgraph import (
     CycleApplicationError,
     apply_and_update,
     build_aux_graph,
-    cycle_from_moves,
 )
 from .negcycle import (
     ExchangeCycle,

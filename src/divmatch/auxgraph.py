@@ -83,7 +83,6 @@ __all__ = [
     "CycleApplicationError",
     "build_aux_graph",
     "apply_and_update",
-    "cycle_from_moves",
 ]
 
 INPUT, OUTPUT = 0, 1

@@ -18,21 +18,19 @@ moves, independently of the edge prices that found it), and commits it only
 when the true change is at most -1. The commit reads the same net change,
 so what was priced is what is applied.
 A detected walk that visits some switch more than once can misprice itself
-(its edge weights assume untouched counters). Such walks are split at
-repeated switch visits into switch-simple pieces, which price exactly; if
-none of the pieces improves either, the walk was spuriously negative: the
-graph withholds its edges from detection until the next commit restores
-them. Once no negative cycle remains, the solver first tries to prove the
-state a global optimum with :mod:`divmatch.flow`: the objective splits into
-one part per weighted feature (the first also carrying the cost), each part
-alone is a convex-cost flow, and a state optimal for every part is optimal
-for their sum. When that proof fails, a bounded exact
-re-split of small team subsets runs as a safety net against counter-coupled
-exchanges that no single cycle can express. The same proof, restricted to a
-subset's rows and types, certifies a pair or triple before it is
-enumerated. The loop ends when the proof succeeds, when neither step finds
-an improvement, or when the configured iteration cap is reached and a
-further step would still commit.
+(its edge weights assume untouched counters). If its true change is not at
+most -1, the walk was spuriously negative: the graph withholds its edges
+from detection until the next commit restores them. Once no negative cycle
+remains, the solver first tries to prove the state a global optimum with
+:mod:`divmatch.flow`: the objective splits into one part per weighted
+feature (the first also carrying the cost), each part alone is a
+convex-cost flow, and a state optimal for every part is optimal for their
+sum. When that proof fails, a bounded exact re-split of small team subsets
+runs as a safety net against counter-coupled exchanges that no single cycle
+can express. The same proof, restricted to a subset's rows and types,
+certifies a pair or triple before it is enumerated. The loop ends when the
+proof succeeds, when neither step finds an improvement, or when the
+configured iteration cap is reached and a further step would still commit.
 
 Integer weights make every committed step decrease the objective by at least
 one, which bounds the number of iterations by
@@ -46,8 +44,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 
-from .auxgraph import apply_and_update, build_aux_graph, cycle_from_moves, \
-    moves_of
+from .auxgraph import apply_and_update, build_aux_graph, moves_of
 from .flow import CycleCanceling, _parts_optimal, _proves_optimal, _row_values
 from .instance import CombinationIndex, Instance, build_combination_index
 from .negcycle import DETECTORS
@@ -241,28 +238,6 @@ def _find_resplit(inst, graph, max_rows=3):
     return found, found is None and not spent.skipped
 
 
-def _split_switch_simple(moves):
-    """Partition a closed move walk into closed sub-walks that visit every
-    switch at most once. Splits happen at repeated source teams."""
-    result = []
-    stack = []
-    pos: dict[int, int] = {}
-    for m in moves:
-        team = m[1]
-        if team in pos:
-            idx = pos[team]
-            segment = stack[idx:]
-            del stack[idx:]
-            for mm in segment:
-                del pos[mm[1]]
-            result.append(segment)
-        pos[team] = len(stack)
-        stack.append(m)
-    if stack:
-        result.append(stack)
-    return result
-
-
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the cancellation loop to a certified local-search fixed point,
     reported ``proved_optimal`` where it is shown to be a global optimum.
@@ -312,7 +287,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
 class _SwitchGraphSearch:
     """The search on the switch-graph, one committing step at a time, from
     the assignment matrix ``start``: :meth:`step` finds the next improving
-    walk, piece or re-split, and :meth:`commit` applies it. ``w`` and ``c``
+    walk or re-split, and :meth:`commit` applies it. ``w`` and ``c``
     are the graph's live state."""
 
     def __init__(self, inst, index, start, detect):
@@ -345,20 +320,17 @@ class _SwitchGraphSearch:
                 moves, gain = found
                 self._pending = moves, None
                 return len(moves), gain, gain
-            found = _improving_walk(graph, cycle)
-            if found is not None:
-                walk, gain = found
-                self._pending = None, walk
-                return len(walk), walk.claimed_weight, gain
-            # Splitting re-pairs the intra edges at the cut switches, so a
-            # multi-visit walk can price negative while neither it nor any
-            # piece truly improves. Withhold the walk and look again;
-            # withholding one edge would keep surfacing sibling walks.
+            gain = graph.gain(moves_of(graph, cycle))
+            if gain <= -1:
+                self._pending = None, cycle
+                return len(cycle), cycle.claimed_weight, gain
+            # The walk revisits a switch and mispriced itself. Withhold it
+            # and look again; withholding one edge would keep surfacing
+            # sibling walks.
             stalls += 1
             logger.debug(
-                "negative walk (claimed %d, exact >= 0) yielded no "
-                "improving exchange; re-detecting without its edges",
-                cycle.claimed_weight)
+                "negative walk (claimed %d, exact %d) is not improving; "
+                "re-detecting without its edges", cycle.claimed_weight, gain)
             if stalls > len(graph.edges):
                 raise RuntimeError(
                     "detection keeps returning non-improving walks")
@@ -373,21 +345,3 @@ class _SwitchGraphSearch:
             apply_and_update(self.graph, walk)
         self.graph.restore()
 
-
-def _improving_walk(graph, cycle):
-    """The detected walk, or a negatively-priced switch-simple piece of it,
-    whose true gain is at most -1, with that gain; None when nothing
-    improves."""
-    moves = moves_of(graph, cycle)
-    exact = graph.gain(moves)
-    if exact <= -1:
-        return cycle, exact
-    # The walk revisits a switch and mispriced itself; its switch-simple
-    # pieces price exactly, so try those.
-    logger.debug("walk of claimed %d has exact %d; splitting",
-                 cycle.claimed_weight, exact)
-    for segment in _split_switch_simple(moves):
-        sub_exact = graph.gain(segment)
-        if sub_exact <= -1:
-            return cycle_from_moves(graph, segment), sub_exact
-    return None

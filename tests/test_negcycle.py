@@ -1,10 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from divmatch import negcycle
 from divmatch.auxgraph import build_aux_graph
-from divmatch.instance import build_combination_index, instance_from_dict
+from divmatch.instance import (TradeoffWeights, build_combination_index,
+                               generate_reviewer_instance)
 from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
 from divmatch.oracle import enumerate_optimal
 from divmatch.solver import initial_feasible, solve
@@ -76,22 +78,14 @@ def test_goldberg_radzik_two_cycle():
     assert len(cycle.edges) == 2
 
 
-# One team of 9 from 12 workers: at the greedy start, the Goldberg-Radzik
-# passes run out before any DFS closes the switch-graph's negative cycle.
-PASS_CAP_MISS = {
-    "features": [{"name": "cluster", "values": ["c0", "c1", "c2", "c3",
-                                                 "c4"]},
-                 {"name": "gender", "values": ["g0", "g1"]}],
-    "workers": [[0, 1], [1, 1], [1, 1], [2, 0], [2, 1], [2, 1], [3, 0],
-                [3, 0], [3, 0], [4, 0], [4, 1], [4, 0]],
-    "teams": [{"name": "t1", "demand": 9}],
-    "costs": {"mode": "class", "u": [[2, 4, 2, 7, 6]]},
-    "lambda0": 1, "lambdas": [1, 3],
-}
-
-
 def test_goldberg_radzik_falls_back_when_its_passes_run_out(monkeypatch):
-    inst = instance_from_dict(PASS_CAP_MISS)
+    # certify-small run seed 1 #440: one team of 9 from 12 workers. At the
+    # greedy start, the Goldberg-Radzik passes run out before any DFS closes
+    # the switch-graph's negative cycle.
+    inst = dataclasses.replace(
+        generate_reviewer_instance(1, [1, 2, 3, 3, 3], "balanced", 9,
+                                   seed=891623254),
+        weights=TradeoffWeights(1, (1, 3)))
     g = build_aux_graph(inst, initial_feasible(inst))
     found = []
 
