@@ -254,7 +254,7 @@ def brute_force_optima(inst):
 
 def reference_resplit_sweep(inst, graph, max_rows):
     """The re-split sweep written as its plain per-subset rule, without the
-    skip shortcuts: for every subset of 2..``max_rows`` rows in order, build
+    flow certificate: for every subset of 2..``max_rows`` rows in order, build
     its columns, charge ``split_count`` states to the per-subset and
     per-sweep budgets (read from the solver at call time), and enumerate it
     when admitted. Returns ``(found, complete, skipped, left)`` like the

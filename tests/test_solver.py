@@ -196,10 +196,11 @@ def test_a_walk_that_does_not_improve_whole_is_withheld_whole(monkeypatch):
     assert (len(moves), walk.claimed_weight, graph.gain(moves)) == (4, -4, 0)
     assert graph.gain(moves[2:]) == -4
     withheld, walk_commits = [], []
+    withhold_edges = graph.withhold
 
     def withhold(edges):
         withheld.append(list(edges))
-        type(graph).withhold(graph, edges)
+        withhold_edges(edges)
 
     def commit_walk(g, cycle):
         walk_commits.append(cycle)
