@@ -57,21 +57,19 @@ or change a row's size. The exact search of :mod:`divmatch.flow` prices its
 cancels by the same two functions.
 
 ``succ`` offers the detectors the edges they may use, per port in
-``out_edges`` order, and only edges between live ports. An output port is
-held while its team holds a worker of its key, and drained otherwise (on a
-large instance most are drained). A drained port offers nothing, so an edge
-into it lies on no cycle: an input port offers only its intra edges into its
-team's held output ports. A held output port offers its inter edges into
-the rows that hold workers, since a row that holds none has no held port to
-leave by; row sizes are fixed, so this part is set once. ``apply_moves``
-refreshes the offer where a cell became held or drained, from a per-team
-list of held keys; :meth:`AuxGraph.withhold` takes a walk's edges out of it
-and :meth:`AuxGraph.restore` puts them back.
+``out_edges`` order, set from ``w`` alone one team at a time. An output
+port is held while its team holds a worker of its key, and drained
+otherwise (on a large instance most are drained). A held output port offers
+its whole ``out_edges`` row and a drained one offers nothing, so an edge
+into a drained port lies on no cycle: an input port offers only its intra
+edges into its team's held output ports. An inter edge into a row that
+holds no worker ends at an input port that offers nothing, so it lies on no
+cycle either. ``apply_moves`` sets the offer anew for each team where a
+cell became held or drained; :meth:`AuxGraph.withhold` takes a walk's edges
+out of it and :meth:`AuxGraph.restore` sets their teams' offer anew.
 """
 
 from __future__ import annotations
-
-from bisect import insort
 
 from .instance import CombinationIndex, Instance, TradeoffWeights
 from .negcycle import ExchangeCycle
@@ -118,8 +116,8 @@ class AuxGraph:
     """Live switch-graph over the current assignment matrix.
 
     Exposes ``node_count``, ``succ`` (per port, the AuxEdges offered to
-    the cycle detectors: those between live ports) and the per-port price
-    terms ``bias`` and ``start``. Single-writer: detection never
+    the cycle detectors, set from ``w`` by :meth:`_offer`) and the per-port
+    price terms ``bias`` and ``start``. Single-writer: detection never
     overlaps mutation.
     """
 
@@ -135,9 +133,6 @@ class AuxGraph:
         self.edges: list[AuxEdge] = []
         # per port, its out-edges in edge-index order; set by _build
         self.out_edges: list[list[AuxEdge]] = [None] * self.node_count
-        # per team, the keys it holds a worker of, in key order
-        self._held = [[key for key, x in enumerate(row) if x]
-                      for row in self.w]
         # per feature k and value v, the keys whose value of k is v
         self._keys_with = [[[] for _ in range(inst.schema.value_count(k))]
                            for k in range(inst.schema.num_features)]
@@ -145,7 +140,7 @@ class AuxGraph:
             for k, v in enumerate(values):
                 self._keys_with[k][v].append(key)
         self._build()
-        self._withheld: set[int] = set()  # ports whose offer lacks edges
+        self._withheld: set[int] = set()  # teams whose offer lacks edges
 
     # -- node ids -----------------------------------------------------------
 
@@ -184,11 +179,8 @@ class AuxGraph:
     def _build(self):
         """Set the port terms and add every edge: intra edges by team, input
         key and output key, then inter edges by source team, target team
-        and key. Port ids are made once, so the edges share them. Each
-        port's live out-edges are offered in ``succ`` as :meth:`_offer`
-        would, from the rows of ``w``; ``_live`` keeps, per team, the
-        positions in its output ports' edge lists of the rows that hold
-        workers, or None when every other row does."""
+        and key. Port ids are made once, so the edges share them. Then
+        each team's offer is set by :meth:`_offer`."""
         weights = self.inst.weights
         num_keys = self.num_keys
         keys = range(num_keys)
@@ -201,7 +193,6 @@ class AuxGraph:
                 for a in self.keys]
         dummy = [[0] * num_keys] * num_keys
         edges, out_edges = self.edges, self.out_edges
-        succ = self.succ = [()] * self.node_count
         for team in switches:
             table = real if team else dummy
             dst = outs[team]
@@ -210,52 +201,32 @@ class AuxGraph:
                        for port, wgt in zip(dst, table[kin])]
                 out_edges[src] = row
                 edges += row
-            self._offer_inputs(team)
-        filled = [team for team, held in enumerate(self._held) if held]
-        self._live = []
         for i1 in switches:
             src = outs[i1]
             block = [AuxEdge(src[key], dst[key], 0)
                      for i2, dst in enumerate(ins) if i2 != i1
                      for key in keys]
             edges += block
-            live = [i2 - (i2 > i1) for i2 in filled if i2 != i1]
-            if len(live) == len(switches) - 1:
-                live = None
-            self._live.append(live)
-            for key, held in enumerate(self.w[i1]):
-                port = src[key]
-                row = out_edges[port] = block[key::num_keys]
-                if held:
-                    succ[port] = row if live is None else [row[p]
-                                                           for p in live]
+            for key in keys:
+                out_edges[src[key]] = block[key::num_keys]
+        self.succ = [()] * self.node_count
+        for team in switches:
+            self._offer(team)
 
-    def _offer(self, team: int, side: int, key: int):
-        """Offer a port's live out-edges in ``succ``: at an input port, its
-        intra edges into its team's held output ports, in key order; at an
-        output port, while held, its inter edges into rows that hold
-        workers."""
-        node = self.port_id(team, side, key)
-        if side == INPUT:
-            row = self.out_edges[node]
-            self.succ[node] = [row[b] for b in self._held[team]]
-        elif self.w[team][key]:
-            row, live = self.out_edges[node], self._live[team]
-            self.succ[node] = row if live is None else [row[p] for p in live]
-        else:
-            self.succ[node] = ()
-
-    def _offer_inputs(self, team: int):
-        """Offer each input port of ``team`` as :meth:`_offer` does, in
-        O(K * held); a team that holds every key shares the edge index's
-        lists."""
-        held = self._held[team]
+    def _offer(self, team: int):
+        """Set the offer in ``succ`` of every port of ``team`` from its row
+        of ``w``: an input port offers its intra edges into the team's held
+        output ports, in key order; a held output port offers its whole
+        ``out_edges`` row, and a drained one offers nothing."""
+        row = self.w[team]
+        held = [key for key, x in enumerate(row) if x]
         first = self.port_id(team, INPUT, 0)
         out_edges, succ = self.out_edges, self.succ
-        every = len(held) == self.num_keys
         for port in range(first, first + self.num_keys):
-            row = out_edges[port]
-            succ[port] = row if every else [row[b] for b in held]
+            edges = out_edges[port]
+            succ[port] = [edges[key] for key in held]
+        for port, x in enumerate(row, first + self.num_keys):
+            succ[port] = out_edges[port] if x else ()
 
     # -- lookups ------------------------------------------------------------
 
@@ -292,24 +263,17 @@ class AuxGraph:
         ``c[i][k][v]`` at a real team shifts each key with value ``v`` of
         feature ``k`` by ``s = 2 * lambdas[k] * d``, written as ``bias[out]
         -= s``, ``bias[in] += s`` and ``start[in] -= s`` at that key's ports
-        of the team. No edge changes. Where a cell became held or drained,
-        the offer in ``succ`` is refreshed at its output port and at its
-        team's input ports."""
+        of the team. No edge changes. Each team where a cell became held or
+        drained has its offer in ``succ`` set anew."""
         cells, counters = net_change(self.index, self.w, moves)
         flipped = set()
         for (team, key), d in cells.items():
             before = self.w[team][key]
             self.w[team][key] += d
             if bool(before) != bool(before + d):
-                held = self._held[team]
-                if before:
-                    held.remove(key)
-                else:
-                    insort(held, key)
-                self._offer(team, OUTPUT, key)
                 flipped.add(team)
         for team in flipped:
-            self._offer_inputs(team)
+            self._offer(team)
         lambdas = self.inst.weights.lambdas
         bias, start, num_keys = self.bias, self.start, self.num_keys
         for (team, k, v), d in counters.items():
@@ -329,13 +293,13 @@ class AuxGraph:
         drop = set(edges)
         for node in {e.src for e in drop}:
             self.succ[node] = [e for e in self.succ[node] if e not in drop]
-            self._withheld.add(node)
+            self._withheld.add(self.port(node)[0])
 
     def restore(self) -> None:
-        """Offer again every live edge :meth:`withhold` took out: each
-        withheld port's offer is set anew from the current counts."""
-        for node in self._withheld:
-            self._offer(*self.port(node))
+        """Offer again every edge :meth:`withhold` took out: the offer of
+        each team that lost edges is set anew from ``w``."""
+        for team in self._withheld:
+            self._offer(team)
         self._withheld.clear()
 
 

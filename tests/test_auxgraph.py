@@ -129,8 +129,7 @@ def test_stored_weights_match_weight_functions():
     # The graph prices edges from per-port terms; the weight functions
     # price each edge on its own. An edge stores only its static part, 0 on
     # an inter edge. Class and worker costs alike. An edge is offered while
-    # it joins live ports: into a held output port, or out of one into a
-    # row that holds workers.
+    # it runs into a held output port or out of one.
     instances = [small_instance(),
                  convert_cost_mode(small_instance(), "worker")]
     instances += [random_small_instance(seed, worker_fraction=1.0)
@@ -152,7 +151,7 @@ def test_stored_weights_match_weight_functions():
                 expected = inter_weight(index.columns[key_from], costs,
                                         team_from, team_to, g.c,
                                         inst.weights)
-                live = w[team_from][key_from] >= 1 and sum(w[team_to]) >= 1
+                live = w[team_from][key_from] >= 1
             assert (e in g.succ[e.src]) == live
             assert g.price(e) == expected
             assert e.weight == (expected if side == INPUT else 0)
@@ -331,8 +330,8 @@ def test_dump_format_golden():
 1:in:1 -> 1:out:1 -2 intra true
 0:out:0 -> 1:in:0 4 inter false
 0:out:1 -> 1:in:1 5 inter false
-1:out:0 -> 0:in:0 -2 inter false
-1:out:1 -> 0:in:1 -3 inter false
+1:out:0 -> 0:in:0 -2 inter true
+1:out:1 -> 0:in:1 -3 inter true
 """
 
 
@@ -439,8 +438,7 @@ def test_weight_shifts_stay_exact_over_a_long_chain(inst):
 def _assert_live_offer(g):
     """Each input port offers exactly its intra edges into its team's held
     output ports, in key order; each output port offers, exactly while
-    held, its inter edges into the rows that hold workers, in team order."""
-    filled = [team for team, row in enumerate(g.w) if any(row)]
+    held, all its inter edges, in team order."""
     for u in range(g.node_count):
         team, side, key = g.port(u)
         if side == INPUT:
@@ -448,7 +446,8 @@ def _assert_live_offer(g):
             assert [g.port(e.dst) for e in g.succ[u]] == \
                 [(team, OUTPUT, k) for k in into]
         else:
-            into = [i for i in filled if i != team] if g.w[team][key] else []
+            into = [i for i in range(g.num_switches) if i != team] \
+                if g.w[team][key] else []
             assert [g.port(e.dst) for e in g.succ[u]] == \
                 [(i, INPUT, key) for i in into]
         assert all(e in g.out_edges[u] for e in g.succ[u])
