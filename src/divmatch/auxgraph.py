@@ -236,12 +236,6 @@ class AuxGraph:
         return (edge.weight + self.bias[edge.src]
                 + start[edge.src] - start[edge.dst])
 
-    def find_inter_edge(self, key: int, i1: int, i2: int) -> AuxEdge:
-        return self.out_edges[self.port_id(i1, OUTPUT, key)][i2 - (i2 > i1)]
-
-    def find_intra_edge(self, team: int, key_in: int, key_out: int) -> AuxEdge:
-        return self.out_edges[self.port_id(team, INPUT, key_in)][key_out]
-
     def current_state(self):
         """Copy of the live assignment matrix."""
         return [list(row) for row in self.w]
@@ -395,15 +389,15 @@ def cycle_from_moves(g: AuxGraph, moves) -> ExchangeCycle:
 
     ``moves[p]`` must end at the team where ``moves[p+1]`` starts (cyclically);
     the connecting intra edge inside that team pairs the arriving key with the
-    departing one.
+    departing one. Edges are found by their position in ``out_edges``.
     """
     edges = []
     for p, (key, i1, i2) in enumerate(moves):
         nxt = moves[(p + 1) % len(moves)]
         if i2 != nxt[1]:
             raise ValueError("moves do not form a closed walk")
-        edges.append(g.find_inter_edge(key, i1, i2))
-        edges.append(g.find_intra_edge(i2, key, nxt[0]))
+        edges.append(g.out_edges[g.port_id(i1, OUTPUT, key)][i2 - (i2 > i1)])
+        edges.append(g.out_edges[g.port_id(i2, INPUT, key)][nxt[0]])
     return ExchangeCycle(edges, sum(g.price(e) for e in edges))
 
 

@@ -7,6 +7,7 @@ import random
 
 import networkx as nx
 
+from divmatch.auxgraph import OUTPUT
 from divmatch.instance import (CostModel, Feature, FeatureSchema, Instance,
                                Team, TradeoffWeights, build_combination_index)
 
@@ -46,6 +47,12 @@ class SimpleDigraph:
         self.succ[src].append(e)
         self.edges.append(e)
         return e
+
+
+def inter_edge(g, key: int, i1: int, i2: int):
+    """The inter edge of ``g`` that moves a worker of ``key`` from team
+    ``i1`` to team ``i2``: ``out(i1, key)``'s out-edges skip its own team."""
+    return g.out_edges[g.port_id(i1, OUTPUT, key)][i2 - (i2 > i1)]
 
 
 def intra_weight(v_a, v_b, team: int, weights: TradeoffWeights) -> int:

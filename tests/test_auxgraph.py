@@ -18,9 +18,9 @@ from divmatch.negcycle import DETECTORS
 from divmatch.objective import exchange_gain, matrix_from_assignment
 from divmatch.solver import (SolverConfig, _moves_from_split,
                              initial_feasible, solve)
-from helpers import (inter_weight, intra_weight, random_feasible_assignment,
-                     random_feasible_matrix, random_small_instance,
-                     random_switch_simple_moves)
+from helpers import (inter_edge, inter_weight, intra_weight,
+                     random_feasible_assignment, random_feasible_matrix,
+                     random_small_instance, random_switch_simple_moves)
 
 LAM11 = TradeoffWeights(1, (1, 1))
 
@@ -188,10 +188,10 @@ def test_moving_last_worker_disables_outgoing_edges():
     assert g.w[1][0] == 0
     for i2 in range(4):
         if i2 != 1:
-            edge = g.find_inter_edge(0, 1, i2)
+            edge = inter_edge(g, 0, 1, i2)
             assert edge not in g.succ[edge.src]
         if i2 != 2:
-            edge = g.find_inter_edge(1, 2, i2)
+            edge = inter_edge(g, 1, 2, i2)
             assert (edge in g.succ[edge.src]) is (g.w[2][1] >= 1)
 
 
@@ -210,13 +210,13 @@ def test_untouched_team_pair_keeps_weights():
             break
     if moves is None:
         pytest.skip("no applicable two-team exchange in sampled state")
-    frozen = [(key, g.price(g.find_inter_edge(key, 0, 3)),
-               g.price(g.find_inter_edge(key, 3, 0)))
+    frozen = [(key, g.price(inter_edge(g, key, 0, 3)),
+               g.price(inter_edge(g, key, 3, 0)))
               for key in range(g.num_keys)]
     apply_and_update(g, cycle_from_moves(g, moves))
     for key, w03, w30 in frozen:
-        assert g.price(g.find_inter_edge(key, 0, 3)) == w03
-        assert g.price(g.find_inter_edge(key, 3, 0)) == w30
+        assert g.price(inter_edge(g, key, 0, 3)) == w03
+        assert g.price(inter_edge(g, key, 3, 0)) == w30
 
 
 def test_apply_rejects_disabled_edge():
@@ -337,6 +337,8 @@ def test_dump_format_golden():
 
 @pytest.mark.parametrize("worker_fraction", [0.0, 1.0])
 def test_finders_return_every_edge_by_position(worker_fraction):
+    # An input port's out-edges are in output-key order; an output port's
+    # are in target-team order with its own team skipped.
     for seed in range(6):
         inst = random_small_instance(seed + 60,
                                      worker_fraction=worker_fraction)
@@ -347,10 +349,10 @@ def test_finders_return_every_edge_by_position(worker_fraction):
             team_from, side, key_from = g.port(e.src)
             team_to, _, key_to = g.port(e.dst)
             if side == INPUT:
-                found = g.find_intra_edge(team_from, key_from, key_to)
+                position = key_to
             else:
-                found = g.find_inter_edge(key_from, team_from, team_to)
-            assert found is e
+                position = team_to - (team_to > team_from)
+            assert g.out_edges[e.src][position] is e
 
 
 def _applicable(g, moves):
