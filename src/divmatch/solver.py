@@ -190,31 +190,31 @@ def _find_resplit(inst, graph, max_rows=3):
     two exchanges that gain nothing alone can gain jointly when they push
     the same (team, value) counters in opposite directions. The sweep
     escapes the cases seen in practice by exactly re-optimizing the split
-    of the workers within each subset of 2..``max_rows`` rows, the
-    unassigned pool included. Subsets come by size, then in index order,
-    and the sweep stops at its first find. Each row's columns, size and
-    objective share are computed once per sweep.
+    of the workers within each subset of 2..``max_rows`` rows that hold
+    workers, the unassigned pool included; a row that holds none adds no
+    split. Subsets come by size, then in index order, and the sweep stops
+    at its first find. Each row's columns, size and objective share are
+    computed once per sweep.
 
-    A subset that holds workers is charged its
-    :func:`~divmatch.oracle.split_count`, or skipped when that exceeds
-    ``REFINE_STATE_BUDGET`` (per subset) or what is left of
-    ``REFINE_SCAN_BUDGET`` (per sweep). The budgets keep triples affordable at
-    verification scale, while larger instances fall back to the pair scan.
+    A subset is charged its :func:`~divmatch.oracle.split_count`, or
+    skipped when that exceeds ``REFINE_STATE_BUDGET`` (per subset) or what
+    is left of ``REFINE_SCAN_BUDGET`` (per sweep). The budgets keep triples
+    affordable at verification scale, while larger instances fall back to
+    the pair scan.
     A charged subset is enumerated with :func:`~divmatch.oracle.best_split`
     only when :func:`_parts_optimal` does not certify it; certifying is
     sufficient, so it changes no result. One debug line per sweep counts
     each outcome."""
     nonzero = [{j for j, x in enumerate(row) if x} for row in graph.w]
     sizes = [sum(row) for row in graph.w]
+    filled = [i for i, size in enumerate(sizes) if size]
     values = _row_values(inst, graph.index, graph.w, graph.c)
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
     found = None
     for rows in itertools.chain.from_iterable(
-            itertools.combinations(range(inst.t + 1), size)
+            itertools.combinations(filled, size)
             for size in range(2, max_rows + 1)):
         totals = [sizes[i] for i in rows]
-        if not sum(totals):
-            continue
         cols = sorted(set().union(*(nonzero[i] for i in rows)))
         pooled = [sum(graph.w[i][j] for i in rows) for j in cols]
         if not spent.take(split_count(pooled, len(rows))):

@@ -261,8 +261,8 @@ def brute_force_optima(inst):
 
 def reference_resplit_sweep(inst, graph, max_rows):
     """The re-split sweep written as its plain per-subset rule, without the
-    flow certificate: for every subset of 2..``max_rows`` rows in order, build
-    its columns, charge ``split_count`` states to the per-subset and
+    flow certificate: for every subset of 2..``max_rows`` rows that hold
+    workers, in order, build its columns, charge ``split_count`` states to the per-subset and
     per-sweep budgets (read from the solver at call time), and enumerate it
     when admitted. Returns ``(found, complete, skipped, left)`` like the
     solver's sweep and its budget."""
@@ -282,11 +282,10 @@ def reference_resplit_sweep(inst, graph, max_rows):
         return lam.lambda0 * sum(u * x for u, x in zip(index.costs[i], w[i])) \
             + sum(lam.lambdas[k] * m * m for (k, _), m in counts.items())
 
+    filled = [i for i, row in enumerate(w) if any(row)]
     for size in range(2, max_rows + 1):
-        for rows in itertools.combinations(range(inst.t + 1), size):
+        for rows in itertools.combinations(filled, size):
             cols = sorted({j for i in rows for j, x in enumerate(w[i]) if x})
-            if not cols:
-                continue
             pooled = [sum(w[i][j] for i in rows) for j in cols]
             states = split_count(pooled, size)
             if states > solver.REFINE_STATE_BUDGET or states > left:

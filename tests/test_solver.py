@@ -694,13 +694,30 @@ def test_resplit_sweep_logs_one_count_line(caplog):
     with caplog.at_level(logging.DEBUG, logger="divmatch"):
         solver._find_resplit(inst, graph)
     (line,) = [r.getMessage() for r in caplog.records]
-    # 55 pairs and 165 triples of 11 rows: the 55 pairs and the 45 triples
-    # with the empty dummy row are certified.
+    # The dummy row is empty, so the sweep takes the 45 pairs and 120
+    # triples of the 10 teams: the pairs are certified, and the triples
+    # skipped for budget.
     certified, enumerated, skipped = map(int, re.fullmatch(
         r"re-split sweep: (\d+) certified, (\d+) enumerated, (\d+) skipped",
         line).groups())
-    assert certified == 100
-    assert certified + enumerated + skipped == 55 + 165
+    assert (certified, enumerated, skipped) == (45, 0, 120)
+
+
+def test_resplit_sweep_takes_only_rows_that_hold_workers(monkeypatch):
+    # A row that holds no worker adds no split, so the sweep never hands
+    # one to the flow certificate. This instance's dummy row is empty and
+    # its fixed point is not proved, so its final sweep runs.
+    inst = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=3)
+    rows_seen = []
+
+    def recording(inst, index, w, c, rows, cols):
+        rows_seen.append([sum(w[i]) for i in rows])
+        return flow._parts_optimal(inst, index, w, c, rows, cols)
+
+    monkeypatch.setattr(solver, "_parts_optimal", recording)
+    assert solve(inst).proved_optimal is False
+    assert rows_seen
+    assert all(all(rows) for rows in rows_seen)
 
 
 @settings(max_examples=300, deadline=None)
