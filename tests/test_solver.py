@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import logging
@@ -279,18 +280,28 @@ def test_worker_costs_follow_the_class_search_on_the_ladder_rung():
     assert as_worker.breakdown.objective == 251
 
 
-@pytest.mark.parametrize("rung, expected", [((10, 40), (33, 251)),
-                                            ((25, 100), (95, 609)),
-                                            ((50, 200), (189, 1125))])
-def test_class_ladder_rungs_keep_their_search(rung, expected):
-    # The benchmark's ladder-class rungs (criterion 7's shape, seed 1): a
-    # refactor that keeps the search keeps these commit counts and optima.
+@pytest.mark.parametrize("detector, rung, expected", [
+    ("gr", (10, 40), (33, 251, "9d176299f637678e")),
+    ("gr", (25, 100), (95, 609, "503e9610845f8cc3")),
+    ("gr", (50, 200), (189, 1125, "73c1b2b38f506e54")),
+    ("bf", (10, 40), (16, 251, "18ac5e9b6429923a")),
+    ("bf", (25, 100), (39, 609, "f67d0415792afa8e")),
+    ("bf", (50, 200), (69, 1125, "48f7b11a9704cb64")),
+])
+def test_class_ladder_rungs_keep_their_search(detector, rung, expected):
+    # The benchmark's ladder-class rungs (criterion 7's shape, seed 1),
+    # whose dummy row is empty: a refactor that keeps the search keeps
+    # these commit counts, optima and traces (a sha256 prefix of each
+    # commit's cycle length, claimed and exact gain and objective).
     papers, reviewers = rung
     inst = generate_reviewer_instance(papers, [reviewers // 5] * 5,
                                       "balanced", 4, seed=1)
-    report = solve(inst)
+    report = solve(inst, SolverConfig(detector=detector))
     assert report.termination == "optimal"
-    assert (report.iterations, report.breakdown.objective) == expected
+    trace = json.dumps([[r.cycle_len, r.claimed, r.exact, r.objective_after]
+                        for r in report.trace])
+    assert (report.iterations, report.breakdown.objective,
+            hashlib.sha256(trace.encode()).hexdigest()[:16]) == expected
 
 
 def test_refinement_report_is_incomplete_when_the_scan_budget_binds():
