@@ -81,9 +81,10 @@ def solution_to_dict(inst, report: SolveReport) -> dict:
         "refinement_complete": report.refinement_complete,
         "proved_optimal": report.proved_optimal,
         "iterations": report.iterations,
-        "trace": [{"iter": r.index, "cycle_len": r.cycle_len,
-                   "claimed": r.claimed, "exact": r.exact,
-                   "objective": r.objective_after} for r in report.trace],
+        "trace": [{"iter": r.index, "source": r.source,
+                   "cycle_len": r.cycle_len, "claimed": r.claimed,
+                   "exact": r.exact, "objective": r.objective_after}
+                  for r in report.trace],
     }
 
 

@@ -7,9 +7,10 @@ the one part lambda0 * TU). Alone, a part is a separable convex-cost flow
 (Ahuja, Magnanti & Orlin, Network Flows, ch. 14; see :func:`_part_network`),
 and a state minimizes it exactly when the part's residual network has no
 negative cycle (:func:`negative_cycle`). A state that minimizes every part
-minimizes their sum, which proves it a global optimum
-(:func:`_proves_optimal`); restricted to a few rows, the same test
-certifies their split (:func:`_parts_optimal`).
+minimizes their sum. One test, :func:`_part_cycle`, looks for the first
+negative part cycle over given rows and types: over all of them, finding
+none proves the state a global optimum (:func:`_proves_optimal`); over a
+few rows, it certifies their split.
 
 With at most one weighted feature the one part is the whole objective, so
 the proof is exact and a negative cycle is an improving exchange:
@@ -17,7 +18,7 @@ the proof is exact and a negative cycle is an improving exchange:
 stops at a proved optimum. A simple cycle changes each cell and counter by
 at most one unit, so its arc sum is its exact gain, which each cancel
 checks with the move-list rule of :func:`~divmatch.auxgraph.net_change` and
-:func:`~divmatch.auxgraph.change_gain` before it is written.
+:func:`~divmatch.auxgraph.change_gain`; its step's commit writes it.
 
 A state is the assignment matrix ``w``, its count tensor ``c`` and the
 instance's :class:`~divmatch.instance.CombinationIndex`.
@@ -26,6 +27,7 @@ instance's :class:`~divmatch.instance.CombinationIndex`.
 from __future__ import annotations
 
 import logging
+from functools import partial
 
 from .auxgraph import change_gain, net_change
 from .objective import count_tensor
@@ -98,11 +100,10 @@ def _proves_optimal(inst, index, w, c) -> bool:
     """True when the state is shown to be a global optimum; False says
     nothing. One debug line per call gives the verdict and the size of the
     networks tested."""
-    proved, nodes, arcs = _parts_optimal(inst, index, w, c,
-                                         range(inst.t + 1),
-                                         range(index.num_columns))
-    _log_proof(proved, nodes, arcs)
-    return proved
+    cycle, nodes, arcs = _part_cycle(inst, index, w, c, range(inst.t + 1),
+                                     range(index.num_columns))
+    _log_proof(cycle is None, nodes, arcs)
+    return cycle is None
 
 
 def _log_proof(proved, nodes, arcs):
@@ -110,12 +111,12 @@ def _log_proof(proved, nodes, arcs):
                  "proved" if proved else "not proved", nodes, arcs)
 
 
-def _parts_optimal(inst, index, w, c, rows, cols):
-    """``(optimal, nodes, arcs)``: ``optimal`` is True when no split of the
-    ``rows``' workers, all of types ``cols`` and each row keeping its size,
-    has a smaller share of the objective than the state; False says
-    nothing. ``nodes`` and ``arcs`` count the networks tested. Parts are
-    tested in feature order, and the first that fails ends the test."""
+def _part_cycle(inst, index, w, c, rows, cols):
+    """``(cycle, nodes, arcs)``: ``cycle`` is the first negative cycle of
+    a part's network over the ``rows``' workers, all of types ``cols``, or
+    None, which shows that no split of them, each row keeping its size, has
+    a smaller share of the objective than the state. ``nodes`` and ``arcs``
+    count the networks tested, in feature order up to the first cycle."""
     weighted = [k for k, lam in enumerate(inst.weights.lambdas) if lam]
     nodes = arcs = 0
     for part, k in enumerate(weighted or [0]):
@@ -123,9 +124,10 @@ def _parts_optimal(inst, index, w, c, rows, cols):
                                          rows, cols)
         nodes += count
         arcs += len(part_arcs)
-        if negative_cycle(count, part_arcs) is not None:
-            return False, nodes, arcs
-    return True, nodes, arcs
+        cycle = negative_cycle(count, part_arcs)
+        if cycle is not None:
+            return cycle, nodes, arcs
+    return None, nodes, arcs
 
 
 def _part_network(inst, index, w, c, k, with_cost, rows, cols):
@@ -171,36 +173,30 @@ class CycleCanceling:
     cancel at a time, from the assignment matrix ``w``.
 
     :meth:`step` finds the next improving exchange in the network of the
-    one part, over all rows and types, and :meth:`commit` writes it.
-    ``w`` and ``c`` are the live state; ``proved_optimal`` and
-    ``refinement_complete`` turn true when no negative cycle is left."""
+    one part, over all rows and types. ``w`` and ``c`` are the live state;
+    ``proved_optimal`` and ``refinement_complete`` turn true when no
+    negative cycle is left."""
 
     def __init__(self, inst, index, w):
         self.inst, self.index = inst, index
         self.w = [list(row) for row in w]
         self.c = count_tensor(inst, self.w, index)
-        self.feature = next((k for k, lam in enumerate(inst.weights.lambdas)
-                             if lam), 0)
         self.proved_optimal = self.refinement_complete = False
-        self._pending = None
 
     def step(self):
-        """``(cycle_len, claimed, exact)`` of the next cancel, with
-        ``cycle_len`` its number of moves, or None at a proved optimum.
-        Each type node on the cycle is one move ``(type, team of its
-        in-arc, team of its out-arc)``. Raises RuntimeError when the
-        cycle's exact gain is not its arc sum or is above -1."""
+        """The ``flow`` record of the next cancel, whose ``cycle_len`` counts
+        its moves, or None at a proved optimum. Each type node on the cycle
+        is one move ``(type, team of its in-arc, team of its out-arc)``.
+        Raises RuntimeError when the cycle's exact gain is not its arc sum
+        or is above -1."""
         inst, index = self.inst, self.index
-        cols = range(index.num_columns)
-        count, arcs = _part_network(inst, index, self.w, self.c,
-                                    self.feature, True, range(inst.t + 1),
-                                    cols)
-        cycle = negative_cycle(count, arcs)
+        types = index.num_columns
+        cycle, count, arcs = _part_cycle(inst, index, self.w, self.c,
+                                         range(inst.t + 1), range(types))
         if cycle is None:
-            _log_proof(True, count, len(arcs))
+            _log_proof(True, count, arcs)
             self.proved_optimal = self.refinement_complete = True
             return None
-        types = len(cols)
         slots = (count - types) // (inst.t + 1) - 1  # values per team
         moves = [(to, (u - types) // slots, (after[1] - types) // slots)
                  for (u, to, _), after in zip(cycle, cycle[1:] + cycle[:1])
@@ -211,13 +207,14 @@ class CycleCanceling:
         if exact != claimed or exact > -1:
             raise RuntimeError(f"a cycle of cost {claimed} has exact gain "
                                f"{exact}")
-        self._pending = change
-        return len(moves), claimed, exact
+        return ("flow", len(moves), claimed, exact,
+                partial(_write_change, self.w, self.c, change))
 
-    def commit(self):
-        """Write the net change of the last step's cycle."""
-        cells, counters = self._pending
-        for (team, key), d in cells.items():
-            self.w[team][key] += d
-        for (team, k, v), d in counters.items():
-            self.c[team][k][v] += d
+
+def _write_change(w, c, change):
+    """Write a net change ``(cells, counters)`` into ``w`` and ``c``."""
+    cells, counters = change
+    for (team, key), d in cells.items():
+        w[team][key] += d
+    for (team, k, v), d in counters.items():
+        c[team][k][v] += d

@@ -70,8 +70,7 @@ def enumerate_optimal(inst: Instance, budget: int = DEFAULT_BUDGET,
     order = sorted(range(index.num_columns), key=cols.__getitem__)
     best, split, count, optima = best_split(
         inst, index, rows, cols, [index.multiplicities[j] for j in cols],
-        [inst.demand(i) for i in rows], collect=collect_optima,
-        cap=OPTIMA_CAP, order=order)
+        [inst.demand(i) for i in rows], collect=collect_optima, order=order)
 
     def in_index_order(m):
         return [[row[p] for p in order] for row in m]
@@ -144,26 +143,27 @@ def _greedy_split(rows, slots, costs, counts, totals):
 
 
 def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
-               collect=False, cap=0, order=None):
+               collect=False, order=None):
     """Best way to split ``counts[p]`` workers of type ``cols[p]`` among the
     teams ``rows``, team ``rows[r]`` taking ``totals[r]`` workers in all.
 
     Returns ``(value, split, count, optima)``: the least value of the rows'
     share of the objective, an optimal split ``split[r][p]``, the number of
-    optimal splits and, when ``collect``, up to ``cap`` of them. Types are
-    placed in the order of ``cols``, each split over ``rows`` in order,
-    each row taking 0, 1, ... workers. Ties go by ``order``, a list of the
-    positions ``p`` (by default ``0, 1, ...``, the search order): of the
-    optimal splits, ``split`` is the first and ``optima`` the first ``cap``
-    in the lexicographic order of their types' counts, type ``cols[p]`` for
-    each ``p`` in ``order``, each over ``rows`` in order. A tying leaf is
-    compared with the kept ones, so no list of every optimum is kept.
-    Without an ``incumbent`` every optimal split is counted, and the search
-    starts with the value of :func:`_greedy_split` as its limit, which
-    every optimal split is at or below. With an incumbent, only splits
-    strictly below it are explored, ``split`` is the first one in search
-    order, or None when there is none, and ``count`` is 1 or 0. Needs two
-    or more rows: the last one takes the rest of each type, in place.
+    optimal splits and, when ``collect``, up to ``OPTIMA_CAP`` of them.
+    Types are placed in the order of ``cols``, each split over ``rows`` in
+    order, each row taking 0, 1, ... workers. Ties go by ``order``, a list
+    of the positions ``p`` (by default ``0, 1, ...``, the search order): of
+    the optimal splits, ``split`` is the first and ``optima`` the first
+    ``OPTIMA_CAP`` in the lexicographic order of their types' counts, type
+    ``cols[p]`` for each ``p`` in ``order``, each over ``rows`` in order.
+    A tying leaf is compared with the kept ones, so no list of every
+    optimum is kept. Without an ``incumbent`` every optimal split is
+    counted, and the search starts with the value of :func:`_greedy_split`
+    as its limit, which every optimal split is at or below. With an
+    incumbent, only splits strictly below it are explored, ``split`` is the
+    first one in search order, or None when there is none, and ``count`` is
+    1 or 0. Needs two or more rows: the last one takes the rest of each
+    type, in place.
 
     A branch is cut once its partial value plus a lower bound on the types
     not yet placed exceeds the limit: the best value so far (one less with
@@ -295,7 +295,7 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
                 chosen, chosen_key = [list(row) for row in split], key
             if optima is not None:
                 entry = ([-x for x in key], [list(row) for row in split])
-                if len(optima) < cap:
+                if len(optima) < OPTIMA_CAP:
                     heapq.heappush(optima, entry)
                 else:
                     heapq.heappushpop(optima, entry)

@@ -5,11 +5,15 @@ steps, each of a true objective change of at most -1, from one of two
 searches. An instance with at most one weighted feature takes the exact
 path: :class:`~divmatch.flow.CycleCanceling` cancels negative cycles of the
 objective's flow network and ends at a proved optimum, with no
-switch-graph. Any other instance searches the switch-graph, as below. The
-loop's bookkeeping is the same for both: the iteration cap, the descent
-bound, one :class:`IterationRecord` per commit, and the objective, evaluated
-at the start from the search's counters and once in full at the end, as a
-check that the committed gains add up.
+switch-graph. Any other instance searches the switch-graph, as below. Each
+search's step is one record, ``(source, cycle_len, claimed, exact,
+commit)``: ``source`` says what found it (``cycle``, a detected walk;
+``resplit``, a re-split of two or three teams; ``flow``, a cancel on the
+exact path), and ``commit`` is the call that applies it. The loop's
+bookkeeping is the same for every source: the iteration cap, the descent
+bound, one :class:`IterationRecord` per commit, and the objective,
+evaluated at the start from the search's counters and once in full at
+the end, as a check that the committed gains add up.
 
 On the switch-graph, the solver looks for a negative cycle, prices the
 candidate exchange's true objective change with
@@ -20,9 +24,9 @@ so what was priced is what is applied.
 A detected walk that visits some switch more than once can misprice itself
 (its edge weights assume untouched counters). If its true change is not at
 most -1, the walk was spuriously negative: the graph withholds its edges
-from detection until the next commit restores them. Once no negative cycle
-remains, the solver first tries to prove the state a global optimum with
-:mod:`divmatch.flow`: the objective splits into one part per weighted
+from detection until the next step offers them again. Once no negative
+cycle remains, the solver first tries to prove the state a global optimum
+with :mod:`divmatch.flow`: the objective splits into one part per weighted
 feature (the first also carrying the cost), each part alone is a
 convex-cost flow, and a state optimal for every part is optimal for their
 sum. When that proof fails, a bounded exact re-split of small team subsets
@@ -43,9 +47,10 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 from .auxgraph import apply_and_update, build_aux_graph, moves_of
-from .flow import CycleCanceling, _parts_optimal, _proves_optimal, _row_values
+from .flow import CycleCanceling, _part_cycle, _proves_optimal, _row_values
 from .instance import CombinationIndex, Instance, build_combination_index
 from .negcycle import DETECTORS
 from .objective import ObjectiveBreakdown, breakdown_of, objective, \
@@ -79,13 +84,15 @@ class SolverConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     index: int
+    source: str  # cycle | resplit | flow
     cycle_len: int
     claimed: int
     exact: int
     objective_after: int
 
     def log_line(self) -> str:
-        return (f"iter={self.index} cycle_len={self.cycle_len} "
+        return (f"iter={self.index} source={self.source} "
+                f"cycle_len={self.cycle_len} "
                 f"claimed={self.claimed} exact={self.exact} "
                 f"objective={self.objective_after}")
 
@@ -202,7 +209,8 @@ def _find_resplit(inst, graph, max_rows=3):
     affordable at verification scale, while larger instances fall back to
     the pair scan.
     A charged subset is enumerated with :func:`~divmatch.oracle.best_split`
-    only when :func:`_parts_optimal` does not certify it; certifying is
+    only when :func:`~divmatch.flow._part_cycle` finds a cycle in it, and
+    is certified otherwise; certifying is
     sufficient, so it changes no result. One debug line per sweep counts
     each outcome."""
     nonzero = [{j for j, x in enumerate(row) if x} for row in graph.w]
@@ -219,7 +227,8 @@ def _find_resplit(inst, graph, max_rows=3):
         pooled = [sum(graph.w[i][j] for i in rows) for j in cols]
         if not spent.take(split_count(pooled, len(rows))):
             continue
-        if _parts_optimal(inst, graph.index, graph.w, graph.c, rows, cols)[0]:
+        if _part_cycle(inst, graph.index, graph.w, graph.c, rows,
+                       cols)[0] is None:
             spent.certified += 1
             continue
         spent.enumerated += 1
@@ -264,11 +273,12 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
         if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
             termination = "iteration-cap"  # a verified step is still pending
             break
-        cycle_len, claimed, gain = step
-        search.commit()
+        source, cycle_len, claimed, gain, commit = step
+        commit()
         iterations += 1
         current += gain
-        record = IterationRecord(iterations, cycle_len, claimed, gain, current)
+        record = IterationRecord(iterations, source, cycle_len, claimed, gain,
+                                 current)
         trace.append(record)
         logger.info(record.log_line())
         if iterations > bound:
@@ -287,20 +297,20 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
 class _SwitchGraphSearch:
     """The search on the switch-graph, one committing step at a time, from
     the assignment matrix ``start``: :meth:`step` finds the next improving
-    walk or re-split, and :meth:`commit` applies it. ``w`` and ``c``
-    are the graph's live state."""
+    walk or re-split. ``w`` and ``c`` are the graph's live state."""
 
     def __init__(self, inst, index, start, detect):
         self.inst, self.detect = inst, detect
         self.graph = build_aux_graph(inst, start, index)
         self.w, self.c = self.graph.w, self.graph.c
         self.refinement_complete = self.proved_optimal = False
-        self._pending = None  # (re-split moves, None) or (None, walk)
 
     def step(self):
-        """``(cycle_len, claimed, exact)`` of the next committing step, or
-        None at a fixed point."""
+        """The record of the next committing walk (``cycle``) or re-split
+        (``resplit``), or None at a fixed point. Edges that the last step
+        withheld are offered again first."""
         graph = self.graph
+        graph.restore()
         stalls = 0
         while True:
             cycle = self.detect(graph)
@@ -318,12 +328,12 @@ class _SwitchGraphSearch:
                 if found is None:
                     return None
                 moves, gain = found
-                self._pending = moves, None
-                return len(moves), gain, gain
+                return ("resplit", len(moves), gain, gain,
+                        partial(graph.apply_moves, moves))
             gain = graph.gain(moves_of(graph, cycle))
             if gain <= -1:
-                self._pending = None, cycle
-                return len(cycle), cycle.claimed_weight, gain
+                return ("cycle", len(cycle), cycle.claimed_weight, gain,
+                        partial(apply_and_update, graph, cycle))
             # The walk revisits a switch and mispriced itself. Withhold it
             # and look again; withholding one edge would keep surfacing
             # sibling walks.
@@ -335,13 +345,3 @@ class _SwitchGraphSearch:
                 raise RuntimeError(
                     "detection keeps returning non-improving walks")
             graph.withhold(cycle.edges)
-
-    def commit(self):
-        """Apply the last step, and offer every withheld edge again."""
-        moves, walk = self._pending
-        if walk is None:
-            self.graph.apply_moves(moves)
-        else:
-            apply_and_update(self.graph, walk)
-        self.graph.restore()
-

@@ -25,6 +25,10 @@ def test_tracer_counts_match_the_solves_and_uninstall_restores():
     instances = [dm.generate_reviewer_instance(10, [8] * 5, "balanced", 4,
                                                seed=1)]
     instances += [random_small_instance(seed) for seed in range(6)]
+    solves = [(inst, ("gr", "bf")[n % 2]) for n, inst in enumerate(instances)]
+    # Under gr this instance commits four walks and then a re-split.
+    solves.append((dm.generate_reviewer_instance(4, [4, 2, 3, 2], "balanced",
+                                                 2, seed=196), "gr"))
     spans = tracer.Tracer()
     spans.install(dm)
     patched = list(spans._patches)
@@ -42,15 +46,18 @@ def test_tracer_counts_match_the_solves_and_uninstall_restores():
         # at most one weighted feature cancels flow cycles and builds no
         # graph.
         iterations = exact_solves = 0
-        for n, inst in enumerate(instances):
-            detector = ("gr", "bf")[n % 2]
+        switch_sources, exact_sources = [], []
+        for inst, detector in solves:
             graphs = len(built)
             report = dm.solver.solve(inst, SolverConfig(detector=detector))
+            sources = [record.source for record in report.trace]
             if sum(lam > 0 for lam in inst.weights.lambdas) >= 2:
                 iterations += report.iterations
+                switch_sources += sources
             else:
                 assert len(built) == graphs
                 exact_solves += 1
+                exact_sources += sources
     finally:
         dm.solver.build_aux_graph = traced_build
         spans.uninstall()
@@ -60,6 +67,13 @@ def test_tracer_counts_match_the_solves_and_uninstall_restores():
     assert iterations > 0
     assert exact_solves > 0
     assert metrics["auxgraph.apply_calls"] == iterations
+    # The benchmark tells a walk commit from a re-split commit by the names
+    # it wraps; the records' sources must count the same commits.
+    assert metrics["solver.cycle_commits"] == \
+        switch_sources.count("cycle") > 0
+    assert metrics["solver.resplit_commits"] == \
+        switch_sources.count("resplit") > 0
+    assert set(exact_sources) == {"flow"}
     assert metrics["auxgraph.build_calls"] == len(built) > 0
     assert metrics["auxgraph.edges"] == sum(len(g.edges) for g in built)
     assert metrics["auxgraph.nodes"] == sum(g.node_count for g in built)

@@ -125,7 +125,13 @@ def test_log_flag_controls_iteration_lines(tmp_path):
     loud = run_cli_process(["solve", inst, "--out", out, "--log", "iter"])
     assert loud.returncode == 0
     lines = [ln for ln in loud.stderr.splitlines() if ln.startswith("iter=")]
-    assert len(lines) == json.loads(out.read_text())["iterations"] >= 1
+    sol = json.loads(out.read_text())
+    assert len(lines) == sol["iterations"] >= 1
+    # Each line shows its commit's entry of the solution's trace.
+    assert lines == [
+        "iter={iter} source={source} cycle_len={cycle_len} "
+        "claimed={claimed} exact={exact} objective={objective}".format(**entry)
+        for entry in sol["trace"]]
     quiet = run_cli_process(["solve", inst, "--out", out, "--log", "quiet"])
     assert quiet.returncode == 0
     assert "iter=" not in quiet.stderr

@@ -400,7 +400,7 @@ def test_best_split_returns_the_first_minimal_split_in_search_order():
         for incumbent in (None, rng.choice(values), least, least + 1):
             value, split, count, optima = best_split(
                 inst, index, rows, cols, counts, totals,
-                incumbent=incumbent, collect=True, cap=10_000)
+                incumbent=incumbent, collect=True)
             if incumbent is None:
                 expected = (least, optimal[0], len(optimal), optimal)
             elif least < incumbent:

@@ -209,9 +209,10 @@ def test_a_walk_that_does_not_improve_whole_is_withheld_whole(monkeypatch):
 
     monkeypatch.setattr(graph, "withhold", withhold)
     monkeypatch.setattr(solver, "apply_and_update", commit_walk)
-    assert search.step() == (2, -4, -4)
+    step = search.step()
+    assert step[:4] == ("resplit", 2, -4, -4)
     assert withheld == [walk.edges]
-    search.commit()
+    step[4]()
     assert walk_commits == []
     assert objective(inst, search.w, index).objective == \
         objective(inst, state, index).objective - 4
@@ -239,7 +240,8 @@ def test_iteration_log_line_format():
     inst = make(EIGHT_VS_SIXTEEN)
     report = solve(inst)
     line = report.trace[0].log_line()
-    assert line == (f"iter=1 cycle_len={report.trace[0].cycle_len} "
+    assert line == (f"iter=1 source={report.trace[0].source} "
+                    f"cycle_len={report.trace[0].cycle_len} "
                     f"claimed={report.trace[0].claimed} "
                     f"exact={report.trace[0].exact} "
                     f"objective={report.trace[0].objective_after}")
@@ -292,7 +294,8 @@ def test_class_ladder_rungs_keep_their_search(detector, rung, expected):
     # The benchmark's ladder-class rungs (criterion 7's shape, seed 1),
     # whose dummy row is empty: a refactor that keeps the search keeps
     # these commit counts, optima and traces (a sha256 prefix of each
-    # commit's cycle length, claimed and exact gain and objective).
+    # commit's cycle length, claimed and exact gain and objective). Every
+    # commit is a detected walk.
     papers, reviewers = rung
     inst = generate_reviewer_instance(papers, [reviewers // 5] * 5,
                                       "balanced", 4, seed=1)
@@ -302,6 +305,7 @@ def test_class_ladder_rungs_keep_their_search(detector, rung, expected):
                         for r in report.trace])
     assert (report.iterations, report.breakdown.objective,
             hashlib.sha256(trace.encode()).hexdigest()[:16]) == expected
+    assert all(r.source == "cycle" for r in report.trace)
 
 
 def test_refinement_report_is_incomplete_when_the_scan_budget_binds():
@@ -617,8 +621,8 @@ def test_subset_flow_certificate_is_sound(seed, worker_costs, data):
                 [sum(state[i][j] for i in rows) for j in cols],
                 [sum(state[i]) for i in rows],
                 incumbent=sum(values[i] for i in rows))
-            certified, _, _ = flow._parts_optimal(inst, index, state, c,
-                                                  rows, cols)
+            certified = flow._part_cycle(inst, index, state, c, rows,
+                                         cols)[0] is None
             assert not certified or split is None
             if exact:
                 assert certified == (split is None)
@@ -723,9 +727,9 @@ def test_resplit_sweep_takes_only_rows_that_hold_workers(monkeypatch):
 
     def recording(inst, index, w, c, rows, cols):
         rows_seen.append([sum(w[i]) for i in rows])
-        return flow._parts_optimal(inst, index, w, c, rows, cols)
+        return flow._part_cycle(inst, index, w, c, rows, cols)
 
-    monkeypatch.setattr(solver, "_parts_optimal", recording)
+    monkeypatch.setattr(solver, "_part_cycle", recording)
     assert solve(inst).proved_optimal is False
     assert rows_seen
     assert all(all(rows) for rows in rows_seen)
@@ -788,7 +792,7 @@ def test_flow_test_certifies_every_pair_with_one_empty_row(seed,
         if [sum(state[i]) == 0 for i in rows].count(True) != 1:
             continue
         cols = sorted({j for i in rows for j, x in enumerate(state[i]) if x})
-        assert flow._parts_optimal(inst, index, state, c, rows, cols)[0]
+        assert flow._part_cycle(inst, index, state, c, rows, cols)[0] is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -948,6 +952,7 @@ def test_one_weighted_feature_cancels_flow_cycles_to_the_optimum(
     assert report.breakdown.objective == \
         enumerate_optimal(inst).optimal_objective
     assert all(r.claimed == r.exact <= -1 for r in report.trace)
+    assert all(r.source == "flow" for r in report.trace)
 
 
 def test_one_weighted_feature_iteration_cap_stops_after_the_first_cancel():
