@@ -166,7 +166,8 @@ def test_withheld_walk_stays_out_of_detection_until_restored():
     assert dump_edges(graph) == rebuilt
     graph.restore()  # nothing withheld: no change
     assert dump_edges(graph) == rebuilt
-    # a commit restores the offer: the graph then equals a rebuild
+    # a commit, then the restore that starts the next step: the graph
+    # then equals a rebuild
     rng = random.Random(835)
     for _ in range(5):
         graph.withhold(goldberg_radzik_detect(graph).edges)
