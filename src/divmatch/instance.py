@@ -148,13 +148,15 @@ class Instance:
             raise InvalidInstanceError("instance needs at least one worker")
         if not self.teams:
             raise InvalidInstanceError("instance needs at least one team")
+        sizes = [self.schema.value_count(k) for k in range(nf)]
         for x, fv in enumerate(self.workers):
             if len(fv) != nf:
                 raise InvalidInstanceError(
                     f"worker {x} has {len(fv)} feature values, expected {nf}")
-            for k, v in enumerate(fv):
-                _check_int(v, f"worker {x} feature {k}")
-                if not 0 <= v < self.schema.value_count(k):
+            for k, (v, size) in enumerate(zip(fv, sizes)):
+                # the messages are built only for a value that fails
+                if type(v) is not int or not 0 <= v < size:
+                    _check_int(v, f"worker {x} feature {k}")
                     raise InvalidInstanceError(
                         f"worker {x}: value index {v} out of range for feature "
                         f"{self.schema.features[k].name!r}")

@@ -11,13 +11,13 @@ partial value plus a lower bound on the rest (see :func:`best_split`) is
 already above the limit are pruned without affecting exactness, the
 optimum returned or the count of optima. The limit is the best value so
 far; with no incumbent it starts at the value of a greedy split
-(:func:`_greedy_split`), which no optimum exceeds. The last row takes
-whatever its predecessors leave, so it is filled in place rather than
-searched. The oracle searches the types in descending order of their cost
-spread over the real teams times their multiplicity, so that the bound
-cuts early, and breaks ties by index order: its matrix and its optima are
-the first in an index-order search, whatever order it searched in.
-:func:`split_count` is the search space.
+(:func:`_greedy_split`, over all rows also the solver's start), which no
+optimum exceeds. The last row takes whatever its predecessors leave, so it
+is filled in place rather than searched. The oracle searches the types in
+descending order of their cost spread over the real teams times their
+multiplicity, so that the bound cuts early, and breaks ties by index
+order: its matrix and its optima are the first in an index-order search,
+whatever order it searched in. :func:`split_count` is the search space.
 """
 
 from __future__ import annotations
@@ -113,7 +113,11 @@ def _greedy_split(rows, slots, costs, counts, totals):
     Units go one at a time to the (type, real row with room) pair of least
     marginal price at the counters so far, ties to the first type, then to
     the first row; the dummy row, if ``rows`` has one, takes what is left.
-    Returns ``(value, split)``."""
+    Each row keeps its least ``(price, type)`` over the types with units
+    left. A unit changes prices only in the row that takes it, so only that
+    row is priced again, and so is every row whose least type runs out: a
+    unit costs O(types + rows), and a type that runs out at most one
+    pricing per row. Returns ``(value, split)``."""
     # A unit on counter slot f raises the price of every type q on that
     # slot in its row by 2*lambda_k.
     sharers = defaultdict(list)
@@ -122,21 +126,32 @@ def _greedy_split(rows, slots, costs, counts, totals):
             sharers[f].append((q, 2 * lam))
     price = [[cost + sum(lam for lam, _ in slots[p])
               for p, cost in enumerate(row)] for row in costs]
-    types = range(len(counts))
     left = list(counts)
+    live = [p for p, units in enumerate(left) if units]
     room = [total if i != 0 else 0 for i, total in zip(rows, totals)]
     split = [[0] * len(counts) for _ in rows]
+
+    def least(r):
+        row = price[r]
+        return min([(row[p], p) for p in live]) if room[r] else None
+
+    best = [least(r) for r in range(len(rows))]
     value = 0
     for _ in range(sum(room)):
-        least, p, r = min([(row[p], p, r) for r, row in enumerate(price)
-                           if room[r] for p in types if left[p]])
-        value += least
+        (cheapest, p), r = min([(b, r) for r, b in enumerate(best) if b])
+        value += cheapest
         left[p] -= 1
         room[r] -= 1
         split[r][p] += 1
         for _, f in slots[p]:
             for q, step in sharers[f]:
                 price[r][q] += step
+        stale = [r]
+        if not left[p]:
+            live.remove(p)
+            stale += [s for s, b in enumerate(best) if b and b[1] == p]
+        for s in stale:
+            best[s] = least(s)
     if 0 in rows:
         split[rows.index(0)] = left
     return value, split

@@ -1,19 +1,22 @@
 """Cycle-cancellation solver: detect, verify, commit, repeat.
 
-Starting from a greedy feasible assignment, one loop commits improving
-steps, each of a true objective change of at most -1, from one of two
-searches. An instance with at most one weighted feature takes the exact
-path: :class:`~divmatch.flow.CycleCanceling` cancels negative cycles of the
-objective's flow network and ends at a proved optimum, with no
-switch-graph. Any other instance searches the switch-graph, as below. Each
-search's step is one record, ``(source, cycle_len, claimed, exact,
-commit)``: ``source`` says what found it (``cycle``, a detected walk;
-``resplit``, a re-split of two or three teams; ``flow``, a cancel on the
-exact path), and ``commit`` is the call that applies it. The loop's
-bookkeeping is the same for every source: the iteration cap, the descent
-bound, one :class:`IterationRecord` per commit, and the objective,
-evaluated at the start from the search's counters and once in full at
-the end, as a check that the committed gains add up.
+Every solve starts from the oracle's greedy split
+(:func:`initial_feasible`): one worker at a time goes where its marginal
+objective price is least, so the start already weighs costs and diversity,
+and on criterion 7's ladder few cycles are left to cancel. From there one
+loop commits improving steps, each of a true objective change of at most
+-1, from one of two searches. An instance with at most one weighted feature
+takes the exact path: :class:`~divmatch.flow.CycleCanceling` cancels
+negative cycles of the objective's flow network and ends at a proved
+optimum, with no switch-graph. Any other instance searches the
+switch-graph, as below. Each search's step is one record, ``(source,
+cycle_len, claimed, exact, commit)``: ``source`` says what found it
+(``cycle``, a detected walk; ``resplit``, a re-split of two or three teams;
+``flow``, a cancel on the exact path), and ``commit`` is the call that
+applies it. The loop's bookkeeping is the same for every source: the
+iteration cap, the descent bound, one :class:`IterationRecord` per commit,
+and the objective, evaluated at the start from the search's counters and
+once in full at the end, as a check that the committed gains add up.
 
 On the switch-graph, the solver looks for a negative cycle, prices the
 candidate exchange's true objective change with
@@ -55,7 +58,7 @@ from .instance import CombinationIndex, Instance, build_combination_index
 from .negcycle import DETECTORS
 from .objective import ObjectiveBreakdown, breakdown_of, objective, \
     total_utility
-from .oracle import best_split, split_count
+from .oracle import _greedy_split, _unit_prices, best_split, split_count
 
 __all__ = [
     "SolverConfig",
@@ -113,26 +116,17 @@ class SolveReport:
 
 def initial_feasible(inst: Instance,
                      index: CombinationIndex | None = None) -> list[list[int]]:
-    """Greedy two-pointer fill: pour the first non-exhausted type into
-    the first unfilled team, advancing whichever runs out; leftover workers
-    stay with the dummy team. Runs in O(num_columns + t)."""
+    """The marginal-price greedy split of every type over every team
+    (:func:`~divmatch.oracle._greedy_split`): one worker at a time goes to
+    the (type, team with room) pair of least marginal objective price at the
+    counts so far, ties to the first type, then to the first team; the
+    dummy team keeps what is left. A worker costs O(num_columns + t)."""
     if index is None:
         index = build_combination_index(inst)
-    w = [[0] * index.num_columns for _ in range(inst.t + 1)]
-    remaining = list(index.multiplicities)
-    j = 0
-    for i in range(1, inst.t + 1):
-        need = inst.demand(i)
-        while need > 0:
-            take = min(need, remaining[j])
-            w[i][j] += take
-            remaining[j] -= take
-            need -= take
-            if remaining[j] == 0 and need > 0:
-                j += 1
-    for j, left in enumerate(remaining):
-        w[0][j] = left
-    return w
+    rows, cols = range(inst.t + 1), range(index.num_columns)
+    return _greedy_split(rows, *_unit_prices(inst, index, rows, cols),
+                         list(index.multiplicities),
+                         [inst.demand(i) for i in rows])[1]
 
 
 def iteration_bound(inst: Instance) -> int:

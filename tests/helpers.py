@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 
 import networkx as nx
 
@@ -303,3 +304,60 @@ def reference_resplit_sweep(inst, graph, max_rows):
                 moves = solver._moves_from_split(graph, rows, cols, split)
                 return (moves, best - current), False, skipped, left
     return None, not skipped, skipped, left
+
+
+def two_pointer_start(inst, index=None):
+    """Greedy two-pointer fill: pour the first non-exhausted type into
+    the first unfilled team, advancing whichever runs out; leftover workers
+    stay with the dummy team. Runs in O(num_columns + t). A fixed start,
+    blind to costs and diversity, for tests that study a mechanism from a
+    given state."""
+    if index is None:
+        index = build_combination_index(inst)
+    w = [[0] * index.num_columns for _ in range(inst.t + 1)]
+    remaining = list(index.multiplicities)
+    j = 0
+    for i in range(1, inst.t + 1):
+        need = inst.demand(i)
+        while need > 0:
+            take = min(need, remaining[j])
+            w[i][j] += take
+            remaining[j] -= take
+            need -= take
+            if remaining[j] == 0 and need > 0:
+                j += 1
+    for j, left in enumerate(remaining):
+        w[0][j] = left
+    return w
+
+
+def reference_greedy_split(rows, slots, costs, counts, totals):
+    """``oracle._greedy_split`` as a plain scan of every (type, row) pair
+    per unit, O(units * types * rows): units go one at a time to the
+    (type, real row with room) pair of least marginal price at the counters
+    so far, ties to the first type, then to the first row; the dummy row,
+    if ``rows`` has one, takes what is left. Returns ``(value, split)``."""
+    sharers = defaultdict(list)
+    for q, row in enumerate(slots):
+        for lam, f in row:
+            sharers[f].append((q, 2 * lam))
+    price = [[cost + sum(lam for lam, _ in slots[p])
+              for p, cost in enumerate(row)] for row in costs]
+    types = range(len(counts))
+    left = list(counts)
+    room = [total if i != 0 else 0 for i, total in zip(rows, totals)]
+    split = [[0] * len(counts) for _ in rows]
+    value = 0
+    for _ in range(sum(room)):
+        least, p, r = min([(row[p], p, r) for r, row in enumerate(price)
+                           if room[r] for p in types if left[p]])
+        value += least
+        left[p] -= 1
+        room[r] -= 1
+        split[r][p] += 1
+        for _, f in slots[p]:
+            for q, step in sharers[f]:
+                price[r][q] += step
+    if 0 in rows:
+        split[rows.index(0)] = left
+    return value, split

@@ -26,9 +26,9 @@ def test_tracer_counts_match_the_solves_and_uninstall_restores():
                                                seed=1)]
     instances += [random_small_instance(seed) for seed in range(6)]
     solves = [(inst, ("gr", "bf")[n % 2]) for n, inst in enumerate(instances)]
-    # Under gr this instance commits four walks and then a re-split.
-    solves.append((dm.generate_reviewer_instance(4, [4, 2, 3, 2], "balanced",
-                                                 2, seed=196), "gr"))
+    # Under gr this instance commits a walk and then a re-split.
+    solves.append((dm.generate_reviewer_instance(3, [4] * 5, "balanced", 4,
+                                                 seed=5), "gr"))
     spans = tracer.Tracer()
     spans.install(dm)
     patched = list(spans._patches)

@@ -63,7 +63,7 @@ def test_solve_invalid_instance(tmp_path, capsys):
 def test_solve_iteration_cap_exit_code(tmp_path):
     inst = tmp_path / "gen.json"
     assert run(["gen", "--papers", 3, "--clusters", "5x4", "--demand", 4,
-                "--seed", 7, "--out", inst]) == 0
+                "--seed", 5, "--out", inst]) == 0
     out = tmp_path / "sol.json"
     assert run(["solve", inst, "--max-iters", 1, "--out", out]) == 2
     sol = json.loads(out.read_text())
@@ -72,16 +72,16 @@ def test_solve_iteration_cap_exit_code(tmp_path):
 
 
 def test_solve_cap_at_a_spurious_walk_fixed_point_is_optimal(tmp_path):
-    # Two commits reach the fixed point; the walk detected after them is
-    # only spuriously negative, so a cap of two iterations is not hit.
+    # Three commits reach the fixed point; the walk detected after them is
+    # only spuriously negative, so a cap of three iterations is not hit.
     inst = tmp_path / "gen.json"
-    assert run(["gen", "--papers", 3, "--clusters", "2,3,5,4", "--genders",
-                "random", "--demand", 2, "--seed", 835, "--out", inst]) == 0
+    assert run(["gen", "--papers", 5, "--clusters", "4,3,1,5,4", "--genders",
+                "random", "--demand", 2, "--seed", 1835, "--out", inst]) == 0
     out = tmp_path / "sol.json"
-    assert run(["solve", inst, "--max-iters", 2, "--out", out]) == 0
+    assert run(["solve", inst, "--max-iters", 3, "--out", out]) == 0
     sol = json.loads(out.read_text())
     assert (sol["termination"], sol["iterations"], sol["objective"]) == \
-        ("optimal", 2, 28)
+        ("optimal", 3, 53)
 
 
 def test_max_iters_below_one_is_an_input_error(tmp_path, capsys):
@@ -120,13 +120,16 @@ def run_cli_process(argv):
 
 
 def test_log_flag_controls_iteration_lines(tmp_path):
-    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    # From the greedy start this instance commits a walk and a re-split.
+    inst = tmp_path / "gen.json"
+    assert run(["gen", "--papers", 3, "--clusters", "5x4", "--demand", 4,
+                "--seed", 5, "--out", inst]) == 0
     out = tmp_path / "sol.json"
     loud = run_cli_process(["solve", inst, "--out", out, "--log", "iter"])
     assert loud.returncode == 0
     lines = [ln for ln in loud.stderr.splitlines() if ln.startswith("iter=")]
     sol = json.loads(out.read_text())
-    assert len(lines) == sol["iterations"] >= 1
+    assert len(lines) == sol["iterations"] == 2
     # Each line shows its commit's entry of the solution's trace.
     assert lines == [
         "iter={iter} source={source} cycle_len={cycle_len} "

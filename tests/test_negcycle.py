@@ -9,10 +9,11 @@ from divmatch.instance import (TradeoffWeights, build_combination_index,
                                generate_reviewer_instance)
 from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
 from divmatch.oracle import enumerate_optimal
-from divmatch.solver import initial_feasible, solve
+from divmatch.solver import solve
 from helpers import (SimpleDigraph, has_negative_cycle_exhaustive,
                      random_digraph, random_feasible_matrix,
-                     random_small_instance, with_node_terms)
+                     random_small_instance, two_pointer_start,
+                     with_node_terms)
 
 DETECTORS = [bellman_ford_detect, goldberg_radzik_detect]
 
@@ -80,13 +81,13 @@ def test_goldberg_radzik_two_cycle():
 
 def test_goldberg_radzik_falls_back_when_its_passes_run_out(monkeypatch):
     # certify-small run seed 1 #440: one team of 9 from 12 workers. At the
-    # greedy start, the Goldberg-Radzik passes run out before any DFS closes
-    # the switch-graph's negative cycle.
+    # two-pointer start, the Goldberg-Radzik passes run out before any DFS
+    # closes the switch-graph's negative cycle.
     inst = dataclasses.replace(
         generate_reviewer_instance(1, [1, 2, 3, 3, 3], "balanced", 9,
                                    seed=891623254),
         weights=TradeoffWeights(1, (1, 3)))
-    g = build_aux_graph(inst, initial_feasible(inst))
+    g = build_aux_graph(inst, two_pointer_start(inst))
     found = []
 
     def spy(graph):

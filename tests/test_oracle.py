@@ -13,7 +13,8 @@ from divmatch.objective import (assignment_from_matrix,
 from divmatch.oracle import BudgetExceededError, _greedy_split, \
     _unit_prices, best_split, enumerate_optimal
 from helpers import (brute_force_optima, random_feasible_assignment,
-                     random_feasible_matrix, random_small_instance)
+                     random_feasible_matrix, random_small_instance,
+                     reference_greedy_split)
 
 
 def make(doc):
@@ -342,6 +343,42 @@ def test_greedy_split_is_a_split_never_below_the_optimum(seed,
     assert [sum(col) for col in zip(*split)] == counts
     assert value == _rows_share(inst, index, rows, cols, split)
     assert value >= best_split(inst, index, rows, cols, counts, totals)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 1.0)),
+       st.sampled_from((0, 2, 9)), st.booleans())
+def test_greedy_split_matches_the_plain_scan(seed, worker_fraction,
+                                             max_cost, whole):
+    # The greedy keeps each row's least (price, type) and prices again only
+    # the row that took a unit and the rows whose least type ran out. The
+    # plain scan prices every (type, row) pair for every unit, so both must
+    # place every unit alike, ties included: over all rows and types, as
+    # the oracle and the solver's start call it, or over some rows and
+    # types in any order.
+    inst = random_small_instance(seed, max_n=14, max_t=4, max_columns=6,
+                                 max_cost=max_cost,
+                                 worker_fraction=worker_fraction,
+                                 lambda_choices=(0, 1, 2, 3))
+    rng = random.Random(seed)
+    index = build_combination_index(inst)
+    if whole:
+        rows = range(inst.t + 1)
+        cols = rng.sample(range(index.num_columns), index.num_columns)
+        counts = [index.multiplicities[j] for j in cols]
+        totals = [inst.demand(i) for i in rows]
+    else:
+        rows = sorted(rng.sample(range(inst.t + 1),
+                                 rng.randint(1, inst.t + 1)))
+        cols = rng.sample(range(index.num_columns),
+                          rng.randint(1, index.num_columns))
+        counts = [rng.randint(1, 4) for _ in cols]
+        totals = [0] * len(rows)
+        for _ in range(sum(counts)):
+            totals[rng.randrange(len(rows))] += 1
+    prices = _unit_prices(inst, index, rows, cols)
+    assert _greedy_split(rows, *prices, counts, totals) == \
+        reference_greedy_split(rows, *prices, counts, totals)
 
 
 def test_greedy_split_can_be_above_the_optimum():

@@ -1,6 +1,7 @@
 """The same-results digest runs from the command line on the benchmark's
-known-bad instances, under every detector, and on acceptance criterion 7's
-n=400 rungs; its per-worker rungs give every worker a type of its own."""
+known-bad instances, under every detector, on acceptance criterion 7's
+n=400 rungs and on its shape at n=800; its per-worker rungs give every
+worker a type of its own."""
 
 import dataclasses
 import hashlib
@@ -69,29 +70,52 @@ def test_digest_of_known_bad_runs_and_repeats(detector):
     assert oracle_sha == sha.hexdigest()
 
 
-def test_digest_of_n400_solves_criterion_7_rungs_whatever_the_seed():
-    argv = [sys.executable, str(SCRIPT), "--workload", "n400", "--seed", "5",
-            "--detector", "gr"]
-    line = subprocess.run(argv, capture_output=True, text=True, check=True,
+def _digest_line(workload):
+    argv = [sys.executable, str(SCRIPT), "--workload", workload, "--seed",
+            "5", "--detector", "gr"]
+    return subprocess.run(argv, capture_output=True, text=True, check=True,
                           timeout=300).stdout.strip()
-    # n=400/t=75 at generator seeds 1 and 7; their final objectives under
-    # the Goldberg-Radzik detector sum to 3468, and seed 7's is proved
-    # optimal. Both exceed the oracle's budget, so the oracle digest hashes
-    # the two budget errors.
-    match = re.fullmatch(r"n400 seed=5 detector=gr instances=2 raised=0 "
-                         r"objective_sum=3468 proved=1 sha256=[0-9a-f]{64} "
-                         r"oracle_sha256=([0-9a-f]{64})", line)
-    assert match, line
+
+
+def _budget_errors_sha256(instances):
+    """The oracle digest of instances that all exceed the oracle's budget:
+    it hashes their budget errors."""
     sha = hashlib.sha256()
-    for rung in (1, 7):
-        inst = divmatch.generate_reviewer_instance(75, [80] * 5, "balanced",
-                                                   4, seed=rung)
+    for inst in instances:
         with pytest.raises(BudgetExceededError) as error:
             enumerate_optimal(inst, collect_optima=True)
         sha.update(json.dumps(["raised", "BudgetExceededError",
                                str(error.value)]).encode())
         sha.update(b"\n")
-    assert match.group(1) == sha.hexdigest()
+    return sha.hexdigest()
+
+
+def test_digest_of_n400_solves_criterion_7_rungs_whatever_the_seed():
+    line = _digest_line("n400")
+    # n=400/t=75 at generator seeds 1 and 7; their final objectives under
+    # the Goldberg-Radzik detector sum to 3466, and both are proved
+    # optimal. Both exceed the oracle's budget, so the oracle digest hashes
+    # the two budget errors.
+    match = re.fullmatch(r"n400 seed=5 detector=gr instances=2 raised=0 "
+                         r"objective_sum=3466 proved=2 sha256=[0-9a-f]{64} "
+                         r"oracle_sha256=([0-9a-f]{64})", line)
+    assert match, line
+    assert match.group(1) == _budget_errors_sha256(
+        divmatch.generate_reviewer_instance(75, [80] * 5, "balanced", 4,
+                                            seed=rung) for rung in (1, 7))
+
+
+def test_digest_of_n800_ends_proved_whatever_the_seed():
+    line = _digest_line("n800")
+    # Criterion 7's shape at n=800/t=150, generator seed 1, ends proved at
+    # 3506; the oracle digest hashes its budget error.
+    match = re.fullmatch(r"n800 seed=5 detector=gr instances=1 raised=0 "
+                         r"objective_sum=3506 proved=1 sha256=[0-9a-f]{64} "
+                         r"oracle_sha256=([0-9a-f]{64})", line)
+    assert match, line
+    assert match.group(1) == _budget_errors_sha256([
+        divmatch.generate_reviewer_instance(150, [160] * 5, "balanced", 4,
+                                            seed=1)])
 
 
 def test_per_worker_rungs_are_the_ladder_with_offset_worker_costs():

@@ -5,13 +5,13 @@
 Solves every instance of a workload once, in order, with the package from
 this checkout's ``src/`` and the instances of ``bench/workloads.py``
 (``known-bad`` is its ``KNOWN_BAD`` list). ``n400`` is acceptance criterion
-7's largest rungs, n=400 and t=75 at generator seeds 1 and 7, whatever
-``--seed`` says. ``per-worker`` is the ladder's (20,80) and (25,100) rungs
-in worker costs, each worker's cost in each team raised by a 0..2 offset
-drawn from a generator seeded with the ladder's seed, so that every worker
-is a type of its own; it too ignores ``--seed``. Prints one line per
-workload:
-the instance count, the number of solves that raised, the sum of the final
+7's largest rungs, n=400 and t=75 at generator seeds 1 and 7, and ``n800``
+the same shape at n=800 and t=150, generator seed 1, whatever ``--seed``
+says. ``per-worker`` is the ladder's (20,80) and (25,100) rungs in worker
+costs, each worker's cost in each team raised by a 0..2 offset drawn from a
+generator seeded with the ladder's seed, so that every worker is a type of
+its own; it too ignores ``--seed``. Prints one line per workload: the
+instance count, the number of solves that raised, the sum of the final
 objectives, the number of solves that ended ``proved_optimal``, a sha256
 over each solve's assignment, trace (each record's index, cycle length,
 claimed and exact gains and objective after), termination,
@@ -47,6 +47,8 @@ WORKLOADS["known-bad"] = lambda dm, seed: workloads.known_bad(dm)
 WORKLOADS["n400"] = lambda dm, seed: [
     dm.generate_reviewer_instance(75, [80] * 5, "balanced", 4, seed=rung)
     for rung in (1, 7)]
+WORKLOADS["n800"] = lambda dm, seed: [
+    dm.generate_reviewer_instance(150, [160] * 5, "balanced", 4, seed=1)]
 PER_WORKER_RUNGS = ((20, 80), (25, 100))
 
 
