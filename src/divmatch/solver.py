@@ -11,7 +11,7 @@ negative cycles of the objective's flow network and ends at a proved
 optimum, with no switch-graph. Any other instance searches the
 switch-graph, as below. Each search's step is one record, ``(source,
 cycle_len, claimed, exact, commit)``: ``source`` says what found it
-(``cycle``, a detected walk; ``resplit``, a re-split of two or three teams;
+(``cycle``, a detected walk; ``resplit``, a re-split of a few teams;
 ``flow``, a cancel on the exact path), and ``commit`` is the call that
 applies it. The loop's bookkeeping is the same for every source: the
 iteration cap, the descent bound, one :class:`IterationRecord` per commit,
@@ -35,7 +35,7 @@ convex-cost flow, and a state optimal for every part is optimal for their
 sum. When that proof fails, a bounded exact re-split of small team subsets
 runs as a safety net against counter-coupled exchanges that no single cycle
 can express. The same proof, restricted to a subset's rows and types,
-certifies a pair or triple before it is enumerated. The loop ends when the
+certifies a team subset before it is enumerated. The loop ends when the
 proof succeeds, when neither step finds an improvement, or when the
 configured iteration cap is reached and a further step would still commit.
 
@@ -172,10 +172,11 @@ class _ScanBudget:
         self.left = limit
         self.skipped = self.certified = self.enumerated = 0
 
-    def take(self, states) -> bool:
+    def take(self, states, last=False) -> bool:
         """Charge ``states``; False, counting a skipped subset, when they
-        exceed a cap."""
-        if states > REFINE_STATE_BUDGET or states > self.left:
+        exceed a cap. The per-subset cap keeps budget for the subsets after
+        this one, so it does not bound the ``last``."""
+        if states > self.left or states > REFINE_STATE_BUDGET and not last:
             self.skipped += 1
             return False
         self.left -= states
@@ -192,16 +193,20 @@ def _find_resplit(inst, graph, max_rows=3):
     the same (team, value) counters in opposite directions. The sweep
     escapes the cases seen in practice by exactly re-optimizing the split
     of the workers within each subset of 2..``max_rows`` rows that hold
-    workers, the unassigned pool included; a row that holds none adds no
-    split. Subsets come by size, then in index order, and the sweep stops
-    at its first find. Each row's columns, size and objective share are
-    computed once per sweep.
+    workers, the unassigned pool included, and within all of them when
+    they are ``max_rows + 1``; a row that holds none adds no split. So on
+    an instance of at most ``max_rows`` teams the last subset is the whole
+    instance. Subsets come by size, then in index order, and the sweep
+    stops at its first find. Each row's columns, size and objective share
+    are computed once per sweep.
 
     A subset is charged its :func:`~divmatch.oracle.split_count`, or
     skipped when that exceeds ``REFINE_STATE_BUDGET`` (per subset) or what
-    is left of ``REFINE_SCAN_BUDGET`` (per sweep). The budgets keep triples
-    affordable at verification scale, while larger instances fall back to
-    the pair scan.
+    is left of ``REFINE_SCAN_BUDGET`` (per sweep). The per-subset cap
+    keeps budget for later subsets, so it does not bound the subset of
+    every row that holds workers, which comes last. The budgets keep
+    triples affordable at verification scale, while larger instances fall
+    back to the pair scan.
     A charged subset is enumerated with :func:`~divmatch.oracle.best_split`
     only when :func:`~divmatch.flow._part_cycle` finds a cycle in it, and
     is certified otherwise; certifying is
@@ -213,13 +218,16 @@ def _find_resplit(inst, graph, max_rows=3):
     values = _row_values(inst, graph.index, graph.w, graph.c)
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
     found = None
+    if len(filled) == max_rows + 1:
+        max_rows += 1
     for rows in itertools.chain.from_iterable(
             itertools.combinations(filled, size)
             for size in range(2, max_rows + 1)):
         totals = [sizes[i] for i in rows]
         cols = sorted(set().union(*(nonzero[i] for i in rows)))
         pooled = [sum(graph.w[i][j] for i in rows) for j in cols]
-        if not spent.take(split_count(pooled, len(rows))):
+        if not spent.take(split_count(pooled, len(rows)),
+                          last=len(rows) == len(filled)):
             continue
         if _part_cycle(inst, graph.index, graph.w, graph.c, rows,
                        cols)[0] is None:

@@ -263,10 +263,12 @@ def brute_force_optima(inst):
 def reference_resplit_sweep(inst, graph, max_rows):
     """The re-split sweep written as its plain per-subset rule, without the
     flow certificate: for every subset of 2..``max_rows`` rows that hold
-    workers, in order, build its columns, charge ``split_count`` states to
-    the per-subset and per-sweep budgets (read from the solver at call
-    time), and enumerate it when admitted. Returns ``(found, complete,
-    skipped, left)`` like the solver's sweep and its budget."""
+    workers, and then of all of them when they are ``max_rows + 1``, in
+    order, build its columns, charge ``split_count`` states to the
+    per-subset and per-sweep budgets (read from the solver at call time;
+    a subset of every such row is charged to the sweep's alone), and
+    enumerate it when admitted. Returns ``(found, complete, skipped,
+    left)`` like the solver's sweep and its budget."""
     from divmatch import solver
     from divmatch.oracle import best_split, split_count
 
@@ -284,12 +286,16 @@ def reference_resplit_sweep(inst, graph, max_rows):
             + sum(lam.lambdas[k] * m * m for (k, _), m in counts.items())
 
     filled = [i for i, row in enumerate(w) if any(row)]
-    for size in range(2, max_rows + 1):
+    sizes = list(range(2, max_rows + 1))
+    if len(filled) == max_rows + 1:
+        sizes.append(len(filled))
+    for size in sizes:
         for rows in itertools.combinations(filled, size):
             cols = sorted({j for i in rows for j, x in enumerate(w[i]) if x})
             pooled = [sum(w[i][j] for i in rows) for j in cols]
             states = split_count(pooled, size)
-            if states > solver.REFINE_STATE_BUDGET or states > left:
+            if states > left or (states > solver.REFINE_STATE_BUDGET
+                                 and size < len(filled)):
                 skipped += 1
                 continue
             left -= states

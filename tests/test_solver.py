@@ -436,6 +436,26 @@ def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan,
     assert found >= 10 and skipped >= 2
 
 
+def test_a_fixed_point_needing_every_team_is_re_split_whole():
+    # The greedy start is a fixed point at 68: no walk, pair or triple
+    # improves it, and the optimum 64 moves workers in all four rows, the
+    # dummy row included. Their pooled types admit 25600 splits, above
+    # REFINE_STATE_BUDGET, but a subset of every row that holds workers is
+    # the sweep's last and is bounded only by the sweep's budget.
+    assert solver.REFINE_STATE_BUDGET < 25_600 <= solver.REFINE_SCAN_BUDGET
+    inst = dataclasses.replace(
+        generate_reviewer_instance(3, [1, 2, 2, 3], "balanced", 2,
+                                   seed=286204123),
+        weights=TradeoffWeights(2, (2, 2)))
+    report = solve(inst)
+    assert report.initial_objective == 68
+    assert [(r.source, r.cycle_len, r.exact) for r in report.trace] == [
+        ("resplit", 6, -4)]
+    assert report.breakdown.objective == 64 == \
+        enumerate_optimal(inst).optimal_objective
+    assert report.proved_optimal
+
+
 def test_worker_mode_two_workers_picks_cheaper_assignment():
     inst = make({
         "features": [{"name": "c", "values": ["A", "B"]}],
