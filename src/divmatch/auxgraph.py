@@ -50,11 +50,12 @@ keys with value ``v`` of feature ``k`` (listed per graph). That is three
 writes to ``bias`` and ``start``; no edge changes.
 
 A move list means its net change alone, :func:`net_change`, which
-:func:`change_gain` prices. :meth:`AuxGraph.gain` prices a list by those
-two, and :meth:`AuxGraph.apply_moves` commits it from that one net change;
+:func:`change_gain` prices and :func:`write_change` writes into ``w`` and
+``c``. :meth:`AuxGraph.gain` prices a list by the first two, and
+:meth:`AuxGraph.apply_moves` commits it from that one net change;
 both reject, before anything is written, a list that would overdraw a cell
 or change a row's size. The exact search of :mod:`divmatch.flow` prices its
-cancels by the same two functions.
+cancels by the same two functions and commits them by the third.
 
 ``succ`` offers the detectors the edges they may use, per port in
 ``out_edges`` order, set from ``w`` alone one team at a time. An output
@@ -252,26 +253,25 @@ class AuxGraph:
 
     def apply_moves(self, moves) -> None:
         """Apply moves ``(key, from_team, to_team)``, all or nothing: a list
-        that :func:`net_change` rejects leaves the graph as it was. Port
-        terms shift by exact deltas: a net change ``d`` of counter
-        ``c[i][k][v]`` at a real team shifts each key with value ``v`` of
-        feature ``k`` by ``s = 2 * lambdas[k] * d``, written as ``bias[out]
-        -= s``, ``bias[in] += s`` and ``start[in] -= s`` at that key's ports
-        of the team. No edge changes. Each team where a cell became held or
-        drained has its offer in ``succ`` set anew."""
-        cells, counters = net_change(self.index, self.w, moves)
-        flipped = set()
-        for (team, key), d in cells.items():
-            before = self.w[team][key]
-            self.w[team][key] += d
-            if bool(before) != bool(before + d):
-                flipped.add(team)
+        that :func:`net_change` rejects leaves the graph as it was. ``w``
+        and ``c`` are written by :func:`write_change`. Port terms shift by
+        exact deltas: a net change ``d`` of counter ``c[i][k][v]`` at a real
+        team shifts each key with value ``v`` of feature ``k`` by ``s = 2 *
+        lambdas[k] * d``, written as ``bias[out] -= s``, ``bias[in] += s``
+        and ``start[in] -= s`` at that key's ports of the team. No edge
+        changes. Each team where a cell became held or drained has its offer
+        in ``succ`` set anew."""
+        change = net_change(self.index, self.w, moves)
+        cells, counters = change
+        w = self.w
+        flipped = {team for (team, key), d in cells.items()
+                   if bool(w[team][key]) != bool(w[team][key] + d)}
+        write_change(w, self.c, change)
         for team in flipped:
             self._offer(team)
         lambdas = self.inst.weights.lambdas
         bias, start, num_keys = self.bias, self.start, self.num_keys
         for (team, k, v), d in counters.items():
-            self.c[team][k][v] += d
             if d and team and lambdas[k]:  # d is 0 after moving in and out
                 shift = 2 * lambdas[k] * d
                 first = self.port_id(team, INPUT, 0)
@@ -343,6 +343,16 @@ def change_gain(inst: Instance, index: CombinationIndex, c, change) -> int:
         if team:
             gain += lambdas[k] * d * (2 * c[team][k][v] + d)
     return gain
+
+
+def write_change(w, c, change) -> None:
+    """Write a :func:`net_change` ``(cells, counters)`` into the assignment
+    matrix ``w`` and the count tensor ``c``."""
+    cells, counters = change
+    for (team, key), d in cells.items():
+        w[team][key] += d
+    for (team, k, v), d in counters.items():
+        c[team][k][v] += d
 
 
 def build_aux_graph(inst: Instance, w,

@@ -6,6 +6,8 @@ solution says ``proved_optimal`` (or report/gen succeeded), 1 invalid input
 written), 2 iteration cap reached before convergence, 3 instance too large
 for the verification oracle, 4 solver and oracle disagree (verify only),
 5 internal solver error (a broken solver invariant: a bug, not bad input).
+A failure is raised where it is found, as a :class:`CliError` with its exit
+code, and :func:`main` prints it as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -34,13 +36,19 @@ EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
 
-class _UsageError(Exception):
-    pass
+
+class CliError(Exception):
+    """A failure found by a command: :func:`main` prints its message as one
+    ``error:`` line on stderr and exits with its ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_INPUT):
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise CliError(message)
 
 
 def _configure_logging(level: str):
@@ -160,62 +168,48 @@ def balance_report(solution: dict) -> BalanceReport:
 
 def _load(path: str):
     try:
-        return load_instance(path), None
-    except (OSError, UnicodeDecodeError):
-        return None, f"error: cannot read instance file {path!r}"
+        return load_instance(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read instance file {path!r}") from exc
     except InvalidInstanceError as exc:
-        return None, f"error: {exc}"
+        raise CliError(str(exc)) from exc
 
 
-def _write(path: str, payload: str, mode: str = "w") -> bool:
-    """Write an output file; False after reporting why it cannot be."""
+def _write(path: str, payload: str, mode: str = "w"):
     try:
         with open(path, mode, encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
-        print(f"error: cannot write {path!r}: {exc.strerror}", file=sys.stderr)
-        return False
-    return True
+        raise CliError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
-def _writable(path: str) -> bool:
-    """Whether an output file can be written, checked before the work that
-    fills it: an existing file is opened without truncating it, and a file
-    the check creates is removed again."""
+def _check_writable(path: str):
+    """Check that an output file can be written, before the work that fills
+    it: an existing file is opened without truncating it, and a file the
+    check creates is removed again."""
     existed = os.path.lexists(path)
-    if not _write(path, "", mode="a"):
-        return False
+    _write(path, "", mode="a")
     if not existed:
         os.remove(path)
-    return True
 
 
-def _solve(inst, args) -> SolveReport | None:
-    """Solve with the command's flags; None after reporting an internal
-    solver error."""
+def _solve(inst, args) -> SolveReport:
     cfg = SolverConfig(detector=args.detector, max_iterations=args.max_iters)
     try:
         return solve(inst, cfg)
     except RuntimeError as exc:  # a broken solver invariant
-        print(f"error: internal solver error: {exc}", file=sys.stderr)
-        return None
+        raise CliError(f"internal solver error: {exc}",
+                       EXIT_INTERNAL) from exc
 
 
 def cmd_solve(args) -> int:
-    inst, err = _load(args.instance)
-    if err:
-        print(err, file=sys.stderr)
-        return EXIT_INPUT
-    if args.out and not _writable(args.out):
-        return EXIT_INPUT
-    report = _solve(inst, args)
-    if report is None:
-        return EXIT_INTERNAL
-    doc = solution_to_dict(inst, report)
-    payload = json.dumps(doc, indent=2) + "\n"
+    inst = _load(args.instance)
     if args.out:
-        if not _write(args.out, payload):
-            return EXIT_INPUT
+        _check_writable(args.out)
+    report = _solve(inst, args)
+    payload = json.dumps(solution_to_dict(inst, report), indent=2) + "\n"
+    if args.out:
+        _write(args.out, payload)
         summary_stream = sys.stdout
     else:
         sys.stdout.write(payload)
@@ -227,18 +221,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst, err = _load(args.instance)
-    if err:
-        print(err, file=sys.stderr)
-        return EXIT_INPUT
+    inst = _load(args.instance)
     try:
         result = enumerate_optimal(inst, budget=args.budget)
     except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        raise CliError(str(exc), EXIT_BUDGET) from exc
     report = _solve(inst, args)
-    if report is None:
-        return EXIT_INTERNAL
     print(f"solver objective: {report.breakdown.objective}")
     print(f"oracle objective: {result.optimal_objective}")
     print(f"proved optimal: {'yes' if report.proved_optimal else 'no'}")
@@ -257,21 +245,19 @@ def cmd_report(args) -> int:
         with open(args.solution, encoding="utf-8") as fh:
             solution = json.load(fh)
         rep = balance_report(solution)
-    except (OSError, UnicodeDecodeError):
-        print(f"error: cannot read solution file {args.solution!r}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, LookupError, TypeError, ZeroDivisionError) as exc:
-        print(f"error: malformed solution document: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.out and not _writable(args.out):
-        return EXIT_INPUT
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(
+            f"cannot read solution file {args.solution!r}") from exc
+    except (ValueError, LookupError, TypeError, ZeroDivisionError,
+            RecursionError) as exc:  # RecursionError: nested too deep
+        raise CliError(f"malformed solution document: {exc}") from exc
+    if args.out:
+        _check_writable(args.out)
     print(rep.text())
     if args.out:
-        payload = json.dumps({"per_team": rep.per_team,
-                              "per_feature": rep.per_feature}, indent=2)
-        if not _write(args.out, payload + "\n"):
-            return EXIT_INPUT
+        _write(args.out, json.dumps({"per_team": rep.per_team,
+                                     "per_feature": rep.per_feature},
+                                    indent=2) + "\n")
     return EXIT_OK
 
 
@@ -283,7 +269,7 @@ def _parse_clusters(arg: str) -> list[int]:
             return [int(size)] * int(count)
         return [int(part) for part in arg.split(",")]
     except ValueError as exc:
-        raise _UsageError(f"bad --clusters value {arg!r}") from exc
+        raise CliError(f"bad --clusters value {arg!r}") from exc
 
 
 def cmd_gen(args) -> int:
@@ -295,12 +281,10 @@ def cmd_gen(args) -> int:
             demand_per_paper=args.demand,
             seed=args.seed)
     except InvalidInstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise CliError(str(exc)) from exc
     payload = dump_instance(inst)
     if args.out:
-        if not _write(args.out, payload):
-            return EXIT_INPUT
+        _write(args.out, payload)
     else:
         sys.stdout.write(payload)
     return EXIT_OK
@@ -366,14 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         _configure_logging(getattr(args, "log", "quiet"))
         return args.func(args)
-    except _UsageError as exc:
+    except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.code
 
 
 def entry():

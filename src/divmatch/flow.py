@@ -18,7 +18,8 @@ the proof is exact and a negative cycle is an improving exchange:
 stops at a proved optimum. A simple cycle changes each cell and counter by
 at most one unit, so its arc sum is its exact gain, which each cancel
 checks with the move-list rule of :func:`~divmatch.auxgraph.net_change` and
-:func:`~divmatch.auxgraph.change_gain`; its step's commit writes it.
+:func:`~divmatch.auxgraph.change_gain`; its step's commit writes it by
+:func:`~divmatch.auxgraph.write_change`.
 
 A state is the assignment matrix ``w``, its count tensor ``c`` and the
 instance's :class:`~divmatch.instance.CombinationIndex`.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import logging
 from functools import partial
 
-from .auxgraph import change_gain, net_change
+from .auxgraph import change_gain, net_change, write_change
 from .objective import count_tensor
 
 __all__ = ["CycleCanceling", "negative_cycle"]
@@ -208,13 +209,5 @@ class CycleCanceling:
             raise RuntimeError(f"a cycle of cost {claimed} has exact gain "
                                f"{exact}")
         return ("flow", len(moves), claimed, exact,
-                partial(_write_change, self.w, self.c, change))
+                partial(write_change, self.w, self.c, change))
 
-
-def _write_change(w, c, change):
-    """Write a net change ``(cells, counters)`` into ``w`` and ``c``."""
-    cells, counters = change
-    for (team, key), d in cells.items():
-        w[team][key] += d
-    for (team, k, v), d in counters.items():
-        c[team][k][v] += d

@@ -254,10 +254,11 @@ def build_combination_index(inst: Instance) -> CombinationIndex:
 # ---------------------------------------------------------------------------
 
 def parse_instance(text: str) -> Instance:
-    """Parse and validate a JSON instance document."""
+    """Parse and validate a JSON instance document. A document nested too
+    deep for the parser is malformed too."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInstanceError(f"malformed JSON: {exc}") from exc
     return instance_from_dict(doc)
 

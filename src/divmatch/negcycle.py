@@ -130,11 +130,13 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
     certifies a negative cycle: around a cycle the reduced costs telescope to
     the true weight, which is therefore negative.
 
-    Passes are capped at ``n + 5``, and the cap is reached in practice: on
-    some switch-graphs the labels of a negative cycle's nodes keep falling
-    from pass to pass while no DFS closes the cycle. The verdict is then
-    delegated to :func:`bellman_ford_detect`, which shares the contract and
-    returns the cycle.
+    Passes are capped at ``n + 5`` as a backstop. The cap is reached on
+    some switch-graphs met from a two-pointer fill of the teams, where the
+    labels of a negative cycle's nodes keep falling from pass to pass while
+    no DFS closes the cycle; on the solver's paths from its greedy start it
+    has not been seen. At the cap the verdict is delegated to
+    :func:`bellman_ford_detect`, which shares the contract and returns the
+    cycle.
     """
     n = g.node_count
     succ = g.succ

@@ -272,6 +272,22 @@ def test_report_malformed_solution(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, error", [
+    ("solve", "error: malformed JSON"),
+    ("verify", "error: malformed JSON"),
+    ("report", "error: malformed solution document"),
+])
+def test_deeply_nested_document_is_an_input_error(tmp_path, capsys, command,
+                                                   error):
+    # Nested too deep for the JSON parser, which raises RecursionError.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000 + "\n")
+    assert run([command, deep]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error)
+    assert err.count("\n") == 1
+
+
 def solution_doc(team_hists, demand=4):
     return {
         "features": [{"name": "cluster", "values": ["c1", "c2"]},
