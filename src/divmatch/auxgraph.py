@@ -1,8 +1,9 @@
 """Auxiliary switch-graph whose negative cycles are beneficial exchanges.
 
 Every team (including the dummy team 0) is a switch with one input and one
-output port per mover key. A key is a worker type: a feature vector plus a
-cost column (see :class:`~divmatch.instance.CombinationIndex`). Ports are
+output port per mover key. A key is one of the instance's worker types,
+``inst.types``: a feature vector plus a cost column (see
+:class:`~divmatch.instance.CombinationIndex`). Ports are
 graph nodes, and a port id is one (team, side, key): :meth:`AuxGraph.port_id`
 makes it and :meth:`AuxGraph.port` reads it back. An edge is a pair of port
 ids plus a static weight; its team, key and kind are read off its ports:
@@ -72,7 +73,7 @@ out of it and :meth:`AuxGraph.restore` sets their teams' offer anew.
 
 from __future__ import annotations
 
-from .instance import CombinationIndex, Instance, TradeoffWeights
+from .instance import Instance, TradeoffWeights
 from .negcycle import ExchangeCycle
 from .objective import check_assignment_matrix, count_tensor
 
@@ -122,22 +123,20 @@ class AuxGraph:
     overlaps mutation.
     """
 
-    def __init__(self, inst: Instance, w, index: CombinationIndex):
+    def __init__(self, inst: Instance, w):
         self.inst = inst
-        self.index = index
-        self.keys = index.columns
         self.w = [list(row) for row in w]
-        self.num_keys = len(self.keys)
+        self.num_keys = inst.types.num_columns
         self.num_switches = inst.t + 1
         self.node_count = 2 * self.num_keys * self.num_switches
-        self.c = count_tensor(inst, w, index)
+        self.c = count_tensor(inst, w)
         self.edges: list[AuxEdge] = []
         # per port, its out-edges in edge-index order; set by _build
         self.out_edges: list[list[AuxEdge]] = [None] * self.node_count
         # per feature k and value v, the keys whose value of k is v
         self._keys_with = [[[] for _ in range(inst.schema.value_count(k))]
                            for k in range(inst.schema.num_features)]
-        for key, values in enumerate(self.keys):
+        for key, values in enumerate(inst.types.columns):
             for k, v in enumerate(values):
                 self._keys_with[k][v].append(key)
         self._build()
@@ -165,13 +164,14 @@ class AuxGraph:
         of the dummy team is zero."""
         lambdas = self.inst.weights.lambdas
         lambda0 = self.inst.weights.lambda0
+        types = self.inst.types
         base = sum(lambdas)
         self.bias = [0] * (2 * self.num_keys)
         self.start = [0] * (2 * self.num_keys)
-        for c, costs in zip(self.c[1:], self.index.costs[1:]):
+        for c, costs in zip(self.c[1:], types.costs[1:]):
             load = [sum(lam * c[k][v]
                         for k, (lam, v) in enumerate(zip(lambdas, values)))
-                    for values in self.keys]
+                    for values in types.columns]
             into = [base + 2 * x + lambda0 * u for x, u in zip(load, costs)]
             self.bias += into + [base - 2 * x - lambda0 * u
                                  for x, u in zip(load, costs)]
@@ -183,6 +183,7 @@ class AuxGraph:
         and key. Port ids are made once, so the edges share them. Then
         each team's offer is set by :meth:`_offer`."""
         weights = self.inst.weights
+        columns = self.inst.types.columns
         num_keys = self.num_keys
         keys = range(num_keys)
         switches = range(self.num_switches)
@@ -190,8 +191,8 @@ class AuxGraph:
                for team in switches]
         outs = [[port + num_keys for port in row] for row in ins]
         self._set_port_terms()
-        real = [[_shared_value_correction(a, b, weights) for b in self.keys]
-                for a in self.keys]
+        real = [[_shared_value_correction(a, b, weights) for b in columns]
+                for a in columns]
         dummy = [[0] * num_keys] * num_keys
         edges, out_edges = self.edges, self.out_edges
         for team in switches:
@@ -248,8 +249,8 @@ class AuxGraph:
         by :func:`change_gain` of their :func:`net_change`. Edge prices play
         no part, so a walk that mispriced itself is caught. Raises
         CycleApplicationError as :meth:`apply_moves` does."""
-        return change_gain(self.inst, self.index, self.c,
-                           net_change(self.index, self.w, moves))
+        return change_gain(self.inst, self.c,
+                           net_change(self.inst, self.w, moves))
 
     def apply_moves(self, moves) -> None:
         """Apply moves ``(key, from_team, to_team)``, all or nothing: a list
@@ -261,7 +262,7 @@ class AuxGraph:
         and ``start[in] -= s`` at that key's ports of the team. No edge
         changes. Each team where a cell became held or drained has its offer
         in ``succ`` set anew."""
-        change = net_change(self.index, self.w, moves)
+        change = net_change(self.inst, self.w, moves)
         cells, counters = change
         w = self.w
         flipped = {team for (team, key), d in cells.items()
@@ -297,7 +298,7 @@ class AuxGraph:
         self._withheld.clear()
 
 
-def net_change(index: CombinationIndex, w, moves):
+def net_change(inst: Instance, w, moves):
     """``(cells, counters)``: the net change that the moves ``(key,
     from_team, to_team)`` make to each cell ``(team, key)`` of the
     assignment matrix ``w`` and each counter ``(team, k, v)``. The one rule
@@ -310,7 +311,7 @@ def net_change(index: CombinationIndex, w, moves):
         cells[i2, key] = cells.get((i2, key), 0) + 1
     rows: dict[int, int] = {}
     counters: dict[tuple, int] = {}
-    keys = index.columns
+    keys = inst.types.columns
     for (team, key), d in cells.items():
         if w[team][key] + d < 0:
             raise CycleApplicationError(
@@ -326,7 +327,7 @@ def net_change(index: CombinationIndex, w, moves):
     return cells, counters
 
 
-def change_gain(inst: Instance, index: CombinationIndex, c, change) -> int:
+def change_gain(inst: Instance, c, change) -> int:
     """True objective change of a :func:`net_change` ``(cells, counters)``
     at the count tensor ``c``: ``lambda0 * sum cost[i][key] * d + sum
     lambdas[k] * ((x + d)^2 - x^2)`` over the net changes ``d`` of real
@@ -334,7 +335,7 @@ def change_gain(inst: Instance, index: CombinationIndex, c, change) -> int:
     cells, counters = change
     lambda0 = inst.weights.lambda0
     lambdas = inst.weights.lambdas
-    costs = index.costs
+    costs = inst.types.costs
     gain = 0
     for (team, key), d in cells.items():
         if team:
@@ -355,10 +356,10 @@ def write_change(w, c, change) -> None:
         c[team][k][v] += d
 
 
-def build_aux_graph(inst: Instance, w,
-                    index: CombinationIndex | None = None) -> AuxGraph:
+def build_aux_graph(inst: Instance, w) -> AuxGraph:
     """Construct the switch-graph for a valid assignment matrix."""
-    return AuxGraph(inst, w, check_assignment_matrix(inst, w, index))
+    check_assignment_matrix(inst, w)
+    return AuxGraph(inst, w)
 
 
 def moves_of(g: AuxGraph, cycle: ExchangeCycle):

@@ -19,8 +19,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .instance import InvalidInstanceError, build_combination_index, \
-    dump_instance, generate_reviewer_instance, load_instance
+from .instance import InvalidInstanceError, dump_instance, \
+    generate_reviewer_instance, load_instance
 from .negcycle import DETECTORS
 from .objective import assignment_from_matrix, count_tensor
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, enumerate_optimal
@@ -64,10 +64,9 @@ def _configure_logging(level: str):
 # ---------------------------------------------------------------------------
 
 def solution_to_dict(inst, report: SolveReport) -> dict:
-    index = build_combination_index(inst)
     w = report.assignment
-    assign = assignment_from_matrix(inst, w, index)
-    c = count_tensor(inst, w, index)
+    assign = assignment_from_matrix(inst, w)
+    c = count_tensor(inst, w)
     by_team: list[list[int]] = [[] for _ in range(inst.t + 1)]
     for x, i in enumerate(assign):
         by_team[i].append(x)

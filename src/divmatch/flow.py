@@ -21,8 +21,8 @@ checks with the move-list rule of :func:`~divmatch.auxgraph.net_change` and
 :func:`~divmatch.auxgraph.change_gain`; its step's commit writes it by
 :func:`~divmatch.auxgraph.write_change`.
 
-A state is the assignment matrix ``w``, its count tensor ``c`` and the
-instance's :class:`~divmatch.instance.CombinationIndex`.
+A state is the assignment matrix ``w`` and its count tensor ``c``, over
+the instance's worker types, ``inst.types``.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ __all__ = ["CycleCanceling", "negative_cycle"]
 logger = logging.getLogger(__name__)
 
 
-def _row_values(inst, index, w, c) -> list[int]:
+def _row_values(inst, w, c) -> list[int]:
     """Each row's share of the objective in the state ``w``, ``c``."""
-    lam = inst.weights
-    return [lam.lambda0 * sum(u * x for u, x in zip(index.costs[i], row))
+    lam, costs = inst.weights, inst.types.costs
+    return [lam.lambda0 * sum(u * x for u, x in zip(costs[i], row))
             + sum(l * sum(x * x for x in vals)
                   for l, vals in zip(lam.lambdas, c[i])) if i else 0
             for i, row in enumerate(w)]
@@ -97,12 +97,12 @@ def _pred_cycle(pred, paid, starts):
     return None
 
 
-def _proves_optimal(inst, index, w, c) -> bool:
+def _proves_optimal(inst, w, c) -> bool:
     """True when the state is shown to be a global optimum; False says
     nothing. One debug line per call gives the verdict and the size of the
     networks tested."""
-    cycle, nodes, arcs = _part_cycle(inst, index, w, c, range(inst.t + 1),
-                                     range(index.num_columns))
+    cycle, nodes, arcs = _part_cycle(inst, w, c, range(inst.t + 1),
+                                     range(inst.types.num_columns))
     _log_proof(cycle is None, nodes, arcs)
     return cycle is None
 
@@ -112,7 +112,7 @@ def _log_proof(proved, nodes, arcs):
                  "proved" if proved else "not proved", nodes, arcs)
 
 
-def _part_cycle(inst, index, w, c, rows, cols):
+def _part_cycle(inst, w, c, rows, cols):
     """``(cycle, nodes, arcs)``: ``cycle`` is the first negative cycle of
     a part's network over the ``rows``' workers, all of types ``cols``, or
     None, which shows that no split of them, each row keeping its size, has
@@ -121,8 +121,8 @@ def _part_cycle(inst, index, w, c, rows, cols):
     weighted = [k for k, lam in enumerate(inst.weights.lambdas) if lam]
     nodes = arcs = 0
     for part, k in enumerate(weighted or [0]):
-        count, part_arcs = _part_network(inst, index, w, c, k, part == 0,
-                                         rows, cols)
+        count, part_arcs = _part_network(inst, w, c, k, part == 0, rows,
+                                         cols)
         nodes += count
         arcs += len(part_arcs)
         cycle = negative_cycle(count, part_arcs)
@@ -131,7 +131,7 @@ def _part_cycle(inst, index, w, c, rows, cols):
     return None, nodes, arcs
 
 
-def _part_network(inst, index, w, c, k, with_cost, rows, cols):
+def _part_network(inst, w, c, k, with_cost, rows, cols):
     """``(node_count, arcs)`` of the residual network of feature ``k``'s
     objective part, lambdas[k] * D_k plus lambda0 * TU ``with_cost``, over
     re-splits of the ``rows``' workers, whose types are among ``cols``, in
@@ -147,7 +147,7 @@ def _part_network(inst, index, w, c, k, with_cost, rows, cols):
     given."""
     lam = inst.weights.lambdas[k]
     lam0 = inst.weights.lambda0 if with_cost else 0
-    keys, costs = index.columns, index.costs
+    keys, costs = inst.types.columns, inst.types.costs
     slot = {v: s for s, v in enumerate(sorted({keys[j][k] for j in cols}))}
     teams = len(cols) + len(rows) * len(slot)  # node of the first team
     arcs = []
@@ -178,10 +178,10 @@ class CycleCanceling:
     ``proved_optimal`` and ``refinement_complete`` turn true when no
     negative cycle is left."""
 
-    def __init__(self, inst, index, w):
-        self.inst, self.index = inst, index
+    def __init__(self, inst, w):
+        self.inst = inst
         self.w = [list(row) for row in w]
-        self.c = count_tensor(inst, self.w, index)
+        self.c = count_tensor(inst, self.w)
         self.proved_optimal = self.refinement_complete = False
 
     def step(self):
@@ -190,9 +190,9 @@ class CycleCanceling:
         is one move ``(type, team of its in-arc, team of its out-arc)``.
         Raises RuntimeError when the cycle's exact gain is not its arc sum
         or is above -1."""
-        inst, index = self.inst, self.index
-        types = index.num_columns
-        cycle, count, arcs = _part_cycle(inst, index, self.w, self.c,
+        inst = self.inst
+        types = inst.types.num_columns
+        cycle, count, arcs = _part_cycle(inst, self.w, self.c,
                                          range(inst.t + 1), range(types))
         if cycle is None:
             _log_proof(True, count, arcs)
@@ -202,9 +202,9 @@ class CycleCanceling:
         moves = [(to, (u - types) // slots, (after[1] - types) // slots)
                  for (u, to, _), after in zip(cycle, cycle[1:] + cycle[:1])
                  if to < types]
-        change = net_change(index, self.w, moves)
+        change = net_change(inst, self.w, moves)
         claimed = sum(cost for _, _, cost in cycle)
-        exact = change_gain(inst, index, self.c, change)
+        exact = change_gain(inst, self.c, change)
         if exact != claimed or exact > -1:
             raise RuntimeError(f"a cycle of cost {claimed} has exact gain "
                                f"{exact}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "InvalidInstanceError",
@@ -200,6 +201,12 @@ class Instance:
             return self.n - self.total_demand
         return self.teams[i - 1].demand
 
+    @cached_property
+    def types(self) -> CombinationIndex:
+        """The instance's worker types, built on first read and kept. Not a
+        field: equality, hashing and ``dataclasses.replace`` ignore it."""
+        return build_combination_index(self)
+
 
 @dataclass(frozen=True)
 class CombinationIndex:
@@ -227,7 +234,8 @@ class CombinationIndex:
 
 def build_combination_index(inst: Instance) -> CombinationIndex:
     """Group workers into types, in (feature vector, cost column) order so
-    that downstream node ids and outputs are deterministic."""
+    that downstream node ids and outputs are deterministic. An instance
+    reads its own types as :attr:`Instance.types`, built once."""
     table = inst.costs.table
     by_class = inst.costs.mode == "class"
     keys = [(fv, tuple(row[fv[0] if by_class else x] for row in table))

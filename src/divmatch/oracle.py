@@ -28,7 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .instance import Instance, build_combination_index
+from .instance import Instance
 from .objective import assignment_from_matrix
 
 __all__ = ["OracleResult", "BudgetExceededError", "enumerate_optimal",
@@ -56,20 +56,20 @@ def enumerate_optimal(inst: Instance, budget: int = DEFAULT_BUDGET,
     """Exact minimum of the objective over all feasible assignments. Of the
     optimal matrices, ``matrix`` and ``optima`` are the first in index
     order, as :func:`best_split` orders splits by its ``order``."""
-    index = build_combination_index(inst)
+    types = inst.types
     rows = range(inst.t + 1)
-    space = split_count(index.multiplicities, len(rows))
+    space = split_count(types.multiplicities, len(rows))
     if space > budget:
         raise BudgetExceededError(
             f"{space} candidate matrices exceed the budget of {budget}")
     # Types of widest cost spread over the real teams, times multiplicity,
     # go first: where they go moves the value most, so the bound cuts early.
     spread = [(max(col) - min(col)) * u for col, u in
-              zip(zip(*index.costs[1:]), index.multiplicities)]
-    cols = sorted(range(index.num_columns), key=lambda j: -spread[j])
-    order = sorted(range(index.num_columns), key=cols.__getitem__)
+              zip(zip(*types.costs[1:]), types.multiplicities)]
+    cols = sorted(range(types.num_columns), key=lambda j: -spread[j])
+    order = sorted(range(types.num_columns), key=cols.__getitem__)
     best, split, count, optima = best_split(
-        inst, index, rows, cols, [index.multiplicities[j] for j in cols],
+        inst, rows, cols, [types.multiplicities[j] for j in cols],
         [inst.demand(i) for i in rows], collect=collect_optima, order=order)
 
     def in_index_order(m):
@@ -78,8 +78,8 @@ def enumerate_optimal(inst: Instance, budget: int = DEFAULT_BUDGET,
     w = in_index_order(split)
     if optima is not None:
         optima = [in_index_order(m) for m in optima]
-    return OracleResult(best, w, assignment_from_matrix(inst, w, index),
-                        count, optima)
+    return OracleResult(best, w, assignment_from_matrix(inst, w), count,
+                        optima)
 
 
 def split_count(counts, num_rows: int) -> int:
@@ -90,7 +90,7 @@ def split_count(counts, num_rows: int) -> int:
                      for u in counts)
 
 
-def _unit_prices(inst, index, rows, cols):
+def _unit_prices(inst, rows, cols):
     """``(slots, costs)``: per type ``p``, ``(lambda_k, k + nf*v)`` for the
     value ``v`` of each weighted feature ``k`` of ``cols[p]``, the slot of
     its counter in a row's flat counter list; and ``lambda0`` times the cost
@@ -98,10 +98,11 @@ def _unit_prices(inst, index, rows, cols):
     unit's marginal price in a real row is its cost plus ``lambda_k *
     (2x + 1)`` for each slot, at the row's counter ``x``."""
     nf = inst.schema.num_features
+    types = inst.types
     slots = [[(lam, k + nf * v) for k, (lam, v) in
-              enumerate(zip(inst.weights.lambdas, index.columns[j])) if lam]
+              enumerate(zip(inst.weights.lambdas, types.columns[j])) if lam]
              for j in cols]
-    costs = [[inst.weights.lambda0 * index.costs[i][j] for j in cols]
+    costs = [[inst.weights.lambda0 * types.costs[i][j] for j in cols]
              for i in rows]
     return slots, costs
 
@@ -157,7 +158,7 @@ def _greedy_split(rows, slots, costs, counts, totals):
     return value, split
 
 
-def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
+def best_split(inst, rows, cols, counts, totals, incumbent=None,
                collect=False, order=None):
     """Best way to split ``counts[p]`` workers of type ``cols[p]`` among the
     teams ``rows``, team ``rows[r]`` taking ``totals[r]`` workers in all.
@@ -195,12 +196,12 @@ def best_split(inst, index, rows, cols, counts, totals, incumbent=None,
     """
     nf = inst.schema.num_features
     r_last = len(rows) - 1
-    slots, costs = _unit_prices(inst, index, rows, cols)
+    slots, costs = _unit_prices(inst, rows, cols)
     steps = [2 * sum(lam for lam, _ in row) for row in slots]
     real = [i != 0 for i in rows]
     caps = list(totals)
     split = [[0] * len(cols) for _ in rows]
-    c = [[0] * nf * (1 + max(map(max, index.columns))) for _ in rows]
+    c = [[0] * nf * (1 + max(map(max, inst.types.columns))) for _ in rows]
     # tails[p][u] is the sum of the u cheapest unit prices m among types
     # p.., of which there are units[p]; dummy is the dummy row's index.
     open_rows = [r for r, total in enumerate(totals) if total > 0 and real[r]]

@@ -54,7 +54,7 @@ from functools import partial
 
 from .auxgraph import apply_and_update, build_aux_graph, moves_of
 from .flow import CycleCanceling, _part_cycle, _proves_optimal, _row_values
-from .instance import CombinationIndex, Instance, build_combination_index
+from .instance import Instance
 from .negcycle import DETECTORS
 from .objective import ObjectiveBreakdown, breakdown_of, objective, \
     total_utility
@@ -114,18 +114,15 @@ class SolveReport:
     proved_optimal: bool  # the final state was proved a global optimum
 
 
-def initial_feasible(inst: Instance,
-                     index: CombinationIndex | None = None) -> list[list[int]]:
+def initial_feasible(inst: Instance) -> list[list[int]]:
     """The marginal-price greedy split of every type over every team
     (:func:`~divmatch.oracle._greedy_split`): one worker at a time goes to
     the (type, team with room) pair of least marginal objective price at the
     counts so far, ties to the first type, then to the first team; the
     dummy team keeps what is left. A worker costs O(num_columns + t)."""
-    if index is None:
-        index = build_combination_index(inst)
-    rows, cols = range(inst.t + 1), range(index.num_columns)
-    return _greedy_split(rows, *_unit_prices(inst, index, rows, cols),
-                         list(index.multiplicities),
+    rows, cols = range(inst.t + 1), range(inst.types.num_columns)
+    return _greedy_split(rows, *_unit_prices(inst, rows, cols),
+                         list(inst.types.multiplicities),
                          [inst.demand(i) for i in rows])[1]
 
 
@@ -133,9 +130,7 @@ def iteration_bound(inst: Instance) -> int:
     """Upper bound on committed exchanges: the objective starts at most at
     max(lambdas)*|features|*n^2 + lambda0*U with U the greedy start's cost,
     stays non-negative, and drops by >= 1 per commit."""
-    index = build_combination_index(inst)
-    return _descent_bound(inst, total_utility(
-        inst, initial_feasible(inst, index), index))
+    return _descent_bound(inst, total_utility(inst, initial_feasible(inst)))
 
 
 def _descent_bound(inst: Instance, u0: int) -> int:
@@ -215,7 +210,7 @@ def _find_resplit(inst, graph, max_rows=3):
     nonzero = [{j for j, x in enumerate(row) if x} for row in graph.w]
     sizes = [sum(row) for row in graph.w]
     filled = [i for i, size in enumerate(sizes) if size]
-    values = _row_values(inst, graph.index, graph.w, graph.c)
+    values = _row_values(inst, graph.w, graph.c)
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
     found = None
     if len(filled) == max_rows + 1:
@@ -229,8 +224,7 @@ def _find_resplit(inst, graph, max_rows=3):
         if not spent.take(split_count(pooled, len(rows)),
                           last=len(rows) == len(filled)):
             continue
-        if _part_cycle(inst, graph.index, graph.w, graph.c, rows,
-                       cols)[0] is None:
+        if _part_cycle(inst, graph.w, graph.c, rows, cols)[0] is None:
             spent.certified += 1
             continue
         spent.enumerated += 1
@@ -239,8 +233,8 @@ def _find_resplit(inst, graph, max_rows=3):
         cols = [cols[cj] for cj in order]
         pooled = [pooled[cj] for cj in order]
         current = sum(values[i] for i in rows)
-        best, split, _, _ = best_split(inst, graph.index, rows, cols, pooled,
-                                       totals, incumbent=current)
+        best, split, _, _ = best_split(inst, rows, cols, pooled, totals,
+                                       incumbent=current)
         if split is not None:
             found = _moves_from_split(graph, rows, cols, split), best - current
             break
@@ -256,14 +250,12 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     network (:class:`~divmatch.flow.CycleCanceling`) and, unless capped,
     ends proved; otherwise it searches the switch-graph."""
     cfg = cfg or SolverConfig()
-    index = build_combination_index(inst)
-    start = initial_feasible(inst, index)
+    start = initial_feasible(inst)
     if sum(lam > 0 for lam in inst.weights.lambdas) <= 1:
-        search = CycleCanceling(inst, index, start)
+        search = CycleCanceling(inst, start)
     else:
-        search = _SwitchGraphSearch(inst, index, start,
-                                    DETECTORS[cfg.detector])
-    initial = breakdown_of(inst, search.w, search.c, index)
+        search = _SwitchGraphSearch(inst, start, DETECTORS[cfg.detector])
+    initial = breakdown_of(inst, search.w, search.c)
     bound = _descent_bound(inst, initial.tu)
     current = initial.objective
     initial_objective = current
@@ -288,7 +280,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
                 f"iterations exceeded the descent bound {bound}")
 
     final_state = [list(row) for row in search.w]
-    breakdown = objective(inst, final_state, index)
+    breakdown = objective(inst, final_state)
     if breakdown.objective != current:
         raise RuntimeError("objective bookkeeping drifted from recomputation")
     return SolveReport(final_state, breakdown, iterations, trace,
@@ -301,9 +293,9 @@ class _SwitchGraphSearch:
     the assignment matrix ``start``: :meth:`step` finds the next improving
     walk or re-split. ``w`` and ``c`` are the graph's live state."""
 
-    def __init__(self, inst, index, start, detect):
+    def __init__(self, inst, start, detect):
         self.inst, self.detect = inst, detect
-        self.graph = build_aux_graph(inst, start, index)
+        self.graph = build_aux_graph(inst, start)
         self.w, self.c = self.graph.w, self.graph.c
         self.refinement_complete = self.proved_optimal = False
 
@@ -319,7 +311,7 @@ class _SwitchGraphSearch:
             if cycle is None:
                 # A proved state is a global optimum, so the re-split sweep
                 # could find nothing there.
-                if _proves_optimal(self.inst, graph.index, graph.w, graph.c):
+                if _proves_optimal(self.inst, graph.w, graph.c):
                     self.refinement_complete = self.proved_optimal = True
                     return None
                 # Withheld edges may hide a real cycle, but detecting again

@@ -10,7 +10,7 @@ import networkx as nx
 
 from divmatch.auxgraph import OUTPUT
 from divmatch.instance import (CostModel, Feature, FeatureSchema, Instance,
-                               Team, TradeoffWeights, build_combination_index)
+                               Team, TradeoffWeights)
 
 
 class SimpleEdge:
@@ -122,11 +122,11 @@ def random_small_instance(seed, max_n=10, max_t=3, max_features=3,
     return Instance(schema, workers, teams, CostModel(mode, table), weights)
 
 
-def random_feasible_matrix(inst, index, rng):
+def random_feasible_matrix(inst, rng):
     """Uniform-ish feasible assignment matrix with correct margins."""
     caps = [inst.demand(i) for i in range(inst.t + 1)]
-    w = [[0] * index.num_columns for _ in range(inst.t + 1)]
-    for j, m in enumerate(index.multiplicities):
+    w = [[0] * inst.types.num_columns for _ in range(inst.t + 1)]
+    for j, m in enumerate(inst.types.multiplicities):
         for _ in range(m):
             i = rng.choice([i for i in range(inst.t + 1) if caps[i] > 0])
             caps[i] -= 1
@@ -232,7 +232,7 @@ def brute_force_optima(inst):
     of distinct optimal type-count matrices, as tuples of row tuples."""
     if inst.n > 7:
         raise ValueError("brute force is meant for at most 7 workers")
-    index = build_combination_index(inst)
+    types = inst.types
     caps = [inst.demand(i) for i in range(inst.t + 1)]
     assign = [0] * inst.n
     best, optima = None, set()
@@ -244,9 +244,9 @@ def brute_force_optima(inst):
             if best is None or value < best:
                 best, optima = value, set()
             if value == best:
-                w = [[0] * index.num_columns for _ in caps]
+                w = [[0] * types.num_columns for _ in caps]
                 for worker, i in enumerate(assign):
-                    w[i][index.worker_to_column[worker]] += 1
+                    w[i][types.worker_to_column[worker]] += 1
                 optima.add(tuple(map(tuple, w)))
             return
         for i, cap in enumerate(caps):
@@ -272,7 +272,7 @@ def reference_resplit_sweep(inst, graph, max_rows):
     from divmatch import solver
     from divmatch.oracle import best_split, split_count
 
-    index, w, lam = graph.index, graph.w, inst.weights
+    types, w, lam = inst.types, graph.w, inst.weights
     left, skipped = solver.REFINE_SCAN_BUDGET, 0
 
     def share(i):
@@ -280,9 +280,9 @@ def reference_resplit_sweep(inst, graph, max_rows):
             return 0
         counts = {}
         for j, x in enumerate(w[i]):
-            for k, v in enumerate(index.columns[j]):
+            for k, v in enumerate(types.columns[j]):
                 counts[k, v] = counts.get((k, v), 0) + x
-        return lam.lambda0 * sum(u * x for u, x in zip(index.costs[i], w[i])) \
+        return lam.lambda0 * sum(u * x for u, x in zip(types.costs[i], w[i])) \
             + sum(lam.lambdas[k] * m * m for (k, _), m in counts.items())
 
     filled = [i for i, row in enumerate(w) if any(row)]
@@ -304,7 +304,7 @@ def reference_resplit_sweep(inst, graph, max_rows):
             pooled = [pooled[cj] for cj in order]
             current = sum(share(i) for i in rows)
             best, split, _, _ = best_split(
-                inst, index, rows, cols, pooled, [sum(w[i]) for i in rows],
+                inst, rows, cols, pooled, [sum(w[i]) for i in rows],
                 incumbent=current)
             if split is not None:
                 moves = solver._moves_from_split(graph, rows, cols, split)
@@ -312,16 +312,14 @@ def reference_resplit_sweep(inst, graph, max_rows):
     return None, not skipped, skipped, left
 
 
-def two_pointer_start(inst, index=None):
+def two_pointer_start(inst):
     """Greedy two-pointer fill: pour the first non-exhausted type into
     the first unfilled team, advancing whichever runs out; leftover workers
     stay with the dummy team. Runs in O(num_columns + t). A fixed start,
     blind to costs and diversity, for tests that study a mechanism from a
     given state."""
-    if index is None:
-        index = build_combination_index(inst)
-    w = [[0] * index.num_columns for _ in range(inst.t + 1)]
-    remaining = list(index.multiplicities)
+    w = [[0] * inst.types.num_columns for _ in range(inst.t + 1)]
+    remaining = list(inst.types.multiplicities)
     j = 0
     for i in range(1, inst.t + 1):
         need = inst.demand(i)

@@ -9,8 +9,7 @@ import time
 
 from divmatch.auxgraph import (apply_and_update, build_aux_graph,
                                cycle_from_moves, dump_edges)
-from divmatch.instance import (TradeoffWeights, build_combination_index,
-                               generate_reviewer_instance)
+from divmatch.instance import TradeoffWeights, generate_reviewer_instance
 from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
 from divmatch.objective import embed, exchange_gain, matrix_from_assignment
 from divmatch.oracle import enumerate_optimal
@@ -62,18 +61,18 @@ def test_criterion_2_strict_descent_and_iteration_bound():
     print(f"\nPASS criterion-2: strict descent and bound held on {runs} runs")
 
 
-def _random_state(inst, index, rng):
+def _random_state(inst, rng):
     """Random feasible type matrix: class-cost states drawn as a matrix,
     worker-cost states as a worker -> team map, then counted per type."""
     if inst.costs.mode == "class":
-        return random_feasible_matrix(inst, index, rng)
+        return random_feasible_matrix(inst, rng)
     state = [0] * inst.n
     caps = [inst.demand(i) for i in range(inst.t + 1)]
     for x in range(inst.n):
         i = rng.choice([i for i in range(inst.t + 1) if caps[i] > 0])
         caps[i] -= 1
         state[x] = i
-    return matrix_from_assignment(inst, state, index)
+    return matrix_from_assignment(inst, state)
 
 
 def test_criterion_3_single_visit_cycle_gain_exactness():
@@ -84,9 +83,8 @@ def test_criterion_3_single_visit_cycle_gain_exactness():
     while sampled < 500:
         inst = random_small_instance(seed + 3_000, worker_fraction=0.2)
         seed += 1
-        index = build_combination_index(inst)
-        state = _random_state(inst, index, rng)
-        graph = build_aux_graph(inst, state, index)
+        state = _random_state(inst, rng)
+        graph = build_aux_graph(inst, state)
         for _ in range(4):
             moves = random_switch_simple_moves(graph, rng)
             if moves is None:
@@ -96,7 +94,7 @@ def test_criterion_3_single_visit_cycle_gain_exactness():
             for key, i1, i2 in moves:
                 after[i1][key] -= 1
                 after[i2][key] += 1
-            gain = exchange_gain(inst, state, after, index)
+            gain = exchange_gain(inst, state, after)
             assert cycle.claimed_weight == gain
             sampled += 1
     print(f"\nPASS criterion-3: {sampled} sampled single-visit cycles price "
@@ -112,14 +110,13 @@ def test_criterion_4_incremental_update_fidelity():
     while commits < 100:
         inst = random_small_instance(seed + 4_000, worker_fraction=0.25)
         seed += 1
-        index = build_combination_index(inst)
-        graph = build_aux_graph(inst, _random_state(inst, index, rng), index)
+        graph = build_aux_graph(inst, _random_state(inst, rng))
         for _ in range(10):
             moves = random_switch_simple_moves(graph, rng)
             if moves is None:
                 break
             apply_and_update(graph, cycle_from_moves(graph, moves))
-            fresh = build_aux_graph(inst, graph.current_state(), index)
+            fresh = build_aux_graph(inst, graph.current_state())
             assert dump_edges(graph) == dump_edges(fresh)
             commits += 1
     print(f"\nPASS criterion-4: {commits} commits, incremental graph always "

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from divmatch.auxgraph import (INPUT, OUTPUT, CycleApplicationError,
                                apply_and_update, build_aux_graph,
                                cycle_from_moves, dump_edges, moves_of)
-from divmatch.instance import (Team, TradeoffWeights, build_combination_index,
-                               convert_cost_mode, generate_reviewer_instance,
-                               parse_instance)
+from divmatch.instance import (Team, TradeoffWeights, convert_cost_mode,
+                               generate_reviewer_instance, parse_instance)
 from divmatch.negcycle import DETECTORS
 from divmatch.objective import exchange_gain, matrix_from_assignment
 from divmatch.solver import (SolverConfig, _moves_from_split,
@@ -100,10 +99,9 @@ def small_instance():
 
 def test_port_count_class_mode():
     inst = small_instance()
-    index = build_combination_index(inst)
-    w = random_feasible_matrix(inst, index, random.Random(0))
-    g = build_aux_graph(inst, w, index)
-    assert index.num_columns == 4
+    w = random_feasible_matrix(inst, random.Random(0))
+    g = build_aux_graph(inst, w)
+    assert inst.types.num_columns == 4
     assert g.node_count == 2 * 4 * (3 + 1) == 32
     ports = [(t, s, k) for t in range(3 + 1) for s in (INPUT, OUTPUT)
              for k in range(4)]
@@ -135,20 +133,20 @@ def test_stored_weights_match_weight_functions():
     instances += [random_small_instance(seed, worker_fraction=1.0)
                   for seed in range(300, 306)]
     for n, inst in enumerate(instances):
-        index = build_combination_index(inst)
-        w = random_feasible_matrix(inst, index, random.Random(2 + n))
-        g = build_aux_graph(inst, w, index)
+        types = inst.types
+        w = random_feasible_matrix(inst, random.Random(2 + n))
+        g = build_aux_graph(inst, w)
         for e in g.edges:
             team_from, side, key_from = g.port(e.src)
             team_to, _, key_to = g.port(e.dst)
             if side == INPUT:
-                expected = intra_weight(index.columns[key_from],
-                                        index.columns[key_to],
+                expected = intra_weight(types.columns[key_from],
+                                        types.columns[key_to],
                                         team_from, inst.weights)
                 live = w[team_from][key_to] >= 1
             else:
-                costs = [row[key_from] for row in index.costs]
-                expected = inter_weight(index.columns[key_from], costs,
+                costs = [row[key_from] for row in types.costs]
+                expected = inter_weight(types.columns[key_from], costs,
                                         team_from, team_to, g.c,
                                         inst.weights)
                 live = w[team_from][key_from] >= 1
@@ -159,10 +157,9 @@ def test_stored_weights_match_weight_functions():
 
 def test_apply_then_revert_restores_graph():
     inst = small_instance()
-    index = build_combination_index(inst)
     rng = random.Random(3)
-    w = random_feasible_matrix(inst, index, rng)
-    g = build_aux_graph(inst, w, index)
+    w = random_feasible_matrix(inst, rng)
+    g = build_aux_graph(inst, w)
     moves = random_switch_simple_moves(g, rng)
     assert moves is not None
     before = dump_edges(g)
@@ -175,12 +172,11 @@ def test_apply_then_revert_restores_graph():
 
 def test_moving_last_worker_disables_outgoing_edges():
     inst = small_instance()
-    index = build_combination_index(inst)
     w = [[0, 0, 0, 0],
          [1, 1, 1, 0],
          [1, 1, 0, 1],
          [0, 0, 1, 1]]
-    g = build_aux_graph(inst, w, index)
+    g = build_aux_graph(inst, w)
     # team 1 holds exactly one worker of column 0; swap it against column 1
     # of team 2
     moves = [(0, 1, 2), (1, 2, 1)]
@@ -197,10 +193,9 @@ def test_moving_last_worker_disables_outgoing_edges():
 
 def test_untouched_team_pair_keeps_weights():
     inst = small_instance()
-    index = build_combination_index(inst)
     rng = random.Random(4)
-    w = random_feasible_matrix(inst, index, rng)
-    g = build_aux_graph(inst, w, index)
+    w = random_feasible_matrix(inst, rng)
+    g = build_aux_graph(inst, w)
     # exchange strictly between teams 1 and 2; edges between 0 and 3 frozen
     moves = None
     for _ in range(200):
@@ -221,12 +216,11 @@ def test_untouched_team_pair_keeps_weights():
 
 def test_apply_rejects_disabled_edge():
     inst = small_instance()
-    index = build_combination_index(inst)
     w = [[0, 0, 0, 0],
          [2, 1, 0, 0],
          [0, 1, 2, 0],
          [0, 0, 0, 2]]
-    g = build_aux_graph(inst, w, index)
+    g = build_aux_graph(inst, w)
     before = dump_edges(g)
     # team 1 holds no column-3 worker, so this cycle rides a disabled edge
     with pytest.raises(CycleApplicationError, match="disabled"):
@@ -237,9 +231,8 @@ def test_apply_rejects_disabled_edge():
 
 def test_withhold_keeps_the_order_of_the_rest():
     inst = small_instance()
-    index = build_combination_index(inst)
-    w = random_feasible_matrix(inst, index, random.Random(8))
-    g = build_aux_graph(inst, w, index)
+    w = random_feasible_matrix(inst, random.Random(8))
+    g = build_aux_graph(inst, w)
     before = dump_edges(g)
     port = g.port_id(2, INPUT, 1)
     edges = list(g.out_edges[port])
@@ -263,19 +256,18 @@ def test_incremental_matches_rebuild(worker_fraction):
     for seed in range(12):
         inst = random_small_instance(seed + 40,
                                      worker_fraction=worker_fraction)
-        index = build_combination_index(inst)
         if inst.costs.mode == "class":
-            state = random_feasible_matrix(inst, index, rng)
+            state = random_feasible_matrix(inst, rng)
         else:
             state = matrix_from_assignment(
-                inst, random_feasible_assignment(inst, rng), index)
-        g = build_aux_graph(inst, state, index)
+                inst, random_feasible_assignment(inst, rng))
+        g = build_aux_graph(inst, state)
         for _ in range(8):
             moves = random_switch_simple_moves(g, rng)
             if moves is None:
                 break
             apply_and_update(g, cycle_from_moves(g, moves))
-            fresh = build_aux_graph(inst, g.current_state(), index)
+            fresh = build_aux_graph(inst, g.current_state())
             assert dump_edges(g) == dump_edges(fresh)
 
 
@@ -284,9 +276,8 @@ def test_single_visit_cycle_weight_equals_gain():
     checked = 0
     for seed in range(40):
         inst = random_small_instance(seed + 80, worker_fraction=0.0)
-        index = build_combination_index(inst)
-        w = random_feasible_matrix(inst, index, rng)
-        g = build_aux_graph(inst, w, index)
+        w = random_feasible_matrix(inst, rng)
+        g = build_aux_graph(inst, w)
         moves = random_switch_simple_moves(g, rng)
         if moves is None:
             continue
@@ -295,16 +286,15 @@ def test_single_visit_cycle_weight_equals_gain():
         for key, i1, i2 in moves:
             after[i1][key] -= 1
             after[i2][key] += 1
-        assert cycle.claimed_weight == exchange_gain(inst, w, after, index)
+        assert cycle.claimed_weight == exchange_gain(inst, w, after)
         checked += 1
     assert checked >= 20
 
 
 def test_moves_of_lists_inter_edges_in_order():
     inst = small_instance()
-    index = build_combination_index(inst)
-    w = random_feasible_matrix(inst, index, random.Random(7))
-    g = build_aux_graph(inst, w, index)
+    w = random_feasible_matrix(inst, random.Random(7))
+    g = build_aux_graph(inst, w)
     moves = random_switch_simple_moves(g, random.Random(8))
     cycle = cycle_from_moves(g, moves)
     assert moves_of(g, cycle) == moves
@@ -342,9 +332,8 @@ def test_finders_return_every_edge_by_position(worker_fraction):
     for seed in range(6):
         inst = random_small_instance(seed + 60,
                                      worker_fraction=worker_fraction)
-        index = build_combination_index(inst)
-        w = random_feasible_matrix(inst, index, random.Random(seed))
-        g = build_aux_graph(inst, w, index)
+        w = random_feasible_matrix(inst, random.Random(seed))
+        g = build_aux_graph(inst, w)
         for e in g.edges:
             team_from, side, key_from = g.port(e.src)
             team_to, _, key_to = g.port(e.dst)
@@ -429,11 +418,10 @@ CHAIN_INSTANCES = pytest.mark.parametrize("inst", [
 def test_weight_shifts_stay_exact_over_a_long_chain(inst):
     # Shifted weights would drift if any shift were off, so compare the
     # live graph with a rebuild along 300 mixed move lists.
-    index = build_combination_index(inst)
-    g = build_aux_graph(inst, initial_feasible(inst, index), index)
+    g = build_aux_graph(inst, initial_feasible(inst))
     for calls in _apply_chain(g, random.Random(17), 300):
         if calls % 25 == 0:  # the 300th call is the last
-            fresh = build_aux_graph(inst, g.current_state(), index)
+            fresh = build_aux_graph(inst, g.current_state())
             assert dump_edges(g) == dump_edges(fresh)
 
 
@@ -457,8 +445,7 @@ def _assert_live_offer(g):
 
 @CHAIN_INSTANCES
 def test_detector_adjacency_lists_the_enabled_edges_after_every_apply(inst):
-    index = build_combination_index(inst)
-    g = build_aux_graph(inst, initial_feasible(inst, index), index)
+    g = build_aux_graph(inst, initial_feasible(inst))
     _assert_live_offer(g)
     pick = random.Random(29)
     found = 0
@@ -508,15 +495,14 @@ def test_live_offer_hides_no_cycle(seed, worker_costs, lambdas, fill_dummy,
     weights = TradeoffWeights(inst.weights.lambda0,
                               tuple(lambdas[:inst.schema.num_features]))
     inst = dataclasses.replace(inst, teams=teams, weights=weights)
-    index = build_combination_index(inst)
     rng = random.Random(seed)
     if state == "random":
-        w = random_feasible_matrix(inst, index, rng)
+        w = random_feasible_matrix(inst, rng)
     elif state == "solved":
         w = solve(inst, SolverConfig(max_iterations=steps)).assignment
     else:
-        w = initial_feasible(inst, index)
-    g = build_aux_graph(inst, w, index)
+        w = initial_feasible(inst)
+    g = build_aux_graph(inst, w)
     if state == "walked":  # the offer kept by apply_moves, not by a build
         for _ in range(steps):
             moves = random_switch_simple_moves(g, rng)

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divmatch.instance import (InvalidInstanceError, build_combination_index,
-                               convert_cost_mode, dump_instance,
-                               generate_reviewer_instance, parse_instance)
+from divmatch.instance import (InvalidInstanceError, TradeoffWeights,
+                               build_combination_index, convert_cost_mode,
+                               dump_instance, generate_reviewer_instance,
+                               parse_instance)
 
 MINIMAL = {
     "features": [{"name": "g", "values": ["M", "F"]}],
@@ -111,6 +113,27 @@ def test_roundtrip_preserves_instance():
     inst = parse_instance(doc())
     again = parse_instance(dump_instance(inst))
     assert again == inst
+
+
+@pytest.mark.parametrize("mode", ["class", "worker"])
+def test_cached_types_change_no_identity(mode):
+    # The types are read once and kept on the instance, outside its fields:
+    # a read instance still equals and hashes as its JSON round trip, and
+    # a replaced instance builds its own table.
+    inst = convert_cost_mode(
+        generate_reviewer_instance(3, [3, 2, 4], "random", 2, seed=5), mode)
+    types = inst.types
+    assert inst.types is types
+    assert types == build_combination_index(inst)
+    again = parse_instance(dump_instance(inst))
+    assert again == inst and hash(again) == hash(inst)
+    assert "types" not in vars(again)
+    assert again.types == types
+    assert again == inst and hash(again) == hash(inst)
+    heavier = dataclasses.replace(inst, weights=TradeoffWeights(2, (3, 1)))
+    assert "types" not in vars(heavier)
+    assert heavier.types is not types
+    assert heavier.types == types
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,8 +5,7 @@ import pytest
 
 from divmatch import negcycle
 from divmatch.auxgraph import build_aux_graph
-from divmatch.instance import (TradeoffWeights, build_combination_index,
-                               generate_reviewer_instance)
+from divmatch.instance import TradeoffWeights, generate_reviewer_instance
 from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
 from divmatch.oracle import enumerate_optimal
 from divmatch.solver import solve
@@ -128,9 +127,7 @@ def test_excluded_edges_are_skipped(detect):
     found = 0
     for seed in range(40):
         inst = random_small_instance(seed + 300, worker_fraction=0.0)
-        index = build_combination_index(inst)
-        g = build_aux_graph(inst, random_feasible_matrix(inst, index, rng),
-                            index)
+        g = build_aux_graph(inst, random_feasible_matrix(inst, rng))
         cycle = detect(g)
         if cycle is None:
             continue
@@ -225,9 +222,7 @@ def test_switch_graph_terms_match_folded_weights(detect):
     found = 0
     for seed in range(30):
         inst = random_small_instance(seed + 500, worker_fraction=0.25)
-        index = build_combination_index(inst)
-        g = build_aux_graph(inst, random_feasible_matrix(inst, index, rng),
-                            index)
+        g = build_aux_graph(inst, random_feasible_matrix(inst, rng))
         twin = SimpleDigraph(g.node_count)
         offered = [e for edges in g.succ for e in edges]
         for e in offered:

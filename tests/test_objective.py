@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from divmatch.instance import parse_instance, build_combination_index
+from divmatch.instance import parse_instance
 from divmatch.objective import (assignment_from_matrix, count_tensor,
                                 diversity_k, embed, exchange_gain,
                                 matrix_from_assignment, objective,
@@ -164,11 +164,10 @@ def test_recomposition_property():
     rng = random.Random(0)
     for seed in range(40):
         inst = random_small_instance(seed, worker_fraction=0.0)
-        index = build_combination_index(inst)
-        w = random_feasible_matrix(inst, index, rng)
-        out = objective(inst, w, index)
-        c = count_tensor(inst, w, index)
-        assert out.tu == total_utility(inst, w, index)
+        w = random_feasible_matrix(inst, rng)
+        out = objective(inst, w)
+        c = count_tensor(inst, w)
+        assert out.tu == total_utility(inst, w)
         assert out.diversity == tuple(
             diversity_k(c, k) for k in range(inst.schema.num_features))
         assert out.objective == inst.weights.lambda0 * out.tu + sum(
@@ -179,11 +178,10 @@ def test_diversity_matches_embedding_squares():
     rng = random.Random(1)
     for seed in range(30):
         inst = random_small_instance(seed + 100, worker_fraction=0.0)
-        index = build_combination_index(inst)
-        w = random_feasible_matrix(inst, index, rng)
-        c = count_tensor(inst, w, index)
+        w = random_feasible_matrix(inst, rng)
+        c = count_tensor(inst, w)
         for k in range(inst.schema.num_features):
-            m = embed(inst, w, k, index)
+            m = embed(inst, w, k)
             assert diversity_k(c, k) == sum(
                 x * x for row in m[1:] for x in row)
 
@@ -192,20 +190,18 @@ def test_exchange_gain_antisymmetric():
     rng = random.Random(2)
     for seed in range(30):
         inst = random_small_instance(seed + 200, worker_fraction=0.0)
-        index = build_combination_index(inst)
-        a = random_feasible_matrix(inst, index, rng)
-        b = random_feasible_matrix(inst, index, rng)
-        assert exchange_gain(inst, a, b, index) == \
-            -exchange_gain(inst, b, a, index)
+        a = random_feasible_matrix(inst, rng)
+        b = random_feasible_matrix(inst, rng)
+        assert exchange_gain(inst, a, b) == \
+            -exchange_gain(inst, b, a)
 
 
 def test_diversity_bounds():
     rng = random.Random(3)
     for seed in range(30):
         inst = random_small_instance(seed + 300, worker_fraction=0.0)
-        index = build_combination_index(inst)
-        w = random_feasible_matrix(inst, index, rng)
-        c = count_tensor(inst, w, index)
+        w = random_feasible_matrix(inst, rng)
+        c = count_tensor(inst, w)
         for k in range(inst.schema.num_features):
             assert 0 <= diversity_k(c, k) <= inst.n ** 2
 
@@ -214,9 +210,8 @@ def test_objective_invariant_under_team_permutation():
     rng = random.Random(4)
     for seed in range(20):
         inst = random_small_instance(seed + 400, worker_fraction=0.0)
-        index = build_combination_index(inst)
-        w = random_feasible_matrix(inst, index, rng)
-        base = objective(inst, w, index).objective
+        w = random_feasible_matrix(inst, rng)
+        base = objective(inst, w).objective
         perm = list(range(1, inst.t + 1))
         rng.shuffle(perm)
         doc = json.loads(json.dumps({
@@ -239,7 +234,6 @@ def test_matrix_assignment_roundtrip():
     for seed in range(20):
         inst = random_small_instance(seed + 500, worker_fraction=1.0)
         assign = random_feasible_assignment(inst, rng)
-        index = build_combination_index(inst)
-        w = matrix_from_assignment(inst, assign, index)
-        again = assignment_from_matrix(inst, w, index)
-        assert matrix_from_assignment(inst, again, index) == w
+        w = matrix_from_assignment(inst, assign)
+        again = assignment_from_matrix(inst, w)
+        assert matrix_from_assignment(inst, again) == w

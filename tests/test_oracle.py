@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divmatch import oracle
-from divmatch.instance import parse_instance, build_combination_index
+from divmatch.instance import parse_instance
 from divmatch.objective import (assignment_from_matrix,
                                 matrix_from_assignment, objective)
 from divmatch.oracle import BudgetExceededError, _greedy_split, \
@@ -101,11 +101,10 @@ def test_optimum_lower_bounds_random_feasible_points():
     rng = random.Random(10)
     for seed in range(15):
         inst = random_small_instance(seed + 700, worker_fraction=0.0)
-        index = build_combination_index(inst)
         result = enumerate_optimal(inst)
         for _ in range(100):
-            w = random_feasible_matrix(inst, index, rng)
-            assert objective(inst, w, index).objective >= \
+            w = random_feasible_matrix(inst, rng)
+            assert objective(inst, w).objective >= \
                 result.optimal_objective
 
 
@@ -261,17 +260,18 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _rows_share(inst, index, rows, cols, split):
+def _rows_share(inst, rows, cols, split):
     """The rows' share of the objective when row ``rows[r]`` holds
     ``split[r][p]`` workers of type ``cols[p]``, counted directly."""
+    types = inst.types
     value = 0
     for r, i in enumerate(rows):
         if i == 0:
             continue
         counts = {}
         for p, j in enumerate(cols):
-            value += inst.weights.lambda0 * index.costs[i][j] * split[r][p]
-            for k, v in enumerate(index.columns[j]):
+            value += inst.weights.lambda0 * types.costs[i][j] * split[r][p]
+            for k, v in enumerate(types.columns[j]):
                 counts[k, v] = counts.get((k, v), 0) + split[r][p]
         value += sum(inst.weights.lambdas[k] * m * m
                      for (k, _), m in counts.items())
@@ -283,29 +283,29 @@ def test_best_split_improves_exactly_when_a_better_split_exists():
     checked = improved = 0
     for seed in range(150):
         inst = random_small_instance(seed + 1500, max_n=8)
-        index = build_combination_index(inst)
-        w = random_feasible_matrix(inst, index, rng)
+        types = inst.types
+        w = random_feasible_matrix(inst, rng)
         size = min(inst.t + 1, rng.choice((2, 3)))
         rows = sorted(rng.sample(range(inst.t + 1), size))
-        cols = [j for j in range(index.num_columns)
+        cols = [j for j in range(types.num_columns)
                 if any(w[i][j] for i in rows)]
         if not cols:
             continue  # the rows hold no worker; nothing to split
         pooled = [sum(w[i][j] for i in rows) for j in cols]
         totals = [sum(w[i]) for i in rows]
-        current = _rows_share(inst, index, rows, cols,
+        current = _rows_share(inst, rows, cols,
                               [[w[i][j] for j in cols] for i in rows])
         least = min(
-            _rows_share(inst, index, rows, cols, split)
+            _rows_share(inst, rows, cols, split)
             for split in (list(zip(*per_col)) for per_col in
                           itertools.product(*(_compositions(u, size)
                                               for u in pooled)))
             if [sum(row) for row in split] == totals)
-        value, split, _, _ = best_split(inst, index, rows, cols, pooled,
+        value, split, _, _ = best_split(inst, rows, cols, pooled,
                                         totals, incumbent=current)
         assert (split is None) == (least >= current)
         if split is not None:
-            assert value == least == _rows_share(inst, index, rows, cols,
+            assert value == least == _rows_share(inst, rows, cols,
                                                  split)
             assert [sum(row) for row in split] == totals
             assert [sum(col) for col in zip(*split)] == pooled
@@ -327,22 +327,22 @@ def test_greedy_split_is_a_split_never_below_the_optimum(seed,
                                  lambda_choices=(0, 1, 2))
     assume(dummy or inst.t >= 2)
     rng = random.Random(seed)
-    index = build_combination_index(inst)
+    types = inst.types
     real = rng.sample(range(1, inst.t + 1),
                       rng.randint(1 if dummy else 2, inst.t))
     rows = sorted(real + [0] * dummy)
-    cols = rng.sample(range(index.num_columns),
-                      rng.randint(1, index.num_columns))
+    cols = rng.sample(range(types.num_columns),
+                      rng.randint(1, types.num_columns))
     counts = [rng.randint(1, 3) for _ in cols]
     totals = [0] * len(rows)
     for _ in range(sum(counts)):
         totals[rng.randrange(len(rows))] += 1
-    value, split = _greedy_split(rows, *_unit_prices(inst, index, rows, cols),
+    value, split = _greedy_split(rows, *_unit_prices(inst, rows, cols),
                                  counts, totals)
     assert [sum(row) for row in split] == totals
     assert [sum(col) for col in zip(*split)] == counts
-    assert value == _rows_share(inst, index, rows, cols, split)
-    assert value >= best_split(inst, index, rows, cols, counts, totals)[0]
+    assert value == _rows_share(inst, rows, cols, split)
+    assert value >= best_split(inst, rows, cols, counts, totals)[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -361,22 +361,22 @@ def test_greedy_split_matches_the_plain_scan(seed, worker_fraction,
                                  worker_fraction=worker_fraction,
                                  lambda_choices=(0, 1, 2, 3))
     rng = random.Random(seed)
-    index = build_combination_index(inst)
+    types = inst.types
     if whole:
         rows = range(inst.t + 1)
-        cols = rng.sample(range(index.num_columns), index.num_columns)
-        counts = [index.multiplicities[j] for j in cols]
+        cols = rng.sample(range(types.num_columns), types.num_columns)
+        counts = [types.multiplicities[j] for j in cols]
         totals = [inst.demand(i) for i in rows]
     else:
         rows = sorted(rng.sample(range(inst.t + 1),
                                  rng.randint(1, inst.t + 1)))
-        cols = rng.sample(range(index.num_columns),
-                          rng.randint(1, index.num_columns))
+        cols = rng.sample(range(types.num_columns),
+                          rng.randint(1, types.num_columns))
         counts = [rng.randint(1, 4) for _ in cols]
         totals = [0] * len(rows)
         for _ in range(sum(counts)):
             totals[rng.randrange(len(rows))] += 1
-    prices = _unit_prices(inst, index, rows, cols)
+    prices = _unit_prices(inst, rows, cols)
     assert _greedy_split(rows, *prices, counts, totals) == \
         reference_greedy_split(rows, *prices, counts, totals)
 
@@ -390,12 +390,11 @@ def test_greedy_split_can_be_above_the_optimum():
         "teams": [{"name": "t1", "demand": 1}, {"name": "t2", "demand": 1}],
         "costs": {"mode": "class", "u": [[0, 1], [1, 10]]},
         "lambda0": 1, "lambdas": [0]})
-    index = build_combination_index(inst)
     rows, cols, counts, totals = range(3), [0, 1], [1, 1], [0, 1, 1]
-    greedy = _greedy_split(rows, *_unit_prices(inst, index, rows, cols),
+    greedy = _greedy_split(rows, *_unit_prices(inst, rows, cols),
                            counts, totals)
     assert greedy == (10, [[0, 0], [1, 0], [0, 1]])
-    assert best_split(inst, index, rows, cols, counts, totals)[:2] == \
+    assert best_split(inst, rows, cols, counts, totals)[:2] == \
         (2, [[0, 0], [0, 1], [1, 0]])
     assert enumerate_optimal(inst).optimal_objective == 2
 
@@ -412,11 +411,11 @@ def test_best_split_returns_the_first_minimal_split_in_search_order():
     kinds = {"dummy": 0, "empty": 0, "spare": 0, "improved": 0, "kept": 0}
     for seed in range(120):
         inst = random_small_instance(seed + 2600, max_n=8, max_t=3)
-        index = build_combination_index(inst)
+        types = inst.types
         size = rng.randint(2, min(4, inst.t + 1))
         rows = sorted(rng.sample(range(inst.t + 1), size))
-        cols = rng.sample(range(index.num_columns),
-                          rng.randint(1, min(3, index.num_columns)))
+        cols = rng.sample(range(types.num_columns),
+                          rng.randint(1, min(3, types.num_columns)))
         counts = [rng.randint(1, 3) for _ in cols]
         totals = [0] * size
         open_rows = rng.sample(range(size), rng.randint(1, size))
@@ -427,7 +426,7 @@ def test_best_split_returns_the_first_minimal_split_in_search_order():
             for per_type in itertools.product(
                 *(_compositions(u, size) for u in counts))
             if [sum(row) for row in zip(*per_type)] == totals]
-        values = [_rows_share(inst, index, rows, cols, split)
+        values = [_rows_share(inst, rows, cols, split)
                   for split in splits]
         least = min(values)
         optimal = [split for split, v in zip(splits, values) if v == least]
@@ -436,7 +435,7 @@ def test_best_split_returns_the_first_minimal_split_in_search_order():
         kinds["spare"] += rows[0] == 0 and totals[0] > 0 and any(totals[1:])
         for incumbent in (None, rng.choice(values), least, least + 1):
             value, split, count, optima = best_split(
-                inst, index, rows, cols, counts, totals,
+                inst, rows, cols, counts, totals,
                 incumbent=incumbent, collect=True)
             if incumbent is None:
                 expected = (least, optimal[0], len(optimal), optimal)
@@ -447,6 +446,6 @@ def test_best_split_returns_the_first_minimal_split_in_search_order():
                 expected = (incumbent, None, 0, [])
                 kinds["kept"] += 1
             assert (value, split, count, optima) == expected
-            assert best_split(inst, index, rows, cols, counts, totals,
+            assert best_split(inst, rows, cols, counts, totals,
                               incumbent=incumbent)[:3] == expected[:3]
     assert min(kinds.values()) >= 20, kinds

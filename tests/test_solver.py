@@ -15,9 +15,8 @@ from divmatch import flow, solver
 from divmatch.auxgraph import (CycleApplicationError, apply_and_update,
                                build_aux_graph, cycle_from_moves, dump_edges,
                                moves_of)
-from divmatch.instance import (Team, TradeoffWeights, build_combination_index,
-                               convert_cost_mode, generate_reviewer_instance,
-                               parse_instance)
+from divmatch.instance import (Team, TradeoffWeights, convert_cost_mode,
+                               generate_reviewer_instance, parse_instance)
 from divmatch.negcycle import goldberg_radzik_detect
 from divmatch.objective import (assignment_from_matrix, breakdown_of,
                                 count_tensor, objective)
@@ -69,17 +68,17 @@ def test_initial_feasible_is_the_feasible_greedy_split(seed, worker_costs,
         left = inst.n - sum(team.demand for team in teams)
         teams[-1] = Team(teams[-1].name, teams[-1].demand + left)
     inst = dataclasses.replace(inst, teams=tuple(teams))
-    index = build_combination_index(inst)
-    rows, cols = range(inst.t + 1), range(index.num_columns)
-    start = initial_feasible(inst, index)
-    value, split = _greedy_split(rows, *_unit_prices(inst, index, rows, cols),
-                                 list(index.multiplicities),
+    types = inst.types
+    rows, cols = range(inst.t + 1), range(types.num_columns)
+    start = initial_feasible(inst)
+    value, split = _greedy_split(rows, *_unit_prices(inst, rows, cols),
+                                 list(types.multiplicities),
                                  [inst.demand(i) for i in rows])
     assert start == split
     assert [sum(row) for row in start] == [inst.demand(i) for i in rows]
-    assert [sum(col) for col in zip(*start)] == list(index.multiplicities)
+    assert [sum(col) for col in zip(*start)] == list(types.multiplicities)
     assert min(map(min, start)) >= 0
-    assert objective(inst, start, index).objective == value
+    assert objective(inst, start).objective == value
     assert solve(inst, SolverConfig(max_iterations=1)).initial_objective == \
         value
 
@@ -200,8 +199,7 @@ def test_iteration_cap_ignores_a_spurious_walk_at_the_fixed_point():
 
 def test_withheld_walk_stays_out_of_detection_until_restored():
     inst = spurious_fixed_point_instance()
-    index = build_combination_index(inst)
-    graph = build_aux_graph(inst, solve(inst).assignment, index)
+    graph = build_aux_graph(inst, solve(inst).assignment)
     walk = goldberg_radzik_detect(graph)
     assert walk.claimed_weight == -1
     assert graph.gain(moves_of(graph, walk)) == 3
@@ -223,7 +221,7 @@ def test_withheld_walk_stays_out_of_detection_until_restored():
         moves = random_switch_simple_moves(graph, rng)
         apply_and_update(graph, cycle_from_moves(graph, moves))
         graph.restore()
-        fresh = build_aux_graph(inst, graph.current_state(), index)
+        fresh = build_aux_graph(inst, graph.current_state())
         assert dump_edges(graph) == dump_edges(fresh)
 
 
@@ -237,9 +235,8 @@ def test_a_walk_that_does_not_improve_whole_is_withheld_whole(monkeypatch):
         generate_reviewer_instance(1, [1, 2, 2, 2], "random", 4,
                                    seed=755541953),
         weights=TradeoffWeights(1, (2, 2)))
-    index = build_combination_index(inst)
     state = [[0, 0, 1, 0, 1, 1], [1, 2, 0, 1, 0, 0]]
-    search = solver._SwitchGraphSearch(inst, index, state,
+    search = solver._SwitchGraphSearch(inst, state,
                                        goldberg_radzik_detect)
     graph = search.graph
     walk = goldberg_radzik_detect(graph)
@@ -264,8 +261,8 @@ def test_a_walk_that_does_not_improve_whole_is_withheld_whole(monkeypatch):
     assert withheld == [walk.edges]
     step[4]()
     assert walk_commits == []
-    assert objective(inst, search.w, index).objective == \
-        objective(inst, state, index).objective - 4
+    assert objective(inst, search.w).objective == \
+        objective(inst, state).objective - 4
 
 
 def test_trace_is_strictly_decreasing_with_exact_gains():
@@ -389,18 +386,16 @@ def _sweep_states():
     for papers in (10, 8):
         inst = generate_reviewer_instance(papers, [8] * 5, "balanced", 4,
                                           seed=1)
-        index = build_combination_index(inst)
         for cap in (1, 4, 9, 16, 25, None):
             report = solve(inst, SolverConfig(max_iterations=cap))
             assert (sum(report.assignment[0]) == 0) == (papers == 10)
             yield inst, report.assignment
         for _ in range(4):
-            yield inst, random_feasible_matrix(inst, index, rng)
+            yield inst, random_feasible_matrix(inst, rng)
     for seed in range(12):
         inst = random_small_instance(seed + 700, max_n=10,
                                      worker_fraction=1.0)
-        index = build_combination_index(inst)
-        yield inst, random_feasible_matrix(inst, index, rng)
+        yield inst, random_feasible_matrix(inst, rng)
         yield inst, solve(inst).assignment
 
 
@@ -424,7 +419,7 @@ def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan,
     monkeypatch.setattr(solver, "_ScanBudget", Recording)
     found = skipped = 0
     for inst, state in _sweep_states():
-        graph = build_aux_graph(inst, state, build_combination_index(inst))
+        graph = build_aux_graph(inst, state)
         for max_rows in (2, 3):
             expected = reference_resplit_sweep(inst, graph, max_rows)
             budgets.clear()
@@ -531,9 +526,8 @@ def test_coupled_pair_trap_stall_is_not_proved(monkeypatch):
     inst = make(COUPLED_PAIR_TRAP)
     bare = solve_without_resplit(monkeypatch, inst)
     assert bare.proved_optimal is False
-    graph = build_aux_graph(inst, bare.assignment,
-                            build_combination_index(inst))
-    assert flow._proves_optimal(inst, graph.index, graph.w, graph.c) is False
+    graph = build_aux_graph(inst, bare.assignment)
+    assert flow._proves_optimal(inst, graph.w, graph.c) is False
     refined = solve(inst)
     assert refined.proved_optimal is True
     assert refined.refinement_complete is True
@@ -611,18 +605,18 @@ def test_delta_gain_equals_recomputation(seed, worker_costs, data):
     # full; a list it refuses is refused by both and changes nothing.
     inst = random_small_instance(seed, max_n=14, max_columns=5,
                                  worker_fraction=float(worker_costs))
-    index = build_combination_index(inst)
+    types = inst.types
     if data.draw(st.booleans()):
-        state = random_feasible_matrix(inst, index, random.Random(seed))
+        state = random_feasible_matrix(inst, random.Random(seed))
     else:  # a state the solver reaches
         cap = data.draw(st.integers(1, 4))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
-    graph = build_aux_graph(inst, state, index)
+    graph = build_aux_graph(inst, state)
     moves = _draw_moves(data, inst, state)
     if data.draw(st.booleans()):  # and on to another feasible state
-        target = random_feasible_matrix(inst, index, random.Random(~seed))
+        target = random_feasible_matrix(inst, random.Random(~seed))
         split = solver._moves_from_split(graph, range(inst.t + 1),
-                                         range(index.num_columns), target)
+                                         range(types.num_columns), target)
         assert _moved(state, split) == target
         assert len(split) == sum(max(x - y, 0) for row, goal in
                                  zip(state, target)
@@ -634,8 +628,8 @@ def test_delta_gain_equals_recomputation(seed, worker_costs, data):
         _rejects(graph, moves, "overdraw")
     else:
         assert graph.gain(moves) == (
-            objective(inst, after, index).objective
-            - objective(inst, state, index).objective)
+            objective(inst, after).objective
+            - objective(inst, state).objective)
     team, key = next(((i, j) for i, row in enumerate(state)
                       for j, x in enumerate(row) if x), (None, None))
     if team is not None and inst.t:
@@ -643,8 +637,8 @@ def test_delta_gain_equals_recomputation(seed, worker_costs, data):
         _rejects(graph, [(key, team, other)], "size of row")
         # Emptying a cell and taking one more, paid back in another
         # column, keeps every row and column sum but must still raise.
-        if index.num_columns > 1:
-            back = (key + 1) % index.num_columns
+        if types.num_columns > 1:
+            back = (key + 1) % types.num_columns
             units = state[team][key] + 1
             _rejects(graph, [(key, team, other)] * units
                      + [(back, other, team)] * units, "overdraw")
@@ -652,7 +646,7 @@ def test_delta_gain_equals_recomputation(seed, worker_costs, data):
         graph.apply_moves(moves)
         assert graph.current_state() == after
         assert dump_edges(graph) == dump_edges(
-            build_aux_graph(inst, after, index))
+            build_aux_graph(inst, after))
 
 
 @settings(max_examples=300, deadline=None)
@@ -671,14 +665,13 @@ def test_subset_flow_certificate_is_sound(seed, worker_costs, data):
                                  max_size=inst.schema.num_features))
     inst = dataclasses.replace(inst, weights=TradeoffWeights(
         inst.weights.lambda0, tuple(lambdas)))
-    index = build_combination_index(inst)
     if data.draw(st.booleans()):
-        state = random_feasible_matrix(inst, index, random.Random(seed))
+        state = random_feasible_matrix(inst, random.Random(seed))
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
-    c = count_tensor(inst, state, index)
-    values = flow._row_values(inst, index, state, c)
+    c = count_tensor(inst, state)
+    values = flow._row_values(inst, state, c)
     exact = sum(lam > 0 for lam in lambdas) <= 1
     for size in (2, 3):
         for rows in itertools.permutations(range(inst.t + 1), size):
@@ -687,11 +680,11 @@ def test_subset_flow_certificate_is_sound(seed, worker_costs, data):
             if not cols:
                 continue
             _, split, _, _ = best_split(
-                inst, index, rows, cols,
+                inst, rows, cols,
                 [sum(state[i][j] for i in rows) for j in cols],
                 [sum(state[i]) for i in rows],
                 incumbent=sum(values[i] for i in rows))
-            certified = flow._part_cycle(inst, index, state, c, rows,
+            certified = flow._part_cycle(inst, state, c, rows,
                                          cols)[0] is None
             assert not certified or split is None
             if exact:
@@ -708,10 +701,9 @@ def test_resplit_sweep_matches_the_plain_rule_with_three_weighted_features():
                                      lambda_choices=(1, 2, 3))
         if inst.schema.num_features < 3:
             continue
-        index = build_combination_index(inst)
-        for state in (random_feasible_matrix(inst, index, rng),
+        for state in (random_feasible_matrix(inst, rng),
                       solve(inst).assignment):
-            graph = build_aux_graph(inst, state, index)
+            graph = build_aux_graph(inst, state)
             for max_rows in (2, 3):
                 expected = reference_resplit_sweep(inst, graph, max_rows)
                 assert solver._find_resplit(inst, graph, max_rows) == \
@@ -729,13 +721,12 @@ def test_ladder_fixed_points_certify_pairs_without_enumerating(monkeypatch,
     papers, reviewers = rung
     inst = generate_reviewer_instance(papers, [reviewers // 5] * 5,
                                       "balanced", 4, seed=1)
-    graph = build_aux_graph(inst, solve(inst).assignment,
-                            build_combination_index(inst))
+    graph = build_aux_graph(inst, solve(inst).assignment)
     sizes = []
 
-    def recording(inst, index, rows, *args, **kwargs):
+    def recording(inst, rows, *args, **kwargs):
         sizes.append(len(rows))
-        return best_split(inst, index, rows, *args, **kwargs)
+        return best_split(inst, rows, *args, **kwargs)
 
     monkeypatch.setattr(solver, "best_split", recording)
     found, _ = solver._find_resplit(inst, graph)
@@ -751,13 +742,12 @@ def test_unproved_fixed_point_sweep_enumerates_no_subset(monkeypatch,
     inst = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=35)
     report = solve(inst)
     assert report.proved_optimal is False
-    graph = build_aux_graph(inst, report.assignment,
-                            build_combination_index(inst))
+    graph = build_aux_graph(inst, report.assignment)
     enumerated = []
 
-    def recording(inst, index, rows, *args, **kwargs):
+    def recording(inst, rows, *args, **kwargs):
         enumerated.append(rows)
-        return best_split(inst, index, rows, *args, **kwargs)
+        return best_split(inst, rows, *args, **kwargs)
 
     monkeypatch.setattr(solver, "best_split", recording)
     with caplog.at_level(logging.DEBUG, logger="divmatch"):
@@ -771,8 +761,7 @@ def test_unproved_fixed_point_sweep_enumerates_no_subset(monkeypatch,
 
 def test_resplit_sweep_logs_one_count_line(caplog):
     inst = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=1)
-    graph = build_aux_graph(inst, solve(inst).assignment,
-                            build_combination_index(inst))
+    graph = build_aux_graph(inst, solve(inst).assignment)
     with caplog.at_level(logging.INFO, logger="divmatch"):
         solver._find_resplit(inst, graph)
     assert not caplog.records
@@ -795,9 +784,9 @@ def test_resplit_sweep_takes_only_rows_that_hold_workers(monkeypatch):
     inst = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=35)
     rows_seen = []
 
-    def recording(inst, index, w, c, rows, cols):
+    def recording(inst, w, c, rows, cols):
         rows_seen.append([sum(w[i]) for i in rows])
-        return flow._part_cycle(inst, index, w, c, rows, cols)
+        return flow._part_cycle(inst, w, c, rows, cols)
 
     monkeypatch.setattr(solver, "_part_cycle", recording)
     assert solve(inst).proved_optimal is False
@@ -820,15 +809,14 @@ def test_optimality_proof_is_sound(seed, worker_costs, data):
                                  max_size=inst.schema.num_features))
     inst = dataclasses.replace(inst, weights=TradeoffWeights(
         inst.weights.lambda0, tuple(lambdas)))
-    index = build_combination_index(inst)
     if data.draw(st.booleans()):
-        state = random_feasible_matrix(inst, index, random.Random(seed))
+        state = random_feasible_matrix(inst, random.Random(seed))
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
-    c = count_tensor(inst, state, index)
-    if flow._proves_optimal(inst, index, state, c):
-        assert objective(inst, state, index).objective == \
+    c = count_tensor(inst, state)
+    if flow._proves_optimal(inst, state, c):
+        assert objective(inst, state).objective == \
             enumerate_optimal(inst).optimal_objective
 
 
@@ -851,18 +839,17 @@ def test_flow_test_certifies_every_pair_with_one_empty_row(seed,
                                  max_size=inst.schema.num_features))
     inst = dataclasses.replace(inst, weights=TradeoffWeights(
         inst.weights.lambda0, tuple(lambdas)))
-    index = build_combination_index(inst)
     if data.draw(st.booleans()):
-        state = random_feasible_matrix(inst, index, random.Random(seed))
+        state = random_feasible_matrix(inst, random.Random(seed))
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
-    c = count_tensor(inst, state, index)
+    c = count_tensor(inst, state)
     for rows in itertools.combinations(range(inst.t + 1), 2):
         if [sum(state[i]) == 0 for i in rows].count(True) != 1:
             continue
         cols = sorted({j for i in rows for j, x in enumerate(state[i]) if x})
-        assert flow._part_cycle(inst, index, state, c, rows, cols)[0] is None
+        assert flow._part_cycle(inst, state, c, rows, cols)[0] is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -879,40 +866,43 @@ def test_part_flow_test_is_exact(seed, worker_costs, data):
     inst = random_small_instance(seed, max_n=10 if worker_costs else 12,
                                  max_columns=6,
                                  worker_fraction=float(worker_costs))
-    index = build_combination_index(inst)
+    types = inst.types
     if data.draw(st.booleans()):
-        state = random_feasible_matrix(inst, index, random.Random(seed))
+        state = random_feasible_matrix(inst, random.Random(seed))
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
-    c = count_tensor(inst, state, index)
+    c = count_tensor(inst, state)
     everyone = range(inst.t + 1)
-    subsets = [(everyone, range(index.num_columns))]
+    subsets = [(everyone, range(types.num_columns))]
     for size in (2, 3):
         for rows in itertools.permutations(everyone, size):
             cols = sorted({j for i in rows for j, x in enumerate(state[i])
                            if x})
             if cols:
                 subsets.append((rows, cols))
-    free = dataclasses.replace(index, costs=tuple(
-        (0,) * index.num_columns for _ in everyone))
+    free = dataclasses.replace(types, costs=tuple(
+        (0,) * types.num_columns for _ in everyone))
     for k in range(inst.schema.num_features):
         lam = data.draw(st.integers(0, 3))
         part = dataclasses.replace(inst, weights=TradeoffWeights(
             inst.weights.lambda0, tuple(
                 lam if f == k else 0
                 for f in range(inst.schema.num_features))))
-        for with_cost, part_index in ((True, index), (False, free)):
+        # the part without cost: the same types, each at zero cost
+        no_cost = dataclasses.replace(part)
+        vars(no_cost)["types"] = free
+        for with_cost, scored in ((True, part), (False, no_cost)):
             for rows, cols in subsets:
                 least, _, _, _ = best_split(
-                    part, part_index, rows, cols,
+                    scored, rows, cols,
                     [sum(state[i][j] for i in rows) for j in cols],
                     [sum(state[i]) for i in rows])
                 held = [row if i in rows else [0] * len(row)
                         for i, row in enumerate(state)]
-                value = breakdown_of(part, held, count_tensor(
-                    part, held, part_index), part_index).objective
-                network = flow._part_network(part, index, state, c, k,
+                value = breakdown_of(scored, held,
+                                     count_tensor(scored, held)).objective
+                network = flow._part_network(part, state, c, k,
                                              with_cost, rows, cols)
                 assert (flow.negative_cycle(*network) is not None) == \
                     (value > least)
