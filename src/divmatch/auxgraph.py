@@ -238,10 +238,6 @@ class AuxGraph:
         return (edge.weight + self.bias[edge.src]
                 + start[edge.src] - start[edge.dst])
 
-    def current_state(self):
-        """Copy of the live assignment matrix."""
-        return [list(row) for row in self.w]
-
     # -- mutation -----------------------------------------------------------
 
     def gain(self, moves) -> int:
@@ -394,33 +390,3 @@ def apply_and_update(g: AuxGraph, cycle: ExchangeCycle):
     g.apply_moves(moves)
     return moves
 
-
-def cycle_from_moves(g: AuxGraph, moves) -> ExchangeCycle:
-    """Assemble the edge walk realizing a closed move sequence.
-
-    ``moves[p]`` must end at the team where ``moves[p+1]`` starts (cyclically);
-    the connecting intra edge inside that team pairs the arriving key with the
-    departing one. Edges are found by their position in ``out_edges``.
-    """
-    edges = []
-    for p, (key, i1, i2) in enumerate(moves):
-        nxt = moves[(p + 1) % len(moves)]
-        if i2 != nxt[1]:
-            raise ValueError("moves do not form a closed walk")
-        edges.append(g.out_edges[g.port_id(i1, OUTPUT, key)][i2 - (i2 > i1)])
-        edges.append(g.out_edges[g.port_id(i2, INPUT, key)][nxt[0]])
-    return ExchangeCycle(edges, sum(g.price(e) for e in edges))
-
-
-def dump_edges(g: AuxGraph) -> str:
-    """Edge list as text, one line per edge with its full price, for
-    golden-file comparisons; the last column says whether ``succ`` offers
-    the edge."""
-    offered = {e for edges in g.succ for e in edges}
-    lines = []
-    for e in g.edges:
-        kind = "intra" if g.port(e.src)[1] == INPUT else "inter"
-        listed = "true" if e in offered else "false"
-        lines.append(f"{g.port_repr(e.src)} -> {g.port_repr(e.dst)} "
-                     f"{g.price(e)} {kind} {listed}")
-    return "\n".join(lines) + "\n"

@@ -8,9 +8,10 @@ from collections import defaultdict
 
 import networkx as nx
 
-from divmatch.auxgraph import OUTPUT
+from divmatch.auxgraph import INPUT, OUTPUT
 from divmatch.instance import (CostModel, Feature, FeatureSchema, Instance,
                                Team, TradeoffWeights)
+from divmatch.negcycle import ExchangeCycle
 
 
 class SimpleEdge:
@@ -54,6 +55,42 @@ def inter_edge(g, key: int, i1: int, i2: int):
     """The inter edge of ``g`` that moves a worker of ``key`` from team
     ``i1`` to team ``i2``: ``out(i1, key)``'s out-edges skip its own team."""
     return g.out_edges[g.port_id(i1, OUTPUT, key)][i2 - (i2 > i1)]
+
+
+def current_state(g):
+    """Copy of the switch-graph's live assignment matrix."""
+    return [list(row) for row in g.w]
+
+
+def cycle_from_moves(g, moves) -> ExchangeCycle:
+    """Assemble the edge walk realizing a closed move sequence.
+
+    ``moves[p]`` must end at the team where ``moves[p+1]`` starts (cyclically);
+    the connecting intra edge inside that team pairs the arriving key with the
+    departing one. Edges are found by their position in ``out_edges``.
+    """
+    edges = []
+    for p, (key, i1, i2) in enumerate(moves):
+        nxt = moves[(p + 1) % len(moves)]
+        if i2 != nxt[1]:
+            raise ValueError("moves do not form a closed walk")
+        edges.append(inter_edge(g, key, i1, i2))
+        edges.append(g.out_edges[g.port_id(i2, INPUT, key)][nxt[0]])
+    return ExchangeCycle(edges, sum(g.price(e) for e in edges))
+
+
+def dump_edges(g) -> str:
+    """Edge list as text, one line per edge with its full price, for
+    golden-file comparisons; the last column says whether ``succ`` offers
+    the edge."""
+    offered = {e for edges in g.succ for e in edges}
+    lines = []
+    for e in g.edges:
+        kind = "intra" if g.port(e.src)[1] == INPUT else "inter"
+        listed = "true" if e in offered else "false"
+        lines.append(f"{g.port_repr(e.src)} -> {g.port_repr(e.dst)} "
+                     f"{g.price(e)} {kind} {listed}")
+    return "\n".join(lines) + "\n"
 
 
 def intra_weight(v_a, v_b, team: int, weights: TradeoffWeights) -> int:

@@ -7,14 +7,14 @@ import dataclasses
 import random
 import time
 
-from divmatch.auxgraph import (apply_and_update, build_aux_graph,
-                               cycle_from_moves, dump_edges)
+from divmatch.auxgraph import apply_and_update, build_aux_graph
 from divmatch.instance import TradeoffWeights, generate_reviewer_instance
 from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
 from divmatch.objective import embed, exchange_gain, matrix_from_assignment
 from divmatch.oracle import enumerate_optimal
 from divmatch.solver import iteration_bound, solve
-from helpers import (has_negative_cycle_exhaustive, random_digraph,
+from helpers import (current_state, cycle_from_moves, dump_edges,
+                     has_negative_cycle_exhaustive, random_digraph,
                      random_feasible_matrix, random_small_instance,
                      random_switch_simple_moves)
 
@@ -116,7 +116,7 @@ def test_criterion_4_incremental_update_fidelity():
             if moves is None:
                 break
             apply_and_update(graph, cycle_from_moves(graph, moves))
-            fresh = build_aux_graph(inst, graph.current_state())
+            fresh = build_aux_graph(inst, current_state(graph))
             assert dump_edges(graph) == dump_edges(fresh)
             commits += 1
     print(f"\nPASS criterion-4: {commits} commits, incremental graph always "

@@ -9,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divmatch.auxgraph import (INPUT, OUTPUT, CycleApplicationError,
-                               apply_and_update, build_aux_graph,
-                               cycle_from_moves, dump_edges, moves_of)
+                               apply_and_update, build_aux_graph, moves_of)
 from divmatch.instance import (Team, TradeoffWeights, convert_cost_mode,
                                generate_reviewer_instance, parse_instance)
 from divmatch.negcycle import DETECTORS
 from divmatch.objective import exchange_gain, matrix_from_assignment
 from divmatch.solver import (SolverConfig, _moves_from_split,
                              initial_feasible, solve)
-from helpers import (inter_edge, inter_weight, intra_weight,
-                     random_feasible_assignment, random_feasible_matrix,
-                     random_small_instance, random_switch_simple_moves)
+from helpers import (current_state, cycle_from_moves, dump_edges, inter_edge,
+                     inter_weight, intra_weight, random_feasible_assignment,
+                     random_feasible_matrix, random_small_instance,
+                     random_switch_simple_moves)
 
 LAM11 = TradeoffWeights(1, (1, 1))
 
@@ -167,7 +167,7 @@ def test_apply_then_revert_restores_graph():
     reverse = [(key, i2, i1) for key, i1, i2 in reversed(moves)]
     apply_and_update(g, cycle_from_moves(g, reverse))
     assert dump_edges(g) == before
-    assert g.current_state() == w
+    assert current_state(g) == w
 
 
 def test_moving_last_worker_disables_outgoing_edges():
@@ -226,7 +226,7 @@ def test_apply_rejects_disabled_edge():
     with pytest.raises(CycleApplicationError, match="disabled"):
         apply_and_update(g, cycle_from_moves(g, [(3, 1, 2), (1, 2, 1)]))
     assert dump_edges(g) == before
-    assert g.current_state() == w
+    assert current_state(g) == w
 
 
 def test_withhold_keeps_the_order_of_the_rest():
@@ -267,7 +267,7 @@ def test_incremental_matches_rebuild(worker_fraction):
             if moves is None:
                 break
             apply_and_update(g, cycle_from_moves(g, moves))
-            fresh = build_aux_graph(inst, g.current_state())
+            fresh = build_aux_graph(inst, current_state(g))
             assert dump_edges(g) == dump_edges(fresh)
 
 
@@ -345,7 +345,7 @@ def test_finders_return_every_edge_by_position(worker_fraction):
 
 
 def _applicable(g, moves):
-    w = g.current_state()
+    w = current_state(g)
     for key, i1, i2 in moves:
         if w[i1][key] <= 0:
             return False
@@ -421,7 +421,7 @@ def test_weight_shifts_stay_exact_over_a_long_chain(inst):
     g = build_aux_graph(inst, initial_feasible(inst))
     for calls in _apply_chain(g, random.Random(17), 300):
         if calls % 25 == 0:  # the 300th call is the last
-            fresh = build_aux_graph(inst, g.current_state())
+            fresh = build_aux_graph(inst, current_state(g))
             assert dump_edges(g) == dump_edges(fresh)
 
 

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from divmatch import flow, solver
 from divmatch.auxgraph import (CycleApplicationError, apply_and_update,
-                               build_aux_graph, cycle_from_moves, dump_edges,
-                               moves_of)
+                               build_aux_graph, moves_of)
 from divmatch.instance import (Team, TradeoffWeights, convert_cost_mode,
                                generate_reviewer_instance, parse_instance)
 from divmatch.negcycle import goldberg_radzik_detect
@@ -24,7 +23,8 @@ from divmatch.oracle import (_greedy_split, _unit_prices, best_split,
                              enumerate_optimal)
 from divmatch.solver import (SolverConfig, initial_feasible, iteration_bound,
                              solve)
-from helpers import (random_feasible_matrix, random_small_instance,
+from helpers import (current_state, cycle_from_moves, dump_edges,
+                     random_feasible_matrix, random_small_instance,
                      random_switch_simple_moves, reference_resplit_sweep,
                      two_pointer_start)
 
@@ -221,7 +221,7 @@ def test_withheld_walk_stays_out_of_detection_until_restored():
         moves = random_switch_simple_moves(graph, rng)
         apply_and_update(graph, cycle_from_moves(graph, moves))
         graph.restore()
-        fresh = build_aux_graph(inst, graph.current_state())
+        fresh = build_aux_graph(inst, current_state(graph))
         assert dump_edges(graph) == dump_edges(fresh)
 
 
@@ -572,7 +572,7 @@ def _draw_moves(data, inst, w):
 
 def _graph_state(graph):
     """Everything a rejected move list must leave as it was."""
-    return (graph.current_state(),
+    return (current_state(graph),
             [[list(vals) for vals in c] for c in graph.c],
             list(graph.bias), list(graph.start),
             [list(edges) for edges in graph.succ], dump_edges(graph))
@@ -644,7 +644,7 @@ def test_delta_gain_equals_recomputation(seed, worker_costs, data):
                      + [(back, other, team)] * units, "overdraw")
     if not overdrawn:  # in the order drawn, though a cell may dip below 0
         graph.apply_moves(moves)
-        assert graph.current_state() == after
+        assert current_state(graph) == after
         assert dump_edges(graph) == dump_edges(
             build_aux_graph(inst, after))
 
