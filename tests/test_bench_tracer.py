@@ -84,3 +84,28 @@ def test_tracer_counts_match_the_solves_and_uninstall_restores():
         current = owner[attr] if isinstance(owner, dict) \
             else getattr(owner, attr)
         assert current is original, attr
+
+
+def test_checking_a_solve_adds_no_solve_time_under_the_tracer():
+    # A traced run checks that the spans caused by solves account for the
+    # solves' time. The benchmark's checks after a solve call the oracle and
+    # the solution writer; a wrapped name either of them called would count
+    # as solve time spent outside any solve.
+    tracer = _load_tracer()
+    instances = [random_small_instance(seed) for seed in range(6)]
+    instances.append(dm.generate_reviewer_instance(2, [5, 5], "balanced", 4,
+                                                   seed=1))
+    reports = [dm.solver.solve(inst) for inst in instances]
+    spans = tracer.Tracer()
+    spans.install(dm)
+    try:
+        for inst, report in zip(instances, reports):
+            dm.oracle.enumerate_optimal(inst)
+            dm.cli.solution_to_dict(inst, report)
+    finally:
+        spans.uninstall()
+    totals, _ = spans.snapshot()
+    assert tracer.solve_accounted_s(totals) == 0
+    assert set(totals) == {"oracle.enumerate", "cli.solution"}
+    assert totals["oracle.enumerate"].calls == len(instances)
+    assert totals["cli.solution"].calls == len(instances)

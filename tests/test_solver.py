@@ -513,6 +513,30 @@ def test_cycle_cancellation_alone_can_stall_above_optimum(monkeypatch):
     assert bare.breakdown.objective == oracle + 2  # known stall, kept pinned
 
 
+def test_resplit_sweep_can_stall_above_optimum_on_four_teams():
+    # Four teams and the pool all hold workers, so the sweep examines every
+    # pair and triple of rows but no larger subset, and finds nothing. The
+    # one optimum differs from the fixed point in four rows, the pool and
+    # three teams, which must change at once. A known gap, kept pinned.
+    inst = dataclasses.replace(
+        generate_reviewer_instance(4, [2, 3, 1, 3], "balanced", 2,
+                                   seed=446922281),
+        weights=TradeoffWeights(2, (3, 3)))
+    oracle = enumerate_optimal(inst)
+    assert (oracle.optimal_objective, oracle.num_optima) == (92, 1)
+    for detector in ("gr", "bf"):
+        report = solve(inst, SolverConfig(detector=detector))
+        assert report.termination == "optimal"
+        assert report.refinement_complete is True
+        assert report.proved_optimal is False
+        assert report.breakdown.objective == oracle.optimal_objective + 2
+        assert all(map(sum, report.assignment))  # every row holds workers
+        changed = [i for i, (row, best) in
+                   enumerate(zip(report.assignment, oracle.matrix))
+                   if row != best]
+        assert changed == [0, 2, 3, 4]
+
+
 def test_refinement_escapes_the_coupled_pair_trap():
     inst = make(COUPLED_PAIR_TRAP)
     oracle = enumerate_optimal(inst).optimal_objective
