@@ -34,9 +34,9 @@ An edge's own ``weight`` is its static part: the intra correction, or 0 on
 an inter edge. Two per-port lists hold the rest: ``bias`` is ``leave[i][key]
 - lambda0 * cost[i][key]`` at ``out(i, key)`` and ``enter[i][key] + lambda0
 * cost[i][key]`` at ``in(i, key)``; ``start`` is ``-bias`` at input ports
-and 0 at output ports. An edge's price, :meth:`AuxGraph.price`, is
-``weight + bias[src] + start[src] - start[dst]``: the two port terms on an
-inter edge, the weight alone on an intra edge. The cycle detectors read
+and 0 at output ports. An edge's price is ``weight + bias[src] +
+start[src] - start[dst]``: the two port terms on an inter edge, the weight
+alone on an intra edge. The cycle detectors read
 ``bias`` and ``start`` as node terms (see :mod:`divmatch.negcycle`).
 
 The graph keeps live assignment counters and reprices incrementally after
@@ -94,9 +94,10 @@ class CycleApplicationError(RuntimeError):
 
 class AuxEdge:
     """One directed edge between two port ids. ``weight`` is the static
-    part of the edge's price (0 on an inter edge); :meth:`AuxGraph.price`
-    adds the port terms, and :meth:`AuxGraph.port` reads the edge's teams
-    and keys off its ports."""
+    part of the edge's price (0 on an inter edge), whose full price is
+    ``weight + bias[src] + start[src] - start[dst]`` over the graph's port
+    terms; :meth:`AuxGraph.port` reads the edge's teams and keys off its
+    ports."""
 
     __slots__ = ("src", "dst", "weight")
 
@@ -229,14 +230,6 @@ class AuxGraph:
             succ[port] = [edges[key] for key in held]
         for port, x in enumerate(row, first + self.num_keys):
             succ[port] = out_edges[port] if x else ()
-
-    # -- lookups ------------------------------------------------------------
-
-    def price(self, edge: AuxEdge) -> int:
-        """The edge's full price: its weight plus the port terms."""
-        start = self.start
-        return (edge.weight + self.bias[edge.src]
-                + start[edge.src] - start[edge.dst])
 
     # -- mutation -----------------------------------------------------------
 

@@ -8,9 +8,11 @@ loop commits improving steps, each of a true objective change of at most
 -1, from one of two searches. An instance with at most one weighted feature
 takes the exact path: :class:`~divmatch.flow.CycleCanceling` cancels
 negative cycles of the objective's flow network and ends at a proved
-optimum, with no switch-graph. Any other instance searches the
-switch-graph, as below. Each search's step is one record, ``(source,
-cycle_len, claimed, exact, commit)``: ``source`` says what found it
+optimum, with no switch-graph. Any other instance first tries to prove
+its start a global optimum (below): a proved start ends there, with no
+commit and no switch-graph, and any other start searches the switch-graph,
+as below. Each search's step is one record, ``(source, cycle_len, claimed,
+exact, commit)``: ``source`` says what found it
 (``cycle``, a detected walk; ``resplit``, a re-split of a few teams;
 ``flow``, a cancel on the exact path), and ``commit`` is the call that
 applies it. The loop's bookkeeping is the same for every source: the
@@ -29,15 +31,17 @@ A detected walk that visits some switch more than once can misprice itself
 most -1, the walk was spuriously negative: the graph withholds its edges
 from detection until the next step offers them again. Once no negative
 cycle remains, the solver first tries to prove the state a global optimum
-with :mod:`divmatch.flow`: the objective splits into one part per weighted
-feature (the first also carrying the cost), each part alone is a
-convex-cost flow, and a state optimal for every part is optimal for their
-sum. When that proof fails, a bounded exact re-split of small team subsets
-runs as a safety net against counter-coupled exchanges that no single cycle
-can express. The same proof, restricted to a subset's rows and types,
-certifies a team subset before it is enumerated. The loop ends when the
-proof succeeds, when neither step finds an improvement, or when the
-configured iteration cap is reached and a further step would still commit.
+with :mod:`divmatch.flow`, as it did at the start: the objective splits
+into one part per weighted feature (the first also carrying the cost), each
+part alone is a convex-cost flow, and a state optimal for every part is
+optimal for their sum. A proved state has no improving exchange, so
+skipping the graph at a proved start changes no result. When that proof
+fails, a bounded exact re-split of small team subsets runs as a safety net
+against counter-coupled exchanges that no single cycle can express. The
+same proof, restricted to a subset's rows and types, certifies a team
+subset before it is enumerated. The loop ends when the proof succeeds,
+when neither step finds an improvement, or when the configured iteration
+cap is reached and a further step would still commit.
 
 Integer weights make every committed step decrease the objective by at least
 one, which bounds the number of iterations by
@@ -56,8 +60,8 @@ from .auxgraph import apply_and_update, build_aux_graph, moves_of
 from .flow import CycleCanceling, _part_cycle, _proves_optimal, _row_values
 from .instance import Instance
 from .negcycle import DETECTORS
-from .objective import ObjectiveBreakdown, breakdown_of, objective, \
-    total_utility
+from .objective import ObjectiveBreakdown, breakdown_of, count_tensor, \
+    objective, total_utility
 from .oracle import _greedy_split, _unit_prices, best_split, split_count
 
 __all__ = [
@@ -291,19 +295,28 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
 class _SwitchGraphSearch:
     """The search on the switch-graph, one committing step at a time, from
     the assignment matrix ``start``: :meth:`step` finds the next improving
-    walk or re-split. ``w`` and ``c`` are the graph's live state."""
+    walk or re-split. The graph is built only when the start is not proved
+    optimal; ``w`` and ``c`` are the live state, the graph's once built."""
 
     def __init__(self, inst, start, detect):
         self.inst, self.detect = inst, detect
-        self.graph = build_aux_graph(inst, start)
-        self.w, self.c = self.graph.w, self.graph.c
-        self.refinement_complete = self.proved_optimal = False
+        self.w = [list(row) for row in start]
+        self.c = count_tensor(inst, self.w)
+        # A proved start has no improving walk, so it needs no graph.
+        self.proved_optimal = _proves_optimal(inst, self.w, self.c)
+        self.refinement_complete = self.proved_optimal
+        self.graph = None
+        if not self.proved_optimal:
+            self.graph = build_aux_graph(inst, self.w)
+            self.w, self.c = self.graph.w, self.graph.c
 
     def step(self):
         """The record of the next committing walk (``cycle``) or re-split
-        (``resplit``), or None at a fixed point. Edges that the last step
-        withheld are offered again first."""
+        (``resplit``), or None at a fixed point or a proved start. Edges
+        that the last step withheld are offered again first."""
         graph = self.graph
+        if graph is None:
+            return None
         graph.restore()
         stalls = 0
         while True:

@@ -38,17 +38,18 @@ class SimpleDigraph:
         self.bias = [0] * node_count
         self.start = [0] * node_count
 
-    def price(self, e) -> int:
-        """An edge's full weight: ``weight + bias[src] + start[src] -
-        start[dst]``."""
-        return (e.weight + self.bias[e.src]
-                + self.start[e.src] - self.start[e.dst])
-
     def add_edge(self, src: int, dst: int, weight: int) -> SimpleEdge:
         e = SimpleEdge(src, dst, weight)
         self.succ[src].append(e)
         self.edges.append(e)
         return e
+
+
+def price(g, e) -> int:
+    """The full price of edge ``e`` of ``g`` (a switch-graph or a
+    :class:`SimpleDigraph`): its weight plus the port terms, ``weight +
+    bias[src] + start[src] - start[dst]``."""
+    return e.weight + g.bias[e.src] + g.start[e.src] - g.start[e.dst]
 
 
 def inter_edge(g, key: int, i1: int, i2: int):
@@ -76,7 +77,7 @@ def cycle_from_moves(g, moves) -> ExchangeCycle:
             raise ValueError("moves do not form a closed walk")
         edges.append(inter_edge(g, key, i1, i2))
         edges.append(g.out_edges[g.port_id(i2, INPUT, key)][nxt[0]])
-    return ExchangeCycle(edges, sum(g.price(e) for e in edges))
+    return ExchangeCycle(edges, sum(price(g, e) for e in edges))
 
 
 def dump_edges(g) -> str:
@@ -89,7 +90,7 @@ def dump_edges(g) -> str:
         kind = "intra" if g.port(e.src)[1] == INPUT else "inter"
         listed = "true" if e in offered else "false"
         lines.append(f"{g.port_repr(e.src)} -> {g.port_repr(e.dst)} "
-                     f"{g.price(e)} {kind} {listed}")
+                     f"{price(g, e)} {kind} {listed}")
     return "\n".join(lines) + "\n"
 
 
@@ -226,7 +227,7 @@ def with_node_terms(g: SimpleDigraph, rng, lo=-20, hi=20):
     g.start = [rng.randint(lo, hi) for _ in range(g.node_count)]
     twin = SimpleDigraph(g.node_count)
     for e in g.edges:
-        twin.add_edge(e.src, e.dst, g.price(e))
+        twin.add_edge(e.src, e.dst, price(g, e))
     return twin
 
 
@@ -237,7 +238,7 @@ def has_negative_cycle_exhaustive(g: SimpleDigraph) -> bool:
     dg.add_nodes_from(range(g.node_count))
     for edges in g.succ:
         for e in edges:
-            dg.add_edge(e.src, e.dst, weight=g.price(e))
+            dg.add_edge(e.src, e.dst, weight=price(g, e))
     for cycle in nx.simple_cycles(dg):
         total = sum(dg[u][v]["weight"]
                     for u, v in zip(cycle, cycle[1:] + cycle[:1]))

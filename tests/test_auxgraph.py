@@ -17,9 +17,9 @@ from divmatch.objective import exchange_gain, matrix_from_assignment
 from divmatch.solver import (SolverConfig, _moves_from_split,
                              initial_feasible, solve)
 from helpers import (current_state, cycle_from_moves, dump_edges, inter_edge,
-                     inter_weight, intra_weight, random_feasible_assignment,
-                     random_feasible_matrix, random_small_instance,
-                     random_switch_simple_moves)
+                     inter_weight, intra_weight, price,
+                     random_feasible_assignment, random_feasible_matrix,
+                     random_small_instance, random_switch_simple_moves)
 
 LAM11 = TradeoffWeights(1, (1, 1))
 
@@ -151,7 +151,7 @@ def test_stored_weights_match_weight_functions():
                                         inst.weights)
                 live = w[team_from][key_from] >= 1
             assert (e in g.succ[e.src]) == live
-            assert g.price(e) == expected
+            assert price(g, e) == expected
             assert e.weight == (expected if side == INPUT else 0)
 
 
@@ -205,13 +205,13 @@ def test_untouched_team_pair_keeps_weights():
             break
     if moves is None:
         pytest.skip("no applicable two-team exchange in sampled state")
-    frozen = [(key, g.price(inter_edge(g, key, 0, 3)),
-               g.price(inter_edge(g, key, 3, 0)))
+    frozen = [(key, price(g, inter_edge(g, key, 0, 3)),
+               price(g, inter_edge(g, key, 3, 0)))
               for key in range(g.num_keys)]
     apply_and_update(g, cycle_from_moves(g, moves))
     for key, w03, w30 in frozen:
-        assert g.price(inter_edge(g, key, 0, 3)) == w03
-        assert g.price(inter_edge(g, key, 3, 0)) == w30
+        assert price(g, inter_edge(g, key, 0, 3)) == w03
+        assert price(g, inter_edge(g, key, 3, 0)) == w30
 
 
 def test_apply_rejects_disabled_edge():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import divmatch.cli
 import divmatch.negcycle
 from divmatch.cli import balance_report, main, solution_to_dict
-from divmatch.instance import parse_instance
+from divmatch.instance import dump_instance, generate_reviewer_instance, \
+    parse_instance
 from divmatch.solver import solve
 
 
@@ -160,7 +161,11 @@ def test_detector_flag_selects_that_detector(tmp_path, monkeypatch, name):
             calls.append(detect)
             return detect(g)
         monkeypatch.setitem(detectors, key, spy)
-    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    # The greedy start of this instance is not proved optimal, so the
+    # switch-graph is searched.
+    inst = tmp_path / "inst.json"
+    inst.write_text(dump_instance(generate_reviewer_instance(
+        3, [4] * 5, "balanced", 4, seed=5)))
     assert run(["solve", inst, "--detector", name]) == 0
     assert calls and set(calls) == {chosen}
 

@@ -9,7 +9,7 @@ from divmatch.instance import TradeoffWeights, generate_reviewer_instance
 from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
 from divmatch.oracle import enumerate_optimal
 from divmatch.solver import solve
-from helpers import (SimpleDigraph, has_negative_cycle_exhaustive,
+from helpers import (SimpleDigraph, has_negative_cycle_exhaustive, price,
                      random_digraph, random_feasible_matrix,
                      random_small_instance, two_pointer_start,
                      with_node_terms)
@@ -20,7 +20,7 @@ DETECTORS = [bellman_ford_detect, goldberg_radzik_detect]
 def verify_cycle(g, cycle):
     assert cycle.is_closed()
     assert all(e in g.succ[e.src] for e in cycle.edges)
-    total = sum(g.price(e) for e in cycle.edges)
+    total = sum(price(g, e) for e in cycle.edges)
     assert total == cycle.claimed_weight
     assert total <= -1
     nodes = [e.src for e in cycle.edges]
@@ -226,7 +226,7 @@ def test_switch_graph_terms_match_folded_weights(detect):
         twin = SimpleDigraph(g.node_count)
         offered = [e for edges in g.succ for e in edges]
         for e in offered:
-            twin.add_edge(e.src, e.dst, g.price(e))
+            twin.add_edge(e.src, e.dst, price(g, e))
         cycle = detect(g)
         expected = _positions(twin, detect(twin))
         if cycle is None:

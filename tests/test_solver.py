@@ -997,11 +997,64 @@ def test_optimality_proof_logs_one_line_per_attempt(caplog):
         solve(inst)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("optimality proof")]
-    # the stalled fixed point fails the proof, the refined one passes
+    # the start and the stalled fixed point fail the proof, the refined
+    # one passes
     verdicts = [re.fullmatch(r"optimality proof: (proved|not proved) "
                              r"\((\d+) nodes, (\d+) arcs\)", line).group(1)
                 for line in lines]
-    assert verdicts == ["not proved", "proved"]
+    assert verdicts == ["not proved", "not proved", "proved"]
+
+
+def test_proved_start_builds_no_graph(monkeypatch):
+    # Two weighted features, so the switch-graph search runs; its greedy
+    # start is proved optimal, so it ends there with no graph, no detection
+    # and no commit.
+    inst = make(EIGHT_VS_SIXTEEN)
+    calls = []
+
+    def spy(name, fn):
+        def called(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return called
+
+    monkeypatch.setattr(solver, "build_aux_graph",
+                        spy("build", solver.build_aux_graph))
+    for name, detect in list(solver.DETECTORS.items()):
+        monkeypatch.setitem(solver.DETECTORS, name, spy(name, detect))
+    for detector in ("gr", "bf"):
+        report = solve(inst, SolverConfig(detector=detector))
+        assert calls == []
+        assert (report.iterations, report.trace) == (0, [])
+        assert report.proved_optimal and report.refinement_complete
+        assert report.termination == "optimal"
+        assert report.assignment == initial_feasible(inst)
+        assert report.breakdown.objective == report.initial_objective == 8
+
+
+@pytest.mark.parametrize("detector", ["bf", "gr"])
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_a_proved_start_has_no_committing_walk(detector, seed):
+    # What makes skipping the graph at a proved start exact: wherever the
+    # proof accepts the greedy start, the graph built there offers no
+    # improving walk. Every walk the detector returns is spurious, is
+    # withheld, and detection runs until it returns None.
+    inst = random_small_instance(seed)
+    start = initial_feasible(inst)
+    if not flow._proves_optimal(inst, start, count_tensor(inst, start)):
+        return
+    graph = build_aux_graph(inst, start)
+    detect = solver.DETECTORS[detector]
+    for _ in range(len(graph.edges) + 1):
+        walk = detect(graph)
+        if walk is None:
+            break
+        assert graph.gain(moves_of(graph, walk)) > -1
+        graph.withhold(walk.edges)
+    else:
+        raise AssertionError("detection keeps returning walks")
+    assert current_state(graph) == start
 
 
 @settings(max_examples=200, deadline=None)
