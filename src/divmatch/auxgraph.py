@@ -36,8 +36,8 @@ an inter edge. Two per-port lists hold the rest: ``bias`` is ``leave[i][key]
 * cost[i][key]`` at ``in(i, key)``; ``start`` is ``-bias`` at input ports
 and 0 at output ports. An edge's price is ``weight + bias[src] +
 start[src] - start[dst]``: the two port terms on an inter edge, the weight
-alone on an intra edge. The cycle detectors read
-``bias`` and ``start`` as node terms (see :mod:`divmatch.negcycle`).
+alone on an intra edge. The cycle detectors read ``bias`` and ``start`` as
+node terms (see :mod:`divmatch.negcycle`).
 
 The graph keeps live assignment counters and reprices incrementally after
 an exchange. Its one edge index is ``out_edges``: an input port's out-edges
