@@ -1,5 +1,5 @@
-"""Convex-cost flow view of the objective: optimality proofs, and exact
-cycle canceling when at most one feature is weighted.
+"""Convex-cost flow view of the objective: optimality proofs, and the
+cancels of the exact search when at most one feature is weighted.
 
 The objective splits into one part per weighted feature k, lambdas[k] *
 D_k, with lambda0 * TU added to the first part (with no weighted feature,
@@ -8,17 +8,18 @@ the one part lambda0 * TU). Alone, a part is a separable convex-cost flow
 and a state minimizes it exactly when the part's residual network has no
 negative cycle (:func:`negative_cycle`). A state that minimizes every part
 minimizes their sum. One test, :func:`_part_cycle`, looks for the first
-negative part cycle over given rows and types: over all of them, finding
-none proves the state a global optimum (:func:`_proves_optimal`); over a
+negative part cycle over given rows and types: over all of them
+(:func:`_proof`), finding none proves the state a global optimum; over a
 few rows, it certifies their split.
 
 With at most one weighted feature the one part is the whole objective, so
-the proof is exact and a negative cycle is an improving exchange:
-:class:`CycleCanceling` cancels one at a time (Klein's cycle canceling) and
-stops at a proved optimum. A simple cycle changes each cell and counter by
-at most one unit, so its arc sum is its exact gain, which each cancel
-checks with the move-list rule of :func:`~divmatch.auxgraph.net_change` and
-:func:`~divmatch.auxgraph.change_gain`; its step's commit writes it by
+the proof is exact and the negative cycle it fails on is an improving
+exchange: the solver cancels it (:func:`_cancel`; Klein's cycle
+canceling) and proves again, until a proof succeeds. A simple cycle
+changes each cell and counter by at most one unit, so its arc sum is its
+exact gain, which each cancel checks with the move-list rule of
+:func:`~divmatch.auxgraph.net_change` and
+:func:`~divmatch.auxgraph.change_gain`; its commit writes it by
 :func:`~divmatch.auxgraph.write_change`.
 
 A state is the assignment matrix ``w`` and its count tensor ``c``, over
@@ -31,9 +32,8 @@ import logging
 from functools import partial
 
 from .auxgraph import change_gain, net_change, write_change
-from .objective import count_tensor
 
-__all__ = ["CycleCanceling", "negative_cycle"]
+__all__ = ["negative_cycle"]
 
 logger = logging.getLogger(__name__)
 
@@ -97,19 +97,17 @@ def _pred_cycle(pred, paid, starts):
     return None
 
 
-def _proves_optimal(inst, w, c) -> bool:
-    """True when the state is shown to be a global optimum; False says
-    nothing. One debug line per call gives the verdict and the size of the
-    networks tested."""
+def _proof(inst, w, c):
+    """``(cycle, nodes)``: :func:`_part_cycle` over every row and type.
+    A None ``cycle`` proves the state a global optimum; a cycle says
+    nothing unless at most one feature is weighted, where it is an
+    improving exchange (:func:`_cancel`). One debug line per call gives the
+    verdict and the size of the networks tested."""
     cycle, nodes, arcs = _part_cycle(inst, w, c, range(inst.t + 1),
                                      range(inst.types.num_columns))
-    _log_proof(cycle is None, nodes, arcs)
-    return cycle is None
-
-
-def _log_proof(proved, nodes, arcs):
     logger.debug("optimality proof: %s (%d nodes, %d arcs)",
-                 "proved" if proved else "not proved", nodes, arcs)
+                 "proved" if cycle is None else "not proved", nodes, arcs)
+    return cycle, nodes
 
 
 def _part_cycle(inst, w, c, rows, cols):
@@ -168,46 +166,23 @@ def _part_network(inst, w, c, k, with_cost, rows, cols):
     return teams + len(rows), arcs
 
 
-class CycleCanceling:
-    """The exact search for an instance with at most one weighted feature
-    (with more, it would minimize the first weighted part alone), one
-    cancel at a time, from the assignment matrix ``w``.
-
-    :meth:`step` finds the next improving exchange in the network of the
-    one part, over all rows and types. ``w`` and ``c`` are the live state;
-    ``proved_optimal`` and ``refinement_complete`` turn true when no
-    negative cycle is left."""
-
-    def __init__(self, inst, w):
-        self.inst = inst
-        self.w = [list(row) for row in w]
-        self.c = count_tensor(inst, self.w)
-        self.proved_optimal = self.refinement_complete = False
-
-    def step(self):
-        """The ``flow`` record of the next cancel, whose ``cycle_len`` counts
-        its moves, or None at a proved optimum. Each type node on the cycle
-        is one move ``(type, team of its in-arc, team of its out-arc)``.
-        Raises RuntimeError when the cycle's exact gain is not its arc sum
-        or is above -1."""
-        inst = self.inst
-        types = inst.types.num_columns
-        cycle, count, arcs = _part_cycle(inst, self.w, self.c,
-                                         range(inst.t + 1), range(types))
-        if cycle is None:
-            _log_proof(True, count, arcs)
-            self.proved_optimal = self.refinement_complete = True
-            return None
-        slots = (count - types) // (inst.t + 1) - 1  # values per team
-        moves = [(to, (u - types) // slots, (after[1] - types) // slots)
-                 for (u, to, _), after in zip(cycle, cycle[1:] + cycle[:1])
-                 if to < types]
-        change = net_change(inst, self.w, moves)
-        claimed = sum(cost for _, _, cost in cycle)
-        exact = change_gain(inst, self.c, change)
-        if exact != claimed or exact > -1:
-            raise RuntimeError(f"a cycle of cost {claimed} has exact gain "
-                               f"{exact}")
-        return ("flow", len(moves), claimed, exact,
-                partial(write_change, self.w, self.c, change))
-
+def _cancel(inst, w, c, cycle, nodes):
+    """The ``flow`` record of canceling ``cycle``, found by :func:`_proof`
+    in its network of ``nodes`` nodes at the state ``w``, ``c``, with at
+    most one weighted feature: ``cycle_len`` counts its moves, one per type
+    node on the cycle, ``(type, team of its in-arc, team of its
+    out-arc)``. Raises RuntimeError when the cycle's exact gain is not its
+    arc sum or is above -1."""
+    types = inst.types.num_columns
+    slots = (nodes - types) // (inst.t + 1) - 1  # values per team
+    moves = [(to, (u - types) // slots, (after[1] - types) // slots)
+             for (u, to, _), after in zip(cycle, cycle[1:] + cycle[:1])
+             if to < types]
+    change = net_change(inst, w, moves)
+    claimed = sum(cost for _, _, cost in cycle)
+    exact = change_gain(inst, c, change)
+    if exact != claimed or exact > -1:
+        raise RuntimeError(f"a cycle of cost {claimed} has exact gain "
+                           f"{exact}")
+    return ("flow", len(moves), claimed, exact,
+            partial(write_change, w, c, change))

@@ -5,20 +5,26 @@ Every solve starts from the oracle's greedy split
 objective price is least, so the start already weighs costs and diversity,
 and on criterion 7's ladder few cycles are left to cancel. From there one
 loop commits improving steps, each of a true objective change of at most
--1, from one of two searches. An instance with at most one weighted feature
-takes the exact path: :class:`~divmatch.flow.CycleCanceling` cancels
-negative cycles of the objective's flow network and ends at a proved
-optimum, with no switch-graph. Any other instance first tries to prove
-its start a global optimum (below): a proved start ends there, with no
-commit and no switch-graph, and any other start searches the switch-graph,
-as below. Each search's step is one record, ``(source, cycle_len, claimed,
-exact, commit)``: ``source`` says what found it
-(``cycle``, a detected walk; ``resplit``, a re-split of a few teams;
-``flow``, a cancel on the exact path), and ``commit`` is the call that
+-1, from one search, :class:`_Search`. Each step is one record,
+``(source, cycle_len, claimed, exact, commit)``: ``source`` says what found
+it (``cycle``, a detected walk; ``resplit``, a re-split of a few teams;
+``flow``, a cancel of the flow network), and ``commit`` is the call that
 applies it. The loop's bookkeeping is the same for every source: the
 iteration cap, the descent bound, one :class:`IterationRecord` per commit,
 and the objective, evaluated at the start from the search's counters and
 once in full at the end, as a check that the committed gains add up.
+
+Each step that has no switch-graph, or whose graph offers no improving
+walk, first tries to prove the state a global optimum with
+:mod:`divmatch.flow`: the objective splits into one part per weighted
+feature (the first also carrying the cost), each part alone is a
+convex-cost flow, and a state optimal for every part is optimal for their
+sum. A proved state has no improving exchange, so the search ends there.
+With at most one weighted feature the one part is the whole objective:
+the negative cycle that a failed proof finds is an improving exchange,
+the step cancels it, and the search ends at a proved optimum with no
+switch-graph. With more, the first failed proof builds the switch-graph,
+so a proved start ends with no commit and no graph.
 
 On the switch-graph, the solver looks for a negative cycle, prices the
 candidate exchange's true objective change with
@@ -30,18 +36,14 @@ A detected walk that visits some switch more than once can misprice itself
 (its edge weights assume untouched counters). If its true change is not at
 most -1, the walk was spuriously negative: the graph withholds its edges
 from detection until the next step offers them again. Once no negative
-cycle remains, the solver first tries to prove the state a global optimum
-with :mod:`divmatch.flow`, as it did at the start: the objective splits
-into one part per weighted feature (the first also carrying the cost), each
-part alone is a convex-cost flow, and a state optimal for every part is
-optimal for their sum. A proved state has no improving exchange, so
-skipping the graph at a proved start changes no result. When that proof
-fails, a bounded exact re-split of small team subsets runs as a safety net
-against counter-coupled exchanges that no single cycle can express. The
+cycle remains at an unproved state, a bounded exact re-split of small team
+subsets runs as a safety net against counter-coupled exchanges that no
+single cycle can express. Where the graph was just built on a failed
+proof, the sweep follows with no second proof of the unchanged state. The
 same proof, restricted to a subset's rows and types, certifies a team
-subset before it is enumerated. The loop ends when the proof succeeds,
-when neither step finds an improvement, or when the configured iteration
-cap is reached and a further step would still commit.
+subset before it is enumerated. The loop ends when the proof succeeds, when
+neither step finds an improvement, or when the configured iteration cap is
+reached and a further step would still commit.
 
 Integer weights make every committed step decrease the objective by at least
 one, which bounds the number of iterations by
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .auxgraph import apply_and_update, build_aux_graph, moves_of
-from .flow import CycleCanceling, _part_cycle, _proves_optimal, _row_values
+from .flow import _cancel, _part_cycle, _proof, _row_values
 from .instance import Instance
 from .negcycle import DETECTORS
 from .objective import ObjectiveBreakdown, breakdown_of, count_tensor, \
@@ -250,15 +252,11 @@ def _find_resplit(inst, graph, max_rows=3):
 def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the cancellation loop to a certified local-search fixed point,
     reported ``proved_optimal`` where it is shown to be a global optimum.
-    With at most one weighted feature the loop cancels cycles of the flow
-    network (:class:`~divmatch.flow.CycleCanceling`) and, unless capped,
-    ends proved; otherwise it searches the switch-graph."""
+    With at most one weighted feature the search cancels cycles of the flow
+    network and, unless capped, ends proved; otherwise it searches the
+    switch-graph."""
     cfg = cfg or SolverConfig()
-    start = initial_feasible(inst)
-    if sum(lam > 0 for lam in inst.weights.lambdas) <= 1:
-        search = CycleCanceling(inst, start)
-    else:
-        search = _SwitchGraphSearch(inst, start, DETECTORS[cfg.detector])
+    search = _Search(inst, initial_feasible(inst), DETECTORS[cfg.detector])
     initial = breakdown_of(inst, search.w, search.c)
     bound = _descent_bound(inst, initial.tu)
     current = initial.objective
@@ -292,51 +290,57 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
                        search.refinement_complete, search.proved_optimal)
 
 
-class _SwitchGraphSearch:
-    """The search on the switch-graph, one committing step at a time, from
-    the assignment matrix ``start``: :meth:`step` finds the next improving
-    walk or re-split. The graph is built only when the start is not proved
-    optimal; ``w`` and ``c`` are the live state, the graph's once built."""
+class _Search:
+    """The search, one committing step at a time, from the assignment
+    matrix ``start``; ``w`` and ``c`` are the live state, the switch-graph's
+    once it is built. With at most one weighted feature the proof is
+    exact, so a failed proof's cycle is the step and no graph is built."""
 
     def __init__(self, inst, start, detect):
         self.inst, self.detect = inst, detect
+        self.exact = sum(lam > 0 for lam in inst.weights.lambdas) <= 1
         self.w = [list(row) for row in start]
         self.c = count_tensor(inst, self.w)
-        # A proved start has no improving walk, so it needs no graph.
-        self.proved_optimal = _proves_optimal(inst, self.w, self.c)
-        self.refinement_complete = self.proved_optimal
+        self.proved_optimal = self.refinement_complete = False
         self.graph = None
-        if not self.proved_optimal:
-            self.graph = build_aux_graph(inst, self.w)
-            self.w, self.c = self.graph.w, self.graph.c
 
     def step(self):
-        """The record of the next committing walk (``cycle``) or re-split
-        (``resplit``), or None at a fixed point or a proved start. Edges
-        that the last step withheld are offered again first."""
-        graph = self.graph
-        if graph is None:
+        """The record of the next committing walk (``cycle``), re-split
+        (``resplit``) or cancel (``flow``), or None at a proved state or a
+        fixed point that the re-split sweep cannot leave. Edges that the
+        last step withheld are offered again first."""
+        inst, graph = self.inst, self.graph
+        if graph is not None and (found := self._walk()) is not None:
+            return found
+        cycle, nodes = _proof(inst, self.w, self.c)
+        if cycle is None:
+            # A proved state is a global optimum, so no search could leave it.
+            self.refinement_complete = self.proved_optimal = True
             return None
+        if self.exact:
+            return _cancel(inst, self.w, self.c, cycle, nodes)
+        if graph is None:
+            self.graph = graph = build_aux_graph(inst, self.w)
+            self.w, self.c = graph.w, graph.c
+            if (found := self._walk()) is not None:
+                return found
+        # Withheld edges may hide a real cycle, but detecting again with
+        # them offered on the unchanged graph returns the withheld walk; the
+        # re-split is the way on.
+        found, self.refinement_complete = _find_resplit(inst, graph)
+        if found is None:
+            return None
+        moves, gain = found
+        return ("resplit", len(moves), gain, gain,
+                partial(graph.apply_moves, moves))
+
+    def _walk(self):
+        """The ``cycle`` record of the first detected walk that improves,
+        or None when detection finds no negative cycle."""
+        graph = self.graph
         graph.restore()
         stalls = 0
-        while True:
-            cycle = self.detect(graph)
-            if cycle is None:
-                # A proved state is a global optimum, so the re-split sweep
-                # could find nothing there.
-                if _proves_optimal(self.inst, graph.w, graph.c):
-                    self.refinement_complete = self.proved_optimal = True
-                    return None
-                # Withheld edges may hide a real cycle, but detecting again
-                # with them offered on the unchanged graph returns the
-                # withheld walk; the re-split is the way on.
-                found, self.refinement_complete = _find_resplit(self.inst,
-                                                                graph)
-                if found is None:
-                    return None
-                moves, gain = found
-                return ("resplit", len(moves), gain, gain,
-                        partial(graph.apply_moves, moves))
+        while (cycle := self.detect(graph)) is not None:
             gain = graph.gain(moves_of(graph, cycle))
             if gain <= -1:
                 return ("cycle", len(cycle), cycle.claimed_weight, gain,
@@ -352,3 +356,4 @@ class _SwitchGraphSearch:
                 raise RuntimeError(
                     "detection keeps returning non-improving walks")
             graph.withhold(cycle.edges)
+        return None

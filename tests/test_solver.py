@@ -236,9 +236,9 @@ def test_a_walk_that_does_not_improve_whole_is_withheld_whole(monkeypatch):
                                    seed=755541953),
         weights=TradeoffWeights(1, (2, 2)))
     state = [[0, 0, 1, 0, 1, 1], [1, 2, 0, 1, 0, 0]]
-    search = solver._SwitchGraphSearch(inst, state,
-                                       goldberg_radzik_detect)
-    graph = search.graph
+    graph = build_aux_graph(inst, state)
+    monkeypatch.setattr(solver, "build_aux_graph", lambda inst, w: graph)
+    search = solver._Search(inst, state, goldberg_radzik_detect)
     walk = goldberg_radzik_detect(graph)
     moves = moves_of(graph, walk)
     assert (len(moves), walk.claimed_weight, graph.gain(moves)) == (4, -4, 0)
@@ -551,7 +551,7 @@ def test_coupled_pair_trap_stall_is_not_proved(monkeypatch):
     bare = solve_without_resplit(monkeypatch, inst)
     assert bare.proved_optimal is False
     graph = build_aux_graph(inst, bare.assignment)
-    assert flow._proves_optimal(inst, graph.w, graph.c) is False
+    assert flow._proof(inst, graph.w, graph.c)[0] is not None
     refined = solve(inst)
     assert refined.proved_optimal is True
     assert refined.refinement_complete is True
@@ -839,7 +839,7 @@ def test_optimality_proof_is_sound(seed, worker_costs, data):
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
     c = count_tensor(inst, state)
-    if flow._proves_optimal(inst, state, c):
+    if flow._proof(inst, state, c)[0] is None:
         assert objective(inst, state).objective == \
             enumerate_optimal(inst).optimal_objective
 
@@ -997,12 +997,35 @@ def test_optimality_proof_logs_one_line_per_attempt(caplog):
         solve(inst)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("optimality proof")]
-    # the start and the stalled fixed point fail the proof, the refined
-    # one passes
+    # the start, which is also the stalled fixed point, fails the proof
+    # once; the refined state passes
     verdicts = [re.fullmatch(r"optimality proof: (proved|not proved) "
                              r"\((\d+) nodes, (\d+) arcs\)", line).group(1)
                 for line in lines]
-    assert verdicts == ["not proved", "not proved", "proved"]
+    assert verdicts == ["not proved", "proved"]
+
+
+def test_a_solve_proves_each_state_at_most_once(monkeypatch):
+    # A step proves at most once, so a solve proves at most once more than
+    # it commits. At two or more weighted features, the start's failed proof
+    # builds the switch-graph; where that graph offers no walk, the re-split
+    # sweep follows without proving the unchanged state again.
+    # COUPLED_PAIR_TRAP's start is such a state, as are 3 of the random ones.
+    calls = []
+    proof = solver._proof
+
+    def counted(*args):
+        calls.append(args)
+        return proof(*args)
+
+    monkeypatch.setattr(solver, "_proof", counted)
+    instances = [make(COUPLED_PAIR_TRAP)] + [
+        inst for inst in map(random_small_instance, range(300))
+        if sum(lam > 0 for lam in inst.weights.lambdas) >= 2]
+    for inst in instances:
+        calls.clear()
+        report = solve(inst)
+        assert 1 <= len(calls) <= report.iterations + 1
 
 
 def test_proved_start_builds_no_graph(monkeypatch):
@@ -1042,7 +1065,7 @@ def test_a_proved_start_has_no_committing_walk(detector, seed):
     # withheld, and detection runs until it returns None.
     inst = random_small_instance(seed)
     start = initial_feasible(inst)
-    if not flow._proves_optimal(inst, start, count_tensor(inst, start)):
+    if flow._proof(inst, start, count_tensor(inst, start))[0] is not None:
         return
     graph = build_aux_graph(inst, start)
     detect = solver.DETECTORS[detector]
@@ -1112,10 +1135,20 @@ def test_one_weighted_feature_iteration_cap_stops_after_the_first_cancel():
 
 
 def test_one_weighted_feature_logs_one_proof_line(caplog):
-    inst = make(dict(EIGHT_VS_SIXTEEN, lambdas=[1, 0]))
-    with caplog.at_level(logging.DEBUG, logger="divmatch"):
-        solve(inst)
-    (line,) = [r.getMessage() for r in caplog.records
-               if r.getMessage().startswith("optimality proof")]
-    assert re.fullmatch(r"optimality proof: proved \(\d+ nodes, \d+ arcs\)",
-                        line)
+    # One line per proof: a proved start logs one, and each cancel is the
+    # cycle of a failed proof, so three cancels log three failures before
+    # the proof that ends the search.
+    cancels = generate_reviewer_instance(3, [3] * 3, "balanced", 3, seed=6)
+    cancels = dataclasses.replace(cancels, weights=TradeoffWeights(
+        cancels.weights.lambda0, (cancels.weights.lambdas[0], 0)))
+    for inst, failed in ((make(dict(EIGHT_VS_SIXTEEN, lambdas=[1, 0])), 0),
+                         (cancels, 3)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="divmatch"):
+            report = solve(inst)
+        assert report.iterations == failed
+        verdicts = [re.fullmatch(r"optimality proof: (proved|not proved) "
+                                 r"\(\d+ nodes, \d+ arcs\)", r.getMessage())
+                    .group(1) for r in caplog.records
+                    if r.getMessage().startswith("optimality proof")]
+        assert verdicts == ["not proved"] * failed + ["proved"]
