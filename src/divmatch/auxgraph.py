@@ -39,16 +39,14 @@ start[src] - start[dst]``: the two port terms on an inter edge, the weight
 alone on an intra edge. The cycle detectors read ``bias`` and ``start`` as
 node terms (see :mod:`divmatch.negcycle`).
 
-The graph keeps live assignment counters and reprices incrementally after
-an exchange. Its one edge index is ``out_edges``: an input port's out-edges
-are its intra edges in output-key order and an output port's out-edges are
-its inter edges in target-team order (own team skipped), so edges are found
-by position. A port term is linear in its team's counters at its key's
-feature values, so an exchange shifts it by an exact integer: a net change
-``d`` of counter ``c[i][k][v]`` shifts ``leave[i][key]`` by ``-2 *
-lambdas[k] * d`` and ``enter[i][key]`` by ``+2 * lambdas[k] * d``, for the
-keys with value ``v`` of feature ``k`` (listed per graph). That is three
-writes to ``bias`` and ``start``; no edge changes.
+The graph keeps live assignment counters. Its one edge index is
+``out_edges``: an input port's out-edges are its intra edges in output-key
+order and an output port's out-edges are its inter edges in target-team
+order (own team skipped), so edges are found by position. Everything a
+team's ports hold, its offer and its port terms, is a function of its row
+of ``w`` and its counters, set by one per-team method,
+:meth:`AuxGraph._set_ports`: for every team when the graph is built, and
+after an exchange for each team whose row changed. No edge changes.
 
 A move list means its net change alone, :func:`net_change`, which
 :func:`change_gain` prices and :func:`write_change` writes into ``w`` and
@@ -66,12 +64,13 @@ its whole ``out_edges`` row and a drained one offers nothing, so an edge
 into a drained port lies on no cycle: an input port offers only its intra
 edges into its team's held output ports. An inter edge into a row that
 holds no worker ends at an input port that offers nothing, so it lies on no
-cycle either. ``apply_moves`` sets the offer anew for each team where a
-cell became held or drained; :meth:`AuxGraph.withhold` takes a walk's edges
-out of it and :meth:`AuxGraph.restore` sets their teams' offer anew.
+cycle either. :meth:`AuxGraph.withhold` takes a walk's edges out of the
+offer and :meth:`AuxGraph.restore` sets their teams' ports anew.
 """
 
 from __future__ import annotations
+
+from operator import getitem
 
 from .instance import Instance, TradeoffWeights
 from .negcycle import ExchangeCycle
@@ -119,9 +118,9 @@ class AuxGraph:
     """Live switch-graph over the current assignment matrix.
 
     Exposes ``node_count``, ``succ`` (per port, the AuxEdges offered to
-    the cycle detectors, set from ``w`` by :meth:`_offer`) and the per-port
-    price terms ``bias`` and ``start``. Single-writer: detection never
-    overlaps mutation.
+    the cycle detectors) and the per-port price terms ``bias`` and
+    ``start``, all three set one team at a time by :meth:`_set_ports`.
+    Single-writer: detection never overlaps mutation.
     """
 
     def __init__(self, inst: Instance, w):
@@ -134,12 +133,6 @@ class AuxGraph:
         self.edges: list[AuxEdge] = []
         # per port, its out-edges in edge-index order; set by _build
         self.out_edges: list[list[AuxEdge]] = [None] * self.node_count
-        # per feature k and value v, the keys whose value of k is v
-        self._keys_with = [[[] for _ in range(inst.schema.value_count(k))]
-                           for k in range(inst.schema.num_features)]
-        for key, values in enumerate(inst.types.columns):
-            for k, v in enumerate(values):
-                self._keys_with[k][v].append(key)
         self._build()
         self._withheld: set[int] = set()  # teams whose offer lacks edges
 
@@ -160,29 +153,11 @@ class AuxGraph:
 
     # -- construction -------------------------------------------------------
 
-    def _set_port_terms(self):
-        """Set ``bias`` and ``start`` from the counts and costs; every term
-        of the dummy team is zero."""
-        lambdas = self.inst.weights.lambdas
-        lambda0 = self.inst.weights.lambda0
-        types = self.inst.types
-        base = sum(lambdas)
-        self.bias = [0] * (2 * self.num_keys)
-        self.start = [0] * (2 * self.num_keys)
-        for c, costs in zip(self.c[1:], types.costs[1:]):
-            load = [sum(lam * c[k][v]
-                        for k, (lam, v) in enumerate(zip(lambdas, values)))
-                    for values in types.columns]
-            into = [base + 2 * x + lambda0 * u for x, u in zip(load, costs)]
-            self.bias += into + [base - 2 * x - lambda0 * u
-                                 for x, u in zip(load, costs)]
-            self.start += [-x for x in into] + [0] * self.num_keys
-
     def _build(self):
-        """Set the port terms and add every edge: intra edges by team, input
-        key and output key, then inter edges by source team, target team
-        and key. Port ids are made once, so the edges share them. Then
-        each team's offer is set by :meth:`_offer`."""
+        """Add every edge: intra edges by team, input key and output key,
+        then inter edges by source team, target team and key. Port ids are
+        made once, so the edges share them. Then each team's ports are set
+        by :meth:`_set_ports`."""
         weights = self.inst.weights
         columns = self.inst.types.columns
         num_keys = self.num_keys
@@ -191,7 +166,6 @@ class AuxGraph:
         ins = [[self.port_id(team, INPUT, key) for key in keys]
                for team in switches]
         outs = [[port + num_keys for port in row] for row in ins]
-        self._set_port_terms()
         real = [[_shared_value_correction(a, b, weights) for b in columns]
                 for a in columns]
         dummy = [[0] * num_keys] * num_keys
@@ -213,23 +187,47 @@ class AuxGraph:
             for key in keys:
                 out_edges[src[key]] = block[key::num_keys]
         self.succ = [()] * self.node_count
+        self.bias = [0] * self.node_count
+        self.start = [0] * self.node_count
         for team in switches:
-            self._offer(team)
+            self._set_ports(team)
 
-    def _offer(self, team: int):
-        """Set the offer in ``succ`` of every port of ``team`` from its row
-        of ``w``: an input port offers its intra edges into the team's held
-        output ports, in key order; a held output port offers its whole
-        ``out_edges`` row, and a drained one offers nothing."""
+    def _set_ports(self, team: int):
+        """Set everything the ports of ``team`` hold from its row of ``w``
+        and its counters. The offer in ``succ``: an input port offers its
+        intra edges into the team's held output ports, in key order; a held
+        output port offers its whole ``out_edges`` row, and a drained one
+        offers nothing. The port terms of a real team: ``bias`` is
+        ``enter[team][key] + lambda0 * cost[team][key]`` at an input port
+        and ``leave[team][key] - lambda0 * cost[team][key]`` at an output
+        port, and ``start`` is ``-bias`` at an input port and 0 at an
+        output port. The dummy team's terms stay 0."""
         row = self.w[team]
         held = [key for key, x in enumerate(row) if x]
         first = self.port_id(team, INPUT, 0)
+        mid = first + self.num_keys
         out_edges, succ = self.out_edges, self.succ
-        for port in range(first, first + self.num_keys):
+        for port in range(first, mid):
             edges = out_edges[port]
             succ[port] = [edges[key] for key in held]
-        for port, x in enumerate(row, first + self.num_keys):
+        for port, x in enumerate(row, mid):
             succ[port] = out_edges[port] if x else ()
+        if not team:
+            return
+        lambdas = self.inst.weights.lambdas
+        lambda0 = self.inst.weights.lambda0
+        types = self.inst.types
+        base = sum(lambdas)
+        # per feature k, lambdas[k] * c[team][k][v] for each value v
+        scaled = [[lam * x for x in counts]
+                  for lam, counts in zip(lambdas, self.c[team])]
+        load = [sum(map(getitem, scaled, values)) for values in types.columns]
+        costs = types.costs[team]
+        into = [base + 2 * x + lambda0 * u for x, u in zip(load, costs)]
+        self.bias[first:mid] = into
+        self.bias[mid:mid + self.num_keys] = [
+            base - 2 * x - lambda0 * u for x, u in zip(load, costs)]
+        self.start[first:mid] = [-x for x in into]
 
     # -- mutation -----------------------------------------------------------
 
@@ -244,32 +242,13 @@ class AuxGraph:
     def apply_moves(self, moves) -> None:
         """Apply moves ``(key, from_team, to_team)``, all or nothing: a list
         that :func:`net_change` rejects leaves the graph as it was. ``w``
-        and ``c`` are written by :func:`write_change`. Port terms shift by
-        exact deltas: a net change ``d`` of counter ``c[i][k][v]`` at a real
-        team shifts each key with value ``v`` of feature ``k`` by ``s = 2 *
-        lambdas[k] * d``, written as ``bias[out] -= s``, ``bias[in] += s``
-        and ``start[in] -= s`` at that key's ports of the team. No edge
-        changes. Each team where a cell became held or drained has its offer
-        in ``succ`` set anew."""
+        and ``c`` are written by :func:`write_change`, then the ports of
+        each team with a nonzero cell change are set anew by
+        :meth:`_set_ports`. No edge changes."""
         change = net_change(self.inst, self.w, moves)
-        cells, counters = change
-        w = self.w
-        flipped = {team for (team, key), d in cells.items()
-                   if bool(w[team][key]) != bool(w[team][key] + d)}
-        write_change(w, self.c, change)
-        for team in flipped:
-            self._offer(team)
-        lambdas = self.inst.weights.lambdas
-        bias, start, num_keys = self.bias, self.start, self.num_keys
-        for (team, k, v), d in counters.items():
-            if d and team and lambdas[k]:  # d is 0 after moving in and out
-                shift = 2 * lambdas[k] * d
-                first = self.port_id(team, INPUT, 0)
-                for key in self._keys_with[k][v]:
-                    port = first + key
-                    bias[port + num_keys] -= shift
-                    bias[port] += shift
-                    start[port] -= shift
+        write_change(self.w, self.c, change)
+        for team in {team for (team, _), d in change[0].items() if d}:
+            self._set_ports(team)
 
     def withhold(self, edges) -> None:
         """Stop offering ``edges`` until :meth:`restore`: drop them from
@@ -280,10 +259,10 @@ class AuxGraph:
             self._withheld.add(self.port(node)[0])
 
     def restore(self) -> None:
-        """Offer again every edge :meth:`withhold` took out: the offer of
-        each team that lost edges is set anew from ``w``."""
+        """Offer again every edge :meth:`withhold` took out: the ports of
+        each team that lost edges are set anew by :meth:`_set_ports`."""
         for team in self._withheld:
-            self._offer(team)
+            self._set_ports(team)
         self._withheld.clear()
 
 

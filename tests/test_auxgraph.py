@@ -416,8 +416,8 @@ CHAIN_INSTANCES = pytest.mark.parametrize("inst", [
 
 @CHAIN_INSTANCES
 def test_weight_shifts_stay_exact_over_a_long_chain(inst):
-    # Shifted weights would drift if any shift were off, so compare the
-    # live graph with a rebuild along 300 mixed move lists.
+    # Each commit resets the touched teams' ports from their rows, so
+    # compare the live graph with a rebuild along 300 mixed move lists.
     g = build_aux_graph(inst, initial_feasible(inst))
     for calls in _apply_chain(g, random.Random(17), 300):
         if calls % 25 == 0:  # the 300th call is the last
@@ -466,6 +466,24 @@ def test_detector_adjacency_lists_the_enabled_edges_after_every_apply(inst):
     drained = [g.port_id(i, OUTPUT, key) for i in range(g.num_switches)
                for key in range(g.num_keys) if g.w[i][key] == 0]
     assert drained and all(not g.succ[u] for u in drained)
+
+
+@CHAIN_INSTANCES
+def test_commit_while_edges_are_withheld_matches_rebuild_after_restore(inst):
+    # The solver commits the walk it finds after withholding a spurious one
+    # with those edges still withheld, and the next step restores them.
+    g = build_aux_graph(inst, initial_feasible(inst))
+    pick = random.Random(31)
+    chain = _apply_chain(g, random.Random(37), 60)
+    while True:
+        offered = [e for edges in g.succ for e in edges]
+        g.withhold(pick.sample(offered, min(len(offered), 8)))
+        if next(chain, None) is None:  # the chain made its 60 commits
+            break
+        g.restore()
+        _assert_live_offer(g)
+        assert dump_edges(g) == \
+            dump_edges(build_aux_graph(inst, current_state(g)))
 
 
 def _full_offer(g, node):

@@ -48,7 +48,7 @@ def test_digest_of_known_bad_runs_and_repeats(detector):
     assert runs[0] == runs[1]
     match = LINE.fullmatch(runs[0].strip())
     assert match, runs[0]
-    name, count, raised, objective_sum, proved, _, oracle_sha = \
+    name, count, raised, objective_sum, proved, solve_sha, oracle_sha = \
         match.groups()
     instances = _known_bad()
     assert (name, int(count), int(raised)) == (detector, len(instances), 0)
@@ -56,6 +56,19 @@ def test_digest_of_known_bad_runs_and_repeats(detector):
                for inst in instances]
     assert int(objective_sum) == sum(r.breakdown.objective for r in reports)
     assert int(proved) == sum(r.proved_optimal for r in reports)
+    # The solve digest hashes, one JSON line per instance, the assignment,
+    # every trace record with its source, the termination, both flags and
+    # the objective.
+    sha = hashlib.sha256()
+    for report in reports:
+        sha.update(json.dumps([
+            report.assignment,
+            [[r.index, r.source, r.cycle_len, r.claimed, r.exact,
+              r.objective_after] for r in report.trace],
+            report.termination, report.refinement_complete,
+            report.proved_optimal, report.breakdown.objective]).encode())
+        sha.update(b"\n")
+    assert solve_sha == sha.hexdigest()
     # The oracle digest hashes, one JSON line per instance, the optimum,
     # the first optimal matrix, the number of optima and every optimum. It
     # is pinned too, since in-process calls change along with the oracle.

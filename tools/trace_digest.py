@@ -13,8 +13,8 @@ generator seeded with the ladder's seed, so that every worker is a type of
 its own; it too ignores ``--seed``. Prints one line per workload: the
 instance count, the number of solves that raised, the sum of the final
 objectives, the number of solves that ended ``proved_optimal``, a sha256
-over each solve's assignment, trace (each record's index, cycle length,
-claimed and exact gains and objective after), termination,
+over each solve's assignment, trace (each record's index, source, cycle
+length, claimed and exact gains and objective after), termination,
 ``refinement_complete``, ``proved_optimal`` and objective, and an
 ``oracle_sha256`` over each instance's exhaustive oracle result with every
 optimum collected (optimal objective, first optimal matrix, number of
@@ -75,8 +75,8 @@ def solve_record(inst, cfg) -> list:
     except Exception as exc:  # a raised solve is part of the result
         return ["raised", type(exc).__name__, str(exc)]
     return [report.assignment,
-            [[r.index, r.cycle_len, r.claimed, r.exact, r.objective_after]
-             for r in report.trace],
+            [[r.index, r.source, r.cycle_len, r.claimed, r.exact,
+              r.objective_after] for r in report.trace],
             report.termination, report.refinement_complete,
             report.proved_optimal, report.breakdown.objective]
 
