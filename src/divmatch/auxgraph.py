@@ -134,7 +134,6 @@ class AuxGraph:
         # per port, its out-edges in edge-index order; set by _build
         self.out_edges: list[list[AuxEdge]] = [None] * self.node_count
         self._build()
-        self._withheld: set[int] = set()  # teams whose offer lacks edges
 
     # -- node ids -----------------------------------------------------------
 
@@ -187,6 +186,8 @@ class AuxGraph:
             for key in keys:
                 out_edges[src[key]] = block[key::num_keys]
         self.succ = [()] * self.node_count
+        # per team, the held keys its input ports offer; None once withheld
+        self._held = [None] * self.num_switches
         self.bias = [0] * self.node_count
         self.start = [0] * self.node_count
         for team in switches:
@@ -195,7 +196,8 @@ class AuxGraph:
     def _set_ports(self, team: int):
         """Set everything the ports of ``team`` hold from its row of ``w``
         and its counters. The offer in ``succ``: an input port offers its
-        intra edges into the team's held output ports, in key order; a held
+        intra edges into the team's held output ports, in key order, built
+        anew only when the held keys changed since the last build; a held
         output port offers its whole ``out_edges`` row, and a drained one
         offers nothing. The port terms of a real team: ``bias`` is
         ``enter[team][key] + lambda0 * cost[team][key]`` at an input port
@@ -207,9 +209,11 @@ class AuxGraph:
         first = self.port_id(team, INPUT, 0)
         mid = first + self.num_keys
         out_edges, succ = self.out_edges, self.succ
-        for port in range(first, mid):
-            edges = out_edges[port]
-            succ[port] = [edges[key] for key in held]
+        if held != self._held[team]:
+            self._held[team] = held
+            for port in range(first, mid):
+                edges = out_edges[port]
+                succ[port] = [edges[key] for key in held]
         for port, x in enumerate(row, mid):
             succ[port] = out_edges[port] if x else ()
         if not team:
@@ -252,18 +256,19 @@ class AuxGraph:
 
     def withhold(self, edges) -> None:
         """Stop offering ``edges`` until :meth:`restore`: drop them from
-        their ports' ``succ`` entries, keeping the order of the rest."""
+        their ports' ``succ`` entries, keeping the order of the rest, and
+        mark their teams' input ports as not built."""
         drop = set(edges)
         for node in {e.src for e in drop}:
             self.succ[node] = [e for e in self.succ[node] if e not in drop]
-            self._withheld.add(self.port(node)[0])
+            self._held[self.port(node)[0]] = None
 
     def restore(self) -> None:
         """Offer again every edge :meth:`withhold` took out: the ports of
         each team that lost edges are set anew by :meth:`_set_ports`."""
-        for team in self._withheld:
-            self._set_ports(team)
-        self._withheld.clear()
+        for team, held in enumerate(self._held):
+            if held is None:
+                self._set_ports(team)
 
 
 def net_change(inst: Instance, w, moves):

@@ -111,8 +111,9 @@ class CostModel:
             raise InvalidInstanceError(f"unknown cost mode {self.mode!r}")
         for row in self.table:
             for entry in row:
-                _check_int(entry, "cost entry")
-                if entry < 0:
+                # the messages are built only for an entry that fails
+                if type(entry) is not int or entry < 0:
+                    _check_int(entry, "cost entry")
                     raise InvalidInstanceError(f"negative cost {entry}")
 
 
@@ -305,7 +306,20 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def dump_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_dict(inst), indent=2, sort_keys=False) + "\n"
+    """The instance as JSON, one line per feature, worker, team and cost
+    row, each encoded by one C-level call: ``str`` of a list of validated
+    ints is its JSON, and ``json.dumps`` escapes the names. (With any
+    ``indent``, ``json.dumps`` runs its pure-Python encoder.)"""
+    doc = instance_to_dict(inst)
+    def rows(lines):
+        return "[\n    " + ",\n    ".join(lines) + "\n  ]"
+    return (f'{{\n  "features": {rows(map(json.dumps, doc["features"]))},\n'
+            f'  "workers": {rows(map(str, doc["workers"]))},\n'
+            f'  "teams": {rows(map(json.dumps, doc["teams"]))},\n'
+            f'  "costs": {{"mode": {json.dumps(doc["costs"]["mode"])}, '
+            f'"u": {rows(map(str, doc["costs"]["u"]))}}},\n'
+            f'  "lambda0": {doc["lambda0"]},\n'
+            f'  "lambdas": {doc["lambdas"]}\n}}\n')
 
 
 def load_instance(path: str) -> Instance:

@@ -486,6 +486,43 @@ def test_commit_while_edges_are_withheld_matches_rebuild_after_restore(inst):
             dump_edges(build_aux_graph(inst, current_state(g)))
 
 
+def _offer(g):
+    return [[(e.src, e.dst) for e in edges] for edges in g.succ]
+
+
+@pytest.mark.parametrize("mode", ["class", "worker"])
+def test_commit_keeps_the_input_offers_of_a_team_whose_held_keys_stay(mode):
+    # An input port offers the edges into its team's held keys, so a commit
+    # that changes a team's row but not which keys it holds keeps the lists.
+    inst = convert_cost_mode(
+        generate_reviewer_instance(3, [8] * 3, "balanced", 6, seed=1), mode)
+    g = build_aux_graph(inst, initial_feasible(inst))
+    pick = random.Random(41)
+
+    def teams():
+        return [(list(g.w[i]), [k for k, x in enumerate(g.w[i]) if x],
+                 [g.succ[g.port_id(i, INPUT, k)] for k in range(g.num_keys)])
+                for i in range(g.num_switches)]
+
+    before, kept = teams(), 0
+    for calls in _apply_chain(g, random.Random(43), 60):
+        after = teams()
+        for (row, held, lists), (now_row, now_held, now_lists) in \
+                zip(before, after):
+            if row != now_row and held == now_held:
+                kept += 1
+                assert all(a is b for a, b in zip(lists, now_lists))
+        if calls % 10 == 0:
+            offered = [e for edges in g.succ for e in edges]
+            g.withhold(pick.sample(offered, min(len(offered), 8)))
+            g.restore()
+            assert _offer(g) == \
+                _offer(build_aux_graph(inst, current_state(g)))
+            after = teams()
+        before = after
+    assert kept, "no commit kept a changed row's held keys"
+
+
 def _full_offer(g, node):
     """The edges a port would offer if every switch joined each input port
     to each output port: all of an input port's intra edges, and a held

@@ -227,6 +227,37 @@ def test_gen_deterministic(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_gen_golden(tmp_path):
+    out = tmp_path / "g.json"
+    assert run(["gen", "--papers", 2, "--clusters", "2,3", "--genders",
+                "random", "--demand", 2, "--seed", 3, "--out", out]) == 0
+    assert out.read_text() == """\
+{
+  "features": [
+    {"name": "cluster", "values": ["cluster1", "cluster2"]},
+    {"name": "gender", "values": ["M", "F"]}
+  ],
+  "workers": [
+    [0, 0],
+    [0, 0],
+    [1, 1],
+    [1, 1],
+    [1, 0]
+  ],
+  "teams": [
+    {"name": "paper1", "demand": 2},
+    {"name": "paper2", "demand": 2}
+  ],
+  "costs": {"mode": "class", "u": [
+    [9, 0],
+    [7, 4]
+  ]},
+  "lambda0": 1,
+  "lambdas": [1, 1]
+}
+"""
+
+
 def test_gen_infeasible_params(tmp_path, capsys):
     assert run(["gen", "--papers", 6, "--clusters", "5x4", "--demand", 4,
                 "--out", tmp_path / "x.json"]) == 1

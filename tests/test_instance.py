@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divmatch.instance import (InvalidInstanceError, TradeoffWeights,
+from divmatch.instance import (CostModel, Feature, FeatureSchema, Instance,
+                               InvalidInstanceError, Team, TradeoffWeights,
                                build_combination_index, convert_cost_mode,
                                dump_instance, generate_reviewer_instance,
                                parse_instance)
@@ -64,6 +65,13 @@ def test_malformed_json_rejected():
     (dict(teams=[]), "at least one team"),
     (dict(teams=[{"name": "a", "demand": 1},
                  {"name": "a", "demand": 1}]), "unique"),
+    (dict(costs={"mode": "class", "u": [[0, True]]}),
+     "cost entry must be an integer, got True"),
+    (dict(costs={"mode": "class", "u": [[1.5, 0]]}),
+     r"cost entry must be an integer, got 1\.5"),
+    (dict(costs={"mode": "class", "u": [[0, "3"]]}),
+     "cost entry must be an integer, got '3'"),
+    (dict(costs={"mode": "class", "u": [[0, -1]]}), "negative cost -1"),
 ])
 def test_validation(mutate, needle):
     if needle is None:
@@ -142,6 +150,58 @@ def test_roundtrip_random_instances(data):
     from helpers import random_small_instance
     seed = data.draw(st.integers(0, 10_000))
     inst = random_small_instance(seed)
+    assert parse_instance(dump_instance(inst)) == inst
+
+
+@pytest.mark.parametrize("mode", ["class", "worker"])
+def test_dump_writes_one_row_per_line(mode):
+    inst = convert_cost_mode(
+        generate_reviewer_instance(3, [3, 2, 4], "random", 2, seed=5), mode)
+    text = dump_instance(inst)
+    assert parse_instance(text) == inst
+    lines = text.splitlines()
+    # the braces, four list heads and ends, lambda0 and lambdas
+    assert len(lines) == 12 + inst.schema.num_features + inst.n + 2 * inst.t
+    stripped = [line.strip().rstrip(",") for line in lines]
+    doc = json.loads(text)
+    for head, rows, end in [
+            ('"features": [', doc["features"], "]"),
+            ('"workers": [', doc["workers"], "]"),
+            ('"teams": [', doc["teams"], "]"),
+            (f'"costs": {{"mode": "{mode}", "u": [', doc["costs"]["u"],
+             "]}")]:
+        first = stripped.index(head) + 1
+        assert stripped[first:first + len(rows)] == list(map(json.dumps, rows))
+        assert stripped[first + len(rows)] == end
+
+
+NAMES = st.lists(st.text(), min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_roundtrip_escapes_any_names(data):
+    # Quotes, backslashes, control characters and non-ASCII in every name.
+    values = data.draw(st.lists(NAMES, min_size=1, max_size=3))
+    names = data.draw(st.lists(st.text(), min_size=len(values),
+                               max_size=len(values), unique=True))
+    schema = FeatureSchema(tuple(Feature(name, tuple(vals))
+                                 for name, vals in zip(names, values)))
+    team_names = data.draw(NAMES)
+    workers = tuple(
+        tuple(data.draw(st.integers(0, len(vals) - 1)) for vals in values)
+        for _ in range(len(team_names) + data.draw(st.integers(0, 2))))
+    mode = data.draw(st.sampled_from(["class", "worker"]))
+    width = len(values[0]) if mode == "class" else len(workers)
+    cost = st.integers(0, 10**20)
+    table = tuple(tuple(data.draw(cost) for _ in range(width))
+                  for _ in team_names)
+    inst = Instance(schema, workers,
+                    tuple(Team(name, 1) for name in team_names),
+                    CostModel(mode, table),
+                    TradeoffWeights(data.draw(st.integers(1, 5)),
+                                    tuple(data.draw(st.integers(0, 5))
+                                          for _ in values)))
     assert parse_instance(dump_instance(inst)) == inst
 
 
