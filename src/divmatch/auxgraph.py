@@ -65,7 +65,8 @@ into a drained port lies on no cycle: an input port offers only its intra
 edges into its team's held output ports. An inter edge into a row that
 holds no worker ends at an input port that offers nothing, so it lies on no
 cycle either. :meth:`AuxGraph.withhold` takes a walk's edges out of the
-offer and :meth:`AuxGraph.restore` sets their teams' ports anew.
+offer and :meth:`AuxGraph.restore` sets their teams' ports anew; no offer
+is kept, so with nothing withheld the graph equals a rebuild of ``w``.
 """
 
 from __future__ import annotations
@@ -186,8 +187,7 @@ class AuxGraph:
             for key in keys:
                 out_edges[src[key]] = block[key::num_keys]
         self.succ = [()] * self.node_count
-        # per team, the held keys its input ports offer; None once withheld
-        self._held = [None] * self.num_switches
+        self._withheld = set()  # teams whose ports lost edges to withhold
         self.bias = [0] * self.node_count
         self.start = [0] * self.node_count
         for team in switches:
@@ -196,10 +196,9 @@ class AuxGraph:
     def _set_ports(self, team: int):
         """Set everything the ports of ``team`` hold from its row of ``w``
         and its counters. The offer in ``succ``: an input port offers its
-        intra edges into the team's held output ports, in key order, built
-        anew only when the held keys changed since the last build; a held
+        intra edges into the team's held output ports, in key order; a held
         output port offers its whole ``out_edges`` row, and a drained one
-        offers nothing. The port terms of a real team: ``bias`` is
+        offers nothing. Nothing of an earlier offer is kept. The port terms of a real team: ``bias`` is
         ``enter[team][key] + lambda0 * cost[team][key]`` at an input port
         and ``leave[team][key] - lambda0 * cost[team][key]`` at an output
         port, and ``start`` is ``-bias`` at an input port and 0 at an
@@ -209,11 +208,8 @@ class AuxGraph:
         first = self.port_id(team, INPUT, 0)
         mid = first + self.num_keys
         out_edges, succ = self.out_edges, self.succ
-        if held != self._held[team]:
-            self._held[team] = held
-            for port in range(first, mid):
-                edges = out_edges[port]
-                succ[port] = [edges[key] for key in held]
+        succ[first:mid] = [[edges[key] for key in held]
+                           for edges in out_edges[first:mid]]
         for port, x in enumerate(row, mid):
             succ[port] = out_edges[port] if x else ()
         if not team:
@@ -257,18 +253,18 @@ class AuxGraph:
     def withhold(self, edges) -> None:
         """Stop offering ``edges`` until :meth:`restore`: drop them from
         their ports' ``succ`` entries, keeping the order of the rest, and
-        mark their teams' input ports as not built."""
+        record their teams."""
         drop = set(edges)
         for node in {e.src for e in drop}:
             self.succ[node] = [e for e in self.succ[node] if e not in drop]
-            self._held[self.port(node)[0]] = None
+            self._withheld.add(self.port(node)[0])
 
     def restore(self) -> None:
-        """Offer again every edge :meth:`withhold` took out: the ports of
-        each team that lost edges are set anew by :meth:`_set_ports`."""
-        for team, held in enumerate(self._held):
-            if held is None:
-                self._set_ports(team)
+        """Offer again every edge :meth:`withhold` took out: set the teams
+        it recorded by :meth:`_set_ports`, and empty the record."""
+        for team in self._withheld:
+            self._set_ports(team)
+        self._withheld.clear()
 
 
 def net_change(inst: Instance, w, moves):

@@ -38,15 +38,6 @@ __all__ = ["negative_cycle"]
 logger = logging.getLogger(__name__)
 
 
-def _row_values(inst, w, c) -> list[int]:
-    """Each row's share of the objective in the state ``w``, ``c``."""
-    lam, costs = inst.weights, inst.types.costs
-    return [lam.lambda0 * sum(u * x for u, x in zip(costs[i], row))
-            + sum(l * sum(x * x for x in vals)
-                  for l, vals in zip(lam.lambdas, c[i])) if i else 0
-            for i, row in enumerate(w)]
-
-
 def negative_cycle(node_count, arcs):
     """A negative cycle of the ``(from, to, cost)`` arcs on nodes
     ``0..node_count-1``, as its arcs in order, or None when no cycle is

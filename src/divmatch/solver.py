@@ -35,10 +35,10 @@ so what was priced is what is applied.
 A detected walk that visits some switch more than once can misprice itself
 (its edge weights assume untouched counters). If its true change is not at
 most -1, the walk was spuriously negative: the graph withholds its edges
-from detection until the next step offers them again. Once no negative
-cycle remains at an unproved state, a bounded exact re-split of small team
-subsets runs as a safety net against counter-coupled exchanges that no
-single cycle can express. Where the graph was just built on a failed
+from detection until that search ends, so each step is a function of the
+state. Once no negative cycle remains at an unproved state, a bounded exact
+re-split of small team subsets runs as a safety net against counter-coupled
+exchanges that no single cycle can express. Where the graph was just built on a failed
 proof, the sweep follows with no second proof of the unchanged state. The
 same proof, restricted to a subset's rows and types, certifies a team
 subset before it is enumerated. The loop ends when the proof succeeds, when
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .auxgraph import apply_and_update, build_aux_graph, moves_of
-from .flow import _cancel, _part_cycle, _proof, _row_values
+from .flow import _cancel, _part_cycle, _proof
 from .instance import Instance
 from .negcycle import DETECTORS
 from .objective import ObjectiveBreakdown, breakdown_of, count_tensor, \
@@ -146,19 +146,29 @@ def _descent_bound(inst: Instance, u0: int) -> int:
     return lam_max * nf * inst.n * inst.n + inst.weights.lambda0 * u0
 
 
+REFINE_ROWS = 3
 REFINE_STATE_BUDGET = 20_000
 REFINE_SCAN_BUDGET = 2_000_000
 
 
-def _moves_from_split(graph, rows, cols, split):
-    """Moves taking the ``rows``' cells of ``cols`` to ``split``: per
-    column, the k-th unit some row gives up goes to the k-th unit some row
+def _row_values(inst, w, c) -> list[int]:
+    """Each row's share of the objective in the state ``w``, ``c``."""
+    lam, costs = inst.weights, inst.types.costs
+    return [lam.lambda0 * sum(u * x for u, x in zip(costs[i], row))
+            + sum(l * sum(x * x for x in vals)
+                  for l, vals in zip(lam.lambdas, c[i])) if i else 0
+            for i, row in enumerate(w)]
+
+
+def _moves_from_split(w, rows, cols, split):
+    """Moves taking the ``rows``' cells of ``cols`` in ``w`` to ``split``:
+    per column, the k-th unit a row gives up goes to the k-th unit a row
     takes, both counted in row order."""
     moves = []
     for cj, j in enumerate(cols):
         give, take = [], []
         for ri, i in enumerate(rows):
-            diff = split[ri][cj] - graph.w[i][j]
+            diff = split[ri][cj] - w[i][j]
             (take if diff > 0 else give).extend([i] * abs(diff))
         moves += [(j, i1, i2) for i1, i2 in zip(give, take, strict=True)]
     return moves
@@ -184,20 +194,20 @@ class _ScanBudget:
         return True
 
 
-def _find_resplit(inst, graph, max_rows=3):
-    """One re-split sweep: ``(found, complete)``, with ``found`` the first
-    improving ``(moves, gain)`` or None, and ``complete`` true when the
-    sweep examined every subset, none found or skipped for budget.
+def _find_resplit(inst, w, c):
+    """One re-split sweep of the state: ``(found, complete)``, with
+    ``found`` the first improving ``(moves, gain)`` or None, and
+    ``complete`` true when it found none and skipped no subset.
 
     A cycle's edge weights price each move against untouched counters, so
     two exchanges that gain nothing alone can gain jointly when they push
     the same (team, value) counters in opposite directions. The sweep
     escapes the cases seen in practice by exactly re-optimizing the split
-    of the workers within each subset of 2..``max_rows`` rows that hold
+    of the workers within each subset of 2..``REFINE_ROWS`` rows that hold
     workers, the unassigned pool included, and within all of them when
-    they are ``max_rows + 1``; a row that holds none adds no split. So on
-    an instance of at most ``max_rows`` teams the last subset is the whole
-    instance. Subsets come by size, then in index order, and the sweep
+    they are ``REFINE_ROWS + 1``; a row that holds none adds no split. So
+    where at most ``REFINE_ROWS + 1`` rows hold workers the last subset is
+    the whole state. Subsets come by size, then in index order, and the sweep
     stops at its first find. Each row's columns, size and objective share
     are computed once per sweep.
 
@@ -210,27 +220,25 @@ def _find_resplit(inst, graph, max_rows=3):
     back to the pair scan.
     A charged subset is enumerated with :func:`~divmatch.oracle.best_split`
     only when :func:`~divmatch.flow._part_cycle` finds a cycle in it, and
-    is certified otherwise; certifying is
-    sufficient, so it changes no result. One debug line per sweep counts
-    each outcome."""
-    nonzero = [{j for j, x in enumerate(row) if x} for row in graph.w]
-    sizes = [sum(row) for row in graph.w]
+    is certified otherwise, which is sufficient, so it changes no result.
+    One debug line per sweep counts each outcome."""
+    nonzero = [{j for j, x in enumerate(row) if x} for row in w]
+    sizes = [sum(row) for row in w]
     filled = [i for i, size in enumerate(sizes) if size]
-    values = _row_values(inst, graph.w, graph.c)
+    values = _row_values(inst, w, c)
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
     found = None
-    if len(filled) == max_rows + 1:
-        max_rows += 1
+    max_rows = REFINE_ROWS + (len(filled) == REFINE_ROWS + 1)
     for rows in itertools.chain.from_iterable(
             itertools.combinations(filled, size)
             for size in range(2, max_rows + 1)):
         totals = [sizes[i] for i in rows]
         cols = sorted(set().union(*(nonzero[i] for i in rows)))
-        pooled = [sum(graph.w[i][j] for i in rows) for j in cols]
+        pooled = [sum(w[i][j] for i in rows) for j in cols]
         if not spent.take(split_count(pooled, len(rows)),
                           last=len(rows) == len(filled)):
             continue
-        if _part_cycle(inst, graph.w, graph.c, rows, cols)[0] is None:
+        if _part_cycle(inst, w, c, rows, cols)[0] is None:
             spent.certified += 1
             continue
         spent.enumerated += 1
@@ -242,7 +250,7 @@ def _find_resplit(inst, graph, max_rows=3):
         best, split, _, _ = best_split(inst, rows, cols, pooled, totals,
                                        incumbent=current)
         if split is not None:
-            found = _moves_from_split(graph, rows, cols, split), best - current
+            found = _moves_from_split(w, rows, cols, split), best - current
             break
     logger.debug("re-split sweep: %d certified, %d enumerated, %d skipped",
                  spent.certified, spent.enumerated, spent.skipped)
@@ -307,8 +315,8 @@ class _Search:
     def step(self):
         """The record of the next committing walk (``cycle``), re-split
         (``resplit``) or cancel (``flow``), or None at a proved state or a
-        fixed point that the re-split sweep cannot leave. Edges that the
-        last step withheld are offered again first."""
+        fixed point that the re-split sweep cannot leave. Between steps
+        the switch-graph equals a rebuild of ``w``."""
         inst, graph = self.inst, self.graph
         if graph is not None and (found := self._walk()) is not None:
             return found
@@ -327,7 +335,7 @@ class _Search:
         # Withheld edges may hide a real cycle, but detecting again with
         # them offered on the unchanged graph returns the withheld walk; the
         # re-split is the way on.
-        found, self.refinement_complete = _find_resplit(inst, graph)
+        found, self.refinement_complete = _find_resplit(inst, self.w, self.c)
         if found is None:
             return None
         moves, gain = found
@@ -336,13 +344,13 @@ class _Search:
 
     def _walk(self):
         """The ``cycle`` record of the first detected walk that improves,
-        or None when detection finds no negative cycle."""
+        or None; every edge it withholds is offered again on return."""
         graph = self.graph
-        graph.restore()
         stalls = 0
         while (cycle := self.detect(graph)) is not None:
             gain = graph.gain(moves_of(graph, cycle))
             if gain <= -1:
+                graph.restore()
                 return ("cycle", len(cycle), cycle.claimed_weight, gain,
                         partial(apply_and_update, graph, cycle))
             # The walk revisits a switch and mispriced itself. Withhold it
@@ -356,4 +364,5 @@ class _Search:
                 raise RuntimeError(
                     "detection keeps returning non-improving walks")
             graph.withhold(cycle.edges)
+        graph.restore()
         return None

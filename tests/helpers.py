@@ -298,11 +298,11 @@ def brute_force_optima(inst):
     return best, optima
 
 
-def reference_resplit_sweep(inst, graph, max_rows):
+def reference_resplit_sweep(inst, w, max_rows):
     """The re-split sweep written as its plain per-subset rule, without the
     flow certificate: for every subset of 2..``max_rows`` rows that hold
-    workers, and then of all of them when they are ``max_rows + 1``, in
-    order, build its columns, charge ``split_count`` states to the
+    workers in ``w``, and then of all of them when they are ``max_rows +
+    1``, in order, build its columns, charge ``split_count`` states to the
     per-subset and per-sweep budgets (read from the solver at call time;
     a subset of every such row is charged to the sweep's alone), and
     enumerate it when admitted. Returns ``(found, complete, skipped,
@@ -310,7 +310,7 @@ def reference_resplit_sweep(inst, graph, max_rows):
     from divmatch import solver
     from divmatch.oracle import best_split, split_count
 
-    types, w, lam = inst.types, graph.w, inst.weights
+    types, lam = inst.types, inst.weights
     left, skipped = solver.REFINE_SCAN_BUDGET, 0
 
     def share(i):
@@ -345,7 +345,7 @@ def reference_resplit_sweep(inst, graph, max_rows):
                 inst, rows, cols, pooled, [sum(w[i]) for i in rows],
                 incumbent=current)
             if split is not None:
-                moves = solver._moves_from_split(graph, rows, cols, split)
+                moves = solver._moves_from_split(w, rows, cols, split)
                 return (moves, best - current), False, skipped, left
     return None, not skipped, skipped, left
 

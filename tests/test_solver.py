@@ -419,11 +419,12 @@ def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan,
     monkeypatch.setattr(solver, "_ScanBudget", Recording)
     found = skipped = 0
     for inst, state in _sweep_states():
-        graph = build_aux_graph(inst, state)
+        c = count_tensor(inst, state)
         for max_rows in (2, 3):
-            expected = reference_resplit_sweep(inst, graph, max_rows)
+            monkeypatch.setattr(solver, "REFINE_ROWS", max_rows)
+            expected = reference_resplit_sweep(inst, state, max_rows)
             budgets.clear()
-            result = solver._find_resplit(inst, graph, max_rows)
+            result = solver._find_resplit(inst, state, c)
             (spent,) = budgets
             assert (*result, spent.skipped, spent.left) == expected
             found += expected[0] is not None
@@ -639,7 +640,7 @@ def test_delta_gain_equals_recomputation(seed, worker_costs, data):
     moves = _draw_moves(data, inst, state)
     if data.draw(st.booleans()):  # and on to another feasible state
         target = random_feasible_matrix(inst, random.Random(~seed))
-        split = solver._moves_from_split(graph, range(inst.t + 1),
+        split = solver._moves_from_split(state, range(inst.t + 1),
                                          range(types.num_columns), target)
         assert _moved(state, split) == target
         assert len(split) == sum(max(x - y, 0) for row, goal in
@@ -695,7 +696,7 @@ def test_subset_flow_certificate_is_sound(seed, worker_costs, data):
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         state = solve(inst, SolverConfig(max_iterations=cap)).assignment
     c = count_tensor(inst, state)
-    values = flow._row_values(inst, state, c)
+    values = solver._row_values(inst, state, c)
     exact = sum(lam > 0 for lam in lambdas) <= 1
     for size in (2, 3):
         for rows in itertools.permutations(range(inst.t + 1), size):
@@ -715,7 +716,8 @@ def test_subset_flow_certificate_is_sound(seed, worker_costs, data):
                 assert certified == (split is None)
 
 
-def test_resplit_sweep_matches_the_plain_rule_with_three_weighted_features():
+def test_resplit_sweep_matches_the_plain_rule_with_three_weighted_features(
+        monkeypatch):
     # With three weighted features the certificate tests three parts per
     # subset, and the sweep must still find what enumerating finds.
     rng = random.Random(11)
@@ -727,10 +729,11 @@ def test_resplit_sweep_matches_the_plain_rule_with_three_weighted_features():
             continue
         for state in (random_feasible_matrix(inst, rng),
                       solve(inst).assignment):
-            graph = build_aux_graph(inst, state)
+            c = count_tensor(inst, state)
             for max_rows in (2, 3):
-                expected = reference_resplit_sweep(inst, graph, max_rows)
-                assert solver._find_resplit(inst, graph, max_rows) == \
+                monkeypatch.setattr(solver, "REFINE_ROWS", max_rows)
+                expected = reference_resplit_sweep(inst, state, max_rows)
+                assert solver._find_resplit(inst, state, c) == \
                     expected[:2]
                 swept += 1
     assert swept >= 20
@@ -753,7 +756,7 @@ def test_ladder_fixed_points_certify_pairs_without_enumerating(monkeypatch,
         return best_split(inst, rows, *args, **kwargs)
 
     monkeypatch.setattr(solver, "best_split", recording)
-    found, _ = solver._find_resplit(inst, graph)
+    found, _ = solver._find_resplit(inst, graph.w, graph.c)
     assert found is None
     assert sizes == []
 
@@ -775,7 +778,7 @@ def test_unproved_fixed_point_sweep_enumerates_no_subset(monkeypatch,
 
     monkeypatch.setattr(solver, "best_split", recording)
     with caplog.at_level(logging.DEBUG, logger="divmatch"):
-        found, _ = solver._find_resplit(inst, graph)
+        found, _ = solver._find_resplit(inst, graph.w, graph.c)
     assert found is None
     assert enumerated == []
     (line,) = [r.getMessage() for r in caplog.records]
@@ -787,10 +790,10 @@ def test_resplit_sweep_logs_one_count_line(caplog):
     inst = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=1)
     graph = build_aux_graph(inst, solve(inst).assignment)
     with caplog.at_level(logging.INFO, logger="divmatch"):
-        solver._find_resplit(inst, graph)
+        solver._find_resplit(inst, graph.w, graph.c)
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="divmatch"):
-        solver._find_resplit(inst, graph)
+        solver._find_resplit(inst, graph.w, graph.c)
     (line,) = [r.getMessage() for r in caplog.records]
     # The dummy row is empty, so the sweep takes the 45 pairs and 120
     # triples of the 10 teams: the pairs are certified, and the triples
