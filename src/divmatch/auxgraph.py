@@ -198,7 +198,7 @@ class AuxGraph:
         and its counters. The offer in ``succ``: an input port offers its
         intra edges into the team's held output ports, in key order; a held
         output port offers its whole ``out_edges`` row, and a drained one
-        offers nothing. Nothing of an earlier offer is kept. The port terms of a real team: ``bias`` is
+        offers nothing. The port terms of a real team: ``bias`` is
         ``enter[team][key] + lambda0 * cost[team][key]`` at an input port
         and ``leave[team][key] - lambda0 * cost[team][key]`` at an output
         port, and ``start`` is ``-bias`` at an input port and 0 at an

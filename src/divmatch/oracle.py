@@ -4,8 +4,9 @@ exact sub-solver behind it.
 Workers of one type are interchangeable, so the objective is a function of
 the type-count matrix alone, and the oracle enumerates count matrices.
 :func:`best_split` does the enumeration over any set of rows: the oracle
-runs it on all rows, the solver's re-split refinement on two or three,
-and only on subsets that its flow optimality test does not certify.
+runs it on all rows, the solver's re-split sweep on two or three rows, or
+on all that hold workers where at most four do, each subset only when its
+flow optimality test does not certify it.
 Partial objectives only grow as workers are placed, so branches whose
 partial value plus a lower bound on the rest (see :func:`best_split`) is
 already above the limit are pruned without affecting exactness, the

@@ -35,10 +35,10 @@ so what was priced is what is applied.
 A detected walk that visits some switch more than once can misprice itself
 (its edge weights assume untouched counters). If its true change is not at
 most -1, the walk was spuriously negative: the graph withholds its edges
-from detection until that search ends, so each step is a function of the
-state. Once no negative cycle remains at an unproved state, a bounded exact
-re-split of small team subsets runs as a safety net against counter-coupled
-exchanges that no single cycle can express. Where the graph was just built on a failed
+from detection until the walk search returns. Once no negative
+cycle remains at an unproved state, a bounded exact re-split of small team
+subsets runs as a safety net against counter-coupled exchanges that no
+single cycle can express. Where the graph was just built on a failed
 proof, the sweep follows with no second proof of the unchanged state. The
 same proof, restricted to a subset's rows and types, certifies a team
 subset before it is enumerated. The loop ends when the proof succeeds, when
@@ -337,6 +337,9 @@ class _Search:
         # re-split is the way on.
         found, self.refinement_complete = _find_resplit(inst, self.w, self.c)
         if found is None:
+            # A complete sweep whose last subset held every worker proves it.
+            self.proved_optimal = self.refinement_complete and \
+                sum(map(any, self.w)) <= REFINE_ROWS + 1
             return None
         moves, gain = found
         return ("resplit", len(moves), gain, gain,

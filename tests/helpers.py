@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from collections import defaultdict
+from pathlib import Path
 
 import networkx as nx
 
+import divmatch
 from divmatch.auxgraph import INPUT, OUTPUT
 from divmatch.instance import (CostModel, Feature, FeatureSchema, Instance,
                                Team, TradeoffWeights)
@@ -121,6 +124,22 @@ def inter_weight(values, costs, from_team: int, to_team: int, c,
         if to_team != 0:
             delta += lam * (2 * c[to_team][k][v] + 1)
     return delta
+
+
+def load_module(name, path):
+    """The Python file at ``path``, imported as a module named ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def known_bad_instances():
+    """The instances of the benchmark's known-bad list
+    (``bench/workloads.py``)."""
+    workloads = Path(__file__).resolve().parent.parent / "bench" / \
+        "workloads.py"
+    return load_module("bench_workloads", workloads).known_bad(divmatch)
 
 
 def random_small_instance(seed, max_n=10, max_t=3, max_features=3,

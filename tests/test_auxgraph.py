@@ -12,7 +12,7 @@ from divmatch.auxgraph import (INPUT, OUTPUT, CycleApplicationError,
                                apply_and_update, build_aux_graph, moves_of)
 from divmatch.instance import (Team, TradeoffWeights, convert_cost_mode,
                                generate_reviewer_instance, parse_instance)
-from divmatch.negcycle import DETECTORS
+from divmatch.negcycle import DETECTORS, ExchangeCycle
 from divmatch.objective import exchange_gain, matrix_from_assignment
 from divmatch.solver import (SolverConfig, _moves_from_split,
                              initial_feasible, solve)
@@ -227,6 +227,24 @@ def test_apply_rejects_disabled_edge():
         apply_and_update(g, cycle_from_moves(g, [(3, 1, 2), (1, 2, 1)]))
     assert dump_edges(g) == before
     assert current_state(g) == w
+
+
+def test_apply_rejects_an_open_walk():
+    inst = small_instance()
+    w = [[0, 0, 0, 0],
+         [2, 1, 0, 0],
+         [0, 1, 2, 0],
+         [0, 0, 0, 2]]
+    g = build_aux_graph(inst, w)
+    before = dump_edges(g)
+    closed = cycle_from_moves(g, [(0, 1, 2), (2, 2, 1)])
+    assert closed.is_closed()
+    for edges in (closed.edges[:-1], closed.edges[1:], []):
+        with pytest.raises(CycleApplicationError) as raised:
+            apply_and_update(g, ExchangeCycle(edges, closed.claimed_weight))
+        assert str(raised.value) == "cycle edges do not form a closed walk"
+        assert dump_edges(g) == before
+        assert current_state(g) == w
 
 
 def test_withhold_keeps_the_order_of_the_rest():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -194,14 +195,42 @@ def test_verify_reports_whether_the_solve_proved_optimality(tmp_path,
     out = capsys.readouterr().out
     assert "proved optimal: yes" in out
     assert "agreement: yes" in out
-    # This fixed point is optimal but not proved: the re-split sweep runs.
+    # This fixed point is optimal but not proved: four teams and the pool
+    # hold workers, so no re-split subset is the whole state.
     gen = tmp_path / "gen.json"
-    assert run(["gen", "--papers", 2, "--clusters", "2,4", "--genders",
-                "random", "--demand", 2, "--seed", 11, "--out", gen]) == 0
+    assert run(["gen", "--papers", 4, "--clusters", "3,3,3", "--genders",
+                "random", "--demand", 2, "--seed", 6, "--out", gen]) == 0
     assert run(["verify", gen]) == 0
     out = capsys.readouterr().out
     assert "proved optimal: no" in out
     assert "agreement: yes" in out
+
+
+def test_verify_exits_2_when_the_solve_stops_at_the_cap(tmp_path, capsys):
+    # This solve commits two walks, so a cap of one stops it early.
+    gen = tmp_path / "gen.json"
+    assert run(["gen", "--papers", 2, "--clusters", "3,3", "--genders",
+                "random", "--demand", 2, "--seed", 8, "--out", gen]) == 0
+    assert run(["verify", gen]) == 0
+    capsys.readouterr()
+    assert run(["verify", gen, "--max-iters", 1]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "solver stopped at the iteration cap\n"
+    assert "agreement" not in captured.out
+
+
+def test_verify_exits_4_when_the_solver_misses_the_optimum(tmp_path, capsys,
+                                                          monkeypatch):
+    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    report = solve(parse_instance(json.dumps(EIGHT_VS_SIXTEEN)))
+    worse = dataclasses.replace(report, breakdown=dataclasses.replace(
+        report.breakdown, objective=report.breakdown.objective + 1))
+    monkeypatch.setattr(divmatch.cli, "solve", lambda inst, cfg=None: worse)
+    assert run(["verify", inst]) == 4
+    captured = capsys.readouterr()
+    assert "solver objective: 9" in captured.out
+    assert "oracle objective: 8" in captured.out
+    assert captured.err == "agreement: NO\n"
 
 
 def test_verify_zero_gender_weight_configuration(tmp_path):
@@ -225,6 +254,16 @@ def test_gen_deterministic(tmp_path):
     run(["gen", "--papers", 3, "--clusters", "5x4", "--seed", 8, "--out", c])
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_gen_without_out_prints_what_out_writes(tmp_path, capsys):
+    argv = ["gen", "--papers", 2, "--clusters", "2,3", "--genders",
+            "random", "--demand", 2, "--seed", 3]
+    out = tmp_path / "gen.json"
+    assert run(argv + ["--out", out]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_gen_golden(tmp_path):

@@ -205,6 +205,30 @@ def test_roundtrip_escapes_any_names(data):
     assert parse_instance(dump_instance(inst)) == inst
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: FeatureSchema((Feature("g", ("M", "F")), Feature("g", ("x",)))),
+     "feature names must be unique"),
+    (lambda: FeatureSchema((Feature("g", ("M", "F", "M")),)),
+     "feature 'g' has duplicate values"),
+    (lambda: Team("t1", -1), "team 't1' has negative demand"),
+    (lambda: convert_cost_mode(parse_instance(doc()), "table"),
+     "unknown cost mode 'table'"),
+    (lambda: generate_reviewer_instance(0, [4], "balanced", 1),
+     "papers and demand_per_paper must be positive"),
+    (lambda: generate_reviewer_instance(1, [], "balanced", 1),
+     "cluster sizes must be positive"),
+    (lambda: generate_reviewer_instance(1, [4, 0], "balanced", 1),
+     "cluster sizes must be positive"),
+    (lambda: generate_reviewer_instance(1, [4], "mixed", 1),
+     "unknown gender option 'mixed'"),
+], ids=["feature-names", "feature-values", "team-demand", "cost-mode",
+        "papers", "no-clusters", "empty-cluster", "genders"])
+def test_constructors_reject_bad_arguments(make, message):
+    with pytest.raises(InvalidInstanceError) as raised:
+        make()
+    assert str(raised.value) == message
+
+
 def test_generator_shape():
     inst = generate_reviewer_instance(papers=3,
                                       reviewers_per_cluster=[4] * 5,

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from divmatch.instance import parse_instance
-from divmatch.objective import (assignment_from_matrix, count_tensor,
+from divmatch.objective import (assignment_from_matrix,
+                                check_assignment_matrix, count_tensor,
                                 diversity_k, embed, exchange_gain,
                                 matrix_from_assignment, objective,
                                 total_utility)
@@ -103,6 +104,25 @@ def test_objective_dummy_only():
 def test_objective_rejects_bad_matrix():
     with pytest.raises(ValueError, match="row 1 sums"):
         objective(TWO_TEAMS, [[0, 0], [2, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("check, error, message", [
+    (lambda: check_assignment_matrix(TWO_TEAMS, [[0, 0], [2], [0, 2]]),
+     ValueError, "row 1 has 1 columns, expected 2"),
+    (lambda: check_assignment_matrix(TWO_TEAMS, [[0, 0], [3, -1], [0, 2]]),
+     ValueError, "negative entry in row 1"),
+    (lambda: check_assignment_matrix(TWO_TEAMS, [[0, 0], [2, 0], [2, 0]]),
+     ValueError, "column 0 sums to 4, expected 2"),
+    (lambda: embed(TWO_TEAMS, BALANCED, 2), IndexError,
+     "feature index 2 out of range"),
+    (lambda: embed(TWO_TEAMS, BALANCED, -1), IndexError,
+     "feature index -1 out of range"),
+], ids=["short-row", "negative-entry", "column-sum", "embed-k2",
+        "embed-k-1"])
+def test_matrix_checks_reject_bad_input(check, error, message):
+    with pytest.raises(error) as raised:
+        check()
+    assert str(raised.value) == message
 
 
 def test_embed_merges_same_value_columns():

@@ -24,9 +24,9 @@ from divmatch.oracle import (_greedy_split, _unit_prices, best_split,
 from divmatch.solver import (SolverConfig, initial_feasible, iteration_bound,
                              solve)
 from helpers import (current_state, cycle_from_moves, dump_edges,
-                     random_feasible_matrix, random_small_instance,
-                     random_switch_simple_moves, reference_resplit_sweep,
-                     two_pointer_start)
+                     known_bad_instances, random_feasible_matrix,
+                     random_small_instance, random_switch_simple_moves,
+                     reference_resplit_sweep, two_pointer_start)
 
 
 def make(doc):
@@ -143,6 +143,16 @@ def test_solve_reaches_oracle_optimum(detector):
     assert report.termination == "optimal"
     assert report.breakdown.objective == 8
     assert report.assignment[1:] == [[1, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(detector="spfa"), "unknown detector 'spfa'"),
+    (dict(max_iterations=0), "max_iterations must be >= 1 when set"),
+])
+def test_solver_config_rejects_bad_settings(settings, message):
+    with pytest.raises(ValueError) as error:
+        SolverConfig(**settings)
+    assert str(error.value) == message
 
 
 def test_single_full_team_needs_no_iterations():
@@ -568,6 +578,79 @@ def test_refinement_escapes_a_spurious_walk_fixed_point():
     assert report.termination == "optimal"
     assert report.breakdown.objective == 40
     assert enumerate_optimal(inst).optimal_objective == 40
+
+
+def _offer_and_terms(graph):
+    """Per port, the ``(src, dst)`` of each offered edge in order, then the
+    port terms ``bias`` and ``start``."""
+    return ([[(e.src, e.dst) for e in edges] for edges in graph.succ],
+            graph.bias, graph.start)
+
+
+def _boundary_instances():
+    # certify-small run seed 1, #1904: its first step withholds a walk and
+    # then commits a re-split.
+    yield dataclasses.replace(
+        generate_reviewer_instance(2, [3, 1, 3], "random", 2,
+                                   seed=685483390),
+        weights=TradeoffWeights(1, (3, 1)))
+    for mode in ("class", "worker"):
+        for papers, reviewers in ((10, 40), (25, 100)):
+            yield convert_cost_mode(generate_reviewer_instance(
+                papers, [reviewers // 5] * 5, "balanced", 4, seed=1), mode)
+    yield from known_bad_instances()
+    yield from map(random_small_instance, range(150))
+
+
+@pytest.mark.parametrize("detector", ["bf", "gr"])
+def test_graph_equals_a_rebuild_at_every_step_boundary(monkeypatch,
+                                                       detector):
+    # Each step is a function of the state: after every commit, and at the
+    # end, the switch-graph offers what a fresh build of its w offers, with
+    # the same port terms. Nothing withheld by one step's walk search
+    # outlives it.
+    step = solver._Search.step
+    checked = []
+
+    def check(search):
+        if search.graph is not None:
+            fresh = build_aux_graph(search.inst, search.graph.w)
+            assert _offer_and_terms(search.graph) == _offer_and_terms(fresh)
+            checked.append(search.inst)
+
+    def checked_step(search):
+        check(search)
+        found = step(search)
+        if found is None:
+            check(search)
+        return found
+
+    monkeypatch.setattr(solver._Search, "step", checked_step)
+    for inst in _boundary_instances():
+        solve(inst, SolverConfig(detector=detector))
+    assert len(checked) >= 50
+    assert checked.count(next(_boundary_instances())) >= 2
+
+
+def test_a_proof_by_exhaustion_ends_at_the_optimum():
+    # At most REFINE_ROWS + 1 rows hold workers at a fixed point of a
+    # complete sweep, so the sweep's last subset was the whole state and
+    # the solve reports it proved. Every proved solve must end at the
+    # oracle's optimum, and some of them end where the flow proof fails.
+    by_exhaustion = 0
+    for seed in range(600):
+        inst = random_small_instance(seed)
+        optimum = enumerate_optimal(inst).optimal_objective
+        for detector in ("bf", "gr"):
+            report = solve(inst, SolverConfig(detector=detector))
+            if not report.proved_optimal:
+                continue
+            assert report.refinement_complete
+            assert report.breakdown.objective == optimum
+            c = count_tensor(inst, report.assignment)
+            by_exhaustion += \
+                flow._proof(inst, report.assignment, c)[0] is not None
+    assert by_exhaustion >= 10
 
 
 def _draw_moves(data, inst, w):

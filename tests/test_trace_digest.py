@@ -5,7 +5,6 @@ worker a type of its own."""
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import re
 import subprocess
@@ -18,25 +17,13 @@ import divmatch
 from divmatch.negcycle import DETECTORS
 from divmatch.oracle import BudgetExceededError, enumerate_optimal
 from divmatch.solver import SolverConfig, solve
+from helpers import known_bad_instances, load_module
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "trace_digest.py"
-WORKLOADS = ROOT / "bench" / "workloads.py"
 LINE = re.compile(r"known-bad seed=3 detector=(\w+) instances=(\d+) "
                   r"raised=(\d+) objective_sum=(\d+) proved=(\d+) "
                   r"sha256=([0-9a-f]{64}) oracle_sha256=([0-9a-f]{64})")
-
-
-def _load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _known_bad():
-    """The instances of bench/workloads.py's known-bad list."""
-    return _load("bench_workloads", WORKLOADS).known_bad(divmatch)
 
 
 @pytest.mark.parametrize("detector", sorted(DETECTORS))
@@ -50,8 +37,11 @@ def test_digest_of_known_bad_runs_and_repeats(detector):
     assert match, runs[0]
     name, count, raised, objective_sum, proved, solve_sha, oracle_sha = \
         match.groups()
-    instances = _known_bad()
+    instances = known_bad_instances()
     assert (name, int(count), int(raised)) == (detector, len(instances), 0)
+    # Two of the three end proved: one by the flow proof, and one because
+    # its re-split sweep covered every row that holds workers.
+    assert (int(objective_sum), int(proved)) == (331, 2)
     reports = [solve(inst, SolverConfig(detector=detector))
                for inst in instances]
     assert int(objective_sum) == sum(r.breakdown.objective for r in reports)
@@ -132,7 +122,7 @@ def test_digest_of_n800_ends_proved_whatever_the_seed():
 
 
 def test_per_worker_rungs_are_the_ladder_with_offset_worker_costs():
-    tool = _load("trace_digest", SCRIPT)
+    tool = load_module("trace_digest", SCRIPT)
     rungs = tool.WORKLOADS["per-worker"](divmatch, 5)
     bases = tool.workloads.ladder(divmatch, tool.PER_WORKER_RUNGS, "worker")
     assert [inst.n for inst in rungs] == [80, 100]
