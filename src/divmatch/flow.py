@@ -1,4 +1,4 @@
-"""Convex-cost flow view of the objective: optimality proofs, and the
+"""The convex-cost flow model of the objective: optimality proofs, and the
 cancels of the exact search when at most one feature is weighted.
 
 The objective splits into one part per weighted feature k, lambdas[k] *
@@ -6,11 +6,11 @@ D_k, with lambda0 * TU added to the first part (with no weighted feature,
 the one part lambda0 * TU). Alone, a part is a separable convex-cost flow
 (Ahuja, Magnanti & Orlin, Network Flows, ch. 14; see :func:`_part_network`),
 and a state minimizes it exactly when the part's residual network has no
-negative cycle (:func:`negative_cycle`). A state that minimizes every part
-minimizes their sum. One test, :func:`_part_cycle`, looks for the first
-negative part cycle over given rows and types: over all of them
-(:func:`_proof`), finding none proves the state a global optimum; over a
-few rows, it certifies their split.
+negative cycle (:func:`~divmatch.negcycle.negative_cycle`). A state that
+minimizes every part minimizes their sum. One test, :func:`_part_cycle`,
+looks for the first negative part cycle over given rows and types: over
+all of them (:func:`_proof`), finding none proves the state a global
+optimum; over a few rows, it certifies their split.
 
 With at most one weighted feature the one part is the whole objective, so
 the proof is exact and the negative cycle it fails on is an improving
@@ -32,60 +32,11 @@ import logging
 from functools import partial
 
 from .auxgraph import change_gain, net_change, write_change
+from .negcycle import negative_cycle
 
-__all__ = ["negative_cycle"]
+__all__: list[str] = []
 
 logger = logging.getLogger(__name__)
-
-
-def negative_cycle(node_count, arcs):
-    """A negative cycle of the ``(from, to, cost)`` arcs on nodes
-    ``0..node_count-1``, as its arcs in order, or None when no cycle is
-    negative.
-
-    Bellman-Ford from all-zero labels: the labels settle within one round
-    per node exactly when no cycle is negative. Predecessors are kept on
-    strict improvement, so a cycle among them is negative. After each round
-    that changed a label, the last improved node's predecessor chain is
-    walked, and the first cycle on it is returned, as in
-    :func:`~divmatch.negcycle.bellman_ford_detect`. From round
-    ``node_count`` on, every chain is walked."""
-    label = [0] * node_count
-    pred = [None] * node_count
-    paid = [0] * node_count  # the cost of each node's predecessor arc
-    rounds = 0
-    while True:
-        last = None
-        for u, v, cost in arcs:
-            if label[u] + cost < label[v]:
-                label[v] = label[u] + cost
-                pred[v], paid[v], last = u, cost, v
-        if last is None:
-            return None
-        rounds += 1
-        cycle = _pred_cycle(pred, paid, [last] if rounds < node_count
-                            else range(node_count))
-        if cycle is not None:
-            return cycle
-
-
-def _pred_cycle(pred, paid, starts):
-    """The first cycle met walking the predecessor chains from ``starts``,
-    as its arcs in order, or None."""
-    walk = {}  # node -> the start whose walk reached it first
-    for start in starts:
-        node = start
-        while node is not None and node not in walk:
-            walk[node] = start
-            node = pred[node]
-        if node is not None and walk[node] == start:
-            cycle, v = [], node
-            while not cycle or v != node:
-                cycle.append((pred[v], v, paid[v]))
-                v = pred[v]
-            cycle.reverse()
-            return cycle
-    return None
 
 
 def _proof(inst, w, c):

@@ -1,10 +1,13 @@
-"""Negative-cycle detection over integer-weighted directed graphs.
+"""Negative-cycle detection over integer-weighted directed graphs: the
+switch-graph detectors, and :func:`negative_cycle` over the ``(from, to,
+cost)`` arcs of a flow network. Both Bellman-Ford loops find their cycle
+by one walk of the predecessor chains, :func:`_pred_cycle`.
 
-Two detectors share one contract: search a graph's ``node_count`` nodes
-and its ``succ`` adjacency lists, and return some simple cycle of strictly
-negative total weight, or ``None`` when no such cycle exists. Both start
-from an implicit super-source with zero-weight arcs to every node, so
-disconnected components are covered.
+The two detectors share one contract: search a graph's ``node_count``
+nodes and its ``succ`` adjacency lists, and return some simple cycle of
+strictly negative total weight, or ``None`` when no such cycle exists.
+Both start from an implicit super-source with zero-weight arcs to every
+node, so disconnected components are covered.
 
 Any object exposing ``node_count``, ``succ`` (per node, a list of edges
 with ``src``, ``dst`` and ``weight`` attributes) and the per-node integer
@@ -28,11 +31,13 @@ returned and its ``claimed_weight`` are those of the folded graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 __all__ = [
     "ExchangeCycle",
     "bellman_ford_detect",
     "goldberg_radzik_detect",
+    "negative_cycle",
     "DETECTORS",
 ]
 
@@ -73,6 +78,8 @@ def bellman_ford_detect(g) -> ExchangeCycle | None:
     cyclic case from n rounds into a handful.
     """
     n = g.node_count
+    if not n:
+        return None  # no node, so no cycle
     bias = g.bias
     dist = list(g.start)
     pred: list = [None] * n
@@ -89,7 +96,7 @@ def bellman_ford_detect(g) -> ExchangeCycle | None:
                     last_changed = v
         if last_changed < 0:
             return None
-        cycle = _pred_cycle_from(pred, last_changed)
+        cycle = _pred_cycle(pred, (last_changed,), attrgetter("src"))
         if cycle is not None:
             return _cycle_of(cycle, bias)
     # An improvement in round n proves a negative cycle, and by then the
@@ -97,27 +104,60 @@ def bellman_ford_detect(g) -> ExchangeCycle | None:
     raise RuntimeError("negative cycle exists but no predecessor cycle found")
 
 
-def _pred_cycle_from(pred, start):
-    """First cycle on the predecessor chain of ``start``, as forward-ordered
-    edges, or None when the chain ends at an unimproved node."""
-    seen = set()
-    node = start
-    while node not in seen:
-        seen.add(node)
-        e = pred[node]
-        if e is None:
-            return None
-        node = e.src
-    cycle = []
-    cur = node
+def negative_cycle(node_count, arcs):
+    """A negative cycle of the ``(from, to, cost)`` arcs on nodes
+    ``0..node_count-1``, as its arcs in order, or None when no cycle is
+    negative.
+
+    Bellman-Ford from all-zero labels, relaxing in place: the labels settle
+    within one round per node exactly when no cycle is negative.
+    Predecessors are kept on strict improvement, so a cycle among them is
+    negative. After each round that changed a label, the last improved
+    node's predecessor chain is walked, and the first cycle on it is
+    returned, as in :func:`bellman_ford_detect`. From round ``node_count``
+    on, every chain is walked."""
+    label = [0] * node_count
+    pred = [None] * node_count
+    rounds = 0
     while True:
-        e = pred[cur]
-        cycle.append(e)
-        cur = e.src
-        if cur == node:
-            break
-    cycle.reverse()
-    return cycle
+        last = None
+        for u, v, cost in arcs:
+            if label[u] + cost < label[v]:
+                label[v] = label[u] + cost
+                pred[v], last = (u, v, cost), v
+        if last is None:
+            return None
+        rounds += 1
+        cycle = _pred_cycle(pred, (last,) if rounds < node_count
+                            else range(node_count), itemgetter(0))
+        if cycle is not None:
+            return cycle
+
+
+def _pred_cycle(pred, starts, tail):
+    """The first cycle met walking the predecessor chains from ``starts``,
+    as its edges in forward order, or None. ``pred[v]`` is the edge that
+    last improved node ``v``, or None, and ``tail(e)`` the node ``e``
+    leaves. A walk that reaches an earlier start's walk has met no cycle."""
+    walk = {}  # node -> the start whose walk reached it first
+    for start in starts:
+        node = start
+        while node not in walk:
+            walk[node] = start
+            edge = pred[node]
+            if edge is None:
+                break
+            node = tail(edge)
+        else:
+            if walk[node] == start:
+                cycle, v = [], node
+                while not cycle or v != node:
+                    edge = pred[v]
+                    cycle.append(edge)
+                    v = tail(edge)
+                cycle.reverse()
+                return cycle
+    return None
 
 
 def goldberg_radzik_detect(g) -> ExchangeCycle | None:

@@ -1,12 +1,14 @@
 import dataclasses
 import random
+from operator import attrgetter, itemgetter
 
 import pytest
 
 from divmatch import negcycle
-from divmatch.auxgraph import build_aux_graph
+from divmatch.auxgraph import AuxEdge, build_aux_graph
 from divmatch.instance import TradeoffWeights, generate_reviewer_instance
-from divmatch.negcycle import bellman_ford_detect, goldberg_radzik_detect
+from divmatch.negcycle import (_pred_cycle, bellman_ford_detect,
+                               goldberg_radzik_detect, negative_cycle)
 from divmatch.oracle import enumerate_optimal
 from divmatch.solver import solve
 from helpers import (SimpleDigraph, has_negative_cycle_exhaustive, price,
@@ -258,3 +260,70 @@ def test_negative_self_loop(detect):
     assert cycle is not None
     assert len(cycle.edges) == 1
     verify_cycle(g, cycle)
+
+
+@pytest.mark.parametrize("name", sorted(negcycle.DETECTORS))
+def test_empty_graph_has_none(name):
+    assert negcycle.DETECTORS[name](SimpleDigraph(0)) is None
+    assert negative_cycle(0, []) is None
+
+
+# The one predecessor-chain walk serves both Bellman-Ford loops: over the
+# switch-graph's edges, whose source is ``src``, and over a flow network's
+# ``(from, to, cost)`` arcs, whose source is item 0.
+EDGE_KINDS = {
+    "edges": (AuxEdge, attrgetter("src"), lambda e: (e.src, e.dst, e.weight)),
+    "arcs": (lambda *arc: arc, itemgetter(0), lambda arc: arc),
+}
+
+
+def _walk(kind, node_count, arcs, starts):
+    """``_pred_cycle`` over the predecessors ``arcs``, each ``(u, v, cost)``
+    the edge that last improved ``v``, made as ``kind``; the cycle found,
+    as ``(u, v, cost)`` arcs, or None."""
+    make, tail, as_arc = EDGE_KINDS[kind]
+    pred = [None] * node_count
+    for u, v, cost in arcs:
+        pred[v] = make(u, v, cost)
+    cycle = _pred_cycle(pred, starts, tail)
+    if cycle is None:
+        return None
+    arcs = [as_arc(e) for e in cycle]
+    # closed, in forward order: each arc leaves the node the one before
+    # entered
+    assert all(a[1] == b[0] for a, b in zip(arcs, arcs[1:] + arcs[:1]))
+    return arcs
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_KINDS))
+def test_pred_walk_of_a_chain_to_a_root_has_no_cycle(kind):
+    chain = [(0, 1, -1), (1, 2, -1), (2, 3, -1)]  # 0 was never improved
+    assert _walk(kind, 4, chain, [3]) is None
+    assert _walk(kind, 4, chain, range(4)) is None
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_KINDS))
+def test_pred_walk_into_an_earlier_start_closes_no_cycle(kind):
+    # The walk from 4 runs 4, 3, 2 into the walk from 2 (2, 1, 0), which
+    # ended at a root: a node seen before, but not on this start's walk.
+    chain = [(0, 1, -1), (1, 2, -1), (2, 3, -1), (3, 4, -1)]
+    assert _walk(kind, 5, chain, [2, 4]) is None
+    assert _walk(kind, 5, chain, range(5)) is None
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_KINDS))
+def test_pred_walk_finds_a_cycle_on_the_second_start_only(kind):
+    # 1's chain ends at the root 0; 5's chain enters the cycle 2 -> 4 ->
+    # 3 -> 2 at 2.
+    arcs = [(0, 1, -1), (3, 2, -2), (4, 3, 1), (2, 4, -3), (2, 5, 0)]
+    assert _walk(kind, 6, arcs, [1]) is None
+    cycle = [(2, 4, -3), (4, 3, 1), (3, 2, -2)]
+    assert _walk(kind, 6, arcs, [1, 5]) == cycle
+    assert _walk(kind, 6, arcs, range(6)) == cycle
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_KINDS))
+def test_pred_walk_finds_a_self_loop(kind):
+    arcs = [(1, 1, -1), (1, 0, 2)]
+    assert _walk(kind, 2, arcs, [0]) == [(1, 1, -1)]
+    assert _walk(kind, 2, arcs, [1]) == [(1, 1, -1)]

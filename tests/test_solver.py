@@ -16,7 +16,7 @@ from divmatch.auxgraph import (CycleApplicationError, apply_and_update,
                                build_aux_graph, moves_of)
 from divmatch.instance import (Team, TradeoffWeights, convert_cost_mode,
                                generate_reviewer_instance, parse_instance)
-from divmatch.negcycle import goldberg_radzik_detect
+from divmatch.negcycle import goldberg_radzik_detect, negative_cycle
 from divmatch.objective import (assignment_from_matrix, breakdown_of,
                                 count_tensor, objective)
 from divmatch.oracle import (_greedy_split, _unit_prices, best_split,
@@ -1014,7 +1014,7 @@ def test_part_flow_test_is_exact(seed, worker_costs, data):
                                      count_tensor(scored, held)).objective
                 network = flow._part_network(part, state, c, k,
                                              with_cost, rows, cols)
-                assert (flow.negative_cycle(*network) is not None) == \
+                assert (negative_cycle(*network) is not None) == \
                     (value > least)
 
 
@@ -1034,7 +1034,7 @@ def test_negative_cycle_check_matches_networkx():
         reference.add_nodes_from(range(nodes))
         reference.add_weighted_edges_from(arcs)
         expected = nx.negative_edge_cycle(reference)
-        cycle = flow.negative_cycle(nodes, arcs)
+        cycle = negative_cycle(nodes, arcs)
         assert (cycle is not None) == expected
         if cycle is not None:
             assert all(arc in arcs for arc in cycle)

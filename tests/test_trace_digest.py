@@ -1,7 +1,7 @@
 """The same-results digest runs from the command line on the benchmark's
 known-bad instances, under every detector, on acceptance criterion 7's
 n=400 rungs and on its shape at n=800; its per-worker rungs give every
-worker a type of its own."""
+worker a type of its own, and its exact rungs all take the exact path."""
 
 import dataclasses
 import hashlib
@@ -134,3 +134,25 @@ def test_per_worker_rungs_are_the_ladder_with_offset_worker_costs():
         assert offsets == {0, 1, 2}
         assert divmatch.build_combination_index(inst).num_columns == inst.n
     assert rungs == tool.WORKLOADS["per-worker"](divmatch, 1)
+
+
+def test_digest_of_exact_rungs_ends_proved_by_flow_cancels():
+    line = _digest_line("exact")
+    # The class-ladder and per-worker rungs at lambdas (1, 0) and (0, 1):
+    # every solve takes the exact path and ends proved, and every step it
+    # commits is a cancel of a cycle that ``negative_cycle`` found.
+    match = re.fullmatch(r"exact seed=5 detector=gr instances=10 raised=0 "
+                         r"objective_sum=(\d+) proved=10 "
+                         r"sha256=[0-9a-f]{64} oracle_sha256=[0-9a-f]{64}",
+                         line)
+    assert match, line
+    tool = load_module("trace_digest", SCRIPT)
+    rungs = tool.WORKLOADS["exact"](divmatch, 5)
+    assert [(inst.n, inst.weights.lambdas) for inst in rungs] == [
+        (n, lambdas) for n in (40, 100, 200, 80, 100)
+        for lambdas in ((1, 0), (0, 1))]
+    reports = [solve(inst, SolverConfig(detector="gr")) for inst in rungs]
+    assert int(match.group(1)) == \
+        sum(r.breakdown.objective for r in reports) == 3817
+    assert all(r.proved_optimal for r in reports)
+    assert {record.source for r in reports for record in r.trace} == {"flow"}

@@ -10,11 +10,15 @@ the same shape at n=800 and t=150, generator seed 1, whatever ``--seed``
 says. ``per-worker`` is the ladder's (20,80) and (25,100) rungs in worker
 costs, each worker's cost in each team raised by a 0..2 offset drawn from a
 generator seeded with the ladder's seed, so that every worker is a type of
-its own; it too ignores ``--seed``. Prints one line per workload: the
-instance count, the number of solves that raised, the sum of the final
-objectives, the number of solves that ended ``proved_optimal``, a sha256
-over each solve's assignment, trace (each record's index, source, cycle
-length, claimed and exact gains and objective after), termination,
+its own; it too ignores ``--seed``. ``exact`` is the three class-ladder
+rungs and the two per-worker rungs, each at lambdas (1, 0) and (0, 1),
+whatever ``--seed`` says: with one weighted feature every solve takes the
+exact path, whose cancels ``negcycle.negative_cycle`` finds. Prints one
+line per workload: the instance count, the number of solves that raised,
+the sum of the final objectives, the number of solves that ended
+``proved_optimal``, a sha256 over each solve's assignment, trace (each
+record's index, source, cycle length, claimed and exact gains and
+objective after), termination,
 ``refinement_complete``, ``proved_optimal`` and objective, and an
 ``oracle_sha256`` over each instance's exhaustive oracle result with every
 optimum collected (optimal objective, first optimal matrix, number of
@@ -66,6 +70,18 @@ def per_worker(dm) -> list:
 
 
 WORKLOADS["per-worker"] = lambda dm, seed: per_worker(dm)
+
+
+def exact(dm) -> list:
+    """The class-ladder and per-worker rungs, each with one weighted
+    feature at a time, so that every solve takes the exact path."""
+    rungs = workloads.ladder(dm, workloads.CLASS_LADDER, "class")
+    return [dataclasses.replace(inst, weights=dm.TradeoffWeights(
+                inst.weights.lambda0, lambdas))
+            for inst in rungs + per_worker(dm) for lambdas in ((1, 0), (0, 1))]
+
+
+WORKLOADS["exact"] = lambda dm, seed: exact(dm)
 
 
 def solve_record(inst, cfg) -> list:
