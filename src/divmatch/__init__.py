@@ -40,6 +40,7 @@ from .auxgraph import (
     AuxEdge,
     AuxGraph,
     CycleApplicationError,
+    GraphTooLargeError,
     apply_and_update,
     build_aux_graph,
 )

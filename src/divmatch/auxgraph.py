@@ -41,12 +41,16 @@ node terms (see :mod:`divmatch.negcycle`).
 
 The graph keeps live assignment counters. Its one edge index is
 ``out_edges``: an input port's out-edges are its intra edges in output-key
-order and an output port's out-edges are its inter edges in target-team
-order (own team skipped), so edges are found by position. Everything a
-team's ports hold, its offer and its port terms, is a function of its row
-of ``w`` and its counters, set by one per-team method,
-:meth:`AuxGraph._set_ports`: for every team when the graph is built, and
-after an exchange for each team whose row changed. No edge changes.
+order and an output port's out-edges, its inter row, are its inter edges in
+target-team order (own team skipped), so edges are found by position. An
+inter row is made by :meth:`AuxGraph.row` when its port is first held, so
+the rows of ports never held, most of the inter block on a large
+instance, are never made. Everything a team's ports hold, its offer and
+its port terms, is a function of its row of ``w`` and its counters, set
+by one per-team method, :meth:`AuxGraph._set_ports`: for every team when
+the graph is built, and after an exchange for each team whose row
+changed. No edge changes: a row, once made, is kept as it is. ``edges``
+lists every edge; its ``len`` is :func:`edge_count` and makes no row.
 
 A move list means its net change alone, :func:`net_change`, which
 :func:`change_gain` prices and :func:`write_change` writes into ``w`` and
@@ -81,15 +85,36 @@ __all__ = [
     "AuxEdge",
     "AuxGraph",
     "CycleApplicationError",
+    "GraphTooLargeError",
     "build_aux_graph",
     "apply_and_update",
+    "edge_count",
 ]
 
 INPUT, OUTPUT = 0, 1
 
+# Bytes per edge, for the size guard: an AuxEdge (56), its slot in its
+# row and a share of the graph's per-port tables. tracemalloc measured 72
+# over a graph of t=50 and K=10 with every inter row made, and 80 when the
+# graph also kept a list of every edge.
+EDGE_BYTES = 76
+# The most bytes a switch-graph may take: build_aux_graph refuses a graph
+# whose edge_count times EDGE_BYTES is larger, before it allocates any.
+MAX_GRAPH_BYTES = 2**30
+
 
 class CycleApplicationError(RuntimeError):
     """A cycle could not be applied to the current assignment."""
+
+
+class GraphTooLargeError(Exception):
+    """The switch-graph of an instance would exceed ``MAX_GRAPH_BYTES``."""
+
+
+def edge_count(t: int, num_keys: int) -> int:
+    """The edges of a switch-graph of ``t`` teams and ``num_keys`` keys: K*K
+    intra and t*K inter edges per switch."""
+    return (t + 1) * num_keys * (num_keys + t)
 
 
 class AuxEdge:
@@ -119,8 +144,9 @@ class AuxGraph:
     """Live switch-graph over the current assignment matrix.
 
     Exposes ``node_count``, ``succ`` (per port, the AuxEdges offered to
-    the cycle detectors) and the per-port price terms ``bias`` and
-    ``start``, all three set one team at a time by :meth:`_set_ports`.
+    the cycle detectors), ``out_edges`` (per port, its out-edges, None for
+    an inter row not made) and the per-port price terms ``bias`` and
+    ``start``, set one team at a time by :meth:`_set_ports`.
     Single-writer: detection never overlaps mutation.
     """
 
@@ -131,9 +157,8 @@ class AuxGraph:
         self.num_switches = inst.t + 1
         self.node_count = 2 * self.num_keys * self.num_switches
         self.c = count_tensor(inst, w)
-        self.edges: list[AuxEdge] = []
-        # per port, its out-edges in edge-index order; set by _build
-        self.out_edges: list[list[AuxEdge]] = [None] * self.node_count
+        # per port, its out-edges in edge-index order; set by _build and row
+        self.out_edges: list[list[AuxEdge] | None] = [None] * self.node_count
         self._build()
 
     # -- node ids -----------------------------------------------------------
@@ -154,51 +179,54 @@ class AuxGraph:
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        """Add every edge: intra edges by team, input key and output key,
-        then inter edges by source team, target team and key. Port ids are
-        made once, so the edges share them. Then each team's ports are set
-        by :meth:`_set_ports`."""
+        """Add every intra edge, by team, input key and output key, then set
+        each team's ports. Port ids are made once, in ``_ports``, so the
+        edges share them."""
         weights = self.inst.weights
         columns = self.inst.types.columns
         num_keys = self.num_keys
-        keys = range(num_keys)
-        switches = range(self.num_switches)
-        ins = [[self.port_id(team, INPUT, key) for key in keys]
-               for team in switches]
-        outs = [[port + num_keys for port in row] for row in ins]
         real = [[_shared_value_correction(a, b, weights) for b in columns]
                 for a in columns]
         dummy = [[0] * num_keys] * num_keys
-        edges, out_edges = self.edges, self.out_edges
-        for team in switches:
+        ports = self._ports = list(range(self.node_count))
+        out_edges = self.out_edges
+        for team in range(self.num_switches):
             table = real if team else dummy
-            dst = outs[team]
-            for kin, src in enumerate(ins[team]):
-                row = [AuxEdge(src, port, wgt)
-                       for port, wgt in zip(dst, table[kin])]
-                out_edges[src] = row
-                edges += row
-        for i1 in switches:
-            src = outs[i1]
-            block = [AuxEdge(src[key], dst[key], 0)
-                     for i2, dst in enumerate(ins) if i2 != i1
-                     for key in keys]
-            edges += block
-            for key in keys:
-                out_edges[src[key]] = block[key::num_keys]
+            first = self.port_id(team, INPUT, 0)
+            mid = first + num_keys
+            dst = ports[mid:mid + num_keys]
+            for src, row in zip(ports[first:mid], table):
+                out_edges[src] = [AuxEdge(src, port, wgt)
+                                  for port, wgt in zip(dst, row)]
         self.succ = [()] * self.node_count
         self._withheld = set()  # teams whose ports lost edges to withhold
         self.bias = [0] * self.node_count
         self.start = [0] * self.node_count
-        for team in switches:
+        for team in range(self.num_switches):
             self._set_ports(team)
+
+    def row(self, port: int) -> list[AuxEdge]:
+        """The out-edges of ``port``; an inter row is made when first asked
+        for, and kept."""
+        edges = self.out_edges[port]
+        if edges is None:
+            team, _, key = self.port(port)
+            own = self.port_id(team, INPUT, key)
+            edges = self.out_edges[port] = [
+                AuxEdge(self._ports[port], dst, 0)
+                for dst in self._ports[key::2 * self.num_keys] if dst != own]
+        return edges
+
+    @property
+    def edges(self) -> _EdgeList:
+        return _EdgeList(self)
 
     def _set_ports(self, team: int):
         """Set everything the ports of ``team`` hold from its row of ``w``
         and its counters. The offer in ``succ``: an input port offers its
         intra edges into the team's held output ports, in key order; a held
-        output port offers its whole ``out_edges`` row, and a drained one
-        offers nothing. The port terms of a real team: ``bias`` is
+        output port offers its whole inter row, and a drained one offers
+        nothing. The port terms of a real team: ``bias`` is
         ``enter[team][key] + lambda0 * cost[team][key]`` at an input port
         and ``leave[team][key] - lambda0 * cost[team][key]`` at an output
         port, and ``start`` is ``-bias`` at an input port and 0 at an
@@ -211,7 +239,7 @@ class AuxGraph:
         succ[first:mid] = [[edges[key] for key in held]
                            for edges in out_edges[first:mid]]
         for port, x in enumerate(row, mid):
-            succ[port] = out_edges[port] if x else ()
+            succ[port] = self.row(port) if x else ()
         if not team:
             return
         lambdas = self.inst.weights.lambdas
@@ -325,9 +353,41 @@ def write_change(w, c, change) -> None:
         c[team][k][v] += d
 
 
+class _EdgeList:
+    """Every edge of a graph: intra edges by team, input key and output
+    key, then inter edges by source team, target team and key. Iterating
+    makes every row."""
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph: AuxGraph):
+        self.graph = graph
+
+    def __len__(self):
+        return edge_count(self.graph.num_switches - 1, self.graph.num_keys)
+
+    def __iter__(self):
+        g = self.graph
+        teams, keys = range(g.num_switches), range(g.num_keys)
+        for team in teams:
+            for key in keys:
+                yield from g.out_edges[g.port_id(team, INPUT, key)]
+        for team in teams:
+            rows = [g.row(g.port_id(team, OUTPUT, key)) for key in keys]
+            for edges in zip(*rows):  # one target team, all keys
+                yield from edges
+
+
 def build_aux_graph(inst: Instance, w) -> AuxGraph:
-    """Construct the switch-graph for a valid assignment matrix."""
+    """Construct the switch-graph for a valid assignment matrix, or raise
+    GraphTooLargeError before allocating one over ``MAX_GRAPH_BYTES``."""
     check_assignment_matrix(inst, w)
+    edges = edge_count(inst.t, inst.types.num_columns)
+    if edges * EDGE_BYTES > MAX_GRAPH_BYTES:
+        raise GraphTooLargeError(
+            f"the switch-graph has {edges} edges, about "
+            f"{edges * EDGE_BYTES >> 20} MiB, over the "
+            f"{MAX_GRAPH_BYTES >> 20} MiB limit")
     return AuxGraph(inst, w)
 
 

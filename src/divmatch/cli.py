@@ -4,8 +4,10 @@ Exit codes: 0 solved to a fixed point, proved globally optimal where the
 solution says ``proved_optimal`` (or report/gen succeeded), 1 invalid input
 (bad file, bad format, infeasible parameters, an output path that cannot be
 written), 2 iteration cap reached before convergence, 3 instance too large
-for the verification oracle, 4 solver and oracle disagree (verify only),
-5 internal solver error (a broken solver invariant: a bug, not bad input).
+for the verification oracle (verify still solves and prints the solve's
+results first) or for the switch-graph's memory limit, 4 solver and oracle
+disagree (verify only), 5 internal solver error (a broken solver invariant:
+a bug, not bad input).
 A failure is raised where it is found, as a :class:`CliError` with its exit
 code, and :func:`main` prints it as one ``error:`` line on stderr.
 """
@@ -19,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from .auxgraph import GraphTooLargeError
 from .instance import InvalidInstanceError, dump_instance, \
     generate_reviewer_instance, load_instance
 from .negcycle import DETECTORS
@@ -196,6 +199,8 @@ def _solve(inst, args) -> SolveReport:
     cfg = SolverConfig(detector=args.detector, max_iterations=args.max_iters)
     try:
         return solve(inst, cfg)
+    except GraphTooLargeError as exc:
+        raise CliError(str(exc), EXIT_BUDGET) from exc
     except RuntimeError as exc:  # a broken solver invariant
         raise CliError(f"internal solver error: {exc}",
                        EXIT_INTERNAL) from exc
@@ -221,14 +226,18 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load(args.instance)
+    result = over = None
     try:
         result = enumerate_optimal(inst, budget=args.budget)
     except BudgetExceededError as exc:
-        raise CliError(str(exc), EXIT_BUDGET) from exc
+        over = exc  # the solve still runs and reports, then exit 3
     report = _solve(inst, args)
     print(f"solver objective: {report.breakdown.objective}")
-    print(f"oracle objective: {result.optimal_objective}")
+    if result is not None:
+        print(f"oracle objective: {result.optimal_objective}")
     print(f"proved optimal: {'yes' if report.proved_optimal else 'no'}")
+    if over is not None:
+        raise CliError(str(over), EXIT_BUDGET) from over
     if report.termination != "optimal":
         print("solver stopped at the iteration cap", file=sys.stderr)
         return EXIT_CAP

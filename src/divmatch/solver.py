@@ -58,7 +58,8 @@ import logging
 from dataclasses import dataclass
 from functools import partial
 
-from .auxgraph import apply_and_update, build_aux_graph, moves_of
+from .auxgraph import apply_and_update, build_aux_graph, edge_count, \
+    moves_of
 from .flow import _cancel, _part_cycle, _proof
 from .instance import Instance
 from .negcycle import DETECTORS
@@ -363,7 +364,7 @@ class _Search:
             logger.debug(
                 "negative walk (claimed %d, exact %d) is not improving; "
                 "re-detecting without its edges", cycle.claimed_weight, gain)
-            if stalls > len(graph.edges):
+            if stalls > edge_count(self.inst.t, graph.num_keys):
                 raise RuntimeError(
                     "detection keeps returning non-improving walks")
             graph.withhold(cycle.edges)

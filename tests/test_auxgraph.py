@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divmatch.auxgraph import (INPUT, OUTPUT, CycleApplicationError,
-                               apply_and_update, build_aux_graph, moves_of)
+from divmatch import auxgraph
+from divmatch.auxgraph import (EDGE_BYTES, INPUT, OUTPUT,
+                               CycleApplicationError, GraphTooLargeError,
+                               apply_and_update, build_aux_graph, edge_count,
+                               moves_of)
 from divmatch.instance import (Team, TradeoffWeights, convert_cost_mode,
                                generate_reviewer_instance, parse_instance)
 from divmatch.negcycle import DETECTORS, ExchangeCycle
@@ -113,6 +116,53 @@ def test_port_count_class_mode():
     assert len(inter) == 4 * 3 * (3 + 1)
     assert all(g.port(e.dst)[1] == OUTPUT for e in intra)
     assert all(g.port(e.dst)[1] == INPUT for e in inter)
+
+
+@pytest.mark.parametrize("worker_fraction", [0.0, 1.0])
+def test_inter_rows_are_made_when_their_port_is_first_held(worker_fraction):
+    # A build makes the inter rows of the held output ports and no other.
+    # A commit makes the rows of the ports it fills, and a row is kept once
+    # made, so the rows made are those of every port held so far.
+    # ``len(edges)`` makes no row, and iterating ``edges`` makes them all.
+    def made(g):
+        return {u for u in range(g.node_count)
+                if g.port(u)[1] == OUTPUT and g.out_edges[u] is not None}
+
+    def held(g):
+        return {g.port_id(i, OUTPUT, key) for i, row in enumerate(g.w)
+                for key, x in enumerate(row) if x}
+
+    for seed in range(6):
+        inst = random_small_instance(seed + 70,
+                                     worker_fraction=worker_fraction)
+        rng = random.Random(seed)
+        g = build_aux_graph(inst, random_feasible_matrix(inst, rng))
+        assert made(g) == held(g)
+        assert len(g.edges) == edge_count(inst.t, inst.types.num_columns)
+        assert made(g) == held(g)
+        rows = {u: g.out_edges[u] for u in made(g)}
+        ever = held(g)
+        for _ in range(5):
+            moves = random_switch_simple_moves(g, rng)
+            if moves:
+                g.apply_moves(moves)
+                ever |= held(g)
+                assert made(g) == ever
+        assert all(g.out_edges[u] is row for u, row in rows.items())
+        assert sum(1 for _ in g.edges) == len(g.edges)
+        assert all(g.out_edges[u] is not None for u in range(g.node_count))
+
+
+def test_build_refuses_a_graph_over_the_size_limit(monkeypatch):
+    # The guard prices the graph by edge_count before allocating it.
+    inst = small_instance()
+    w = random_feasible_matrix(inst, random.Random(0))
+    need = EDGE_BYTES * edge_count(inst.t, inst.types.num_columns)
+    monkeypatch.setattr(auxgraph, "MAX_GRAPH_BYTES", need)
+    build_aux_graph(inst, w)
+    monkeypatch.setattr(auxgraph, "MAX_GRAPH_BYTES", need - 1)
+    with pytest.raises(GraphTooLargeError, match="112 edges"):
+        build_aux_graph(inst, w)
 
 
 def test_port_count_worker_mode():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import divmatch.auxgraph
 import divmatch.cli
 import divmatch.negcycle
 from divmatch.cli import balance_report, main, solution_to_dict
@@ -245,6 +246,34 @@ def test_verify_budget_exceeded(tmp_path, capsys):
          "--seed", 7, "--out", inst])
     assert run(["verify", inst]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_verify_over_the_budget_still_solves_and_reports(tmp_path, capsys):
+    # The oracle refuses the instance, but the solve runs and prints its
+    # objective and whether it proved it before the one error line.
+    inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)
+    assert run(["verify", inst, "--budget", 1]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "solver objective: 8\nproved optimal: yes\n"
+    assert captured.err.startswith("error: ")
+    assert "budget" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_solve_over_the_graph_size_limit_exits_3(tmp_path, capsys,
+                                                 monkeypatch):
+    # This instance's solve builds the switch-graph; with the limit below
+    # its estimate the build is refused before anything is allocated.
+    inst = tmp_path / "inst.json"
+    run(["gen", "--papers", 3, "--clusters", "5x4", "--demand", 4,
+         "--seed", 7, "--out", inst])
+    monkeypatch.setattr(divmatch.auxgraph, "MAX_GRAPH_BYTES", 1000)
+    assert run(["solve", inst]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the switch-graph has ")
+    assert captured.err.endswith(" MiB limit\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_gen_deterministic(tmp_path):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import divmatch
+from divmatch.auxgraph import EDGE_BYTES, MAX_GRAPH_BYTES, edge_count
 from divmatch.negcycle import DETECTORS
 from divmatch.oracle import BudgetExceededError, enumerate_optimal
 from divmatch.solver import SolverConfig, solve
@@ -156,3 +157,14 @@ def test_digest_of_exact_rungs_ends_proved_by_flow_cancels():
         sum(r.breakdown.objective for r in reports) == 3817
     assert all(r.proved_optimal for r in reports)
     assert {record.source for r in reports for record in r.trace} == {"flow"}
+
+
+def test_every_digest_instance_is_under_the_graph_size_limit():
+    # The digest's workloads include every benchmark instance and the
+    # largest the tests solve; the size guard must refuse none of them.
+    tool = load_module("trace_digest", SCRIPT)
+    largest = max(edge_count(inst.t, inst.types.num_columns)
+                  for build in tool.WORKLOADS.values()
+                  for inst in build(divmatch, 1))
+    assert largest == 325_000  # the (25, 100) per-worker rung
+    assert largest * EDGE_BYTES < MAX_GRAPH_BYTES / 10
