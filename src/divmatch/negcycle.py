@@ -41,13 +41,6 @@ __all__ = [
     "DETECTORS",
 ]
 
-_INF = float("inf")
-# GR relaxes whole inter rows per key on switch-graphs of at least this many
-# switches. On fewer, the bookkeeping costs more than the edges it saves: on
-# graphs the solver met, GR took 1.34 times its edge-by-edge time at t = 3,
-# 1.05 at t = 15, 0.96 at t = 25 and 0.88 at t = 50 (CPython 3.11, x86-64).
-PER_KEY_MIN_SWITCHES = 21
-
 
 @dataclass
 class ExchangeCycle:
@@ -177,16 +170,6 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
     certifies a negative cycle: around a cycle the reduced costs telescope to
     the true weight, which is therefore negative.
 
-    On a switch-graph (with ``out_edges`` and ``num_keys``) of at least
-    ``PER_KEY_MIN_SWITCHES`` switches, an output port whose whole inter row
-    is offered is relaxed once per key: the row's edges weigh 0 and reach
-    the key's input port of every other team, so a pass keeps per key the
-    least and second-least value offered and the first one's team, and an
-    input port takes the least value of another team when it is relaxed
-    and at the end of the pass. Whenever a label is read it is what the
-    edge-by-edge relax gives, so the labels, ``relabeled`` and every later
-    pass are unchanged.
-
     Passes are capped at ``n + 5`` as a backstop. The cap is reached on
     some switch-graphs met from a two-pointer fill of the teams, where the
     labels of a negative cycle's nodes keep falling from pass to pass while
@@ -199,11 +182,6 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
     succ = g.succ
     bias = g.bias
     dist = list(g.start)
-    rows = getattr(g, "out_edges", None)
-    num_keys = g.num_keys if rows is not None else 0
-    if n < PER_KEY_MIN_SWITCHES * 2 * num_keys:
-        rows, num_keys = None, 0
-    width = 2 * num_keys
 
     candidates = list(range(n))
     for _ in range(n + 5):
@@ -254,46 +232,15 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
                     stack.pop()
                     on_stack[u] = False
                     order.append(u)
-        # Relax all out-edges of the visited nodes in reverse postorder,
-        # whole inter rows once per key. A port is relaxed at most once a
-        # pass, so least and second come from different teams.
+        # Relax all out-edges of the visited nodes in reverse postorder.
         order.reverse()
         relabeled = set()
-        least = [_INF] * num_keys
-        second = [_INF] * num_keys
-        holder = [-1] * num_keys  # the team of least[key]
         for u in order:
-            edges = succ[u]
-            if rows is not None:
-                team, key = divmod(u, width)
-                if key >= num_keys:  # an output port
-                    if edges is rows[u]:
-                        key -= num_keys
-                        du = dist[u] + bias[u]
-                        if du < least[key]:
-                            second[key], least[key] = least[key], du
-                            holder[key] = team
-                        elif du < second[key]:
-                            second[key] = du
-                        continue
-                else:  # an input port
-                    best = second[key] if holder[key] == team else least[key]
-                    if best < dist[u]:
-                        dist[u] = best
-                        relabeled.add(u)
             du = dist[u] + bias[u]
-            for e in edges:
+            for e in succ[u]:
                 v = e.dst
                 if du + e.weight < dist[v]:
                     dist[v] = du + e.weight
-                    relabeled.add(v)
-        for key, team1 in enumerate(holder):
-            if team1 < 0 or least[key] >= max(dist[key::width]):
-                continue  # no row offered this key a label it can lower
-            for team, v in enumerate(range(key, n, width)):
-                best = second[key] if team == team1 else least[key]
-                if best < dist[v]:
-                    dist[v] = best
                     relabeled.add(v)
         if not relabeled:
             return None

@@ -14,7 +14,7 @@ import divmatch
 from divmatch.auxgraph import INPUT, OUTPUT
 from divmatch.instance import (CostModel, Feature, FeatureSchema, Instance,
                                Team, TradeoffWeights)
-from divmatch.negcycle import ExchangeCycle, _cycle_of, bellman_ford_detect
+from divmatch.negcycle import ExchangeCycle
 
 
 class SimpleEdge:
@@ -423,79 +423,3 @@ def reference_greedy_split(rows, slots, costs, counts, totals):
     if 0 in rows:
         split[rows.index(0)] = left
     return value, split
-
-
-def reference_goldberg_radzik(g) -> ExchangeCycle | None:
-    """:func:`divmatch.negcycle.goldberg_radzik_detect` with every offered
-    out-edge relaxed one edge at a time, whole inter rows too: the
-    reference that the detector's per-key relax is checked against."""
-    n = g.node_count
-    succ = g.succ
-    bias = g.bias
-    dist = list(g.start)
-
-    candidates = list(range(n))
-    for _ in range(n + 5):
-        # DFS over non-positive reduced-cost edges; labels frozen as
-        # potentials, so cycle weights telescope exactly.
-        visited = [False] * n
-        on_stack = [False] * n
-        neg_count = [0] * n
-        order: list[int] = []
-        for root in candidates:
-            if visited[root]:
-                continue
-            d_root = dist[root] + bias[root]
-            for e in succ[root]:
-                if d_root + e.weight < dist[e.dst]:
-                    break
-            else:
-                continue  # no strictly negative reduced cost leaves root
-            visited[root] = True
-            on_stack[root] = True
-            stack = [(root, None, iter(succ[root]))]
-            while stack:
-                u, _entered, it = stack[-1]
-                du = dist[u] + bias[u]
-                advanced = False
-                for e in it:
-                    v = e.dst
-                    rc = du + e.weight - dist[v]
-                    if rc > 0:
-                        continue
-                    if not visited[v]:
-                        visited[v] = True
-                        on_stack[v] = True
-                        neg_count[v] = neg_count[u] + (1 if rc < 0 else 0)
-                        stack.append((v, e, iter(succ[v])))
-                        advanced = True
-                        break
-                    if on_stack[v] and \
-                            neg_count[u] + (1 if rc < 0 else 0) > neg_count[v]:
-                        # Stack path v..u plus (u, v) has negative total.
-                        pos = next(i for i in range(len(stack) - 1, -1, -1)
-                                   if stack[i][0] == v)
-                        edges = [stack[i][1]
-                                 for i in range(pos + 1, len(stack))]
-                        edges.append(e)
-                        return _cycle_of(edges, bias)
-                if not advanced:
-                    stack.pop()
-                    on_stack[u] = False
-                    order.append(u)
-        # Relax all out-edges of the visited nodes in reverse postorder.
-        order.reverse()
-        relabeled = set()
-        for u in order:
-            du = dist[u] + bias[u]
-            for e in succ[u]:
-                v = e.dst
-                if du + e.weight < dist[v]:
-                    dist[v] = du + e.weight
-                    relabeled.add(v)
-        if not relabeled:
-            return None
-        candidates = sorted(relabeled)
-    # The passes ran out with labels still falling; the reference detector
-    # finds the cycle.
-    return bellman_ford_detect(g)

@@ -1,16 +1,11 @@
 import dataclasses
 import random
 from operator import attrgetter, itemgetter
-from types import SimpleNamespace
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from divmatch import negcycle
-from divmatch.auxgraph import (AuxEdge, apply_and_update, build_aux_graph,
-                               moves_of)
+from divmatch.auxgraph import AuxEdge, build_aux_graph
 from divmatch.instance import TradeoffWeights, generate_reviewer_instance
 from divmatch.negcycle import (_pred_cycle, bellman_ford_detect,
                                goldberg_radzik_detect, negative_cycle)
@@ -18,8 +13,8 @@ from divmatch.oracle import enumerate_optimal
 from divmatch.solver import solve
 from helpers import (SimpleDigraph, has_negative_cycle_exhaustive, price,
                      random_digraph, random_feasible_matrix,
-                     random_small_instance, reference_goldberg_radzik,
-                     two_pointer_start, with_node_terms)
+                     random_small_instance, two_pointer_start,
+                     with_node_terms)
 
 DETECTORS = [bellman_ford_detect, goldberg_radzik_detect]
 
@@ -108,102 +103,6 @@ def test_goldberg_radzik_falls_back_when_its_passes_run_out(monkeypatch):
     verify_cycle(g, cycle)
     assert solve(inst).breakdown.objective == \
         enumerate_optimal(inst).optimal_objective == 177
-
-
-def per_key_detect(g):
-    """GR with the per-key relax on graphs of every size."""
-    with mock.patch.object(negcycle, "PER_KEY_MIN_SWITCHES", 1):
-        return goldberg_radzik_detect(g)
-
-
-def assert_same_cycle(got, want):
-    """Both None, or the same edges, by identity, in the same order."""
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert len(got.edges) == len(want.edges)
-        assert all(a is b for a, b in zip(got.edges, want.edges))
-        assert got.claimed_weight == want.claimed_weight
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 10**6), worker_costs=st.booleans(),
-       start=st.sampled_from(["random", "two-pointer"]),
-       withheld=st.integers(0, 12), rounds=st.integers(1, 4),
-       random_terms=st.booleans())
-def test_per_key_relax_returns_the_edge_by_edge_cycle(seed, worker_costs,
-                                                      start, withheld,
-                                                      rounds, random_terms):
-    # GR relaxes a wholly offered inter row once per key, and the reference
-    # relaxes it edge by edge. On switch-graphs with withheld edges, some
-    # out of inter rows, and the dummy team's ports, often held, both
-    # return the same cycle, or None. Each found cycle is withheld in
-    # turn, as the solver withholds a spurious walk. Random port terms,
-    # which no state gives, vary the order in which a key's rows offer
-    # their least values.
-    inst = random_small_instance(seed, max_n=14, max_t=4,
-                                 worker_fraction=float(worker_costs))
-    rng = random.Random(seed)
-    w = random_feasible_matrix(inst, rng) if start == "random" \
-        else two_pointer_start(inst)
-    g = build_aux_graph(inst, w)
-    if random_terms:
-        g.bias = [rng.randint(-6, 6) for _ in range(g.node_count)]
-        g.start = [rng.randint(-6, 6) for _ in range(g.node_count)]
-    offered = [e for edges in g.succ for e in edges]
-    g.withhold(rng.sample(offered, min(withheld, len(offered))))
-    for _ in range(rounds):
-        want = reference_goldberg_radzik(g)
-        assert_same_cycle(per_key_detect(g), want)
-        if want is None:
-            break
-        g.withhold(want.edges)
-
-
-def test_per_key_relax_offers_the_least_team_the_second_least_value():
-    # One key and three teams: in(i) = 2i and out(i) = 2i + 1, in(i) ->
-    # out(i) weighs intra[i], and each out(i) offers its whole inter row.
-    # The input port of the team whose row offers a key's least value takes
-    # the second least, so the relax must keep that one too.
-    intra = [3, 1, 0]
-    out_edges = [None] * 6
-    for team, weight in enumerate(intra):
-        out_edges[2 * team] = [AuxEdge(2 * team, 2 * team + 1, weight)]
-        out_edges[2 * team + 1] = [AuxEdge(2 * team + 1, 2 * other, 0)
-                                   for other in range(3) if other != team]
-    g = SimpleNamespace(node_count=6, num_keys=1, out_edges=out_edges,
-                        succ=[row if u % 2 else list(row)
-                              for u, row in enumerate(out_edges)],
-                        bias=[-1, 2, 1, -3, -3, -2],
-                        start=[1, -2, 3, -2, 3, -2])
-    cycle = per_key_detect(g)
-    assert_same_cycle(cycle, reference_goldberg_radzik(g))
-    assert [(e.src, e.dst) for e in cycle.edges] == \
-        [(5, 2), (2, 3), (3, 4), (4, 5)]
-    assert cycle.claimed_weight == -6
-
-
-@pytest.mark.parametrize("teams, detect", [(10, per_key_detect),
-                                           (25, goldberg_radzik_detect)])
-def test_per_key_relax_cancels_as_the_edge_by_edge_relax(teams, detect):
-    # Canceling GR's cycles from the two-pointer start of a ladder-shaped
-    # instance, where most rows of a key are offered whole, meets the
-    # reference's cycle at every step; 26 switches take the per-key relax
-    # by default.
-    inst = generate_reviewer_instance(teams, [2 * teams] * 4, "balanced", 4,
-                                      seed=3)
-    g = build_aux_graph(inst, two_pointer_start(inst))
-    assert (g.num_switches >= negcycle.PER_KEY_MIN_SWITCHES) == (teams == 25)
-    for steps in range(1, 200):
-        want = reference_goldberg_radzik(g)
-        assert_same_cycle(detect(g), want)
-        if want is None:
-            break
-        if g.gain(moves_of(g, want)) <= -1:
-            apply_and_update(g, want)
-            g.restore()
-        else:
-            g.withhold(want.edges)
-    assert steps > 5
 
 
 @pytest.mark.parametrize("detect", DETECTORS)
