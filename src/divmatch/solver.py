@@ -35,15 +35,15 @@ so what was priced is what is applied.
 A detected walk that visits some switch more than once can misprice itself
 (its edge weights assume untouched counters). If its true change is not at
 most -1, the walk was spuriously negative: the graph withholds its edges
-from detection until the walk search returns. Once no negative
-cycle remains at an unproved state, a bounded exact re-split of small team
-subsets runs as a safety net against counter-coupled exchanges that no
-single cycle can express. Where the graph was just built on a failed
-proof, the sweep follows with no second proof of the unchanged state. The
-same proof, restricted to a subset's rows and types, certifies a team
-subset before it is enumerated. The loop ends when the proof succeeds, when
-neither step finds an improvement, or when the configured iteration cap is
-reached and a further step would still commit.
+from detection until the walk search returns. Once no negative cycle
+remains at an unproved state, a bounded exact re-split of small team
+subsets, priced the same way, runs as a safety net against counter-coupled
+exchanges that no single cycle can express. Where the graph was just built
+on a failed proof, the sweep follows with no second proof of the unchanged
+state. The same proof, restricted to a subset's rows and types, certifies
+a team subset before it is enumerated. The loop ends when the proof
+succeeds, when neither step finds an improvement, or when the configured
+iteration cap is reached and a further step would still commit.
 
 Integer weights make every committed step decrease the objective by at least
 one, which bounds the number of iterations by
@@ -148,7 +148,6 @@ def _descent_bound(inst: Instance, u0: int) -> int:
 
 
 REFINE_ROWS = 3
-REFINE_STATE_BUDGET = 20_000
 REFINE_SCAN_BUDGET = 2_000_000
 
 
@@ -176,19 +175,16 @@ def _moves_from_split(w, rows, cols, split):
 
 
 class _ScanBudget:
-    """Caps the enumeration work of one subset and of one refinement sweep,
-    and counts the subsets skipped for either cap, certified optimal
-    without enumeration and enumerated."""
+    """Caps the enumeration work of one refinement sweep, and counts its
+    subsets skipped, certified optimal without enumeration and enumerated."""
 
     def __init__(self, limit):
         self.left = limit
         self.skipped = self.certified = self.enumerated = 0
 
-    def take(self, states, last=False) -> bool:
-        """Charge ``states``; False, counting a skipped subset, when they
-        exceed a cap. The per-subset cap keeps budget for the subsets after
-        this one, so it does not bound the ``last``."""
-        if states > self.left or states > REFINE_STATE_BUDGET and not last:
+    def take(self, states) -> bool:
+        """Charge ``states``, or count a skip and return False."""
+        if states > self.left:
             self.skipped += 1
             return False
         self.left -= states
@@ -212,13 +208,10 @@ def _find_resplit(inst, w, c):
     stops at its first find. Each row's columns, size and objective share
     are computed once per sweep.
 
-    A subset is charged its :func:`~divmatch.oracle.split_count`, or
-    skipped when that exceeds ``REFINE_STATE_BUDGET`` (per subset) or what
-    is left of ``REFINE_SCAN_BUDGET`` (per sweep). The per-subset cap
-    keeps budget for later subsets, so it does not bound the subset of
-    every row that holds workers, which comes last. The budgets keep
-    triples affordable at verification scale, while larger instances fall
-    back to the pair scan.
+    Before the first subset of a size comes, each of that size is charged
+    its :func:`~divmatch.oracle.split_count` to ``REFINE_SCAN_BUDGET``,
+    cheapest first, or skipped when that exceeds what is left; so large
+    instances sweep every pair, and then the triples the budget can pay for.
     A charged subset is enumerated with :func:`~divmatch.oracle.best_split`
     only when :func:`~divmatch.flow._part_cycle` finds a cycle in it, and
     is certified otherwise, which is sufficient, so it changes no result.
@@ -230,15 +223,17 @@ def _find_resplit(inst, w, c):
     spent = _ScanBudget(REFINE_SCAN_BUDGET)
     found = None
     max_rows = REFINE_ROWS + (len(filled) == REFINE_ROWS + 1)
-    for rows in itertools.chain.from_iterable(
-            itertools.combinations(filled, size)
-            for size in range(2, max_rows + 1)):
-        totals = [sizes[i] for i in rows]
-        cols = sorted(set().union(*(nonzero[i] for i in rows)))
-        pooled = [sum(w[i][j] for i in rows) for j in cols]
-        if not spent.take(split_count(pooled, len(rows)),
-                          last=len(rows) == len(filled)):
-            continue
+    def admitted():
+        for size in range(2, max_rows + 1):
+            group = []
+            for rows in itertools.combinations(filled, size):
+                cols = sorted(set().union(*(nonzero[i] for i in rows)))
+                pooled = [sum(w[i][j] for i in rows) for j in cols]
+                group.append((split_count(pooled, size), rows, cols, pooled))
+            taken = {g[1] for g in sorted(group, key=lambda g: g[0])
+                     if spent.take(g[0])}
+            yield from (g[1:] for g in group if g[1] in taken)
+    for rows, cols, pooled in admitted():
         if _part_cycle(inst, w, c, rows, cols)[0] is None:
             spent.certified += 1
             continue
@@ -248,7 +243,8 @@ def _find_resplit(inst, w, c):
         cols = [cols[cj] for cj in order]
         pooled = [pooled[cj] for cj in order]
         current = sum(values[i] for i in rows)
-        best, split, _, _ = best_split(inst, rows, cols, pooled, totals,
+        best, split, _, _ = best_split(inst, rows, cols, pooled,
+                                       [sizes[i] for i in rows],
                                        incumbent=current)
         if split is not None:
             found = _moves_from_split(w, rows, cols, split), best - current
@@ -342,8 +338,10 @@ class _Search:
             self.proved_optimal = self.refinement_complete and \
                 sum(map(any, self.w)) <= REFINE_ROWS + 1
             return None
-        moves, gain = found
-        return ("resplit", len(moves), gain, gain,
+        moves, claimed = found
+        if (exact := graph.gain(moves)) != claimed:
+            raise RuntimeError(f"a re-split claims {claimed} but gains {exact}")
+        return ("resplit", len(moves), claimed, exact,
                 partial(graph.apply_moves, moves))
 
     def _walk(self):

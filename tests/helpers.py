@@ -320,13 +320,13 @@ def brute_force_optima(inst):
 
 def reference_resplit_sweep(inst, w, max_rows):
     """The re-split sweep written as its plain per-subset rule, without the
-    flow certificate: for every subset of 2..``max_rows`` rows that hold
-    workers in ``w``, and then of all of them when they are ``max_rows +
-    1``, in order, build its columns, charge ``split_count`` states to the
-    per-subset and per-sweep budgets (read from the solver at call time;
-    a subset of every such row is charged to the sweep's alone), and
-    enumerate it when admitted. Returns ``(found, complete, skipped,
-    left)`` like the solver's sweep and its budget."""
+    flow certificate: for each size of 2..``max_rows``, and then of all of
+    them when they are ``max_rows + 1``, build the columns of every subset
+    of that many rows that hold workers in ``w``; charge their
+    ``split_count`` states to the sweep's budget (read from the solver at
+    call time) cheapest first, skipping those it cannot pay for; then
+    enumerate the admitted ones in order. Returns ``(found, complete,
+    skipped, left)`` like the solver's sweep and its budget."""
     from divmatch import solver
     from divmatch.oracle import best_split, split_count
 
@@ -348,15 +348,21 @@ def reference_resplit_sweep(inst, w, max_rows):
     if len(filled) == max_rows + 1:
         sizes.append(len(filled))
     for size in sizes:
+        group = []
         for rows in itertools.combinations(filled, size):
             cols = sorted({j for i in rows for j, x in enumerate(w[i]) if x})
             pooled = [sum(w[i][j] for i in rows) for j in cols]
-            states = split_count(pooled, size)
-            if states > left or (states > solver.REFINE_STATE_BUDGET
-                                 and size < len(filled)):
+            group.append((split_count(pooled, size), rows, cols, pooled))
+        admitted = set()
+        for states, rows, _, _ in sorted(group, key=lambda g: g[0]):
+            if states > left:
                 skipped += 1
+            else:
+                left -= states
+                admitted.add(rows)
+        for _, rows, cols, pooled in group:
+            if rows not in admitted:
                 continue
-            left -= states
             order = sorted(range(len(cols)), key=lambda cj: -pooled[cj])
             cols = [cols[cj] for cj in order]
             pooled = [pooled[cj] for cj in order]

@@ -367,8 +367,9 @@ def test_class_ladder_rungs_keep_their_search(detector, rung, expected):
 
 def test_refinement_report_is_incomplete_when_the_scan_budget_binds():
     # This instance's fixed point is not proved optimal, so the final sweep
-    # runs, and it skips subsets over the per-subset state budget. A proved
-    # fixed point, such as ladder rung (25,100)'s, runs no sweep.
+    # runs, and it skips the triples that exceed what is left of the
+    # sweep's budget. A proved fixed point, such as ladder rung (25,100)'s,
+    # runs no sweep.
     inst = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=35)
     report = solve(inst)
     assert report.proved_optimal is False
@@ -409,16 +410,13 @@ def _sweep_states():
         yield inst, solve(inst).assignment
 
 
-@pytest.mark.parametrize("scan, per_subset", [(2_000_000, 20_000),
-                                              (400, 20_000), (5_000, 30)])
-def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan,
-                                                     per_subset):
+@pytest.mark.parametrize("scan", [2_000_000, 400, 60])
+def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan):
     # The sweep enumerates only the subsets that the flow test does not
     # certify; the plain rule enumerates all it admits. Both must find
     # the same moves, skip the same subsets and leave the same budget, also
     # when a smaller budget makes the skips bind early.
     monkeypatch.setattr(solver, "REFINE_SCAN_BUDGET", scan)
-    monkeypatch.setattr(solver, "REFINE_STATE_BUDGET", per_subset)
     budgets = []
 
     class Recording(solver._ScanBudget):
@@ -445,10 +443,10 @@ def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan,
 def test_a_fixed_point_needing_every_team_is_re_split_whole():
     # The greedy start is a fixed point at 68: no walk, pair or triple
     # improves it, and the optimum 64 moves workers in all four rows, the
-    # dummy row included. Their pooled types admit 25600 splits, above
-    # REFINE_STATE_BUDGET, but a subset of every row that holds workers is
-    # the sweep's last and is bounded only by the sweep's budget.
-    assert solver.REFINE_STATE_BUDGET < 25_600 <= solver.REFINE_SCAN_BUDGET
+    # dummy row included. Their pooled types admit 25600 splits, within the
+    # sweep's budget, and a subset of every row that holds workers is the
+    # sweep's last.
+    assert 25_600 <= solver.REFINE_SCAN_BUDGET
     inst = dataclasses.replace(
         generate_reviewer_instance(3, [1, 2, 2, 3], "balanced", 2,
                                    seed=286204123),
@@ -546,6 +544,41 @@ def test_resplit_sweep_can_stall_above_optimum_on_four_teams():
                    enumerate(zip(report.assignment, oracle.matrix))
                    if row != best]
         assert changed == [0, 2, 3, 4]
+
+
+def test_resplit_sweep_closes_a_gap_that_needs_triples_on_four_teams():
+    # The greedy start, 90, is a fixed point that no walk or pair leaves.
+    # The sweep's budget admits the triples, the first of which, the pool
+    # and two teams, improves; two re-splits reach an optimum, 86, and the
+    # flow proof proves it.
+    inst = dataclasses.replace(
+        generate_reviewer_instance(4, [5, 4, 4, 3, 2], "random", 2,
+                                   seed=161720),
+        weights=TradeoffWeights(2, (3, 1)))
+    oracle = enumerate_optimal(inst, budget=10**12)
+    assert (oracle.optimal_objective, oracle.num_optima) == (86, 3)
+    for detector in ("gr", "bf"):
+        report = solve(inst, SolverConfig(detector=detector))
+        assert report.initial_objective == 90
+        assert [r.source for r in report.trace] == ["resplit", "resplit"]
+        assert report.breakdown.objective == oracle.optimal_objective
+        assert report.proved_optimal is True
+
+
+def test_a_resplit_that_misprices_itself_raises(monkeypatch):
+    # Each re-split is priced again from its moves before it is committed,
+    # so a claim one unit off is caught.
+    def misreporting(*args, **kwargs):
+        best, split, *rest = best_split(*args, **kwargs)
+        return best - 1, split, *rest
+
+    monkeypatch.setattr(solver, "best_split", misreporting)
+    inst = dataclasses.replace(
+        generate_reviewer_instance(3, [1, 2, 2, 3], "balanced", 2,
+                                   seed=286204123),
+        weights=TradeoffWeights(2, (2, 2)))
+    with pytest.raises(RuntimeError, match="re-split claims -5 but gains -4"):
+        solve(inst)
 
 
 def test_refinement_escapes_the_coupled_pair_trap():
@@ -844,11 +877,12 @@ def test_ladder_fixed_points_certify_pairs_without_enumerating(monkeypatch,
     assert sizes == []
 
 
-def test_unproved_fixed_point_sweep_enumerates_no_subset(monkeypatch,
-                                                         caplog):
+def test_unproved_fixed_point_sweep_enumerates_one_uncertified_triple(
+        monkeypatch, caplog):
     # This rung's fixed point is not proved, so its final sweep runs. The
-    # flow test, restricted to each subset, certifies every pair and triple
-    # the budgets admit, triples included, so none reaches the enumeration.
+    # flow test, restricted to each subset, certifies every pair and every
+    # triple the budget admits but one, so one triple reaches the
+    # enumeration, and it has no better split.
     inst = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=35)
     report = solve(inst)
     assert report.proved_optimal is False
@@ -863,7 +897,7 @@ def test_unproved_fixed_point_sweep_enumerates_no_subset(monkeypatch,
     with caplog.at_level(logging.DEBUG, logger="divmatch"):
         found, _ = solver._find_resplit(inst, graph.w, graph.c)
     assert found is None
-    assert enumerated == []
+    assert enumerated == [(3, 6, 10)]
     (line,) = [r.getMessage() for r in caplog.records]
     certified = int(re.match(r"re-split sweep: (\d+) certified", line)[1])
     assert certified > 0
@@ -879,12 +913,13 @@ def test_resplit_sweep_logs_one_count_line(caplog):
         solver._find_resplit(inst, graph.w, graph.c)
     (line,) = [r.getMessage() for r in caplog.records]
     # The dummy row is empty, so the sweep takes the 45 pairs and 120
-    # triples of the 10 teams: the pairs are certified, and the triples
-    # skipped for budget.
+    # triples of the 10 teams: the pairs and the 45 cheapest triples are
+    # certified, and the 75 triples that the rest of the budget cannot pay
+    # for are skipped.
     certified, enumerated, skipped = map(int, re.fullmatch(
         r"re-split sweep: (\d+) certified, (\d+) enumerated, (\d+) skipped",
         line).groups())
-    assert (certified, enumerated, skipped) == (45, 0, 120)
+    assert (certified, enumerated, skipped) == (90, 0, 75)
 
 
 def test_resplit_sweep_takes_only_rows_that_hold_workers(monkeypatch):

@@ -1,7 +1,8 @@
 """The same-results digest runs from the command line on the benchmark's
 known-bad instances, under every detector, on acceptance criterion 7's
 n=400 rungs and on its shape at n=800; its per-worker rungs give every
-worker a type of its own, and its exact rungs all take the exact path."""
+worker a type of its own, its exact rungs all take the exact path, and
+its gaps are the known four-team gaps."""
 
 import dataclasses
 import hashlib
@@ -157,6 +158,15 @@ def test_digest_of_exact_rungs_ends_proved_by_flow_cancels():
         sum(r.breakdown.objective for r in reports) == 3817
     assert all(r.proved_optimal for r in reports)
     assert {record.source for r in reports for record in r.trace} == {"flow"}
+
+
+def test_digest_of_gaps_closes_one_of_two_whatever_the_seed():
+    line = _digest_line("gaps")
+    # The open four-team gap ends at 94 against 92, unproved; the sweep's
+    # triples take the other from 90 to its optimum 86, proved.
+    assert re.fullmatch(r"gaps seed=5 detector=gr instances=2 raised=0 "
+                        r"objective_sum=180 proved=1 sha256=[0-9a-f]{64} "
+                        r"oracle_sha256=[0-9a-f]{64}", line), line
 
 
 def test_every_digest_instance_is_under_the_graph_size_limit():

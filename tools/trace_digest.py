@@ -13,7 +13,9 @@ generator seeded with the ladder's seed, so that every worker is a type of
 its own; it too ignores ``--seed``. ``exact`` is the three class-ladder
 rungs and the two per-worker rungs, each at lambdas (1, 0) and (0, 1),
 whatever ``--seed`` says: with one weighted feature every solve takes the
-exact path, whose cancels ``negcycle.negative_cycle`` finds. Prints one
+exact path, whose cancels ``negcycle.negative_cycle`` finds. ``gaps`` is
+two four-team instances that have ended above the optimum, whatever
+``--seed`` says. Prints one
 line per workload: the instance count, the number of solves that raised,
 the sum of the final objectives, the number of solves that ended
 ``proved_optimal``, a sha256 over each solve's assignment, trace (each
@@ -82,6 +84,21 @@ def exact(dm) -> list:
 
 
 WORKLOADS["exact"] = lambda dm, seed: exact(dm)
+
+
+def gaps(dm) -> list:
+    """The known four-team gaps: README's open one (94 against 92) and one
+    the sweep's triples close (90 against 86)."""
+    shapes = (((2, 3, 1, 3), "balanced", 446922281, (3, 3)),
+              ((5, 4, 4, 3, 2), "random", 161720, (3, 1)))
+    return [dataclasses.replace(
+                dm.generate_reviewer_instance(4, list(clusters), genders, 2,
+                                              seed=seed),
+                weights=dm.TradeoffWeights(2, lambdas))
+            for clusters, genders, seed, lambdas in shapes]
+
+
+WORKLOADS["gaps"] = lambda dm, seed: gaps(dm)
 
 
 def solve_record(inst, cfg) -> list:
