@@ -37,7 +37,6 @@ from .objective import (
     total_utility,
 )
 from .auxgraph import (
-    AuxEdge,
     AuxGraph,
     CycleApplicationError,
     GraphTooLargeError,

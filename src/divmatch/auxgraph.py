@@ -5,8 +5,10 @@ output port per mover key. A key is one of the instance's worker types,
 ``inst.types``: a feature vector plus a cost column (see
 :class:`~divmatch.instance.CombinationIndex`). Ports are
 graph nodes, and a port id is one (team, side, key): :meth:`AuxGraph.port_id`
-makes it and :meth:`AuxGraph.port` reads it back. An edge is a pair of port
-ids plus a static weight; its team, key and kind are read off its ports:
+makes it and :meth:`AuxGraph.port` reads it back. An edge is a ``(src, dst,
+weight)`` tuple: its two port ids and its static weight, the form of the
+flow networks' arcs (:mod:`divmatch.flow`). Its team, key and kind are read
+off its ports:
 
 * intra edges run input -> output inside one switch and carry the correction
   ``-2 * lambdas[k]`` for every feature k on which the two keys agree (zero
@@ -82,7 +84,6 @@ from .negcycle import ExchangeCycle
 from .objective import check_assignment_matrix, count_tensor
 
 __all__ = [
-    "AuxEdge",
     "AuxGraph",
     "CycleApplicationError",
     "GraphTooLargeError",
@@ -93,11 +94,11 @@ __all__ = [
 
 INPUT, OUTPUT = 0, 1
 
-# Bytes per edge, for the size guard: an AuxEdge (56), its slot in its
-# row and a share of the graph's per-port tables. tracemalloc measured 72
-# over a graph of t=50 and K=10 with every inter row made, and 80 when the
-# graph also kept a list of every edge.
-EDGE_BYTES = 76
+# Bytes per edge, for the size guard: its tuple (64), its slot in its row
+# and a share of the graph's per-port tables. tracemalloc measured 80 over
+# a graph of t=50 and K=10 with every inter row made, and 88 when the graph
+# also kept a list of every edge.
+EDGE_BYTES = 84
 # The most bytes a switch-graph may take: build_aux_graph refuses a graph
 # whose edge_count times EDGE_BYTES is larger, before it allocates any.
 MAX_GRAPH_BYTES = 2**30
@@ -117,24 +118,6 @@ def edge_count(t: int, num_keys: int) -> int:
     return (t + 1) * num_keys * (num_keys + t)
 
 
-class AuxEdge:
-    """One directed edge between two port ids. ``weight`` is the static
-    part of the edge's price (0 on an inter edge), whose full price is
-    ``weight + bias[src] + start[src] - start[dst]`` over the graph's port
-    terms; :meth:`AuxGraph.port` reads the edge's teams and keys off its
-    ports."""
-
-    __slots__ = ("src", "dst", "weight")
-
-    def __init__(self, src, dst, weight):
-        self.src = src
-        self.dst = dst
-        self.weight = weight
-
-    def __repr__(self):
-        return f"AuxEdge({self.src} -> {self.dst} w={self.weight})"
-
-
 def _shared_value_correction(v_a, v_b, weights: TradeoffWeights) -> int:
     return -2 * sum(lam for lam, a, b in zip(weights.lambdas, v_a, v_b)
                     if a == b)
@@ -143,7 +126,7 @@ def _shared_value_correction(v_a, v_b, weights: TradeoffWeights) -> int:
 class AuxGraph:
     """Live switch-graph over the current assignment matrix.
 
-    Exposes ``node_count``, ``succ`` (per port, the AuxEdges offered to
+    Exposes ``node_count``, ``succ`` (per port, the edges offered to
     the cycle detectors), ``out_edges`` (per port, its out-edges, None for
     an inter row not made) and the per-port price terms ``bias`` and
     ``start``, set one team at a time by :meth:`_set_ports`.
@@ -158,7 +141,7 @@ class AuxGraph:
         self.node_count = 2 * self.num_keys * self.num_switches
         self.c = count_tensor(inst, w)
         # per port, its out-edges in edge-index order; set by _build and row
-        self.out_edges: list[list[AuxEdge] | None] = [None] * self.node_count
+        self.out_edges: list[list[tuple] | None] = [None] * self.node_count
         self._build()
 
     # -- node ids -----------------------------------------------------------
@@ -196,7 +179,7 @@ class AuxGraph:
             mid = first + num_keys
             dst = ports[mid:mid + num_keys]
             for src, row in zip(ports[first:mid], table):
-                out_edges[src] = [AuxEdge(src, port, wgt)
+                out_edges[src] = [(src, port, wgt)
                                   for port, wgt in zip(dst, row)]
         self.succ = [()] * self.node_count
         self._withheld = set()  # teams whose ports lost edges to withhold
@@ -205,15 +188,16 @@ class AuxGraph:
         for team in range(self.num_switches):
             self._set_ports(team)
 
-    def row(self, port: int) -> list[AuxEdge]:
+    def row(self, port: int) -> list[tuple]:
         """The out-edges of ``port``; an inter row is made when first asked
         for, and kept."""
         edges = self.out_edges[port]
         if edges is None:
             team, _, key = self.port(port)
             own = self.port_id(team, INPUT, key)
+            src = self._ports[port]
             edges = self.out_edges[port] = [
-                AuxEdge(self._ports[port], dst, 0)
+                (src, dst, 0)
                 for dst in self._ports[key::2 * self.num_keys] if dst != own]
         return edges
 
@@ -283,7 +267,7 @@ class AuxGraph:
         their ports' ``succ`` entries, keeping the order of the rest, and
         record their teams."""
         drop = set(edges)
-        for node in {e.src for e in drop}:
+        for node in {e[0] for e in drop}:
             self.succ[node] = [e for e in self.succ[node] if e not in drop]
             self._withheld.add(self.port(node)[0])
 
@@ -395,10 +379,10 @@ def moves_of(g: AuxGraph, cycle: ExchangeCycle):
     """Extract the move list ``(key, from_team, to_team)`` of a cycle, one
     move per edge out of an output port, in traversal order."""
     moves = []
-    for e in cycle.edges:
-        team, side, key = g.port(e.src)
+    for src, dst, _ in cycle.edges:
+        team, side, key = g.port(src)
         if side == OUTPUT:
-            moves.append((key, team, g.port(e.dst)[0]))
+            moves.append((key, team, g.port(dst)[0]))
     return moves
 
 

@@ -50,6 +50,18 @@ def _check_int(value, what: str) -> int:
     return value
 
 
+def _check_str(value, what: str) -> str:
+    if type(value) is not str:
+        raise InvalidInstanceError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _check_list(value, what: str) -> list:
+    if type(value) is not list:
+        raise InvalidInstanceError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Feature:
     name: str
@@ -277,12 +289,15 @@ def instance_from_dict(doc: dict) -> Instance:
         raise InvalidInstanceError("instance document must be a JSON object")
     try:
         features = tuple(
-            Feature(str(f["name"]), tuple(str(v) for v in f["values"]))
+            Feature(_check_str(f["name"], "feature name"),
+                    tuple(_check_str(v, "feature value")
+                          for v in _check_list(f["values"], "feature values")))
             for f in doc["features"])
         schema = FeatureSchema(features)
         workers = tuple(tuple(_check_int(v, "worker value") for v in fv)
                         for fv in doc["workers"])
-        teams = tuple(Team(str(tm["name"]), tm["demand"]) for tm in doc["teams"])
+        teams = tuple(Team(_check_str(tm["name"], "team name"), tm["demand"])
+                      for tm in doc["teams"])
         costs = CostModel(doc["costs"]["mode"],
                           tuple(tuple(row) for row in doc["costs"]["u"]))
         weights = TradeoffWeights(doc["lambda0"],

@@ -9,18 +9,19 @@ strictly negative total weight, or ``None`` when no such cycle exists.
 Both start from an implicit super-source with zero-weight arcs to every
 node, so disconnected components are covered.
 
-Any object exposing ``node_count``, ``succ`` (per node, a list of edges
-with ``src``, ``dst`` and ``weight`` attributes) and the per-node integer
-lists ``bias`` and ``start`` can be searched, such as the switch-graph of
-:mod:`divmatch.auxgraph`. A graph lists in ``succ`` only the edges it
-offers; the detectors use every listed edge, in list order, and no other.
+An edge is a ``(src, dst, weight)`` tuple of ints, the form of the flow
+arcs. Any object exposing ``node_count``, ``succ`` (per node, a list of
+edges) and the per-node integer lists ``bias`` and ``start`` can be
+searched, such as the switch-graph of :mod:`divmatch.auxgraph`. A graph
+lists in ``succ`` only the edges it offers; the detectors use every listed
+edge, in list order, and no other.
 A node with no listed out-edge lies on no cycle, and the detectors treat it
 like any other: the work it costs is the scan of the edges into it, which
 is why the switch-graph offers no edge into a port it cannot leave.
 
-An edge ``e`` weighs ``e.weight + bias[e.src] + start[e.src] -
-start[e.dst]``. The detectors never fold that sum: labels start at
-``start`` instead of 0 and an edge costs ``e.weight + bias[e.src]``, so
+An edge ``(src, dst, weight)`` weighs ``weight + bias[src] + start[src] -
+start[dst]``. The detectors never fold that sum: labels start at
+``start`` instead of 0 and an edge costs ``weight + bias[src]``, so
 every label is the folded graph's label plus ``start`` of its node.
 ``start`` is a node potential (Ahuja, Magnanti & Orlin, Network Flows,
 section 2.4): it cancels from every comparison ``label[u] + cost -
@@ -31,7 +32,6 @@ returned and its ``claimed_weight`` are those of the folded graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
 
 __all__ = [
     "ExchangeCycle",
@@ -54,12 +54,12 @@ class ExchangeCycle:
 
     def is_closed(self) -> bool:
         e = self.edges
-        return bool(e) and all(a.dst == b.src
+        return bool(e) and all(a[1] == b[0]
                                for a, b in zip(e, e[1:] + e[:1]))
 
 
 def _cycle_of(edges, bias) -> ExchangeCycle:
-    total = sum(e.weight + bias[e.src] for e in edges)
+    total = sum(weight + bias[src] for src, _, weight in edges)
     if total >= 0:
         raise RuntimeError(f"extracted cycle has weight {total}, expected < 0")
     return ExchangeCycle(list(edges), total)
@@ -89,14 +89,14 @@ def bellman_ford_detect(g) -> ExchangeCycle | None:
         for u in range(n):
             du = prev[u] + bias[u]
             for e in g.succ[u]:
-                v = e.dst
-                if du + e.weight < dist[v]:
-                    dist[v] = du + e.weight
+                _, v, weight = e
+                if du + weight < dist[v]:
+                    dist[v] = du + weight
                     pred[v] = e
                     last_changed = v
         if last_changed < 0:
             return None
-        cycle = _pred_cycle(pred, (last_changed,), attrgetter("src"))
+        cycle = _pred_cycle(pred, (last_changed,))
         if cycle is not None:
             return _cycle_of(cycle, bias)
     # An improvement in round n proves a negative cycle, and by then the
@@ -129,15 +129,15 @@ def negative_cycle(node_count, arcs):
             return None
         rounds += 1
         cycle = _pred_cycle(pred, (last,) if rounds < node_count
-                            else range(node_count), itemgetter(0))
+                            else range(node_count))
         if cycle is not None:
             return cycle
 
 
-def _pred_cycle(pred, starts, tail):
+def _pred_cycle(pred, starts):
     """The first cycle met walking the predecessor chains from ``starts``,
     as its edges in forward order, or None. ``pred[v]`` is the edge that
-    last improved node ``v``, or None, and ``tail(e)`` the node ``e``
+    last improved node ``v``, or None; an edge's item 0 is the node it
     leaves. A walk that reaches an earlier start's walk has met no cycle."""
     walk = {}  # node -> the start whose walk reached it first
     for start in starts:
@@ -147,14 +147,14 @@ def _pred_cycle(pred, starts, tail):
             edge = pred[node]
             if edge is None:
                 break
-            node = tail(edge)
+            node = edge[0]
         else:
             if walk[node] == start:
                 cycle, v = [], node
                 while not cycle or v != node:
                     edge = pred[v]
                     cycle.append(edge)
-                    v = tail(edge)
+                    v = edge[0]
                 cycle.reverse()
                 return cycle
     return None
@@ -195,8 +195,8 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
             if visited[root]:
                 continue
             d_root = dist[root] + bias[root]
-            for e in succ[root]:
-                if d_root + e.weight < dist[e.dst]:
+            for _, v, weight in succ[root]:
+                if d_root + weight < dist[v]:
                     break
             else:
                 continue  # no strictly negative reduced cost leaves root
@@ -208,8 +208,8 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
                 du = dist[u] + bias[u]
                 advanced = False
                 for e in it:
-                    v = e.dst
-                    rc = du + e.weight - dist[v]
+                    _, v, weight = e
+                    rc = du + weight - dist[v]
                     if rc > 0:
                         continue
                     if not visited[v]:
@@ -237,10 +237,9 @@ def goldberg_radzik_detect(g) -> ExchangeCycle | None:
         relabeled = set()
         for u in order:
             du = dist[u] + bias[u]
-            for e in succ[u]:
-                v = e.dst
-                if du + e.weight < dist[v]:
-                    dist[v] = du + e.weight
+            for _, v, weight in succ[u]:
+                if du + weight < dist[v]:
+                    dist[v] = du + weight
                     relabeled.add(v)
         if not relabeled:
             return None

@@ -17,32 +17,21 @@ from divmatch.instance import (CostModel, Feature, FeatureSchema, Instance,
 from divmatch.negcycle import ExchangeCycle
 
 
-class SimpleEdge:
-    __slots__ = ("src", "dst", "weight")
-
-    def __init__(self, src, dst, weight):
-        self.src = src
-        self.dst = dst
-        self.weight = weight
-
-    def __repr__(self):
-        return f"SimpleEdge({self.src}->{self.dst} w={self.weight})"
-
-
 class SimpleDigraph:
     """Plain adjacency-list digraph with the ``node_count``/``succ`` surface
     the cycle detectors search, and per-node ``bias``/``start`` terms, all
-    zero until set."""
+    zero until set. An edge is a ``(src, dst, weight)`` tuple, as on the
+    switch-graph."""
 
     def __init__(self, node_count: int):
         self.node_count = node_count
-        self.succ: list[list[SimpleEdge]] = [[] for _ in range(node_count)]
-        self.edges: list[SimpleEdge] = []
+        self.succ: list[list[tuple]] = [[] for _ in range(node_count)]
+        self.edges: list[tuple] = []
         self.bias = [0] * node_count
         self.start = [0] * node_count
 
-    def add_edge(self, src: int, dst: int, weight: int) -> SimpleEdge:
-        e = SimpleEdge(src, dst, weight)
+    def add_edge(self, src: int, dst: int, weight: int) -> tuple:
+        e = (src, dst, weight)
         self.succ[src].append(e)
         self.edges.append(e)
         return e
@@ -52,7 +41,8 @@ def price(g, e) -> int:
     """The full price of edge ``e`` of ``g`` (a switch-graph or a
     :class:`SimpleDigraph`): its weight plus the port terms, ``weight +
     bias[src] + start[src] - start[dst]``."""
-    return e.weight + g.bias[e.src] + g.start[e.src] - g.start[e.dst]
+    src, dst, weight = e
+    return weight + g.bias[src] + g.start[src] - g.start[dst]
 
 
 def inter_edge(g, key: int, i1: int, i2: int):
@@ -91,9 +81,10 @@ def dump_edges(g) -> str:
     offered = {e for edges in g.succ for e in edges}
     lines = []
     for e in g.edges:
-        kind = "intra" if g.port(e.src)[1] == INPUT else "inter"
+        src, dst, _ = e
+        kind = "intra" if g.port(src)[1] == INPUT else "inter"
         listed = "true" if e in offered else "false"
-        lines.append(f"{g.port_repr(e.src)} -> {g.port_repr(e.dst)} "
+        lines.append(f"{g.port_repr(src)} -> {g.port_repr(dst)} "
                      f"{price(g, e)} {kind} {listed}")
     return "\n".join(lines) + "\n"
 
@@ -247,7 +238,7 @@ def with_node_terms(g: SimpleDigraph, rng, lo=-20, hi=20):
     g.start = [rng.randint(lo, hi) for _ in range(g.node_count)]
     twin = SimpleDigraph(g.node_count)
     for e in g.edges:
-        twin.add_edge(e.src, e.dst, price(g, e))
+        twin.add_edge(e[0], e[1], price(g, e))
     return twin
 
 
@@ -258,7 +249,7 @@ def has_negative_cycle_exhaustive(g: SimpleDigraph) -> bool:
     dg.add_nodes_from(range(g.node_count))
     for edges in g.succ:
         for e in edges:
-            dg.add_edge(e.src, e.dst, weight=price(g, e))
+            dg.add_edge(e[0], e[1], weight=price(g, e))
     for cycle in nx.simple_cycles(dg):
         total = sum(dg[u][v]["weight"]
                     for u, v in zip(cycle, cycle[1:] + cycle[:1]))

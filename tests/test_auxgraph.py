@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import random
 from types import SimpleNamespace
@@ -110,12 +111,12 @@ def test_port_count_class_mode():
              for k in range(4)]
     assert [g.port(g.port_id(*p)) for p in ports] == ports
     assert [g.port(u) for u in range(g.node_count)] == ports
-    intra = [e for e in g.edges if g.port(e.src)[1] == INPUT]
-    inter = [e for e in g.edges if g.port(e.src)[1] == OUTPUT]
+    intra = [e for e in g.edges if g.port(e[0])[1] == INPUT]
+    inter = [e for e in g.edges if g.port(e[0])[1] == OUTPUT]
     assert len(intra) == (3 + 1) * 4 * 4
     assert len(inter) == 4 * 3 * (3 + 1)
-    assert all(g.port(e.dst)[1] == OUTPUT for e in intra)
-    assert all(g.port(e.dst)[1] == INPUT for e in inter)
+    assert all(g.port(e[1])[1] == OUTPUT for e in intra)
+    assert all(g.port(e[1])[1] == INPUT for e in inter)
 
 
 @pytest.mark.parametrize("worker_fraction", [0.0, 1.0])
@@ -165,6 +166,18 @@ def test_build_refuses_a_graph_over_the_size_limit(monkeypatch):
         build_aux_graph(inst, w)
 
 
+def test_edges_are_tuples_the_collector_stops_tracking():
+    # An edge is a plain tuple of ints. CPython's cyclic collector stops
+    # tracking such a tuple at the first collection that scans it, so the
+    # edges of a built graph add nothing to later collections.
+    inst = random_small_instance(7, worker_fraction=0.25)
+    g = build_aux_graph(inst, random_feasible_matrix(inst, random.Random(7)))
+    gc.collect()
+    offered = [e for edges in g.succ for e in edges]
+    assert offered
+    assert all(type(e) is tuple and not gc.is_tracked(e) for e in offered)
+
+
 def test_port_count_worker_mode():
     inst = random_small_instance(99, worker_fraction=1.0)
     assert inst.costs.mode == "worker"
@@ -187,8 +200,9 @@ def test_stored_weights_match_weight_functions():
         w = random_feasible_matrix(inst, random.Random(2 + n))
         g = build_aux_graph(inst, w)
         for e in g.edges:
-            team_from, side, key_from = g.port(e.src)
-            team_to, _, key_to = g.port(e.dst)
+            src, dst, weight = e
+            team_from, side, key_from = g.port(src)
+            team_to, _, key_to = g.port(dst)
             if side == INPUT:
                 expected = intra_weight(types.columns[key_from],
                                         types.columns[key_to],
@@ -200,9 +214,9 @@ def test_stored_weights_match_weight_functions():
                                         team_from, team_to, g.c,
                                         inst.weights)
                 live = w[team_from][key_from] >= 1
-            assert (e in g.succ[e.src]) == live
+            assert (e in g.succ[src]) == live
             assert price(g, e) == expected
-            assert e.weight == (expected if side == INPUT else 0)
+            assert weight == (expected if side == INPUT else 0)
 
 
 def test_apply_then_revert_restores_graph():
@@ -235,10 +249,10 @@ def test_moving_last_worker_disables_outgoing_edges():
     for i2 in range(4):
         if i2 != 1:
             edge = inter_edge(g, 0, 1, i2)
-            assert edge not in g.succ[edge.src]
+            assert edge not in g.succ[edge[0]]
         if i2 != 2:
             edge = inter_edge(g, 1, 2, i2)
-            assert (edge in g.succ[edge.src]) is (g.w[2][1] >= 1)
+            assert (edge in g.succ[edge[0]]) is (g.w[2][1] >= 1)
 
 
 def test_untouched_team_pair_keeps_weights():
@@ -403,13 +417,14 @@ def test_finders_return_every_edge_by_position(worker_fraction):
         w = random_feasible_matrix(inst, random.Random(seed))
         g = build_aux_graph(inst, w)
         for e in g.edges:
-            team_from, side, key_from = g.port(e.src)
-            team_to, _, key_to = g.port(e.dst)
+            src, dst, _ = e
+            team_from, side, key_from = g.port(src)
+            team_to, _, key_to = g.port(dst)
             if side == INPUT:
                 position = key_to
             else:
                 position = team_to - (team_to > team_from)
-            assert g.out_edges[e.src][position] is e
+            assert g.out_edges[src][position] is e
 
 
 def _applicable(g, moves):
@@ -501,12 +516,12 @@ def _assert_live_offer(g):
         team, side, key = g.port(u)
         if side == INPUT:
             into = [k for k, x in enumerate(g.w[team]) if x]
-            assert [g.port(e.dst) for e in g.succ[u]] == \
+            assert [g.port(e[1]) for e in g.succ[u]] == \
                 [(team, OUTPUT, k) for k in into]
         else:
             into = [i for i in range(g.num_switches) if i != team] \
                 if g.w[team][key] else []
-            assert [g.port(e.dst) for e in g.succ[u]] == \
+            assert [g.port(e[1]) for e in g.succ[u]] == \
                 [(i, INPUT, key) for i in into]
         assert all(e in g.out_edges[u] for e in g.succ[u])
 
@@ -555,7 +570,7 @@ def test_commit_while_edges_are_withheld_matches_rebuild_after_restore(inst):
 
 
 def _offer(g):
-    return [[(e.src, e.dst) for e in edges] for edges in g.succ]
+    return [[e[:2] for e in edges] for edges in g.succ]
 
 
 @pytest.mark.parametrize("mode", ["class", "worker"])
@@ -627,8 +642,8 @@ def test_live_offer_hides_no_cycle(seed, worker_costs, lambdas, fill_dummy,
     live = {e for edges in g.succ for e in edges}
     offered = [e for edges in full.succ for e in edges]
     assert live <= set(offered)
-    parts = nx.DiGraph((e.src, e.dst) for e in offered)
+    parts = nx.DiGraph(e[:2] for e in offered)
     part = {u: p for p, nodes in
             enumerate(nx.strongly_connected_components(parts))
             for u in nodes}
-    assert all(e in live for e in offered if part[e.src] == part[e.dst])
+    assert all(e in live for e in offered if part[e[0]] == part[e[1]])

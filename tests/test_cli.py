@@ -63,6 +63,16 @@ def test_solve_invalid_instance(tmp_path, capsys):
     assert "demand exceeds workers" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_feature_whose_values_are_a_string(tmp_path, capsys):
+    features = [{"name": "c", "values": "AB"},
+                {"name": "g", "values": ["M", "F"]}]
+    bad = dict(EIGHT_VS_SIXTEEN, features=features)
+    inst = write_instance(tmp_path / "bad.json", bad)
+    assert run(["solve", inst]) == 1
+    assert "feature values must be a list, got 'AB'" in \
+        capsys.readouterr().err
+
+
 def test_solve_iteration_cap_exit_code(tmp_path):
     inst = tmp_path / "gen.json"
     assert run(["gen", "--papers", 3, "--clusters", "5x4", "--demand", 4,

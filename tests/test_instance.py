@@ -72,6 +72,20 @@ def test_malformed_json_rejected():
     (dict(costs={"mode": "class", "u": [[0, "3"]]}),
      "cost entry must be an integer, got '3'"),
     (dict(costs={"mode": "class", "u": [[0, -1]]}), "negative cost -1"),
+    # a name or value is a JSON string, and a feature's values a list: none
+    # is read through ``str`` or iterated as a string
+    (dict(features=[{"name": "g", "values": "MF"}]),
+     "feature values must be a list, got 'MF'"),
+    (dict(features=[{"name": ["x"], "values": ["M", "F"]}]),
+     r"feature name must be a string, got \['x'\]"),
+    (dict(features=[{"name": 7, "values": ["M", "F"]}]),
+     "feature name must be a string, got 7"),
+    (dict(features=[{"name": "g", "values": ["M", 1]}]),
+     "feature value must be a string, got 1"),
+    (dict(teams=[{"name": 7, "demand": 2}]),
+     "team name must be a string, got 7"),
+    (dict(teams=[{"name": None, "demand": 2}]),
+     "team name must be a string, got None"),
 ])
 def test_validation(mutate, needle):
     if needle is None:

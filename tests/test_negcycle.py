@@ -1,11 +1,10 @@
 import dataclasses
 import random
-from operator import attrgetter, itemgetter
 
 import pytest
 
 from divmatch import negcycle
-from divmatch.auxgraph import AuxEdge, build_aux_graph
+from divmatch.auxgraph import build_aux_graph
 from divmatch.instance import TradeoffWeights, generate_reviewer_instance
 from divmatch.negcycle import (_pred_cycle, bellman_ford_detect,
                                goldberg_radzik_detect, negative_cycle)
@@ -21,11 +20,11 @@ DETECTORS = [bellman_ford_detect, goldberg_radzik_detect]
 
 def verify_cycle(g, cycle):
     assert cycle.is_closed()
-    assert all(e in g.succ[e.src] for e in cycle.edges)
+    assert all(e in g.succ[e[0]] for e in cycle.edges)
     total = sum(price(g, e) for e in cycle.edges)
     assert total == cycle.claimed_weight
     assert total <= -1
-    nodes = [e.src for e in cycle.edges]
+    nodes = [e[0] for e in cycle.edges]
     assert len(nodes) == len(set(nodes))  # simple
 
 
@@ -228,7 +227,7 @@ def test_switch_graph_terms_match_folded_weights(detect):
         twin = SimpleDigraph(g.node_count)
         offered = [e for edges in g.succ for e in edges]
         for e in offered:
-            twin.add_edge(e.src, e.dst, price(g, e))
+            twin.add_edge(e[0], e[1], price(g, e))
         cycle = detect(g)
         expected = _positions(twin, detect(twin))
         if cycle is None:
@@ -268,41 +267,42 @@ def test_empty_graph_has_none(name):
     assert negative_cycle(0, []) is None
 
 
-# The one predecessor-chain walk serves both Bellman-Ford loops: over the
-# switch-graph's edges, whose source is ``src``, and over a flow network's
-# ``(from, to, cost)`` arcs, whose source is item 0.
-EDGE_KINDS = {
-    "edges": (AuxEdge, attrgetter("src"), lambda e: (e.src, e.dst, e.weight)),
-    "arcs": (lambda *arc: arc, itemgetter(0), lambda arc: arc),
-}
+# The one predecessor-chain walk serves both Bellman-Ford loops, over the
+# switch-graph's edges and over a flow network's arcs: both are ``(from,
+# to, cost)`` tuples. ``edges`` records as predecessors the edges a graph
+# holds in its ``succ`` lists, as :func:`bellman_ford_detect` does;
+# ``arcs`` records fresh tuples, as :func:`negative_cycle` does.
+EDGE_KINDS = ("arcs", "edges")
 
 
 def _walk(kind, node_count, arcs, starts):
     """``_pred_cycle`` over the predecessors ``arcs``, each ``(u, v, cost)``
-    the edge that last improved ``v``, made as ``kind``; the cycle found,
-    as ``(u, v, cost)`` arcs, or None."""
-    make, tail, as_arc = EDGE_KINDS[kind]
+    the edge that last improved ``v``, recorded as ``kind``; the cycle
+    found, or None."""
+    g = SimpleDigraph(node_count)
     pred = [None] * node_count
     for u, v, cost in arcs:
-        pred[v] = make(u, v, cost)
-    cycle = _pred_cycle(pred, starts, tail)
+        pred[v] = g.add_edge(u, v, cost) if kind == "edges" else (u, v, cost)
+    cycle = _pred_cycle(pred, starts)
     if cycle is None:
         return None
-    arcs = [as_arc(e) for e in cycle]
     # closed, in forward order: each arc leaves the node the one before
     # entered
-    assert all(a[1] == b[0] for a, b in zip(arcs, arcs[1:] + arcs[:1]))
-    return arcs
+    assert all(a[1] == b[0] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    # the recorded predecessors themselves, so a switch-graph cycle is made
+    # of the graph's own edges
+    assert all(e is pred[e[1]] for e in cycle)
+    return cycle
 
 
-@pytest.mark.parametrize("kind", sorted(EDGE_KINDS))
+@pytest.mark.parametrize("kind", EDGE_KINDS)
 def test_pred_walk_of_a_chain_to_a_root_has_no_cycle(kind):
     chain = [(0, 1, -1), (1, 2, -1), (2, 3, -1)]  # 0 was never improved
     assert _walk(kind, 4, chain, [3]) is None
     assert _walk(kind, 4, chain, range(4)) is None
 
 
-@pytest.mark.parametrize("kind", sorted(EDGE_KINDS))
+@pytest.mark.parametrize("kind", EDGE_KINDS)
 def test_pred_walk_into_an_earlier_start_closes_no_cycle(kind):
     # The walk from 4 runs 4, 3, 2 into the walk from 2 (2, 1, 0), which
     # ended at a root: a node seen before, but not on this start's walk.
@@ -311,7 +311,7 @@ def test_pred_walk_into_an_earlier_start_closes_no_cycle(kind):
     assert _walk(kind, 5, chain, range(5)) is None
 
 
-@pytest.mark.parametrize("kind", sorted(EDGE_KINDS))
+@pytest.mark.parametrize("kind", EDGE_KINDS)
 def test_pred_walk_finds_a_cycle_on_the_second_start_only(kind):
     # 1's chain ends at the root 0; 5's chain enters the cycle 2 -> 4 ->
     # 3 -> 2 at 2.
@@ -322,7 +322,7 @@ def test_pred_walk_finds_a_cycle_on_the_second_start_only(kind):
     assert _walk(kind, 6, arcs, range(6)) == cycle
 
 
-@pytest.mark.parametrize("kind", sorted(EDGE_KINDS))
+@pytest.mark.parametrize("kind", EDGE_KINDS)
 def test_pred_walk_finds_a_self_loop(kind):
     arcs = [(1, 1, -1), (1, 0, 2)]
     assert _walk(kind, 2, arcs, [0]) == [(1, 1, -1)]

@@ -215,7 +215,7 @@ def test_withheld_walk_stays_out_of_detection_until_restored():
     assert graph.gain(moves_of(graph, walk)) == 3
     rebuilt = dump_edges(graph)
     graph.withhold(walk.edges)
-    assert not any(e in graph.succ[e.src] for e in walk.edges)
+    assert not any(e in graph.succ[e[0]] for e in walk.edges)
     assert dump_edges(graph) != rebuilt
     again = goldberg_radzik_detect(graph)
     assert again is None or again.edges != walk.edges
@@ -616,7 +616,7 @@ def test_refinement_escapes_a_spurious_walk_fixed_point():
 def _offer_and_terms(graph):
     """Per port, the ``(src, dst)`` of each offered edge in order, then the
     port terms ``bias`` and ``start``."""
-    return ([[(e.src, e.dst) for e in edges] for edges in graph.succ],
+    return ([[e[:2] for e in edges] for edges in graph.succ],
             graph.bias, graph.start)
 
 
