@@ -188,7 +188,8 @@ class Instance:
         t = self.t
         if len(self.costs.table) != t:
             raise InvalidInstanceError(
-                f"cost table has {len(self.costs.table)} rows, expected {t} teams")
+                f"cost table has {len(self.costs.table)} rows, expected one "
+                f"row per team ({t})")
         width = (self.schema.value_count(0) if self.costs.mode == "class"
                  else self.n)
         for i, row in enumerate(self.costs.table):
@@ -343,37 +344,20 @@ def load_instance(path: str) -> Instance:
 
 
 def convert_cost_mode(inst: Instance, mode: str) -> Instance:
-    """Re-express the cost table in the other mode, when possible.
-
-    class -> worker is always possible (each worker inherits the cost of its
-    first-feature value). worker -> class requires the per-worker costs to be
-    constant within every first-feature value class.
-    """
+    """Re-express class costs as worker costs, each worker at the cost of
+    its first-feature value. Worker costs are not converted back: a worker
+    type is a feature vector and a cost column, so worker costs that are
+    class-constant already give the class types and the same search."""
     if mode not in ("class", "worker"):
         raise InvalidInstanceError(f"unknown cost mode {mode!r}")
     if mode == inst.costs.mode:
         return inst
-    t, n = inst.t, inst.n
-    if mode == "worker":
-        table = tuple(
-            tuple(inst.costs.table[i][inst.workers[x][0]] for x in range(n))
-            for i in range(t))
-    else:
-        width = inst.schema.value_count(0)
-        table_rows = []
-        for i in range(t):
-            row = [0] * width
-            seen = [False] * width
-            for x in range(n):
-                v = inst.workers[x][0]
-                u = inst.costs.table[i][x]
-                if seen[v] and row[v] != u:
-                    raise InvalidInstanceError(
-                        "worker costs are not class-constant; cannot convert "
-                        "to class mode")
-                row[v], seen[v] = u, True
-            table_rows.append(tuple(row))
-        table = tuple(table_rows)
+    if mode == "class":
+        raise InvalidInstanceError(
+            "worker costs are not converted to class costs")
+    table = tuple(
+        tuple(inst.costs.table[i][inst.workers[x][0]] for x in range(inst.n))
+        for i in range(inst.t))
     return Instance(inst.schema, inst.workers, inst.teams,
                     CostModel(mode, table), inst.weights)
 

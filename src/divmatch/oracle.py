@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .instance import Instance
-from .objective import assignment_from_matrix
 
 __all__ = ["OracleResult", "BudgetExceededError", "enumerate_optimal",
            "best_split", "split_count", "DEFAULT_BUDGET"]
@@ -47,7 +46,6 @@ class BudgetExceededError(RuntimeError):
 class OracleResult:
     optimal_objective: int
     matrix: list[list[int]]  # an optimal type-count matrix
-    assignment: list[int]  # worker -> team map realizing ``matrix``
     num_optima: int  # distinct optimal type-count matrices
     optima: list | None  # up to OPTIMA_CAP matrices attaining the optimum
 
@@ -79,8 +77,7 @@ def enumerate_optimal(inst: Instance, budget: int = DEFAULT_BUDGET,
     w = in_index_order(split)
     if optima is not None:
         optima = [in_index_order(m) for m in optima]
-    return OracleResult(best, w, assignment_from_matrix(inst, w), count,
-                        optima)
+    return OracleResult(best, w, count, optima)
 
 
 def split_count(counts, num_rows: int) -> int:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import divmatch.auxgraph
 import divmatch.cli
 import divmatch.negcycle
+import divmatch.solver
 from divmatch.cli import balance_report, main, solution_to_dict
 from divmatch.instance import dump_instance, generate_reviewer_instance, \
     parse_instance
@@ -483,6 +484,21 @@ def test_internal_solver_error_exit_code(tmp_path, capsys, monkeypatch):
         assert err == ("error: internal solver error: detection keeps "
                        "returning non-improving walks\n")
 
+
+
+def test_a_real_solver_guard_exits_internal(tmp_path, capsys, monkeypatch):
+    # The descent-bound guard fires inside the solve itself, not in a
+    # replaced ``solve``: one error line and exit 5, with no solution.
+    inst = tmp_path / "inst.json"
+    inst.write_text(dump_instance(
+        generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=1)))
+    monkeypatch.setattr(divmatch.solver, "_descent_bound", lambda i, u0: 0)
+    for command in ("solve", "verify"):
+        assert run([command, inst]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: internal solver error: iterations exceeded "
+                       "the descent bound 0\n")
 
 def test_output_in_a_missing_directory_is_an_input_error(tmp_path, capsys):
     inst = write_instance(tmp_path / "inst.json", EIGHT_VS_SIXTEEN)

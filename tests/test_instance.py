@@ -86,6 +86,11 @@ def test_malformed_json_rejected():
      "team name must be a string, got 7"),
     (dict(teams=[{"name": None, "demand": 2}]),
      "team name must be a string, got None"),
+    (dict(workers=[]), "instance needs at least one worker"),
+    (dict(costs={"mode": "class", "u": []}),
+     r"cost table has 0 rows, expected one row per team \(1\)"),
+    (dict(costs={"mode": "table", "u": [[0, 0]]}),
+     "unknown cost mode 'table'"),
 ])
 def test_validation(mutate, needle):
     if needle is None:
@@ -274,15 +279,12 @@ def test_generator_output_validates():
 
 
 def test_convert_cost_mode_roundtrip():
+    # class -> worker only: the types make worker -> class unnecessary
     inst = parse_instance(doc(costs={"mode": "class", "u": [[2, 5]]}))
     as_worker = convert_cost_mode(inst, "worker")
     assert as_worker.costs.table == ((2, 5),)  # workers are one M, one F
-    back = convert_cost_mode(as_worker, "class")
-    assert back.costs.table == inst.costs.table
-
-
-def test_convert_cost_mode_rejects_non_constant():
-    inst = parse_instance(doc(workers=[[0], [0]],
-                              costs={"mode": "worker", "u": [[1, 2]]}))
-    with pytest.raises(InvalidInstanceError, match="class-constant"):
-        convert_cost_mode(inst, "class")
+    assert convert_cost_mode(as_worker, "worker") is as_worker
+    with pytest.raises(InvalidInstanceError) as raised:
+        convert_cost_mode(as_worker, "class")
+    assert str(raised.value) == \
+        "worker costs are not converted to class costs"

@@ -327,3 +327,9 @@ def test_pred_walk_finds_a_self_loop(kind):
     arcs = [(1, 1, -1), (1, 0, 2)]
     assert _walk(kind, 2, arcs, [0]) == [(1, 1, -1)]
     assert _walk(kind, 2, arcs, [1]) == [(1, 1, -1)]
+
+
+def test_cycle_guard_fires_on_a_cycle_that_is_not_negative():
+    with pytest.raises(RuntimeError) as raised:
+        negcycle._cycle_of([(0, 1, 1), (1, 0, 0)], [0, 0])
+    assert str(raised.value) == "extracted cycle has weight 1, expected < 0"

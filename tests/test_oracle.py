@@ -92,7 +92,8 @@ def test_returned_matrix_attains_reported_optimum():
         inst = random_small_instance(seed + 600)
         result = enumerate_optimal(inst)
         for state in (result.matrix,
-                      matrix_from_assignment(inst, result.assignment)):
+                      matrix_from_assignment(
+                          inst, assignment_from_matrix(inst, result.matrix))):
             assert objective(inst, state).objective == \
                 result.optimal_objective
 
@@ -178,7 +179,7 @@ def test_worker_mode_general_costs_enumerates_maps():
     result = enumerate_optimal(inst, collect_optima=True)
     # maps: (1,2) costs 5+7=12, (2,1) costs 2+1=3; diversity 2 either way
     assert result.optimal_objective == 5
-    assert result.assignment == [2, 1]
+    assert assignment_from_matrix(inst, result.matrix) == [2, 1]
     assert result.num_optima == 1
     assert [assignment_from_matrix(inst, w) for w in result.optima] == \
         [[2, 1]]
@@ -216,8 +217,10 @@ def test_oracle_matches_brute_force_over_worker_maps(worker_fraction,
         assert result.optima == ordered
         assert result.matrix == ordered[0]
         default = enumerate_optimal(inst)
-        assert (default.matrix, default.num_optima, default.assignment) == \
-            (result.matrix, result.num_optima, result.assignment)
+        assert (default.matrix, default.num_optima,
+                assignment_from_matrix(inst, default.matrix)) == \
+            (result.matrix, result.num_optima,
+             assignment_from_matrix(inst, result.matrix))
 
 
 def test_oracle_keeps_the_first_optima_in_index_order_under_its_cap(

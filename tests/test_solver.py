@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divmatch import flow, solver
-from divmatch.auxgraph import (CycleApplicationError, apply_and_update,
-                               build_aux_graph, moves_of)
+from divmatch.auxgraph import (AuxGraph, CycleApplicationError,
+                               apply_and_update, build_aux_graph, moves_of)
 from divmatch.instance import (Team, TradeoffWeights, convert_cost_mode,
                                generate_reviewer_instance, parse_instance)
 from divmatch.negcycle import goldberg_radzik_detect, negative_cycle
@@ -1273,3 +1273,52 @@ def test_one_weighted_feature_logs_one_proof_line(caplog):
                     .group(1) for r in caplog.records
                     if r.getMessage().startswith("optimality proof")]
         assert verdicts == ["not proved"] * failed + ["proved"]
+
+
+# The solver's invariant guards. Each is made to fire by breaking what it
+# guards; the CLI reports any of them as an internal solver error (exit 5).
+GUARDED = generate_reviewer_instance(10, [8] * 5, "balanced", 4, seed=1)
+
+
+def test_stall_guard_fires_when_no_walk_improves(monkeypatch):
+    # Every walk prices at 0, and no withheld walk is allowed.
+    monkeypatch.setattr(solver, "edge_count", lambda t, keys: 0)
+    monkeypatch.setattr(AuxGraph, "gain", lambda graph, moves: 0)
+    with pytest.raises(RuntimeError) as raised:
+        solve(GUARDED)
+    assert str(raised.value) == \
+        "detection keeps returning non-improving walks"
+
+
+def test_descent_bound_guard_fires_past_the_bound(monkeypatch):
+    assert solve(GUARDED).iterations > 0
+    monkeypatch.setattr(solver, "_descent_bound", lambda inst, u0: 0)
+    with pytest.raises(RuntimeError) as raised:
+        solve(GUARDED)
+    assert str(raised.value) == "iterations exceeded the descent bound 0"
+
+
+def test_bookkeeping_guard_fires_when_the_objective_drifts(monkeypatch):
+    # The start is valued one above its true objective, so the running
+    # value and the final recomputation disagree.
+    def one_above(inst, w, c):
+        true = breakdown_of(inst, w, c)
+        return dataclasses.replace(true, objective=true.objective + 1)
+
+    monkeypatch.setattr(solver, "breakdown_of", one_above)
+    with pytest.raises(RuntimeError) as raised:
+        solve(GUARDED)
+    assert str(raised.value) == \
+        "objective bookkeeping drifted from recomputation"
+
+
+def test_flow_cancel_guard_fires_when_a_cycle_misprices(monkeypatch):
+    # With one weighted feature the solve cancels flow cycles; each is
+    # priced again from its moves, here one unit above its arc sum.
+    inst = dataclasses.replace(GUARDED, weights=TradeoffWeights(1, (1, 0)))
+    change_gain = flow.change_gain
+    monkeypatch.setattr(flow, "change_gain",
+                        lambda *args: change_gain(*args) + 1)
+    with pytest.raises(RuntimeError) as raised:
+        solve(inst)
+    assert str(raised.value) == "a cycle of cost -1 has exact gain 0"
