@@ -41,18 +41,16 @@ start[src] - start[dst]``: the two port terms on an inter edge, the weight
 alone on an intra edge. The cycle detectors read ``bias`` and ``start`` as
 node terms (see :mod:`divmatch.negcycle`).
 
-The graph keeps live assignment counters. Its one edge index is
-``out_edges``: an input port's out-edges are its intra edges in output-key
-order and an output port's out-edges, its inter row, are its inter edges in
-target-team order (own team skipped), so edges are found by position. An
-inter row is made by :meth:`AuxGraph.row` when its port is first held, so
-the rows of ports never held, most of the inter block on a large
-instance, are never made. Everything a team's ports hold, its offer and
-its port terms, is a function of its row of ``w`` and its counters, set
-by one per-team method, :meth:`AuxGraph._set_ports`: for every team when
-the graph is built, and after an exchange for each team whose row
-changed. No edge changes: a row, once made, is kept as it is. ``edges``
-lists every edge; its ``len`` is :func:`edge_count` and makes no row.
+The graph keeps live assignment counters and stores only its offer: an
+edge is made when its port offers it. :meth:`AuxGraph.row` makes a port's
+out-edges afresh: an input port's intra edges in output-key order, priced
+from the K x K table, and an output port's inter row in target-team order
+(own team skipped), so edges are found by position. Everything a team's
+ports hold, its offer and its port terms, is a function of its row of
+``w`` and its counters, set by one per-team method,
+:meth:`AuxGraph._set_ports`: for every team when the graph is built, and
+after an exchange for each team whose row changed. ``edges`` lists every
+edge; its ``len`` is :func:`edge_count` and makes none.
 
 A move list means its net change alone, :func:`net_change`, which
 :func:`change_gain` prices and :func:`write_change` writes into ``w`` and
@@ -62,21 +60,23 @@ both reject, before anything is written, a list that would overdraw a cell
 or change a row's size. The exact search of :mod:`divmatch.flow` prices its
 cancels by the same two functions and commits them by the third.
 
-``succ`` offers the detectors the edges they may use, per port in
-``out_edges`` order, set from ``w`` alone one team at a time. An output
-port is held while its team holds a worker of its key, and drained
-otherwise (on a large instance most are drained). A held output port offers
-its whole ``out_edges`` row and a drained one offers nothing, so an edge
-into a drained port lies on no cycle: an input port offers only its intra
-edges into its team's held output ports. An inter edge into a row that
-holds no worker ends at an input port that offers nothing, so it lies on no
-cycle either. :meth:`AuxGraph.withhold` takes a walk's edges out of the
-offer and :meth:`AuxGraph.restore` sets their teams' ports anew; no offer
-is kept, so with nothing withheld the graph equals a rebuild of ``w``.
+``succ`` offers the detectors the edges they may use, per port in ``row``
+order, set from ``w`` alone one team at a time. An output port is held
+while its team holds a worker of its key, and drained otherwise (on a
+large instance most are drained). A held output port offers its whole row
+and a drained one offers nothing, so an edge into a drained port lies on
+no cycle: an input port offers only its intra edges into its team's held
+output ports, and a team offers |held keys| * (K + t) edges in all. An
+inter edge into a row that holds no worker ends at an input port that
+offers nothing, so it lies on no cycle either. :meth:`AuxGraph.withhold`
+takes a walk's edges out of the offer and :meth:`AuxGraph.restore` sets
+their teams' ports anew; no offer is kept, so with nothing withheld the
+graph equals a rebuild of ``w``.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import getitem
 
 from .instance import Instance, TradeoffWeights
@@ -96,8 +96,9 @@ INPUT, OUTPUT = 0, 1
 
 # Bytes per edge, for the size guard: its tuple (64), its slot in its row
 # and a share of the graph's per-port tables. tracemalloc measured 80 over
-# a graph of t=50 and K=10 with every inter row made, and 88 when the graph
-# also kept a list of every edge.
+# a graph of t=50 and K=10 with every inter row made. The guard bounds the
+# graph as if every port offered its whole row: the offer holds sum over
+# teams of |held keys| * (K + t) edges, at most edge_count.
 EDGE_BYTES = 84
 # The most bytes a switch-graph may take: build_aux_graph refuses a graph
 # whose edge_count times EDGE_BYTES is larger, before it allocates any.
@@ -127,8 +128,7 @@ class AuxGraph:
     """Live switch-graph over the current assignment matrix.
 
     Exposes ``node_count``, ``succ`` (per port, the edges offered to
-    the cycle detectors), ``out_edges`` (per port, its out-edges, None for
-    an inter row not made) and the per-port price terms ``bias`` and
+    the cycle detectors) and the per-port price terms ``bias`` and
     ``start``, set one team at a time by :meth:`_set_ports`.
     Single-writer: detection never overlaps mutation.
     """
@@ -140,8 +140,6 @@ class AuxGraph:
         self.num_switches = inst.t + 1
         self.node_count = 2 * self.num_keys * self.num_switches
         self.c = count_tensor(inst, w)
-        # per port, its out-edges in edge-index order; set by _build and row
-        self.out_edges: list[list[tuple] | None] = [None] * self.node_count
         self._build()
 
     # -- node ids -----------------------------------------------------------
@@ -162,25 +160,16 @@ class AuxGraph:
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        """Add every intra edge, by team, input key and output key, then set
-        each team's ports. Port ids are made once, in ``_ports``, so the
-        edges share them."""
+        """Price the intra edges of a switch in one K x K table, all zeros
+        in the dummy switch, then set each team's ports. Port ids are made
+        once, in ``_ports``, so the edges share them."""
         weights = self.inst.weights
         columns = self.inst.types.columns
-        num_keys = self.num_keys
         real = [[_shared_value_correction(a, b, weights) for b in columns]
                 for a in columns]
-        dummy = [[0] * num_keys] * num_keys
-        ports = self._ports = list(range(self.node_count))
-        out_edges = self.out_edges
-        for team in range(self.num_switches):
-            table = real if team else dummy
-            first = self.port_id(team, INPUT, 0)
-            mid = first + num_keys
-            dst = ports[mid:mid + num_keys]
-            for src, row in zip(ports[first:mid], table):
-                out_edges[src] = [(src, port, wgt)
-                                  for port, wgt in zip(dst, row)]
+        dummy = [[0] * self.num_keys] * self.num_keys
+        self._intra = [dummy] + [real] * self.inst.t  # per team
+        self._ports = list(range(self.node_count))
         self.succ = [()] * self.node_count
         self._withheld = set()  # teams whose ports lost edges to withhold
         self.bias = [0] * self.node_count
@@ -189,17 +178,18 @@ class AuxGraph:
             self._set_ports(team)
 
     def row(self, port: int) -> list[tuple]:
-        """The out-edges of ``port``; an inter row is made when first asked
-        for, and kept."""
-        edges = self.out_edges[port]
-        if edges is None:
-            team, _, key = self.port(port)
-            own = self.port_id(team, INPUT, key)
-            src = self._ports[port]
-            edges = self.out_edges[port] = [
-                (src, dst, 0)
-                for dst in self._ports[key::2 * self.num_keys] if dst != own]
-        return edges
+        """The out-edges of ``port``, made afresh on each call: an input
+        port's intra edges in output-key order, an output port's inter row
+        in target-team order, its own team skipped."""
+        team, side, key = self.port(port)
+        ports, src = self._ports, self._ports[port]
+        if side == INPUT:
+            mid = self.port_id(team, OUTPUT, 0)
+            return list(zip(repeat(src), ports[mid:mid + self.num_keys],
+                            self._intra[team][key]))
+        dst = ports[key::2 * self.num_keys]
+        del dst[team]
+        return list(zip(repeat(src), dst, repeat(0)))
 
     @property
     def edges(self) -> _EdgeList:
@@ -219,9 +209,10 @@ class AuxGraph:
         held = [key for key, x in enumerate(row) if x]
         first = self.port_id(team, INPUT, 0)
         mid = first + self.num_keys
-        out_edges, succ = self.out_edges, self.succ
-        succ[first:mid] = [[edges[key] for key in held]
-                           for edges in out_edges[first:mid]]
+        ports, succ, table = self._ports, self.succ, self._intra[team]
+        outs = [(key, ports[mid + key]) for key in held]
+        succ[first:mid] = [[(src, dst, wgt[key]) for key, dst in outs]
+                           for src, wgt in zip(ports[first:mid], table)]
         for port, x in enumerate(row, mid):
             succ[port] = self.row(port) if x else ()
         if not team:
@@ -340,7 +331,7 @@ def write_change(w, c, change) -> None:
 class _EdgeList:
     """Every edge of a graph: intra edges by team, input key and output
     key, then inter edges by source team, target team and key. Iterating
-    makes every row."""
+    makes every edge afresh."""
 
     __slots__ = ("graph",)
 
@@ -355,7 +346,7 @@ class _EdgeList:
         teams, keys = range(g.num_switches), range(g.num_keys)
         for team in teams:
             for key in keys:
-                yield from g.out_edges[g.port_id(team, INPUT, key)]
+                yield from g.row(g.port_id(team, INPUT, key))
         for team in teams:
             rows = [g.row(g.port_id(team, OUTPUT, key)) for key in keys]
             for edges in zip(*rows):  # one target team, all keys

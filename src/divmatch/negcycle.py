@@ -99,8 +99,10 @@ def bellman_ford_detect(g) -> ExchangeCycle | None:
         cycle = _pred_cycle(pred, (last_changed,))
         if cycle is not None:
             return _cycle_of(cycle, bias)
-    # An improvement in round n proves a negative cycle, and by then the
-    # improved node's predecessor chain must contain one.
+    # Unreachable: after round k a label is the least walk of <= k edges,
+    # and a node's cycle-free predecessor chain bounds its label from below
+    # by a path's length, so a chain with no cycle after an improvement in
+    # round n would be a simple path shorter than every walk of <= n-1 edges.
     raise RuntimeError("negative cycle exists but no predecessor cycle found")
 
 

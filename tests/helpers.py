@@ -48,7 +48,7 @@ def price(g, e) -> int:
 def inter_edge(g, key: int, i1: int, i2: int):
     """The inter edge of ``g`` that moves a worker of ``key`` from team
     ``i1`` to team ``i2``: ``out(i1, key)``'s out-edges skip its own team.
-    :meth:`AuxGraph.row` makes the row of a port never held."""
+    :meth:`AuxGraph.row` makes the row afresh, held or not."""
     return g.row(g.port_id(i1, OUTPUT, key))[i2 - (i2 > i1)]
 
 
@@ -62,7 +62,8 @@ def cycle_from_moves(g, moves) -> ExchangeCycle:
 
     ``moves[p]`` must end at the team where ``moves[p+1]`` starts (cyclically);
     the connecting intra edge inside that team pairs the arriving key with the
-    departing one. Edges are found by their position in ``out_edges``.
+    departing one. Edges are found by their position in
+    :meth:`AuxGraph.row`.
     """
     edges = []
     for p, (key, i1, i2) in enumerate(moves):
@@ -70,7 +71,7 @@ def cycle_from_moves(g, moves) -> ExchangeCycle:
         if i2 != nxt[1]:
             raise ValueError("moves do not form a closed walk")
         edges.append(inter_edge(g, key, i1, i2))
-        edges.append(g.out_edges[g.port_id(i2, INPUT, key)][nxt[0]])
+        edges.append(g.row(g.port_id(i2, INPUT, key))[nxt[0]])
     return ExchangeCycle(edges, sum(price(g, e) for e in edges))
 
 

@@ -120,38 +120,31 @@ def test_port_count_class_mode():
 
 
 @pytest.mark.parametrize("worker_fraction", [0.0, 1.0])
-def test_inter_rows_are_made_when_their_port_is_first_held(worker_fraction):
-    # A build makes the inter rows of the held output ports and no other.
-    # A commit makes the rows of the ports it fills, and a row is kept once
-    # made, so the rows made are those of every port held so far.
-    # ``len(edges)`` makes no row, and iterating ``edges`` makes them all.
-    def made(g):
-        return {u for u in range(g.node_count)
-                if g.port(u)[1] == OUTPUT and g.out_edges[u] is not None}
+def test_offer_holds_k_plus_t_edges_per_held_key(worker_fraction):
+    # The graph stores only its offer: each held key of a team, the dummy
+    # team too, offers K intra edges into its output port and t inter edges
+    # out of it, after a build and after every commit. ``len(edges)`` makes
+    # no edge, and iterating ``edges`` makes them all.
+    def offer_size(g):
+        held = sum(1 for row in g.w for x in row if x)
+        return held * (g.num_keys + g.num_switches - 1)
 
-    def held(g):
-        return {g.port_id(i, OUTPUT, key) for i, row in enumerate(g.w)
-                for key, x in enumerate(row) if x}
-
+    dummy_held = 0
     for seed in range(6):
         inst = random_small_instance(seed + 70,
                                      worker_fraction=worker_fraction)
         rng = random.Random(seed)
         g = build_aux_graph(inst, random_feasible_matrix(inst, rng))
-        assert made(g) == held(g)
-        assert len(g.edges) == edge_count(inst.t, inst.types.num_columns)
-        assert made(g) == held(g)
-        rows = {u: g.out_edges[u] for u in made(g)}
-        ever = held(g)
+        assert sum(map(len, g.succ)) == offer_size(g)
+        dummy_held += any(g.w[0])
         for _ in range(5):
             moves = random_switch_simple_moves(g, rng)
             if moves:
                 g.apply_moves(moves)
-                ever |= held(g)
-                assert made(g) == ever
-        assert all(g.out_edges[u] is row for u, row in rows.items())
+                assert sum(map(len, g.succ)) == offer_size(g)
+        assert len(g.edges) == edge_count(inst.t, inst.types.num_columns)
         assert sum(1 for _ in g.edges) == len(g.edges)
-        assert all(g.out_edges[u] is not None for u in range(g.node_count))
+    assert dummy_held
 
 
 def test_build_refuses_a_graph_over_the_size_limit(monkeypatch):
@@ -317,14 +310,14 @@ def test_withhold_keeps_the_order_of_the_rest():
     g = build_aux_graph(inst, w)
     before = dump_edges(g)
     port = g.port_id(2, INPUT, 1)
-    edges = list(g.out_edges[port])
+    edges = g.row(port)
     assert w[2] == [1, 1, 1, 0]  # so out(2, 3) is drained
     assert g.succ[port] == edges[:3]
     g.withhold([edges[1]])
     assert g.succ[port] == [edges[0], edges[2]]
     g.withhold([edges[2], edges[1]])  # withholding adds up
     assert g.succ[port] == [edges[0]]
-    assert g.out_edges[port] == edges  # the edge index keeps them all
+    assert g.row(port) == edges  # the row is made whole, afresh
     g.restore()
     assert g.succ[port] == edges[:3]
     assert dump_edges(g) == before
@@ -409,8 +402,8 @@ def test_dump_format_golden():
 
 @pytest.mark.parametrize("worker_fraction", [0.0, 1.0])
 def test_finders_return_every_edge_by_position(worker_fraction):
-    # An input port's out-edges are in output-key order; an output port's
-    # are in target-team order with its own team skipped.
+    # ``row`` makes an input port's out-edges in output-key order and an
+    # output port's in target-team order with its own team skipped.
     for seed in range(6):
         inst = random_small_instance(seed + 60,
                                      worker_fraction=worker_fraction)
@@ -424,7 +417,7 @@ def test_finders_return_every_edge_by_position(worker_fraction):
                 position = key_to
             else:
                 position = team_to - (team_to > team_from)
-            assert g.out_edges[src][position] is e
+            assert g.row(src)[position] == e
 
 
 def _applicable(g, moves):
@@ -523,7 +516,8 @@ def _assert_live_offer(g):
                 if g.w[team][key] else []
             assert [g.port(e[1]) for e in g.succ[u]] == \
                 [(i, INPUT, key) for i in into]
-        assert all(e in g.out_edges[u] for e in g.succ[u])
+        row = g.row(u)
+        assert all(e in row for e in g.succ[u])
 
 
 @CHAIN_INSTANCES
@@ -595,7 +589,7 @@ def _full_offer(g, node):
     to each output port: all of an input port's intra edges, and a held
     output port's inter edges into every other row."""
     team, side, key = g.port(node)
-    return list(g.out_edges[node]) if side == INPUT or g.w[team][key] else []
+    return g.row(node) if side == INPUT or g.w[team][key] else []
 
 
 @settings(max_examples=300, deadline=None)

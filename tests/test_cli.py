@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,30 @@ def test_budget_below_one_is_an_input_error(tmp_path, capsys):
                        f"integer, got '{value}'\n")
     assert run(["verify", inst, "--budget", 1]) == 3
     assert run(["verify", inst, "--budget", 1000]) == 0
+
+
+GEN_ARGV = ["divmatch", "gen", "--papers", "1", "--clusters", "2x2",
+            "--demand", "1"]
+
+
+def test_entry_exits_with_the_status_of_main(monkeypatch, capsys):
+    # The console script's entry point: sys.exit(main()) on sys.argv.
+    monkeypatch.setattr(sys, "argv", GEN_ARGV)
+    with pytest.raises(SystemExit) as raised:
+        divmatch.cli.entry()
+    assert raised.value.code == 0
+    assert json.loads(capsys.readouterr().out)["workers"]
+
+
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+def test_module_run_as_main_calls_entry(monkeypatch, capsys):
+    # ``python -m divmatch.cli``, run in this process: runpy warns that the
+    # module is imported already, which is expected here.
+    monkeypatch.setattr(sys, "argv", GEN_ARGV)
+    with pytest.raises(SystemExit) as raised:
+        runpy.run_module("divmatch.cli", run_name="__main__")
+    assert raised.value.code == 0
+    assert json.loads(capsys.readouterr().out)["workers"]
 
 
 def run_cli_process(argv):

@@ -333,3 +333,17 @@ def test_cycle_guard_fires_on_a_cycle_that_is_not_negative():
     with pytest.raises(RuntimeError) as raised:
         negcycle._cycle_of([(0, 1, 1), (1, 0, 0)], [0, 0])
     assert str(raised.value) == "extracted cycle has weight 1, expected < 0"
+
+
+def test_round_n_guard_fires_when_no_predecessor_cycle_is_found(monkeypatch):
+    # The guard cannot fire: a node improved in round n has a cycle on its
+    # predecessor chain. With the chain walk made to find none, it does.
+    g = SimpleDigraph(3)
+    for src, dst, weight in [(0, 1, 1), (1, 2, -3), (2, 0, 1)]:
+        g.add_edge(src, dst, weight)
+    assert bellman_ford_detect(g).claimed_weight == -1
+    monkeypatch.setattr(negcycle, "_pred_cycle", lambda pred, starts: None)
+    with pytest.raises(RuntimeError) as raised:
+        bellman_ford_detect(g)
+    assert str(raised.value) == \
+        "negative cycle exists but no predecessor cycle found"
