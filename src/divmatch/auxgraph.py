@@ -94,14 +94,18 @@ __all__ = [
 
 INPUT, OUTPUT = 0, 1
 
-# Bytes per edge, for the size guard: its tuple (64), its slot in its row
-# and a share of the graph's per-port tables. tracemalloc measured 80 over
-# a graph of t=50 and K=10 with every inter row made. The guard bounds the
-# graph as if every port offered its whole row: the offer holds sum over
-# teams of |held keys| * (K + t) edges, at most edge_count.
+# The size guard prices the most edges a graph can offer (graph_price) at
+# EDGE_BYTES (a tuple of 64, its list slot and a share of the K x K intra
+# table), each port at PORT_BYTES (its four list slots, three ints and its
+# list in succ) and the graph object with its rows of w and c at
+# GRAPH_BYTES. A build's tracemalloc peak at the greedy start was 76% of
+# that on class (50,200), 83% on per-worker (25,100) and at most 84% over
+# certify-small's 2000 graphs.
 EDGE_BYTES = 84
+PORT_BYTES = 184
+GRAPH_BYTES = 8192
 # The most bytes a switch-graph may take: build_aux_graph refuses a graph
-# whose edge_count times EDGE_BYTES is larger, before it allocates any.
+# priced above it, before it allocates any.
 MAX_GRAPH_BYTES = 2**30
 
 
@@ -357,13 +361,22 @@ def build_aux_graph(inst: Instance, w) -> AuxGraph:
     """Construct the switch-graph for a valid assignment matrix, or raise
     GraphTooLargeError before allocating one over ``MAX_GRAPH_BYTES``."""
     check_assignment_matrix(inst, w)
-    edges = edge_count(inst.t, inst.types.num_columns)
-    if edges * EDGE_BYTES > MAX_GRAPH_BYTES:
+    edges, size = graph_price(inst)
+    if size > MAX_GRAPH_BYTES:
         raise GraphTooLargeError(
-            f"the switch-graph has {edges} edges, about "
-            f"{edges * EDGE_BYTES >> 20} MiB, over the "
-            f"{MAX_GRAPH_BYTES >> 20} MiB limit")
+            f"the switch-graph has up to {edges} edges, about {size >> 20} "
+            f"MiB, over the {MAX_GRAPH_BYTES >> 20} MiB limit")
     return AuxGraph(inst, w)
+
+
+def graph_price(inst: Instance) -> tuple[int, int]:
+    """``(edges, size)``: the most edges a switch-graph of ``inst`` offers
+    in any state, ``sum_i min(K, d_i) * (K + t)`` since team ``i`` holds at
+    most ``d_i`` keys, and the size guard's price of the graph in bytes."""
+    keys, t = inst.types.num_columns, inst.t
+    edges = sum(min(keys, inst.demand(i)) for i in range(t + 1)) * (keys + t)
+    ports = 2 * keys * (t + 1)
+    return edges, edges * EDGE_BYTES + ports * PORT_BYTES + GRAPH_BYTES
 
 
 def moves_of(g: AuxGraph, cycle: ExchangeCycle):

@@ -21,6 +21,7 @@ realizing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .instance import Instance
 
@@ -50,24 +51,28 @@ class ObjectiveBreakdown:
 
 
 def check_assignment_matrix(inst: Instance, w: Matrix) -> None:
-    """Validate row/column sums of an assignment matrix."""
-    types = inst.types
-    if len(w) != inst.t + 1:
+    """Validate an assignment matrix's shape, signs and row/column sums:
+    whole-row checks accept it, and row-by-row ones word a failure."""
+    width, units = inst.types.num_columns, list(inst.types.multiplicities)
+    demands = [inst.demand(i) for i in range(inst.t + 1)]
+    if len(w) == len(demands) and set(map(len, w)) == {width} \
+            and min(map(min, w)) >= 0 and list(map(sum, w)) == demands \
+            and list(map(sum, zip(*w))) == units:
+        return
+    if len(w) != len(demands):
         raise ValueError(f"matrix has {len(w)} rows, expected {inst.t + 1}")
     for i, row in enumerate(w):
-        if len(row) != types.num_columns:
+        if len(row) != width:
             raise ValueError(f"row {i} has {len(row)} columns, "
-                             f"expected {types.num_columns}")
+                             f"expected {width}")
         if any(x < 0 for x in row):
             raise ValueError(f"negative entry in row {i}")
-        if sum(row) != inst.demand(i):
+        if sum(row) != demands[i]:
             raise ValueError(f"row {i} sums to {sum(row)}, "
-                             f"expected {inst.demand(i)}")
-    for j in range(types.num_columns):
-        col = sum(w[i][j] for i in range(inst.t + 1))
-        if col != types.multiplicities[j]:
-            raise ValueError(f"column {j} sums to {col}, "
-                             f"expected {types.multiplicities[j]}")
+                             f"expected {demands[i]}")
+    for j, (col, m) in enumerate(zip(map(sum, zip(*w)), units)):
+        if col != m:
+            raise ValueError(f"column {j} sums to {col}, expected {m}")
 
 
 def count_tensor(inst: Instance, w: Matrix):
@@ -75,15 +80,16 @@ def count_tensor(inst: Instance, w: Matrix):
 
     Row 0 tracks the dummy team for bookkeeping; diversity and utility skip it.
     """
-    nf = inst.schema.num_features
-    c = [[[0] * inst.schema.value_count(k) for k in range(nf)]
-         for _ in range(inst.t + 1)]
-    for i in range(inst.t + 1):
-        for j, combo in enumerate(inst.types.columns):
-            cnt = w[i][j]
-            if cnt:
+    schema, columns = inst.schema, inst.types.columns
+    sizes = [schema.value_count(k) for k in range(schema.num_features)]
+    c = []
+    for row in w:
+        counts = [[0] * size for size in sizes]
+        for x, combo in zip(row, columns):
+            if x:
                 for k, v in enumerate(combo):
-                    c[i][k][v] += cnt
+                    counts[k][v] += x
+        c.append(counts)
     return c
 
 
@@ -101,8 +107,8 @@ def total_utility(inst: Instance, w: Matrix) -> int:
 
 
 def _cost_of(inst: Instance, w: Matrix) -> int:
-    return sum(u * x for costs, row in zip(inst.types.costs, w)
-               for u, x in zip(costs, row))
+    return sum(sum(map(mul, costs, row))
+               for costs, row in zip(inst.types.costs, w))
 
 
 def objective(inst: Instance, w: Matrix) -> ObjectiveBreakdown:
@@ -117,7 +123,7 @@ def breakdown_of(inst: Instance, w: Matrix, c) -> ObjectiveBreakdown:
     tu = _cost_of(inst, w)
     div = tuple(diversity_k(c, k) for k in range(inst.schema.num_features))
     lam = inst.weights
-    f = lam.lambda0 * tu + sum(l * d for l, d in zip(lam.lambdas, div))
+    f = lam.lambda0 * tu + sum(map(mul, lam.lambdas, div))
     return ObjectiveBreakdown(tu, div, f)
 
 

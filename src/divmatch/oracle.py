@@ -96,12 +96,12 @@ def _unit_prices(inst, rows, cols):
     unit's marginal price in a real row is its cost plus ``lambda_k *
     (2x + 1)`` for each slot, at the row's counter ``x``."""
     nf = inst.schema.num_features
-    types = inst.types
-    slots = [[(lam, k + nf * v) for k, (lam, v) in
-              enumerate(zip(inst.weights.lambdas, types.columns[j])) if lam]
+    types, lambda0 = inst.types, inst.weights.lambda0
+    weighted = [(k, lam) for k, lam in enumerate(inst.weights.lambdas) if lam]
+    slots = [[(lam, k + nf * types.columns[j][k]) for k, lam in weighted]
              for j in cols]
-    costs = [[inst.weights.lambda0 * types.costs[i][j] for j in cols]
-             for i in rows]
+    costs = [[lambda0 * row[j] for j in cols]
+             for row in map(types.costs.__getitem__, rows)]
     return slots, costs
 
 
@@ -114,8 +114,8 @@ def _greedy_split(rows, slots, costs, counts, totals):
     the first row; the dummy row, if ``rows`` has one, takes what is left.
     Each row keeps its least ``(price, type)`` over the types with units
     left. A unit changes prices only in the row that takes it, so only that
-    row is priced again, and so is every row whose least type runs out: a
-    unit costs O(types + rows), and a type that runs out at most one
+    row is priced again, and so is every other row whose least type runs
+    out: a unit costs O(types + rows), and a type that runs out at most one
     pricing per row. Returns ``(value, split)``."""
     # A unit on counter slot f raises the price of every type q on that
     # slot in its row by 2*lambda_k.
@@ -123,8 +123,8 @@ def _greedy_split(rows, slots, costs, counts, totals):
     for q, row in enumerate(slots):
         for lam, f in row:
             sharers[f].append((q, 2 * lam))
-    price = [[cost + sum(lam for lam, _ in slots[p])
-              for p, cost in enumerate(row)] for row in costs]
+    base = [sum(lam for lam, _ in row) for row in slots]
+    price = [[cost + b for cost, b in zip(row, base)] for row in costs]
     left = list(counts)
     live = [p for p, units in enumerate(left) if units]
     room = [total if i != 0 else 0 for i, total in zip(rows, totals)]
@@ -142,15 +142,16 @@ def _greedy_split(rows, slots, costs, counts, totals):
         left[p] -= 1
         room[r] -= 1
         split[r][p] += 1
+        row = price[r]
         for _, f in slots[p]:
             for q, step in sharers[f]:
-                price[r][q] += step
-        stale = [r]
+                row[q] += step
         if not left[p]:
             live.remove(p)
-            stale += [s for s, b in enumerate(best) if b and b[1] == p]
-        for s in stale:
-            best[s] = least(s)
+            for s, b in enumerate(best):
+                if b and b[1] == p and s != r:
+                    best[s] = least(s)
+        best[r] = least(r)
     if 0 in rows:
         split[rows.index(0)] = left
     return value, split
@@ -197,6 +198,12 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     slots, costs = _unit_prices(inst, rows, cols)
     steps = [2 * sum(lam for lam, _ in row) for row in slots]
     real = [i != 0 for i in rows]
+    # Per type: its counter slots, each with its 2*lambda_k, and per real
+    # row the price of its first unit at zero counters.
+    fs = [[f for _, f in row] for row in slots]
+    pairs = [[(2 * lam, f) for lam, f in row] for row in slots]
+    first = [[cost + step // 2 for cost, step in zip(row, steps)]
+             for row in costs]
     caps = list(totals)
     split = [[0] * len(cols) for _ in rows]
     c = [[0] * nf * (1 + max(map(max, inst.types.columns))) for _ in rows]
@@ -207,8 +214,7 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     units = [0] * (len(cols) + 1)
     prices = []
     for p in range(len(cols) - 1, -1, -1):
-        least = min((costs[r][p] + steps[p] // 2 for r in open_rows),
-                    default=0)
+        least = min((first[r][p] for r in open_rows), default=0)
         prices += [least] * counts[p]
         prices.sort()
         tails[p] = list(accumulate(prices, initial=0))
@@ -235,65 +241,74 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     def distribute(p, ri, left, partial):
         # Row ri takes y type-p workers. Unit y+1 adds lambda0*cost +
         # sum_k lambda_k*(2x+1) at counters x, the first unit's marginal
-        # plus y*steps[p], so the partial value is non-decreasing in y (row
-        # 0 adds nothing; its counters are kept but never read). When row
-        # ri is the last but one, the last row takes the rest in place: its
-        # marginal is fixed while y varies.
+        # plus y*steps[p], so the partial value is non-decreasing in y. Row
+        # 0 adds nothing, so its counters are not kept.
         u = units[p + 1]
         if dummy is not None:
             u -= caps[dummy]
         floor = tails[p + 1][u if u > 0 else 0]
         top = left if left < caps[ri] else caps[ri]
         cr = c[ri]
-        marginal = step = 0
+        marginal, step, fp = 0, 0, ()
         if real[ri]:
-            marginal, step = costs[ri][p], steps[p]
-            for lam, f in slots[p]:
-                marginal += lam * (2 * cr[f] + 1)
+            marginal, step, fp = first[ri][p], steps[p], fs[p]
+            for step_f, f in pairs[p]:
+                marginal += step_f * cr[f]
         y = 0
-        fill = ri + 1 == r_last
-        if fill:
+        if ri + 1 < r_last:
+            while partial + floor <= limit:
+                caps[ri] -= y
+                split[ri][p] = y
+                distribute(p, ri + 1, left - y, partial)
+                caps[ri] += y
+                if y == top:
+                    break
+                partial += marginal + step * y
+                y += 1
+                for f in fp:
+                    cr[f] += 1
+        else:
+            # Row ri is the last but one, so the last row takes the rest in
+            # place: its marginal is fixed while y varies.
             room = caps[r_last]
             y = left - room if left > room else 0
             if y > top:
                 return
-            last_c = c[r_last]
-            last_marginal = last_step = 0
+            last = c[r_last]
+            last_marginal, last_step, last_fp = 0, 0, ()
             if real[r_last]:
-                last_marginal, last_step = costs[r_last][p], steps[p]
-                for lam, f in slots[p]:
-                    last_marginal += lam * (2 * last_c[f] + 1)
-        partial += y * marginal + step * y * (y - 1) // 2
-        for _, f in slots[p]:
-            cr[f] += y
-        while partial + floor <= limit:
-            caps[ri] -= y
-            split[ri][p] = y
-            if fill:
+                last_marginal, last_step = first[r_last][p], steps[p]
+                last_fp = fs[p]
+                for step_f, f in pairs[p]:
+                    last_marginal += step_f * last[f]
+            partial += y * marginal + step * y * (y - 1) // 2
+            for f in fp:
+                cr[f] += y
+            while partial + floor <= limit:
                 z = left - y
                 value = partial + z * last_marginal + \
                     last_step * z * (z - 1) // 2
                 if value + floor <= limit:
+                    caps[ri] -= y
                     caps[r_last] -= z
+                    split[ri][p] = y
                     split[r_last][p] = z
-                    for _, f in slots[p]:
-                        last_c[f] += z
+                    for f in last_fp:
+                        last[f] += z
                     place(p + 1, value)
-                    for _, f in slots[p]:
-                        last_c[f] -= z
+                    for f in last_fp:
+                        last[f] -= z
+                    caps[ri] += y
                     caps[r_last] += z
                     split[r_last][p] = 0
-            else:
-                distribute(p, ri + 1, left - y, partial)
-            caps[ri] += y
-            if y == top:
-                break
-            partial += marginal + step * y
-            y += 1
-            for _, f in slots[p]:
-                cr[f] += 1
+                if y == top:
+                    break
+                partial += marginal + step * y
+                y += 1
+                for f in fp:
+                    cr[f] += 1
         split[ri][p] = 0
-        for _, f in slots[p]:
+        for f in fp:
             cr[f] -= y
 
     def place(p, partial):

@@ -11,8 +11,8 @@ it (``cycle``, a detected walk; ``resplit``, a re-split of a few teams;
 ``flow``, a cancel of the flow network), and ``commit`` is the call that
 applies it. The loop's bookkeeping is the same for every source: the
 iteration cap, the descent bound, one :class:`IterationRecord` per commit,
-and the objective, evaluated at the start from the search's counters and
-once in full at the end, as a check that the committed gains add up.
+and the objective: the greedy's value of the start (:func:`_greedy_start`),
+checked with the committed gains against one full evaluation at the end.
 
 Each step that has no switch-graph, or whose graph offers no improving
 walk, first tries to prove the state a global optimum with
@@ -63,7 +63,7 @@ from .auxgraph import apply_and_update, build_aux_graph, edge_count, \
 from .flow import _cancel, _part_cycle, _proof
 from .instance import Instance
 from .negcycle import DETECTORS
-from .objective import ObjectiveBreakdown, breakdown_of, count_tensor, \
+from .objective import ObjectiveBreakdown, _cost_of, count_tensor, \
     objective, total_utility
 from .oracle import _greedy_split, _unit_prices, best_split, split_count
 
@@ -127,10 +127,17 @@ def initial_feasible(inst: Instance) -> list[list[int]]:
     the (type, team with room) pair of least marginal objective price at the
     counts so far, ties to the first type, then to the first team; the
     dummy team keeps what is left. A worker costs O(num_columns + t)."""
+    return _greedy_start(inst)[1]
+
+
+def _greedy_start(inst: Instance):
+    """``(value, w)``: :func:`initial_feasible`'s ``w`` and its objective,
+    the sum of its units' marginal prices ``lambda0 * cost + sum_k lambda_k
+    * (2x + 1)``, which is ``lambda0 * TU + sum_k lambda_k * D_k``."""
     rows, cols = range(inst.t + 1), range(inst.types.num_columns)
     return _greedy_split(rows, *_unit_prices(inst, rows, cols),
                          list(inst.types.multiplicities),
-                         [inst.demand(i) for i in rows])[1]
+                         [inst.demand(i) for i in rows])
 
 
 def iteration_bound(inst: Instance) -> int:
@@ -261,10 +268,9 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     network and, unless capped, ends proved; otherwise it searches the
     switch-graph."""
     cfg = cfg or SolverConfig()
-    search = _Search(inst, initial_feasible(inst), DETECTORS[cfg.detector])
-    initial = breakdown_of(inst, search.w, search.c)
-    bound = _descent_bound(inst, initial.tu)
-    current = initial.objective
+    current, start = _greedy_start(inst)
+    search = _Search(inst, start, DETECTORS[cfg.detector])
+    bound = _descent_bound(inst, _cost_of(inst, start))
     initial_objective = current
     trace: list[IterationRecord] = []
     iterations = 0

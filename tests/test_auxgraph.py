@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import networkx as nx
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divmatch import auxgraph
-from divmatch.auxgraph import (EDGE_BYTES, INPUT, OUTPUT,
-                               CycleApplicationError, GraphTooLargeError,
+from divmatch.auxgraph import (EDGE_BYTES, GRAPH_BYTES, INPUT, OUTPUT,
+                               PORT_BYTES, CycleApplicationError,
+                               GraphTooLargeError,
                                apply_and_update, build_aux_graph, edge_count,
                                moves_of)
 from divmatch.instance import (Team, TradeoffWeights, convert_cost_mode,
@@ -148,15 +150,40 @@ def test_offer_holds_k_plus_t_edges_per_held_key(worker_fraction):
 
 
 def test_build_refuses_a_graph_over_the_size_limit(monkeypatch):
-    # The guard prices the graph by edge_count before allocating it.
+    # The guard prices the most the graph can offer before allocating it:
+    # each team holds at most min(K, demand) keys of K + t edges each.
     inst = small_instance()
+    keys = inst.types.num_columns
+    edges = sum(min(keys, inst.demand(i)) for i in range(inst.t + 1)) * \
+        (keys + inst.t)
+    assert edges < edge_count(inst.t, keys)
     w = random_feasible_matrix(inst, random.Random(0))
-    need = EDGE_BYTES * edge_count(inst.t, inst.types.num_columns)
+    need = EDGE_BYTES * edges + PORT_BYTES * 2 * keys * (inst.t + 1) + \
+        GRAPH_BYTES
     monkeypatch.setattr(auxgraph, "MAX_GRAPH_BYTES", need)
     build_aux_graph(inst, w)
     monkeypatch.setattr(auxgraph, "MAX_GRAPH_BYTES", need - 1)
-    with pytest.raises(GraphTooLargeError, match="112 edges"):
+    with pytest.raises(GraphTooLargeError, match=f" {edges} edges"):
         build_aux_graph(inst, w)
+
+
+@pytest.mark.parametrize("mode", ["class", "worker"])
+def test_size_guard_price_covers_the_measured_graph(mode):
+    # tracemalloc's peak over a build, at a random state and at the greedy
+    # start, stays under the guard's price.
+    inst = convert_cost_mode(generate_reviewer_instance(
+        10, [8] * 5, "balanced", 4, seed=1), mode)
+    inst.types  # built once, not a part of the graph
+    for w in (random_feasible_matrix(inst, random.Random(3)),
+              initial_feasible(inst)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build_aux_graph(inst, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= auxgraph.graph_price(inst)[1]
 
 
 def test_edges_are_tuples_the_collector_stops_tracking():

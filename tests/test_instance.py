@@ -91,6 +91,7 @@ def test_malformed_json_rejected():
      r"cost table has 0 rows, expected one row per team \(1\)"),
     (dict(costs={"mode": "table", "u": [[0, 0]]}),
      "unknown cost mode 'table'"),
+    (dict(lambdas=[1, 1]), "expected 1 lambdas, got 2"),
 ])
 def test_validation(mutate, needle):
     if needle is None:

@@ -113,12 +113,26 @@ def test_objective_rejects_bad_matrix():
      ValueError, "negative entry in row 1"),
     (lambda: check_assignment_matrix(TWO_TEAMS, [[0, 0], [2, 0], [2, 0]]),
      ValueError, "column 0 sums to 4, expected 2"),
+    # each of these breaks one rule and keeps the rest where it can: a
+    # negative cell with every sum right, row sums off by one with the
+    # column sums right, and column sums off by one with the row sums right
+    (lambda: check_assignment_matrix(TWO_TEAMS, [[0, 0], [1, 1]]),
+     ValueError, "matrix has 2 rows, expected 3"),
+    (lambda: check_assignment_matrix(TWO_TEAMS, [[0, 0], [1, 1], [1]]),
+     ValueError, "row 2 has 1 columns, expected 2"),
+    (lambda: check_assignment_matrix(TWO_TEAMS, [[0, 0], [3, -1], [-1, 3]]),
+     ValueError, "negative entry in row 1"),
+    (lambda: check_assignment_matrix(TWO_TEAMS, [[0, 0], [2, 1], [0, 1]]),
+     ValueError, "row 1 sums to 3, expected 2"),
+    (lambda: check_assignment_matrix(TWO_TEAMS, [[0, 0], [1, 1], [0, 2]]),
+     ValueError, "column 0 sums to 1, expected 2"),
     (lambda: embed(TWO_TEAMS, BALANCED, 2), IndexError,
      "feature index 2 out of range"),
     (lambda: embed(TWO_TEAMS, BALANCED, -1), IndexError,
      "feature index -1 out of range"),
-], ids=["short-row", "negative-entry", "column-sum", "embed-k2",
-        "embed-k-1"])
+], ids=["short-row", "negative-entry", "column-sum", "row-count",
+        "last-row-short", "negative-cell-sums-kept", "row-sum-columns-kept",
+        "column-sum-rows-kept", "embed-k2", "embed-k-1"])
 def test_matrix_checks_reject_bad_input(check, error, message):
     with pytest.raises(error) as raised:
         check()

@@ -83,6 +83,28 @@ def test_initial_feasible_is_the_feasible_greedy_split(seed, worker_costs,
         value
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), worker_costs=st.booleans(),
+       lambda0=st.integers(1, 3), data=st.data())
+def test_greedy_start_value_is_the_objective_of_its_matrix(
+        seed, worker_costs, lambda0, data):
+    # The solve starts its running objective at the greedy's own value,
+    # the sum of its units' marginal prices, with no evaluation of the
+    # matrix; it must be the matrix's objective, also where features are
+    # weighted zero.
+    inst = random_small_instance(seed, max_n=18, max_t=6, max_columns=6,
+                                 worker_fraction=float(worker_costs))
+    lambdas = data.draw(st.lists(st.integers(0, 3),
+                                 min_size=inst.schema.num_features,
+                                 max_size=inst.schema.num_features))
+    inst = dataclasses.replace(
+        inst, weights=TradeoffWeights(lambda0, tuple(lambdas)))
+    assert 1 <= inst.t <= 6
+    value, w = solver._greedy_start(inst)
+    assert w == initial_feasible(inst)
+    assert value == objective(inst, initial_feasible(inst)).objective
+
+
 def test_initial_feasible_zero_demands():
     inst = make({
         "features": [{"name": "c", "values": ["A"]}],
@@ -1301,11 +1323,13 @@ def test_descent_bound_guard_fires_past_the_bound(monkeypatch):
 def test_bookkeeping_guard_fires_when_the_objective_drifts(monkeypatch):
     # The start is valued one above its true objective, so the running
     # value and the final recomputation disagree.
-    def one_above(inst, w, c):
-        true = breakdown_of(inst, w, c)
-        return dataclasses.replace(true, objective=true.objective + 1)
+    greedy_start = solver._greedy_start
 
-    monkeypatch.setattr(solver, "breakdown_of", one_above)
+    def one_above(inst):
+        value, w = greedy_start(inst)
+        return value + 1, w
+
+    monkeypatch.setattr(solver, "_greedy_start", one_above)
     with pytest.raises(RuntimeError) as raised:
         solve(GUARDED)
     assert str(raised.value) == \

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import divmatch
-from divmatch.auxgraph import EDGE_BYTES, MAX_GRAPH_BYTES, edge_count
+from divmatch.auxgraph import MAX_GRAPH_BYTES, graph_price
 from divmatch.negcycle import DETECTORS
 from divmatch.oracle import BudgetExceededError, enumerate_optimal
 from divmatch.solver import SolverConfig, solve
@@ -173,8 +173,7 @@ def test_every_digest_instance_is_under_the_graph_size_limit():
     # The digest's workloads include every benchmark instance and the
     # largest the tests solve; the size guard must refuse none of them.
     tool = load_module("trace_digest", SCRIPT)
-    largest = max(edge_count(inst.t, inst.types.num_columns)
-                  for build in tool.WORKLOADS.values()
-                  for inst in build(divmatch, 1))
-    assert largest == 325_000  # the (25, 100) per-worker rung
-    assert largest * EDGE_BYTES < MAX_GRAPH_BYTES / 10
+    edges, size = max(graph_price(inst) for build in tool.WORKLOADS.values()
+                      for inst in build(divmatch, 1))
+    assert edges == 97_600  # the n800 rung
+    assert size < MAX_GRAPH_BYTES / 10

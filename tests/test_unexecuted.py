@@ -73,7 +73,7 @@ def test_lists_what_the_known_bad_digest_never_runs():
             ("cli.py", "sys.exit(main())")]:
         assert place(module, text) in places
     for module, text in [
-            ("solver.py", "search = _Search(inst, initial_feasible(inst)"),
+            ("solver.py", "current, start = _greedy_start(inst)"),
             ("oracle.py", "space = split_count(types.multiplicities"),
             ("instance.py", "if not self.workers:")]:
         assert place(module, text) not in places
