@@ -51,26 +51,21 @@ class ObjectiveBreakdown:
 
 
 def check_assignment_matrix(inst: Instance, w: Matrix) -> None:
-    """Validate an assignment matrix's shape, signs and row/column sums:
-    whole-row checks accept it, and row-by-row ones word a failure."""
-    width, units = inst.types.num_columns, list(inst.types.multiplicities)
-    demands = [inst.demand(i) for i in range(inst.t + 1)]
-    if len(w) == len(demands) and set(map(len, w)) == {width} \
-            and min(map(min, w)) >= 0 and list(map(sum, w)) == demands \
-            and list(map(sum, zip(*w))) == units:
-        return
-    if len(w) != len(demands):
+    """Validate an assignment matrix's shape, signs and row/column sums."""
+    width = inst.types.num_columns
+    if len(w) != inst.t + 1:
         raise ValueError(f"matrix has {len(w)} rows, expected {inst.t + 1}")
     for i, row in enumerate(w):
         if len(row) != width:
             raise ValueError(f"row {i} has {len(row)} columns, "
                              f"expected {width}")
-        if any(x < 0 for x in row):
+        if min(row, default=0) < 0:
             raise ValueError(f"negative entry in row {i}")
-        if sum(row) != demands[i]:
-            raise ValueError(f"row {i} sums to {sum(row)}, "
-                             f"expected {demands[i]}")
-    for j, (col, m) in enumerate(zip(map(sum, zip(*w)), units)):
+        total, demand = sum(row), inst.demand(i)
+        if total != demand:
+            raise ValueError(f"row {i} sums to {total}, expected {demand}")
+    for j, (col, m) in enumerate(zip(map(sum, zip(*w)),
+                                     inst.types.multiplicities)):
         if col != m:
             raise ValueError(f"column {j} sums to {col}, expected {m}")
 

@@ -242,7 +242,9 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
         # Row ri takes y type-p workers. Unit y+1 adds lambda0*cost +
         # sum_k lambda_k*(2x+1) at counters x, the first unit's marginal
         # plus y*steps[p], so the partial value is non-decreasing in y. Row
-        # 0 adds nothing, so its counters are not kept.
+        # 0 adds nothing, so its counters are not kept. When row ri is the
+        # last but one, the last row takes the rest in place: its marginal
+        # is fixed while y varies.
         u = units[p + 1]
         if dummy is not None:
             u -= caps[dummy]
@@ -255,58 +257,48 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
             for step_f, f in pairs[p]:
                 marginal += step_f * cr[f]
         y = 0
-        if ri + 1 < r_last:
-            while partial + floor <= limit:
-                caps[ri] -= y
-                split[ri][p] = y
-                distribute(p, ri + 1, left - y, partial)
-                caps[ri] += y
-                if y == top:
-                    break
-                partial += marginal + step * y
-                y += 1
-                for f in fp:
-                    cr[f] += 1
-        else:
-            # Row ri is the last but one, so the last row takes the rest in
-            # place: its marginal is fixed while y varies.
+        fill = ri + 1 == r_last
+        if fill:
             room = caps[r_last]
             y = left - room if left > room else 0
             if y > top:
                 return
-            last = c[r_last]
+            last_c = c[r_last]
             last_marginal, last_step, last_fp = 0, 0, ()
             if real[r_last]:
                 last_marginal, last_step = first[r_last][p], steps[p]
                 last_fp = fs[p]
                 for step_f, f in pairs[p]:
-                    last_marginal += step_f * last[f]
-            partial += y * marginal + step * y * (y - 1) // 2
-            for f in fp:
-                cr[f] += y
-            while partial + floor <= limit:
+                    last_marginal += step_f * last_c[f]
+        partial += y * marginal + step * y * (y - 1) // 2
+        for f in fp:
+            cr[f] += y
+        while partial + floor <= limit:
+            caps[ri] -= y
+            split[ri][p] = y
+            if fill:
                 z = left - y
                 value = partial + z * last_marginal + \
                     last_step * z * (z - 1) // 2
                 if value + floor <= limit:
-                    caps[ri] -= y
                     caps[r_last] -= z
-                    split[ri][p] = y
                     split[r_last][p] = z
                     for f in last_fp:
-                        last[f] += z
+                        last_c[f] += z
                     place(p + 1, value)
                     for f in last_fp:
-                        last[f] -= z
-                    caps[ri] += y
+                        last_c[f] -= z
                     caps[r_last] += z
                     split[r_last][p] = 0
-                if y == top:
-                    break
-                partial += marginal + step * y
-                y += 1
-                for f in fp:
-                    cr[f] += 1
+            else:
+                distribute(p, ri + 1, left - y, partial)
+            caps[ri] += y
+            if y == top:
+                break
+            partial += marginal + step * y
+            y += 1
+            for f in fp:
+                cr[f] += 1
         split[ri][p] = 0
         for f in fp:
             cr[f] -= y

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divmatch import auxgraph
-from divmatch.auxgraph import (EDGE_BYTES, GRAPH_BYTES, INPUT, OUTPUT,
-                               PORT_BYTES, CycleApplicationError,
+from divmatch.auxgraph import (INPUT, OUTPUT, CycleApplicationError,
                                GraphTooLargeError,
                                apply_and_update, build_aux_graph, edge_count,
                                moves_of)
@@ -150,20 +149,17 @@ def test_offer_holds_k_plus_t_edges_per_held_key(worker_fraction):
 
 
 def test_build_refuses_a_graph_over_the_size_limit(monkeypatch):
-    # The guard prices the most the graph can offer before allocating it:
-    # each team holds at most min(K, demand) keys of K + t edges each.
+    # The guard prices the most the graph can offer before allocating it.
+    # Here K = 4, t = 3 and the teams' demands are 0, 3, 3, 2, so the teams
+    # hold at most 8 keys of K + t edges each: 56 edges, half of
+    # edge_count's 112, at 84 bytes, 32 ports at 184 and the graph's 8192.
     inst = small_instance()
-    keys = inst.types.num_columns
-    edges = sum(min(keys, inst.demand(i)) for i in range(inst.t + 1)) * \
-        (keys + inst.t)
-    assert edges < edge_count(inst.t, keys)
+    assert 56 < edge_count(inst.t, inst.types.num_columns)
     w = random_feasible_matrix(inst, random.Random(0))
-    need = EDGE_BYTES * edges + PORT_BYTES * 2 * keys * (inst.t + 1) + \
-        GRAPH_BYTES
-    monkeypatch.setattr(auxgraph, "MAX_GRAPH_BYTES", need)
+    monkeypatch.setattr(auxgraph, "MAX_GRAPH_BYTES", 18784)
     build_aux_graph(inst, w)
-    monkeypatch.setattr(auxgraph, "MAX_GRAPH_BYTES", need - 1)
-    with pytest.raises(GraphTooLargeError, match=f" {edges} edges"):
+    monkeypatch.setattr(auxgraph, "MAX_GRAPH_BYTES", 18783)
+    with pytest.raises(GraphTooLargeError, match=" 56 edges"):
         build_aux_graph(inst, w)
 
 
