@@ -6,19 +6,16 @@ the type-count matrix alone, and the oracle enumerates count matrices.
 :func:`best_split` does the enumeration over any set of rows: the oracle
 runs it on all rows, the solver's re-split sweep on two or three rows, or
 on all that hold workers where at most four do, each subset only when its
-flow optimality test does not certify it.
-Partial objectives only grow as workers are placed, so branches whose
-partial value plus a lower bound on the rest (see :func:`best_split`) is
-already above the limit are pruned without affecting exactness, the
-optimum returned or the count of optima. The limit is the best value so
-far; with no incumbent it starts at the value of a greedy split
-(:func:`_greedy_split`, over all rows also the solver's start), which no
-optimum exceeds. The last row takes whatever its predecessors leave, so it
-is filled in place rather than searched. The oracle searches the types in
-descending order of their cost spread over the real teams times their
-multiplicity, so that the bound cuts early, and breaks ties by index
-order: its matrix and its optima are the first in an index-order search,
-whatever order it searched in. :func:`split_count` is the search space.
+flow optimality test does not certify it. A team's share of the objective
+depends only on the workers it holds, so the search prices each team's
+sub-multisets of the pooled workers once and joins the teams by
+branch-and-bound. It prunes against the best value so far, at first just
+below an incumbent or at the value of a greedy split (:func:`_greedy_split`,
+over all rows also the solver's start), which no optimum exceeds, and
+breaks ties by index order: pruning changes neither the optimum, the matrix
+returned nor the count of optima. :func:`split_count`, the budget's
+measure, counts candidate matrices without row totals, far more than the
+search visits.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import mul
 
 from .instance import Instance
 
@@ -54,29 +52,16 @@ def enumerate_optimal(inst: Instance, budget: int = DEFAULT_BUDGET,
                       collect_optima: bool = False) -> OracleResult:
     """Exact minimum of the objective over all feasible assignments. Of the
     optimal matrices, ``matrix`` and ``optima`` are the first in index
-    order, as :func:`best_split` orders splits by its ``order``."""
+    order, as :func:`best_split` orders ties."""
     types = inst.types
     rows = range(inst.t + 1)
     space = split_count(types.multiplicities, len(rows))
     if space > budget:
         raise BudgetExceededError(
             f"{space} candidate matrices exceed the budget of {budget}")
-    # Types of widest cost spread over the real teams, times multiplicity,
-    # go first: where they go moves the value most, so the bound cuts early.
-    spread = [(max(col) - min(col)) * u for col, u in
-              zip(zip(*types.costs[1:]), types.multiplicities)]
-    cols = sorted(range(types.num_columns), key=lambda j: -spread[j])
-    order = sorted(range(types.num_columns), key=cols.__getitem__)
-    best, split, count, optima = best_split(
-        inst, rows, cols, [types.multiplicities[j] for j in cols],
-        [inst.demand(i) for i in rows], collect=collect_optima, order=order)
-
-    def in_index_order(m):
-        return [[row[p] for p in order] for row in m]
-
-    w = in_index_order(split)
-    if optima is not None:
-        optima = [in_index_order(m) for m in optima]
+    best, w, count, optima = best_split(
+        inst, rows, range(types.num_columns), types.multiplicities,
+        [inst.demand(i) for i in rows], collect=collect_optima)
     return OracleResult(best, w, count, optima)
 
 
@@ -165,166 +150,178 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     Returns ``(value, split, count, optima)``: the least value of the rows'
     share of the objective, an optimal split ``split[r][p]``, the number of
     optimal splits and, when ``collect``, up to ``OPTIMA_CAP`` of them.
-    Types are placed in the order of ``cols``, each split over ``rows`` in
-    order, each row taking 0, 1, ... workers. Ties go by ``order``, a list
-    of the positions ``p`` (by default ``0, 1, ...``, the search order): of
-    the optimal splits, ``split`` is the first and ``optima`` the first
-    ``OPTIMA_CAP`` in the lexicographic order of their types' counts, type
-    ``cols[p]`` for each ``p`` in ``order``, each over ``rows`` in order.
-    A tying leaf is compared with the kept ones, so no list of every
-    optimum is kept. Without an ``incumbent`` every optimal split is
-    counted, and the search starts with the value of :func:`_greedy_split`
-    as its limit, which every optimal split is at or below. With an
-    incumbent, only splits strictly below it are explored, ``split`` is the
-    first one in search order, or None when there is none, and ``count`` is
-    1 or 0. Needs two or more rows: the last one takes the rest of each
-    type, in place.
+    Ties go by ``order``, a list of the positions ``p`` (by default ``0, 1,
+    ...``): ``split`` is the first optimal split and ``optima`` the first
+    ``OPTIMA_CAP`` in the lexicographic order of their counts, type
+    ``cols[p]`` for each ``p`` in ``order``, each over ``rows`` but the last.
+    Without an ``incumbent`` every optimal split is counted. With one, only
+    splits strictly below it count: ``split`` is None when there is none,
+    ``count`` is 1 or 0 and ``optima`` holds ``split`` alone.
 
-    A branch is cut once its partial value plus a lower bound on the types
-    not yet placed exceeds the limit: the best value so far (one less with
-    an incumbent), which never cuts a split that would be returned or
-    counted. A unit of type ``p`` in a real row adds at least ``m_p``, its
-    least first-unit price over the real rows with a positive total, and
-    counters only grow, so later units add no less. The dummy row (team 0)
-    adds nothing but takes at most its remaining capacity; at best it
-    takes the dearest units. So the types still to place add at least the
-    sum of the ``units - capacity`` cheapest of their ``m_p``, or of all of
-    them when ``rows`` has no dummy row. Units that the current type still
-    puts into the dummy row only make its capacity an overestimate, which
-    weakens the bound but keeps it valid.
+    The rest row (the dummy row if it takes workers, else the last row)
+    takes what the others leave. Every other row gets a table of the
+    sub-multisets of ``counts`` of its total, priced exactly and sorted by
+    value, and a branch-and-bound joins the tables: each row scans its
+    entries in ascending value until the partial value plus the entry plus
+    the later rows' least entries exceeds the limit, and takes those that
+    fit the workers left. A real rest row is priced by its own table; a
+    rest missing from it cannot be optimal. The limit is the best value so
+    far, at first one less than the incumbent or, without one, the value
+    of :func:`_greedy_split`, which no optimum exceeds.
+
+    A row's value is at least its floor, the sum of its total's cheapest
+    first-unit prices (at zero counters; counters only grow), so a table
+    keeps only entries of at most the limit less the other rows' floors
+    (their least entries, once tabled). Within a row, a branch is cut once
+    its partial value plus the units left at the least first-unit price of
+    the types still to place exceeds that cap. Each type's count takes a
+    field of ``bit_length(count) + 1`` bits whose top bit is a guard, set
+    in the workers left: an entry fits exactly when subtracting it clears
+    no guard bit.
     """
-    nf = inst.schema.num_features
-    r_last = len(rows) - 1
     slots, costs = _unit_prices(inst, rows, cols)
+    num_slots = inst.schema.num_features * \
+        (1 + max(map(max, inst.types.columns)))
     steps = [2 * sum(lam for lam, _ in row) for row in slots]
-    real = [i != 0 for i in rows]
-    # Per type: its counter slots, each with its 2*lambda_k, and per real
-    # row the price of its first unit at zero counters.
+    # Per type: its counter slots, each with its 2*lambda_k, and per row
+    # the price of its first unit at zero counters (0 in the dummy row,
+    # which is tabled only when it takes no worker).
     fs = [[f for _, f in row] for row in slots]
     pairs = [[(2 * lam, f) for lam, f in row] for row in slots]
     first = [[cost + step // 2 for cost, step in zip(row, steps)]
-             for row in costs]
-    caps = list(totals)
-    split = [[0] * len(cols) for _ in rows]
-    c = [[0] * nf * (1 + max(map(max, inst.types.columns))) for _ in rows]
-    # tails[p][u] is the sum of the u cheapest unit prices m among types
-    # p.., of which there are units[p]; dummy is the dummy row's index.
-    open_rows = [r for r, total in enumerate(totals) if total > 0 and real[r]]
-    tails = [[0]] * (len(cols) + 1)
-    units = [0] * (len(cols) + 1)
-    prices = []
-    for p in range(len(cols) - 1, -1, -1):
-        least = min((first[r][p] for r in open_rows), default=0)
-        prices += [least] * counts[p]
-        prices.sort()
-        tails[p] = list(accumulate(prices, initial=0))
-        units[p] = len(prices)
-    dummy = None if all(real) else real.index(False)
+             if i else [0] * len(cols) for i, row in zip(rows, costs)]
+    num_rows, num_types = len(rows), len(cols)
+    rest = rows.index(0) if 0 in rows and totals[rows.index(0)] else \
+        num_rows - 1
+    units, shifts, masks, guard, shift = [], [], [], 0, 0
+    for u in counts:
+        width = u.bit_length()
+        units.append(1 << shift)
+        shifts.append(shift)
+        masks.append((1 << width) - 1)
+        guard |= 1 << (shift + width)
+        shift += width + 1
+    pool = guard + sum(map(mul, counts, units))
+    # more[p] is the units of types p..: type p takes what later types
+    # cannot hold.
+    more = list(accumulate(reversed(counts), initial=0))[::-1]
 
-    # A branch is cut once its partial value plus the floor of the types
-    # still to place exceeds ``limit``: the best value so far, or one less
-    # when only strict improvements count.
-    if incumbent is None:
-        slack = 0
-        limit = _greedy_split(rows, slots, costs, counts, totals)[0]
-    else:
-        slack, limit = 1, incumbent - 1
-    best = incumbent
-    chosen = chosen_key = None
-    count = 0
+    floors = [sum(sorted(price for price, u in zip(row, counts)
+                         for _ in range(u))[:total])
+              for row, total in zip(first, totals)]
+    limit = incumbent - 1 if incumbent is not None else \
+        _greedy_split(rows, slots, costs, counts, totals)[0]
+    spare = limit - sum(floors)
+
+    def table(r):
+        nonlocal spare
+        # Every sub-multiset of ``counts`` of size ``totals[r]`` whose value
+        # in row r is at most the row's cap, as (value, packed) in
+        # ascending order. Unit y+1 of type p adds its first-unit price
+        # plus sum_k 2*lambda_k*x at counters x, so the partial value plus
+        # the units left at the least price of types p.. only grows with y.
+        cap, price, c, out = spare + floors[r], first[r], [0] * num_slots, []
+        least = list(accumulate(
+            [x if u else math.inf for x, u in zip(price, counts)][::-1],
+            min, initial=math.inf))[::-1]
+
+        def fill(p, left, partial, packed):
+            marginal, step, fp = price[p], steps[p], fs[p]
+            for step_f, f in pairs[p]:
+                marginal += step_f * c[f]
+            y = left - more[p + 1] if left > more[p + 1] else 0
+            top = left if left < counts[p] else counts[p]
+            partial += y * marginal + step * y * (y - 1) // 2
+            packed += y * units[p]
+            for f in fp:
+                c[f] += y
+            while y <= top:
+                units_left = left - y
+                if partial + units_left * least[p] > cap:
+                    break
+                if not units_left:
+                    out.append((partial, packed))
+                    break
+                if partial + units_left * least[p + 1] <= cap:
+                    fill(p + 1, units_left, partial, packed)
+                partial += marginal + step * y
+                packed += units[p]
+                y += 1
+                for f in fp:
+                    c[f] += 1
+            for f in fp:
+                c[f] -= y
+
+        fill(0, totals[r], 0, 0)
+        out.sort()
+        if out:  # the row's least value is a floor too, and no lower
+            spare -= out[0][0] - floors[r]
+        return out
+
+    tabled = [r for r in range(num_rows) if r != rest]
+    tables = [table(r) for r in tabled]
+    rest_values = None if rows[rest] == 0 else \
+        {packed: value for value, packed in table(rest)}
+    best, chosen, chosen_key, count = incumbent, None, None, 0
+    keep = OPTIMA_CAP if incumbent is None else 1
     # The kept optima, each as (negated key, split): the root of the heap
     # is the one that comes last in ``order``.
     optima = [] if collect else None
-    cells = [(r, p) for p in (order or range(len(cols)))
-             for r in range(r_last)]
+    cells = [(r, p) for p in (order or range(num_types))
+             for r in range(num_rows - 1)]
 
-    def distribute(p, ri, left, partial):
-        # Row ri takes y type-p workers. Unit y+1 adds lambda0*cost +
-        # sum_k lambda_k*(2x+1) at counters x, the first unit's marginal
-        # plus y*steps[p], so the partial value is non-decreasing in y. Row
-        # 0 adds nothing, so its counters are not kept. When row ri is the
-        # last but one, the last row takes the rest in place: its marginal
-        # is fixed while y varies.
-        u = units[p + 1]
-        if dummy is not None:
-            u -= caps[dummy]
-        floor = tails[p + 1][u if u > 0 else 0]
-        top = left if left < caps[ri] else caps[ri]
-        cr = c[ri]
-        marginal, step, fp = 0, 0, ()
-        if real[ri]:
-            marginal, step, fp = first[ri][p], steps[p], fs[p]
-            for step_f, f in pairs[p]:
-                marginal += step_f * cr[f]
-        y = 0
-        fill = ri + 1 == r_last
-        if fill:
-            room = caps[r_last]
-            y = left - room if left > room else 0
-            if y > top:
-                return
-            last_c = c[r_last]
-            last_marginal, last_step, last_fp = 0, 0, ()
-            if real[r_last]:
-                last_marginal, last_step = first[r_last][p], steps[p]
-                last_fp = fs[p]
-                for step_f, f in pairs[p]:
-                    last_marginal += step_f * last_c[f]
-        partial += y * marginal + step * y * (y - 1) // 2
-        for f in fp:
-            cr[f] += y
-        while partial + floor <= limit:
-            caps[ri] -= y
-            split[ri][p] = y
-            if fill:
-                z = left - y
-                value = partial + z * last_marginal + \
-                    last_step * z * (z - 1) // 2
-                if value + floor <= limit:
-                    caps[r_last] -= z
-                    split[r_last][p] = z
-                    for f in last_fp:
-                        last_c[f] += z
-                    place(p + 1, value)
-                    for f in last_fp:
-                        last_c[f] -= z
-                    caps[r_last] += z
-                    split[r_last][p] = 0
-            else:
-                distribute(p, ri + 1, left - y, partial)
-            caps[ri] += y
-            if y == top:
-                break
-            partial += marginal + step * y
-            y += 1
-            for f in fp:
-                cr[f] += 1
-        split[ri][p] = 0
-        for f in fp:
-            cr[f] -= y
+    def unpack(packed):
+        return [packed >> s & m for s, m in zip(shifts, masks)]
 
-    def place(p, partial):
+    def found(value, left):
         nonlocal best, chosen, chosen_key, count, limit
-        if p == len(cols):
-            key = [split[r][q] for r, q in cells]
-            if chosen is None or partial < best:
-                best, chosen, count = partial, None, 0
-                if optima is not None:
-                    optima.clear()
-            count += 1
-            if chosen is None or key < chosen_key:
-                chosen, chosen_key = [list(row) for row in split], key
+        split = [None] * num_rows
+        for r, packed in zip(tabled, picks):
+            split[r] = unpack(packed)
+        split[rest] = unpack(left)
+        key = [split[r][p] for r, p in cells]
+        if chosen is None or value < best:
+            best, chosen, count = value, None, 0
             if optima is not None:
-                entry = ([-x for x in key], [list(row) for row in split])
-                if len(optima) < OPTIMA_CAP:
-                    heapq.heappush(optima, entry)
-                else:
-                    heapq.heappushpop(optima, entry)
-            limit = best - slack
-            return
-        distribute(p, 0, counts[p], partial)
+                optima.clear()
+        count += 1
+        if chosen is None or key < chosen_key:
+            chosen, chosen_key = split, key
+        if optima is not None:
+            entry = ([-x for x in key], split)
+            if len(optima) < keep:
+                heapq.heappush(optima, entry)
+            else:
+                heapq.heappushpop(optima, entry)
+        limit = best
 
-    place(0, 0)
+    def join(i, left, partial):
+        if i == len(tables):
+            left -= guard
+            if rest_values is not None:
+                value = rest_values.get(left)
+                if value is None or partial + value > limit:
+                    return
+                partial += value
+            found(partial, left)
+            return
+        tail = after[i]
+        for value, packed in tables[i]:
+            if partial + value + tail > limit:
+                break
+            if (left - packed) & guard == guard:
+                picks[i] = packed
+                join(i + 1, left - packed, partial + value)
+
+    if all(tables) and rest_values != {}:
+        # after[i] is the least value of the rows joined after row i.
+        after = list(accumulate(
+            [t[0][0] for t in reversed(tables[1:])],
+            initial=min(rest_values.values()) if rest_values else 0))[::-1]
+        picks = [0] * len(tables)
+        join(0, pool, 0)
+    if incumbent is not None:
+        count = min(count, 1)
     if optima is not None:
         optima = [m for _, m in sorted(optima, reverse=True)]
     return best, chosen, count, optima

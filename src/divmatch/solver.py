@@ -245,7 +245,8 @@ def _find_resplit(inst, w, c):
             spent.certified += 1
             continue
         spent.enumerated += 1
-        # most-loaded columns first so the pruning bound engages early
+        # Most-loaded columns first: this order breaks ties among equal
+        # splits, so it fixes the sweep's moves and the traces.
         order = sorted(range(len(cols)), key=lambda cj: -pooled[cj])
         cols = [cols[cj] for cj in order]
         pooled = [pooled[cj] for cj in order]

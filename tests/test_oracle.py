@@ -1,17 +1,19 @@
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from divmatch import oracle
-from divmatch.instance import parse_instance
+from divmatch.instance import (CostModel, convert_cost_mode,
+                               generate_reviewer_instance, parse_instance)
 from divmatch.objective import (assignment_from_matrix,
                                 matrix_from_assignment, objective)
-from divmatch.oracle import BudgetExceededError, _greedy_split, \
-    _unit_prices, best_split, enumerate_optimal
+from divmatch.oracle import DEFAULT_BUDGET, BudgetExceededError, \
+    _greedy_split, _unit_prices, best_split, enumerate_optimal, split_count
 from helpers import (brute_force_optima, random_feasible_assignment,
                      random_feasible_matrix, random_small_instance,
                      reference_greedy_split)
@@ -202,8 +204,8 @@ def _in_index_order(optima):
     pytest.param(1.0, (0, 1, 2), id="1.0-zero-weights")])
 def test_oracle_matches_brute_force_over_worker_maps(worker_fraction,
                                                      lambda_choices):
-    # The oracle searches the types in its own order; its matrix and
-    # optima are still those an index-order search finds first.
+    # The oracle joins per-team tables; its matrix and optima are still
+    # those an index-order search finds first.
     for seed in range(100):
         inst = random_small_instance(seed + 1300, max_n=7,
                                      worker_fraction=worker_fraction,
@@ -226,8 +228,7 @@ def test_oracle_matches_brute_force_over_worker_maps(worker_fraction,
 def test_oracle_keeps_the_first_optima_in_index_order_under_its_cap(
         monkeypatch):
     # Every lambda_k = 0 and equal costs: every feasible matrix is optimal.
-    # The last instance's costs spread over the teams, so the oracle
-    # searches its types in the order BF, AM, BM, AF; its four optima put
+    # The last instance's costs spread over the teams; its four optima put
     # two A workers in t1 and two B workers in t2.
     monkeypatch.setattr(oracle, "OPTIMA_CAP", 3)
     instances = [random_small_instance(seed + 1900, max_n=7, max_cost=0,
@@ -403,13 +404,12 @@ def test_greedy_split_can_be_above_the_optimum():
 
 
 def test_best_split_returns_the_first_minimal_split_in_search_order():
-    # best_split places types in the order of ``cols``, each over the rows
-    # in order, every row taking y = 0, 1, ... units: lexicographic order of
-    # the per-type compositions. Its split must be the first minimal one in
-    # that order, with and without an incumbent, also over the dummy row,
-    # over a row that takes no worker and with both the dummy row and a
-    # real row open, where the pruning bound counts the dummy row's spare
-    # capacity; the solver's traces depend on it.
+    # Splits are ordered by their per-type compositions, types in the order
+    # of ``cols``, each over the rows in order: a type-by-type search's
+    # order. The split must be the first minimal one in it, with and without
+    # an incumbent, also over the dummy row, over a row that takes no
+    # worker and with both the dummy row and a real row open; the solver's
+    # traces depend on it.
     rng = random.Random(23)
     kinds = {"dummy": 0, "empty": 0, "spare": 0, "improved": 0, "kept": 0}
     for seed in range(120):
@@ -452,3 +452,141 @@ def test_best_split_returns_the_first_minimal_split_in_search_order():
             assert best_split(inst, rows, cols, counts, totals,
                               incumbent=incumbent)[:3] == expected[:3]
     assert min(kinds.values()) >= 20, kinds
+
+
+def _sub_multisets(counts, size):
+    """Every vector at most ``counts`` that sums to ``size``."""
+    if not counts:
+        yield from [()] if size == 0 else []
+        return
+    for y in range(min(counts[0], size) + 1):
+        for tail in _sub_multisets(counts[1:], size - y):
+            yield (y,) + tail
+
+
+def _splits(counts, totals):
+    """Every split of ``counts`` among rows of sizes ``totals``; the first
+    row takes the rest."""
+    if len(totals) == 1:
+        yield [list(counts)]
+        return
+    for row in _sub_multisets(counts, totals[-1]):
+        for head in _splits([u - y for u, y in zip(counts, row)],
+                            totals[:-1]):
+            yield head + [list(row)]
+
+
+def _brute_split(inst, rows, cols, counts, totals, order=None):
+    """The least share of the rows and their optimal splits, ordered by
+    ``best_split``'s key: each type in ``order``, over every row but the
+    last."""
+    splits = list(_splits(counts, totals))
+    values = [_rows_share(inst, rows, cols, split) for split in splits]
+    least = min(values)
+    return least, sorted(
+        (split for split, v in zip(splits, values) if v == least),
+        key=lambda w: [w[r][p] for p in order or range(len(cols))
+                       for r in range(len(rows) - 1)])
+
+
+def _expected_split(inst, rows, cols, counts, totals, incumbent, collect,
+                    order):
+    least, optimal = _brute_split(inst, rows, cols, counts, totals, order)
+    if incumbent is None:
+        return least, optimal[0], len(optimal), optimal if collect else None
+    if least < incumbent:
+        return least, optimal[0], 1, optimal[:1] if collect else None
+    return incumbent, None, 0, [] if collect else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("mixed", "singletons")),
+       st.sampled_from((None, -1, 0, 1)), st.booleans(), st.booleans())
+# Row 2 of this example takes two workers of one type, so its floor must
+# count that type's first-unit price twice: priced once per type, it
+# exceeds the optimum and the empty rows' tables lose their one entry.
+@example(seed=1689, shape="mixed", offset=None, collect=False, ordered=False)
+def test_best_split_matches_brute_force(seed, shape, offset, collect,
+                                        ordered):
+    # A row's table is pruned against the limit, and the rest row (the
+    # dummy row if it takes workers, else the last row) is priced by its
+    # own pruned table, so the draws take rows with and without the dummy
+    # row, rows of total 0, one tabled row of many single-worker types, an
+    # incumbent one below, at and one above the optimum, ties (lambda_k = 0
+    # and costs up to 2) and a tie order other than the types' own.
+    rng = random.Random(seed)
+    singletons = shape == "singletons"
+    inst = random_small_instance(seed, max_n=10 if singletons else 8,
+                                 max_t=3, max_columns=6,
+                                 max_cost=rng.choice((2, 9)),
+                                 worker_fraction=float(singletons),
+                                 lambda_choices=(0, 1, 2))
+    types = inst.types
+    size = 2 if singletons else rng.randint(2, min(4, inst.t + 1))
+    rows = sorted(rng.sample(range(inst.t + 1), size))
+    if singletons:
+        cols = list(range(types.num_columns))
+        counts = [1] * len(cols)
+    else:
+        cols = rng.sample(range(types.num_columns),
+                          rng.randint(1, types.num_columns))
+        counts = [rng.randint(1, 3) for _ in cols]
+    totals = [0] * size
+    open_rows = rng.sample(range(size), rng.randint(1, size))
+    for _ in range(sum(counts)):
+        totals[rng.choice(open_rows)] += 1
+    order = rng.sample(range(len(cols)), len(cols)) if ordered else None
+    incumbent = None
+    if offset is not None:
+        incumbent = _brute_split(inst, rows, cols, counts, totals)[0] + offset
+    assert best_split(inst, rows, cols, counts, totals, incumbent=incumbent,
+                      collect=collect, order=order) == \
+        _expected_split(inst, rows, cols, counts, totals, incumbent,
+                        collect, order)
+
+
+def test_best_split_skips_a_rest_missing_from_its_table():
+    # Two real rows, so the last is the rest row. The greedy puts A in t2
+    # at 0, then B in t1 at 2, so the limit is 2; t1's floor is 1, so t2's
+    # table keeps A (0) and drops B (10). t1 takes A (1) first, and the B it
+    # leaves is missing from t2's table, so that leaf is skipped; t1 then
+    # takes B.
+    inst = make({
+        "features": [{"name": "c", "values": ["A", "B"]}],
+        "workers": [[0], [1]],
+        "teams": [{"name": "t1", "demand": 1}, {"name": "t2", "demand": 1}],
+        "costs": {"mode": "class", "u": [[1, 2], [0, 10]]},
+        "lambda0": 1, "lambdas": [0]})
+    rows, cols, counts, totals = [1, 2], [0, 1], [1, 1], [1, 1]
+    assert best_split(inst, rows, cols, counts, totals, collect=True) == \
+        (2, [[0, 1], [1, 0]], 1, [[[0, 1], [1, 0]]])
+
+
+def _per_worker(t, n, demand, seed):
+    """A reviewer instance in worker costs, each cost raised by a seeded
+    0..2 offset, so that most workers are types of their own."""
+    clusters = [n // 4] * 4 + ([n % 4] if n % 4 else [])
+    inst = convert_cost_mode(generate_reviewer_instance(
+        t, clusters, "balanced", demand, seed=seed), "worker")
+    rng = random.Random(seed)
+    table = tuple(tuple(u + rng.randint(0, 2) for u in row)
+                  for row in inst.costs.table)
+    return dataclasses.replace(inst, costs=CostModel("worker", table))
+
+
+@pytest.mark.parametrize("t, n, demand, seed", [
+    (1, 23, 3, 3), (1, 22, 4, 3), (1, 18, 6, 3), (2, 14, 2, 1),
+    (2, 14, 3, 3)])
+def test_oracle_matches_brute_force_at_the_budget_edge(t, n, demand, seed):
+    # Per-worker instances whose candidate count is near the oracle's
+    # budget: a team's table holds many sub-multisets of single workers.
+    inst = _per_worker(t, n, demand, seed)
+    types = inst.types
+    assert split_count(types.multiplicities, t + 1) > DEFAULT_BUDGET // 100
+    rows = range(t + 1)
+    totals = [inst.demand(i) for i in rows]
+    least, optimal = _brute_split(inst, rows, range(types.num_columns),
+                                  list(types.multiplicities), totals)
+    result = enumerate_optimal(inst, collect_optima=True)
+    assert (result.optimal_objective, result.matrix, result.num_optima,
+            result.optima) == (least, optimal[0], len(optimal), optimal)

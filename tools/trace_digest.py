@@ -15,8 +15,11 @@ rungs and the two per-worker rungs, each at lambdas (1, 0) and (0, 1),
 whatever ``--seed`` says: with one weighted feature every solve takes the
 exact path, whose cancels ``negcycle.negative_cycle`` finds. ``gaps`` is
 two four-team instances that have ended above the optimum, whatever
-``--seed`` says. Prints one
-line per workload: the instance count, the number of solves that raised,
+``--seed`` says. ``oracle-edge`` is eight instances near the oracle's
+budget, whatever ``--seed`` says: six per-worker ones, most of whose
+workers are types of their own, so that a team's table holds many
+sub-multisets, and two class-cost ones with many workers per type. Prints one line per
+workload: the instance count, the number of solves that raised,
 the sum of the final objectives, the number of solves that ended
 ``proved_optimal``, a sha256 over each solve's assignment, trace (each
 record's index, source, cycle length, claimed and exact gains and
@@ -99,6 +102,37 @@ def gaps(dm) -> list:
 
 
 WORKLOADS["gaps"] = lambda dm, seed: gaps(dm)
+# (papers, reviewers, demand, seed) of the per-worker oracle-edge instances,
+# and (papers, clusters, demand, seed, (lambda0, lambdas)) of the class ones.
+EDGE_WORKER = ((1, 20, 10, 1), (1, 22, 11, 2), (2, 14, 5, 3), (3, 11, 3, 4),
+               (2, 13, 6, 5), (1, 18, 6, 6))
+EDGE_CLASS = ((2, [6, 6, 4], 6, 13, (2, (1, 3))),
+              (2, [8, 8], 8, 11, (1, (1, 1))))
+
+
+def oracle_edge(dm) -> list:
+    """Instances whose oracle search space is near its budget: per-worker
+    costs, each raised by a 0..2 offset drawn from a generator seeded with
+    the instance's seed, in table order; then class costs with new
+    weights."""
+    out = []
+    for papers, n, demand, seed in EDGE_WORKER:
+        clusters = [n // 4] * 4 + ([n % 4] if n % 4 else [])
+        inst = dm.convert_cost_mode(dm.generate_reviewer_instance(
+            papers, clusters, "balanced", demand, seed=seed), "worker")
+        rng = random.Random(seed)
+        table = tuple(tuple(u + rng.randint(0, 2) for u in row)
+                      for row in inst.costs.table)
+        out.append(dataclasses.replace(
+            inst, costs=dm.instance.CostModel("worker", table)))
+    return out + [dataclasses.replace(
+        dm.generate_reviewer_instance(papers, clusters, "balanced", demand,
+                                      seed=seed),
+        weights=dm.TradeoffWeights(*weights))
+        for papers, clusters, demand, seed, weights in EDGE_CLASS]
+
+
+WORKLOADS["oracle-edge"] = lambda dm, seed: oracle_edge(dm)
 
 
 def solve_record(inst, cfg) -> list:
