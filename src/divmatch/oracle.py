@@ -8,14 +8,13 @@ runs it on all rows, the solver's re-split sweep on two or three rows, or
 on all that hold workers where at most four do, each subset only when its
 flow optimality test does not certify it. A team's share of the objective
 depends only on the workers it holds, so the search prices each team's
-sub-multisets of the pooled workers once and joins the teams by
-branch-and-bound. It prunes against the best value so far, at first just
-below an incumbent or at the value of a greedy split (:func:`_greedy_split`,
-over all rows also the solver's start), which no optimum exceeds, and
-breaks ties by index order: pruning changes neither the optimum, the matrix
-returned nor the count of optima. :func:`split_count`, the budget's
-measure, counts candidate matrices without row totals, far more than the
-search visits.
+sub-multisets of the pooled workers and joins the teams by branch-and-bound,
+pruning against the best value so far: at first just below an incumbent or
+at a greedy split's value (:func:`_greedy_split`, over all rows also the
+solver's start), which no optimum exceeds. Ties go by index order, so
+pruning changes neither the optimum, the matrix returned nor the count of
+optima. :func:`split_count`, the budget's measure, counts far more
+candidates than the search visits.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ def enumerate_optimal(inst: Instance, budget: int = DEFAULT_BUDGET,
 
 def split_count(counts, num_rows: int) -> int:
     """Number of ways to split ``counts[p]`` workers among ``num_rows`` rows
-    for every ``p``, ignoring row totals: the search space of
-    :func:`best_split`."""
+    for every ``p``, ignoring row totals: the budget's measure of the
+    instance, far more candidates than :func:`best_split` visits."""
     return math.prod(math.comb(u + num_rows - 1, num_rows - 1)
                      for u in counts)
 
@@ -143,49 +142,40 @@ def _greedy_split(rows, slots, costs, counts, totals):
 
 
 def best_split(inst, rows, cols, counts, totals, incumbent=None,
-               collect=False, order=None):
+               collect=False):
     """Best way to split ``counts[p]`` workers of type ``cols[p]`` among the
     teams ``rows``, team ``rows[r]`` taking ``totals[r]`` workers in all.
 
     Returns ``(value, split, count, optima)``: the least value of the rows'
-    share of the objective, an optimal split ``split[r][p]``, the number of
-    optimal splits and, when ``collect``, up to ``OPTIMA_CAP`` of them.
-    Ties go by ``order``, a list of the positions ``p`` (by default ``0, 1,
-    ...``): ``split`` is the first optimal split and ``optima`` the first
-    ``OPTIMA_CAP`` in the lexicographic order of their counts, type
-    ``cols[p]`` for each ``p`` in ``order``, each over ``rows`` but the last.
-    Without an ``incumbent`` every optimal split is counted. With one, only
-    splits strictly below it count: ``split`` is None when there is none,
+    share of the objective, the first optimal split ``split[r][p]`` in the
+    lexicographic order of the counts (type by type, each over ``rows`` but
+    the last), the number of optimal splits and, when ``collect``, the
+    first ``OPTIMA_CAP`` of them. With an ``incumbent``, only splits
+    strictly below it count: ``split`` is None when there is none,
     ``count`` is 1 or 0 and ``optima`` holds ``split`` alone.
 
-    The rest row (the dummy row if it takes workers, else the last row)
-    takes what the others leave. Every other row gets a table of the
-    sub-multisets of ``counts`` of its total, priced exactly and sorted by
-    value, and a branch-and-bound joins the tables: each row scans its
-    entries in ascending value until the partial value plus the entry plus
-    the later rows' least entries exceeds the limit, and takes those that
-    fit the workers left. A real rest row is priced by its own table; a
-    rest missing from it cannot be optimal. The limit is the best value so
-    far, at first one less than the incumbent or, without one, the value
-    of :func:`_greedy_split`, which no optimum exceeds.
-
-    A row's value is at least its floor, the sum of its total's cheapest
-    first-unit prices (at zero counters; counters only grow), so a table
-    keeps only entries of at most the limit less the other rows' floors
-    (their least entries, once tabled). Within a row, a branch is cut once
-    its partial value plus the units left at the least first-unit price of
-    the types still to place exceeds that cap. Each type's count takes a
-    field of ``bit_length(count) + 1`` bits whose top bit is a guard, set
-    in the workers left: an entry fits exactly when subtracting it clears
-    no guard bit.
+    A row's candidates are the sub-multisets of ``counts`` of its total. A
+    row's value is at least its floor, the sum of its total's cheapest
+    first-unit prices (counters only grow), so candidates are kept only up
+    to the limit less the other rows' floors; the limit is the best value
+    so far, at first one less than the incumbent or, without one, the value
+    of :func:`_greedy_split`, which no optimum exceeds. The first row's
+    candidates go straight into a branch-and-bound join; each later row
+    scans a table of its own in ascending value while the partial value
+    plus the later rows' floors stays within the limit, taking the entries
+    that fit the workers left (no guard bit above a type's field of the
+    packed counts is cleared). The rest row (the dummy row if it takes
+    workers, else the last row) takes what is left: a real one is tabled
+    beside other tables, where it is reached again and again, else priced
+    from its counts. A tabled row shares the workers with two or more
+    others, so the tables stay far below :func:`split_count`.
     """
     slots, costs = _unit_prices(inst, rows, cols)
     num_slots = inst.schema.num_features * \
         (1 + max(map(max, inst.types.columns)))
     steps = [2 * sum(lam for lam, _ in row) for row in slots]
     # Per type: its counter slots, each with its 2*lambda_k, and per row
-    # the price of its first unit at zero counters (0 in the dummy row,
-    # which is tabled only when it takes no worker).
+    # the price of its first unit at zero counters (0 in the dummy row).
     fs = [[f for _, f in row] for row in slots]
     pairs = [[(2 * lam, f) for lam, f in row] for row in slots]
     first = [[cost + step // 2 for cost, step in zip(row, steps)]
@@ -193,17 +183,14 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     num_rows, num_types = len(rows), len(cols)
     rest = rows.index(0) if 0 in rows and totals[rows.index(0)] else \
         num_rows - 1
-    units, shifts, masks, guard, shift = [], [], [], 0, 0
-    for u in counts:
-        width = u.bit_length()
-        units.append(1 << shift)
-        shifts.append(shift)
-        masks.append((1 << width) - 1)
-        guard |= 1 << (shift + width)
-        shift += width + 1
+    # Packed counts: type 0's field first, each of ``width`` bits topped by
+    # a guard (set in the workers left), then room for a key's other rows.
+    width, key_rows = max(counts, default=0).bit_length() + 1, num_rows - 1
+    shifts = [(num_types - 1 - p) * key_rows * width for p in range(num_types)]
+    units, mask = [1 << s for s in shifts], (1 << width - 1) - 1
+    guard = sum(units) << width - 1
     pool = guard + sum(map(mul, counts, units))
-    # more[p] is the units of types p..: type p takes what later types
-    # cannot hold.
+    # more[p] counts the units of types p..; p takes what later ones cannot.
     more = list(accumulate(reversed(counts), initial=0))[::-1]
 
     floors = [sum(sorted(price for price, u in zip(row, counts)
@@ -213,14 +200,12 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
         _greedy_split(rows, slots, costs, counts, totals)[0]
     spare = limit - sum(floors)
 
-    def table(r):
-        nonlocal spare
-        # Every sub-multiset of ``counts`` of size ``totals[r]`` whose value
-        # in row r is at most the row's cap, as (value, packed) in
-        # ascending order. Unit y+1 of type p adds its first-unit price
-        # plus sum_k 2*lambda_k*x at counters x, so the partial value plus
-        # the units left at the least price of types p.. only grows with y.
-        cap, price, c, out = spare + floors[r], first[r], [0] * num_slots, []
+    def entries(r, emit):
+        # Emit each sub-multiset of ``counts`` of size ``totals[r]`` valued
+        # at most its cap in row r, as (value, packed). Unit y+1 of type p
+        # adds its first-unit price plus sum_k 2*lambda_k*x at counters x,
+        # so partial plus units left at the least price of p.. grows with y.
+        cap, price, c = spare + floors[r], first[r], [0] * num_slots
         least = list(accumulate(
             [x if u else math.inf for x, u in zip(price, counts)][::-1],
             min, initial=math.inf))[::-1]
@@ -240,7 +225,7 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
                 if partial + units_left * least[p] > cap:
                     break
                 if not units_left:
-                    out.append((partial, packed))
+                    emit((partial, packed))
                     break
                 if partial + units_left * least[p + 1] <= cap:
                     fill(p + 1, units_left, partial, packed)
@@ -253,75 +238,92 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
                 c[f] -= y
 
         fill(0, totals[r], 0, 0)
+
+    def table(r):
+        nonlocal spare
+        out = []
+        entries(r, out.append)
         out.sort()
         if out:  # the row's least value is a floor too, and no lower
             spare -= out[0][0] - floors[r]
+            floors[r] = out[0][0]
         return out
 
-    tabled = [r for r in range(num_rows) if r != rest]
+    def unpack(packed):
+        return [packed >> s & mask for s in shifts]
+
+    def rest_value(packed):
+        value, c = 0, [0] * num_slots
+        for s, cost, row in zip(shifts, costs[rest], slots):
+            y = packed >> s & mask
+            if y:
+                value += y * cost
+                for lam, f in row:
+                    value += lam * y * (2 * c[f] + y)
+                    c[f] += y
+        return value
+
+    head, *tabled = [r for r in range(num_rows) if r != rest]
     tables = [table(r) for r in tabled]
-    rest_values = None if rows[rest] == 0 else \
-        {packed: value for value, packed in table(rest)}
+    rest_values = {packed: value for value, packed in table(rest)} \
+        if rows[rest] and tables else None
     best, chosen, chosen_key, count = incumbent, None, None, 0
     keep = OPTIMA_CAP if incumbent is None else 1
-    # The kept optima, each as (negated key, split): the root of the heap
-    # is the one that comes last in ``order``.
+    # Kept optima as (-key, packs), the root last. A split's key sums its
+    # packed rows but the last, row r lifted r fields less than row 0.
     optima = [] if collect else None
-    cells = [(r, p) for p in (order or range(num_types))
-             for r in range(num_rows - 1)]
-
-    def unpack(packed):
-        return [packed >> s & m for s, m in zip(shifts, masks)]
+    where = list(map([head, *tabled, rest].index, range(num_rows)))
+    lifts = [(where[r], (key_rows - 1 - r) * width) for r in range(key_rows)]
 
     def found(value, left):
         nonlocal best, chosen, chosen_key, count, limit
-        split = [None] * num_rows
-        for r, packed in zip(tabled, picks):
-            split[r] = unpack(packed)
-        split[rest] = unpack(left)
-        key = [split[r][p] for r, p in cells]
+        packs = picks + [left]
+        key = sum(packs[i] << lift for i, lift in lifts)
         if chosen is None or value < best:
             best, chosen, count = value, None, 0
             if optima is not None:
                 optima.clear()
         count += 1
         if chosen is None or key < chosen_key:
-            chosen, chosen_key = split, key
+            chosen, chosen_key = packs, key
         if optima is not None:
-            entry = ([-x for x in key], split)
-            if len(optima) < keep:
-                heapq.heappush(optima, entry)
-            else:
-                heapq.heappushpop(optima, entry)
+            (heapq.heappush if len(optima) < keep else heapq.heappushpop)(
+                optima, (-key, packs))
         limit = best
 
     def join(i, left, partial):
         if i == len(tables):
             left -= guard
-            if rest_values is not None:
-                value = rest_values.get(left)
-                if value is None or partial + value > limit:
-                    return
-                partial += value
-            found(partial, left)
+            if rest_values is not None:  # a miss is over the rest's cap
+                partial += rest_values.get(left, math.inf)
+            elif rows[rest]:
+                partial += rest_value(left)
+            if partial <= limit:
+                found(partial, left)
             return
-        tail = after[i]
+        tail = after[i + 1]
         for value, packed in tables[i]:
             if partial + value + tail > limit:
                 break
             if (left - packed) & guard == guard:
-                picks[i] = packed
+                picks[i + 1] = packed
                 join(i + 1, left - packed, partial + value)
 
+    def start(entry):
+        value, packed = entry
+        if value + after[0] <= limit:
+            picks[0] = packed
+            join(0, pool - packed, value)
+
     if all(tables) and rest_values != {}:
-        # after[i] is the least value of the rows joined after row i.
-        after = list(accumulate(
-            [t[0][0] for t in reversed(tables[1:])],
-            initial=min(rest_values.values()) if rest_values else 0))[::-1]
-        picks = [0] * len(tables)
-        join(0, pool, 0)
+        # after[i] is the least value of the rows joined after the i-th.
+        after = list(accumulate([floors[r] for r in reversed(tabled)],
+                                initial=floors[rest]))[::-1]
+        picks = [0] * (len(tables) + 1)
+        entries(head, start)
     if incumbent is not None:
         count = min(count, 1)
     if optima is not None:
-        optima = [m for _, m in sorted(optima, reverse=True)]
-    return best, chosen, count, optima
+        optima = [[unpack(m[i]) for i in where]
+                  for _, m in sorted(optima, reverse=True)]
+    return best, chosen and [unpack(chosen[i]) for i in where], count, optima

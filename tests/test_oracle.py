@@ -1,22 +1,25 @@
-import dataclasses
 import itertools
 import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import divmatch
 from divmatch import oracle
-from divmatch.instance import (CostModel, convert_cost_mode,
-                               generate_reviewer_instance, parse_instance)
+from divmatch.instance import parse_instance
 from divmatch.objective import (assignment_from_matrix,
                                 matrix_from_assignment, objective)
 from divmatch.oracle import DEFAULT_BUDGET, BudgetExceededError, \
     _greedy_split, _unit_prices, best_split, enumerate_optimal, split_count
-from helpers import (brute_force_optima, random_feasible_assignment,
-                     random_feasible_matrix, random_small_instance,
-                     reference_greedy_split)
+from helpers import (brute_force_optima, load_module,
+                     random_feasible_assignment, random_feasible_matrix,
+                     random_small_instance, reference_greedy_split)
+
+DIGEST = Path(__file__).resolve().parent.parent / "tools" / "trace_digest.py"
 
 
 def make(doc):
@@ -476,22 +479,20 @@ def _splits(counts, totals):
             yield head + [list(row)]
 
 
-def _brute_split(inst, rows, cols, counts, totals, order=None):
+def _brute_split(inst, rows, cols, counts, totals):
     """The least share of the rows and their optimal splits, ordered by
-    ``best_split``'s key: each type in ``order``, over every row but the
-    last."""
+    ``best_split``'s key: type by type, over every row but the last."""
     splits = list(_splits(counts, totals))
     values = [_rows_share(inst, rows, cols, split) for split in splits]
     least = min(values)
     return least, sorted(
         (split for split, v in zip(splits, values) if v == least),
-        key=lambda w: [w[r][p] for p in order or range(len(cols))
+        key=lambda w: [w[r][p] for p in range(len(cols))
                        for r in range(len(rows) - 1)])
 
 
-def _expected_split(inst, rows, cols, counts, totals, incumbent, collect,
-                    order):
-    least, optimal = _brute_split(inst, rows, cols, counts, totals, order)
+def _expected_split(inst, rows, cols, counts, totals, incumbent, collect):
+    least, optimal = _brute_split(inst, rows, cols, counts, totals)
     if incumbent is None:
         return least, optimal[0], len(optimal), optimal if collect else None
     if least < incumbent:
@@ -501,19 +502,20 @@ def _expected_split(inst, rows, cols, counts, totals, incumbent, collect,
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(("mixed", "singletons")),
-       st.sampled_from((None, -1, 0, 1)), st.booleans(), st.booleans())
-# Row 2 of this example takes two workers of one type, so its floor must
-# count that type's first-unit price twice: priced once per type, it
-# exceeds the optimum and the empty rows' tables lose their one entry.
-@example(seed=1689, shape="mixed", offset=None, collect=False, ordered=False)
-def test_best_split_matches_brute_force(seed, shape, offset, collect,
-                                        ordered):
-    # A row's table is pruned against the limit, and the rest row (the
-    # dummy row if it takes workers, else the last row) is priced by its
-    # own pruned table, so the draws take rows with and without the dummy
-    # row, rows of total 0, one tabled row of many single-worker types, an
-    # incumbent one below, at and one above the optimum, ties (lambda_k = 0
-    # and costs up to 2) and a tie order other than the types' own.
+       st.sampled_from((None, -1, 0, 1)), st.booleans())
+# Row 1 of this example, joined first, takes three workers: its floor is
+# three units at first-unit price 1, from two types. Counted once per type
+# it would be 1 + 1 + 7, and row 3's table, capped at the limit less that
+# floor, would lose the optimal entries.
+@example(seed=38, shape="mixed", offset=None, collect=False)
+def test_best_split_matches_brute_force(seed, shape, offset, collect):
+    # The first row's candidates go straight into the join, each later
+    # row's table is pruned against the limit, and the rest row (the dummy
+    # row if it takes workers, else the last row) is priced from its
+    # counts, so the draws take rows with and without the dummy row, rows
+    # of total 0, tabled rows of many single-worker types, an incumbent one
+    # below, at and one above the optimum, and ties (lambda_k = 0 and costs
+    # up to 2).
     rng = random.Random(seed)
     singletons = shape == "singletons"
     inst = random_small_instance(seed, max_n=10 if singletons else 8,
@@ -522,7 +524,7 @@ def test_best_split_matches_brute_force(seed, shape, offset, collect,
                                  worker_fraction=float(singletons),
                                  lambda_choices=(0, 1, 2))
     types = inst.types
-    size = 2 if singletons else rng.randint(2, min(4, inst.t + 1))
+    size = rng.randint(2, min(4, inst.t + 1))
     rows = sorted(rng.sample(range(inst.t + 1), size))
     if singletons:
         cols = list(range(types.num_columns))
@@ -535,22 +537,20 @@ def test_best_split_matches_brute_force(seed, shape, offset, collect,
     open_rows = rng.sample(range(size), rng.randint(1, size))
     for _ in range(sum(counts)):
         totals[rng.choice(open_rows)] += 1
-    order = rng.sample(range(len(cols)), len(cols)) if ordered else None
     incumbent = None
     if offset is not None:
         incumbent = _brute_split(inst, rows, cols, counts, totals)[0] + offset
     assert best_split(inst, rows, cols, counts, totals, incumbent=incumbent,
-                      collect=collect, order=order) == \
+                      collect=collect) == \
         _expected_split(inst, rows, cols, counts, totals, incumbent,
-                        collect, order)
+                        collect)
 
 
-def test_best_split_skips_a_rest_missing_from_its_table():
-    # Two real rows, so the last is the rest row. The greedy puts A in t2
-    # at 0, then B in t1 at 2, so the limit is 2; t1's floor is 1, so t2's
-    # table keeps A (0) and drops B (10). t1 takes A (1) first, and the B it
-    # leaves is missing from t2's table, so that leaf is skipped; t1 then
-    # takes B.
+def test_best_split_skips_a_rest_over_the_limit():
+    # Two real rows, so the last is the rest row, priced from what t1
+    # leaves. The greedy puts A in t2 at 0, then B in t1 at 2, so the limit
+    # is 2. t1 takes B (2) and leaves A to t2 (0): 2. t1 takes A (1) and
+    # leaves B to t2 (10): 11, over the limit, so that leaf is skipped.
     inst = make({
         "features": [{"name": "c", "values": ["A", "B"]}],
         "workers": [[0], [1]],
@@ -562,25 +562,14 @@ def test_best_split_skips_a_rest_missing_from_its_table():
         (2, [[0, 1], [1, 0]], 1, [[[0, 1], [1, 0]]])
 
 
-def _per_worker(t, n, demand, seed):
-    """A reviewer instance in worker costs, each cost raised by a seeded
-    0..2 offset, so that most workers are types of their own."""
-    clusters = [n // 4] * 4 + ([n % 4] if n % 4 else [])
-    inst = convert_cost_mode(generate_reviewer_instance(
-        t, clusters, "balanced", demand, seed=seed), "worker")
-    rng = random.Random(seed)
-    table = tuple(tuple(u + rng.randint(0, 2) for u in row)
-                  for row in inst.costs.table)
-    return dataclasses.replace(inst, costs=CostModel("worker", table))
-
-
 @pytest.mark.parametrize("t, n, demand, seed", [
     (1, 23, 3, 3), (1, 22, 4, 3), (1, 18, 6, 3), (2, 14, 2, 1),
     (2, 14, 3, 3)])
 def test_oracle_matches_brute_force_at_the_budget_edge(t, n, demand, seed):
     # Per-worker instances whose candidate count is near the oracle's
     # budget: a team's table holds many sub-multisets of single workers.
-    inst = _per_worker(t, n, demand, seed)
+    tool = load_module("trace_digest", DIGEST)
+    inst = tool.edge_worker(divmatch, t, n, demand, seed)
     types = inst.types
     assert split_count(types.multiplicities, t + 1) > DEFAULT_BUDGET // 100
     rows = range(t + 1)
@@ -590,3 +579,19 @@ def test_oracle_matches_brute_force_at_the_budget_edge(t, n, demand, seed):
     result = enumerate_optimal(inst, collect_optima=True)
     assert (result.optimal_objective, result.matrix, result.num_optima,
             result.optima) == (least, optimal[0], len(optimal), optimal)
+
+
+def test_oracle_stores_no_candidates_of_a_lone_team():
+    # One team beside the dummy row: its candidates go straight into the
+    # join and are never stored. Every split ties here, so no bound prunes
+    # and all C(16, 8) = 12,870 are optima: stored as (value, packed)
+    # pairs they would take about 1.5 MB.
+    inst = load_module("trace_digest", DIGEST).edge_ties(divmatch, 16, 8)
+    tracemalloc.start()
+    try:
+        result = enumerate_optimal(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.optimal_objective, result.num_optima) == (0, 12_870)
+    assert peak < 100_000

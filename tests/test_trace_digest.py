@@ -172,20 +172,21 @@ def test_digest_of_gaps_closes_one_of_two_whatever_the_seed():
 
 def test_digest_of_oracle_edge_ends_at_the_oracle_optima_whatever_the_seed():
     line = _digest_line("oracle-edge")
-    # Six per-worker instances, most workers a type of their own, and two
-    # class-cost ones: every solve ends proved, at the oracle's optimum.
-    # The oracle digest is pinned, as its search changes along with it.
+    # Six per-worker instances, most workers a type of their own, two
+    # class-cost ones and one whose splits all tie: every solve ends
+    # proved, at the oracle's optimum. The oracle digest is pinned, as its
+    # search changes along with it.
     assert re.fullmatch(
-        r"oracle-edge seed=5 detector=gr instances=8 raised=0 "
-        r"objective_sum=904 proved=8 sha256=[0-9a-f]{64} oracle_sha256="
-        r"e972a3339dcff92b3b548504de53e6c22908c171f53e382b3df86c2714c0e9a5",
+        r"oracle-edge seed=5 detector=gr instances=9 raised=0 "
+        r"objective_sum=904 proved=9 sha256=[0-9a-f]{64} oracle_sha256="
+        r"71b25dbd8857bdfda9f2f2e18bd3c5c646ae125fcb8b91fd47f8707fa50783cd",
         line), line
     tool = load_module("trace_digest", SCRIPT)
     instances = tool.WORKLOADS["oracle-edge"](divmatch, 5)
     assert [(inst.t, inst.n, inst.costs.mode) for inst in instances] == [
         (1, 20, "worker"), (1, 22, "worker"), (2, 14, "worker"),
         (3, 11, "worker"), (2, 13, "worker"), (1, 18, "worker"),
-        (2, 16, "class"), (2, 16, "class")]
+        (2, 16, "class"), (2, 16, "class"), (1, 16, "worker")]
     assert sum(enumerate_optimal(inst).optimal_objective
                for inst in instances) == 904
 

@@ -15,16 +15,17 @@ rungs and the two per-worker rungs, each at lambdas (1, 0) and (0, 1),
 whatever ``--seed`` says: with one weighted feature every solve takes the
 exact path, whose cancels ``negcycle.negative_cycle`` finds. ``gaps`` is
 two four-team instances that have ended above the optimum, whatever
-``--seed`` says. ``oracle-edge`` is eight instances near the oracle's
+``--seed`` says. ``oracle-edge`` is nine instances near the oracle's
 budget, whatever ``--seed`` says: six per-worker ones, most of whose
-workers are types of their own, so that a team's table holds many
-sub-multisets, and two class-cost ones with many workers per type. Prints one line per
-workload: the instance count, the number of solves that raised,
-the sum of the final objectives, the number of solves that ended
-``proved_optimal``, a sha256 over each solve's assignment, trace (each
-record's index, source, cycle length, claimed and exact gains and
-objective after), termination,
-``refinement_complete``, ``proved_optimal`` and objective, and an
+workers are types of their own, so that a team has many candidate
+sub-multisets, two class-cost ones with many workers per type, and one
+team of 8 among 16 single-worker types whose 12,870 splits all tie.
+Prints one line per workload: the instance count, the number of solves
+that raised, the sum of the final objectives, the number of solves that
+ended ``proved_optimal``, a sha256 over each solve's assignment, trace
+(each record's index, source, cycle length, claimed and exact gains and
+objective after), termination, ``refinement_complete``,
+``proved_optimal`` and objective, and an
 ``oracle_sha256`` over each instance's exhaustive oracle result with every
 optimum collected (optimal objective, first optimal matrix, number of
 optima and the optima in order). A solve that raises, or an oracle call
@@ -108,28 +109,47 @@ EDGE_WORKER = ((1, 20, 10, 1), (1, 22, 11, 2), (2, 14, 5, 3), (3, 11, 3, 4),
                (2, 13, 6, 5), (1, 18, 6, 6))
 EDGE_CLASS = ((2, [6, 6, 4], 6, 13, (2, (1, 3))),
               (2, [8, 8], 8, 11, (1, (1, 1))))
+EDGE_TIES = (16, 8)  # (reviewers, demand) of the one whose splits all tie
+
+
+def edge_worker(dm, papers, n, demand, seed):
+    """A reviewer instance of ``n`` reviewers in clusters of ``n // 4``
+    (and one of the rest), in worker costs, each cost raised by a 0..2
+    offset drawn from a generator seeded with ``seed``, in table order: so
+    most workers are types of their own."""
+    clusters = [n // 4] * 4 + ([n % 4] if n % 4 else [])
+    inst = dm.convert_cost_mode(dm.generate_reviewer_instance(
+        papers, clusters, "balanced", demand, seed=seed), "worker")
+    rng = random.Random(seed)
+    table = tuple(tuple(u + rng.randint(0, 2) for u in row)
+                  for row in inst.costs.table)
+    return dataclasses.replace(
+        inst, costs=dm.instance.CostModel("worker", table))
+
+
+def edge_ties(dm, n, demand):
+    """One team of ``demand`` among ``n`` workers, each of a value of its
+    own, at equal worker costs and no diversity weight: every split ties,
+    so no bound prunes."""
+    return dm.instance_from_dict({
+        "features": [{"name": "c", "values": [f"v{i}" for i in range(n)]}],
+        "workers": [[i] for i in range(n)],
+        "teams": [{"name": "t1", "demand": demand}],
+        "costs": {"mode": "worker", "u": [[0] * n]},
+        "lambda0": 1, "lambdas": [0]})
 
 
 def oracle_edge(dm) -> list:
-    """Instances whose oracle search space is near its budget: per-worker
-    costs, each raised by a 0..2 offset drawn from a generator seeded with
-    the instance's seed, in table order; then class costs with new
-    weights."""
-    out = []
-    for papers, n, demand, seed in EDGE_WORKER:
-        clusters = [n // 4] * 4 + ([n % 4] if n % 4 else [])
-        inst = dm.convert_cost_mode(dm.generate_reviewer_instance(
-            papers, clusters, "balanced", demand, seed=seed), "worker")
-        rng = random.Random(seed)
-        table = tuple(tuple(u + rng.randint(0, 2) for u in row)
-                      for row in inst.costs.table)
-        out.append(dataclasses.replace(
-            inst, costs=dm.instance.CostModel("worker", table)))
+    """Instances whose oracle search space is near its budget: the
+    per-worker ones of :func:`edge_worker`, then class costs with new
+    weights, then one of :func:`edge_ties`."""
+    out = [edge_worker(dm, *shape) for shape in EDGE_WORKER]
     return out + [dataclasses.replace(
         dm.generate_reviewer_instance(papers, clusters, "balanced", demand,
                                       seed=seed),
         weights=dm.TradeoffWeights(*weights))
-        for papers, clusters, demand, seed, weights in EDGE_CLASS]
+        for papers, clusters, demand, seed, weights in EDGE_CLASS] + \
+        [edge_ties(dm, *EDGE_TIES)]
 
 
 WORKLOADS["oracle-edge"] = lambda dm, seed: oracle_edge(dm)
