@@ -19,10 +19,10 @@ candidates than the search visits.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heappush, heappushpop
 from itertools import accumulate
 from operator import mul
 
@@ -150,9 +150,9 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     share of the objective, the first optimal split ``split[r][p]`` in the
     lexicographic order of the counts (type by type, each over ``rows`` but
     the last), the number of optimal splits and, when ``collect``, the
-    first ``OPTIMA_CAP`` of them. With an ``incumbent``, only splits
-    strictly below it count: ``split`` is None when there is none,
-    ``count`` is 1 or 0 and ``optima`` holds ``split`` alone.
+    first ``OPTIMA_CAP`` of them in that order. With an ``incumbent``,
+    these describe the optimal splits strictly below it: with none,
+    ``value`` is the incumbent, ``split`` None and ``count`` 0.
 
     A row's candidates are the sub-multisets of ``counts`` of its total. A
     row's value is at least its floor, the sum of its total's cheapest
@@ -268,7 +268,6 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     rest_values = {packed: value for value, packed in table(rest)} \
         if rows[rest] and tables else None
     best, chosen, chosen_key, count = incumbent, None, None, 0
-    keep = OPTIMA_CAP if incumbent is None else 1
     # Kept optima as (-key, packs), the root last. A split's key sums its
     # packed rows but the last, row r lifted r fields less than row 0.
     optima = [] if collect else None
@@ -287,7 +286,7 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
         if chosen is None or key < chosen_key:
             chosen, chosen_key = packs, key
         if optima is not None:
-            (heapq.heappush if len(optima) < keep else heapq.heappushpop)(
+            (heappush if len(optima) < OPTIMA_CAP else heappushpop)(
                 optima, (-key, packs))
         limit = best
 
@@ -321,8 +320,6 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
                                 initial=floors[rest]))[::-1]
         picks = [0] * (len(tables) + 1)
         entries(head, start)
-    if incumbent is not None:
-        count = min(count, 1)
     if optima is not None:
         optima = [[unpack(m[i]) for i in where]
                   for _, m in sorted(optima, reverse=True)]

@@ -414,7 +414,9 @@ def _sweep_states():
     """(instance, state) pairs for the sweep comparison: states the solver
     reaches on ladder rung (10,40), whose dummy row is empty, and on a
     32-of-40 variant, whose dummy row is not; random feasible states of
-    both; and random states of small worker-cost instances."""
+    both; random states of small worker-cost instances; and random and
+    solved states of small instances with three weighted features, where
+    the flow test checks three parts per subset."""
     rng = random.Random(5)
     for papers in (10, 8):
         inst = generate_reviewer_instance(papers, [8] * 5, "balanced", 4,
@@ -430,6 +432,13 @@ def _sweep_states():
                                      worker_fraction=1.0)
         yield inst, random_feasible_matrix(inst, rng)
         yield inst, solve(inst).assignment
+    rng = random.Random(11)
+    for seed in range(40):
+        inst = random_small_instance(seed + 900, max_n=10, max_columns=6,
+                                     lambda_choices=(1, 2, 3))
+        if inst.schema.num_features >= 3:
+            yield inst, random_feasible_matrix(inst, rng)
+            yield inst, solve(inst).assignment
 
 
 @pytest.mark.parametrize("scan", [2_000_000, 400, 60])
@@ -447,7 +456,7 @@ def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan):
             budgets.append(self)
 
     monkeypatch.setattr(solver, "_ScanBudget", Recording)
-    found = skipped = 0
+    found = skipped = three = 0
     for inst, state in _sweep_states():
         c = count_tensor(inst, state)
         for max_rows in (2, 3):
@@ -459,7 +468,8 @@ def test_resplit_sweep_matches_the_plain_subset_rule(monkeypatch, scan):
             assert (*result, spent.skipped, spent.left) == expected
             found += expected[0] is not None
             skipped += expected[2] > 0
-    assert found >= 10 and skipped >= 2
+            three += inst.schema.num_features >= 3
+    assert found >= 10 and skipped >= 2 and three >= 20
 
 
 def test_a_fixed_point_needing_every_team_is_re_split_whole():
@@ -852,29 +862,6 @@ def test_subset_flow_certificate_is_sound(seed, worker_costs, data):
             assert not certified or split is None
             if exact:
                 assert certified == (split is None)
-
-
-def test_resplit_sweep_matches_the_plain_rule_with_three_weighted_features(
-        monkeypatch):
-    # With three weighted features the certificate tests three parts per
-    # subset, and the sweep must still find what enumerating finds.
-    rng = random.Random(11)
-    swept = 0
-    for seed in range(40):
-        inst = random_small_instance(seed + 900, max_n=10, max_columns=6,
-                                     lambda_choices=(1, 2, 3))
-        if inst.schema.num_features < 3:
-            continue
-        for state in (random_feasible_matrix(inst, rng),
-                      solve(inst).assignment):
-            c = count_tensor(inst, state)
-            for max_rows in (2, 3):
-                monkeypatch.setattr(solver, "REFINE_ROWS", max_rows)
-                expected = reference_resplit_sweep(inst, state, max_rows)
-                assert solver._find_resplit(inst, state, c) == \
-                    expected[:2]
-                swept += 1
-    assert swept >= 20
 
 
 @pytest.mark.parametrize("rung", [(10, 40), (25, 100), (50, 200)])
