@@ -14,7 +14,9 @@ at a greedy split's value (:func:`_greedy_split`, over all rows also the
 solver's start), which no optimum exceeds. Ties go by index order, so
 pruning changes neither the optimum, the matrix returned nor the count of
 optima. :func:`split_count`, the budget's measure, counts far more
-candidates than the search visits.
+candidates than the search visits. A call leaves no reference cycle
+behind, so the many small calls of a verify pass or a re-split sweep make
+no work for the garbage collector.
 """
 
 from __future__ import annotations
@@ -96,11 +98,11 @@ def _greedy_split(rows, slots, costs, counts, totals):
     Units go one at a time to the (type, real row with room) pair of least
     marginal price at the counters so far, ties to the first type, then to
     the first row; the dummy row, if ``rows`` has one, takes what is left.
-    Each row keeps its least ``(price, type)`` over the types with units
-    left. A unit changes prices only in the row that takes it, so only that
-    row is priced again, and so is every other row whose least type runs
-    out: a unit costs O(types + rows), and a type that runs out at most one
-    pricing per row. Returns ``(value, split)``."""
+    Each row with room keeps the index of its cheapest type with units
+    left, the first on ties. A unit changes prices only in the row that
+    takes it, so only that row is priced again, and so is every other row
+    whose cheapest type runs out: a unit costs O(types + rows), and a type
+    that runs out at most one pricing per row. Returns ``(value, split)``."""
     # A unit on counter slot f raises the price of every type q on that
     # slot in its row by 2*lambda_k.
     sharers = defaultdict(list)
@@ -115,13 +117,17 @@ def _greedy_split(rows, slots, costs, counts, totals):
     split = [[0] * len(counts) for _ in rows]
 
     def least(r):
-        row = price[r]
-        return min([(row[p], p) for p in live]) if room[r] else None
+        return min(live, key=price[r].__getitem__) if room[r] else None
 
     best = [least(r) for r in range(len(rows))]
     value = 0
     for _ in range(sum(room)):
-        (cheapest, p), r = min([(b, r) for r, b in enumerate(best) if b])
+        r = None
+        for s, q in enumerate(best):
+            if q is not None:
+                x = price[s][q]
+                if r is None or x < cheapest or x == cheapest and q < p:
+                    r, p, cheapest = s, q, x
         value += cheapest
         left[p] -= 1
         room[r] -= 1
@@ -132,8 +138,8 @@ def _greedy_split(rows, slots, costs, counts, totals):
                 row[q] += step
         if not left[p]:
             live.remove(p)
-            for s, b in enumerate(best):
-                if b and b[1] == p and s != r:
+            for s, q in enumerate(best):
+                if q == p and s != r:
                     best[s] = least(s)
         best[r] = least(r)
     if 0 in rows:
@@ -168,7 +174,11 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     workers, else the last row) takes what is left: a real one is tabled
     beside other tables, where it is reached again and again, else priced
     from its counts. A tabled row shares the workers with two or more
-    others, so the tables stay far below :func:`split_count`.
+    others, so the tables stay far below :func:`split_count`. Within a
+    row, the last type takes what the others leave, so it is priced in
+    place at the counters so far, not by one more recursive call. The
+    recursive closures are dropped once done, so no reference cycle
+    outlives the call.
     """
     slots, costs = _unit_prices(inst, rows, cols)
     num_slots = inst.schema.num_features * \
@@ -181,6 +191,7 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     first = [[cost + step // 2 for cost, step in zip(row, steps)]
              if i else [0] * len(cols) for i, row in zip(rows, costs)]
     num_rows, num_types = len(rows), len(cols)
+    last = num_types - 1
     rest = rows.index(0) if 0 in rows and totals[rows.index(0)] else \
         num_rows - 1
     # Packed counts: type 0's field first, each of ``width`` bits topped by
@@ -193,9 +204,13 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     # more[p] counts the units of types p..; p takes what later ones cannot.
     more = list(accumulate(reversed(counts), initial=0))[::-1]
 
-    floors = [sum(sorted(price for price, u in zip(row, counts)
-                         for _ in range(u))[:total])
-              for row, total in zip(first, totals)]
+    floors = []  # per row, the sum of its total's cheapest first units
+    for row, total in zip(first, totals):
+        floor = 0
+        for x, u in sorted(zip(row, counts)):
+            take = u if u < total else total
+            floor, total = floor + take * x, total - take
+        floors.append(floor)
     limit = incumbent - 1 if incumbent is not None else \
         _greedy_split(rows, slots, costs, counts, totals)[0]
     spare = limit - sum(floors)
@@ -209,6 +224,8 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
         least = list(accumulate(
             [x if u else math.inf for x, u in zip(price, counts)][::-1],
             min, initial=math.inf))[::-1]
+        last_price, last_step = price[last], steps[last]
+        last_pairs, last_unit = pairs[last], units[last]
 
         def fill(p, left, partial, packed):
             marginal, step, fp = price[p], steps[p], fs[p]
@@ -227,8 +244,16 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
                 if not units_left:
                     emit((partial, packed))
                     break
-                if partial + units_left * least[p + 1] <= cap:
-                    fill(p + 1, units_left, partial, packed)
+                if p + 1 < last:
+                    if partial + units_left * least[p + 1] <= cap:
+                        fill(p + 1, units_left, partial, packed)
+                else:  # the last type takes the rest, at most its count
+                    value = partial + units_left * last_price + \
+                        last_step * units_left * (units_left - 1) // 2
+                    for step_f, f in last_pairs:
+                        value += units_left * step_f * c[f]
+                    if value <= cap:
+                        emit((value, packed + units_left * last_unit))
                 partial += marginal + step * y
                 packed += units[p]
                 y += 1
@@ -238,6 +263,7 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
                 c[f] -= y
 
         fill(0, totals[r], 0, 0)
+        del fill  # the closure refers to itself: no cycle outlives the call
 
     def table(r):
         nonlocal spare
@@ -320,6 +346,7 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
                                 initial=floors[rest]))[::-1]
         picks = [0] * (len(tables) + 1)
         entries(head, start)
+    del join  # as ``fill``: a closure that refers to itself
     if optima is not None:
         optima = [[unpack(m[i]) for i in where]
                   for _, m in sorted(optima, reverse=True)]

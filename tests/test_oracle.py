@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 
 import divmatch
 from divmatch import oracle
-from divmatch.instance import parse_instance
+from divmatch.cli import solution_to_dict
+from divmatch.instance import generate_reviewer_instance, parse_instance
 from divmatch.objective import (assignment_from_matrix,
                                 matrix_from_assignment, objective)
 from divmatch.oracle import DEFAULT_BUDGET, BudgetExceededError, \
     _greedy_split, _unit_prices, best_split, enumerate_optimal, split_count
+from divmatch.solver import solve
 from helpers import (brute_force_optima, load_module,
                      random_feasible_assignment, random_feasible_matrix,
                      random_small_instance, reference_greedy_split)
@@ -318,8 +321,9 @@ def test_greedy_split_is_a_split_never_below_the_optimum(seed,
        st.sampled_from((0, 2, 9)), st.booleans())
 def test_greedy_split_matches_the_plain_scan(seed, worker_fraction,
                                              max_cost, whole):
-    # The greedy keeps each row's least (price, type) and prices again only
-    # the row that took a unit and the rows whose least type ran out. The
+    # The greedy keeps each row's cheapest type, the first on ties, and
+    # prices again only the row that took a unit and the rows whose
+    # cheapest type ran out. The
     # plain scan prices every (type, row) pair for every unit, so both must
     # place every unit alike, ties included: over all rows and types, as
     # the oracle and the solver's start call it, or over some rows and
@@ -426,6 +430,12 @@ def _expected_split(inst, rows, cols, counts, totals, incumbent):
 @example(seed=24, shape="singletons", offset=None)
 @example(seed=22, shape="singletons", offset="split")
 @example(seed=70, shape="singletons", offset="split")
+# Within a row the last type takes the rest in place: here it cannot take
+# it all (a row's left units exceed its count, so the earlier type's units
+# start above 0), its leaf lands exactly on the cap and one above it.
+@example(seed=19, shape="mixed", offset=None)
+@example(seed=4, shape="singletons", offset=None)
+@example(seed=9, shape="singletons", offset=None)
 def test_best_split_matches_brute_force(seed, shape, offset):
     # The first row's candidates go straight into the join, each later
     # row's table is pruned against the limit, and a real rest row (the
@@ -515,3 +525,33 @@ def test_oracle_stores_no_candidates_of_a_lone_team():
         tracemalloc.stop()
     assert (result.optimal_objective, result.num_optima) == (0, 12_870)
     assert peak < 100_000
+
+
+def test_the_verify_path_leaves_no_cyclic_garbage():
+    # A verify pass makes thousands of oracle calls. A call that leaves a
+    # reference cycle behind (a recursive closure that refers to itself)
+    # makes work for the collector on every pass, so with the collector
+    # off each call must leave nothing for it to free. The solve runs the
+    # re-split sweep, which calls best_split with an incumbent.
+    inst = generate_reviewer_instance(3, [4] * 5, "balanced", 4, seed=5)
+    small, rows = EIGHT_VS_SIXTEEN, range(3)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    garbage = {}
+    try:
+        enumerate_optimal(small)
+        garbage["enumerate_optimal"] = gc.collect()
+        enumerate_optimal(small, collect_optima=True)
+        garbage["collect_optima"] = gc.collect()
+        best_split(small, rows, range(2), [2, 2], [0, 2, 2], incumbent=17)
+        garbage["incumbent"] = gc.collect()
+        report = solve(inst)
+        garbage["solve"] = gc.collect()
+        solution_to_dict(inst, report)
+        garbage["solution_to_dict"] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert [r.source for r in report.trace] == ["cycle", "resplit"]
+    assert garbage == dict.fromkeys(garbage, 0)
