@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .auxgraph import GraphTooLargeError
 from .instance import InvalidInstanceError, dump_instance, \
     generate_reviewer_instance, load_instance
-from .negcycle import DETECTORS
 from .objective import assignment_from_matrix, count_tensor
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, enumerate_optimal
 from .solver import SolveReport, SolverConfig, solve
@@ -196,7 +195,7 @@ def _check_writable(path: str):
 
 
 def _solve(inst, args) -> SolveReport:
-    cfg = SolverConfig(detector=args.detector, max_iterations=args.max_iters)
+    cfg = SolverConfig(max_iterations=args.max_iters)
     try:
         return solve(inst, cfg)
     except GraphTooLargeError as exc:
@@ -314,7 +313,6 @@ def _positive_int(text: str) -> int:
 
 
 def _add_solver_flags(p):
-    p.add_argument("--detector", choices=tuple(DETECTORS), default="gr")
     p.add_argument("--max-iters", type=_positive_int, default=None,
                    dest="max_iters")
     p.add_argument("--log", choices=("quiet", "iter", "debug"),

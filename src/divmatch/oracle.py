@@ -172,13 +172,11 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     that fit the workers left (no guard bit above a type's field of the
     packed counts is cleared). The rest row (the dummy row if it takes
     workers, else the last row) takes what is left: a real one is tabled
-    beside other tables, where it is reached again and again, else priced
-    from its counts. A tabled row shares the workers with two or more
-    others, so the tables stay far below :func:`split_count`. Within a
-    row, the last type takes what the others leave, so it is priced in
-    place at the counters so far, not by one more recursive call. The
-    recursive closures are dropped once done, so no reference cycle
-    outlives the call.
+    and looked up by the counts left, and the dummy row costs nothing.
+    Within a row, the last type takes what the others leave, so it is
+    priced in place at the counters so far, not by one more recursive
+    call. The recursive closures are dropped once done, so no reference
+    cycle outlives the call.
     """
     slots, costs = _unit_prices(inst, rows, cols)
     num_slots = inst.schema.num_features * \
@@ -278,21 +276,10 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
     def unpack(packed):
         return [packed >> s & mask for s in shifts]
 
-    def rest_value(packed):
-        value, c = 0, [0] * num_slots
-        for s, cost, row in zip(shifts, costs[rest], slots):
-            y = packed >> s & mask
-            if y:
-                value += y * cost
-                for lam, f in row:
-                    value += lam * y * (2 * c[f] + y)
-                    c[f] += y
-        return value
-
     head, *tabled = [r for r in range(num_rows) if r != rest]
     tables = [table(r) for r in tabled]
     rest_values = {packed: value for value, packed in table(rest)} \
-        if rows[rest] and tables else None
+        if rows[rest] else None
     best, chosen, chosen_key, count = incumbent, None, None, 0
     # Kept optima as (-key, packs), the root last. A split's key sums its
     # packed rows but the last, row r lifted r fields less than row 0.
@@ -321,8 +308,6 @@ def best_split(inst, rows, cols, counts, totals, incumbent=None,
             left -= guard
             if rest_values is not None:  # a miss is over the rest's cap
                 partial += rest_values.get(left, math.inf)
-            elif rows[rest]:
-                partial += rest_value(left)
             if partial <= limit:
                 found(partial, left)
             return

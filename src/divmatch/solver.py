@@ -81,12 +81,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    detector: str = "gr"
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if self.detector not in DETECTORS:
-            raise ValueError(f"unknown detector {self.detector!r}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1 when set")
 
@@ -270,7 +267,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     switch-graph."""
     cfg = cfg or SolverConfig()
     current, start = _greedy_start(inst)
-    search = _Search(inst, start, DETECTORS[cfg.detector])
+    search = _Search(inst, start, DETECTORS["gr"])
     bound = _descent_bound(inst, _cost_of(inst, start))
     initial_objective = current
     trace: list[IterationRecord] = []

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import divmatch as dm
 import divmatch.cli  # noqa: F401  (the tracer wraps dm.cli)
-from divmatch.solver import SolverConfig
 from helpers import random_small_instance
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -25,10 +24,9 @@ def test_tracer_counts_match_the_solves_and_uninstall_restores():
     instances = [dm.generate_reviewer_instance(10, [8] * 5, "balanced", 4,
                                                seed=1)]
     instances += [random_small_instance(seed) for seed in range(6)]
-    solves = [(inst, ("gr", "bf")[n % 2]) for n, inst in enumerate(instances)]
-    # Under gr this instance commits a walk and then a re-split.
-    solves.append((dm.generate_reviewer_instance(3, [4] * 5, "balanced", 4,
-                                                 seed=5), "gr"))
+    # This instance commits a walk and then a re-split.
+    instances.append(dm.generate_reviewer_instance(3, [4] * 5, "balanced", 4,
+                                                   seed=5))
     spans = tracer.Tracer()
     spans.install(dm)
     patched = list(spans._patches)
@@ -47,9 +45,9 @@ def test_tracer_counts_match_the_solves_and_uninstall_restores():
         # graph.
         iterations = exact_solves = 0
         switch_sources, exact_sources = [], []
-        for inst, detector in solves:
+        for inst in instances:
             graphs = len(built)
-            report = dm.solver.solve(inst, SolverConfig(detector=detector))
+            report = dm.solver.solve(inst)
             sources = [record.source for record in report.trace]
             if sum(lam > 0 for lam in inst.weights.lambdas) >= 2:
                 iterations += report.iterations

@@ -477,10 +477,11 @@ def test_best_split_matches_brute_force(seed, shape, offset):
 
 
 def test_best_split_skips_a_rest_over_the_limit():
-    # Two real rows, so the last is the rest row, priced from what t1
-    # leaves. The greedy puts A in t2 at 0, then B in t1 at 2, so the limit
-    # is 2. t1 takes B (2) and leaves A to t2 (0): 2. t1 takes A (1) and
-    # leaves B to t2 (10): 11, over the limit, so that leaf is skipped.
+    # Two real rows, so the last is the rest row, tabled up to its cap.
+    # The greedy puts A in t2 at 0, then B in t1 at 2, so the limit is 2
+    # and t2's cap is the limit less t1's floor (1): 1. t1 takes B (2) and
+    # leaves A to t2 (0): 2. t1 takes A (1) and leaves B to t2, whose table
+    # lacks B (10, over its cap), so that leaf is skipped.
     inst = make({
         "features": [{"name": "c", "values": ["A", "B"]}],
         "workers": [[0], [1]],

@@ -158,23 +158,18 @@ EIGHT_VS_SIXTEEN = {
 }
 
 
-@pytest.mark.parametrize("detector", ["bf", "gr"])
-def test_solve_reaches_oracle_optimum(detector):
+def test_solve_reaches_oracle_optimum():
     inst = make(EIGHT_VS_SIXTEEN)
-    report = solve(inst, SolverConfig(detector=detector))
+    report = solve(inst)
     assert report.termination == "optimal"
     assert report.breakdown.objective == 8
     assert report.assignment[1:] == [[1, 1], [1, 1]]
 
 
-@pytest.mark.parametrize("settings, message", [
-    (dict(detector="spfa"), "unknown detector 'spfa'"),
-    (dict(max_iterations=0), "max_iterations must be >= 1 when set"),
-])
-def test_solver_config_rejects_bad_settings(settings, message):
+def test_solver_config_rejects_bad_settings():
     with pytest.raises(ValueError) as error:
-        SolverConfig(**settings)
-    assert str(error.value) == message
+        SolverConfig(max_iterations=0)
+    assert str(error.value) == "max_iterations must be >= 1 when set"
 
 
 def test_single_full_team_needs_no_iterations():
@@ -361,15 +356,12 @@ def test_worker_costs_follow_the_class_search_on_the_ladder_rung():
     assert as_worker.breakdown.objective == 251
 
 
-@pytest.mark.parametrize("detector, rung, expected", [
-    ("gr", (10, 40), (4, 251, "ade404977f570b29")),
-    ("gr", (25, 100), (10, 609, "f434e5ddd1b950b6")),
-    ("gr", (50, 200), (15, 1125, "23e911f7de277b04")),
-    ("bf", (10, 40), (4, 251, "3058aefc5db2c060")),
-    ("bf", (25, 100), (8, 609, "0ec7218147305c33")),
-    ("bf", (50, 200), (7, 1125, "76bed0a31cf32422")),
+@pytest.mark.parametrize("rung, expected", [
+    ((10, 40), (4, 251, "ade404977f570b29")),
+    ((25, 100), (10, 609, "f434e5ddd1b950b6")),
+    ((50, 200), (15, 1125, "23e911f7de277b04")),
 ])
-def test_class_ladder_rungs_keep_their_search(detector, rung, expected):
+def test_class_ladder_rungs_keep_their_search(rung, expected):
     # The benchmark's ladder-class rungs (criterion 7's shape, seed 1),
     # whose dummy row is empty: a refactor that keeps the search keeps
     # these commit counts, optima and traces (a sha256 prefix of each
@@ -378,7 +370,7 @@ def test_class_ladder_rungs_keep_their_search(detector, rung, expected):
     papers, reviewers = rung
     inst = generate_reviewer_instance(papers, [reviewers // 5] * 5,
                                       "balanced", 4, seed=1)
-    report = solve(inst, SolverConfig(detector=detector))
+    report = solve(inst)
     assert report.termination == "optimal"
     trace = json.dumps([[r.cycle_len, r.claimed, r.exact, r.objective_after]
                         for r in report.trace])
@@ -565,17 +557,16 @@ def test_resplit_sweep_can_stall_above_optimum_on_four_teams():
         weights=TradeoffWeights(2, (3, 3)))
     oracle = enumerate_optimal(inst)
     assert (oracle.optimal_objective, oracle.num_optima) == (92, 1)
-    for detector in ("gr", "bf"):
-        report = solve(inst, SolverConfig(detector=detector))
-        assert report.termination == "optimal"
-        assert report.refinement_complete is True
-        assert report.proved_optimal is False
-        assert report.breakdown.objective == oracle.optimal_objective + 2
-        assert all(map(sum, report.assignment))  # every row holds workers
-        changed = [i for i, (row, best) in
-                   enumerate(zip(report.assignment, oracle.matrix))
-                   if row != best]
-        assert changed == [0, 2, 3, 4]
+    report = solve(inst)
+    assert report.termination == "optimal"
+    assert report.refinement_complete is True
+    assert report.proved_optimal is False
+    assert report.breakdown.objective == oracle.optimal_objective + 2
+    assert all(map(sum, report.assignment))  # every row holds workers
+    changed = [i for i, (row, best) in
+               enumerate(zip(report.assignment, oracle.matrix))
+               if row != best]
+    assert changed == [0, 2, 3, 4]
 
 
 def test_resplit_sweep_closes_a_gap_that_needs_triples_on_four_teams():
@@ -589,12 +580,11 @@ def test_resplit_sweep_closes_a_gap_that_needs_triples_on_four_teams():
         weights=TradeoffWeights(2, (3, 1)))
     oracle = enumerate_optimal(inst, budget=10**12)
     assert (oracle.optimal_objective, oracle.num_optima) == (86, 3)
-    for detector in ("gr", "bf"):
-        report = solve(inst, SolverConfig(detector=detector))
-        assert report.initial_objective == 90
-        assert [r.source for r in report.trace] == ["resplit", "resplit"]
-        assert report.breakdown.objective == oracle.optimal_objective
-        assert report.proved_optimal is True
+    report = solve(inst)
+    assert report.initial_objective == 90
+    assert [r.source for r in report.trace] == ["resplit", "resplit"]
+    assert report.breakdown.objective == oracle.optimal_objective
+    assert report.proved_optimal is True
 
 
 def test_a_resplit_that_misprices_itself_raises(monkeypatch):
@@ -667,9 +657,7 @@ def _boundary_instances():
     yield from map(random_small_instance, range(150))
 
 
-@pytest.mark.parametrize("detector", ["bf", "gr"])
-def test_graph_equals_a_rebuild_at_every_step_boundary(monkeypatch,
-                                                       detector):
+def test_graph_equals_a_rebuild_at_every_step_boundary(monkeypatch):
     # Each step is a function of the state: after every commit, and at the
     # end, the switch-graph offers what a fresh build of its w offers, with
     # the same port terms. Nothing withheld by one step's walk search
@@ -692,7 +680,7 @@ def test_graph_equals_a_rebuild_at_every_step_boundary(monkeypatch,
 
     monkeypatch.setattr(solver._Search, "step", checked_step)
     for inst in _boundary_instances():
-        solve(inst, SolverConfig(detector=detector))
+        solve(inst)
     assert len(checked) >= 50
     assert checked.count(next(_boundary_instances())) >= 2
 
@@ -706,15 +694,14 @@ def test_a_proof_by_exhaustion_ends_at_the_optimum():
     for seed in range(600):
         inst = random_small_instance(seed)
         optimum = enumerate_optimal(inst).optimal_objective
-        for detector in ("bf", "gr"):
-            report = solve(inst, SolverConfig(detector=detector))
-            if not report.proved_optimal:
-                continue
-            assert report.refinement_complete
-            assert report.breakdown.objective == optimum
-            c = count_tensor(inst, report.assignment)
-            by_exhaustion += \
-                flow._proof(inst, report.assignment, c)[0] is not None
+        report = solve(inst)
+        if not report.proved_optimal:
+            continue
+        assert report.refinement_complete
+        assert report.breakdown.objective == optimum
+        c = count_tensor(inst, report.assignment)
+        by_exhaustion += \
+            flow._proof(inst, report.assignment, c)[0] is not None
     assert by_exhaustion >= 10
 
 
@@ -1175,14 +1162,13 @@ def test_proved_start_builds_no_graph(monkeypatch):
                         spy("build", solver.build_aux_graph))
     for name, detect in list(solver.DETECTORS.items()):
         monkeypatch.setitem(solver.DETECTORS, name, spy(name, detect))
-    for detector in ("gr", "bf"):
-        report = solve(inst, SolverConfig(detector=detector))
-        assert calls == []
-        assert (report.iterations, report.trace) == (0, [])
-        assert report.proved_optimal and report.refinement_complete
-        assert report.termination == "optimal"
-        assert report.assignment == initial_feasible(inst)
-        assert report.breakdown.objective == report.initial_objective == 8
+    report = solve(inst)
+    assert calls == []
+    assert (report.iterations, report.trace) == (0, [])
+    assert report.proved_optimal and report.refinement_complete
+    assert report.termination == "optimal"
+    assert report.assignment == initial_feasible(inst)
+    assert report.breakdown.objective == report.initial_objective == 8
 
 
 @pytest.mark.parametrize("detector", ["bf", "gr"])
@@ -1234,8 +1220,7 @@ def test_one_weighted_feature_cancels_flow_cycles_to_the_optimum(
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "build_aux_graph", refuse)
-        report = solve(inst, SolverConfig(
-            detector=data.draw(st.sampled_from(["gr", "bf"]))))
+        report = solve(inst)
     assert report.termination == "optimal"
     assert report.proved_optimal is True
     assert report.refinement_complete is True

@@ -1,5 +1,5 @@
 """The same-results digest runs from the command line on the benchmark's
-known-bad instances, under every detector, on acceptance criterion 7's
+known-bad instances, on acceptance criterion 7's
 n=400 rungs and on its shape at n=800; its per-worker rungs give every
 worker a type of its own, its exact rungs all take the exact path, and
 its gaps are the known four-team gaps; its oracle-edge instances sit near
@@ -17,36 +17,33 @@ import pytest
 
 import divmatch
 from divmatch.auxgraph import MAX_GRAPH_BYTES, graph_price
-from divmatch.negcycle import DETECTORS
 from divmatch.oracle import BudgetExceededError, enumerate_optimal
-from divmatch.solver import SolverConfig, solve
+from divmatch.solver import solve
 from helpers import known_bad_instances, load_module
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "trace_digest.py"
-LINE = re.compile(r"known-bad seed=3 detector=(\w+) instances=(\d+) "
+LINE = re.compile(r"known-bad seed=3 instances=(\d+) "
                   r"raised=(\d+) objective_sum=(\d+) proved=(\d+) "
                   r"sha256=([0-9a-f]{64}) oracle_sha256=([0-9a-f]{64})")
 
 
-@pytest.mark.parametrize("detector", sorted(DETECTORS))
-def test_digest_of_known_bad_runs_and_repeats(detector):
+def test_digest_of_known_bad_runs_and_repeats():
     argv = [sys.executable, str(SCRIPT), "--workload", "known-bad",
-            "--seed", "3", "--detector", detector]
+            "--seed", "3"]
     runs = [subprocess.run(argv, capture_output=True, text=True, check=True,
                            timeout=120).stdout for _ in range(2)]
     assert runs[0] == runs[1]
     match = LINE.fullmatch(runs[0].strip())
     assert match, runs[0]
-    name, count, raised, objective_sum, proved, solve_sha, oracle_sha = \
+    count, raised, objective_sum, proved, solve_sha, oracle_sha = \
         match.groups()
     instances = known_bad_instances()
-    assert (name, int(count), int(raised)) == (detector, len(instances), 0)
+    assert (int(count), int(raised)) == (len(instances), 0)
     # Two of the three end proved: one by the flow proof, and one because
     # its re-split sweep covered every row that holds workers.
     assert (int(objective_sum), int(proved)) == (331, 2)
-    reports = [solve(inst, SolverConfig(detector=detector))
-               for inst in instances]
+    reports = [solve(inst) for inst in instances]
     assert int(objective_sum) == sum(r.breakdown.objective for r in reports)
     assert int(proved) == sum(r.proved_optimal for r in reports)
     # The solve digest hashes, one JSON line per instance, the assignment,
@@ -78,7 +75,7 @@ def test_digest_of_known_bad_runs_and_repeats(detector):
 
 def _digest_line(workload):
     argv = [sys.executable, str(SCRIPT), "--workload", workload, "--seed",
-            "5", "--detector", "gr"]
+            "5"]
     return subprocess.run(argv, capture_output=True, text=True, check=True,
                           timeout=300).stdout.strip()
 
@@ -98,11 +95,10 @@ def _budget_errors_sha256(instances):
 
 def test_digest_of_n400_solves_criterion_7_rungs_whatever_the_seed():
     line = _digest_line("n400")
-    # n=400/t=75 at generator seeds 1 and 7; their final objectives under
-    # the Goldberg-Radzik detector sum to 3466, and both are proved
-    # optimal. Both exceed the oracle's budget, so the oracle digest hashes
-    # the two budget errors.
-    match = re.fullmatch(r"n400 seed=5 detector=gr instances=2 raised=0 "
+    # n=400/t=75 at generator seeds 1 and 7; their final objectives sum to
+    # 3466, and both are proved optimal. Both exceed the oracle's budget,
+    # so the oracle digest hashes the two budget errors.
+    match = re.fullmatch(r"n400 seed=5 instances=2 raised=0 "
                          r"objective_sum=3466 proved=2 sha256=[0-9a-f]{64} "
                          r"oracle_sha256=([0-9a-f]{64})", line)
     assert match, line
@@ -115,7 +111,7 @@ def test_digest_of_n800_ends_proved_whatever_the_seed():
     line = _digest_line("n800")
     # Criterion 7's shape at n=800/t=150, generator seed 1, ends proved at
     # 3506; the oracle digest hashes its budget error.
-    match = re.fullmatch(r"n800 seed=5 detector=gr instances=1 raised=0 "
+    match = re.fullmatch(r"n800 seed=5 instances=1 raised=0 "
                          r"objective_sum=3506 proved=1 sha256=[0-9a-f]{64} "
                          r"oracle_sha256=([0-9a-f]{64})", line)
     assert match, line
@@ -144,7 +140,7 @@ def test_digest_of_exact_rungs_ends_proved_by_flow_cancels():
     # The class-ladder and per-worker rungs at lambdas (1, 0) and (0, 1):
     # every solve takes the exact path and ends proved, and every step it
     # commits is a cancel of a cycle that ``negative_cycle`` found.
-    match = re.fullmatch(r"exact seed=5 detector=gr instances=10 raised=0 "
+    match = re.fullmatch(r"exact seed=5 instances=10 raised=0 "
                          r"objective_sum=(\d+) proved=10 "
                          r"sha256=[0-9a-f]{64} oracle_sha256=[0-9a-f]{64}",
                          line)
@@ -154,7 +150,7 @@ def test_digest_of_exact_rungs_ends_proved_by_flow_cancels():
     assert [(inst.n, inst.weights.lambdas) for inst in rungs] == [
         (n, lambdas) for n in (40, 100, 200, 80, 100)
         for lambdas in ((1, 0), (0, 1))]
-    reports = [solve(inst, SolverConfig(detector="gr")) for inst in rungs]
+    reports = [solve(inst) for inst in rungs]
     assert int(match.group(1)) == \
         sum(r.breakdown.objective for r in reports) == 3817
     assert all(r.proved_optimal for r in reports)
@@ -165,7 +161,7 @@ def test_digest_of_gaps_closes_one_of_two_whatever_the_seed():
     line = _digest_line("gaps")
     # The open four-team gap ends at 94 against 92, unproved; the sweep's
     # triples take the other from 90 to its optimum 86, proved.
-    assert re.fullmatch(r"gaps seed=5 detector=gr instances=2 raised=0 "
+    assert re.fullmatch(r"gaps seed=5 instances=2 raised=0 "
                         r"objective_sum=180 proved=1 sha256=[0-9a-f]{64} "
                         r"oracle_sha256=[0-9a-f]{64}", line), line
 
@@ -177,7 +173,7 @@ def test_digest_of_oracle_edge_ends_at_the_oracle_optima_whatever_the_seed():
     # proved, at the oracle's optimum. The oracle digest is pinned, as its
     # search changes along with it.
     assert re.fullmatch(
-        r"oracle-edge seed=5 detector=gr instances=9 raised=0 "
+        r"oracle-edge seed=5 instances=9 raised=0 "
         r"objective_sum=904 proved=9 sha256=[0-9a-f]{64} oracle_sha256="
         r"71b25dbd8857bdfda9f2f2e18bd3c5c646ae125fcb8b91fd47f8707fa50783cd",
         line), line

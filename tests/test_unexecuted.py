@@ -58,7 +58,7 @@ def test_lists_what_the_known_bad_digest_never_runs():
             "--workload", "known-bad", "--seed", "1"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True,
                          timeout=120).stdout.splitlines()
-    assert out[0].startswith("known-bad seed=1 detector=gr instances=3 ")
+    assert out[0].startswith("known-bad seed=1 instances=3 ")
     listed = out[1:-1]
     assert all(re.fullmatch(r"src/divmatch/\w+\.py:\d+: \S.*", line)
                for line in listed), listed

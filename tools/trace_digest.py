@@ -1,6 +1,6 @@
 """Same-results digest of the solver over the benchmark's instances.
 
-    python3 tools/trace_digest.py --workload all --seed 1 --detector gr
+    python3 tools/trace_digest.py --workload all --seed 1
 
 Solves every instance of a workload once, in order, with the package from
 this checkout's ``src/`` and the instances of ``bench/workloads.py``
@@ -155,10 +155,10 @@ def oracle_edge(dm) -> list:
 WORKLOADS["oracle-edge"] = lambda dm, seed: oracle_edge(dm)
 
 
-def solve_record(inst, cfg) -> list:
+def solve_record(inst) -> list:
     """What a solve returned, as JSON-ready values; or what it raised."""
     try:
-        report = divmatch.solve(inst, cfg)
+        report = divmatch.solve(inst)
     except Exception as exc:  # a raised solve is part of the result
         return ["raised", type(exc).__name__, str(exc)]
     return [report.assignment,
@@ -179,12 +179,11 @@ def oracle_record(inst) -> list:
             result.optima]
 
 
-def digest(instances, detector: str) -> dict:
-    cfg = divmatch.SolverConfig(detector=detector)
+def digest(instances) -> dict:
     sha, oracle_sha = hashlib.sha256(), hashlib.sha256()
     raised = objective_sum = proved = 0
     for inst in instances:
-        record = solve_record(inst, cfg)
+        record = solve_record(inst)
         if record[0] == "raised":
             raised += 1
         else:
@@ -205,13 +204,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--detector", default="gr",
-                        choices=list(divmatch.negcycle.DETECTORS))
     args = parser.parse_args(argv)
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     for name in names:
-        result = digest(WORKLOADS[name](divmatch, args.seed), args.detector)
-        print(f"{name} seed={args.seed} detector={args.detector} "
+        result = digest(WORKLOADS[name](divmatch, args.seed))
+        print(f"{name} seed={args.seed} "
               + " ".join(f"{key}={value}" for key, value in result.items()))
     return 0
 
