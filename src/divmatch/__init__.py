@@ -51,7 +51,6 @@ from .negcycle import (
 from .solver import (
     IterationRecord,
     SolveReport,
-    SolverConfig,
     initial_feasible,
     iteration_bound,
     solve,

@@ -26,7 +26,7 @@ from .instance import InvalidInstanceError, dump_instance, \
     generate_reviewer_instance, load_instance
 from .objective import assignment_from_matrix, count_tensor
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, enumerate_optimal
-from .solver import SolveReport, SolverConfig, solve
+from .solver import SolveReport, solve
 
 __all__ = ["main", "entry", "BalanceReport", "balance_report",
            "solution_to_dict"]
@@ -195,9 +195,8 @@ def _check_writable(path: str):
 
 
 def _solve(inst, args) -> SolveReport:
-    cfg = SolverConfig(max_iterations=args.max_iters)
     try:
-        return solve(inst, cfg)
+        return solve(inst, max_iterations=args.max_iters)
     except GraphTooLargeError as exc:
         raise CliError(str(exc), EXIT_BUDGET) from exc
     except RuntimeError as exc:  # a broken solver invariant

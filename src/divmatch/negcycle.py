@@ -1,32 +1,33 @@
-"""Negative-cycle detection over integer-weighted directed graphs: the
-switch-graph detectors, and :func:`negative_cycle` over the ``(from, to,
-cost)`` arcs of a flow network. Both Bellman-Ford loops find their cycle
-by one walk of the predecessor chains, :func:`_pred_cycle`.
-
-Goldberg-Radzik (:func:`goldberg_radzik_detect`) runs in every solve, and
-Bellman-Ford (:func:`bellman_ford_detect`) is its backstop and the tests'
-reference. The two share one contract: search a graph's ``node_count``
-nodes and its ``succ`` adjacency lists, and return some simple cycle of
-strictly negative total weight, or ``None`` when no such cycle exists.
-Both start from an implicit super-source with zero-weight arcs to every
-node, so disconnected components are covered.
+"""Negative-cycle detection over integer-weighted directed graphs. The
+one Bellman-Ford loop, :func:`negative_cycle`, searches the ``(from, to,
+cost)`` arcs of a flow network. Goldberg-Radzik
+(:func:`goldberg_radzik_detect`) searches the switch-graph in every solve;
+:func:`bellman_ford_detect`, the adapter of :func:`negative_cycle` to such
+graphs, is its backstop and the tests' reference. The two share one
+contract: search a graph's ``node_count`` nodes and its ``succ`` adjacency
+lists, and return some simple cycle of strictly negative total weight, or
+``None`` when no such cycle exists. Both start from an implicit
+super-source with zero-weight arcs to every node, so disconnected
+components are covered.
 
 An edge is a ``(src, dst, weight)`` tuple of ints, the form of the flow
 arcs. Any object exposing ``node_count``, ``succ`` (per node, a list of
 edges) and the per-node integer lists ``bias`` and ``start`` can be
 searched, such as the switch-graph of :mod:`divmatch.auxgraph`. A graph
 lists in ``succ`` only the edges it offers; the detectors use every listed
-edge, in list order, and no other.
-A node with no listed out-edge lies on no cycle, and the detectors treat it
-like any other: the work it costs is the scan of the edges into it, which
-is why the switch-graph offers no edge into a port it cannot leave.
+edge, in list order, and no other, and return the graph's own edge
+objects. A node with no listed out-edge lies on no cycle, and the
+detectors treat it like any other: the work it costs is the scan of the
+edges into it, which is why the switch-graph offers no edge into a port
+it cannot leave.
 
 An edge ``(src, dst, weight)`` weighs ``weight + bias[src] + start[src] -
-start[dst]``. The detectors never fold that sum: labels start at
-``start`` instead of 0 and an edge costs ``weight + bias[src]``, so
-every label is the folded graph's label plus ``start`` of its node.
-``start`` is a node potential (Ahuja, Magnanti & Orlin, Network Flows,
-section 2.4): it cancels from every comparison ``label[u] + cost -
+start[dst]``. :func:`bellman_ford_detect` folds that sum into each arc it
+hands to :func:`negative_cycle`. Goldberg-Radzik never folds it: its
+labels start at ``start`` instead of 0 and an edge costs ``weight +
+bias[src]``, so every label is the folded graph's label plus ``start`` of
+its node. ``start`` is a node potential (Ahuja, Magnanti & Orlin, Network
+Flows, section 2.4): it cancels from every comparison ``label[u] + cost -
 label[v]`` and from every cycle's weight, so the search, the cycle
 returned and its ``claimed_weight`` are those of the folded graph.
 """
@@ -68,44 +69,20 @@ def _cycle_of(edges, bias) -> ExchangeCycle:
 
 
 def bellman_ford_detect(g) -> ExchangeCycle | None:
-    """Round-synchronized label correction.
-
-    Each of up to ``n`` rounds relaxes every listed edge against the
-    previous round's labels; the labels settle within ``n - 1`` rounds when
-    no negative cycle exists (shortest walks are then simple). Predecessor
-    links record strict improvements only, so any cycle they form is
-    strictly negative (the usual labeling-method lemma); after every round
-    the predecessor chain of the last improved node is walked once, and the
-    first cycle that materializes is returned, which turns the typical
-    cyclic case from n rounds into a handful.
-    """
-    n = g.node_count
-    if not n:
-        return None  # no node, so no cycle
-    bias = g.bias
-    dist = list(g.start)
-    pred: list = [None] * n
-    for _ in range(n):
-        last_changed = -1
-        prev = dist[:]
-        for u in range(n):
-            du = prev[u] + bias[u]
-            for e in g.succ[u]:
-                _, v, weight = e
-                if du + weight < dist[v]:
-                    dist[v] = du + weight
-                    pred[v] = e
-                    last_changed = v
-        if last_changed < 0:
-            return None
-        cycle = _pred_cycle(pred, (last_changed,))
-        if cycle is not None:
-            return _cycle_of(cycle, bias)
-    # Unreachable: after round k a label is the least walk of <= k edges,
-    # and a node's cycle-free predecessor chain bounds its label from below
-    # by a path's length, so a chain with no cycle after an improvement in
-    # round n would be a simple path shorter than every walk of <= n-1 edges.
-    raise RuntimeError("negative cycle exists but no predecessor cycle found")
+    """:func:`negative_cycle` over the graph's listed edges, each folded to
+    the arc ``(src, dst, weight + bias[src] + start[src] - start[dst])``,
+    in list order. Each arc maps back to a listed edge it was folded from,
+    so the cycle is returned as the graph's own edge objects."""
+    bias, start = g.bias, g.start
+    edge_of = {}
+    for edges in g.succ:
+        for e in edges:
+            src, dst, weight = e
+            cost = weight + bias[src] + start[src] - start[dst]
+            edge_of[src, dst, cost] = e
+    cycle = negative_cycle(g.node_count, list(edge_of))
+    return None if cycle is None else \
+        _cycle_of([edge_of[arc] for arc in cycle], bias)
 
 
 def negative_cycle(node_count, arcs):
@@ -118,8 +95,7 @@ def negative_cycle(node_count, arcs):
     Predecessors are kept on strict improvement, so a cycle among them is
     negative. After each round that changed a label, the last improved
     node's predecessor chain is walked, and the first cycle on it is
-    returned, as in :func:`bellman_ford_detect`. From round ``node_count``
-    on, every chain is walked."""
+    returned. From round ``node_count`` on, every chain is walked."""
     label = [0] * node_count
     pred = [None] * node_count
     rounds = 0

@@ -42,8 +42,8 @@ exchanges that no single cycle can express. Where the graph was just built
 on a failed proof, the sweep follows with no second proof of the unchanged
 state. The same proof, restricted to a subset's rows and types, certifies
 a team subset before it is enumerated. The loop ends when the proof
-succeeds, when neither step finds an improvement, or when the configured
-iteration cap is reached and a further step would still commit.
+succeeds, when neither step finds an improvement, or when the iteration
+cap ``max_iterations`` is reached and a further step would still commit.
 
 Integer weights make every committed step decrease the objective by at least
 one, which bounds the number of iterations by
@@ -68,7 +68,6 @@ from .objective import ObjectiveBreakdown, _cost_of, count_tensor, \
 from .oracle import _greedy_split, _unit_prices, best_split, split_count
 
 __all__ = [
-    "SolverConfig",
     "IterationRecord",
     "SolveReport",
     "initial_feasible",
@@ -77,15 +76,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iterations: int | None = None
-
-    def __post_init__(self):
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1 when set")
 
 
 @dataclass(frozen=True)
@@ -259,13 +249,15 @@ def _find_resplit(inst, w, c):
     return found, found is None and not spent.skipped
 
 
-def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
+def solve(inst: Instance, *,
+          max_iterations: int | None = None) -> SolveReport:
     """Run the cancellation loop to a certified local-search fixed point,
     reported ``proved_optimal`` where it is shown to be a global optimum.
     With at most one weighted feature the search cancels cycles of the flow
     network and, unless capped, ends proved; otherwise it searches the
-    switch-graph."""
-    cfg = cfg or SolverConfig()
+    switch-graph. ``max_iterations``, when set, caps the commits."""
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1 when set")
     current, start = _greedy_start(inst)
     search = _Search(inst, start, DETECTORS["gr"])
     bound = _descent_bound(inst, _cost_of(inst, start))
@@ -275,7 +267,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveReport:
     termination = "optimal"
 
     while (step := search.step()) is not None:
-        if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
+        if max_iterations is not None and iterations >= max_iterations:
             termination = "iteration-cap"  # a verified step is still pending
             break
         source, cycle_len, claimed, gain, commit = step

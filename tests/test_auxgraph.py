@@ -19,8 +19,7 @@ from divmatch.instance import (Team, TradeoffWeights, convert_cost_mode,
                                generate_reviewer_instance, parse_instance)
 from divmatch.negcycle import DETECTORS, ExchangeCycle
 from divmatch.objective import exchange_gain, matrix_from_assignment
-from divmatch.solver import (SolverConfig, _moves_from_split,
-                             initial_feasible, solve)
+from divmatch.solver import _moves_from_split, initial_feasible, solve
 from helpers import (current_state, cycle_from_moves, dump_edges, inter_edge,
                      inter_weight, intra_weight, price,
                      random_feasible_assignment, random_feasible_matrix,
@@ -638,7 +637,7 @@ def test_live_offer_hides_no_cycle(seed, worker_costs, lambdas, fill_dummy,
     if state == "random":
         w = random_feasible_matrix(inst, rng)
     elif state == "solved":
-        w = solve(inst, SolverConfig(max_iterations=steps)).assignment
+        w = solve(inst, max_iterations=steps).assignment
     else:
         w = initial_feasible(inst)
     g = build_aux_graph(inst, w)

@@ -270,7 +270,8 @@ def test_verify_exits_4_when_the_solver_misses_the_optimum(tmp_path, capsys,
     report = solve(parse_instance(json.dumps(EIGHT_VS_SIXTEEN)))
     worse = dataclasses.replace(report, breakdown=dataclasses.replace(
         report.breakdown, objective=report.breakdown.objective + 1))
-    monkeypatch.setattr(divmatch.cli, "solve", lambda inst, cfg=None: worse)
+    monkeypatch.setattr(divmatch.cli, "solve",
+                        lambda inst, max_iterations=None: worse)
     assert run(["verify", inst]) == 4
     captured = capsys.readouterr()
     assert "solver objective: 9" in captured.out
@@ -504,7 +505,7 @@ def test_solve_worker_mode_instance(tmp_path):
     assert run(["verify", inst]) == 0
 
 
-def _raise_internal_error(inst, cfg=None):
+def _raise_internal_error(inst, max_iterations=None):
     raise RuntimeError("detection keeps returning non-improving walks")
 
 

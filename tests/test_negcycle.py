@@ -20,7 +20,9 @@ DETECTORS = [bellman_ford_detect, goldberg_radzik_detect]
 
 def verify_cycle(g, cycle):
     assert cycle.is_closed()
-    assert all(e in g.succ[e[0]] for e in cycle.edges)
+    # the graph's own edge objects, not tuples equal to them
+    assert all(any(e is listed for listed in g.succ[e[0]])
+               for e in cycle.edges)
     total = sum(price(g, e) for e in cycle.edges)
     assert total == cycle.claimed_weight
     assert total <= -1
@@ -241,6 +243,35 @@ def test_switch_graph_terms_match_folded_weights(detect):
     assert found > 5
 
 
+def test_bellman_ford_detect_is_negative_cycle_on_the_folded_offer():
+    # Each listed edge, in list order, folded to (src, dst, price): the
+    # cycle negative_cycle finds there is the one bellman_ford_detect
+    # returns, as the graph's own edges.
+    rng = random.Random(13)
+    graphs = []
+    for _ in range(100):
+        g = random_digraph(rng, max_nodes=20, density=0.3, sinks=0.3)
+        with_node_terms(g, rng)
+        graphs.append(g)
+    for seed in range(20):
+        inst = random_small_instance(seed + 700, worker_fraction=0.25)
+        graphs.append(build_aux_graph(inst,
+                                      random_feasible_matrix(inst, rng)))
+    found = 0
+    for g in graphs:
+        arcs = [(e[0], e[1], price(g, e)) for edges in g.succ for e in edges]
+        expected = negative_cycle(g.node_count, arcs)
+        cycle = bellman_ford_detect(g)
+        if expected is None:
+            assert cycle is None
+            continue
+        assert [(e[0], e[1], price(g, e)) for e in cycle.edges] == expected
+        assert cycle.claimed_weight == sum(cost for _, _, cost in expected)
+        verify_cycle(g, cycle)
+        found += 1
+    assert found > 30
+
+
 @pytest.mark.parametrize("detect", DETECTORS)
 def test_zero_weight_cycle_is_not_negative(detect):
     g = SimpleDigraph(3)
@@ -267,30 +298,29 @@ def test_empty_graph_has_none(name):
     assert negative_cycle(0, []) is None
 
 
-# The one predecessor-chain walk serves both Bellman-Ford loops, over the
-# switch-graph's edges and over a flow network's arcs: both are ``(from,
-# to, cost)`` tuples. ``edges`` records as predecessors the edges a graph
-# holds in its ``succ`` lists, as :func:`bellman_ford_detect` does;
-# ``arcs`` records fresh tuples, as :func:`negative_cycle` does.
-EDGE_KINDS = ("arcs", "edges")
+# The one predecessor-chain walk serves the one Bellman-Ford loop,
+# :func:`negative_cycle`. The kinds are the forms its predecessors are
+# recorded in; ``arcs`` is fresh ``(from, to, cost)`` tuples, as
+# :func:`negative_cycle` records the arcs it relaxes
+# (:func:`bellman_ford_detect` maps them back to the graph's edges).
+EDGE_KINDS = ("arcs",)
 
 
 def _walk(kind, node_count, arcs, starts):
     """``_pred_cycle`` over the predecessors ``arcs``, each ``(u, v, cost)``
     the edge that last improved ``v``, recorded as ``kind``; the cycle
     found, or None."""
-    g = SimpleDigraph(node_count)
+    assert kind in EDGE_KINDS
     pred = [None] * node_count
     for u, v, cost in arcs:
-        pred[v] = g.add_edge(u, v, cost) if kind == "edges" else (u, v, cost)
+        pred[v] = (u, v, cost)
     cycle = _pred_cycle(pred, starts)
     if cycle is None:
         return None
     # closed, in forward order: each arc leaves the node the one before
     # entered
     assert all(a[1] == b[0] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-    # the recorded predecessors themselves, so a switch-graph cycle is made
-    # of the graph's own edges
+    # the recorded predecessors themselves
     assert all(e is pred[e[1]] for e in cycle)
     return cycle
 
@@ -333,17 +363,3 @@ def test_cycle_guard_fires_on_a_cycle_that_is_not_negative():
     with pytest.raises(RuntimeError) as raised:
         negcycle._cycle_of([(0, 1, 1), (1, 0, 0)], [0, 0])
     assert str(raised.value) == "extracted cycle has weight 1, expected < 0"
-
-
-def test_round_n_guard_fires_when_no_predecessor_cycle_is_found(monkeypatch):
-    # The guard cannot fire: a node improved in round n has a cycle on its
-    # predecessor chain. With the chain walk made to find none, it does.
-    g = SimpleDigraph(3)
-    for src, dst, weight in [(0, 1, 1), (1, 2, -3), (2, 0, 1)]:
-        g.add_edge(src, dst, weight)
-    assert bellman_ford_detect(g).claimed_weight == -1
-    monkeypatch.setattr(negcycle, "_pred_cycle", lambda pred, starts: None)
-    with pytest.raises(RuntimeError) as raised:
-        bellman_ford_detect(g)
-    assert str(raised.value) == \
-        "negative cycle exists but no predecessor cycle found"

@@ -21,8 +21,7 @@ from divmatch.objective import (assignment_from_matrix, breakdown_of,
                                 count_tensor, objective)
 from divmatch.oracle import (_greedy_split, _unit_prices, best_split,
                              enumerate_optimal)
-from divmatch.solver import (SolverConfig, initial_feasible, iteration_bound,
-                             solve)
+from divmatch.solver import initial_feasible, iteration_bound, solve
 from helpers import (current_state, cycle_from_moves, dump_edges,
                      known_bad_instances, random_feasible_matrix,
                      random_small_instance, random_switch_simple_moves,
@@ -79,7 +78,7 @@ def test_initial_feasible_is_the_feasible_greedy_split(seed, worker_costs,
     assert [sum(col) for col in zip(*start)] == list(types.multiplicities)
     assert min(map(min, start)) >= 0
     assert objective(inst, start).objective == value
-    assert solve(inst, SolverConfig(max_iterations=1)).initial_objective == \
+    assert solve(inst, max_iterations=1).initial_objective == \
         value
 
 
@@ -168,7 +167,7 @@ def test_solve_reaches_oracle_optimum():
 
 def test_solver_config_rejects_bad_settings():
     with pytest.raises(ValueError) as error:
-        SolverConfig(max_iterations=0)
+        solve(make(EIGHT_VS_SIXTEEN), max_iterations=0)
     assert str(error.value) == "max_iterations must be >= 1 when set"
 
 
@@ -196,9 +195,9 @@ def test_iteration_cap_reports_partial_result():
     inst = walk_then_resplit_instance()
     full = solve(inst)
     assert [r.source for r in full.trace] == ["cycle", "resplit"]
-    capped = solve(inst, SolverConfig(max_iterations=full.iterations))
+    capped = solve(inst, max_iterations=full.iterations)
     # cap equal to the needed commits still converges; one less does not
-    partial = solve(inst, SolverConfig(max_iterations=full.iterations - 1))
+    partial = solve(inst, max_iterations=full.iterations - 1)
     assert partial.termination == "iteration-cap"
     assert capped.breakdown.objective >= full.breakdown.objective
 
@@ -217,9 +216,9 @@ def test_iteration_cap_ignores_a_spurious_walk_at_the_fixed_point():
     full = solve(inst)
     assert (full.termination, full.iterations) == ("optimal", 3)
     assert full.breakdown.objective == 53
-    capped = solve(inst, SolverConfig(max_iterations=3))
+    capped = solve(inst, max_iterations=3)
     assert capped == full
-    early = solve(inst, SolverConfig(max_iterations=2))
+    early = solve(inst, max_iterations=2)
     assert early.termination == "iteration-cap"
     assert early.trace == full.trace[:2]
 
@@ -414,7 +413,7 @@ def _sweep_states():
         inst = generate_reviewer_instance(papers, [8] * 5, "balanced", 4,
                                           seed=1)
         for cap in (1, 4, 9, 16, 25, None):
-            report = solve(inst, SolverConfig(max_iterations=cap))
+            report = solve(inst, max_iterations=cap)
             assert (sum(report.assignment[0]) == 0) == (papers == 10)
             yield inst, report.assignment
         for _ in range(4):
@@ -770,7 +769,7 @@ def test_delta_gain_equals_recomputation(seed, worker_costs, data):
         state = random_feasible_matrix(inst, random.Random(seed))
     else:  # a state the solver reaches
         cap = data.draw(st.integers(1, 4))
-        state = solve(inst, SolverConfig(max_iterations=cap)).assignment
+        state = solve(inst, max_iterations=cap).assignment
     graph = build_aux_graph(inst, state)
     moves = _draw_moves(data, inst, state)
     if data.draw(st.booleans()):  # and on to another feasible state
@@ -829,7 +828,7 @@ def test_subset_flow_certificate_is_sound(seed, worker_costs, data):
         state = random_feasible_matrix(inst, random.Random(seed))
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
-        state = solve(inst, SolverConfig(max_iterations=cap)).assignment
+        state = solve(inst, max_iterations=cap).assignment
     c = count_tensor(inst, state)
     values = solver._row_values(inst, state, c)
     exact = sum(lam > 0 for lam in lambdas) <= 1
@@ -954,7 +953,7 @@ def test_optimality_proof_is_sound(seed, worker_costs, data):
         state = random_feasible_matrix(inst, random.Random(seed))
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
-        state = solve(inst, SolverConfig(max_iterations=cap)).assignment
+        state = solve(inst, max_iterations=cap).assignment
     c = count_tensor(inst, state)
     if flow._proof(inst, state, c)[0] is None:
         assert objective(inst, state).objective == \
@@ -984,7 +983,7 @@ def test_flow_test_certifies_every_pair_with_one_empty_row(seed,
         state = random_feasible_matrix(inst, random.Random(seed))
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
-        state = solve(inst, SolverConfig(max_iterations=cap)).assignment
+        state = solve(inst, max_iterations=cap).assignment
     c = count_tensor(inst, state)
     for rows in itertools.combinations(range(inst.t + 1), 2):
         if [sum(state[i]) == 0 for i in rows].count(True) != 1:
@@ -1012,7 +1011,7 @@ def test_part_flow_test_is_exact(seed, worker_costs, data):
         state = random_feasible_matrix(inst, random.Random(seed))
     else:  # a state the solver reaches
         cap = data.draw(st.one_of(st.none(), st.integers(1, 4)))
-        state = solve(inst, SolverConfig(max_iterations=cap)).assignment
+        state = solve(inst, max_iterations=cap).assignment
     c = count_tensor(inst, state)
     everyone = range(inst.t + 1)
     subsets = [(everyone, range(types.num_columns))]
@@ -1239,7 +1238,7 @@ def test_one_weighted_feature_iteration_cap_stops_after_the_first_cancel():
     full = solve(inst)
     assert full.iterations == 3
     assert full.proved_optimal is True
-    capped = solve(inst, SolverConfig(max_iterations=1))
+    capped = solve(inst, max_iterations=1)
     assert capped.termination == "iteration-cap"
     assert capped.iterations == 1
     assert capped.trace == full.trace[:1]
